@@ -524,8 +524,8 @@ func BenchmarkIHTLBuild(b *testing.B) {
 
 // BenchmarkBuild measures the end-to-end preprocessing pipeline on
 // the scale-18 R-MAT acceptance graph, sequential vs an 8-worker
-// pool: graph/* is the edge-list → dual CSR/CSC build (counting
-// sorts, adjacency sort, dedup, zero-degree compaction), core/* is
+// pool: graph/* is the edge-list → dual CSR/CSC build (bucket by
+// source, two transpositions, dedup, zero-degree compaction), core/* is
 // the iHTL construction (rank, select, relabel, blocks). The parallel
 // variants are bit-for-bit identical to the sequential ones — see
 // TestBuildParallelDeterminism and TestBuildWithParallelDeterminism —

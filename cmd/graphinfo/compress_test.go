@@ -10,7 +10,7 @@ import (
 
 // TestPrintCompressionGolden pins the compression table on the paper's
 // 8-vertex example (B = 2, as in the paper's worked figures). The
-// byte counts are deterministic — the build, the row sort and the
+// byte counts are deterministic — the build, its row order and the
 // encoder are all deterministic — so any drift here means the on-disk
 // or in-memory encoding changed shape.
 func TestPrintCompressionGolden(t *testing.T) {

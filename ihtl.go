@@ -180,10 +180,11 @@ func BuildGraph(numV int, edges []Edge) (*Graph, error) {
 	return BuildGraphOn(nil, numV, edges)
 }
 
-// BuildGraphOn is BuildGraph parallelised on pool: the CSR/CSC
-// counting sorts, adjacency sorting, dedup and zero-degree compaction
-// all run across the pool's workers and produce a graph bit-for-bit
-// identical to the sequential build. A nil pool builds sequentially.
+// BuildGraphOn is BuildGraph parallelised on pool: the bucketing of
+// the edge list, the two transpositions that order every adjacency
+// list, dedup and zero-degree compaction all run across the pool's
+// workers and produce a graph bit-for-bit identical to the sequential
+// build. A nil pool builds sequentially.
 func BuildGraphOn(pool *Pool, numV int, edges []Edge) (*Graph, error) {
 	return BuildGraphCtx(nil, pool, numV, edges)
 }

@@ -115,10 +115,14 @@ func DecodeAdjacency(data []byte, numV int, numE int64) ([]int64, []uint32, erro
 	if numV < 0 || numE < 0 {
 		return nil, nil, fmt.Errorf("compress: negative shape %d/%d", numV, numE)
 	}
+	// Every vertex costs at least its one-byte degree and every edge at
+	// least one gap byte, so the stream bounds both shapes: reject a
+	// hostile numV before allocating its offsets, and cap the initial
+	// neighbour allocation by the input size.
+	if numV > len(data) {
+		return nil, nil, fmt.Errorf("compress: %d vertices exceed the %d-byte stream", numV, len(data))
+	}
 	index := make([]int64, numV+1)
-	// Each encoded value needs at least one byte, so cap the initial
-	// allocation by the input size (hostile numE cannot force a huge
-	// up-front allocation).
 	capHint := numE
 	if int64(len(data)) < capHint {
 		capHint = int64(len(data))

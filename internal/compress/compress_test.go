@@ -113,6 +113,11 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if _, _, err := DecodeAdjacency(bad, 1, 1); err == nil {
 		t.Error("oversized degree accepted")
 	}
+	// More vertices than the stream has degree bytes for: rejected
+	// before the offsets are allocated.
+	if _, _, err := DecodeAdjacency(enc, 1<<40, 3); err == nil {
+		t.Error("vertex count beyond the stream accepted")
+	}
 }
 
 func TestRatioEmpty(t *testing.T) {

@@ -264,10 +264,7 @@ func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Poo
 		ih.buildStats.Wall = time.Since(start)
 		return ih, nil
 	}
-	var clk []buildClock
-	if pool != nil {
-		clk = make([]buildClock, pool.Workers())
-	}
+	clk := make([]buildClock, sched.Parts(pool))
 
 	t := time.Now()
 	var ranked []graph.VID
@@ -316,10 +313,12 @@ func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Poo
 	if got := ih.FlippedEdges() + ih.Sparse.NumEdges(); got != g.NumE {
 		return nil, fmt.Errorf("core: internal error: blocks cover %d edges, want %d", got, g.NumE)
 	}
-	for i := range clk {
-		ih.buildStats.RankBusy += clk[i].rank
-		ih.buildStats.RelabelBusy += clk[i].relabel
-		ih.buildStats.BlocksBusy += clk[i].blocks
+	if pool != nil { // busy time is a parallel-build statistic
+		for i := range clk {
+			ih.buildStats.RankBusy += clk[i].rank
+			ih.buildStats.RelabelBusy += clk[i].relabel
+			ih.buildStats.BlocksBusy += clk[i].blocks
+		}
 	}
 	ih.buildStats.Wall = time.Since(start)
 	return ih, nil
@@ -804,166 +803,80 @@ func selectHubsFast(g *graph.Graph, ranked []graph.VID, p Params) (numHubs, bloc
 	return numHubs, blocks, minDeg
 }
 
-// buildFlippedBlocks creates the per-block push CSR: "a pass over
-// outgoing edges from {hubs ∪ VWEH} in the CSR representation of the
-// main graph and selecting edges with in-hub destinations" (§3.2).
-// The parallel path partitions sources: each source's slot in every
-// block's Index (and its Dsts run) has exactly one writer, and the
-// run is filled in the same out-edge scan order as the sequential
-// pass, so the blocks come out identical.
+// blockScatter is sched.ScatterByKey over the row parts cut at bounds,
+// with the build's fault site and busy clock around every part's walk.
+// Each block of the iHTL graph is a transposition: rows are visited in
+// ascending order, so every list of the result is ascending by
+// construction — no row is ever sorted — and the same for every worker
+// count.
+func blockScatter(pool *sched.Pool, numKeys int, bounds []int, clk []buildClock, walk func(lo, hi int, cursor []int64, out []graph.VID)) ([]int64, []graph.VID) {
+	return sched.ScatterByKey(pool, numKeys, len(bounds)-1, func(worker, part int, cursor []int64, out []graph.VID) {
+		faultinject.Fire(faultinject.SiteBuildFill)
+		t := time.Now()
+		walk(bounds[part], bounds[part+1], cursor, out)
+		c := &clk[worker]
+		c.blocks += time.Since(t)
+	})
+}
+
+// transposeRelabelled transposes the original adjacency (adjIndex,
+// adjNbrs) of the vertices with new IDs [rowLo, rowHi) into new-ID
+// space: row r holds the neighbours of OldID[r], and each neighbour u
+// is listed under key NewID[u] with value r.
+func transposeRelabelled(ih *IHTL, adjIndex []int64, adjNbrs []graph.VID, rowLo, rowHi, numKeys int, pool *sched.Pool, clk []buildClock) ([]int64, []graph.VID) {
+	rows := ih.OldID[rowLo:rowHi]
+	bounds := sched.EdgeBalancedPartsList(adjIndex, rows, sched.Parts(pool))
+	return blockScatter(pool, numKeys, bounds, clk, func(lo, hi int, cursor []int64, out []graph.VID) {
+		scatterRelabelled(adjIndex, adjNbrs, rows[lo:hi], ih.NewID, graph.VID(rowLo+lo), cursor, out)
+	})
+}
+
+// scatterRelabelled is the ScatterByKey walk of transposeRelabelled —
+// sched.ScatterRows with rows and keys relabelled on the fly — over
+// the consecutive rows starting at new ID r. A nil out counts, a
+// non-nil out places.
+//
+//ihtl:noalloc
+func scatterRelabelled(adjIndex []int64, adjNbrs, rows, newID []graph.VID, r graph.VID, cursor []int64, out []graph.VID) {
+	for _, old := range rows {
+		for _, u := range adjNbrs[adjIndex[old]:adjIndex[old+1]] {
+			k := newID[u]
+			c := cursor[k]
+			if out != nil {
+				out[c] = r
+			}
+			cursor[k] = c + 1
+		}
+		r++
+	}
+}
+
+// buildFlippedBlocks creates the per-block push CSR — the edges into
+// each block's hubs, grouped by source (§3.2) — as the transpose of the
+// hubs' in-lists: hubs are visited in ascending new-ID order, so every
+// source's run of hub destinations is ascending, which the gap encoding
+// and the hub-buffer access pattern want. Every in-neighbour of a hub
+// is a hub or a VWEH vertex, so all keys fall in [0, NumPushSources).
 func buildFlippedBlocks(g *graph.Graph, ih *IHTL, numBlocks int, pool *sched.Pool, clk []buildClock) {
 	if numBlocks == 0 || ih.NumHubs == 0 {
 		return
 	}
-	b := ih.HubsPerBlock
 	nsrc := ih.NumPushSources()
 	ih.Blocks = make([]FlippedBlock, numBlocks)
 	for blk := range ih.Blocks {
-		lo := blk * b
-		hi := lo + b
-		if hi > ih.NumHubs {
-			hi = ih.NumHubs
-		}
-		ih.Blocks[blk] = FlippedBlock{
-			HubLo: lo,
-			HubHi: hi,
-			Index: make([]int64, nsrc+1),
-		}
+		fb := &ih.Blocks[blk]
+		fb.HubLo = blk * ih.HubsPerBlock
+		fb.HubHi = min(fb.HubLo+ih.HubsPerBlock, ih.NumHubs)
+		fb.Index, fb.Dsts = transposeRelabelled(ih, g.InIndex, g.InNbrs, fb.HubLo, fb.HubHi, nsrc, pool, clk)
 	}
-	if pool == nil {
-		blockOf := func(hubNew int) int { return hubNew / b }
-		// Count per (source, block) degrees.
-		for s := 0; s < nsrc; s++ {
-			old := ih.OldID[s]
-			for _, d := range g.Out(old) {
-				nd := int(ih.NewID[d])
-				if nd < ih.NumHubs {
-					ih.Blocks[blockOf(nd)].Index[s+1]++
-				}
-			}
-		}
-		for blk := range ih.Blocks {
-			idx := ih.Blocks[blk].Index
-			for s := 0; s < nsrc; s++ {
-				idx[s+1] += idx[s]
-			}
-			ih.Blocks[blk].Dsts = make([]graph.VID, idx[nsrc])
-		}
-		cursors := make([][]int64, numBlocks)
-		for blk := range cursors {
-			cursors[blk] = make([]int64, nsrc)
-			copy(cursors[blk], ih.Blocks[blk].Index[:nsrc])
-		}
-		for s := 0; s < nsrc; s++ {
-			old := ih.OldID[s]
-			for _, d := range g.Out(old) {
-				nd := int(ih.NewID[d])
-				if nd < ih.NumHubs {
-					blk := blockOf(nd)
-					ih.Blocks[blk].Dsts[cursors[blk][s]] = graph.VID(nd)
-					cursors[blk][s]++
-				}
-			}
-		}
-		sortFlippedRows(ih, 0, nsrc)
-		for blk := range ih.Blocks {
-			fb := &ih.Blocks[blk]
-			fb.Sources = countBlockSources(fb.Index, nsrc)
-		}
-		return
-	}
-
-	pool.ForDynamic(nsrc, 512, func(worker, lo, hi int) {
-		t := time.Now()
-		countFlippedRange(g, ih, b, lo, hi)
-		c := &clk[worker]
-		c.blocks += time.Since(t)
-	})
-	for blk := range ih.Blocks {
-		sched.PrefixSum(pool, ih.Blocks[blk].Index)
-		ih.Blocks[blk].Dsts = make([]graph.VID, ih.Blocks[blk].Index[nsrc])
-	}
-	cursors := make([][]int64, numBlocks)
-	for blk := range cursors {
-		cursors[blk] = make([]int64, nsrc)
-	}
-	pool.ForStatic(nsrc, func(worker, lo, hi int) {
+	sched.ForParts(pool, numBlocks, func(worker, blk int) {
 		faultinject.Fire(faultinject.SiteBuildFill)
-		t := time.Now()
-		for blk := range cursors {
-			copy(cursors[blk][lo:hi], ih.Blocks[blk].Index[lo:hi])
-		}
-		c := &clk[worker]
-		c.blocks += time.Since(t)
-	})
-	pool.ForDynamic(nsrc, 512, func(worker, lo, hi int) {
-		t := time.Now()
-		fillFlippedRange(g, ih, cursors, b, lo, hi)
-		c := &clk[worker]
-		c.blocks += time.Since(t)
-	})
-	pool.ForDynamic(nsrc, 512, func(worker, lo, hi int) {
-		t := time.Now()
-		sortFlippedRows(ih, lo, hi)
-		c := &clk[worker]
-		c.blocks += time.Since(t)
-	})
-	pool.ForEachPart(numBlocks, func(worker, blk int) {
 		t := time.Now()
 		fb := &ih.Blocks[blk]
 		fb.Sources = countBlockSources(fb.Index, nsrc)
 		c := &clk[worker]
 		c.blocks += time.Since(t)
 	})
-}
-
-//ihtl:noalloc
-func countFlippedRange(g *graph.Graph, ih *IHTL, b, lo, hi int) {
-	for s := lo; s < hi; s++ {
-		old := ih.OldID[s]
-		for _, d := range g.Out(old) {
-			nd := int(ih.NewID[d])
-			if nd < ih.NumHubs {
-				ih.Blocks[nd/b].Index[s+1]++
-			}
-		}
-	}
-}
-
-//ihtl:noalloc
-func fillFlippedRange(g *graph.Graph, ih *IHTL, cursors [][]int64, b, lo, hi int) {
-	for s := lo; s < hi; s++ {
-		old := ih.OldID[s]
-		for _, d := range g.Out(old) {
-			nd := int(ih.NewID[d])
-			if nd < ih.NumHubs {
-				blk := nd / b
-				cur := cursors[blk]
-				ih.Blocks[blk].Dsts[cur[s]] = graph.VID(nd)
-				cur[s]++
-			}
-		}
-	}
-}
-
-// sortFlippedRows sorts the destination run of every source in
-// [lo, hi) ascending, in every block. Each run has one owner, so the
-// parallel pass produces the sequential pass's exact blocks. The out-
-// edge scan fills runs in NewID-scrambled order; sorting restores the
-// locality the gap encoding (and the hub-buffer access pattern)
-// benefits from, and cannot change results: every destination
-// accumulates the same multiset of contributions in the same
-// per-accumulator order.
-func sortFlippedRows(ih *IHTL, lo, hi int) {
-	for blk := range ih.Blocks {
-		fb := &ih.Blocks[blk]
-		for s := lo; s < hi; s++ {
-			row := fb.Dsts[fb.Index[s]:fb.Index[s+1]]
-			if len(row) > 1 {
-				slices.Sort(row)
-			}
-		}
-	}
 }
 
 //ihtl:noalloc
@@ -977,53 +890,24 @@ func countBlockSources(index []int64, nsrc int) int {
 	return n
 }
 
-// buildSparseBlock creates the pull CSC over non-hub destinations:
-// "a pass over the CSC representation of the main graph for all
-// in-edges to {VWEH ∪ FV} and relabeling source of edges" (§3.2).
-// Destinations are independent — each owns a disjoint Srcs run — so
-// the parallel fill work-steals over them (per-destination work is as
-// skewed as the in-degree distribution).
+// buildSparseBlock creates the pull CSC over non-hub destinations
+// (§3.2) by transposing their in-lists twice, which touches the sparse
+// edges only: non-hub destinations in ascending new-ID order → every
+// source's list of them, then sources in ascending new-ID order →
+// every destination's source list, ascending.
 func buildSparseBlock(g *graph.Graph, ih *IHTL, pool *sched.Pool, clk []buildClock) {
-	destLo := ih.NumHubs
-	n := ih.NumV - destLo
 	sp := &ih.Sparse
-	sp.DestLo = destLo
-	sp.Index = make([]int64, n+1)
+	sp.DestLo = ih.NumHubs
+	bySrc, dsts := transposeRelabelled(ih, g.InIndex, g.InNbrs, sp.DestLo, ih.NumV, ih.NumV, pool, clk)
+	bounds := sched.EdgeBalancedParts(bySrc, sched.Parts(pool))
+	n := ih.NumV - sp.DestLo
+	sp.Index, sp.Srcs = blockScatter(pool, n, bounds, clk, func(lo, hi int, cursor []int64, out []graph.VID) {
+		sched.ScatterRows(bySrc, dsts, lo, hi, graph.VID(sp.DestLo), cursor, out)
+	})
 	if pool == nil {
-		for nv := destLo; nv < ih.NumV; nv++ {
-			old := ih.OldID[nv]
-			sp.Index[nv-destLo+1] = int64(g.InDegree(old))
-		}
-		for i := 0; i < n; i++ {
-			sp.Index[i+1] += sp.Index[i]
-		}
-		sp.Srcs = make([]graph.VID, sp.Index[n])
-		for nv := destLo; nv < ih.NumV; nv++ {
-			fillSparseDest(g, ih, nv)
-		}
 		sp.EnsureDegreeBuckets()
 		return
 	}
-	idx := sp.Index
-	pool.ForStatic(n, func(worker, lo, hi int) {
-		faultinject.Fire(faultinject.SiteBuildFill)
-		t := time.Now()
-		for i := lo; i < hi; i++ {
-			idx[i+1] = int64(g.InDegree(ih.OldID[destLo+i]))
-		}
-		c := &clk[worker]
-		c.blocks += time.Since(t)
-	})
-	sched.PrefixSum(pool, sp.Index)
-	sp.Srcs = make([]graph.VID, sp.Index[n])
-	pool.ForSteal(n, 64, func(worker, lo, hi int) {
-		t := time.Now()
-		for i := lo; i < hi; i++ {
-			fillSparseDest(g, ih, destLo+i)
-		}
-		c := &clk[worker]
-		c.blocks += time.Since(t)
-	})
 
 	// Degree buckets for the SparsePullDegree schedule: the same
 	// count/prefix/fill idiom as the class assignment, over static
@@ -1071,17 +955,4 @@ func fillHeavyRows(index []int64, heavyDeg int64, lo, hi int, heavy []int32, nex
 			next++
 		}
 	}
-}
-
-//ihtl:noalloc
-func fillSparseDest(g *graph.Graph, ih *IHTL, nv int) {
-	sp := &ih.Sparse
-	lo := sp.Index[nv-sp.DestLo]
-	hi := sp.Index[nv-sp.DestLo+1]
-	dst := sp.Srcs[lo:hi]
-	old := ih.OldID[nv]
-	for i, s := range g.In(old) {
-		dst[i] = ih.NewID[s]
-	}
-	slices.Sort(dst)
 }

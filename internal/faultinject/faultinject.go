@@ -57,12 +57,15 @@ const (
 	SitePushPart Site = "spmv.push-part"
 	// SitePullPart fires once per chunk in the pull baseline.
 	SitePullPart Site = "spmv.pull-part"
-	// SiteBuildSort fires once per adjacency-sort chunk during parallel
-	// graph construction.
-	SiteBuildSort Site = "graph.build-sort"
+	// SiteBuildTranspose fires once per part in the count and the
+	// scatter pass of every transposition of graph construction (edge
+	// list → rows, CSR → CSC, CSC → CSR).
+	SiteBuildTranspose Site = "graph.build-transpose"
 	// SiteBuildFill fires once per worker range in the static
-	// relabel/rank/CSR-fill passes of parallel iHTL construction, so
-	// fault plans can land inside BuildWithCtx's Fallible region.
+	// relabel/rank passes of parallel iHTL construction and once per
+	// part in the count and the scatter pass of every block
+	// transposition, so fault plans can land inside BuildWithCtx's
+	// Fallible region.
 	SiteBuildFill Site = "core.build-fill"
 	// SiteShardPush fires once per claimed source chunk of the sharded
 	// engine's cross-shard exchange bin phase.

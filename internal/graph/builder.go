@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"ihtl/internal/faultinject"
 	"ihtl/internal/sched"
@@ -42,23 +41,16 @@ func FromEdges(numV int, edges []Edge) (*Graph, error) {
 	return Build(numV, edges, DefaultBuildOptions())
 }
 
-// keySrc and keyDst select the bucketing key for the CSR and CSC
-// sides. Package-level functions (not closures) so the hot counting
-// and scatter loops stay allocation-free.
-//
-//ihtl:noalloc
-func keySrc(e Edge) (VID, VID) { return e.Src, e.Dst }
-
-//ihtl:noalloc
-func keyDst(e Edge) (VID, VID) { return e.Dst, e.Src }
-
 // Build constructs the dual CSR/CSC representation from an edge list
-// in O(V + E) time using counting sort (no comparison sort on the
-// edge list). The input slice is not modified. With opt.Pool set,
-// every pass — validation, filtering, bucketing, adjacency sort,
-// dedup and zero-degree compaction — runs across the pool's workers
-// via per-worker count/prefix/fill passes whose output is identical
-// to the sequential build.
+// in O(V + E) time with no comparison sort anywhere: the edge list is
+// bucketed by source, and two transpositions put every list in order.
+// Transposing visits rows in ascending order, so each transposed list
+// comes out ascending with duplicates adjacent — CSR → CSC sorts the
+// in-lists, one dedup pass removes the duplicates, and CSC → CSR hands
+// back out-lists that are ascending and already duplicate-free. The
+// input slice is not modified. With opt.Pool set every pass runs across
+// the pool's workers over contiguous ascending parts, which makes the
+// output identical to the sequential build (sched.ScatterByKey).
 func Build(numV int, edges []Edge, opt BuildOptions) (*Graph, error) {
 	return BuildCtx(nil, numV, edges, opt)
 }
@@ -118,30 +110,23 @@ func BuildCtx(ctx context.Context, numV int, edges []Edge, opt BuildOptions) (g 
 	}
 
 	g = &Graph{NumV: numV}
-	g.OutIndex, g.OutNbrs = bucketByKey(numV, edges, keySrc, pool)
+	index, nbrs := bucketBySource(numV, edges, pool)
 	if err := check(); err != nil {
 		return nil, err
 	}
-	g.InIndex, g.InNbrs = bucketByKey(numV, edges, keyDst, pool)
-	if err := check(); err != nil {
-		return nil, err
-	}
-	sortAdjacency(g.OutIndex, g.OutNbrs, pool)
-	sortAdjacency(g.InIndex, g.InNbrs, pool)
+	g.InIndex, g.InNbrs = transposeAdjacency(index, nbrs, pool)
 	if err := check(); err != nil {
 		return nil, err
 	}
 	if opt.Dedup {
-		g.OutIndex, g.OutNbrs = dedupAdjacency(g.OutIndex, g.OutNbrs, pool)
 		g.InIndex, g.InNbrs = dedupAdjacency(g.InIndex, g.InNbrs, pool)
 		if err := check(); err != nil {
 			return nil, err
 		}
-		if g.OutIndex[numV] != g.InIndex[numV] {
-			// Cannot happen: dedup on both sides removes the same
-			// duplicate (src,dst) pairs.
-			return nil, fmt.Errorf("graph: internal dedup mismatch")
-		}
+	}
+	g.OutIndex, g.OutNbrs = transposeAdjacency(g.InIndex, g.InNbrs, pool)
+	if err := check(); err != nil {
+		return nil, err
 	}
 	g.NumE = g.OutIndex[numV]
 
@@ -233,115 +218,44 @@ func fillNonLoops(edges []Edge, out []Edge) {
 	}
 }
 
-// bucketByKey groups edges by key vertex via counting sort, returning
-// the offset array and the grouped values. With a pool, each worker
-// histograms a contiguous edge range, the per-worker histograms are
-// folded and prefix-summed into the offset array, and each worker
-// scatters its own range through per-(vertex,worker) cursors. Workers
-// own ascending edge ranges and scatter in input order, so the result
-// is the same stable bucket order as the sequential loop.
-func bucketByKey(numV int, edges []Edge, kv func(Edge) (key, val VID), pool *sched.Pool) ([]int64, []VID) {
-	index := make([]int64, numV+1)
-	nbrs := make([]VID, len(edges))
-	if numV == 0 {
-		return index, nbrs
-	}
-	if pool == nil {
-		countKeys(edges, index[1:], kv)
-		prefixSeq(index)
-		cursor := make([]int64, numV)
-		copy(cursor, index[:numV])
-		scatterEdges(edges, cursor, nbrs, kv)
-		return index, nbrs
-	}
-	w := pool.Workers()
-	counts := make([]int64, w*numV)
-	pool.ForStatic(len(edges), func(worker, lo, hi int) {
-		countKeys(edges[lo:hi], counts[worker*numV:(worker+1)*numV], kv)
+// bucketBySource groups the edge list into one row of destinations per
+// source, each row in input order.
+func bucketBySource(numV int, edges []Edge, pool *sched.Pool) ([]int64, []VID) {
+	nparts := sched.Parts(pool)
+	return sched.ScatterByKey(pool, numV, nparts, func(_, part int, cursor []int64, out []VID) {
+		faultinject.Fire(faultinject.SiteBuildTranspose)
+		lo, hi := sched.SplitRange(len(edges), nparts, part)
+		scatterEdges(edges[lo:hi], cursor, out)
 	})
-	// Fold per-worker histograms into per-vertex totals.
-	pool.ForStatic(numV, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			var t int64
-			for i := 0; i < w; i++ {
-				t += counts[i*numV+v]
-			}
-			index[v+1] = t
-		}
-	})
-	sched.PrefixSum(pool, index)
-	// Turn the histograms into scatter cursors: worker i's run of key
-	// v starts after the runs of workers < i.
-	pool.ForStatic(numV, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			off := index[v]
-			for i := 0; i < w; i++ {
-				c := counts[i*numV+v]
-				counts[i*numV+v] = off
-				off += c
-			}
-		}
-	})
-	pool.ForStatic(len(edges), func(worker, lo, hi int) {
-		scatterEdges(edges[lo:hi], counts[worker*numV:(worker+1)*numV], nbrs, kv)
-	})
-	return index, nbrs
 }
 
-//ihtl:noalloc
-func prefixSeq(a []int64) {
-	var s int64
-	for i := range a {
-		s += a[i]
-		a[i] = s
-	}
+// transposeAdjacency turns the rows of (index, nbrs) into columns: row
+// r's entry c becomes entry r of list c. Rows are visited ascending
+// over edge-balanced row parts, so every list of the result is
+// ascending (equal entries adjacent) whatever order the rows held.
+func transposeAdjacency(index []int64, nbrs []VID, pool *sched.Pool) ([]int64, []VID) {
+	bounds := sched.EdgeBalancedParts(index, sched.Parts(pool))
+	return sched.ScatterByKey(pool, len(index)-1, len(bounds)-1, func(_, part int, cursor []int64, out []VID) {
+		faultinject.Fire(faultinject.SiteBuildTranspose)
+		sched.ScatterRows(index, nbrs, bounds[part], bounds[part+1], 0, cursor, out)
+	})
 }
 
+// scatterEdges is the sched.ScatterByKey walk of bucketBySource: a nil
+// out counts, a non-nil out places.
+//
 //ihtl:noalloc
-func countKeys(edges []Edge, counts []int64, kv func(Edge) (key, val VID)) {
+func scatterEdges(edges []Edge, cursor []int64, out []VID) {
 	for _, e := range edges {
-		k, _ := kv(e)
-		counts[k]++
-	}
-}
-
-//ihtl:noalloc
-func scatterEdges(edges []Edge, cursor []int64, nbrs []VID, kv func(Edge) (key, val VID)) {
-	for _, e := range edges {
-		k, val := kv(e)
-		nbrs[cursor[k]] = val
-		cursor[k]++
-	}
-}
-
-// sortAdjacency sorts each vertex's neighbour list ascending, work-
-// stealing across vertex ranges when a pool is supplied (per-vertex
-// work is as skewed as the degree distribution).
-func sortAdjacency(index []int64, nbrs []VID, pool *sched.Pool) {
-	n := len(index) - 1
-	if pool == nil {
-		for v := 0; v < n; v++ {
-			sortRange(index, nbrs, v)
+		c := cursor[e.Src]
+		if out != nil {
+			out[c] = e.Dst
 		}
-		return
-	}
-	pool.ForSteal(n, 256, func(_, lo, hi int) {
-		faultinject.Fire(faultinject.SiteBuildSort)
-		for v := lo; v < hi; v++ {
-			sortRange(index, nbrs, v)
-		}
-	})
-}
-
-//ihtl:noalloc
-func sortRange(index []int64, nbrs []VID, v int) {
-	lo, hi := index[v], index[v+1]
-	if hi-lo > 1 {
-		slices.Sort(nbrs[lo:hi])
+		cursor[e.Src] = c + 1
 	}
 }
 
-// dedupAdjacency removes consecutive duplicates from each sorted
+// dedupAdjacency removes consecutive duplicates from each ascending
 // neighbour list, rebuilding the offset array. The sequential path
 // compacts in place; the parallel path counts unique neighbours per
 // vertex, prefix-sums, and fills a fresh value array (in-place

@@ -35,20 +35,20 @@ func TestBuildCtxInjectedPanic(t *testing.T) {
 	opt.Pool = pool
 
 	plan := faultinject.NewPlan(faultinject.Rule{
-		Site: faultinject.SiteBuildSort, Kind: faultinject.Panic, After: 2,
+		Site: faultinject.SiteBuildTranspose, Kind: faultinject.Panic, After: 2,
 	})
 	faultinject.Activate(plan)
 	g, err := BuildCtx(nil, 1<<12, edges, opt)
 	faultinject.Deactivate()
-	if plan.Fired(faultinject.SiteBuildSort) == 0 {
-		t.Fatal("sort site never reached the injection point")
+	if plan.Fired(faultinject.SiteBuildTranspose) == 0 {
+		t.Fatal("transposition site never reached the injection point")
 	}
 	var perr *sched.PanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("err = %v, want *sched.PanicError", err)
 	}
 	var ip *faultinject.InjectedPanic
-	if !errors.As(err, &ip) || ip.Site != faultinject.SiteBuildSort {
+	if !errors.As(err, &ip) || ip.Site != faultinject.SiteBuildTranspose {
 		t.Fatalf("PanicError does not unwrap to the injected fault: %v", err)
 	}
 	if g != nil {

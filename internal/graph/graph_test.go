@@ -282,7 +282,7 @@ func TestDegreeAndStringAndMaxOut(t *testing.T) {
 }
 
 func TestParallelBuilderSortsAdjacency(t *testing.T) {
-	// Exercise the pooled sortAdjacency path.
+	// The pooled transpositions must leave every list strictly ascending.
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	edges := randomGraph(31, 500, 8000).Edges(nil)

@@ -114,7 +114,7 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 // ReadChunked reads exactly n little-endian values of type T,
 // growing the result incrementally (≤ 256 Ki elements at a time) so
 // corrupt headers cannot trigger absurd allocations.
-func ReadChunked[T int64 | uint32](r io.Reader, n uint64) ([]T, error) {
+func ReadChunked[T int64 | uint32 | uint8](r io.Reader, n uint64) ([]T, error) {
 	const chunk = 1 << 18
 	capHint := n
 	if capHint > chunk {

@@ -89,9 +89,11 @@ func ReadFromCompressed(r io.Reader) (*Graph, error) {
 		if size > 16*(numE+uint64(numV)+16) {
 			return nil, fmt.Errorf("graph: implausible stream size %d", size)
 		}
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
+		// Read in chunks, as ReadFrom does: the declared size buys no
+		// memory until the bytes it promises arrive.
+		buf, err := ReadChunked[uint8](br, size)
+		if err != nil {
+			return nil, fmt.Errorf("graph: reading compressed stream: %w", err)
 		}
 		index, nbrs, err := compress.DecodeAdjacency(buf, int(numV), int64(numE))
 		if err != nil {

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -185,6 +187,40 @@ func TestCompressedRejectsCorruption(t *testing.T) {
 	for _, cut := range []int{4, 20, len(data) - 1} {
 		if _, err := ReadFromCompressed(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestCompressedHostileHeaderAllocatesNothing feeds ReadFromCompressed
+// headers that declare far more than the few bytes behind them — the
+// vertex count of the checked-in fuzz regression (805 M vertices over a
+// 22-byte stream), and a stream size of 32 GiB that the edge count
+// makes plausible. Both must fail, and fail having allocated no more
+// than the reader's fixed buffers: memory follows bytes present, never
+// sizes declared.
+func TestCompressedHostileHeaderAllocatesNothing(t *testing.T) {
+	header := func(numV uint32, numE, size uint64) []byte {
+		var buf bytes.Buffer
+		for _, v := range []any{compressedMagic, fileVersion, numV, numE, size} {
+			if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	for name, data := range map[string][]byte{
+		"vertices": append(header(0x30000008, 14, 22), make([]byte, 22)...),
+		"stream":   append(header(8, 1<<36, 1<<35), 1, 2, 3),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFromCompressed(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: hostile header accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Fatalf("%s: a %d-byte file made the reader allocate %d MiB", name, len(data), grew>>20)
 		}
 	}
 }

@@ -40,11 +40,13 @@ func EdgeBalancedParts(index []int64, nparts int) []int {
 // contiguous sub-lists with approximately equal total edge counts.
 // The degree-aware sparse schedule uses it to cut the heavy-row list
 // into stealable parts whose work is balanced by edges, not rows —
-// a handful of mega-degree rows otherwise serialise behind one worker.
+// a handful of mega-degree rows otherwise serialise behind one worker;
+// the iHTL build uses it to cut a relabelled vertex range (rows =
+// original IDs in new-ID order) into the parts of a transposition.
 //
 // The returned slice has nparts+1 list positions, with bounds[0]==0
 // and bounds[nparts]==len(rows).
-func EdgeBalancedPartsList(index []int64, rows []int32, nparts int) []int {
+func EdgeBalancedPartsList[R int32 | uint32](index []int64, rows []R, nparts int) []int {
 	if nparts < 1 {
 		panic("sched: nparts must be >= 1")
 	}
