@@ -9,7 +9,7 @@ import (
 
 // printCompression reports the flat-vs-varint topology bytes of every
 // block. Flat counts the adjacency IDs only (4 bytes each); varint
-// counts the chunked gap encoding including its chunk directory
+// counts the chunked packed-row encoding including its chunk directory
 // (Chunked.EncodedBytes). The row Index is resident and identical
 // under both encodings, so it is excluded from the ratio — the table
 // answers "how much smaller is the stream the hot loop reads".

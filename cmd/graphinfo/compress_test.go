@@ -22,14 +22,15 @@ func TestPrintCompressionGolden(t *testing.T) {
 	var buf bytes.Buffer
 	printCompression(&buf, ih)
 
-	// The tiny example compresses badly (chunk directory overhead
-	// dominates 14 edges) — the point of the pin is the exact shape,
-	// not the ratio; real graphs are measured by ihtlbench -encjson.
+	// The tiny example compresses badly (the chunk directory and each
+	// stream's 3-byte pad dominate 14 one-byte gaps) — the point of the
+	// pin is the exact shape, not the ratio; real graphs are measured by
+	// ihtlbench -encjson.
 	const want = `
 block topology compression (flat vs varint adjacency):
-  flipped[0]            9 edges, flat       36 B, varint       39 B, ratio 0.92x
-  sparse                5 edges, flat       20 B, varint       35 B, ratio 0.57x
-  total                          flat       56 B, varint       74 B, ratio 0.76x
+  flipped[0]            9 edges, flat       36 B, varint       42 B, ratio 0.86x
+  sparse                5 edges, flat       20 B, varint       38 B, ratio 0.53x
+  total                          flat       56 B, varint       80 B, ratio 0.70x
 `
 	if got := buf.String(); got != want {
 		t.Errorf("compression table drifted:\ngot:\n%s\nwant:\n%s", got, want)

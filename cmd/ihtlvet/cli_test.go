@@ -105,7 +105,10 @@ func TestGateWaiverIndex(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no //ihtl:nobce functions indexed; the kernel annotations are gone or the loader is broken")
 	}
-	for _, fn := range []string{"pushTaskFlat", "pbDrainBucket", "sparsePullRange", "DecodeChunkCSR"} {
+	for _, fn := range []string{
+		"pushTaskFlat", "pbDrainBucket", "sparsePullRange", "DecodeChunkCSR", "RowHeader", "Load32",
+		"pushTaskEnc", "pushTaskEncBatch", "sparseRowSumEnc", "sparseRowAccEnc",
+	} {
 		found := false
 		for _, frs := range nobce {
 			for _, fr := range frs {

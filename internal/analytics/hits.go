@@ -18,7 +18,7 @@ type HITSOptions struct {
 	Tol float64
 	// Pool parallelises the O(n) normalisation and delta sweeps; nil
 	// runs them sequentially. Each normalisation is a single fused
-	// dispatch (partial square-sums, a spin barrier, then scaling).
+	// dispatch (partial square-sums, a barrier, then scaling).
 	Pool *sched.Pool
 }
 
@@ -116,10 +116,10 @@ func stepCtx(ctx context.Context, e spmv.Stepper, src, dst []float64) error {
 
 // normalizer scales vectors to unit L2 norm, on a pool when one is
 // available. The parallel path is ONE dispatch: each worker computes
-// the square-sum of its static range, crosses a spin barrier, and
+// the square-sum of its static range, crosses a barrier, and
 // scales the same range by the combined norm — no second dispatch for
 // the scaling pass. The barrier crossing is abort-aware (WaitAbort),
-// so a cancelled dispatch or a panicking sibling releases spinning
+// so a cancelled dispatch or a panicking sibling releases waiting
 // workers instead of deadlocking them; a failed dispatch resets the
 // barrier before the error is surfaced, leaving the normalizer
 // reusable. Both worker bodies are prebuilt at construction and the

@@ -1,19 +1,18 @@
 // Package compress implements the light-weight graph-topology
 // compression the paper lists as future work for shrinking iHTL's
 // topology data (§6, citing the WebGraph framework's techniques):
-// per-vertex delta encoding of sorted neighbour lists with LEB128
-// varints. Sorted adjacency has small gaps on locality-friendly
-// orderings, so gaps compress far below the flat 4 bytes per
-// neighbour.
+// per-vertex delta encoding of sorted neighbour lists. Sorted adjacency
+// has small gaps on locality-friendly orderings, so gaps compress far
+// below the flat 4 bytes per neighbour.
 //
 // Two layouts are provided. EncodeAdjacency/DecodeAdjacency produce a
-// single stream for a whole CSR/CSC — the archival format used by
-// cmd/ihtlconvert's "compressed" output. Chunked splits the same
-// per-vertex streams at edge-count boundaries so an engine worker can
-// decode one chunk at a time into a small cache-resident scratch
-// buffer inside the traversal loop; this is the form the core engine
-// executes directly (EngineOptions.BlockEncoding) and the v2 engine
-// file stores.
+// single stream of LEB128 varint gaps for a whole CSR/CSC — the
+// archival format of cmd/ihtlconvert's "compressed" output, where size
+// is all that counts. Chunked stores the same gaps as fixed-width
+// packed rows split at edge-count boundaries: a few more bytes per
+// edge for a decode with no data-dependent branch, which the core
+// engine's kernels fuse into their traversal
+// (EngineOptions.BlockEncoding) and the v2 engine file stores.
 package compress
 
 import (
@@ -226,22 +225,33 @@ func Ratio(encoded []byte, numE int64) float64 {
 	return float64(len(encoded)) / float64(numE)
 }
 
-// DefaultChunkEdges is the edge budget per encoded chunk: 4096 edges
-// decode into a 16 KiB uint32 scratch plus a ≤16 KiB offset scratch,
-// comfortably cache-resident per worker next to the hub buffer.
+// DefaultChunkEdges is the edge budget per encoded chunk: a chunk is
+// the engine's flipped steal granule, and 4096 edges of packed rows
+// (≤ 16 KiB) stay cache-resident per worker next to the hub buffer.
 const DefaultChunkEdges = 4096
 
-// Chunked is an adjacency encoded as per-vertex varint gap streams
-// split into chunks of bounded edge count, so one chunk decodes into a
-// fixed small scratch buffer. Chunk c covers source rows
-// [SrcOff[c], SrcOff[c+1]) and bytes [ByteOff[c], ByteOff[c+1]) of
-// Data; each row's stream is self-contained (degree varint, absolute
-// first neighbour, then gaps), so chunks decode independently.
+// rowPad is the number of zero bytes that follow the last chunk in
+// Chunked.Data: a gap is read with one 4-byte load and a mask, so the
+// load of a final 1-3-byte gap must still end inside Data.
+const rowPad = 3
+
+// Chunked is an adjacency encoded as fixed-width packed gap rows, split
+// into chunks of bounded edge count. A row is one varint header
+// deg<<2 | (width-1) followed by deg gaps of width ∈ {1,2,3,4}
+// little-endian bytes each — the first neighbour absolute, then
+// successor minus predecessor, width = the bytes of the row's largest
+// gap. Inside a row the cursor advances by a loop constant and a gap
+// decodes as load32 & mask: no data-dependent branch or address (the
+// LEB128 streams this replaces spent 3× the flat traversal's time on
+// exactly that). Chunk c covers source rows [SrcOff[c], SrcOff[c+1])
+// and bytes [ByteOff[c], ByteOff[c+1]) of Data; rows are
+// self-contained, so chunks decode independently, and Data ends in
+// rowPad zero bytes past the last chunk.
 type Chunked struct {
 	NumSrc   int   // rows covered (len of the original index minus 1)
 	NumEdges int64 // total neighbours
-	MaxSrcs  int   // max rows in any chunk: scratch offsets need MaxSrcs+1
-	MaxEdges int   // max neighbours in any chunk: scratch needs MaxEdges
+	MaxSrcs  int   // max rows in any chunk: DecodeChunkCSR offsets need MaxSrcs+1
+	MaxEdges int   // max neighbours in any chunk: DecodeChunkCSR needs MaxEdges
 	SrcOff   []int32
 	ByteOff  []int64
 	Data     []byte
@@ -256,12 +266,52 @@ func (ck *Chunked) EncodedBytes() int64 {
 	return int64(len(ck.Data)) + int64(len(ck.SrcOff))*4 + int64(len(ck.ByteOff))*8
 }
 
+// gapWidth returns the byte width of a sorted row's largest gap.
+func gapWidth(row []uint32) int {
+	or, prev := uint32(1), uint32(0)
+	for _, cur := range row {
+		or |= cur - prev
+		prev = cur
+	}
+	return (bits.Len32(or) + 7) / 8
+}
+
+// packedSize returns the exact byte size of the packed rows of an
+// adjacency, pad included, so EncodeChunked allocates Data once (the
+// pad also absorbs appendRows' 4-byte store of the last gap).
+func packedSize(index []int64, nbrs []uint32) int {
+	size := rowPad
+	for v := 0; v+1 < len(index); v++ {
+		row := nbrs[index[v]:index[v+1]]
+		size += uvarintLen(uint64(len(row))<<2) + len(row)*gapWidth(row)
+	}
+	return size
+}
+
+// appendRows appends the packed rows [vLo, vHi) to dst. Gaps are taken
+// modulo 2^32, so 0 gaps are legal and duplicate-free input is not
+// required.
+func appendRows(dst []byte, index []int64, nbrs []uint32, vLo, vHi int) []byte {
+	for v := vLo; v < vHi; v++ {
+		row := nbrs[index[v]:index[v+1]]
+		width := gapWidth(row)
+		dst = binary.AppendUvarint(dst, uint64(len(row))<<2|uint64(width-1))
+		prev := uint32(0)
+		for _, cur := range row {
+			gap, n := cur-prev, len(dst)
+			dst = append(dst, byte(gap), byte(gap>>8), byte(gap>>16), byte(gap>>24))[:n+width]
+			prev = cur
+		}
+	}
+	return dst
+}
+
 // EncodeChunked compresses a CSR/CSC adjacency into chunks of at most
-// targetEdges neighbours (and at most targetEdges rows, so both
-// scratch arrays stay bounded); targetEdges <= 0 selects
-// DefaultChunkEdges. A single row whose degree exceeds targetEdges
-// becomes its own oversized chunk and MaxEdges reports it, so callers
-// size scratch from MaxSrcs/MaxEdges, never from the target.
+// targetEdges neighbours (and at most targetEdges rows); targetEdges
+// <= 0 selects DefaultChunkEdges. A single row whose degree exceeds
+// targetEdges becomes its own oversized chunk and MaxEdges reports it,
+// so callers size decode scratch from MaxSrcs/MaxEdges, never from the
+// target.
 func EncodeChunked(index []int64, nbrs []uint32, targetEdges int) *Chunked {
 	if targetEdges <= 0 {
 		targetEdges = DefaultChunkEdges
@@ -275,7 +325,7 @@ func EncodeChunked(index []int64, nbrs []uint32, targetEdges int) *Chunked {
 		NumEdges: int64(len(nbrs)),
 		SrcOff:   []int32{0},
 		ByteOff:  []int64{0},
-		Data:     make([]byte, 0, estimateAdjCap(index, nbrs)),
+		Data:     make([]byte, 0, packedSize(index, nbrs)),
 	}
 	v := 0
 	for v < numV {
@@ -289,7 +339,7 @@ func EncodeChunked(index []int64, nbrs []uint32, targetEdges int) *Chunked {
 			edges += deg
 			v++
 		}
-		ck.Data = appendAdjacency(ck.Data, index, nbrs, lo, v)
+		ck.Data = appendRows(ck.Data, index, nbrs, lo, v)
 		ck.SrcOff = append(ck.SrcOff, int32(v))
 		ck.ByteOff = append(ck.ByteOff, int64(len(ck.Data)))
 		if v-lo > ck.MaxSrcs {
@@ -299,55 +349,57 @@ func EncodeChunked(index []int64, nbrs []uint32, targetEdges int) *Chunked {
 			ck.MaxEdges = int(edges)
 		}
 	}
+	ck.Data = append(ck.Data, make([]byte, rowPad)...)
 	return ck
+}
+
+// RowHeader parses the row header at data[pos:] and returns the row's
+// degree, gap width, the mask that cuts a 4-byte load down to one gap,
+// and the position of the first gap. Unchecked: see DecodeChunkCSR.
+//
+//ihtl:noalloc
+//ihtl:nobce
+//ihtl:noescape
+func RowHeader(data []byte, pos int) (deg, width int, mask uint32, next int) {
+	var h uint64
+	for shift := uint(0); ; shift += 7 {
+		b := *unchecked.PtrAt(data, pos)
+		pos++
+		h |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			break
+		}
+	}
+	return int(h >> 2), int(h&3) + 1, ^uint32(0) >> (24 - 8*(h&3)), pos
 }
 
 // DecodeChunkCSR decodes chunk c into caller scratch: sIdx (length at
 // least MaxSrcs+1) receives local CSR offsets, dsts (length at least
-// MaxEdges) the neighbours. Returns the row and edge counts. The
-// stream is trusted and the decode is unchecked (//ihtl:nobce): data
-// of external origin MUST pass Validate at load time — parseV2 does —
-// after which every cursor and count below stays inside its slice by
-// the validated chunk-table invariants. The -tags=ihtlchecked build
-// restores checked indexing here for debugging.
+// MaxEdges) the neighbours. Returns the row and edge counts. It serves
+// the cold callers (flat materialisation, out-degrees, task bounds);
+// the engine's kernels walk the rows straight into their accumulation
+// with the same RowHeader / Load32 & mask steps. The stream is trusted
+// and the decode is unchecked (//ihtl:nobce): data of external origin
+// MUST pass Validate at load time — parseV2 does — after which every
+// cursor and count below stays inside its slice by the validated
+// chunk-table invariants. The -tags=ihtlchecked build restores checked
+// indexing here for debugging.
 //
 //ihtl:noalloc
 //ihtl:nobce
 //ihtl:noescape
 func (ck *Chunked) DecodeChunkCSR(c int, sIdx []int32, dsts []uint32) (nsrc, ne int) {
 	data := ck.Data
-	pos := unchecked.At(ck.ByteOff, c)
+	pos := int(unchecked.At(ck.ByteOff, c))
 	nsrc = int(unchecked.At(ck.SrcOff, c+1) - unchecked.At(ck.SrcOff, c))
 	e := 0
 	for s := 0; s < nsrc; s++ {
 		unchecked.SetAt(sIdx, s, int32(e))
-		var deg uint64
-		var shift uint
-		for {
-			b := unchecked.At(data, int(pos))
-			pos++
-			if b < 0x80 {
-				deg |= uint64(b) << shift
-				break
-			}
-			deg |= uint64(b&0x7f) << shift
-			shift += 7
-		}
+		deg, width, mask, p := RowHeader(data, pos)
+		pos = p + deg*width
 		prev := uint32(0)
-		for i := uint64(0); i < deg; i++ {
-			var gap uint64
-			shift = 0
-			for {
-				b := unchecked.At(data, int(pos))
-				pos++
-				if b < 0x80 {
-					gap |= uint64(b) << shift
-					break
-				}
-				gap |= uint64(b&0x7f) << shift
-				shift += 7
-			}
-			prev += uint32(gap)
+		for ; p < pos; p += width {
+			prev += unchecked.Load32(data, p) & mask
 			unchecked.SetAt(dsts, e, prev)
 			e++
 		}
@@ -356,15 +408,37 @@ func (ck *Chunked) DecodeChunkCSR(c int, sIdx []int32, dsts []uint32) (nsrc, ne 
 	return nsrc, e
 }
 
-// Validate fully decodes every chunk with a checked reader and
-// verifies the structure: monotone chunk tables, per-chunk streams
-// that consume exactly their byte range, every neighbour below maxDst,
-// totals matching NumSrc/NumEdges, and MaxSrcs/MaxEdges covering the
-// actual maxima. A Chunked of external origin (a v2 engine file) must
-// pass Validate before DecodeChunkCSR may trust it.
+// RowOffsets walks the row headers once and returns each row's starting
+// byte in Data: random row access for the engine's pull kernels. Checked
+// reads — the stream was validated or built in-process before this
+// runs, so a panic here is a bug, not input.
+func (ck *Chunked) RowOffsets() []int64 {
+	off := make([]int64, ck.NumSrc)
+	for c := 0; c < ck.Chunks(); c++ {
+		pos := ck.ByteOff[c]
+		for r := ck.SrcOff[c]; r < ck.SrcOff[c+1]; r++ {
+			off[r] = pos
+			h, n := binary.Uvarint(ck.Data[pos:])
+			pos += int64(n) + int64(h>>2)*(int64(h&3)+1)
+		}
+	}
+	return off
+}
+
+// Validate fully decodes every row with checked reads and verifies the
+// structure: monotone chunk tables ending rowPad zero bytes before the
+// end of Data, per-chunk rows that consume exactly their byte range,
+// every neighbour below maxDst, totals matching NumSrc/NumEdges, and
+// MaxSrcs/MaxEdges covering the actual maxima. A non-nil index must be
+// the rows' CSR offset array (index[0] = 0, index[r+1]-index[r] = row
+// r's degree): the engine's kernels take degrees from it and only gap
+// widths from the stream. Validate allocates nothing, whatever sizes
+// the tables declare. A Chunked of external origin (a v2 engine file)
+// must pass it before any unchecked decoder — DecodeChunkCSR or the
+// engine's fused kernels — may trust it.
 //
 //ihtl:nopanic
-func (ck *Chunked) Validate(maxDst uint32) error {
+func (ck *Chunked) Validate(maxDst uint32, index []int64) error {
 	nc := len(ck.ByteOff) - 1
 	if nc < 0 || len(ck.SrcOff) != nc+1 {
 		return fmt.Errorf("compress: chunk tables %d/%d rows mismatched", len(ck.SrcOff), len(ck.ByteOff))
@@ -375,10 +449,16 @@ func (ck *Chunked) Validate(maxDst uint32) error {
 	if int(ck.SrcOff[nc]) != ck.NumSrc {
 		return fmt.Errorf("compress: chunk rows end at %d, want %d", ck.SrcOff[nc], ck.NumSrc)
 	}
-	if ck.ByteOff[nc] != int64(len(ck.Data)) {
-		return fmt.Errorf("compress: chunk bytes end at %d, want %d", ck.ByteOff[nc], len(ck.Data))
+	end := ck.ByteOff[nc]
+	if end < 0 || end != int64(len(ck.Data))-rowPad {
+		return fmt.Errorf("compress: chunk bytes end at %d, want %d before a %d-byte pad", end, len(ck.Data)-rowPad, rowPad)
 	}
-	// Scratch buffers are sized from these, so bound them before any
+	for _, b := range ck.Data[end:] {
+		if b != 0 {
+			return fmt.Errorf("compress: non-zero pad after the last chunk")
+		}
+	}
+	// Decode scratch is sized from these, so bound them before any
 	// caller allocates.
 	if ck.NumSrc < 0 || ck.NumEdges < 0 {
 		return fmt.Errorf("compress: negative shape %d/%d", ck.NumSrc, ck.NumEdges)
@@ -389,45 +469,50 @@ func (ck *Chunked) Validate(maxDst uint32) error {
 	if ck.MaxEdges < 0 || int64(ck.MaxEdges) > ck.NumEdges {
 		return fmt.Errorf("compress: MaxEdges %d outside [0, %d]", ck.MaxEdges, ck.NumEdges)
 	}
+	if index != nil && (len(index) != ck.NumSrc+1 || index[0] != 0) {
+		return fmt.Errorf("compress: index of %d offsets does not start at 0 and cover %d rows", len(index), ck.NumSrc)
+	}
 	var totalE int64
 	for c := 0; c < nc; c++ {
 		nsrc := int(ck.SrcOff[c+1]) - int(ck.SrcOff[c])
-		bLo, bHi := ck.ByteOff[c], ck.ByteOff[c+1]
-		if nsrc < 0 || bLo > bHi || bHi > int64(len(ck.Data)) {
+		pos, bHi := ck.ByteOff[c], ck.ByteOff[c+1]
+		if nsrc < 0 || int(ck.SrcOff[c+1]) > ck.NumSrc || pos < 0 || pos > bHi || bHi > end {
 			return fmt.Errorf("compress: chunk %d has negative extent", c)
 		}
 		if nsrc > ck.MaxSrcs {
 			return fmt.Errorf("compress: chunk %d rows %d exceed MaxSrcs %d", c, nsrc, ck.MaxSrcs)
 		}
-		data := ck.Data[bLo:bHi]
-		pos := 0
 		ce := int64(0)
 		for s := 0; s < nsrc; s++ {
-			deg, k := binary.Uvarint(data[pos:])
+			h, k := binary.Uvarint(ck.Data[pos:bHi])
 			if k <= 0 {
-				return fmt.Errorf("compress: chunk %d truncated at row %d", c, s)
+				return fmt.Errorf("compress: chunk %d row %d header truncated", c, s)
 			}
-			pos += k
-			if deg > uint64(ck.MaxEdges)-uint64(ce) {
+			pos += int64(k)
+			deg, width := h>>2, int64(h&3)+1
+			if deg > uint64(int64(ck.MaxEdges)-ce) {
 				return fmt.Errorf("compress: chunk %d edges exceed MaxEdges %d", c, ck.MaxEdges)
 			}
+			if r := int(ck.SrcOff[c]) + s; index != nil && index[r+1]-index[r] != int64(deg) {
+				return fmt.Errorf("compress: row %d has degree %d, index says %d", r, deg, index[r+1]-index[r])
+			}
+			// deg ≤ MaxEdges, so the product cannot overflow.
+			if int64(deg)*width > bHi-pos {
+				return fmt.Errorf("compress: chunk %d row %d runs past the chunk", c, s)
+			}
+			mask := ^uint32(0) >> (32 - 8*uint(width))
 			prev := uint64(0)
-			for i := uint64(0); i < deg; i++ {
-				gap, k := binary.Uvarint(data[pos:])
-				if k <= 0 {
-					return fmt.Errorf("compress: chunk %d truncated in row %d", c, s)
+			for rowEnd := pos + int64(deg)*width; pos < rowEnd; pos += width {
+				// In range by the pad check: pos < end = len(Data)-rowPad.
+				prev += uint64(binary.LittleEndian.Uint32(ck.Data[pos:pos+4]) & mask)
+				if prev >= uint64(maxDst) {
+					return fmt.Errorf("compress: chunk %d neighbour %d out of range %d", c, prev, maxDst)
 				}
-				pos += k
-				cur := prev + gap
-				if cur >= uint64(maxDst) {
-					return fmt.Errorf("compress: chunk %d neighbour %d out of range %d", c, cur, maxDst)
-				}
-				prev = cur
 			}
 			ce += int64(deg)
 		}
-		if pos != len(data) {
-			return fmt.Errorf("compress: chunk %d has %d trailing bytes", c, len(data)-pos)
+		if pos != bHi {
+			return fmt.Errorf("compress: chunk %d has %d trailing bytes", c, bHi-pos)
 		}
 		totalE += ce
 	}

@@ -10,19 +10,20 @@ import (
 )
 
 // TestEngineFileV2BytesPinned pins the v2 engine file of fixed graphs,
-// byte for byte, to the hashes recorded before preprocessing became
-// sort-free. The graphs come out of graph.Build and the blocks out of
-// Build, so the pin covers the whole chain: sorted-and-deduplicated
-// adjacency is a canonical form, and any way of producing it must
-// write the same file. Sequential and parallel builds both hash.
+// byte for byte (re-recorded when the adjacency streams became packed
+// rows, stream format 1; the topology they decode to did not move).
+// The graphs come out of graph.Build and the blocks out of Build, so
+// the pin covers the whole chain: sorted-and-deduplicated adjacency is
+// a canonical form, and any way of producing it must write the same
+// file. Sequential and parallel builds both hash.
 func TestEngineFileV2BytesPinned(t *testing.T) {
 	want := map[string]string{
-		"paper/default":    "0a3b7b90921776d0d50c2c133c8b350182b98337c6c762ce5530a7b82b6c4c35",
-		"paper/multiblock": "edba874618784d7297bf121d85591853ed1a8a0f9dac0bc808d9cf2809f9ec62",
-		"rmat/default":     "5acba04e5b4430f6d52dbe428102349317bc5e0d218a531cf6087487a56e0e7a",
-		"rmat/multiblock":  "dcf755263189f676fe8cbdf04c94486db29e349978b1fb57d2033ce62e1d9379",
-		"web/default":      "1530df99b340f7044fe2afceeebbf7592ef0f2ac7a270451a8e6043e7530a29c",
-		"web/multiblock":   "e817f6587d48cbe651ebd10d6fef214e700b8506073807798a13b5b5106670ec",
+		"paper/default":    "626822b226a9e9dc6bdc6bb0adb4f36d5d79d86db683ea1acca87de50baf0773",
+		"paper/multiblock": "cc402521059d6003687022cf6f6373ab1fee9a22ea018ce54cb1fbe2f0f1305d",
+		"rmat/default":     "d7dad5e6ce607897a33468833fedc79117be40ff8869bb972108558159ebdfb2",
+		"rmat/multiblock":  "8077072b2eac36ff7bcaa0bd1fb7a87e7208fe8c578ca94dccda328ea738c130",
+		"web/default":      "1847f638b8c6f8be5772a693a3d52b2803330cdae596c6a316e7d814517282aa",
+		"web/multiblock":   "bb825444547e50d6268c4cdc3bd6f281fca953ec60d5c2e704464608f4906923",
 	}
 	variants := map[string]Params{
 		"default":    {HubsPerBlock: 256},

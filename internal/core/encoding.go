@@ -1,16 +1,15 @@
 package core
 
-// Compressed (varint gap-encoded) block topology on the hot path.
+// Compressed (packed gap rows) block topology on the hot path.
 //
 // The paper frames iHTL's win as bytes moved per edge and names
 // WebGraph-style topology compression as the next lever (§6). This
 // file puts compress.Chunked adjacency on the engine's execution path:
 // with EngineOptions.BlockEncoding == EncodingVarint, the flipped push
-// decodes one cache-resident chunk at a time into a per-worker scratch
-// CSR inside the fused dispatch loop (decode fused with traversal,
-// zero steady-state allocations), and the sparse pull decodes each
-// row's gap stream directly into its accumulation — in ascending
-// source order, exactly the flat kernel's order, so every pipeline
+// walks a chunk's rows straight into the hub buffer and the sparse pull
+// walks each row straight into its sum — the decode IS the traversal,
+// one masked 4-byte load per edge, no scratch — in ascending order
+// within a row, exactly the flat kernels' order, so every pipeline
 // stays bit-for-bit identical to the flat reference for all inputs.
 //
 // The flat Index arrays stay resident under either encoding: the
@@ -40,8 +39,9 @@ const (
 	// EncodingFlat traverses the flat Dsts/Srcs arrays, materialising
 	// them first if only the encoded form is resident.
 	EncodingFlat
-	// EncodingVarint traverses the chunked varint-gap encoding,
-	// building it first if only the flat form is resident.
+	// EncodingVarint traverses the chunked gap encoding (fixed-width
+	// packed rows; the name predates them), building it first if only
+	// the flat form is resident.
 	EncodingVarint
 )
 
@@ -86,7 +86,7 @@ func (ih *IHTL) EncodedOnly() bool {
 	return sp.Srcs == nil && sp.Enc != nil && sp.NumEdges() > 0
 }
 
-// EnsureEncoded builds the chunked varint encoding of every block that
+// EnsureEncoded builds the chunked gap encoding of every block that
 // does not carry one yet. Deterministic in the flat topology, and safe
 // for concurrent callers on one IHTL: the graph's lazy-derivation lock
 // serialises the builds, and a caller's own locked pass orders its
@@ -158,14 +158,6 @@ func decodeFlat(ck *compress.Chunked) []graph.VID {
 	return out
 }
 
-// encScratch is one worker's chunk-decode scratch: a local CSR over
-// the rows of one chunk. Sized from the maxima over every flipped
-// block's chunks, so any chunk of any block decodes into it.
-type encScratch struct {
-	sIdx []int32
-	dsts []uint32
-}
-
 // resolveEncoding applies EncodingAuto against the graph's resident
 // forms.
 func resolveEncoding(enc BlockEncoding, ih *IHTL) BlockEncoding {
@@ -179,9 +171,8 @@ func resolveEncoding(enc BlockEncoding, ih *IHTL) BlockEncoding {
 }
 
 // initEncoding resolves the configured encoding and, for varint,
-// builds the encoded execution state: per-worker decode scratch sized
-// from the block maxima, and the sparse block's per-row byte offsets
-// (rowOff[i] is where row i's degree varint starts inside
+// builds the encoded execution state: the sparse block's per-row byte
+// offsets (rowOff[i] is where row i's header starts inside
 // Sparse.Enc.Data), which give the pull kernels random row access into
 // the chunked stream. Called once from NewEngineOpts, before the block
 // tasks are built.
@@ -194,68 +185,16 @@ func (e *Engine) initEncoding(enc BlockEncoding) {
 	}
 	ih.EnsureEncoded()
 	e.varint = true
-	maxSrcs, maxEdges := 0, 0
-	for b := range ih.Blocks {
-		ck := ih.Blocks[b].Enc
-		if ck.MaxSrcs > maxSrcs {
-			maxSrcs = ck.MaxSrcs
-		}
-		if ck.MaxEdges > maxEdges {
-			maxEdges = ck.MaxEdges
-		}
-	}
-	e.encScratch = make([]encScratch, e.nworkers)
-	for w := range e.encScratch {
-		e.encScratch[w] = encScratch{
-			sIdx: make([]int32, maxSrcs+1),
-			dsts: make([]uint32, maxEdges),
-		}
-	}
 	if sp := &ih.Sparse; sp.Enc != nil && sp.Enc.NumSrc > 0 {
-		e.sparseRowOff = sparseRowOffsets(sp.Enc)
-	}
-}
-
-// sparseRowOffsets walks the chunked stream once and records each
-// row's starting byte.
-func sparseRowOffsets(ck *compress.Chunked) []int64 {
-	off := make([]int64, ck.NumSrc)
-	data := ck.Data
-	for c := 0; c < ck.Chunks(); c++ {
-		pos := ck.ByteOff[c]
-		for r := ck.SrcOff[c]; r < ck.SrcOff[c+1]; r++ {
-			off[r] = pos
-			deg, n := uvarintChecked(data, pos)
-			pos += int64(n)
-			for i := uint64(0); i < deg; i++ {
-				_, n := uvarintChecked(data, pos)
-				pos += int64(n)
-			}
-		}
-	}
-	return off
-}
-
-// uvarintChecked decodes one varint at pos, panicking on truncation —
-// the stream was validated (or built in-process) before this runs.
-func uvarintChecked(data []byte, pos int64) (uint64, int) {
-	var v uint64
-	var shift uint
-	for n := 0; ; n++ {
-		b := data[pos+int64(n)]
-		if b < 0x80 {
-			return v | uint64(b)<<shift, n + 1
-		}
-		v |= uint64(b&0x7f) << shift
-		shift += 7
+		e.sparseRowOff = sp.Enc.RowOffsets()
 	}
 }
 
 // buildBlockTasksEnc is buildBlockTasks for the varint encoding: one
-// task per encoded chunk (the chunk IS the steal granule — its decode
-// scratch is the cache-resident working set), skipping chunks with no
-// edges. Each task's hub destination bounds come from one
-// construction-time decode of its chunk.
+// task per encoded chunk (the chunk IS the steal granule — a bounded,
+// cache-resident run of rows), skipping chunks with no edges. Each
+// task's hub destination bounds come from one construction-time decode
+// of its chunk.
 func buildBlockTasksEnc(ih *IHTL) (tasks []blockTask, perBlock, empty []int) {
 	perBlock = make([]int, len(ih.Blocks))
 	maxSrcs, maxEdges := 0, 0
@@ -311,48 +250,32 @@ func buildBlockTasksEnc(ih *IHTL) (tasks []blockTask, perBlock, empty []int) {
 // EncodingAuto).
 func (e *Engine) Encoding() BlockEncoding { return e.encoding }
 
-// pushTaskEnc pushes one encoded flipped task into worker w's hub
-// buffer: decode the task's chunk into the worker's scratch CSR, then
-// run the flat push loop over the scratch. The scratch is sized at
-// construction, so the steady state allocates nothing.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func (e *Engine) pushTaskEnc(w int, bt *blockTask, fb *FlippedBlock, src, buf []float64) {
-	sc := unchecked.PtrAt(e.encScratch, w)
-	nsrc, _ := fb.Enc.DecodeChunkCSR(bt.chunk, sc.sIdx, sc.dsts)
-	sIdx, dsts := sc.sIdx, sc.dsts
-	for s := 0; s < nsrc; s++ {
-		x := unchecked.At(src, bt.lo+s)
-		if spmv.SkipZero(x) {
-			continue
-		}
-		end := unchecked.At(sIdx, s+1)
-		for i := unchecked.At(sIdx, s); i < end; i++ {
-			unchecked.AddAt(buf, int(unchecked.At(dsts, int(i))), x)
-		}
-	}
-}
+// The kernels below walk packed rows straight into their accumulation:
+// per edge one masked 4-byte load, an add and the gather or scatter.
+// They are unchecked like the flat kernels: an encoding built in-process
+// is consistent by construction, and one of external origin passed
+// compress.Chunked.Validate in parseV2 before any of them ran.
 
-// pushTaskEncAtomic is pushTaskEnc for the AtomicFlipped ablation:
-// CAS straight into dst.
+// pushTaskEnc pushes one encoded flipped task into a worker-owned hub
+// buffer. A zero-skipped source skips its deg×width gap bytes.
 //
 //ihtl:noalloc
 //ihtl:nobce
 //ihtl:noescape
-func (e *Engine) pushTaskEncAtomic(w int, bt *blockTask, fb *FlippedBlock, src, dst []float64) {
-	sc := unchecked.PtrAt(e.encScratch, w)
-	nsrc, _ := fb.Enc.DecodeChunkCSR(bt.chunk, sc.sIdx, sc.dsts)
-	sIdx, dsts := sc.sIdx, sc.dsts
-	for s := 0; s < nsrc; s++ {
-		x := unchecked.At(src, bt.lo+s)
+func pushTaskEnc(bt *blockTask, fb *FlippedBlock, src, buf []float64) {
+	data := fb.Enc.Data
+	pos := int(unchecked.At(fb.Enc.ByteOff, bt.chunk))
+	for s := bt.lo; s < bt.hi; s++ {
+		deg, width, mask, p := compress.RowHeader(data, pos)
+		pos = p + deg*width
+		x := unchecked.At(src, s)
 		if spmv.SkipZero(x) {
 			continue
 		}
-		end := unchecked.At(sIdx, s+1)
-		for i := unchecked.At(sIdx, s); i < end; i++ {
-			spmv.AtomicAddFloat64(unchecked.PtrAt(dst, int(unchecked.At(dsts, int(i)))), x)
+		prev := uint32(0)
+		for ; p < pos; p += width {
+			prev += unchecked.Load32(data, p) & mask
+			unchecked.AddAt(buf, int(prev), x)
 		}
 	}
 }
@@ -362,18 +285,20 @@ func (e *Engine) pushTaskEncAtomic(w int, bt *blockTask, fb *FlippedBlock, src, 
 //ihtl:noalloc
 //ihtl:nobce
 //ihtl:noescape
-func (e *Engine) pushTaskEncBatch(w, k int, bt *blockTask, fb *FlippedBlock, src, buf []float64) {
-	sc := unchecked.PtrAt(e.encScratch, w)
-	nsrc, _ := fb.Enc.DecodeChunkCSR(bt.chunk, sc.sIdx, sc.dsts)
-	sIdx, dsts := sc.sIdx, sc.dsts
-	for s := 0; s < nsrc; s++ {
-		xs := unchecked.SliceAt(src, (bt.lo+s)*k, k)
+func pushTaskEncBatch(k int, bt *blockTask, fb *FlippedBlock, src, buf []float64) {
+	data := fb.Enc.Data
+	pos := int(unchecked.At(fb.Enc.ByteOff, bt.chunk))
+	for s := bt.lo; s < bt.hi; s++ {
+		deg, width, mask, p := compress.RowHeader(data, pos)
+		pos = p + deg*width
+		xs := unchecked.SliceAt(src, s*k, k)
 		if spmv.SkipZeroLanes(xs) {
 			continue
 		}
-		end := unchecked.At(sIdx, s+1)
-		for i := unchecked.At(sIdx, s); i < end; i++ {
-			db := int(unchecked.At(dsts, int(i))) * k
+		prev := uint32(0)
+		for ; p < pos; p += width {
+			prev += unchecked.Load32(data, p) & mask
+			db := int(prev) * k
 			for j, x := range xs {
 				unchecked.AddAt(buf, db+j, x)
 			}
@@ -381,70 +306,30 @@ func (e *Engine) pushTaskEncBatch(w, k int, bt *blockTask, fb *FlippedBlock, src
 	}
 }
 
-// pushTaskEncAtomicBatch is pushTaskEncAtomic with K-wide lanes.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func (e *Engine) pushTaskEncAtomicBatch(w, k int, bt *blockTask, fb *FlippedBlock, src, dst []float64) {
-	sc := unchecked.PtrAt(e.encScratch, w)
-	nsrc, _ := fb.Enc.DecodeChunkCSR(bt.chunk, sc.sIdx, sc.dsts)
-	sIdx, dsts := sc.sIdx, sc.dsts
-	for s := 0; s < nsrc; s++ {
-		xs := unchecked.SliceAt(src, (bt.lo+s)*k, k)
-		if spmv.SkipZeroLanes(xs) {
-			continue
-		}
-		end := unchecked.At(sIdx, s+1)
-		for i := unchecked.At(sIdx, s); i < end; i++ {
-			db := int(unchecked.At(dsts, int(i))) * k
-			for j, x := range xs {
-				spmv.AtomicAddFloat64(unchecked.PtrAt(dst, db+j), x)
-			}
-		}
-	}
-}
-
-// sparseRowSumEnc pulls sparse row i from the encoded stream: decode
-// the row's gap varints starting at its recorded byte offset,
+// sparseRowSumEnc pulls sparse row i from its recorded byte offset,
 // accumulating src reads in ascending source order — the flat pull's
-// exact accumulation order, so the sum is bit-identical for all
-// inputs. No scratch: the decode IS the traversal.
+// exact accumulation order, so the sum is bit-identical for all inputs.
+// The row's degree comes from the resident Index and only its gap
+// width from the stream: sparse rows are short and reached at random,
+// and a loop bound that waits on the row's header byte doubles the
+// sparse phase (Validate pinned the two to each other, row by row).
 //
 //ihtl:noalloc
 //ihtl:nobce
 //ihtl:noescape
 func (e *Engine) sparseRowSumEnc(i int, src []float64) float64 {
-	data := e.ih.Sparse.Enc.Data
-	pos := unchecked.At(e.sparseRowOff, i)
-	var deg uint64
-	var shift uint
-	for {
-		b := unchecked.At(data, int(pos))
-		pos++
-		if b < 0x80 {
-			deg |= uint64(b) << shift
-			break
-		}
-		deg |= uint64(b&0x7f) << shift
-		shift += 7
-	}
+	sp := &e.ih.Sparse
+	deg := unchecked.At(sp.Index, i+1) - unchecked.At(sp.Index, i)
 	sum := 0.0
+	if deg == 0 {
+		return sum
+	}
+	data := sp.Enc.Data
+	_, width, mask, p := compress.RowHeader(data, int(unchecked.At(e.sparseRowOff, i)))
 	prev := uint32(0)
 	for ; deg > 0; deg-- {
-		var gap uint64
-		shift = 0
-		for {
-			b := unchecked.At(data, int(pos))
-			pos++
-			if b < 0x80 {
-				gap |= uint64(b) << shift
-				break
-			}
-			gap |= uint64(b&0x7f) << shift
-			shift += 7
-		}
-		prev += uint32(gap)
+		prev += unchecked.Load32(data, p) & mask
+		p += width
 		sum += unchecked.At(src, int(prev))
 	}
 	return sum
@@ -457,35 +342,17 @@ func (e *Engine) sparseRowSumEnc(i int, src []float64) float64 {
 //ihtl:nobce
 //ihtl:noescape
 func (e *Engine) sparseRowAccEnc(i, k int, src, out []float64) {
-	data := e.ih.Sparse.Enc.Data
-	pos := unchecked.At(e.sparseRowOff, i)
-	var deg uint64
-	var shift uint
-	for {
-		b := unchecked.At(data, int(pos))
-		pos++
-		if b < 0x80 {
-			deg |= uint64(b) << shift
-			break
-		}
-		deg |= uint64(b&0x7f) << shift
-		shift += 7
+	sp := &e.ih.Sparse
+	deg := unchecked.At(sp.Index, i+1) - unchecked.At(sp.Index, i)
+	if deg == 0 {
+		return
 	}
+	data := sp.Enc.Data
+	_, width, mask, p := compress.RowHeader(data, int(unchecked.At(e.sparseRowOff, i)))
 	prev := uint32(0)
 	for ; deg > 0; deg-- {
-		var gap uint64
-		shift = 0
-		for {
-			b := unchecked.At(data, int(pos))
-			pos++
-			if b < 0x80 {
-				gap |= uint64(b) << shift
-				break
-			}
-			gap |= uint64(b&0x7f) << shift
-			shift += 7
-		}
-		prev += uint32(gap)
+		prev += unchecked.Load32(data, p) & mask
+		p += width
 		xs := unchecked.SliceAt(src, int(prev)*k, k)
 		for j, x := range xs {
 			unchecked.AddAt(out, j, x)

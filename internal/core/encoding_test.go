@@ -2,22 +2,25 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
+	"ihtl/internal/compress"
 	"ihtl/internal/gen"
 	"ihtl/internal/sched"
 )
 
 // encOptsMatrix is every pipeline x sparse-kernel combination the
-// varint encoding must pin bit-for-bit against the flat reference.
+// varint encoding must pin bit-for-bit against the flat reference. The
+// AtomicFlipped ablation is not among them: it keeps flat kernels only
+// (TestAtomicFlippedRejectsVarint).
 func encOptsMatrix() []EngineOptions {
 	var opts []EngineOptions
 	for _, pipeline := range []EngineOptions{
 		{},
 		{Phased: true},
-		{AtomicFlipped: true},
-		{AtomicFlipped: true, Phased: true},
 	} {
 		for _, k := range []SparseKernel{SparsePull, SparsePullDegree, SparsePB} {
 			o := pipeline
@@ -30,11 +33,54 @@ func encOptsMatrix() []EngineOptions {
 }
 
 func encLabel(o EngineOptions) string {
-	return fmt.Sprintf("phased=%v atomic=%v sparse=%v", o.Phased, o.AtomicFlipped, o.SparseKernel)
+	return fmt.Sprintf("phased=%v sparse=%v", o.Phased, o.SparseKernel)
+}
+
+// TestAtomicFlippedRejectsVarint pins the construction-time refusal
+// that replaced the CAS twins of the encoded kernels: AtomicFlipped
+// with an encoding that resolves to varint — asked for, or chosen by
+// auto over an encoded-only graph, unsharded or sharded — is an error,
+// and the same graph still builds the flat ablation.
+func TestAtomicFlippedRejectsVarint(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ih, err := Build(g, Params{HubsPerBlock: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phased := range []bool{false, true} {
+		opt := EngineOptions{AtomicFlipped: true, Phased: phased, BlockEncoding: EncodingVarint}
+		if _, err := NewEngineOpts(ih, testPool, opt); err == nil || !strings.Contains(err.Error(), "AtomicFlipped") {
+			t.Errorf("phased=%v: AtomicFlipped+varint: err = %v, want a refusal naming AtomicFlipped", phased, err)
+		}
+	}
+	if ih.Blocks[0].Enc != nil {
+		t.Error("the refused construction encoded the graph anyway")
+	}
+	if _, err := NewEngineOpts(ih, testPool, EngineOptions{AtomicFlipped: true}); err != nil {
+		t.Errorf("AtomicFlipped over a flat graph: %v", err)
+	}
+	sg, err := BuildSharded(g, Params{HubsPerBlock: 64}, testPool, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewShardedEngineOpts(sg, testPool, EngineOptions{AtomicFlipped: true, BlockEncoding: EncodingVarint}); err == nil {
+		t.Error("sharded AtomicFlipped+varint accepted")
+	}
+	ih.EnsureEncoded()
+	ih.DropFlatTopology()
+	if _, err := NewEngineOpts(ih, testPool, EngineOptions{AtomicFlipped: true}); err == nil {
+		t.Error("AtomicFlipped accepted over an encoded-only graph (auto resolves to varint)")
+	}
+	if _, err := NewEngineOpts(ih, testPool, EngineOptions{AtomicFlipped: true, BlockEncoding: EncodingFlat}); err != nil {
+		t.Errorf("AtomicFlipped with an explicit flat encoding over an encoded-only graph: %v", err)
+	}
 }
 
 // TestEncodingDifferential pins BlockEncoding varint bit-for-bit equal
-// to the flat reference across the fused/phased/atomic pipelines, all
+// to the flat reference across the fused/phased pipelines, all
 // three sparse kernels, worker counts {1, 3, GOMAXPROCS}, and repeated
 // steps, with both non-negative and signed/-0.0 sources.
 func TestEncodingDifferential(t *testing.T) {
@@ -68,8 +114,8 @@ func TestEncodingDifferential(t *testing.T) {
 						}
 						label := vecName + "/" + encLabel(opt)
 						requireBitIdentical(t, label, want, stepOldSpace(ih, e, src))
-						// A second step proves the decode scratch and the
-						// shared buffers were left clean.
+						// A second step proves the shared buffers were left
+						// clean.
 						requireBitIdentical(t, label+" (second step)", want, stepOldSpace(ih, e, src))
 					}
 				}
@@ -259,5 +305,78 @@ func TestEncodingParseAndString(t *testing.T) {
 	}
 	if EncodingVarint.String() != "varint" || EncodingFlat.String() != "flat" || EncodingAuto.String() != "auto" {
 		t.Fatal("BlockEncoding String mismatch")
+	}
+}
+
+// TestEncodedPushSkipsZeroSourceRows drives the fused push kernels over
+// one hand-built chunk whose rows have every gap width, an empty row
+// and a multi-byte header, under every combination of skipped (+0.0),
+// unskippable-zero (-0.0) and non-zero sources. A skipped row must
+// advance the cursor by exactly its deg×width gap bytes: one byte off
+// and every later row scatters garbage, so the hub buffer must match
+// the flat kernel's bit for bit. The width-4 row's neighbour lies
+// beyond the buffer and its source is always +0.0 — it can only be
+// skipped, never walked.
+func TestEncodedPushSkipsZeroSourceRows(t *testing.T) {
+	long := make([]uint32, 40) // degree 40: a two-byte row header
+	for i := range long {
+		long[i] = uint32(3 * i)
+	}
+	rows := [][]uint32{
+		{1, 5},         // width 1
+		{300, 301},     // width 2
+		{70000, 70001}, // width 3
+		{1<<24 + 5},    // width 4, never walked
+		{2},            // width 1
+		{},             // empty
+		long,           // width 1, long header
+		{1000, 66000},  // width 3
+	}
+	vary := []int{0, 1, 2, 4, 6, 7} // the rest keep a +0.0 source
+	fb := &FlippedBlock{Index: []int64{0}}
+	for _, r := range rows {
+		fb.Dsts = append(fb.Dsts, r...)
+		fb.Index = append(fb.Index, int64(len(fb.Dsts)))
+	}
+	fb.Enc = compress.EncodeChunked(fb.Index, fb.Dsts, 0)
+	if fb.Enc.Chunks() != 1 {
+		t.Fatalf("fixture spans %d chunks, want 1", fb.Enc.Chunks())
+	}
+	bt := &blockTask{lo: 0, hi: len(rows), chunk: 0}
+	negZero := math.Copysign(0, -1)
+	vals := []float64{0, negZero, 3}
+	const nbuf = 70002
+
+	combos := 1
+	for range vary {
+		combos *= len(vals)
+	}
+	src := make([]float64, len(rows))
+	want, got := make([]float64, nbuf), make([]float64, nbuf)
+	for c := 0; c < combos; c++ {
+		for i, x := 0, c; i < len(vary); i, x = i+1, x/len(vals) {
+			src[vary[i]] = vals[x%len(vals)]
+		}
+		clear(want)
+		clear(got)
+		pushTaskFlat(bt, fb, src, want)
+		pushTaskEnc(bt, fb, src, got)
+		requireBitIdentical(t, fmt.Sprintf("scalar src=%v", src), want, got)
+	}
+
+	// K = 2: a row is skipped only when both lanes are +0.0.
+	const k = 2
+	lanes := [][k]float64{{0, 0}, {0, negZero}, {2, 0}}
+	srcB := make([]float64, len(rows)*k)
+	wantB, gotB := make([]float64, nbuf*k), make([]float64, nbuf*k)
+	for c := 0; c < combos; c++ {
+		for i, x := 0, c; i < len(vary); i, x = i+1, x/len(lanes) {
+			copy(srcB[vary[i]*k:], lanes[x%len(lanes)][:])
+		}
+		clear(wantB)
+		clear(gotB)
+		pushTaskFlatBatch(k, bt, fb, srcB, wantB)
+		pushTaskEncBatch(k, bt, fb, srcB, gotB)
+		requireBitIdentical(t, fmt.Sprintf("batch src=%v", srcB), wantB, gotB)
 	}
 }

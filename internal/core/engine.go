@@ -41,13 +41,11 @@ type Engine struct {
 
 	// encoding is the resolved block encoding; varint mirrors
 	// encoding == EncodingVarint for branch-cheap hot-path checks.
-	// Under varint the flipped tasks are encoded chunks decoded into
-	// encScratch[w] inside the dispatch loop, and the sparse pull
-	// decodes rows at sparseRowOff[i] straight into their sums; see
-	// encoding.go.
+	// Under varint the flipped tasks are encoded chunks walked straight
+	// into the hub buffer, and the sparse pull walks the row at
+	// sparseRowOff[i] straight into its sum; see encoding.go.
 	encoding     BlockEncoding
 	varint       bool
-	encScratch   []encScratch
 	sparseRowOff []int64
 
 	// bufs[w] is worker w's private accumulation buffer over all
@@ -403,6 +401,15 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 	if nworkers < 1 || nworkers > pool.Workers() {
 		return nil, fmt.Errorf("core: engine worker count %d outside [1, %d]", nworkers, pool.Workers())
 	}
+	if opt.AtomicFlipped {
+		// A 3x-slower ablation: it keeps its flat kernels only.
+		if opt.StaticFlipped {
+			return nil, fmt.Errorf("core: StaticFlipped is incompatible with AtomicFlipped (CAS merge order is schedule-dependent)")
+		}
+		if resolveEncoding(opt.BlockEncoding, ih) == EncodingVarint {
+			return nil, fmt.Errorf("core: AtomicFlipped is incompatible with the varint block encoding (the ablation has flat kernels only)")
+		}
+	}
 	e := &Engine{ih: ih, pool: pool, atomicFlipped: opt.AtomicFlipped, phased: opt.Phased, health: opt.Health, nworkers: nworkers}
 	if !e.atomicFlipped {
 		e.bufs = make([][]float64, nworkers)
@@ -412,8 +419,8 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 	}
 	e.initEncoding(opt.BlockEncoding)
 	if e.varint {
-		// One task per encoded chunk: the chunk's decode scratch is
-		// the cache-resident working set, so it is the steal granule.
+		// One task per encoded chunk: a bounded, cache-resident run of
+		// rows, so it is the steal granule.
 		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasksEnc(ih)
 	} else {
 		// Edge-balanced source chunks per flipped block: the per-block
@@ -425,9 +432,6 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 	}
 	e.initSparseKernel(opt.SparseKernel)
 	if opt.StaticFlipped {
-		if opt.AtomicFlipped {
-			return nil, fmt.Errorf("core: StaticFlipped is incompatible with AtomicFlipped (CAS merge order is schedule-dependent)")
-		}
 		e.staticFlip = true
 		e.flipBounds = make([]int, nworkers+1)
 		for wi := 0; wi < nworkers; wi++ {
@@ -812,7 +816,7 @@ func (e *Engine) fusedWorkerBuffered(w int) {
 			bt := &e.blockTasks[ti]
 			fb := &ih.Blocks[bt.block]
 			if e.varint {
-				e.pushTaskEnc(w, bt, fb, src, buf)
+				pushTaskEnc(bt, fb, src, buf)
 			} else {
 				pushTaskFlat(bt, fb, src, buf)
 			}
@@ -895,7 +899,7 @@ func (e *Engine) mergeBlock(b int, dst []float64) {
 }
 
 // fusedWorkerAtomic is the AtomicFlipped ablation's fused worker:
-// cooperative hub zeroing, a spin barrier (CAS pushes must not start
+// cooperative hub zeroing, a barrier (CAS pushes must not start
 // before every hub slot is cleared), stolen flipped tasks with CAS
 // updates, then the sparse pull.
 //
@@ -922,10 +926,6 @@ func (e *Engine) fusedWorkerAtomic(w int) {
 			faultinject.Fire(faultinject.SiteFlippedTask)
 			bt := &e.blockTasks[ti]
 			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				e.pushTaskEncAtomic(w, bt, fb, src, dst)
-				continue
-			}
 			pushTaskFlatAtomic(bt, fb, src, dst)
 		}
 	}
@@ -973,10 +973,6 @@ func (e *Engine) stepPhased(src, dst []float64) {
 		e.pool.ForEachPart(len(e.blockTasks), func(w, task int) {
 			bt := &e.blockTasks[task]
 			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				e.pushTaskEncAtomic(w, bt, fb, src, dst)
-				return
-			}
 			pushTaskFlatAtomic(bt, fb, src, dst)
 		})
 	} else {
@@ -985,7 +981,7 @@ func (e *Engine) stepPhased(src, dst []float64) {
 			fb := &ih.Blocks[bt.block]
 			buf := e.bufs[w]
 			if e.varint {
-				e.pushTaskEnc(w, bt, fb, src, buf)
+				pushTaskEnc(bt, fb, src, buf)
 				return
 			}
 			pushTaskFlat(bt, fb, src, buf)

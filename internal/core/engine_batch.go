@@ -234,7 +234,7 @@ func (e *Engine) fusedWorkerBufferedBatch(b *batchState, w int) {
 			bt := &e.blockTasks[ti]
 			fb := &ih.Blocks[bt.block]
 			if e.varint {
-				e.pushTaskEncBatch(w, k, bt, fb, src, buf)
+				pushTaskEncBatch(k, bt, fb, src, buf)
 			} else {
 				pushTaskFlatBatch(k, bt, fb, src, buf)
 			}
@@ -322,10 +322,6 @@ func (e *Engine) fusedWorkerAtomicBatch(b *batchState, w int) {
 			faultinject.Fire(faultinject.SiteFlippedTask)
 			bt := &e.blockTasks[ti]
 			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				e.pushTaskEncAtomicBatch(w, k, bt, fb, src, dst)
-				continue
-			}
 			pushTaskFlatAtomicBatch(k, bt, fb, src, dst)
 		}
 	}
@@ -352,10 +348,6 @@ func (e *Engine) stepPhasedBatch(b *batchState, src, dst []float64) {
 		e.pool.ForEachPart(len(e.blockTasks), func(w, task int) {
 			bt := &e.blockTasks[task]
 			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				e.pushTaskEncAtomicBatch(w, k, bt, fb, src, dst)
-				return
-			}
 			pushTaskFlatAtomicBatch(k, bt, fb, src, dst)
 		})
 	} else {
@@ -364,7 +356,7 @@ func (e *Engine) stepPhasedBatch(b *batchState, src, dst []float64) {
 			fb := &ih.Blocks[bt.block]
 			buf := b.bufs[w]
 			if e.varint {
-				e.pushTaskEncBatch(w, k, bt, fb, src, buf)
+				pushTaskEncBatch(k, bt, fb, src, buf)
 				return
 			}
 			pushTaskFlatBatch(k, bt, fb, src, buf)

@@ -6,11 +6,10 @@ import "ihtl/internal/spmv"
 // Step streams from memory, under the engine's encoding. Flat engines
 // stream each block's CSR/CSC (8-byte index entries, 4-byte vertex
 // IDs); varint engines stream the encoded chunks (data plus chunk
-// tables) and, on the sparse side, the per-row byte offsets. The
-// per-worker decode scratch is cache-resident by construction (that is
-// what the chunk size bounds), so like the hub buffers' residency it
-// contributes no memory traffic here. The propagation-blocked kernel
-// runs from its own transposed arrays under either encoding.
+// tables) and, on the sparse side, the per-row byte offsets; they
+// decode into registers, so there is no scratch to account for. The
+// propagation-blocked kernel runs from its own transposed arrays under
+// either encoding.
 func (e *Engine) topologyStreamBytes() int64 {
 	ih := e.ih
 	var total int64
@@ -36,11 +35,9 @@ func (e *Engine) topologyStreamBytes() int64 {
 		return total
 	}
 	if e.varint {
-		total += int64(len(sp.Enc.Data)) // gap streams (degree inline)
+		total += int64(len(sp.Enc.Data)) // packed rows
 		total += 8 * n                   // per-row byte offsets
-		if e.sparseKernel == SparsePullDegree {
-			total += 8 * (n + 1) // degree checks of the light/heavy split
-		}
+		total += 8 * (n + 1)             // row degrees come from Index
 	} else {
 		total += 8*(n+1) + 4*Es
 	}

@@ -9,7 +9,8 @@ package core
 //
 //	header   magic u64, version u32 = 2, numV u32, numE u64,
 //	         numHubs u32, numVWEH u32, numFV u32, hubsPerBlock u32,
-//	         minHubDeg u32, numBlocks u32, destLo u32, pad → 64 B
+//	         minHubDeg u32, numBlocks u32, destLo u32,
+//	         streamFormat u32 = 1, pad → 64 B
 //	newid    [numV]u32 raw
 //	oldid    [numV]u32 raw
 //	per flipped block:
@@ -27,7 +28,12 @@ package core
 //	         nOff u64, lenData u64
 //	srcoff   [nOff]i32 raw
 //	byteoff  [nOff]i64 raw
-//	data     [lenData]u8 — the varint gap streams
+//	data     [lenData]u8 — the packed gap rows and their 3-byte pad
+//
+// streamFormat names the encoding inside the data sections. It sits in
+// what was zero padding while the streams were LEB128 varints (format
+// 0, retired: no decoder is kept), so a file of that era is refused by
+// name instead of being misparsed as packed rows (format 1).
 //
 // Only the Index arrays and the chunked segments are stored: the flat
 // Dsts/Srcs adjacency is redundant (EnsureFlatTopology re-materialises
@@ -50,7 +56,12 @@ import (
 	"ihtl/internal/compress"
 )
 
-const ihtlVersion2 = uint32(2)
+const (
+	ihtlVersion2 = uint32(2)
+	// v2StreamPacked is the header's streamFormat for
+	// compress.Chunked's fixed-width packed rows.
+	v2StreamPacked = uint32(1)
+)
 
 // hostLittle reports whether this host is little-endian; when true the
 // raw sections of a v2 file alias directly into the mapping.
@@ -59,10 +70,15 @@ var hostLittle = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// WriteToV2 serialises ih in the version-2 chunked-varint format,
-// building the encoded form first if only the flat one is resident.
+// WriteToV2 serialises ih in the version-2 chunked format. A block
+// whose encoded form is not resident is encoded for the write only:
+// saving a flat-resident graph does not leave a second copy of its
+// topology cached on it. The lazy-derivation lock is held throughout,
+// so the write sees stable forms next to concurrent engine
+// construction.
 func (ih *IHTL) WriteToV2(w io.Writer) (int64, error) {
-	ih.EnsureEncoded()
+	ih.lazyMu.Lock()
+	defer ih.lazyMu.Unlock()
 	vw := &v2writer{w: bufio.NewWriterSize(w, 1<<20)}
 	vw.u64(ihtlMagic)
 	vw.u32(ihtlVersion2)
@@ -75,6 +91,7 @@ func (ih *IHTL) WriteToV2(w io.Writer) (int64, error) {
 	vw.u32(uint32(ih.MinHubDegree))
 	vw.u32(uint32(len(ih.Blocks)))
 	vw.u32(uint32(ih.Sparse.DestLo))
+	vw.u32(v2StreamPacked)
 	vw.pad64()
 	vw.rawU32(ih.NewID)
 	vw.pad64()
@@ -90,13 +107,21 @@ func (ih *IHTL) WriteToV2(w io.Writer) (int64, error) {
 		vw.pad64()
 		vw.rawI64(fb.Index)
 		vw.pad64()
-		vw.chunked(fb.Enc)
+		enc := fb.Enc
+		if enc == nil {
+			enc = compress.EncodeChunked(fb.Index, fb.Dsts, 0)
+		}
+		vw.chunked(enc)
 	}
 	vw.u64(uint64(len(ih.Sparse.Index)))
 	vw.pad64()
 	vw.rawI64(ih.Sparse.Index)
 	vw.pad64()
-	vw.chunked(ih.Sparse.Enc)
+	enc := ih.Sparse.Enc
+	if enc == nil && len(ih.Sparse.Index) > 0 {
+		enc = compress.EncodeChunked(ih.Sparse.Index, ih.Sparse.Srcs, 0)
+	}
+	vw.chunked(enc)
 	if vw.err == nil {
 		vw.err = vw.w.Flush()
 	}
@@ -451,11 +476,17 @@ func (c *v2cursor) aliasI64(n int) ([]int64, error) {
 	return out, nil
 }
 
-// chunked parses one chunked adjacency segment and gates it behind
-// compress.Chunked.Validate before anything downstream trusts the
-// unchecked decoder on it. wantSrc/wantEdges pin the segment to the
-// block's Index array.
-func (c *v2cursor) chunked(label string, maxDst uint32, wantSrc int, wantEdges int64) (*compress.Chunked, error) {
+// chunked parses the chunked adjacency segment of the block whose
+// row offsets are index, and gates it behind compress.Chunked.Validate
+// before anything downstream trusts an unchecked decoder on it: the
+// stream itself, and its row-by-row agreement with index (the kernels
+// take degrees from one and gap widths from the other).
+func (c *v2cursor) chunked(label string, maxDst uint32, index []int64) (*compress.Chunked, error) {
+	var wantSrc int
+	var wantEdges int64
+	if n := len(index); n > 1 {
+		wantSrc, wantEdges = n-1, index[n-1]
+	}
 	var m [6]uint64
 	for i := range m {
 		v, err := c.u64()
@@ -467,8 +498,8 @@ func (c *v2cursor) chunked(label string, maxDst uint32, wantSrc int, wantEdges i
 	numSrc, numEdges, maxSrcs, maxEdges, nOff, lenData := m[0], m[1], m[2], m[3], m[4], m[5]
 	c.align64()
 	if numSrc == 0 && nOff == 0 && lenData == 0 {
-		if wantEdges != 0 {
-			return nil, fmt.Errorf("core: %s: empty segment for %d edges", label, wantEdges)
+		if wantSrc != 0 || wantEdges != 0 {
+			return nil, fmt.Errorf("core: %s: empty segment for %d rows / %d edges", label, wantSrc, wantEdges)
 		}
 		return nil, nil
 	}
@@ -505,7 +536,7 @@ func (c *v2cursor) chunked(label string, maxDst uint32, wantSrc int, wantEdges i
 		ByteOff:  byteOff,
 		Data:     data,
 	}
-	if err := ck.Validate(maxDst); err != nil {
+	if err := ck.Validate(maxDst, index); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", label, err)
 	}
 	return ck, nil
@@ -532,7 +563,7 @@ func parseV2(data []byte) (*IHTL, error) {
 	if version != ihtlVersion2 {
 		return nil, fmt.Errorf("core: unsupported version %d", version)
 	}
-	var numV, numHubs, numVWEH, numFV, hubsPerBlock, minHubDeg, numBlocks, destLo uint32
+	var numV, numHubs, numVWEH, numFV, hubsPerBlock, minHubDeg, numBlocks, destLo, streamFormat uint32
 	var numE uint64
 	for _, read := range []func() error{
 		func() error { numV, err = c.u32(); return err },
@@ -544,10 +575,15 @@ func parseV2(data []byte) (*IHTL, error) {
 		func() error { minHubDeg, err = c.u32(); return err },
 		func() error { numBlocks, err = c.u32(); return err },
 		func() error { destLo, err = c.u32(); return err },
+		func() error { streamFormat, err = c.u32(); return err },
 	} {
 		if err := read(); err != nil {
 			return nil, err
 		}
+	}
+	if streamFormat != v2StreamPacked {
+		return nil, fmt.Errorf("core: adjacency stream format %d is not the packed-row format %d (format 0 is the retired LEB128 encoding, which is no longer decoded): re-create the file with ihtlconvert from the graph or a v1 engine file",
+			streamFormat, v2StreamPacked)
 	}
 	if numE > 1<<40 || numBlocks > 1<<20 {
 		return nil, fmt.Errorf("core: implausible header (E=%d, blocks=%d)", numE, numBlocks)
@@ -609,11 +645,7 @@ func parseV2(data []byte) (*IHTL, error) {
 		if edges < 0 || edges > int64(numE) {
 			return nil, fmt.Errorf("core: block %d edge count %d invalid", i, edges)
 		}
-		nsrc := len(fb.Index) - 1
-		if nsrc < 0 {
-			nsrc = 0
-		}
-		if fb.Enc, err = c.chunked(fmt.Sprintf("block %d", i), hubHi, nsrc, edges); err != nil {
+		if fb.Enc, err = c.chunked(fmt.Sprintf("block %d", i), hubHi, fb.Index); err != nil {
 			return nil, err
 		}
 		total += edges
@@ -635,11 +667,7 @@ func parseV2(data []byte) (*IHTL, error) {
 	if sEdges < 0 || sEdges > int64(numE) {
 		return nil, fmt.Errorf("core: sparse edge count %d invalid", sEdges)
 	}
-	nsrc := len(ih.Sparse.Index) - 1
-	if nsrc < 0 {
-		nsrc = 0
-	}
-	if ih.Sparse.Enc, err = c.chunked("sparse block", numV, nsrc, sEdges); err != nil {
+	if ih.Sparse.Enc, err = c.chunked("sparse block", numV, ih.Sparse.Index); err != nil {
 		return nil, err
 	}
 	total += sEdges

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ihtl/internal/gen"
+	"ihtl/internal/graph"
 )
 
 func buildV2TestGraph(t *testing.T) *IHTL {
@@ -192,12 +195,20 @@ func TestV2RejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		ef, err := OpenEngineFile(path)
-		if err == nil {
-			// A flipped byte inside a gap stream can decode to another
-			// valid graph; it must still pass full validation, so an
-			// engine over it is memory-safe. Just close it.
-			ef.Close()
+		if err != nil {
+			return
 		}
+		// A flipped byte inside a gap can decode to another valid graph.
+		// It passed full validation, so the unchecked kernels over it
+		// must be memory-safe: step them (-tags=ihtlchecked turns a
+		// stray access into a panic).
+		defer ef.Close()
+		e, err := NewEngineOpts(ef.IHTL(), testPool, EngineOptions{})
+		if err != nil {
+			t.Fatalf("%s: accepted file builds no engine: %v", name, err)
+		}
+		n := ef.IHTL().NumV
+		e.Step(integerVec(5, n), make([]float64, n))
 	}
 	for _, cut := range []int{13, 64, 128, len(data) / 2, len(data) - 1} {
 		path := filepath.Join(dir, "trunc")
@@ -212,5 +223,91 @@ func TestV2RejectsCorruption(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0xA5
 		try("flip", bad)
+	}
+}
+
+// TestV2RefusesLEB128Era opens a v2 file written by the last commit
+// whose adjacency streams were LEB128 varints (testdata: the paper's
+// example, HubsPerBlock 2). Its header carries stream format 0 where
+// today's writer puts 1, so every entry point must refuse it by name —
+// pointing at ihtlconvert — instead of reading varint bytes as packed
+// rows; the same bytes inside a v3 container are refused likewise.
+func TestV2RefusesLEB128Era(t *testing.T) {
+	path := filepath.Join("testdata", "leb128_era_paper.ihtl2")
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(entry string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "ihtlconvert") || !strings.Contains(err.Error(), "LEB128") {
+			t.Errorf("%s: err = %v, want a refusal naming the retired LEB128 format and ihtlconvert", entry, err)
+		}
+	}
+	_, err = OpenEngineFile(path)
+	refused("OpenEngineFile", err)
+	_, err = LoadFile(path)
+	refused("LoadFile", err)
+	_, err = parseV2(old)
+	refused("parseV2", err)
+
+	// The same graph written today differs from the old file in the
+	// format word and the stream bytes only; it opens.
+	ih, err := Build(graph.PaperExample(), Params{HubsPerBlock: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now bytes.Buffer
+	if _, err := ih.WriteToV2(&now); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseV2(now.Bytes()); err != nil {
+		t.Fatalf("today's file of the same graph: %v", err)
+	}
+	if !bytes.Equal(now.Bytes()[:52], old[:52]) || binary.LittleEndian.Uint32(old[52:]) != 0 ||
+		binary.LittleEndian.Uint32(now.Bytes()[52:]) != v2StreamPacked {
+		t.Fatal("the stream-format word is not where the old header had zero padding")
+	}
+
+	// A v3 container follows its embedded v2 blobs.
+	sg := buildV3TestGraph(t)
+	var v3 bytes.Buffer
+	if _, err := sg.WriteToV3(&v3); err != nil {
+		t.Fatal(err)
+	}
+	data := v3.Bytes()
+	blob := bytes.Index(data[64:], now.Bytes()[:12]) + 64 // first embedded v2 header: magic + version
+	binary.LittleEndian.PutUint32(data[blob+52:], 0)
+	_, err = parseV3(data)
+	refused("parseV3", err)
+}
+
+// TestWriteToV2LeavesNoEncodedCopy pins the save-side fix: writing a
+// flat-resident graph encodes for the write only — no encoded copy
+// stays cached on the graph — and the bytes are the ones a graph with
+// the encoded form already resident writes.
+func TestWriteToV2LeavesNoEncodedCopy(t *testing.T) {
+	ih := buildV2TestGraph(t)
+	var first, second, resident bytes.Buffer
+	if _, err := ih.WriteToV2(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ih.Blocks {
+		if ih.Blocks[i].Enc != nil {
+			t.Fatalf("WriteToV2 left block %d's encoding cached on a flat-resident graph", i)
+		}
+	}
+	if ih.Sparse.Enc != nil {
+		t.Fatal("WriteToV2 left the sparse encoding cached on a flat-resident graph")
+	}
+	if _, err := ih.WriteToV2(&second); err != nil {
+		t.Fatal(err)
+	}
+	ih.EnsureEncoded()
+	if _, err := ih.WriteToV2(&resident); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) || !bytes.Equal(first.Bytes(), resident.Bytes()) {
+		t.Fatal("the v2 bytes depend on whether the encoded form was resident")
 	}
 }

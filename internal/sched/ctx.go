@@ -46,12 +46,29 @@ func (p *Pool) recoverWorker(worker int) {
 	if r == nil {
 		return
 	}
-	p.abort.Store(true)
+	p.setAbort()
 	p.panicMu.Lock()
 	if p.panicErr == nil {
 		p.panicErr = &PanicError{Value: r, Worker: worker, Stack: debug.Stack()}
 	}
 	p.panicMu.Unlock()
+}
+
+// setAbort trips the abort flag mid-dispatch and wakes the workers
+// parked at a barrier, which cannot poll the flag.
+func (p *Pool) setAbort() {
+	p.abort.Store(true)
+	p.wakeParked()
+}
+
+// wakeParked makes every worker parked at a barrier of this pool
+// re-check its barrier's sense and the abort flag.
+//
+//ihtl:noalloc
+func (p *Pool) wakeParked() {
+	p.parkMu.Lock()
+	p.parked.Broadcast()
+	p.parkMu.Unlock()
 }
 
 // Fallible opens a fallible dispatch region: until the returned end
@@ -114,7 +131,7 @@ func (p *Pool) armCancel(ctx context.Context) (stop func()) {
 		select {
 		case <-ctx.Done():
 			p.ctxCanceled.Store(true)
-			p.abort.Store(true)
+			p.setAbort()
 		case <-stopped:
 		}
 	}()

@@ -299,3 +299,41 @@ func TestBarrierWaitAbortReleases(t *testing.T) {
 		t.Fatalf("crossed %d, want 4", crossed.Load())
 	}
 }
+
+// TestBarrierWaitAbortWakesParkedOnCancel pins the other abort source:
+// two workers are parked at the barrier (their spin budget is long
+// spent) while the third never arrives; cancelling the region's context
+// must wake them, and they must report an aborted crossing. A lost
+// wake-up hangs the dispatch, which the test timeout turns into a
+// failure.
+func TestBarrierWaitAbortWakesParkedOnCancel(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	b := NewBarrier(3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var atBarrier, released atomic.Int64
+	go func() {
+		for atBarrier.Load() < 2 {
+			runtime.Gosched()
+		}
+		time.Sleep(5 * time.Millisecond) // let both finish spinning and park
+		cancel()
+	}()
+	err := p.RunCtx(ctx, func(w int) {
+		if w == 0 {
+			<-ctx.Done()
+			return
+		}
+		atBarrier.Add(1)
+		if !b.WaitAbort(p) {
+			released.Add(1)
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if released.Load() != 2 {
+		t.Fatalf("released %d parked workers via cancel, want 2", released.Load())
+	}
+}

@@ -1,22 +1,29 @@
 package sched
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // The fused-region primitives below let an engine run what used to be
 // several barriered Pool dispatches as ONE dispatch: workers
-// synchronise inside the parallel region with a spin barrier or with
+// synchronise inside the parallel region with a barrier or with
 // per-item completion counters, paying nanoseconds of shared-counter
 // traffic instead of a channel send + WaitGroup round-trip per worker
 // per phase.
 
-// Barrier is a reusable sense-reversing spin barrier for exactly N
-// participants. It is intended for short intra-dispatch phase
-// boundaries inside a Pool.Run region, where every pool worker is a
-// participant; unlike sync.WaitGroup it involves no channel traffic
-// and can be crossed an arbitrary number of times per region.
+// barrierSpins bounds the polite spin of a waiter before it parks: long
+// enough to catch a sibling that is a few hundred nanoseconds behind,
+// short enough that a waiter whose sibling is not even running (more
+// workers than CPUs, a busy daemon) hands its CPU back at once.
+const barrierSpins = 300
+
+// Barrier is a reusable sense-reversing barrier for exactly N
+// participants, all of them workers of one Pool. It is intended for
+// short intra-dispatch phase boundaries inside a Pool.Run region;
+// unlike sync.WaitGroup it can be crossed an arbitrary number of times
+// per region. A waiter spins briefly on the sense word and then parks
+// on the pool. It never yields through runtime.Gosched: every such
+// yield re-queues the goroutine globally and wakes an idle P, which
+// under a serving load turned the wait into millions of scheduler
+// events and made the daemon's timers fire late.
 type Barrier struct {
 	n       int64
 	arrived atomic.Int64
@@ -31,47 +38,44 @@ func NewBarrier(n int) *Barrier {
 	return &Barrier{n: int64(n)}
 }
 
-// Wait blocks until all n participants have called Wait, then releases
-// them all. The barrier is immediately reusable for the next phase.
-//
-//ihtl:noalloc
-func (b *Barrier) Wait() {
-	gen := b.sense.Load()
-	if b.arrived.Add(1) == b.n {
-		// Last arriver: reset the count for the next generation, then
-		// release. Spinners only touch sense, so the order is safe.
-		b.arrived.Store(0)
-		b.sense.Add(1)
-		return
-	}
-	for b.sense.Load() == gen {
-		runtime.Gosched()
-	}
-}
-
-// WaitAbort is Wait for barriers crossed inside fallible regions: it
-// additionally polls the pool's abort flag while spinning and returns
-// false without crossing when the dispatch is aborting (a sibling
-// worker panicked before arriving, or the region's context was
-// cancelled) — the release that keeps panic isolation deadlock-free.
-// A last arriver always completes the crossing and returns true.
-// After an aborted crossing the barrier may hold straggler arrival
-// counts; the orchestrator must Reset it before reuse (the engines do
-// this in their post-failure state recovery).
+// WaitAbort blocks until all n participants — workers of pool p inside
+// one dispatch — have called it, then releases them all and returns
+// true; the barrier is immediately reusable for the next phase. When
+// the dispatch is aborting (a sibling worker panicked before arriving,
+// or the region's context was cancelled) a waiter returns false without
+// crossing — the release that keeps panic isolation deadlock-free; the
+// pool wakes parked waiters when it trips the flag. A last arriver
+// always completes the crossing and returns true. After an aborted
+// crossing the barrier may hold straggler arrival counts; the
+// orchestrator must Reset it before reuse (the engines do this in their
+// post-failure state recovery).
 //
 //ihtl:noalloc
 func (b *Barrier) WaitAbort(p *Pool) bool {
 	gen := b.sense.Load()
 	if b.arrived.Add(1) == b.n {
+		// Last arriver: reset the count for the next generation, then
+		// release. Waiters only read sense, so the order is safe.
 		b.arrived.Store(0)
 		b.sense.Add(1)
+		p.wakeParked()
 		return true
 	}
+	for i := 0; i < barrierSpins; i++ {
+		if b.sense.Load() != gen {
+			return true
+		}
+	}
+	// Park. The sense and the abort flag are re-checked under parkMu,
+	// and both the releaser and setAbort broadcast under it after their
+	// store, so no wake-up is lost.
+	p.parkMu.Lock()
+	defer p.parkMu.Unlock()
 	for b.sense.Load() == gen {
 		if p.Aborted() {
 			return false
 		}
-		runtime.Gosched()
+		p.parked.Wait()
 	}
 	return true
 }

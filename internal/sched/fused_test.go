@@ -21,7 +21,7 @@ func TestBarrierPhases(t *testing.T) {
 	p.Run(func(w int) {
 		for phase := 1; phase <= phases; phase++ {
 			cells[w] = phase
-			b.Wait()
+			b.WaitAbort(p)
 			sum := 0
 			for _, c := range cells {
 				sum += c
@@ -31,11 +31,11 @@ func TestBarrierPhases(t *testing.T) {
 			}
 			// Second barrier so no worker races ahead into the next
 			// phase's writes while peers still read this one.
-			b.Wait()
+			b.WaitAbort(p)
 		}
 	})
 	if n := mismatches.Load(); n != 0 {
-		t.Fatalf("%d phase sums were wrong: writes not ordered by Barrier.Wait", n)
+		t.Fatalf("%d phase sums were wrong: writes not ordered by Barrier.WaitAbort", n)
 	}
 }
 

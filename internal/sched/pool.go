@@ -50,6 +50,13 @@ type Pool struct {
 	// dispatch re-derives it from ctxCanceled and regionErr, so a
 	// failure poisons the rest of its region but never the next one.
 	abort atomic.Bool
+	// parked is where workers waiting at a Barrier sleep once their
+	// spin budget is spent (under parkMu). One place per pool, not per
+	// barrier, so setAbort reaches every sleeper without a registry; a
+	// crossing of one barrier wakes the sleepers of the pool's others
+	// (a sharded engine's groups), which re-check and sleep again.
+	parkMu sync.Mutex
+	parked sync.Cond
 	// ctxCanceled mirrors ctx.Done() of the Fallible region currently
 	// armed, set by the watcher goroutine and cleared when the watcher
 	// is joined.
@@ -96,6 +103,7 @@ func NewPool(workers int) *Pool {
 		jobs:    make(chan job),
 		steal:   NewStealScheduler(workers),
 	}
+	p.parked.L = &p.parkMu
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go p.worker()

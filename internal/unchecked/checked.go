@@ -7,6 +7,8 @@
 // suspect build or a kernel under development.
 package unchecked
 
+import "encoding/binary"
+
 // PtrAt returns &s[i], checked.
 //
 //ihtl:noalloc
@@ -31,3 +33,8 @@ func AddAt(s []float64, i int, v float64) { s[i] += v }
 //
 //ihtl:noalloc
 func SliceAt[T any](s []T, i, n int) []T { return s[i : i+n : i+n] }
+
+// Load32 returns the little-endian uint32 at s[i:i+4], checked.
+//
+//ihtl:noalloc
+func Load32(s []byte, i int) uint32 { return binary.LittleEndian.Uint32(s[i:]) }

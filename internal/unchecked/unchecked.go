@@ -50,3 +50,18 @@ func AddAt(s []float64, i int, v float64) { *PtrAt(s, i) += v }
 //
 //ihtl:noalloc
 func SliceAt[T any](s []T, i, n int) []T { return unsafe.Slice(PtrAt(s, i), n) }
+
+// Load32 returns the little-endian uint32 at s[i:i+4] without a bounds
+// check and at any alignment: the packed-row gap decode reads a 1-4
+// byte gap with one load and a mask. The four byte loads of the body
+// are what the compiler fuses into a single unaligned load on hosts
+// that allow one (amd64, arm64, ...); elsewhere, and on big-endian
+// hosts, they stay byte-composed, so the result is the same everywhere.
+//
+//ihtl:noalloc
+//ihtl:nobce
+//ihtl:noescape
+func Load32(s []byte, i int) uint32 {
+	p := (*[4]byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(s)), i))
+	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
+}

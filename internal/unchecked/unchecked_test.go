@@ -62,3 +62,16 @@ func TestAccessorsGenericTypes(t *testing.T) {
 		t.Errorf("SliceAt(u, 0, 2) = %v, want [42 8]", got)
 	}
 }
+
+// TestLoad32 pins the unaligned little-endian load at every alignment
+// of an 8-byte window, including the last offset that still has four
+// bytes behind it.
+func TestLoad32(t *testing.T) {
+	b := []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x10, 0x32, 0x54}
+	for i := 0; i+4 <= len(b); i++ {
+		want := uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24
+		if got := Load32(b, i); got != want {
+			t.Errorf("Load32(b, %d) = %#x, want %#x", i, got, want)
+		}
+	}
+}
