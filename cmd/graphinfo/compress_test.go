@@ -36,3 +36,24 @@ block topology compression (flat vs varint adjacency):
 		t.Errorf("compression table drifted:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestPrintLayoutsGolden pins the row-shape table on the same example:
+// both blocks are short-row, so a default flat engine walks both
+// edge-major.
+func TestPrintLayoutsGolden(t *testing.T) {
+	g := graph.PaperExample()
+	ih, err := core.Build(g, core.Params{HubsPerBlock: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	printLayouts(&buf, ih.BlockShapes())
+	const want = `
+block row shapes (traversal layout of a default flat engine):
+  flipped[0]            6 rows,        9 edges, mean row   1.50, empty rows   0.0%, edge-major
+  sparse                6 rows,        5 edges, mean row   0.83, empty rows  33.3%, edge-major
+`
+	if got := buf.String(); got != want {
+		t.Errorf("layout table drifted:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}

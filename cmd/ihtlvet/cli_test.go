@@ -106,8 +106,9 @@ func TestGateWaiverIndex(t *testing.T) {
 		t.Fatal("no //ihtl:nobce functions indexed; the kernel annotations are gone or the loader is broken")
 	}
 	for _, fn := range []string{
-		"pushTaskFlat", "pbDrainBucket", "sparsePullRange", "DecodeChunkCSR", "RowHeader", "Load32",
+		"pushTaskFlat", "pbDrainBucket", "sparsePullPart", "DecodeChunkCSR", "RowHeader", "Load32",
 		"pushTaskEnc", "pushTaskEncBatch", "sparseRowSumEnc", "sparseRowAccEnc",
+		"pushTaskEdgeMajor", "pullRowsEdgeMajor", "sparseLightPartEdgeMajor", "rowOfEdgeFrom",
 	} {
 		found := false
 		for _, frs := range nobce {

@@ -1,0 +1,61 @@
+package core
+
+import (
+	"testing"
+
+	"ihtl/internal/gen"
+)
+
+// BenchmarkShortRowKernel times the four flat scalar kernels — CSR and
+// edge-major, flipped push and sparse pull — on one thread over the web
+// analog at 200 k pages, whose blocks are the short-row shape the
+// edge-major layout exists for (DESIGN.md §17 records the table). The
+// kernels are called directly, every task or part in order, so the
+// number is the inner loop's: no dispatch, no merge.
+func BenchmarkShortRowKernel(b *testing.B) {
+	cfg := gen.DefaultWeb(200_000, 1002)
+	cfg.MeanOutDegree = 6 // the benchmark's web-sparse shape
+	g, err := gen.Web(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ih, err := Build(g, Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := make([]float64, ih.NumV)
+	for i := range src {
+		src[i] = 1 / float64(ih.NumV)
+	}
+	dst := make([]float64, ih.NumV)
+	for _, s := range ih.BlockShapes() {
+		b.Logf("%s: %d rows, %d edges, mean row %.2f, %.0f%% empty", s.Name, s.Rows, s.Edges, s.MeanRowLen, 100*s.EmptyRowFrac)
+	}
+	for _, layout := range []BlockLayout{LayoutCSR, LayoutEdgeMajor} {
+		e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull, forceLayout: layout})
+		if err != nil {
+			b.Fatal(err)
+		}
+		perEdge := func(b *testing.B, edges int64) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+		}
+		b.Run("push/"+layout.String(), func(b *testing.B) {
+			buf := e.bufs[0]
+			for i := 0; i < b.N; i++ {
+				for t := range e.blockTasks {
+					e.pushTask(&e.blockTasks[t], src, buf)
+				}
+			}
+			perEdge(b, ih.FlippedEdges())
+			clear(buf)
+		})
+		b.Run("pull/"+layout.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for p := 0; p < len(e.sparseBounds)-1; p++ {
+					e.sparsePullPart(p, src, dst)
+				}
+			}
+			perEdge(b, ih.Sparse.NumEdges())
+		})
+	}
+}

@@ -139,6 +139,18 @@ type Engine struct {
 	clocks []workerClock
 
 	breakdown Breakdown
+
+	// Edge-major layout state (edgemajor.go), last so the fields above
+	// keep their offsets. flipAdv[b] is block b's adv stream, nil while
+	// the block is walked CSR; sparseAdv is the sparse block's. partPrev
+	// and partHeavy are per sparse part — sparseBounds under SparsePull,
+	// lightBounds under SparsePullDegree: the row of the edge before the
+	// part's first edge, and the ordinal in Sparse.Heavy of the first
+	// heavy row at or after the part's first row.
+	flipAdv   [][]uint8
+	sparseAdv []uint8
+	partPrev  []int
+	partHeavy []int
 }
 
 type blockTask struct {
@@ -155,6 +167,10 @@ type blockTask struct {
 	// zero value still widens it), which is sound because untouched
 	// buffer slots hold the additive identity.
 	dLo, dHi int
+	// prev is the row of the edge before the task's first edge (row 0
+	// ahead of the block's first): where the edge-major kernel starts
+	// counting from, so a task begins mid-stream without scanning.
+	prev int
 }
 
 // buildBlockTasks cuts each flipped block into edge-balanced source
@@ -176,7 +192,7 @@ func buildBlockTasks(ih *IHTL, chunksPerBlock int) (tasks []blockTask, perBlock,
 			if lo >= hi {
 				continue
 			}
-			t := blockTask{block: b, lo: lo, hi: hi}
+			t := blockTask{block: b, lo: lo, hi: hi, prev: rowBeforeEdge(fb.Index, fb.Index[lo])}
 			for i := fb.Index[lo]; i < fb.Index[hi]; i++ {
 				d := int(fb.Dsts[i])
 				if t.dHi == t.dLo { // first edge
@@ -366,19 +382,31 @@ type EngineOptions struct {
 	// NewShardedEngineOpts); core.NewEngineOpts over an already built
 	// IHTL rejects Shards > 1. See sharded.go.
 	Shards int
+
+	// forceLayout is the differential suites' hook: every block with
+	// edges takes this layout instead of choosing by row length. Zero
+	// (the only value code outside this package can give it) chooses.
+	forceLayout BlockLayout
 }
 
 // NewEngine prepares an Algorithm 3 engine on the given pool with
-// default options. The pool is borrowed, not owned.
+// default options; see NewEngineOpts for what it asks of the pool.
 func NewEngine(ih *IHTL, pool *sched.Pool) (*Engine, error) {
 	return NewEngineOpts(ih, pool, EngineOptions{})
 }
 
-// NewEngineOpts is NewEngine with explicit options. Options asking for
-// more than one shard are rejected here: sharding partitions the
-// ORIGINAL graph before iHTL construction, so it enters through
-// BuildSharded + NewShardedEngineOpts (or the public ihtl.NewEngineOpts,
-// which routes EngineOptions.Shards there).
+// NewEngineOpts is NewEngine with explicit options. The pool is
+// borrowed, not owned, and construction DISPATCHES on it (the edge-major
+// adv streams are built in parallel, edgemajor.go): like Step it must be
+// called from the goroutine that owns the pool, with no other dispatch —
+// another construction, a Step — in flight on it. A closed pool
+// (sched.ErrPoolClosed) or a worker panic (*sched.PanicError) is
+// returned as the error.
+//
+// Options asking for more than one shard are rejected here: sharding
+// partitions the ORIGINAL graph before iHTL construction, so it enters
+// through BuildSharded + NewShardedEngineOpts (or the public
+// ihtl.NewEngineOpts, which routes EngineOptions.Shards there).
 func NewEngineOpts(ih *IHTL, pool *sched.Pool, opt EngineOptions) (*Engine, error) {
 	if opt.Shards > 1 {
 		return nil, fmt.Errorf("core: NewEngineOpts cannot shard a built IHTL (want NewShardedEngineOpts over a BuildSharded graph)")
@@ -431,6 +459,9 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 		e.sparseBounds = sched.EdgeBalancedParts(ih.Sparse.Index, nworkers*4)
 	}
 	e.initSparseKernel(opt.SparseKernel)
+	if err := e.initLayouts(opt.forceLayout); err != nil {
+		return nil, fmt.Errorf("core: building edge-major streams: %w", err)
+	}
 	if opt.StaticFlipped {
 		e.staticFlip = true
 		e.flipBounds = make([]int, nworkers+1)
@@ -814,12 +845,7 @@ func (e *Engine) fusedWorkerBuffered(w int) {
 		for ti := lo; ti < hi; ti++ {
 			faultinject.Fire(faultinject.SiteFlippedTask)
 			bt := &e.blockTasks[ti]
-			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				pushTaskEnc(bt, fb, src, buf)
-			} else {
-				pushTaskFlat(bt, fb, src, buf)
-			}
+			e.pushTask(bt, src, buf)
 			if bt.dHi > bt.dLo {
 				dr := &e.dirty[w*nb+bt.block]
 				if dr.hi <= dr.lo {
@@ -977,14 +1003,7 @@ func (e *Engine) stepPhased(src, dst []float64) {
 		})
 	} else {
 		pushTask := func(w, task int) {
-			bt := &e.blockTasks[task]
-			fb := &ih.Blocks[bt.block]
-			buf := e.bufs[w]
-			if e.varint {
-				pushTaskEnc(bt, fb, src, buf)
-				return
-			}
-			pushTaskFlat(bt, fb, src, buf)
+			e.pushTask(&e.blockTasks[task], src, e.bufs[w])
 		}
 		if e.staticFlip {
 			// Pinned task → worker assignment: each buffer accumulates
@@ -1050,7 +1069,7 @@ func (e *Engine) stepPhased(src, dst []float64) {
 	default:
 		if nparts := len(e.sparseBounds) - 1; nparts > 0 {
 			e.pool.ForEachPart(nparts, func(w, part int) {
-				e.sparsePullRange(e.sparseBounds[part], e.sparseBounds[part+1], src, dst)
+				e.sparsePullPart(part, src, dst)
 			})
 		}
 	}

@@ -5,7 +5,10 @@ import "ihtl/internal/spmv"
 // topologyStreamBytes returns the modelled topology bytes one scalar
 // Step streams from memory, under the engine's encoding. Flat engines
 // stream each block's CSR/CSC (8-byte index entries, 4-byte vertex
-// IDs); varint engines stream the encoded chunks (data plus chunk
+// IDs) — or, for a block walked edge-major, the vertex IDs and the
+// half-byte-per-edge adv stream and NOT the index (the kernels read two
+// index entries per task; only the heavy rows' entries are charged);
+// varint engines stream the encoded chunks (data plus chunk
 // tables) and, on the sparse side, the per-row byte offsets; they
 // decode into registers, so there is no scratch to account for. The
 // propagation-blocked kernel runs from its own transposed arrays under
@@ -15,9 +18,12 @@ func (e *Engine) topologyStreamBytes() int64 {
 	var total int64
 	for b := range ih.Blocks {
 		fb := &ih.Blocks[b]
-		if e.varint {
+		switch {
+		case e.varint:
 			total += fb.Enc.EncodedBytes()
-		} else {
+		case e.flipAdv[b] != nil:
+			total += 4*fb.NumEdges() + int64(len(e.flipAdv[b]))
+		default:
 			nsrc := int64(len(fb.Index) - 1)
 			total += 8*(nsrc+1) + 4*fb.NumEdges()
 		}
@@ -34,11 +40,17 @@ func (e *Engine) topologyStreamBytes() int64 {
 		}
 		return total
 	}
-	if e.varint {
+	switch {
+	case e.varint:
 		total += int64(len(sp.Enc.Data)) // packed rows
 		total += 8 * n                   // per-row byte offsets
 		total += 8 * (n + 1)             // row degrees come from Index
-	} else {
+	case e.sparseAdv != nil:
+		total += 4*Es + int64(len(e.sparseAdv))
+		if e.sparseKernel == SparsePullDegree {
+			total += 2 * 8 * int64(len(sp.Heavy)) // the heavy path's row bounds
+		}
+	default:
 		total += 8*(n+1) + 4*Es
 	}
 	total += 4 * int64(len(sp.Heavy))
@@ -70,7 +82,11 @@ func (e *Engine) BytesPerStep() int64 {
 		if rem := int64(ih.NumHubs) - int64(b)*hubs; rem < hubs {
 			hubs = rem
 		}
-		total += vb * nsrc             // sequential src reads
+		if e.flipAdv[b] != nil {
+			total += vb * edges // one (mostly repeated) src read per edge
+		} else {
+			total += vb * nsrc // sequential src reads
+		}
 		total += vb * edges            // cache-resident buffer updates
 		total += (2*W + 1) * vb * hubs // clear + merge reads + dst write
 	}
@@ -95,6 +111,13 @@ func (e *Engine) BytesPerStep() int64 {
 	default:
 		total += vb * Es // random src reads
 		total += vb * n  // dst writes
+		if e.sparseAdv != nil {
+			// Edge-major clears the rows (charged above as the write),
+			// then accumulates per edge into the cache-resident chunk.
+			// The few heavy rows still sum in a register; charging them
+			// per edge too keeps the model a function of sizes alone.
+			total += vb * Es
+		}
 	}
 	return total
 }
@@ -111,8 +134,9 @@ func (e *Engine) TopologyBytesPerStep() int64 { return e.topologyStreamBytes() }
 // resident in memory to run: always the per-block index arrays (the
 // schedulers read per-row edge counts under either encoding), plus the
 // flat adjacency or the encoded chunks with the sparse row offsets,
-// plus the degree buckets and the propagation-blocked kernel's
-// transposed arrays when configured. Vertex data and hub buffers are
+// plus the adv streams of the blocks walked edge-major, the degree
+// buckets and the propagation-blocked kernel's transposed arrays when
+// configured. Vertex data and hub buffers are
 // excluded — they scale with NumV, not with the topology
 // representation this measures.
 func (e *Engine) ResidentTopologyBytes() int64 {
@@ -139,6 +163,10 @@ func (e *Engine) ResidentTopologyBytes() int64 {
 		}
 	}
 	total += 4 * int64(len(sp.Heavy))
+	for _, adv := range e.flipAdv {
+		total += int64(len(adv))
+	}
+	total += int64(len(e.sparseAdv))
 	if e.pb != nil {
 		total += 8 * int64(len(e.pb.pushIndex))
 		total += 4 * int64(len(e.pb.pushRows))

@@ -243,6 +243,22 @@ func FuzzStepDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, "pb", want, stepOldSpace(ih, pb, src))
+		// Both traversal layouts forced on every block of the same graph
+		// (by shape, R-MAT blocks this small are a mix).
+		var forced []*Engine
+		for _, opt := range []EngineOptions{
+			{forceLayout: LayoutCSR},
+			{forceLayout: LayoutEdgeMajor},
+			{forceLayout: LayoutEdgeMajor, Phased: true},
+			{forceLayout: LayoutEdgeMajor, SparseKernel: SparsePull, StaticFlipped: true},
+		} {
+			e, err := NewEngineOpts(ih, pool, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forced = append(forced, e)
+			requireBitIdentical(t, fmt.Sprintf("forced %+v", opt), want, stepOldSpace(ih, e, src))
+		}
 
 		// Second pass with signed values and -0.0 entries: the skip
 		// predicates must keep every engine bit-identical (see signedVec).
@@ -252,6 +268,9 @@ func FuzzStepDifferential(f *testing.F) {
 		requireBitIdentical(t, "phased signed", want, stepOldSpace(ih, phased, srcSigned))
 		requireBitIdentical(t, "pull-degree signed", want, stepOldSpace(ih, degree, srcSigned))
 		requireBitIdentical(t, "pb signed", want, stepOldSpace(ih, pb, srcSigned))
+		for i, e := range forced {
+			requireBitIdentical(t, fmt.Sprintf("forced[%d] signed", i), want, stepOldSpace(ih, e, srcSigned))
+		}
 	})
 }
 

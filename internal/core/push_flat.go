@@ -15,6 +15,22 @@ import (
 // (indices are graph data no BCE analysis can prove in range; see
 // spmv/unchecked.go for the safety argument).
 
+// pushTask pushes task bt into a worker-owned hub buffer under the
+// engine's encoding and the block's layout: the one place the fused
+// worker and the phased ablation pick a flipped kernel.
+//
+//ihtl:noalloc
+func (e *Engine) pushTask(bt *blockTask, src, buf []float64) {
+	fb := &e.ih.Blocks[bt.block]
+	if e.varint {
+		pushTaskEnc(bt, fb, src, buf)
+	} else if adv := e.flipAdv[bt.block]; adv != nil {
+		pushTaskEdgeMajor(bt, fb, adv, src, buf)
+	} else {
+		pushTaskFlat(bt, fb, src, buf)
+	}
+}
+
 // pushTaskFlat pushes flat task bt of block fb into a worker-owned
 // hub buffer.
 //
@@ -32,6 +48,35 @@ func pushTaskFlat(bt *blockTask, fb *FlippedBlock, src, buf []float64) {
 		for i := unchecked.At(idx, s); i < end; i++ {
 			unchecked.AddAt(buf, int(unchecked.At(dsts, int(i))), x)
 		}
+	}
+}
+
+// pushTaskEdgeMajor is pushTaskFlat over the adv stream: the task's
+// edges [Index[lo], Index[hi]) in one loop, two to a byte of adv,
+// starting from the row of the edge before them (bt.prev).
+//
+//ihtl:noalloc
+//ihtl:nobce
+//ihtl:noescape
+func pushTaskEdgeMajor(bt *blockTask, fb *FlippedBlock, adv []uint8, src, buf []float64) {
+	idx, dsts := fb.Index, fb.Dsts
+	s := bt.prev
+	i, end := int(unchecked.At(idx, bt.lo)), int(unchecked.At(idx, bt.hi))
+	if i&1 == 1 && i < end { // the range starts on a byte's second edge
+		s = advance(idx, i, s, advAt(adv, i))
+		unchecked.AddAt(buf, int(unchecked.At(dsts, i)), unchecked.At(src, s))
+		i++
+	}
+	for ; i+1 < end; i += 2 {
+		b := unchecked.At(adv, i>>1)
+		s = advance(idx, i, s, int(b&advEscape))
+		unchecked.AddAt(buf, int(unchecked.At(dsts, i)), unchecked.At(src, s))
+		s = advance(idx, i+1, s, int(b>>4))
+		unchecked.AddAt(buf, int(unchecked.At(dsts, i+1)), unchecked.At(src, s))
+	}
+	if i < end { // and ends on a byte's first
+		s = advance(idx, i, s, advAt(adv, i))
+		unchecked.AddAt(buf, int(unchecked.At(dsts, i)), unchecked.At(src, s))
 	}
 }
 

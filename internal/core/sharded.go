@@ -188,7 +188,9 @@ func NewShardedEngine(sg *ShardedIHTL, pool *sched.Pool) (*ShardedEngine, error)
 // select every sub-engine's pipeline; Phased selects the sequential
 // ablation); Health is handled at the sharded level so the watchdog
 // scans the complete destination vector once. EngineOptions.Shards is
-// ignored here — the shard count is the graph's.
+// ignored here — the shard count is the graph's. The sub-engines are
+// built as NewEngineOpts builds one, so its precondition on the pool
+// (single owner, no dispatch in flight) holds here too.
 func NewShardedEngineOpts(sg *ShardedIHTL, pool *sched.Pool, opt EngineOptions) (*ShardedEngine, error) {
 	if sg == nil || pool == nil {
 		return nil, fmt.Errorf("core: nil ShardedIHTL or pool")

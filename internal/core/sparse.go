@@ -92,13 +92,18 @@ func ParseSparseKernel(s string) (SparseKernel, error) {
 	}
 }
 
-// defaultSparseKernel is what SparseAuto resolves to: the winner of
-// the three-way ablation in results/BENCH_step.json on the recorded
-// machine (degree-aware pull cut the sparse phase ~12% vs uniform
-// pull on the sk web graph and ~28% on the skewed twtrmpi social
-// graph, tying elsewhere; the PB kernel's extra 12 B/edge of pair
-// traffic loses on the single-core LLC-resident record — its two
-// streaming passes need bandwidth-bound multicore runs to pay off).
+// defaultSparseKernel is what SparseAuto resolves to: the degree-aware
+// pull schedule. It won the three-way ablation when it was added
+// (results/BENCH_step.json: sparse phase -12 % vs uniform pull on the sk
+// web graph, -28 % on the skewed twtrmpi social graph, ties elsewhere —
+// one vCPU, every graph LLC-resident), and the benchmark's two-worker,
+// beyond-L2 rows have not unseated it: on web-sparse the two pull
+// schedules are within noise of each other under either block layout
+// (DESIGN.md §17), and pull-degree is the one that keeps a mega-row
+// from serialising behind one worker. The propagation-blocked kernel's
+// extra 12 B/edge of pair traffic loses on every recorded row
+// (core.step_pb_ns_per_edge) — it needs a bandwidth-bound host, which
+// none of the records has been.
 const defaultSparseKernel = SparsePullDegree
 
 // pbState is the preallocated state of the propagation-blocked sparse
@@ -320,24 +325,29 @@ func (e *Engine) sparsePullWorker(w int, src, dst []float64) {
 		}
 		faultinject.Fire(faultinject.SiteSparsePart)
 		for p := lo; p < hi; p++ {
-			e.sparsePullRange(e.sparseBounds[p], e.sparseBounds[p+1], src, dst)
+			e.sparsePullPart(p, src, dst)
 		}
 	}
 }
 
-// sparsePullRange pulls rows [lo, hi) of the sparse block: the shared
-// inner loop of the uniform and degree-aware pull schedules.
+// sparsePullPart pulls part p of the uniform schedule: rows
+// [sparseBounds[p], sparseBounds[p+1]) of the sparse block.
 //
 //ihtl:noalloc
 //ihtl:nobce
 //ihtl:noescape
-func (e *Engine) sparsePullRange(lo, hi int, src, dst []float64) {
+func (e *Engine) sparsePullPart(p int, src, dst []float64) {
 	sp := &e.ih.Sparse
 	base := sp.DestLo
+	lo, hi := unchecked.At(e.sparseBounds, p), unchecked.At(e.sparseBounds, p+1)
 	if e.varint {
 		for i := lo; i < hi; i++ {
 			unchecked.SetAt(dst, base+i, e.sparseRowSumEnc(i, src))
 		}
+		return
+	}
+	if e.sparseAdv != nil {
+		pullRowsEdgeMajor(sp, e.sparseAdv, lo, hi, unchecked.At(e.partPrev, p), src, dst)
 		return
 	}
 	idx, srcs := sp.Index, sp.Srcs
@@ -348,6 +358,45 @@ func (e *Engine) sparsePullRange(lo, hi int, src, dst []float64) {
 			sum += unchecked.At(src, int(unchecked.At(srcs, int(j))))
 		}
 		unchecked.SetAt(dst, base+i, sum)
+	}
+}
+
+// pullRowsEdgeMajor pulls sparse rows [lo, hi) over the adv stream:
+// clear a chunk of dst, accumulate the chunk's edges into it — two to
+// a byte of adv — repeat. prev is the row of the edge before Index[lo].
+// Every row of the range is written (an empty row keeps the cleared
+// +0.0, the CSR kernel's empty sum), so the range must hold no row
+// another path owns.
+//
+//ihtl:noalloc
+//ihtl:nobce
+//ihtl:noescape
+func pullRowsEdgeMajor(sp *SparseBlock, adv []uint8, lo, hi, prev int, src, dst []float64) {
+	idx, srcs := sp.Index, sp.Srcs
+	base := sp.DestLo
+	r := prev
+	j := int(unchecked.At(idx, lo))
+	for c := lo; c < hi; c += pullChunkRows {
+		cEnd := min(c+pullChunkRows, hi)
+		clear(unchecked.SliceAt(dst, base+c, cEnd-c))
+		end := int(unchecked.At(idx, cEnd))
+		if j&1 == 1 && j < end { // the chunk starts on a byte's second edge
+			r = advance(idx, j, r, advAt(adv, j))
+			unchecked.AddAt(dst, base+r, unchecked.At(src, int(unchecked.At(srcs, j))))
+			j++
+		}
+		for ; j+1 < end; j += 2 {
+			b := unchecked.At(adv, j>>1)
+			r = advance(idx, j, r, int(b&advEscape))
+			unchecked.AddAt(dst, base+r, unchecked.At(src, int(unchecked.At(srcs, j))))
+			r = advance(idx, j+1, r, int(b>>4))
+			unchecked.AddAt(dst, base+r, unchecked.At(src, int(unchecked.At(srcs, j+1))))
+		}
+		if j < end { // and ends on a byte's first
+			r = advance(idx, j, r, advAt(adv, j))
+			unchecked.AddAt(dst, base+r, unchecked.At(src, int(unchecked.At(srcs, j))))
+			j++
+		}
 	}
 }
 
@@ -441,6 +490,10 @@ func (e *Engine) sparseLightPart(p int, src, dst []float64) {
 		}
 		return
 	}
+	if e.sparseAdv != nil {
+		e.sparseLightPartEdgeMajor(p, iLo, iHi, src, dst)
+		return
+	}
 	srcs := sp.Srcs
 	for i := iLo; i < iHi; i++ {
 		lo, end := unchecked.At(idx, i), unchecked.At(idx, i+1)
@@ -452,6 +505,30 @@ func (e *Engine) sparseLightPart(p int, src, dst []float64) {
 			sum += unchecked.At(src, int(unchecked.At(srcs, int(j))))
 		}
 		unchecked.SetAt(dst, base+i, sum)
+	}
+}
+
+// sparseLightPartEdgeMajor is the light part over the adv stream. The
+// heavy rows stay on the heavy path (they are long, and another worker
+// may be writing them): the part is cut at each one, every run of light
+// rows between two cuts goes through the flat loop, and the heavy row
+// is stepped over — it is never empty (HeavyDeg >= 1), so it is itself
+// the row of the edge before the next run's first.
+//
+//ihtl:noalloc
+//ihtl:nobce
+//ihtl:noescape
+func (e *Engine) sparseLightPartEdgeMajor(p, iLo, iHi int, src, dst []float64) {
+	sp := &e.ih.Sparse
+	heavy := sp.Heavy
+	prev := unchecked.At(e.partPrev, p)
+	for q := unchecked.At(e.partHeavy, p); iLo < iHi; q++ {
+		cut := iHi
+		if q < len(heavy) {
+			cut = min(cut, int(unchecked.At(heavy, q)))
+		}
+		pullRowsEdgeMajor(sp, e.sparseAdv, iLo, cut, prev, src, dst)
+		prev, iLo = cut, cut+1
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "ihtl/internal/graph"
+import (
+	"fmt"
+
+	"ihtl/internal/graph"
+)
 
 // GraphStats reports the Table 5 "Graph Statistics" columns plus the
 // Table 4 topology accounting for a built iHTL graph.
@@ -24,6 +28,70 @@ type GraphStats struct {
 	// OverheadFrac is TopologyBytes/CSCBytes - 1 (Table 4's
 	// "iHTL Overhead %").
 	OverheadFrac float64
+}
+
+// BlockShape is one block's row-length shape — what decides how a flat
+// engine walks it (edgemajor.go) — and the layout that shape selects.
+type BlockShape struct {
+	// Name is "flipped[i]" or "sparse".
+	Name string
+	// Rows is the length of the block's index: push sources of a
+	// flipped block, destinations of the sparse block.
+	Rows  int
+	Edges int64
+	// MeanRowLen is Edges/Rows; EmptyRowFrac the share of rows with no
+	// edge in this block.
+	MeanRowLen   float64
+	EmptyRowFrac float64
+	// Layout is what a default flat engine picks for this shape. From
+	// Engine.BlockShapes it is what that engine does walk: CSR under the
+	// packed encoding, AtomicFlipped and (sparse block) SparsePB.
+	Layout BlockLayout
+}
+
+func blockShape(name string, index []int64) BlockShape {
+	s := BlockShape{Name: name, Layout: pickLayout(index)}
+	if len(index) < 2 {
+		return s
+	}
+	s.Rows = len(index) - 1
+	s.Edges = index[s.Rows]
+	empty := 0
+	for r := 0; r < s.Rows; r++ {
+		if index[r] == index[r+1] {
+			empty++
+		}
+	}
+	s.MeanRowLen = float64(s.Edges) / float64(s.Rows)
+	s.EmptyRowFrac = float64(empty) / float64(s.Rows)
+	return s
+}
+
+// BlockShapes returns the shape of every flipped block, in order, then
+// of the sparse block.
+func (ih *IHTL) BlockShapes() []BlockShape {
+	shapes := make([]BlockShape, 0, len(ih.Blocks)+1)
+	for b := range ih.Blocks {
+		shapes = append(shapes, blockShape(fmt.Sprintf("flipped[%d]", b), ih.Blocks[b].Index))
+	}
+	return append(shapes, blockShape("sparse", ih.Sparse.Index))
+}
+
+// BlockShapes is IHTL.BlockShapes with Layout set to what this engine
+// walks, so a benchmark row can say which kernels produced it.
+func (e *Engine) BlockShapes() []BlockShape {
+	shapes := e.ih.BlockShapes()
+	for i := range shapes {
+		adv := e.sparseAdv
+		if i < len(e.flipAdv) {
+			adv = e.flipAdv[i]
+		}
+		shapes[i].Layout = LayoutCSR
+		if adv != nil {
+			shapes[i].Layout = LayoutEdgeMajor
+		}
+	}
+	return shapes
 }
 
 // Stats computes the structural statistics of ih; g must be the graph

@@ -67,6 +67,10 @@ const (
 	// transposition, so fault plans can land inside BuildWithCtx's
 	// Fallible region.
 	SiteBuildFill Site = "core.build-fill"
+	// SiteEngineLayout fires once per worker range while core.NewEngine
+	// derives a block's edge-major adv stream on the pool; the dispatch
+	// is ctx-aware, so a fault there comes back as NewEngine's error.
+	SiteEngineLayout Site = "core.engine-layout"
 	// SiteShardPush fires once per claimed source chunk of the sharded
 	// engine's cross-shard exchange bin phase.
 	SiteShardPush Site = "core.shard-push"
