@@ -123,10 +123,6 @@ func NewBatchEngine(g *Graph, pool *Pool, p Params, k int) (*Engine, error) {
 // relabeling is applied internally).
 func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOptions) ([][]float64, error) {
 	n := e.NumVertices()
-	deg := make([]int, n)
-	for nv := 0; nv < n; nv++ {
-		deg[nv] = e.g.OutDegree(e.oldID(nv))
-	}
 	srcNew := make([]int, len(sources))
 	for j, s := range sources {
 		if int(s) < 0 || int(s) >= n {
@@ -134,16 +130,31 @@ func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOpti
 		}
 		srcNew[j] = int(e.newID(s))
 	}
-	res, err := analytics.RunPersonalizedPageRank(e.eng, deg, pool, srcNew, opt)
+	res, err := analytics.RunPersonalizedPageRank(e.eng, e.outDegrees(), pool, srcNew, opt)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float64, len(sources))
-	lane := make([]float64, n)
-	for j := range sources {
-		res.Lane(j, lane)
+	// Un-interleave and un-permute in one pass: a vertex's K lanes are
+	// one contiguous read, and each worker writes its own run of every
+	// output vector.
+	k := res.K
+	out := make([][]float64, k)
+	for j := range out {
 		out[j] = make([]float64, n)
-		e.permuteToOld(lane, out[j])
+	}
+	newID := e.newIDs()
+	unpack := func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			nv := int(newID[v])
+			for j, x := range res.Ranks[nv*k : nv*k+k] {
+				out[j][v] = x
+			}
+		}
+	}
+	if pool == nil {
+		unpack(0, 0, n)
+	} else {
+		pool.ForStatic(n, unpack)
 	}
 	return out, nil
 }

@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"ihtl/internal/analytics"
 	"ihtl/internal/core"
@@ -259,6 +260,11 @@ type Engine struct {
 	sg  *core.ShardedIHTL // nil when single-graph
 	eng coreStepper
 	g   *graph.Graph
+
+	// deg holds the out-degrees in stepping-ID order, which the
+	// PageRank wrappers all scale by: derived on first use, once.
+	degOnce sync.Once
+	deg     []int
 }
 
 // NewEngine builds the iHTL graph of g with the given parameters and
@@ -331,20 +337,27 @@ func (e *Engine) Sharded() *ShardedIHTL { return e.sg }
 // Graph returns the original graph the engine was built from.
 func (e *Engine) Graph() *Graph { return e.g }
 
-// oldID maps an iHTL (or sharded-global) ID back to the original ID.
-func (e *Engine) oldID(nv int) VID {
+// newIDs is the original-to-stepping ID map.
+func (e *Engine) newIDs() []VID {
 	if e.sg != nil {
-		return e.sg.OldID[nv]
+		return e.sg.NewID
 	}
-	return e.ih.OldID[nv]
+	return e.ih.NewID
 }
 
 // newID maps an original ID to the engine's stepping ID space.
-func (e *Engine) newID(v VID) VID {
-	if e.sg != nil {
-		return e.sg.NewID[v]
-	}
-	return e.ih.NewID[v]
+func (e *Engine) newID(v VID) VID { return e.newIDs()[v] }
+
+// outDegrees returns the out-degree of every vertex in stepping-ID
+// order. Read-only to callers.
+func (e *Engine) outDegrees() []int {
+	e.degOnce.Do(func() {
+		e.deg = make([]int, e.NumVertices())
+		for v, nv := range e.newIDs() {
+			e.deg[nv] = e.g.OutDegree(VID(v))
+		}
+	})
+	return e.deg
 }
 
 // permuteToOld scatters a stepping-ID-space vector into original ID
@@ -390,16 +403,11 @@ func PageRank(e *Engine, pool *Pool, opt PageRankOptions) ([]float64, error) {
 // graph; resuming restores the exact trajectory bit-for-bit. ctx may
 // be nil.
 func PageRankCtx(ctx context.Context, e *Engine, pool *Pool, opt PageRankOptions) ([]float64, error) {
-	n := e.NumVertices()
-	deg := make([]int, n)
-	for nv := 0; nv < n; nv++ {
-		deg[nv] = e.g.OutDegree(e.oldID(nv))
-	}
-	res, err := analytics.RunPageRankCtx(ctx, e.eng, deg, pool, opt)
+	res, err := analytics.RunPageRankCtx(ctx, e.eng, e.outDegrees(), pool, opt)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
+	out := make([]float64, e.NumVertices())
 	e.permuteToOld(res.Ranks, out)
 	return out, nil
 }

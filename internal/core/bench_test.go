@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ihtl/internal/gen"
@@ -57,5 +58,68 @@ func BenchmarkShortRowKernel(b *testing.B) {
 			}
 			perEdge(b, ih.Sparse.NumEdges())
 		})
+	}
+}
+
+// BenchmarkLaneKernel times the K-lane flipped push and sparse pull at
+// the two fixed widths, each through the run-time-K loop ("generic")
+// and through the register-resident body the engine selects ("fixed"),
+// on one thread over an R-MAT of the benchmark's small-resident shape
+// (scale 14, all in L2). Kernels are called directly, every task and
+// row in order: the number is the inner loop's, per edge-lane.
+// DESIGN.md §8 records the table.
+func BenchmarkLaneKernel(b *testing.B) {
+	g, err := gen.RMAT(gen.DefaultRMAT(14, 16, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ih, err := Build(g, Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := ih.NumV - ih.Sparse.DestLo
+	for _, k := range []int{4, 8} {
+		src := make([]float64, ih.NumV*k)
+		for i := range src {
+			src[i] = 1 / float64(ih.NumV)
+		}
+		dst := make([]float64, ih.NumV*k)
+		buf := make([]float64, ih.NumHubs*k)
+		perLane := func(b *testing.B, edges int64) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges)/float64(k), "ns/edge-lane")
+		}
+		for _, body := range []string{"generic", "fixed"} {
+			fixed := body == "fixed"
+			b.Run(fmt.Sprintf("push/k%d/%s", k, body), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for t := range e.blockTasks {
+						bt := &e.blockTasks[t]
+						if fixed {
+							e.pushTaskBatch(k, bt, src, buf)
+						} else {
+							pushTaskFlatBatch(k, bt, &ih.Blocks[bt.block], src, buf)
+						}
+					}
+				}
+				perLane(b, ih.FlippedEdges())
+			})
+			b.Run(fmt.Sprintf("pull/k%d/%s", k, body), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for r := 0; r < rows; r++ {
+						if fixed {
+							e.pullRowLanes(r, k, src, dst)
+						} else {
+							db := (ih.Sparse.DestLo + r) * k
+							e.pullRowGeneric(r, k, src, dst[db:db+k:db+k])
+						}
+					}
+				}
+				perLane(b, ih.Sparse.NumEdges())
+			})
+		}
 	}
 }

@@ -115,7 +115,7 @@ type Engine struct {
 	phasedEpiJob func(w int)
 
 	// batch is the K-wide state of StepBatch, allocated on first use
-	// of a width and reused while the width is stable.
+	// and grown to the widest width stepped.
 	batch *batchState
 
 	// Numeric-health watchdog state. health is the configured policy;

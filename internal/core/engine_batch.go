@@ -18,17 +18,17 @@ import (
 //
 // The batched pipeline reuses the engine's schedulers, countdown
 // gates, barriers and clocks; only the hub buffers and dirty ranges
-// are K-wide, held in a batchState allocated on first use of a width
-// (and reused while the width is stable, keeping steady-state
-// StepBatch allocation-free). To keep a K-wide per-block buffer
-// L2-resident the way §3.4 sizes the scalar one, build the IHTL with
-// Params.ForBatch(k), which shrinks the effective B to L2/(8·K).
+// are K-wide, held in a batchState that grows to the widest width
+// stepped (steady-state StepBatch is allocation-free, across width
+// changes too). To keep a K-wide per-block buffer L2-resident the way
+// §3.4 sizes the scalar one, build the IHTL with Params.ForBatch(k),
+// which shrinks the effective B to L2/(8·K).
 
-// batchState is the K-wide execution state of one batch width.
+// batchState is the engine's K-wide execution state, set to one width.
 type batchState struct {
 	k int
 	// bufs[w] is worker w's K-wide hub accumulation buffer
-	// (NumHubs*k lanes, vertex-major interleaved).
+	// (NumHubs*k lanes, vertex-major interleaved; see ensureBatch).
 	bufs [][]float64
 	// dirty tracks per (worker, block) the HUB range the worker
 	// touched (lane-agnostic: lanes of one hub live or die together).
@@ -45,36 +45,51 @@ type batchState struct {
 	fusedJob func(w int)
 }
 
-// ensureBatch returns the engine's batch state for width k, building
-// it on first use or on a width change.
+// ensureBatch returns the engine's batch state set to width k. The
+// daemon changes width batch by batch (a lane per coalesced query), so
+// the K-wide arrays are sized for the widest width seen and resliced
+// for a narrower one. That is sound because every hub buffer is
+// all-zero between steps — a merge zeroes what it folds, recoverState
+// clears an aborted step's width, neither reaches past that step's
+// NumHubs*k — and binVals is written before it is read within a step.
 func (e *Engine) ensureBatch(k int) *batchState {
-	if e.batch != nil && e.batch.k == k {
-		return e.batch
+	b := e.batch
+	if b != nil && b.k == k {
+		return b
 	}
-	b := &batchState{k: k}
 	w := len(e.clocks)
-	if e.atomicFlipped {
-		if e.ih.NumHubs > 0 {
+	if b == nil {
+		b = &batchState{}
+		if e.atomicFlipped {
 			b.hubClearBounds = make([]int, w+1)
-			for i := 0; i < w; i++ {
-				b.hubClearBounds[i], b.hubClearBounds[i+1] =
-					sched.SplitRangeStride(e.ih.NumHubs, k, w, i)
-			}
+			b.fusedJob = func(worker int) { e.fusedWorkerAtomicBatch(b, worker) }
+		} else {
+			b.bufs = make([][]float64, w)
+			b.dirty = make([]dirtyRange, w*len(e.ih.Blocks))
+			b.fusedJob = func(worker int) { e.fusedWorkerBufferedBatch(b, worker) }
 		}
-		b.fusedJob = func(worker int) { e.fusedWorkerAtomicBatch(b, worker) }
-	} else {
-		b.bufs = make([][]float64, w)
-		for i := range b.bufs {
-			b.bufs[i] = make([]float64, e.ih.NumHubs*k)
-		}
-		b.dirty = make([]dirtyRange, w*len(e.ih.Blocks))
-		b.fusedJob = func(worker int) { e.fusedWorkerBufferedBatch(b, worker) }
+		e.batch = b
+	}
+	b.k = k
+	for i := 0; i+1 < len(b.hubClearBounds); i++ {
+		b.hubClearBounds[i], b.hubClearBounds[i+1] = sched.SplitRangeStride(e.ih.NumHubs, k, w, i)
+	}
+	for i := range b.bufs {
+		b.bufs[i] = resized(b.bufs[i], e.ih.NumHubs*k)
 	}
 	if e.pb != nil {
-		b.binVals = make([]float64, len(e.pb.binRows)*k)
+		b.binVals = resized(b.binVals, len(e.pb.binRows)*k)
 	}
-	e.batch = b
 	return b
+}
+
+// resized returns s cut to n elements, or a zeroed allocation of n
+// when s has no room for them.
+func resized(s []float64, n int) []float64 {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]float64, n)
 }
 
 // StepBatch computes dst[v*k+j] = Σ_{u ∈ N⁻(v)} src[u*k+j] for every
@@ -232,12 +247,7 @@ func (e *Engine) fusedWorkerBufferedBatch(b *batchState, w int) {
 		for ti := lo; ti < hi; ti++ {
 			faultinject.Fire(faultinject.SiteFlippedTask)
 			bt := &e.blockTasks[ti]
-			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				pushTaskEncBatch(k, bt, fb, src, buf)
-			} else {
-				pushTaskFlatBatch(k, bt, fb, src, buf)
-			}
+			e.pushTaskBatch(k, bt, src, buf)
 			if bt.dHi > bt.dLo {
 				dr := &b.dirty[w*nb+bt.block]
 				if dr.hi <= dr.lo {
@@ -352,14 +362,7 @@ func (e *Engine) stepPhasedBatch(b *batchState, src, dst []float64) {
 		})
 	} else {
 		pushTask := func(w, task int) {
-			bt := &e.blockTasks[task]
-			fb := &ih.Blocks[bt.block]
-			buf := b.bufs[w]
-			if e.varint {
-				pushTaskEncBatch(k, bt, fb, src, buf)
-				return
-			}
-			pushTaskFlatBatch(k, bt, fb, src, buf)
+			e.pushTaskBatch(k, &e.blockTasks[task], src, b.bufs[w])
 		}
 		if e.staticFlip {
 			// See stepPhased: pinned assignment + fixed-order phase 2

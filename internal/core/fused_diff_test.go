@@ -196,14 +196,16 @@ func requireBitIdentical(t *testing.T, label string, want, got []float64) {
 }
 
 // FuzzStepDifferential drives the same differential property from
-// fuzzed R-MAT seeds and scales.
+// fuzzed R-MAT seeds and scales, and the batch-lane == scalar property
+// (lanes_test.go) at a fuzzed width 2 + width%8: the fixed-width lane
+// kernels (4, 8) and the run-time-K loop on either side of them.
 func FuzzStepDifferential(f *testing.F) {
-	f.Add(uint64(1), uint8(6))
-	f.Add(uint64(99), uint8(8))
-	f.Add(uint64(7), uint8(5))
+	f.Add(uint64(1), uint8(6), uint8(2))
+	f.Add(uint64(99), uint8(8), uint8(6))
+	f.Add(uint64(7), uint8(5), uint8(1))
 	pool := sched.NewPool(3)
 	f.Cleanup(pool.Close)
-	f.Fuzz(func(t *testing.T, seed uint64, scale uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, scale, width uint8) {
 		if scale < 4 || scale > 9 {
 			t.Skip()
 		}
@@ -258,6 +260,20 @@ func FuzzStepDifferential(f *testing.F) {
 			}
 			forced = append(forced, e)
 			requireBitIdentical(t, fmt.Sprintf("forced %+v", opt), want, stepOldSpace(ih, e, src))
+		}
+
+		// K lanes through one traversal against K scalar Steps, flat and
+		// packed, fused and phased.
+		varint, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingVarint, StaticFlipped: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 2 + int(width%8)
+		lanes, batch := laneInputs(seed, ih.NumV, k)
+		batchDst := make([]float64, ih.NumV*k)
+		for _, e := range []*Engine{fused, phased, degree, varint} {
+			e.StepBatch(batch, batchDst, k)
+			requireLanesMatchScalar(t, e, lanes, batchDst)
 		}
 
 		// Second pass with signed values and -0.0 entries: the skip

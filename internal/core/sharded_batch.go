@@ -17,7 +17,8 @@ import (
 )
 
 // ensureBatch readies every shard's batch state and the K-wide
-// exchange values for width k, allocating only on a width change.
+// exchange values for width k, allocating only for a width wider than
+// any before it (see Engine.ensureBatch).
 func (se *ShardedEngine) ensureBatch(k int) {
 	for _, sub := range se.engs {
 		sub.ensureBatch(k)
@@ -27,7 +28,7 @@ func (se *ShardedEngine) ensureBatch(k int) {
 	}
 	se.batchK = k
 	if se.x != nil {
-		se.xBinVals = make([]float64, len(se.x.binRows)*k)
+		se.xBinVals = resized(se.xBinVals, len(se.x.binRows)*k)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"ihtl/internal/faultinject"
 	"ihtl/internal/spmv"
+	"ihtl/internal/unchecked"
 )
 
 // sparseWorkerBatch is sparseWorker with K-wide lanes: it runs worker
@@ -76,23 +77,52 @@ func (e *Engine) sparsePullWorkerBatch(b *batchState, w int, src, dst []float64)
 //
 //ihtl:noalloc
 func (e *Engine) sparsePullRangeBatch(k, lo, hi int, src, dst []float64) {
-	sp := &e.ih.Sparse
 	for i := lo; i < hi; i++ {
-		db := (sp.DestLo + i) * k
-		out := dst[db : db+k : db+k]
-		for j := range out {
-			out[j] = 0
-		}
-		if e.varint {
-			e.sparseRowAccEnc(i, k, src, out)
-			continue
-		}
-		for jj := sp.Index[i]; jj < sp.Index[i+1]; jj++ {
-			sb := int(sp.Srcs[jj]) * k
-			xs := src[sb : sb+k : sb+k]
-			for j, x := range xs {
-				out[j] += x
-			}
+		e.pullRowLanes(i, k, src, dst)
+	}
+}
+
+// pullRowLanes pulls sparse row i K lanes wide into its dst lanes,
+// source by source in ascending order from +0.0: the one row body of
+// the pull, heavy and light parts, and the one place the batched pull
+// picks its width (see Engine.pushTaskBatch).
+//
+//ihtl:noalloc
+func (e *Engine) pullRowLanes(i, k int, src, dst []float64) {
+	sp := &e.ih.Sparse
+	lo, hi := sp.Index[i], sp.Index[i+1]
+	db := (sp.DestLo + i) * k
+	switch {
+	case k == 8 && e.varint:
+		pullRowEnc8(sp.Enc.Data, int(e.sparseRowOff[i]), hi-lo, src, unchecked.Lanes8At(dst, db))
+	case k == 8:
+		pullRowFlat8(sp.Srcs, lo, hi, src, unchecked.Lanes8At(dst, db))
+	case k == 4 && e.varint:
+		pullRowEnc4(sp.Enc.Data, int(e.sparseRowOff[i]), hi-lo, src, unchecked.Lanes4At(dst, db))
+	case k == 4:
+		pullRowFlat4(sp.Srcs, lo, hi, src, unchecked.Lanes4At(dst, db))
+	default:
+		e.pullRowGeneric(i, k, src, dst[db:db+k:db+k])
+	}
+}
+
+// pullRowGeneric is the row body for a run-time K: one loop trip per
+// lane per edge, the fallback for the widths lanes.go has no fixed
+// body for.
+//
+//ihtl:noalloc
+func (e *Engine) pullRowGeneric(i, k int, src, out []float64) {
+	clear(out)
+	if e.varint {
+		e.sparseRowAccEnc(i, k, src, out)
+		return
+	}
+	sp := &e.ih.Sparse
+	for jj := sp.Index[i]; jj < sp.Index[i+1]; jj++ {
+		sb := int(sp.Srcs[jj]) * k
+		xs := src[sb : sb+k : sb+k]
+		for j, x := range xs {
+			out[j] += x
 		}
 	}
 }
@@ -120,25 +150,8 @@ func (e *Engine) sparseHeavyWorkerBatch(b *batchState, w int, src, dst []float64
 
 //ihtl:noalloc
 func (e *Engine) sparseHeavyPartBatch(k, p int, src, dst []float64) {
-	sp := &e.ih.Sparse
-	for _, row := range sp.Heavy[e.heavyBounds[p]:e.heavyBounds[p+1]] {
-		i := int(row)
-		db := (sp.DestLo + i) * k
-		out := dst[db : db+k : db+k]
-		for j := range out {
-			out[j] = 0
-		}
-		if e.varint {
-			e.sparseRowAccEnc(i, k, src, out)
-			continue
-		}
-		for jj := sp.Index[i]; jj < sp.Index[i+1]; jj++ {
-			sb := int(sp.Srcs[jj]) * k
-			xs := src[sb : sb+k : sb+k]
-			for j, x := range xs {
-				out[j] += x
-			}
-		}
+	for _, row := range e.ih.Sparse.Heavy[e.heavyBounds[p]:e.heavyBounds[p+1]] {
+		e.pullRowLanes(int(row), k, src, dst)
 	}
 }
 
@@ -167,24 +180,8 @@ func (e *Engine) sparseLightPartBatch(k, p int, src, dst []float64) {
 	sp := &e.ih.Sparse
 	heavy := sp.HeavyDeg
 	for i := e.lightBounds[p]; i < e.lightBounds[p+1]; i++ {
-		if sp.Index[i+1]-sp.Index[i] >= heavy {
-			continue
-		}
-		db := (sp.DestLo + i) * k
-		out := dst[db : db+k : db+k]
-		for j := range out {
-			out[j] = 0
-		}
-		if e.varint {
-			e.sparseRowAccEnc(i, k, src, out)
-			continue
-		}
-		for jj := sp.Index[i]; jj < sp.Index[i+1]; jj++ {
-			sb := int(sp.Srcs[jj]) * k
-			xs := src[sb : sb+k : sb+k]
-			for j, x := range xs {
-				out[j] += x
-			}
+		if sp.Index[i+1]-sp.Index[i] < heavy {
+			e.pullRowLanes(i, k, src, dst)
 		}
 	}
 }

@@ -34,6 +34,17 @@ func AddAt(s []float64, i int, v float64) { s[i] += v }
 //ihtl:noalloc
 func SliceAt[T any](s []T, i, n int) []T { return s[i : i+n : i+n] }
 
+// Lanes4At returns s[i:i+4] as an array pointer, checked: the
+// slice-to-array-pointer conversion panics on a slice shorter than 4.
+//
+//ihtl:noalloc
+func Lanes4At(s []float64, i int) *[4]float64 { return (*[4]float64)(s[i:]) }
+
+// Lanes8At returns s[i:i+8] as an array pointer, checked.
+//
+//ihtl:noalloc
+func Lanes8At(s []float64, i int) *[8]float64 { return (*[8]float64)(s[i:]) }
+
 // Load32 returns the little-endian uint32 at s[i:i+4], checked.
 //
 //ihtl:noalloc

@@ -51,6 +51,18 @@ func AddAt(s []float64, i int, v float64) { *PtrAt(s, i) += v }
 //ihtl:noalloc
 func SliceAt[T any](s []T, i, n int) []T { return unsafe.Slice(PtrAt(s, i), n) }
 
+// Lanes4At returns s[i:i+4] as an array pointer without a bounds
+// check: the handle the width-4 lane kernels update a hub's or a row's
+// lanes through, every lane at a constant offset.
+//
+//ihtl:noalloc
+func Lanes4At(s []float64, i int) *[4]float64 { return (*[4]float64)(unsafe.Pointer(PtrAt(s, i))) }
+
+// Lanes8At is Lanes4At for the width-8 lane kernels.
+//
+//ihtl:noalloc
+func Lanes8At(s []float64, i int) *[8]float64 { return (*[8]float64)(unsafe.Pointer(PtrAt(s, i))) }
+
 // Load32 returns the little-endian uint32 at s[i:i+4] without a bounds
 // check and at any alignment: the packed-row gap decode reads a 1-4
 // byte gap with one load and a mask. The four byte loads of the body

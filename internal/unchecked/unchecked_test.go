@@ -45,6 +45,24 @@ func TestAccessorsMatchCheckedIndexing(t *testing.T) {
 	if s[1] != 99 {
 		t.Errorf("SliceAt write: s[1] = %v, want 99", s[1])
 	}
+
+	// The lane handles alias s[i:i+4] / s[i:i+8], up to the last
+	// offset that still has a whole row behind it.
+	l := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	for i := 0; i+4 <= len(l); i++ {
+		if p := Lanes4At(l, i); &p[0] != &l[i] || &p[3] != &l[i+3] {
+			t.Errorf("Lanes4At(l, %d) does not alias l[%d:%d]", i, i, i+4)
+		}
+	}
+	for i := 0; i+8 <= len(l); i++ {
+		if p := Lanes8At(l, i); &p[0] != &l[i] || &p[7] != &l[i+7] {
+			t.Errorf("Lanes8At(l, %d) does not alias l[%d:%d]", i, i, i+8)
+		}
+	}
+	Lanes4At(l, 6)[3] += 0.5
+	if l[9] != 9.5 {
+		t.Errorf("Lanes4At write: l[9] = %v, want 9.5", l[9])
+	}
 }
 
 // TestAccessorsGenericTypes exercises a non-float element type so the
