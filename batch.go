@@ -135,26 +135,16 @@ func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOpti
 		return nil, err
 	}
 	// Un-interleave and un-permute in one pass: a vertex's K lanes are
-	// one contiguous read, and each worker writes its own run of every
-	// output vector.
+	// one contiguous read.
 	k := res.K
 	out := make([][]float64, k)
 	for j := range out {
 		out[j] = make([]float64, n)
 	}
-	newID := e.newIDs()
-	unpack := func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			nv := int(newID[v])
-			for j, x := range res.Ranks[nv*k : nv*k+k] {
-				out[j][v] = x
-			}
+	for v, nv := range e.newIDs() {
+		for j, x := range res.Ranks[int(nv)*k : int(nv)*k+k] {
+			out[j][v] = x
 		}
-	}
-	if pool == nil {
-		unpack(0, 0, n)
-	} else {
-		pool.ForStatic(n, unpack)
 	}
 	return out, nil
 }

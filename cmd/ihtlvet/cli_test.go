@@ -109,8 +109,7 @@ func TestGateWaiverIndex(t *testing.T) {
 		"pushTaskFlat", "pbDrainBucket", "sparsePullPart", "DecodeChunkCSR", "RowHeader", "Load32",
 		"pushTaskEnc", "pushTaskEncBatch", "sparseRowSumEnc", "sparseRowAccEnc",
 		"pushTaskEdgeMajor", "pullRowsEdgeMajor", "sparseLightPartEdgeMajor", "rowOfEdgeFrom",
-		"pushTaskFlat4", "pushTaskFlat8", "pushTaskEnc4", "pushTaskEnc8",
-		"pullRowFlat4", "pullRowFlat8", "pullRowEnc4", "pullRowEnc8",
+		"pushTaskFlat8", "pushTaskEnc4", "pullRowFlat8", "pullRowEnc4",
 	} {
 		found := false
 		for _, frs := range nobce {

@@ -61,9 +61,10 @@ func BenchmarkShortRowKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkLaneKernel times the K-lane flipped push and sparse pull at
-// the two fixed widths, each through the run-time-K loop ("generic")
-// and through the register-resident body the engine selects ("fixed"),
+// BenchmarkLaneKernel times the K-lane flipped push and sparse pull of
+// the two (topology, width) pairs that have a register-resident body —
+// flat at 8 lanes, packed gap rows at 4 — each through the run-time-K
+// loop ("generic") and through the body the engine selects ("fixed"),
 // on one thread over an R-MAT of the benchmark's small-resident shape
 // (scale 14, all in L2). Kernels are called directly, every task and
 // row in order: the number is the inner loop's, per edge-lane.
@@ -77,12 +78,17 @@ func BenchmarkLaneKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull})
-	if err != nil {
-		b.Fatal(err)
-	}
 	rows := ih.NumV - ih.Sparse.DestLo
-	for _, k := range []int{4, 8} {
+	for _, c := range []struct {
+		name string
+		enc  BlockEncoding
+		k    int
+	}{{"flat", EncodingFlat, 8}, {"packed", EncodingVarint, 4}} {
+		e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull, BlockEncoding: c.enc})
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := c.k
 		src := make([]float64, ih.NumV*k)
 		for i := range src {
 			src[i] = 1 / float64(ih.NumV)
@@ -94,20 +100,23 @@ func BenchmarkLaneKernel(b *testing.B) {
 		}
 		for _, body := range []string{"generic", "fixed"} {
 			fixed := body == "fixed"
-			b.Run(fmt.Sprintf("push/k%d/%s", k, body), func(b *testing.B) {
+			b.Run(fmt.Sprintf("push/%s/k%d/%s", c.name, k, body), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for t := range e.blockTasks {
 						bt := &e.blockTasks[t]
-						if fixed {
+						switch fb := &ih.Blocks[bt.block]; {
+						case fixed:
 							e.pushTaskBatch(k, bt, src, buf)
-						} else {
-							pushTaskFlatBatch(k, bt, &ih.Blocks[bt.block], src, buf)
+						case e.varint:
+							pushTaskEncBatch(k, bt, fb, src, buf)
+						default:
+							pushTaskFlatBatch(k, bt, fb, src, buf)
 						}
 					}
 				}
 				perLane(b, ih.FlippedEdges())
 			})
-			b.Run(fmt.Sprintf("pull/k%d/%s", k, body), func(b *testing.B) {
+			b.Run(fmt.Sprintf("pull/%s/k%d/%s", c.name, k, body), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for r := 0; r < rows; r++ {
 						if fixed {

@@ -49,9 +49,10 @@ type batchState struct {
 // daemon changes width batch by batch (a lane per coalesced query), so
 // the K-wide arrays are sized for the widest width seen and resliced
 // for a narrower one. That is sound because every hub buffer is
-// all-zero between steps — a merge zeroes what it folds, recoverState
-// clears an aborted step's width, neither reaches past that step's
-// NumHubs*k — and binVals is written before it is read within a step.
+// all-zero between steps — a merge zeroes what it folds and no step
+// reaches past its NumHubs*k, recoverState clears an aborted step's
+// buffers whole — and binVals is written before it is read within a
+// step.
 func (e *Engine) ensureBatch(k int) *batchState {
 	b := e.batch
 	if b != nil && b.k == k {
@@ -181,10 +182,12 @@ func (e *Engine) StepBatchEpiCtx(ctx context.Context, src, dst []float64, k int,
 }
 
 // recoverState clears the K-wide buffers and dirty ranges after an
-// aborted batched step; see Engine.recoverState.
+// aborted batched step; see Engine.recoverState. The buffers are
+// cleared to their capacity, so that the lanes ensureBatch reslices
+// back in are zero whatever width the state is set to by now.
 func (b *batchState) recoverState() {
 	for w := range b.bufs {
-		clear(b.bufs[w])
+		clear(b.bufs[w][:cap(b.bufs[w])])
 	}
 	for i := range b.dirty {
 		b.dirty[i] = dirtyRange{}

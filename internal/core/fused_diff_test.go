@@ -198,7 +198,7 @@ func requireBitIdentical(t *testing.T, label string, want, got []float64) {
 // FuzzStepDifferential drives the same differential property from
 // fuzzed R-MAT seeds and scales, and the batch-lane == scalar property
 // (lanes_test.go) at a fuzzed width 2 + width%8: the fixed-width lane
-// kernels (4, 8) and the run-time-K loop on either side of them.
+// kernels (flat at 8, packed at 4) and the run-time-K loop around them.
 func FuzzStepDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(6), uint8(2))
 	f.Add(uint64(99), uint8(8), uint8(6))

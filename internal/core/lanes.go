@@ -7,63 +7,22 @@ import (
 	"ihtl/internal/unchecked"
 )
 
-// Register-resident lane kernels: the K-lane push and pull at the two
-// widths with recorded traffic (4: the daemon's Lanes, 8: the ppr8
-// rung). With K a compile-time constant a source row's lanes are loaded
-// into locals once per row, a hub's lanes are updated through an array
-// pointer at constant offsets, and a pulled row is summed in locals
-// stored once — where the run-time-K loop spends a loop trip and a
-// reload of x on every lane of every edge. The locals must be scalars
-// (the compiler keeps no [N]float64 in registers) and 8 of them plus
-// temporaries fill the 16 XMM registers, so wider rows stay generic.
-// Lanes are independent and each keeps its order of additions and its
-// +0.0 start: bit-for-bit the generic loop. DESIGN.md §8 has the counts.
-// Engine.pushTaskBatch and Engine.pullRowLanes are the only callers.
-
-// add4 adds a source row's lanes into the lanes at d, lane after lane
-// so that one temporary is live at a time.
-//
-//ihtl:noalloc
-func add4(d *[4]float64, x0, x1, x2, x3 float64) {
-	d[0] += x0
-	d[1] += x1
-	d[2] += x2
-	d[3] += x3
-}
-
-// add8 is add4 eight lanes wide.
-//
-//ihtl:noalloc
-func add8(d *[8]float64, x0, x1, x2, x3, x4, x5, x6, x7 float64) {
-	d[0] += x0
-	d[1] += x1
-	d[2] += x2
-	d[3] += x3
-	d[4] += x4
-	d[5] += x5
-	d[6] += x6
-	d[7] += x7
-}
-
-// pushTaskFlat4 is pushTaskFlatBatch at k = 4.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func pushTaskFlat4(bt *blockTask, fb *FlippedBlock, src, buf []float64) {
-	idx, dsts := fb.Index, fb.Dsts
-	for s := bt.lo; s < bt.hi; s++ {
-		xs := unchecked.Lanes4At(src, s*4)
-		if spmv.SkipZeroLanes(xs[:]) {
-			continue
-		}
-		x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
-		end := unchecked.At(idx, s+1)
-		for i := unchecked.At(idx, s); i < end; i++ {
-			add4(unchecked.Lanes4At(buf, int(unchecked.At(dsts, int(i)))*4), x0, x1, x2, x3)
-		}
-	}
-}
+// Register-resident lane kernels: the K-lane push and pull for the two
+// (width, topology) pairs the benchmark puts traffic on — 8 lanes over
+// flat topology (the ppr8 rung on the default engine) and 4 lanes over
+// packed gap rows (the daemon's Lanes on its mapped engine). With K a
+// compile-time constant a source row's lanes are loaded into locals
+// once per row, a hub's lanes are updated through an array pointer at
+// constant offsets, and a pulled row is summed in locals stored once —
+// where the run-time-K loop spends a loop trip and a reload of x on
+// every lane of every edge. The locals must be scalars (the compiler
+// keeps no [N]float64 in registers) and 8 of them plus temporaries fill
+// the 16 XMM registers, so wider rows stay generic. Lanes are
+// independent and each keeps its order of additions and its +0.0
+// start: bit-for-bit the generic loop. DESIGN.md §8 has the counts.
+// Engine.pushTaskBatch and Engine.pullRowLanes are the only callers;
+// every other pair (flat 4 and packed 8 among them) runs the generic
+// loop until a workload measures it.
 
 // pushTaskFlat8 is pushTaskFlatBatch at k = 8.
 //
@@ -80,7 +39,15 @@ func pushTaskFlat8(bt *blockTask, fb *FlippedBlock, src, buf []float64) {
 		x0, x1, x2, x3, x4, x5, x6, x7 := xs[0], xs[1], xs[2], xs[3], xs[4], xs[5], xs[6], xs[7]
 		end := unchecked.At(idx, s+1)
 		for i := unchecked.At(idx, s); i < end; i++ {
-			add8(unchecked.Lanes8At(buf, int(unchecked.At(dsts, int(i)))*8), x0, x1, x2, x3, x4, x5, x6, x7)
+			d := unchecked.Lanes8At(buf, int(unchecked.At(dsts, int(i)))*8)
+			d[0] += x0
+			d[1] += x1
+			d[2] += x2
+			d[3] += x3
+			d[4] += x4
+			d[5] += x5
+			d[6] += x6
+			d[7] += x7
 		}
 	}
 }
@@ -104,54 +71,17 @@ func pushTaskEnc4(bt *blockTask, fb *FlippedBlock, src, buf []float64) {
 		prev := uint32(0)
 		for ; p < pos; p += width {
 			prev += unchecked.Load32(data, p) & mask
-			add4(unchecked.Lanes4At(buf, int(prev)*4), x0, x1, x2, x3)
+			d := unchecked.Lanes4At(buf, int(prev)*4)
+			d[0] += x0
+			d[1] += x1
+			d[2] += x2
+			d[3] += x3
 		}
 	}
 }
 
-// pushTaskEnc8 is pushTaskEncBatch at k = 8.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func pushTaskEnc8(bt *blockTask, fb *FlippedBlock, src, buf []float64) {
-	data := fb.Enc.Data
-	pos := int(unchecked.At(fb.Enc.ByteOff, bt.chunk))
-	for s := bt.lo; s < bt.hi; s++ {
-		deg, width, mask, p := compress.RowHeader(data, pos)
-		pos = p + deg*width
-		xs := unchecked.Lanes8At(src, s*8)
-		if spmv.SkipZeroLanes(xs[:]) {
-			continue
-		}
-		x0, x1, x2, x3, x4, x5, x6, x7 := xs[0], xs[1], xs[2], xs[3], xs[4], xs[5], xs[6], xs[7]
-		prev := uint32(0)
-		for ; p < pos; p += width {
-			prev += unchecked.Load32(data, p) & mask
-			add8(unchecked.Lanes8At(buf, int(prev)*8), x0, x1, x2, x3, x4, x5, x6, x7)
-		}
-	}
-}
-
-// pullRowFlat4 stores into out the lane sums of the src rows named by
+// pullRowFlat8 stores into out the lane sums of the src rows named by
 // srcs[lo:hi], added in that order from +0.0.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func pullRowFlat4(srcs []graph.VID, lo, hi int64, src []float64, out *[4]float64) {
-	var a0, a1, a2, a3 float64
-	for jj := lo; jj < hi; jj++ {
-		x := unchecked.Lanes4At(src, int(unchecked.At(srcs, int(jj)))*4)
-		a0 += x[0]
-		a1 += x[1]
-		a2 += x[2]
-		a3 += x[3]
-	}
-	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
-}
-
-// pullRowFlat8 is pullRowFlat4 eight lanes wide.
 //
 //ihtl:noalloc
 //ihtl:nobce
@@ -172,9 +102,9 @@ func pullRowFlat8(srcs []graph.VID, lo, hi int64, src []float64, out *[8]float64
 	out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = a0, a1, a2, a3, a4, a5, a6, a7
 }
 
-// pullRowEnc4 is pullRowFlat4 over the packed row whose header is at
-// byte offset off (every row has one) and whose deg gaps follow it, the
-// degree from the resident Index (see sparseRowSumEnc).
+// pullRowEnc4 is pullRowFlat8 four lanes wide over the packed row whose
+// header is at byte offset off (every row has one) and whose deg gaps
+// follow it, the degree from the resident Index (see sparseRowSumEnc).
 //
 //ihtl:noalloc
 //ihtl:nobce
@@ -193,29 +123,4 @@ func pullRowEnc4(data []byte, off int, deg int64, src []float64, out *[4]float64
 		a3 += x[3]
 	}
 	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
-}
-
-// pullRowEnc8 is pullRowEnc4 eight lanes wide.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func pullRowEnc8(data []byte, off int, deg int64, src []float64, out *[8]float64) {
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
-	_, width, mask, p := compress.RowHeader(data, off)
-	prev := uint32(0)
-	for ; deg > 0; deg-- {
-		prev += unchecked.Load32(data, p) & mask
-		p += width
-		x := unchecked.Lanes8At(src, int(prev)*8)
-		a0 += x[0]
-		a1 += x[1]
-		a2 += x[2]
-		a3 += x[3]
-		a4 += x[4]
-		a5 += x[5]
-		a6 += x[6]
-		a7 += x[7]
-	}
-	out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = a0, a1, a2, a3, a4, a5, a6, a7
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 
+	"ihtl/internal/faultinject"
 	"ihtl/internal/gen"
 	"ihtl/internal/sched"
 )
@@ -48,11 +50,18 @@ func laneInputs(seed uint64, n, k int) (lanes [][]float64, batch []float64) {
 	return lanes, batch
 }
 
+// laneStepper is what the single and the sharded engine share here;
+// both step in their own ID space, scalar and batched alike.
+type laneStepper interface {
+	Step(src, dst []float64)
+	StepBatch(src, dst []float64, k int)
+}
+
 // requireLanesMatchScalar steps every lane through e's scalar Step and
 // requires lane j of batch dst to hold exactly those bits.
-func requireLanesMatchScalar(t *testing.T, e *Engine, lanes [][]float64, dst []float64) {
+func requireLanesMatchScalar(t *testing.T, e laneStepper, lanes [][]float64, dst []float64) {
 	t.Helper()
-	n, k := e.ih.NumV, len(lanes)
+	n, k := len(lanes[0]), len(lanes)
 	want, got := make([]float64, n), make([]float64, n)
 	for j := range lanes {
 		e.Step(lanes[j], want)
@@ -64,9 +73,10 @@ func requireLanesMatchScalar(t *testing.T, e *Engine, lanes [][]float64, dst []f
 }
 
 // TestLaneKernelsMatchScalarStep is the differential table of the
-// K-lane kernels: the fixed-width bodies (4, 8), their neighbours on
-// the run-time-K loop (2, 3, 5, 9), both encodings, both pipelines,
-// stolen and pinned flipped tasks, 1-3 workers — StepBatch lane j ==
+// K-lane kernels: the fixed-width bodies (flat at 8, packed at 4), the
+// run-time-K loop at the same widths on the other encoding and at their
+// neighbours (2, 3, 5, 9), both pipelines, stolen and pinned flipped
+// tasks, 1-3 workers — StepBatch lane j ==
 // scalar Step on lane j. On the web graph the scalar engine walks its
 // short-row blocks edge-major, so a different loop shape is the oracle
 // for the CSR lane kernels.
@@ -106,7 +116,9 @@ func TestLaneKernelsMatchScalarStep(t *testing.T) {
 // grow-and-reslice: the daemon runs k = lanes-in-this-batch, so widths
 // alternate step by step, and after one round has seen the widest
 // width another round must allocate nothing and still match the scalar
-// Step (the resliced buffers were left all-zero).
+// Step (the resliced buffers were left all-zero). AtomicFlipped has no
+// buffers but recomputes its clear bounds per width; the sharded engine
+// reslices every shard's state and its exchange values.
 func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
 	if err != nil {
@@ -116,16 +128,27 @@ func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []EngineOptions{{}, {SparseKernel: SparsePB}} {
-		e, err := NewEngineOpts(ih, testPool, opt)
-		if err != nil {
+	engines := map[string]laneStepper{}
+	for name, opt := range map[string]EngineOptions{
+		"default": {}, "pb": {SparseKernel: SparsePB}, "atomic": {AtomicFlipped: true}, "varint": {BlockEncoding: EncodingVarint},
+	} {
+		if engines[name], err = NewEngineOpts(ih, testPool, opt); err != nil {
 			t.Fatal(err)
 		}
-		widths := []int{4, 2, 8, 3, 4}
+	}
+	sg, err := BuildSharded(g, Params{HubsPerBlock: 64}, testPool, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if engines["sharded"], err = NewShardedEngine(sg, testPool); err != nil {
+		t.Fatal(err)
+	}
+	widths := []int{4, 2, 8, 3, 4}
+	for name, e := range engines {
 		lanes, src, dst := make([][][]float64, len(widths)), make([][]float64, len(widths)), make([][]float64, len(widths))
 		for i, k := range widths {
-			lanes[i], src[i] = laneInputs(uint64(7+i), ih.NumV, k)
-			dst[i] = make([]float64, ih.NumV*k)
+			lanes[i], src[i] = laneInputs(uint64(7+i), g.NumV, k)
+			dst[i] = make([]float64, g.NumV*k)
 		}
 		round := func() {
 			for i, k := range widths {
@@ -134,10 +157,33 @@ func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 		}
 		round()
 		if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
-			t.Errorf("%+v: a round of widths %v allocates %.1f objects after the first, want 0", opt, widths, allocs)
+			t.Errorf("%s: a round of widths %v allocates %.1f objects after the first, want 0", name, widths, allocs)
 		}
 		for i := range widths {
 			requireLanesMatchScalar(t, e, lanes[i], dst[i])
 		}
+	}
+}
+
+// TestStepBatchFaultThenWidthChange aborts a wide step with its hub
+// buffers dirty, then steps narrower and wide again: recoverState must
+// leave nothing in the lanes that the second wide step reslices in.
+func TestStepBatchFaultThenWidthChange(t *testing.T) {
+	e, _ := faultTestEngine(t, EngineOptions{})
+	n := e.NumVertices()
+	_, src := laneInputs(11, n, 8)
+	plan := faultinject.NewPlan(faultinject.Rule{Site: faultinject.SiteMergeBlock, Kind: faultinject.Panic})
+	faultinject.Activate(plan)
+	err := e.StepBatchCtx(nil, src, make([]float64, n*8), 8)
+	faultinject.Deactivate()
+	var ip *faultinject.InjectedPanic
+	if !errors.As(err, &ip) {
+		t.Fatalf("err = %v, want the injected panic", err)
+	}
+	for _, k := range []int{4, 8} {
+		lanes, src := laneInputs(uint64(12+k), n, k)
+		dst := make([]float64, n*k)
+		e.StepBatch(src, dst, k)
+		requireLanesMatchScalar(t, e, lanes, dst)
 	}
 }

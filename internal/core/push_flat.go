@@ -32,22 +32,19 @@ func (e *Engine) pushTask(bt *blockTask, src, buf []float64) {
 }
 
 // pushTaskBatch is pushTask with K-wide lanes, and the one place the
-// batched push picks its width: 4 and 8 have register-resident bodies
-// (lanes.go), every other width runs the generic lane loop. The K-lane
-// kernels walk CSR whatever the block's layout.
+// batched push picks its body: 8 lanes over flat topology and 4 over
+// packed gap rows have register-resident bodies (lanes.go), everything
+// else runs the generic lane loop. The K-lane kernels walk CSR whatever
+// the block's layout.
 //
 //ihtl:noalloc
 func (e *Engine) pushTaskBatch(k int, bt *blockTask, src, buf []float64) {
 	fb := &e.ih.Blocks[bt.block]
 	switch {
-	case k == 8 && e.varint:
-		pushTaskEnc8(bt, fb, src, buf)
-	case k == 8:
+	case k == 8 && !e.varint:
 		pushTaskFlat8(bt, fb, src, buf)
 	case k == 4 && e.varint:
 		pushTaskEnc4(bt, fb, src, buf)
-	case k == 4:
-		pushTaskFlat4(bt, fb, src, buf)
 	case e.varint:
 		pushTaskEncBatch(k, bt, fb, src, buf)
 	default:
@@ -125,7 +122,7 @@ func pushTaskFlatAtomic(bt *blockTask, fb *FlippedBlock, src, dst []float64) {
 }
 
 // pushTaskFlatBatch is pushTaskFlat with K-wide lanes, K a run-time
-// value: the fallback for the widths lanes.go has no fixed body for.
+// value: the fallback for what lanes.go has no fixed body for.
 //
 //ihtl:noalloc
 //ihtl:nobce

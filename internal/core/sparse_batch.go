@@ -85,7 +85,7 @@ func (e *Engine) sparsePullRangeBatch(k, lo, hi int, src, dst []float64) {
 // pullRowLanes pulls sparse row i K lanes wide into its dst lanes,
 // source by source in ascending order from +0.0: the one row body of
 // the pull, heavy and light parts, and the one place the batched pull
-// picks its width (see Engine.pushTaskBatch).
+// picks its body (see Engine.pushTaskBatch).
 //
 //ihtl:noalloc
 func (e *Engine) pullRowLanes(i, k int, src, dst []float64) {
@@ -93,22 +93,17 @@ func (e *Engine) pullRowLanes(i, k int, src, dst []float64) {
 	lo, hi := sp.Index[i], sp.Index[i+1]
 	db := (sp.DestLo + i) * k
 	switch {
-	case k == 8 && e.varint:
-		pullRowEnc8(sp.Enc.Data, int(e.sparseRowOff[i]), hi-lo, src, unchecked.Lanes8At(dst, db))
-	case k == 8:
+	case k == 8 && !e.varint:
 		pullRowFlat8(sp.Srcs, lo, hi, src, unchecked.Lanes8At(dst, db))
 	case k == 4 && e.varint:
 		pullRowEnc4(sp.Enc.Data, int(e.sparseRowOff[i]), hi-lo, src, unchecked.Lanes4At(dst, db))
-	case k == 4:
-		pullRowFlat4(sp.Srcs, lo, hi, src, unchecked.Lanes4At(dst, db))
 	default:
 		e.pullRowGeneric(i, k, src, dst[db:db+k:db+k])
 	}
 }
 
 // pullRowGeneric is the row body for a run-time K: one loop trip per
-// lane per edge, the fallback for the widths lanes.go has no fixed
-// body for.
+// lane per edge, the fallback for what lanes.go has no fixed body for.
 //
 //ihtl:noalloc
 func (e *Engine) pullRowGeneric(i, k int, src, out []float64) {
