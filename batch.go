@@ -3,8 +3,6 @@ package ihtl
 import (
 	"context"
 	"fmt"
-
-	"ihtl/internal/analytics"
 )
 
 // Batch packs K logical vertex vectors into the vertex-major
@@ -120,7 +118,10 @@ func NewBatchEngine(g *Graph, pool *Pool, p Params, k int) (*Engine, error) {
 // teleporting to that source only — over the iHTL engine, advancing
 // all sources per pool dispatch through batched SpMV. It returns one
 // rank vector per source, in ORIGINAL vertex-ID space (the iHTL
-// relabeling is applied internally).
+// relabeling is applied internally). The engine keeps the run's
+// working arrays (4·n·K floats) for its next call, so that a caller
+// running batch after batch does not page them in afresh each time;
+// like Step, calls on one engine must not overlap.
 func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOptions) ([][]float64, error) {
 	n := e.NumVertices()
 	srcNew := make([]int, len(sources))
@@ -130,7 +131,7 @@ func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOpti
 		}
 		srcNew[j] = int(e.newID(s))
 	}
-	res, err := analytics.RunPersonalizedPageRank(e.eng, e.outDegrees(), pool, srcNew, opt)
+	res, err := e.ppr.Run(nil, e.eng, e.outDegrees(), pool, srcNew, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -104,4 +104,29 @@ func TestPublicAPIPersonalizedPageRank(t *testing.T) {
 	if _, err := ihtl.PersonalizedPageRank(eng, pool, []ihtl.VID{ihtl.VID(g.NumV)}, opt); err == nil {
 		t.Fatal("out-of-range source: want error")
 	}
+
+	// The engine keeps the run's arrays for its next call: results
+	// already returned are the caller's and stay as they were, and a
+	// repeat after a call of another width reads the same.
+	first := make([][]float64, len(ranks))
+	for j := range ranks {
+		first[j] = append([]float64(nil), ranks[j]...)
+	}
+	if _, err := ihtl.PersonalizedPageRank(eng, pool, sources[1:2], opt); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ihtl.PersonalizedPageRank(eng, pool, sources, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range first {
+		for v := range first[j] {
+			if ranks[j][v] != first[j][v] {
+				t.Fatalf("lane %d: rank[%d] of the first call changed from %g to %g under later calls", j, v, first[j][v], ranks[j][v])
+			}
+			if d := again[j][v] - first[j][v]; d > 1e-12 || d < -1e-12 {
+				t.Fatalf("lane %d: rank[%d] = %g on the repeat, %g on the first call", j, v, again[j][v], first[j][v])
+			}
+		}
+	}
 }

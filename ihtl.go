@@ -265,6 +265,10 @@ type Engine struct {
 	// PageRank wrappers all scale by: derived on first use, once.
 	degOnce sync.Once
 	deg     []int
+
+	// ppr holds the n×K arrays of PersonalizedPageRank from one call
+	// to the next.
+	ppr analytics.PPRWorkspace
 }
 
 // NewEngine builds the iHTL graph of g with the given parameters and

@@ -121,6 +121,52 @@ func TestPPRBatchedMatchesScalarRuns(t *testing.T) {
 	}
 }
 
+// TestPPRWorkspaceReuse runs one workspace through widths 4, 2, 4 with
+// different sources and options: every run must equal, bit for bit, the
+// run on fresh arrays, so nothing of a run outlives it in the workspace
+// (the Pull engine's accumulation order is deterministic).
+func TestPPRWorkspaceReuse(t *testing.T) {
+	g := mustRMAT(t, 9, 8, 53)
+	e, err := spmv.NewEngine(g, testPool, spmv.Pull, spmv.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deg := outDegrees(g)
+	all := pprSources(g, 6)
+	var ws PPRWorkspace
+	for i, tc := range []struct {
+		sources []int
+		opts    PageRankOptions
+	}{
+		{all[:4], PageRankOptions{MaxIters: 12, Tol: -1, RedistributeDangling: true}},
+		{all[4:], PageRankOptions{MaxIters: 3, Tol: -1}},
+		{all[1:5], PageRankOptions{MaxIters: 12, Tol: -1}},
+	} {
+		got, err := ws.Run(nil, e, deg, testPool, tc.sources, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunPersonalizedPageRank(e, deg, testPool, tc.sources, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.K != want.K || got.Iters != want.Iters || len(got.Ranks) != len(want.Ranks) {
+			t.Fatalf("run %d: K=%d iters=%d len=%d, fresh run K=%d iters=%d len=%d",
+				i, got.K, got.Iters, len(got.Ranks), want.K, want.Iters, len(want.Ranks))
+		}
+		for x := range want.Ranks {
+			if math.Float64bits(got.Ranks[x]) != math.Float64bits(want.Ranks[x]) {
+				t.Fatalf("run %d: ranks[%d] = %v on the reused workspace, %v on fresh arrays", i, x, got.Ranks[x], want.Ranks[x])
+			}
+		}
+		for j := range want.Deltas {
+			if got.Deltas[j] != want.Deltas[j] {
+				t.Fatalf("run %d: delta[%d] = %v, fresh run %v", i, j, got.Deltas[j], want.Deltas[j])
+			}
+		}
+	}
+}
+
 // TestPPRViaIHTLEngine checks the fused batched epilogue path against
 // the Pull baseline within float tolerance (the iHTL merge order is
 // schedule-dependent on real-valued data, so parity is numeric, not
