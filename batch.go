@@ -119,9 +119,10 @@ func NewBatchEngine(g *Graph, pool *Pool, p Params, k int) (*Engine, error) {
 // all sources per pool dispatch through batched SpMV. It returns one
 // rank vector per source, in ORIGINAL vertex-ID space (the iHTL
 // relabeling is applied internally). The engine keeps the run's
-// working arrays (4·n·K floats) for its next call, so that a caller
-// running batch after batch does not page them in afresh each time;
-// like Step, calls on one engine must not overlap.
+// working arrays (3·n·K + n floats and three n-bit row sets) for its
+// next call, so that a caller running batch after batch does not page
+// them in afresh each time; like Step, calls on one engine must not
+// overlap. A nil pool runs the element-wise passes on the caller.
 func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOptions) ([][]float64, error) {
 	n := e.NumVertices()
 	srcNew := make([]int, len(sources))
@@ -135,17 +136,28 @@ func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOpti
 	if err != nil {
 		return nil, err
 	}
-	// Un-interleave and un-permute in one pass: a vertex's K lanes are
-	// one contiguous read.
+	// Un-interleave and un-permute in one pass over original IDs — a
+	// vertex's K lanes are one contiguous read — on the pool, so that
+	// each worker first-touches its own share of the K fresh vectors:
+	// their page faults are most of this pass.
 	k := res.K
 	out := make([][]float64, k)
 	for j := range out {
 		out[j] = make([]float64, n)
 	}
-	for v, nv := range e.newIDs() {
-		for j, x := range res.Ranks[int(nv)*k : int(nv)*k+k] {
-			out[j][v] = x
+	newIDs := e.newIDs()
+	unpack := func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			nv := int(newIDs[v])
+			for j, x := range res.Ranks[nv*k : nv*k+k] {
+				out[j][v] = x
+			}
 		}
+	}
+	if pool == nil {
+		unpack(0, 0, n)
+	} else {
+		pool.ForStatic(n, unpack)
 	}
 	return out, nil
 }

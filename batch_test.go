@@ -129,4 +129,18 @@ func TestPublicAPIPersonalizedPageRank(t *testing.T) {
 			}
 		}
 	}
+
+	// Without a pool the element-wise passes (the wipe of the kept
+	// arrays, the un-interleave into original IDs) run on the caller.
+	serial, err := ihtl.PersonalizedPageRank(eng, nil, sources, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range first {
+		for v := range first[j] {
+			if d := serial[j][v] - first[j][v]; d > 1e-12 || d < -1e-12 {
+				t.Fatalf("lane %d: rank[%d] = %g without a pool, %g with one", j, v, serial[j][v], first[j][v])
+			}
+		}
+	}
 }

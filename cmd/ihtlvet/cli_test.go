@@ -110,6 +110,7 @@ func TestGateWaiverIndex(t *testing.T) {
 		"pushTaskEnc", "pushTaskEncBatch", "sparseRowSumEnc", "sparseRowAccEnc",
 		"pushTaskEdgeMajor", "pullRowsEdgeMajor", "sparseLightPartEdgeMajor", "rowOfEdgeFrom",
 		"pushTaskFlat8", "pushTaskEnc4", "pullRowFlat8", "pullRowEnc4",
+		"pushTaskActive", "pullRowsActive",
 	} {
 		found := false
 		for _, frs := range nobce {

@@ -137,14 +137,17 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 	ranks := make([]float64, n*k)
 	contrib := make([]float64, n*k)
 	sums := make([]float64, n*k)
-	baseVec := make([]float64, n*k)
 	dangling := make([]float64, k)
 	deltas := make([]float64, k)
 	active := make([]bool, k)
 	emitted := make([]bool, k)
 	numActive := k
+	sw := pprSweep{k: k, damping: o.Damping, redistribute: o.RedistributeDangling,
+		ranks: ranks, sums: sums, contrib: contrib, invDeg: invDeg, outDeg: outDeg,
+		sources: make([]int, k), teleport: make([]float64, k)}
 	for j, l := range lanes {
 		active[j] = true
+		sw.sources[j] = l.Source
 		idx := l.Source*k + j
 		ranks[idx] = 1
 		contrib[idx] = invDeg[l.Source]
@@ -152,42 +155,39 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 			dangling[j] = 1
 		}
 	}
+	sw.srcRows = distinctAscending(sw.sources)
 
+	// The sweep runs dense here: the daemon's packed engines have no
+	// active-row kernels (DESIGN.md §8 "Active rows").
 	cfe, ctxFused := e.(batchCtxFusedStepper)
 	fe, fused := e.(batchFusedStepper)
 	ce, ctxPlain := e.(spmv.BatchCtxStepper)
-	workers := 0
+	workers := 1
 	switch {
 	case fused:
 		workers = fe.Workers()
 	case pool != nil:
 		workers = pool.Workers()
 	}
-	var deltaParts, danglingParts []float64
-	var epi func(w, lo, hi int)
-	var poolEpi func(w int)
-	if workers > 0 {
-		deltaParts = make([]float64, workers*k)
-		danglingParts = make([]float64, workers*k)
-		epi = func(w, lo, hi int) {
-			dp := deltaParts[w*k : w*k+k]
-			gp := danglingParts[w*k : w*k+k]
-			clear(dp)
-			clear(gp)
-			bodyInto(lo, hi, k, o, ranks, sums, baseVec, contrib, invDeg, outDeg, dp, gp)
-		}
-		if !fused {
-			poolEpi = func(w int) {
-				lo, hi := sched.SplitRange(n, workers, w)
-				epi(w, lo, hi)
-			}
-		}
+	deltaParts := make([]float64, workers*k)
+	danglingParts := make([]float64, workers*k)
+	epi := func(w, lo, hi int) {
+		dp := deltaParts[w*k : w*k+k]
+		gp := danglingParts[w*k : w*k+k]
+		clear(dp)
+		clear(gp)
+		sw.rows(lo, hi, dp, gp)
 	}
-	body := func(lo, hi int) {
-		clear(deltas)
-		dangl := make([]float64, k)
-		bodyInto(lo, hi, k, o, ranks, sums, baseVec, contrib, invDeg, outDeg, deltas, dangl)
-		copy(dangling, dangl)
+	poolEpi := func(w int) {
+		lo, hi := sched.SplitRange(n, workers, w)
+		epi(w, lo, hi)
+	}
+	sweep := func() error {
+		if pool == nil {
+			epi(0, 0, n)
+			return nil
+		}
+		return pool.RunCtx(ctx, poolEpi)
 	}
 
 	// finish freezes a lane at an iteration boundary (zeroed teleport
@@ -198,7 +198,7 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 		if active[j] {
 			active[j] = false
 			numActive--
-			baseVec[lanes[j].Source*k+j] = 0
+			sw.teleport[j] = 0
 			for v := 0; v < n; v++ {
 				contrib[v*k+j] = 0
 			}
@@ -259,9 +259,9 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 				}
 			}
 		}
-		for j, l := range lanes {
+		for j := range lanes {
 			if !active[j] {
-				baseVec[l.Source*k+j] = 0
+				sw.teleport[j] = 0
 			}
 		}
 		iter = snap.iter
@@ -288,15 +288,14 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 		if numActive == 0 {
 			break
 		}
-		for j, l := range lanes {
+		for j := range lanes {
 			if !active[j] {
 				continue
 			}
-			teleport := 1 - o.Damping
+			sw.teleport[j] = 1 - o.Damping
 			if o.RedistributeDangling {
-				teleport += o.Damping * dangling[j]
+				sw.teleport[j] += o.Damping * dangling[j]
 			}
-			baseVec[l.Source*k+j] = teleport
 		}
 
 		var stepErr error
@@ -309,21 +308,12 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 			}
 		case ctxPlain:
 			if stepErr = ce.StepBatchCtx(ctx, contrib, sums, k); stepErr == nil {
-				if pool != nil {
-					stepErr = pool.RunCtx(ctx, poolEpi)
-				} else {
-					body(0, n)
-				}
-			}
-		case pool != nil:
-			if stepErr = ctxErrOf(ctx); stepErr == nil {
-				e.StepBatch(contrib, sums, k)
-				stepErr = pool.RunCtx(ctx, poolEpi)
+				stepErr = sweep()
 			}
 		default:
 			if stepErr = ctxErrOf(ctx); stepErr == nil {
 				e.StepBatch(contrib, sums, k)
-				body(0, n)
+				stepErr = sweep()
 			}
 		}
 		if stepErr != nil {
@@ -335,14 +325,12 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 			}
 			return stepErr
 		}
-		if workers > 0 {
-			clear(deltas)
-			clear(dangling)
-			for w := 0; w < workers; w++ {
-				for j := 0; j < k; j++ {
-					deltas[j] += deltaParts[w*k+j]
-					dangling[j] += danglingParts[w*k+j]
-				}
+		clear(deltas)
+		clear(dangling)
+		for w := 0; w < workers; w++ {
+			for j := 0; j < k; j++ {
+				deltas[j] += deltaParts[w*k+j]
+				dangling[j] += danglingParts[w*k+j]
 			}
 		}
 		iter++

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"ihtl/internal/sched"
 	"ihtl/internal/spmv"
@@ -28,8 +30,12 @@ type PPRResult struct {
 	Rollbacks int
 }
 
-// Lane copies lane j of the interleaved ranks into a dense vector.
+// Lane copies lane j of the interleaved ranks into a dense vector; nil
+// for the zero result an error path returns.
 func (r PPRResult) Lane(j int, out []float64) []float64 {
+	if r.K == 0 {
+		return nil
+	}
 	n := len(r.Ranks) / r.K
 	if out == nil {
 		out = make([]float64, n)
@@ -55,6 +61,21 @@ type batchCtxFusedStepper interface {
 	StepBatchEpiCtx(ctx context.Context, src, dst []float64, k int, epi func(w, lo, hi int)) error
 }
 
+// activeRowStepper is the further extension of core.Engine's that steps
+// over the rows a RowSet names and reports the rows it wrote (see
+// core.Engine.StepBatchActiveCtx); honoured == false means nothing was
+// stepped and the dense entry must be used.
+type activeRowStepper interface {
+	batchCtxFusedStepper
+	StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(w, lo, hi int)) (honoured bool, err error)
+}
+
+// activeRowFrac sets where a run leaves the active-row mode: it steps
+// through activeRowStepper while at most one row in activeRowFrac holds
+// a rank, and densely from then on. DESIGN.md §8 "Active rows" has the
+// crossover table (BenchmarkStepBatchActive) the value is read from.
+const activeRowFrac = 8
+
 // RunPersonalizedPageRank iterates K personalized PageRanks — one per
 // source — through batched SpMV steps:
 //
@@ -76,27 +97,41 @@ func RunPersonalizedPageRank(e spmv.BatchStepper, outDeg []int, pool *sched.Pool
 	return RunPersonalizedPageRankCtx(nil, e, outDeg, pool, sources, opt)
 }
 
-// PPRWorkspace holds the four n×K arrays (and the n inverse degrees)
-// of a personalized-PageRank run. Allocated per run they are first
-// touched per run — 0.4 GB, 0.5–0.9 s of page faults beside 0.6 s of
-// compute at n = 1.5 M, K = 8, and only on the runs whose memory the
-// runtime had handed back, so run times spread 2× (DESIGN.md §8) — so
-// a caller that runs batch after batch keeps one workspace and calls
-// Run on it. The zero value is ready; it grows to the largest run and
-// must not be shared by concurrent Runs.
+// PPRWorkspace holds the three n×K arrays of a personalized-PageRank
+// run, the n inverse degrees and the three n-bit row sets of its
+// active-row mode. Allocated per run they are first touched per run —
+// 0.4 GB, 0.5–0.9 s of page faults beside 0.6 s of compute at n = 1.5 M,
+// K = 8, and only on the runs whose memory the runtime had handed back,
+// so run times spread 2× (DESIGN.md §8) — so a caller that runs batch
+// after batch keeps one workspace and calls Run on it. The zero value is
+// ready; it grows to the largest run and must not be shared by
+// concurrent Runs.
 type PPRWorkspace struct {
-	invDeg, ranks, contrib, sums, baseVec []float64
+	invDeg, ranks, contrib, sums []float64
+	// contribRows, rankRows: the rows of contrib and of ranks that may
+	// hold a lane other than +0.0; touched: the rows of sums the last
+	// active-row Step wrote. Maintained only while a run is in the
+	// active-row mode, rebuilt at the start of every run.
+	contribRows, rankRows, touched spmv.RowSet
+	// sparse is the (n, k) of the last run if it ended in the active-row
+	// mode — ranks and contrib are then all +0.0 outside rankRows' rows,
+	// which is all the next run has to wipe — and zero otherwise.
+	sparse [2]int
+
+	// leaveActive, when set, replaces the activeRowFrac rule: a run
+	// leaves the active-row mode before the iteration for which it
+	// returns true (rows of n hold a rank). The differential tests force
+	// the switch at iteration 0, mid-run and never through it.
+	leaveActive func(iter, rows, n int) bool
 }
 
-// zeroed returns s cut to n zeroed elements, reallocated when s has no
-// room for them.
-func zeroed(s []float64, n int) []float64 {
+// sized returns s cut to n elements — reallocated, and then zeroed, when
+// s has no room for them — and whether it still holds its old contents.
+func sized(s []float64, n int) (_ []float64, stale bool) {
 	if n > cap(s) {
-		return make([]float64, n)
+		return make([]float64, n), false
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	return s[:n], true
 }
 
 // RunPersonalizedPageRankCtx is RunPersonalizedPageRank with the
@@ -137,18 +172,78 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 		}
 	}
 
-	ws.invDeg = zeroed(ws.invDeg, n)
-	ws.ranks, ws.contrib, ws.sums = zeroed(ws.ranks, n*k), zeroed(ws.contrib, n*k), zeroed(ws.sums, n*k)
-	// baseVec is the sparse teleport term: zero everywhere except
-	// baseVec[sⱼ*k+j], rewritten by the orchestrator each iteration
-	// when dangling mass is redistributed (it returns to the source).
-	ws.baseVec = zeroed(ws.baseVec, n*k)
-	invDeg, ranks, contrib, sums, baseVec := ws.invDeg, ws.ranks, ws.contrib, ws.sums, ws.baseVec
+	// ranks and contrib start all-zero but for the source rows. sums is
+	// not cleared: a dense Step writes every row of it and the rows an
+	// active-row Step leaves alone are never read. After a run that
+	// ended in the active-row mode only the rows rankRows names hold
+	// anything, and only they are wiped.
+	var staleRanks, staleContrib bool
+	ws.invDeg, _ = sized(ws.invDeg, n)
+	ws.ranks, staleRanks = sized(ws.ranks, n*k)
+	ws.contrib, staleContrib = sized(ws.contrib, n*k)
+	ws.sums, _ = sized(ws.sums, n*k)
+	invDeg, ranks, contrib, sums := ws.invDeg, ws.ranks, ws.contrib, ws.sums
+	span := n * k
+	wipe := func(_, lo, hi int) {
+		if staleRanks {
+			clear(ranks[lo:hi])
+		}
+		if staleContrib {
+			clear(contrib[lo:hi])
+		}
+	}
+	if ws.sparse == [2]int{n, k} {
+		rows := ws.rankRows
+		span = len(rows)
+		wipe = func(_, lo, hi int) {
+			for wi := lo; wi < hi; wi++ {
+				for m := rows[wi]; m != 0; m &= m - 1 {
+					vb := (wi<<6 + bits.TrailingZeros64(m)) * k
+					clear(ranks[vb : vb+k])
+					clear(contrib[vb : vb+k])
+				}
+			}
+		}
+	}
+	ws.sparse = [2]int{}
+	switch {
+	case !staleRanks && !staleContrib:
+	case pool == nil:
+		wipe(0, 0, span)
+	default:
+		if err := pool.ForStaticCtx(ctx, span, wipe); err != nil {
+			return PPRResult{}, err
+		}
+	}
 	for v, d := range outDeg {
+		invDeg[v] = 0
 		if d > 0 {
 			invDeg[v] = 1 / float64(d)
 		}
 	}
+
+	// The active-row mode needs an engine with the entry, arrays whose
+	// non-zero rows this run itself has written (not a checkpoint's), and
+	// a damping for which d·(+0.0) is +0.0 — what an unwalked row keeps.
+	ae, _ := e.(activeRowStepper)
+	active := ae != nil && o.Resume == nil && o.Damping >= 0 && o.Damping <= 1
+	sw := pprSweep{k: k, damping: o.Damping, redistribute: o.RedistributeDangling,
+		ranks: ranks, sums: sums, contrib: contrib, invDeg: invDeg, outDeg: outDeg,
+		sources: sources, teleport: make([]float64, k), srcRows: distinctAscending(sources)}
+	if active {
+		if len(ws.touched) != (n+63)>>6 {
+			ws.contribRows, ws.rankRows, ws.touched = spmv.NewRowSet(n), spmv.NewRowSet(n), spmv.NewRowSet(n)
+		} else {
+			clear(ws.contribRows)
+			clear(ws.rankRows)
+		}
+		sw.contribRows, sw.rankRows, sw.touched = ws.contribRows, ws.rankRows, ws.touched
+	}
+	leave := ws.leaveActive
+	if leave == nil {
+		leave = func(_, rows, n int) bool { return rows > n/activeRowFrac }
+	}
+
 	dangling := make([]float64, k)
 	iter := 0
 	if o.Resume != nil {
@@ -164,48 +259,53 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 			if o.RedistributeDangling && outDeg[s] == 0 {
 				dangling[j] = 1
 			}
+			if active {
+				sw.rankRows.Add(s)
+				if outDeg[s] > 0 {
+					sw.contribRows.Add(s)
+				}
+			}
 		}
 	}
 
-	// The per-iteration element-wise sweep, run as the batched Step's
-	// epilogue over vertex ranges: damping plus the sparse teleport
-	// term, per-lane L1 delta, next contributions, next dangling mass.
-	body := func(lo, hi int) (delta, dangl []float64) {
-		delta = make([]float64, k)
-		dangl = make([]float64, k)
-		bodyInto(lo, hi, k, o, ranks, sums, baseVec, contrib, invDeg, outDeg, delta, dangl)
-		return delta, dangl
-	}
-
+	// The per-iteration element-wise sweep runs as the batched Step's
+	// epilogue over vertex ranges (on the pool after a plain stepper's
+	// Step, on the caller without a pool), each worker summing its
+	// per-lane delta and dangling mass into its own K slots.
 	cfe, ctxFused := e.(batchCtxFusedStepper)
 	fe, fused := e.(batchFusedStepper)
 	ce, ctxPlain := e.(spmv.BatchCtxStepper)
-	workers := 0
+	workers := 1
 	switch {
 	case fused:
 		workers = fe.Workers()
 	case pool != nil:
 		workers = pool.Workers()
 	}
-	var deltaParts, danglingParts []float64
-	var epi func(w, lo, hi int)
-	var poolEpi func(w int)
-	if workers > 0 {
-		deltaParts = make([]float64, workers*k)
-		danglingParts = make([]float64, workers*k)
-		epi = func(w, lo, hi int) {
-			dp := deltaParts[w*k : w*k+k]
-			gp := danglingParts[w*k : w*k+k]
-			clear(dp)
-			clear(gp)
-			bodyInto(lo, hi, k, o, ranks, sums, baseVec, contrib, invDeg, outDeg, dp, gp)
+	deltaParts := make([]float64, workers*k)
+	danglingParts := make([]float64, workers*k)
+	epi := func(w, lo, hi int) {
+		dp := deltaParts[w*k : w*k+k]
+		gp := danglingParts[w*k : w*k+k]
+		clear(dp)
+		clear(gp)
+		if active {
+			sw.activeRows(lo, hi, dp, gp)
+		} else {
+			sw.rows(lo, hi, dp, gp)
 		}
-		if !fused {
-			poolEpi = func(w int) {
-				lo, hi := sched.SplitRange(n, workers, w)
-				epi(w, lo, hi)
-			}
+	}
+	poolEpi := func(w int) {
+		lo, hi := sched.SplitRange(n, workers, w)
+		epi(w, lo, hi)
+	}
+	// sweep is the epilogue of the steppers that do not run it themselves.
+	sweep := func() error {
+		if pool == nil {
+			epi(0, 0, n)
+			return nil
 		}
+		return pool.RunCtx(ctx, poolEpi)
 	}
 
 	var snap, last *Checkpoint
@@ -224,11 +324,14 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 			o.OnCheckpoint(snap)
 		}
 	}
+	// restore rewinds to a checkpoint, and leaves the active-row mode for
+	// good: the sets describe the arrays the run had built, not these.
 	restore := func(c *Checkpoint) {
 		copy(ranks, c.Ranks)
 		copy(dangling, c.Aux)
 		restoreContrib(ranks, contrib, invDeg, n, k)
 		iter = c.Iter
+		active = false
 	}
 	if o.CheckpointEvery > 0 {
 		if o.Resume != nil {
@@ -240,15 +343,28 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 
 	res := PPRResult{Ranks: ranks, K: k, Deltas: make([]float64, k)}
 	for iter < o.MaxIters {
-		for j, s := range sources {
-			teleport := 1 - o.Damping
+		for j := range sources {
+			sw.teleport[j] = 1 - o.Damping
 			if o.RedistributeDangling {
-				teleport += o.Damping * dangling[j]
+				sw.teleport[j] += o.Damping * dangling[j]
 			}
-			baseVec[s*k+j] = teleport
 		}
 		var stepErr error
+		stepped := false
+		if active && leave(iter, sw.rankRows.Count(), n) {
+			active = false
+		}
+		if active {
+			// A source row takes its teleport whether or not anything
+			// reached it, so it is walked like a row that holds a rank.
+			for _, s := range sw.srcRows {
+				sw.rankRows.Add(s)
+			}
+			stepped, stepErr = ae.StepBatchActiveCtx(ctx, contrib, sums, k, sw.contribRows, sw.touched, epi)
+			active = stepped
+		}
 		switch {
+		case stepped:
 		case ctxFused:
 			stepErr = cfe.StepBatchEpiCtx(ctx, contrib, sums, k, epi)
 		case fused:
@@ -257,25 +373,12 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 			}
 		case ctxPlain:
 			if stepErr = ce.StepBatchCtx(ctx, contrib, sums, k); stepErr == nil {
-				if pool != nil {
-					stepErr = pool.RunCtx(ctx, poolEpi)
-				} else {
-					d, g := body(0, n)
-					copy(res.Deltas, d)
-					copy(dangling, g)
-				}
-			}
-		case pool != nil:
-			if stepErr = ctxErrOf(ctx); stepErr == nil {
-				e.StepBatch(contrib, sums, k)
-				stepErr = pool.RunCtx(ctx, poolEpi)
+				stepErr = sweep()
 			}
 		default:
 			if stepErr = ctxErrOf(ctx); stepErr == nil {
 				e.StepBatch(contrib, sums, k)
-				d, g := body(0, n)
-				copy(res.Deltas, d)
-				copy(dangling, g)
+				stepErr = sweep()
 			}
 		}
 		if stepErr != nil {
@@ -288,14 +391,12 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 			}
 			return res, stepErr
 		}
-		if workers > 0 {
-			clear(res.Deltas)
-			clear(dangling)
-			for w := 0; w < workers; w++ {
-				for j := 0; j < k; j++ {
-					res.Deltas[j] += deltaParts[w*k+j]
-					dangling[j] += danglingParts[w*k+j]
-				}
+		clear(res.Deltas)
+		clear(dangling)
+		for w := 0; w < workers; w++ {
+			for j := 0; j < k; j++ {
+				res.Deltas[j] += deltaParts[w*k+j]
+				dangling[j] += danglingParts[w*k+j]
 			}
 		}
 		iter++
@@ -306,6 +407,9 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 		if o.Tol >= 0 && maxOf(res.Deltas) < o.Tol {
 			break
 		}
+	}
+	if active {
+		ws.sparse = [2]int{n, k}
 	}
 	return res, nil
 }
@@ -324,18 +428,73 @@ func restoreContrib(ranks, contrib, invDeg []float64, n, k int) {
 	}
 }
 
-// bodyInto is the per-vertex-range PPR update, accumulating per-lane
-// delta and dangling mass into the caller's slices.
+// pprSweep is the element-wise half of a PPR iteration — damping, the
+// teleport, per-lane L1 delta, next contributions, next dangling mass —
+// over the arrays of one run. The teleport is K (row, mass) pairs, lane
+// j's mass going to row sources[j], not a dense n×K vector of which K
+// elements are non-zero: a range is swept plain and cut at its source
+// rows.
+type pprSweep struct {
+	k            int
+	damping      float64
+	redistribute bool
+
+	ranks, sums, contrib, invDeg []float64
+	outDeg                       []int
+
+	// sources[j] is lane j's row, teleport[j] its mass this iteration
+	// (the orchestrator rewrites it between Steps; a frozen lane's is 0),
+	// srcRows the distinct source rows, ascending.
+	sources  []int
+	teleport []float64
+	srcRows  []int
+
+	// The active-row sets of PPRWorkspace; only activeRows uses them.
+	contribRows, rankRows, touched spmv.RowSet
+}
+
+// distinctAscending returns the distinct values of rows in ascending
+// order, leaving rows as it is.
+func distinctAscending(rows []int) []int {
+	out := slices.Clone(rows)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// rows sweeps vertices [lo, hi), accumulating per-lane delta and
+// dangling mass into the caller's slices.
 //
 //ihtl:noalloc
-func bodyInto(lo, hi, k int, o PageRankOptions, ranks, sums, baseVec, contrib, invDeg []float64, outDeg []int, delta, dangl []float64) {
+func (p *pprSweep) rows(lo, hi int, delta, dangl []float64) {
+	for _, s := range p.srcRows {
+		if s >= hi {
+			break
+		}
+		if s < lo {
+			continue
+		}
+		p.plainRows(lo, s, delta, dangl)
+		p.row(s, true, delta, dangl)
+		lo = s + 1
+	}
+	p.plainRows(lo, hi, delta, dangl)
+}
+
+// plainRows sweeps rows that are nobody's source: nv = d·sums. The dense
+// teleport vector made that d·sums + 0.0, which is the same bits: a sum
+// that starts at +0.0 is never -0.0, so neither is d times it.
+//
+//ihtl:noalloc
+func (p *pprSweep) plainRows(lo, hi int, delta, dangl []float64) {
+	k, d := p.k, p.damping
+	ranks, sums, contrib := p.ranks, p.sums, p.contrib
 	for v := lo; v < hi; v++ {
 		vb := v * k
-		inv := invDeg[v]
-		dangle := o.RedistributeDangling && outDeg[v] == 0
+		inv := p.invDeg[v]
+		dangle := p.redistribute && p.outDeg[v] == 0
 		for j := 0; j < k; j++ {
 			idx := vb + j
-			nv := o.Damping*sums[idx] + baseVec[idx]
+			nv := d * sums[idx]
 			delta[j] += math.Abs(nv - ranks[idx])
 			ranks[idx] = nv
 			contrib[idx] = nv * inv
@@ -343,6 +502,82 @@ func bodyInto(lo, hi, k int, o PageRankOptions, ranks, sums, baseVec, contrib, i
 				dangl[j] += nv
 			}
 		}
+	}
+}
+
+// row sweeps one row that may be a source, and whose sums — when summed
+// is false, an active-row Step left the row unwritten — may stand for
+// all +0.0. It reports whether the row's new rank, and its new
+// contribution, hold a lane other than +0.0.
+//
+//ihtl:noalloc
+func (p *pprSweep) row(v int, summed bool, delta, dangl []float64) (rank, contrib bool) {
+	k := p.k
+	vb := v * k
+	inv := p.invDeg[v]
+	dangle := p.redistribute && p.outDeg[v] == 0
+	var rankBits, contribBits uint64
+	for j := 0; j < k; j++ {
+		idx := vb + j
+		sum := 0.0
+		if summed {
+			sum = p.sums[idx]
+		}
+		nv := p.damping * sum
+		if p.sources[j] == v {
+			nv += p.teleport[j]
+		}
+		delta[j] += math.Abs(nv - p.ranks[idx])
+		p.ranks[idx] = nv
+		c := nv * inv
+		p.contrib[idx] = c
+		if dangle {
+			dangl[j] += nv
+		}
+		rankBits |= math.Float64bits(nv)
+		contribBits |= math.Float64bits(c)
+	}
+	return rankBits != 0, contribBits != 0
+}
+
+// activeRows is rows after an active-row Step: it walks only the rows
+// the Step wrote or that hold a rank (the orchestrator has added the
+// source rows to those), in ascending order, and rewrites their bits in
+// rankRows and contribRows. Every row it passes over has all-+0.0 ranks
+// and would be given all-+0.0 sums by a dense Step, so rows would store
+// what it already holds and add +0.0 — the identity for a sum of
+// magnitudes — to delta and dangl: the two sweeps agree bit for bit.
+// Ranges meet inside words, hence the atomic word updates.
+//
+//ihtl:noalloc
+func (p *pprSweep) activeRows(lo, hi int, delta, dangl []float64) {
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		mask := spmv.RangeMask(wi, lo, hi)
+		summed, ranked := p.touched[wi], p.rankRows.Load(wi)
+		walk := (summed | ranked) & mask
+		if walk == 0 {
+			continue
+		}
+		var rankBits, contribBits uint64
+		for m := walk; m != 0; m &= m - 1 {
+			b := uint(bits.TrailingZeros64(m))
+			v := wi<<6 + int(b)
+			// A written row of all +0.0 sums that holds no rank (so is no
+			// source either) stays all +0.0 and moves no delta: the hubs a
+			// batch has not reached yet, which every Step writes.
+			if ranked>>b&1 == 0 && spmv.SkipZeroLanes(p.sums[v*p.k:v*p.k+p.k]) {
+				continue
+			}
+			rank, contrib := p.row(v, summed>>b&1 != 0, delta, dangl)
+			if rank {
+				rankBits |= 1 << b
+			}
+			if contrib {
+				contribBits |= 1 << b
+			}
+		}
+		p.rankRows.Put(wi, mask, rankBits)
+		p.contribRows.Put(wi, mask, contribBits)
 	}
 }
 

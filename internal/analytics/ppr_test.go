@@ -271,3 +271,79 @@ func TestPPRErrors(t *testing.T) {
 		t.Error("out-of-range source: want error")
 	}
 }
+
+// TestPPRResultLaneZeroValue: every error path returns the zero
+// PPRResult, whose K is 0; Lane must not divide by it.
+func TestPPRResultLaneZeroValue(t *testing.T) {
+	if got := (PPRResult{}).Lane(0, nil); got != nil {
+		t.Fatalf("Lane on the zero result = %v, want nil", got)
+	}
+}
+
+// TestPPRSweepTeleportPairs pins the sparse teleport against the dense
+// n×K vector it replaced: for every cut of the vertex range in two — so
+// that each source row falls first, last and inside a range — the sweep
+// over K (row, mass) pairs stores the bits of nv = d·sums + base. The
+// sources hold a duplicate, the first and the last vertex, and one lane
+// is frozen (its teleport zeroed, as RunPPRLanes leaves it).
+func TestPPRSweepTeleportPairs(t *testing.T) {
+	const n, k, d = 13, 4, 0.85
+	sources := []int{5, 0, 5, n - 1}
+	teleport := []float64{0.15, 0.25, 0, 0.4}
+	outDeg := make([]int, n)
+	invDeg := make([]float64, n)
+	for v := range outDeg {
+		if outDeg[v] = v % 4; outDeg[v] > 0 {
+			invDeg[v] = 1 / float64(outDeg[v])
+		}
+	}
+	fill := func() (ranks, sums []float64) {
+		ranks, sums = make([]float64, n*k), make([]float64, n*k)
+		for i := range ranks {
+			ranks[i] = float64(i%7) / 9
+			sums[i] = float64(i%5) / 3
+		}
+		return ranks, sums
+	}
+	base := make([]float64, n*k)
+	for j, s := range sources {
+		base[s*k+j] = teleport[j]
+	}
+	for cut := 0; cut <= n; cut++ {
+		wantRanks, sums := fill()
+		wantContrib := make([]float64, n*k)
+		wantDelta, wantDangl := make([]float64, 2*k), make([]float64, 2*k)
+		for v := 0; v < n; v++ {
+			part := 0
+			if v >= cut {
+				part = k
+			}
+			for j := 0; j < k; j++ {
+				idx := v*k + j
+				nv := d*sums[idx] + base[idx]
+				wantDelta[part+j] += math.Abs(nv - wantRanks[idx])
+				wantRanks[idx] = nv
+				wantContrib[idx] = nv * invDeg[v]
+				if outDeg[v] == 0 {
+					wantDangl[part+j] += nv
+				}
+			}
+		}
+
+		ranks, sums := fill()
+		sw := pprSweep{k: k, damping: d, redistribute: true,
+			ranks: ranks, sums: sums, contrib: make([]float64, n*k), invDeg: invDeg, outDeg: outDeg,
+			sources: sources, teleport: teleport, srcRows: distinctAscending(sources)}
+		delta, dangl := make([]float64, 2*k), make([]float64, 2*k)
+		sw.rows(0, cut, delta[:k], dangl[:k])
+		sw.rows(cut, n, delta[k:], dangl[k:])
+		for name, pair := range map[string][2][]float64{
+			"ranks": {ranks, wantRanks}, "contrib": {sw.contrib, wantContrib},
+			"delta": {delta, wantDelta}, "dangling": {dangl, wantDangl},
+		} {
+			if !bitsEqual(pair[0], pair[1]) {
+				t.Fatalf("cut at %d: %s = %v, dense teleport vector gives %v", cut, name, pair[0], pair[1])
+			}
+		}
+	}
+}

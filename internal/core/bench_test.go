@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"ihtl/internal/gen"
+	"ihtl/internal/sched"
+	"ihtl/internal/spmv"
+	"ihtl/internal/xrand"
 )
 
 // BenchmarkShortRowKernel times the four flat scalar kernels — CSR and
@@ -130,5 +133,66 @@ func BenchmarkLaneKernel(b *testing.B) {
 				perLane(b, ih.Sparse.NumEdges())
 			})
 		}
+	}
+}
+
+// BenchmarkStepBatchActive is the crossover measurement behind
+// analytics.activeRowFrac: one K = 8 Step over the web analog at 200 k
+// pages, two workers, with a given share of the rows holding anything
+// but +0.0 (drawn uniformly), stepped densely and through the
+// active-row entry. No epilogue: the driver's sweep skips the same rows
+// the Step does. DESIGN.md §8 "Active rows" records the table.
+func BenchmarkStepBatchActive(b *testing.B) {
+	cfg := gen.DefaultWeb(200_000, 1002)
+	cfg.MeanOutDegree = 6 // the benchmark's web-sparse shape
+	g, err := gen.Web(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ih, err := Build(g, Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	e, err := NewEngine(ih, pool)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const k = 8
+	n := ih.NumV
+	dst := make([]float64, n*k)
+	e.StepBatch(dst, make([]float64, n*k), k) // page in dst and the hub buffers
+	touched := spmv.NewRowSet(n)
+	for _, perMille := range []uint64{1, 10, 100, 500} {
+		rng := xrand.New(perMille)
+		src := make([]float64, n*k)
+		active := spmv.NewRowSet(n)
+		for v := 0; v < n; v++ {
+			if rng.Uint64n(1000) < perMille {
+				active.Add(v)
+				for j := 0; j < k; j++ {
+					src[v*k+j] = 1 / float64(n)
+				}
+			}
+		}
+		perLane := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ih.NumE)/k, "ns/edge-lane")
+		}
+		name := fmt.Sprintf("rows=%g%%", float64(perMille)/10)
+		b.Run(name+"/dense", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.StepBatch(src, dst, k)
+			}
+			perLane(b)
+		})
+		b.Run(name+"/active", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if ok, err := e.StepBatchActiveCtx(nil, src, dst, k, active, touched, nil); !ok || err != nil {
+					b.Fatal(ok, err)
+				}
+			}
+			perLane(b)
+		})
 	}
 }

@@ -638,6 +638,10 @@ func (e *Engine) armHealth(k int) {
 //
 //ihtl:noalloc
 func (e *Engine) healthScan(w, lo, hi int) {
+	if b := e.batch; b != nil && b.touched != nil {
+		e.healthScanTouched(b.touched, w, lo, hi)
+		return
+	}
 	k := e.curK
 	dst := e.curDst
 	flo, fhi := lo*k, hi*k

@@ -43,6 +43,10 @@ type batchState struct {
 	// fusedJob is the prebuilt worker body, so a fused StepBatch
 	// allocates nothing.
 	fusedJob func(w int)
+	// active and touched are the row sets of an active-row step
+	// (active.go), staged for its dispatch and nil for a dense one: where
+	// the fused worker and the sparse parts pick their kernels.
+	active, touched spmv.RowSet
 }
 
 // ensureBatch returns the engine's batch state set to width k. The
@@ -182,10 +186,12 @@ func (e *Engine) StepBatchEpiCtx(ctx context.Context, src, dst []float64, k int,
 }
 
 // recoverState clears the K-wide buffers and dirty ranges after an
-// aborted batched step; see Engine.recoverState. The buffers are
-// cleared to their capacity, so that the lanes ensureBatch reslices
-// back in are zero whatever width the state is set to by now.
+// aborted batched step, and unstages an active-row step's sets; see
+// Engine.recoverState. The buffers are cleared to their capacity, so
+// that the lanes ensureBatch reslices back in are zero whatever width
+// the state is set to by now.
 func (b *batchState) recoverState() {
+	b.active, b.touched = nil, nil
 	for w := range b.bufs {
 		clear(b.bufs[w][:cap(b.bufs[w])])
 	}
@@ -250,7 +256,11 @@ func (e *Engine) fusedWorkerBufferedBatch(b *batchState, w int) {
 		for ti := lo; ti < hi; ti++ {
 			faultinject.Fire(faultinject.SiteFlippedTask)
 			bt := &e.blockTasks[ti]
-			e.pushTaskBatch(k, bt, src, buf)
+			if b.active != nil {
+				pushTaskActive(k, bt, &ih.Blocks[bt.block], b.active, src, buf)
+			} else {
+				e.pushTaskBatch(k, bt, src, buf)
+			}
 			if bt.dHi > bt.dLo {
 				dr := &b.dirty[w*nb+bt.block]
 				if dr.hi <= dr.lo {
@@ -406,12 +416,12 @@ func (e *Engine) stepPhasedBatch(b *batchState, src, dst []float64) {
 	case SparsePullDegree:
 		if np := len(e.heavyBounds) - 1; np > 0 {
 			e.pool.ForEachPart(np, func(w, part int) {
-				e.sparseHeavyPartBatch(k, part, src, dst)
+				e.sparseHeavyPartBatch(b, part, src, dst)
 			})
 		}
 		if np := len(e.lightBounds) - 1; np > 0 {
 			e.pool.ForEachPart(np, func(w, part int) {
-				e.sparseLightPartBatch(k, part, src, dst)
+				e.sparseLightPartBatch(b, part, src, dst)
 			})
 		}
 	case SparsePB:
@@ -426,7 +436,7 @@ func (e *Engine) stepPhasedBatch(b *batchState, src, dst []float64) {
 	default:
 		if nparts := len(e.sparseBounds) - 1; nparts > 0 {
 			e.pool.ForEachPart(nparts, func(w, part int) {
-				e.sparsePullRangeBatch(k, e.sparseBounds[part], e.sparseBounds[part+1], src, dst)
+				e.sparsePullRangeBatch(b, e.sparseBounds[part], e.sparseBounds[part+1], src, dst)
 			})
 		}
 	}

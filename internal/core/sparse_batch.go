@@ -67,18 +67,23 @@ func (e *Engine) sparsePullWorkerBatch(b *batchState, w int, src, dst []float64)
 		}
 		faultinject.Fire(faultinject.SiteSparsePart)
 		for p := lo; p < hi; p++ {
-			e.sparsePullRangeBatch(b.k, e.sparseBounds[p], e.sparseBounds[p+1], src, dst)
+			e.sparsePullRangeBatch(b, e.sparseBounds[p], e.sparseBounds[p+1], src, dst)
 		}
 	}
 }
 
-// sparsePullRangeBatch pulls rows [lo, hi) K lanes wide: the shared
-// inner loop of the uniform and degree-aware batched pull schedules.
+// sparsePullRangeBatch pulls rows [lo, hi) K lanes wide. Like the heavy
+// and light parts below, an active-row step (active.go) hands its rows
+// to pullRowsActive instead.
 //
 //ihtl:noalloc
-func (e *Engine) sparsePullRangeBatch(k, lo, hi int, src, dst []float64) {
+func (e *Engine) sparsePullRangeBatch(b *batchState, lo, hi int, src, dst []float64) {
+	if b.active != nil {
+		pullRowsActive(b.k, &e.ih.Sparse, lo, hi, noDegreeCap, b.active, b.touched, src, dst)
+		return
+	}
 	for i := lo; i < hi; i++ {
-		e.pullRowLanes(i, k, src, dst)
+		e.pullRowLanes(i, b.k, src, dst)
 	}
 }
 
@@ -138,15 +143,20 @@ func (e *Engine) sparseHeavyWorkerBatch(b *batchState, w int, src, dst []float64
 		}
 		faultinject.Fire(faultinject.SiteSparsePart)
 		for p := lo; p < hi; p++ {
-			e.sparseHeavyPartBatch(b.k, p, src, dst)
+			e.sparseHeavyPartBatch(b, p, src, dst)
 		}
 	}
 }
 
 //ihtl:noalloc
-func (e *Engine) sparseHeavyPartBatch(k, p int, src, dst []float64) {
-	for _, row := range e.ih.Sparse.Heavy[e.heavyBounds[p]:e.heavyBounds[p+1]] {
-		e.pullRowLanes(int(row), k, src, dst)
+func (e *Engine) sparseHeavyPartBatch(b *batchState, p int, src, dst []float64) {
+	sp := &e.ih.Sparse
+	for _, row := range sp.Heavy[e.heavyBounds[p]:e.heavyBounds[p+1]] {
+		if b.active != nil {
+			pullRowsActive(b.k, sp, int(row), int(row)+1, noDegreeCap, b.active, b.touched, src, dst)
+		} else {
+			e.pullRowLanes(int(row), b.k, src, dst)
+		}
 	}
 }
 
@@ -165,18 +175,22 @@ func (e *Engine) sparseLightWorkerBatch(b *batchState, w int, src, dst []float64
 		}
 		faultinject.Fire(faultinject.SiteSparsePart)
 		for p := lo; p < hi; p++ {
-			e.sparseLightPartBatch(b.k, p, src, dst)
+			e.sparseLightPartBatch(b, p, src, dst)
 		}
 	}
 }
 
 //ihtl:noalloc
-func (e *Engine) sparseLightPartBatch(k, p int, src, dst []float64) {
+func (e *Engine) sparseLightPartBatch(b *batchState, p int, src, dst []float64) {
 	sp := &e.ih.Sparse
 	heavy := sp.HeavyDeg
+	if b.active != nil {
+		pullRowsActive(b.k, sp, e.lightBounds[p], e.lightBounds[p+1], heavy, b.active, b.touched, src, dst)
+		return
+	}
 	for i := e.lightBounds[p]; i < e.lightBounds[p+1]; i++ {
 		if sp.Index[i+1]-sp.Index[i] < heavy {
-			e.pullRowLanes(i, k, src, dst)
+			e.pullRowLanes(i, b.k, src, dst)
 		}
 	}
 }
