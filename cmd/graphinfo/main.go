@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		in    = flag.String("i", "", "input graph file")
-		hpb   = flag.Int("hubs-per-block", 0, "iHTL hubs per flipped block (0 = paper default)")
+		hpb   = flag.Int("hubs-per-block", 0, "iHTL hubs per flipped block (0 = cache size / vertex size, and no flipped block when all vertex data fits that cache)")
 		reuse = flag.Bool("reuse", false, "also print reuse-distance locality comparison (pull vs iHTL)")
 	)
 	flag.Parse()
@@ -57,11 +57,16 @@ func main() {
 	}
 	s := ih.Stats(g)
 	fmt.Printf("\niHTL structure (B = %d):\n", ih.HubsPerBlock)
-	fmt.Printf("  flipped blocks:  %d\n", s.NumBlocks)
-	fmt.Printf("  hubs:            %d (%.2f%% of vertices)\n", s.NumHubs, 100*s.HubFrac)
-	fmt.Printf("  VWEH:            %.1f%% of vertices\n", 100*s.VWEHFrac)
-	fmt.Printf("  min hub degree:  %d\n", s.MinHubDegree)
-	fmt.Printf("  flipped edges:   %.1f%% of edges\n", 100*s.FlippedEdgeFrac)
+	if s.Resident {
+		fmt.Printf("  resident: vertex data %d KB ≤ cache %d KB — no flipped blocks\n",
+			s.VertexDataBytes>>10, s.CacheBytes>>10)
+	} else {
+		fmt.Printf("  flipped blocks:  %d\n", s.NumBlocks)
+		fmt.Printf("  hubs:            %d (%.2f%% of vertices)\n", s.NumHubs, 100*s.HubFrac)
+		fmt.Printf("  VWEH:            %.1f%% of vertices\n", 100*s.VWEHFrac)
+		fmt.Printf("  min hub degree:  %d\n", s.MinHubDegree)
+		fmt.Printf("  flipped edges:   %.1f%% of edges\n", 100*s.FlippedEdgeFrac)
+	}
 	fmt.Printf("  topology:        %.2f MiB vs %.2f MiB CSC (%.1f%% overhead)\n",
 		float64(s.TopologyBytes)/(1<<20), float64(s.CSCBytes)/(1<<20), 100*s.OverheadFrac)
 

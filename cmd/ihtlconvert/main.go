@@ -34,7 +34,7 @@ func main() {
 		out  = flag.String("o", "", "output path")
 		from = flag.String("from", "auto", "input format: auto | edgelist | ihtl")
 		to   = flag.String("to", "flat", "output format: flat | compressed | edgelist | ihtl | ihtlv2")
-		hpb  = flag.Int("hubs-per-block", 0, "iHTL hubs per flipped block (0 = paper default)")
+		hpb  = flag.Int("hubs-per-block", 0, "iHTL hubs per flipped block (0 = cache size / vertex size, and no flipped block when all vertex data fits that cache)")
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {
@@ -79,9 +79,14 @@ func main() {
 		if berr != nil {
 			fatal(berr)
 		}
-		fmt.Printf("built iHTL graph in %.1f ms: %d blocks, %d hubs, %.1f%% flipped edges\n",
-			time.Since(start).Seconds()*1000, len(built.Blocks), built.NumHubs,
-			100*float64(built.FlippedEdges())/float64(max64(1, built.NumE)))
+		ms := time.Since(start).Seconds() * 1000
+		if s := built.Stats(g); s.Resident {
+			fmt.Printf("built iHTL graph in %.1f ms: resident: vertex data %d KB ≤ cache %d KB — no flipped blocks\n",
+				ms, s.VertexDataBytes>>10, s.CacheBytes>>10)
+		} else {
+			fmt.Printf("built iHTL graph in %.1f ms: %d blocks, %d hubs, %.1f%% flipped edges\n",
+				ms, s.NumBlocks, s.NumHubs, 100*s.FlippedEdgeFrac)
+		}
 		return built
 	}
 
@@ -109,13 +114,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (%.2f MiB)\n", *out, float64(info.Size())/(1<<20))
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

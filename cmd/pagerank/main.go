@@ -31,7 +31,7 @@ func main() {
 		iters   = flag.Int("iters", 20, "PageRank iterations")
 		top     = flag.Int("top", 10, "print the top-K ranked vertices")
 		workers = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
-		hpb     = flag.Int("hubs-per-block", 0, "iHTL hubs per flipped block (0 = paper default)")
+		hpb     = flag.Int("hubs-per-block", 0, "iHTL hubs per flipped block (0 = cache size / vertex size, and no flipped block when all vertex data fits that cache)")
 	)
 	flag.Parse()
 	if *in == "" {

@@ -52,8 +52,13 @@ type Pool = sched.Pool
 
 // Params controls iHTL construction: hubs per flipped block (or the
 // cache size to derive it from), the flipped-block admission
-// threshold, and limits. The zero value reproduces the paper's
-// defaults (B = 1 MiB L2 / 8-byte vertex data, 50% threshold).
+// threshold, and limits. The zero value takes the paper's defaults
+// (B = 1 MiB L2 / 8-byte vertex data, 50% threshold) and, like the
+// paper, flips a hub only when its in-neighbours' data does not fit
+// that cache: a graph whose whole vertex data fits it (131 072
+// vertices at 8 bytes; 16 384 through ForBatch(8)) is built as one
+// pull-traversed block in original vertex order. Setting HubsPerBlock
+// asks for flipped blocks whatever the graph's size.
 type Params = core.Params
 
 // IHTL is a built iHTL graph: relabeling arrays, flipped blocks and

@@ -280,7 +280,7 @@ func TestPageRankRollbackOnNumericFault(t *testing.T) {
 	g := mustRMAT(t, 9, 8, 79)
 	want := referencePageRank(g, 20, 0.85)
 
-	ih, err := core.Build(g, core.Params{})
+	ih, err := core.Build(g, core.Params{HubsPerBlock: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestPageRankRollbackOnNumericFault(t *testing.T) {
 
 func TestPageRankRollbackExhaustionSurfaces(t *testing.T) {
 	g := mustRMAT(t, 8, 8, 81)
-	ih, err := core.Build(g, core.Params{})
+	ih, err := core.Build(g, core.Params{HubsPerBlock: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ var determinismPkgs = map[string]bool{
 	"ihtl/internal/graph":     true,
 	"ihtl/internal/compress":  true,
 	"ihtl/internal/order":     true,
-	"ihtl/internal/frontier":  true,
 	"ihtl/internal/analytics": true,
 	"ihtl/internal/gen":       true,
 }

@@ -23,7 +23,7 @@ func BenchmarkShortRowKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ih, err := Build(g, Params{})
+	ih, err := Build(g, Params{}) // the default, as web-sparse builds it: 1.6 MB of vertex data is past the resident threshold
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func BenchmarkLaneKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ih, err := Build(g, Params{})
+	ih, err := Build(g, Params{HubsPerBlock: flipB}) // resident by default: no push to time
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func BenchmarkStepBatchActive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ih, err := Build(g, Params{})
+	ih, err := Build(g, Params{}) // the default, as web-sparse builds it: 1.6 MB of vertex data is past the resident threshold
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -193,6 +193,68 @@ func BenchmarkStepBatchActive(b *testing.B) {
 				}
 			}
 			perLane(b)
+		})
+	}
+}
+
+// BenchmarkStepResident is the crossover measurement behind
+// Params.resident: R-MAT scales 14–19 (edge factor 16, the benchmark's
+// small-resident and social-flipped shape), two workers, each built
+// both ways — "flip" with B = 131 072 given explicitly, which is what
+// every default build was before the rule and still is past it, and
+// "noflip" as one pull-traversed block, forced at any scale by a
+// CacheBytes that just holds the vertex data — and stepped scalar and
+// at 8 lanes. The log line of a scale says which of the two default
+// Params build there. DESIGN.md "The resident regime" records the
+// table. A scale's graph is generated only when one of its
+// sub-benchmarks is selected: -bench 'StepResident/scale=(14|17)$' is
+// the CI smoke; all six scales at -benchtime 100x -count 5 take about
+// 100 s and, at scale 19, a few hundred MB.
+func BenchmarkStepResident(b *testing.B) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for scale := 14; scale <= 19; scale++ {
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			g, err := gen.RMAT(gen.DefaultRMAT(scale, 16, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			side := "flip"
+			if (Params{}).resident(g.NumV) {
+				side = "noflip"
+			}
+			b.Logf("%d vertices, %d edges, %d KB of vertex data: default Params build %s", g.NumV, g.NumE, g.NumV*DefaultVertexBytes>>10, side)
+			for _, c := range []struct {
+				name string
+				p    Params
+			}{{"flip", Params{HubsPerBlock: flipB}}, {"noflip", Params{CacheBytes: g.NumV * DefaultVertexBytes}}} {
+				ih, err := BuildWith(g, c.p, pool)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if (len(ih.Blocks) == 0) != (c.name == "noflip") {
+					b.Fatalf("%s build has %d flipped blocks", c.name, len(ih.Blocks))
+				}
+				e, err := NewEngine(ih, pool)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, k := range []int{1, 8} {
+					src := make([]float64, ih.NumV*k)
+					for i := range src {
+						src[i] = 1 / float64(ih.NumV)
+					}
+					dst := make([]float64, ih.NumV*k)
+					b.Run(fmt.Sprintf("%s/k%d", c.name, k), func(b *testing.B) {
+						e.StepBatch(src, dst, k) // page in dst and the hub buffers
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							e.StepBatch(src, dst, k) // the scalar Step at k = 1
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ih.NumE)/float64(k), "ns/edge-lane")
+					})
+				}
+			}
 		})
 	}
 }

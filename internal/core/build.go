@@ -153,6 +153,7 @@ type IHTL struct {
 	MinHubDegree int
 
 	params     Params
+	resident   bool // the build flipped nothing because Params.resident held
 	buildStats BuildBreakdown
 
 	// lazyMu serialises the lazy, idempotent derivations over the
@@ -256,7 +257,7 @@ func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Poo
 		}
 		return nil
 	}
-	ih = &IHTL{NumV: g.NumV, NumE: g.NumE, HubsPerBlock: rp.HubsPerBlock, params: rp}
+	ih = &IHTL{NumV: g.NumV, NumE: g.NumE, HubsPerBlock: rp.HubsPerBlock, params: rp, resident: p.resident(g.NumV)}
 	if g.NumV == 0 {
 		ih.NewID = []graph.VID{}
 		ih.OldID = []graph.VID{}
@@ -280,9 +281,13 @@ func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Poo
 
 	t = time.Now()
 	var numHubs, blocks, minHubDeg int
-	if rp.FastSelect {
+	switch {
+	case ih.resident:
+		// No hub, no flipped block: relabel keeps every vertex in its
+		// class-FV original order and the sparse block takes every edge.
+	case rp.FastSelect:
 		numHubs, blocks, minHubDeg = selectHubsFast(g, ranked, rp)
-	} else {
+	default:
 		numHubs, blocks, minHubDeg = selectHubs(g, ranked, rp)
 	}
 	ih.buildStats.Select = time.Since(t)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ihtl/internal/gen"
@@ -363,7 +364,7 @@ func TestEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, err := Build(g, Params{})
+	ih, err := Build(g, Params{}) // the default on purpose: what a caller with no graph yet passes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,6 +384,13 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := Build(graph.Star(4), Params{HubsPerBlock: -1}); err == nil {
 		t.Error("negative B accepted")
+	}
+	// A negative size is rejected under its own name, not as the B it
+	// would derive.
+	for field, p := range map[string]Params{"CacheBytes": {CacheBytes: -1}, "VertexBytes": {VertexBytes: -8}} {
+		if _, err := Build(graph.Star(4), p); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: err = %v", field, err)
+		}
 	}
 	if _, err := NewEngine(nil, testPool); err == nil {
 		t.Error("nil IHTL accepted")

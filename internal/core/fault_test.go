@@ -16,13 +16,21 @@ import (
 	"ihtl/internal/xrand"
 )
 
+// flipB is the B a default build derives, given explicitly — which is
+// an instruction to flip. The fixtures that use it, here and in the
+// other suites, are far under the resident threshold (Params.resident),
+// so a default build of them is one sparse block; with flipB they stay
+// the graphs they were before that rule, and the push, merge and
+// build-fill fault sites stay live.
+const flipB = DefaultL2Bytes / DefaultVertexBytes
+
 func faultTestEngine(t *testing.T, opt EngineOptions) (*Engine, *graph.Graph) {
 	t.Helper()
 	g, err := gen.RMAT(gen.DefaultRMAT(11, 8, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, err := BuildWith(g, Params{}, testPool)
+	ih, err := BuildWith(g, Params{HubsPerBlock: flipB}, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +255,7 @@ func TestBuildWithCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refIH, err := Build(g, Params{})
+	refIH, err := Build(g, Params{HubsPerBlock: flipB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +263,14 @@ func TestBuildWithCtxCancellation(t *testing.T) {
 	// Pre-cancelled ctx never starts the build.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildWithCtx(ctx, g, Params{}, testPool); !errors.Is(err, context.Canceled) {
+	if _, err := BuildWithCtx(ctx, g, Params{HubsPerBlock: flipB}, testPool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled build: err = %v, want context.Canceled", err)
 	}
 
 	for seed := uint64(0); seed < 10; seed++ {
 		to := time.Duration(faultinject.SeededAfter(seed, "test.build-cancel", 3000)) * time.Microsecond
 		ctx, cancel := context.WithTimeout(context.Background(), to)
-		ih, err := BuildWithCtx(ctx, g, Params{}, testPool)
+		ih, err := BuildWithCtx(ctx, g, Params{HubsPerBlock: flipB}, testPool)
 		cancel()
 		switch {
 		case err != nil:
@@ -324,7 +332,7 @@ func TestBuildWithCtxInjectedPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refIH, err := BuildWith(g, Params{}, testPool)
+	refIH, err := BuildWith(g, Params{HubsPerBlock: flipB}, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +341,7 @@ func TestBuildWithCtxInjectedPanic(t *testing.T) {
 			Site: faultinject.SiteBuildFill, Kind: faultinject.Panic, After: after,
 		})
 		faultinject.Activate(plan)
-		ih, err := BuildWithCtx(context.Background(), g, Params{}, testPool)
+		ih, err := BuildWithCtx(context.Background(), g, Params{HubsPerBlock: flipB}, testPool)
 		faultinject.Deactivate()
 		if plan.Fired(faultinject.SiteBuildFill) == 0 {
 			t.Fatalf("after=%d: SiteBuildFill never fired; the build fills lost their instrumentation", after)
@@ -350,7 +358,7 @@ func TestBuildWithCtxInjectedPanic(t *testing.T) {
 		}
 		// Recovery invariant: the next clean build is bit-for-bit the
 		// reference (parallel builds are deterministic).
-		clean, err := BuildWithCtx(context.Background(), g, Params{}, testPool)
+		clean, err := BuildWithCtx(context.Background(), g, Params{HubsPerBlock: flipB}, testPool)
 		if err != nil {
 			t.Fatalf("after=%d: clean build: %v", after, err)
 		}

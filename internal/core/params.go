@@ -25,7 +25,10 @@ type Params struct {
 	// HubsPerBlock is B, the number of in-hubs per flipped block.
 	// When 0 it is derived as CacheBytes / VertexBytes — "we specify
 	// the number of hubs per flipped block as B by dividing the
-	// level 2 cache size by the size of vertex data" (§3.3).
+	// level 2 cache size by the size of vertex data" (§3.3) — and the
+	// build flips nothing at all when the whole graph's vertex data
+	// fits that cache (the resident regime, see resident). A set
+	// HubsPerBlock is an instruction to flip, whatever the graph's size.
 	HubsPerBlock int
 	// CacheBytes is the cache capacity used to derive HubsPerBlock;
 	// 0 selects DefaultL2Bytes. Table 6 sweeps this.
@@ -104,6 +107,23 @@ func (p Params) ForBatch(k int) Params {
 	return p
 }
 
+// resident reports whether a graph of numV vertices is in the resident
+// regime: B is derived and the vertex data of the whole graph already
+// fits the cache B is sized from. §3.3 flips a hub because the data of
+// its in-neighbours does not fit in cache; here there is no such hub,
+// and a plain pull sums every row in place for less than the push
+// through buffers plus the merge costs (DESIGN.md, "The resident
+// regime", holds the measured crossover). p is as the caller gave it,
+// before defaulting, so ForBatch(k) scales the rule to K lanes through
+// VertexBytes.
+func (p Params) resident(numV int) bool {
+	if p.HubsPerBlock != 0 {
+		return false
+	}
+	q := p.withDefaults()
+	return int64(numV)*int64(q.VertexBytes) <= int64(q.CacheBytes)
+}
+
 // withDefaults resolves zero fields.
 func (p Params) withDefaults() Params {
 	if p.VertexBytes == 0 {
@@ -129,12 +149,15 @@ func (p Params) withDefaults() Params {
 
 // Validate checks parameter sanity after defaulting.
 func (p Params) Validate() error {
-	q := p.withDefaults()
-	if q.HubsPerBlock < 1 {
-		return fmt.Errorf("core: HubsPerBlock %d < 1", q.HubsPerBlock)
+	if p.CacheBytes < 0 {
+		return fmt.Errorf("core: CacheBytes %d < 0", p.CacheBytes)
 	}
+	q := p.withDefaults()
 	if q.VertexBytes < 1 {
 		return fmt.Errorf("core: VertexBytes %d < 1", q.VertexBytes)
+	}
+	if q.HubsPerBlock < 1 {
+		return fmt.Errorf("core: HubsPerBlock %d < 1", q.HubsPerBlock)
 	}
 	if q.FVThreshold < 0 || q.FVThreshold > 1 {
 		return fmt.Errorf("core: FVThreshold %v out of [0,1]", q.FVThreshold)

@@ -116,6 +116,9 @@ func BuildShardedCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.
 		}
 		lo, hi := sg.Bounds[s], sg.Bounds[s+1]
 		lg := extractShardGraph(g, lo, hi)
+		// The resident rule (Params.resident) sees lg.NumV: a shard's Step
+		// reads and writes only its own subvector, so that range — not the
+		// whole graph's — is what has to fit the cache.
 		ih, err := BuildWithCtx(ctx, lg, p, pool)
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d build: %w", s, err)

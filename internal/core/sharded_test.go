@@ -223,7 +223,7 @@ func shardedFaultEngine(t *testing.T, opt EngineOptions) *ShardedEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg, err := BuildShardedCtx(context.Background(), g, Params{}, testPool, 3)
+	sg, err := BuildShardedCtx(context.Background(), g, Params{HubsPerBlock: flipB}, testPool, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +397,8 @@ func TestBuildShardedInvariants(t *testing.T) {
 			}
 		}
 	}
+	// Argument handling only from here on: default Params are what a
+	// caller passes, and no Step runs on these graphs.
 	if _, err := BuildSharded(nil, Params{}, testPool, 2); err == nil {
 		t.Fatal("nil graph accepted")
 	}

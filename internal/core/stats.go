@@ -21,6 +21,13 @@ type GraphStats struct {
 	// NumHubs and HubFrac characterise the hub set.
 	NumHubs int
 	HubFrac float64
+	// Resident says why a graph has no block: the build flipped nothing
+	// because VertexDataBytes (NumV × Params.VertexBytes) fits
+	// CacheBytes, the cache a derived B is sized from. False for a
+	// graph that was loaded from a file, whose Params are not stored.
+	Resident        bool
+	VertexDataBytes int64
+	CacheBytes      int64
 	// TopologyBytes is the iHTL topology footprint; CSCBytes the
 	// plain CSC baseline (Table 4).
 	TopologyBytes int64
@@ -101,6 +108,10 @@ func (ih *IHTL) Stats(g *graph.Graph) GraphStats {
 		NumBlocks:    len(ih.Blocks),
 		MinHubDegree: ih.MinHubDegree,
 		NumHubs:      ih.NumHubs,
+
+		Resident:        ih.resident,
+		VertexDataBytes: int64(ih.NumV) * int64(ih.params.VertexBytes),
+		CacheBytes:      int64(ih.params.CacheBytes),
 	}
 	if ih.NumV > 0 {
 		s.VWEHFrac = float64(ih.NumVWEH) / float64(ih.NumV)

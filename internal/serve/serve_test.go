@@ -18,13 +18,23 @@ import (
 // the mmap-friendly v2 layout — the shape a production daemon loads.
 func testEngineFile(t *testing.T, scale, k int, seed uint64) string {
 	t.Helper()
+	return testEngineFileParams(t, scale, seed, core.Params{HubsPerBlock: 64}.ForBatch(k))
+}
+
+// testEngineFileParams is testEngineFile with the build's Params given:
+// default Params make these small graphs resident, one sparse block.
+func testEngineFileParams(t *testing.T, scale int, seed uint64, p core.Params) string {
+	t.Helper()
 	g, err := gen.RMAT(gen.DefaultRMAT(scale, 8, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, err := core.Build(g, core.Params{HubsPerBlock: 64}.ForBatch(k))
+	ih, err := core.Build(g, p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if p.HubsPerBlock == 0 && len(ih.Blocks) != 0 {
+		t.Fatalf("a default build of %d vertices has %d flipped blocks", ih.NumV, len(ih.Blocks))
 	}
 	path := filepath.Join(t.TempDir(), "engine.ihtl2")
 	if err := ih.SaveFileV2(path); err != nil {
@@ -113,9 +123,17 @@ func pickSources(t *testing.T, enginePath string, n int) []uint32 {
 // TestServeCoalescedBitIdenticalToSolo is the coalescing exactness
 // contract end to end: K concurrent queries arriving within one fill
 // window ride one batch, and each answer is bit-for-bit the solo run
-// of the same source — twice, so the packing itself is reproducible.
+// of the same source — twice, so the packing itself is reproducible —
+// over a file with flipped blocks and over the zero-block file a default
+// build writes for a graph this small.
 func TestServeCoalescedBitIdenticalToSolo(t *testing.T) {
-	path := testEngineFile(t, 9, 4, 41)
+	t.Run("flipped", func(t *testing.T) { testCoalescedBitIdenticalToSolo(t, testEngineFile(t, 9, 4, 41)) })
+	t.Run("resident", func(t *testing.T) {
+		testCoalescedBitIdenticalToSolo(t, testEngineFileParams(t, 9, 41, core.Params{}.ForBatch(4)))
+	})
+}
+
+func testCoalescedBitIdenticalToSolo(t *testing.T, path string) {
 	cfg := testConfig(path)
 	s := startServer(t, cfg)
 	srcs := pickSources(t, path, 4)
