@@ -106,7 +106,8 @@ func (e *Engine) StepBatchCtx(ctx context.Context, src, dst *Batch) error {
 // size B shrinks to CacheBytes/(VertexBytes·k), keeping each
 // per-worker K-wide hub buffer inside the same cache budget the
 // scalar engine's buffer occupies. The engine still serves scalar
-// Step calls (over the smaller blocks).
+// Step calls (over the smaller blocks): a Step is a one-lane StepBatch
+// through the same buffers.
 func NewBatchEngine(g *Graph, pool *Pool, p Params, k int) (*Engine, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("ihtl: batch width %d < 1", k)

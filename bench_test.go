@@ -298,30 +298,6 @@ func BenchmarkPageRankEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAtomicFlipped ablates §3.4's buffering choice:
-// flipped blocks processed via CAS into hub data vs per-thread
-// buffers (DESIGN.md ablation 1).
-func BenchmarkAblationAtomicFlipped(b *testing.B) {
-	benchSetup(b)
-	ih, err := core.Build(benchSocial, core.Params{HubsPerBlock: benchB})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, opt := range []struct {
-		name   string
-		atomic bool
-	}{{"buffered", false}, {"atomic", true}} {
-		opt := opt
-		b.Run(opt.name, func(b *testing.B) {
-			e, err := core.NewEngineOpts(ih, benchPool, core.EngineOptions{AtomicFlipped: opt.atomic})
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchStepper(b, benchSocial, e)
-		})
-	}
-}
-
 // BenchmarkStepPipeline ablates the fused single-dispatch Step
 // against the pre-fusion three-dispatch pipeline, at a small scale
 // where per-dispatch overhead dominates and at a large scale where

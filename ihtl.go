@@ -134,8 +134,8 @@ type EngineFile = core.EngineFile
 func OpenEngineFile(path string) (*EngineFile, error) { return core.OpenEngineFile(path) }
 
 // HealthPolicy configures the opt-in numeric watchdog: the SpMV
-// result vector is scanned for NaN/±Inf after each (Every-th) Step,
-// fused into the engine's epilogue sweep.
+// result vector is scanned for NaN/±Inf after each Step, fused into
+// the engine's epilogue sweep.
 type HealthPolicy = spmv.HealthPolicy
 
 // HealthMode selects what the watchdog does on a non-finite value.

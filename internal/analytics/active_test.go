@@ -15,16 +15,16 @@ import (
 	"ihtl/internal/spmv"
 )
 
-// activeCounter wraps a core engine and counts the steps its active-row
-// entry honoured, so a test can tell a run that took the mode from one
-// that silently stepped densely.
+// activeCounter wraps a core engine — single or sharded — and counts the
+// steps its active-row entry honoured, so a test can tell a run that
+// took the mode from one that silently stepped densely.
 type activeCounter struct {
-	*core.Engine
+	activeRowStepper
 	honoured int
 }
 
 func (c *activeCounter) StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(w, lo, hi int)) (bool, error) {
-	ok, err := c.Engine.StepBatchActiveCtx(ctx, src, dst, k, active, touched, epi)
+	ok, err := c.activeRowStepper.StepBatchActiveCtx(ctx, src, dst, k, active, touched, epi)
 	if ok {
 		c.honoured++
 	}
@@ -128,7 +128,7 @@ func TestPPRActiveRowsMatchDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := &activeCounter{Engine: ce}
+			e := &activeCounter{activeRowStepper: ce}
 			var dense, sparse PPRWorkspace // reused from run to run, as ihtl.Engine does
 			widths := []int{1, 2, 5, 8}
 			if testing.Short() {
@@ -195,7 +195,7 @@ func TestPPRActiveRowsFollowTheIterate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &activeCounter{Engine: ce}
+		e := &activeCounter{activeRowStepper: ce}
 		res, err := RunPersonalizedPageRank(e, ih.OutDegrees(), testPool, []int{ih.NumHubs}, PageRankOptions{MaxIters: 9, Tol: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -209,7 +209,7 @@ func TestPPRActiveRowsFollowTheIterate(t *testing.T) {
 // TestPPRActiveRowsFallbacks runs the engines without active-row
 // kernels — packed topology, the phased pipeline, the propagation-
 // blocked sparse kernel, shards — through the same driver: each refuses
-// the entry (or lacks it) and still produces the flat engine's lanes.
+// the entry and still produces the flat engine's lanes.
 func TestPPRActiveRowsFallbacks(t *testing.T) {
 	g := mustRMAT(t, 9, 8, 67)
 	ih, err := core.Build(g, core.Params{HubsPerBlock: 64})
@@ -223,7 +223,7 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCount := &activeCounter{Engine: ref}
+	refCount := &activeCounter{activeRowStepper: ref}
 	want, err := RunPersonalizedPageRank(refCount, deg, testPool, sources, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &activeCounter{Engine: ce}
+		e := &activeCounter{activeRowStepper: ce}
 		got, err := RunPersonalizedPageRank(e, deg, testPool, sources, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -260,7 +260,7 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 		}
 	}
 
-	// A sharded engine steps in its own ID space and has no entry at all.
+	// A sharded engine steps in its own ID space and refuses every time.
 	sg, err := core.BuildSharded(g, core.Params{HubsPerBlock: 64}, testPool, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -269,16 +269,17 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := any(se).(activeRowStepper); ok {
-		t.Fatal("the sharded engine grew an active-row entry: give it a differential row here")
-	}
 	shardSources := make([]int, len(sources))
 	for j, s := range sources {
 		shardSources[j] = int(sg.NewID[ih.OldID[s]])
 	}
-	got, err := RunPersonalizedPageRank(se, sg.OutDegrees(), testPool, shardSources, opt)
+	seCount := &activeCounter{activeRowStepper: se}
+	got, err := RunPersonalizedPageRank(seCount, sg.OutDegrees(), testPool, shardSources, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if seCount.honoured != 0 {
+		t.Fatalf("sharded: honoured %d active-row steps", seCount.honoured)
 	}
 	lane, back, wantLane, wantBack := make([]float64, g.NumV), make([]float64, g.NumV), make([]float64, g.NumV), make([]float64, g.NumV)
 	for j := range sources {
@@ -373,7 +374,7 @@ func TestPPRActiveRowsRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &activeCounter{Engine: ce}
+	e := &activeCounter{activeRowStepper: ce}
 	opt := PageRankOptions{MaxIters: 10, Tol: -1, RedistributeDangling: true, CheckpointEvery: 1}
 	ws := PPRWorkspace{leaveActive: leaveNever}
 	want, err := ws.Run(nil, e, deg, testPool, sources, opt)

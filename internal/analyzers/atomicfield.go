@@ -10,8 +10,8 @@ import (
 // AtomicField reports struct fields that are accessed both through
 // sync/atomic pointer functions (atomic.AddInt64(&s.f, ...)) and
 // through plain loads/stores anywhere in the module. Mixing the two
-// is the classic latent race of the AtomicFlipped ablation path: the
-// plain access compiles, passes single-threaded tests, and corrupts
+// is the classic latent race of a CAS-updated counter: the plain
+// access compiles, passes single-threaded tests, and corrupts
 // counts only under contention. Fields wrapped in the typed atomics
 // (atomic.Int64 &c.) cannot be mixed and are the preferred fix;
 // deliberate unsynchronised accesses (e.g. re-initialisation before a

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"math"
 	"math/bits"
 
-	"ihtl/internal/faultinject"
 	"ihtl/internal/spmv"
 	"ihtl/internal/unchecked"
 )
@@ -14,65 +12,16 @@ import (
 // non-zero rows and, on a graph of any diameter, stays a few per cent
 // of the rows for many iterations (DESIGN.md §8, "Active rows"), while
 // a dense K-lane Step loads a 64-byte lane row per edge to add what is
-// almost always +0.0. StepBatchActiveCtx takes the driver's word for
-// which rows are worth loading — one bit a row — and says which rows
-// of the result it wrote, so that the driver's epilogue can skip the
-// rest too. Skipping a +0.0 addend is the identity every zero-skipping
-// kernel here already relies on (spmv.SkipZero), so each lane of each
-// written row is bit for bit what the dense Step stores.
+// almost always +0.0. StepBatchActiveCtx (shell.go) takes the driver's
+// word for which rows are worth loading — one bit a row — and says
+// which rows of the result it wrote, so that the driver's epilogue can
+// skip the rest too. Skipping a +0.0 addend is the identity every
+// zero-skipping kernel here already relies on (spmv.SkipZero), so each
+// lane of each written row is bit for bit what the dense Step stores.
 //
 // Two kernels, both at run-time K: lane arithmetic runs on the few
 // active rows only, so the time is in the bit probes, not the lanes.
-
-// StepBatchActiveCtx is StepBatchEpiCtx for a src of which only the
-// rows named by active can hold a lane other than +0.0 (active may name
-// more rows than that, never fewer). Rows of dst with no active
-// in-neighbour are NOT written — they hold whatever they held — and
-// touched is rewritten to name exactly the rows that were: every hub
-// (the merges write them all) and every sparse row that met an active
-// source. epi runs as under StepBatchEpi and may read touched.
-//
-// Only the flat, buffered, fused pipeline with a pull sparse kernel has
-// the two kernels; any other engine answers honoured == false having
-// done nothing, and the caller steps densely. Both sets are NumV bits.
-func (e *Engine) StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(w, lo, hi int)) (honoured bool, err error) {
-	if e.phased || e.atomicFlipped || e.varint || e.sparseKernel == SparsePB {
-		return false, nil
-	}
-	ih := e.ih
-	if k < 1 {
-		panic("core: batch width < 1")
-	}
-	if len(src) != ih.NumV*k || len(dst) != ih.NumV*k {
-		panic("core: batch vector length mismatch")
-	}
-	if words := (ih.NumV + 63) >> 6; len(active) != words || len(touched) != words {
-		panic("core: row set length mismatch")
-	}
-	end, err := e.pool.Fallible(ctx)
-	if err != nil {
-		return true, err
-	}
-	b := e.ensureBatch(k)
-	e.armHealth(k)
-	clear(touched)
-	touched.AddRange(0, ih.NumHubs)
-	b.active, b.touched = active, touched
-	e.curEpi = epi
-	e.stepFusedBatch(b, src, dst)
-	e.curEpi = nil
-	b.active, b.touched = nil, nil
-	e.breakdown.Steps++
-	herr := e.collectHealth()
-	if err := end(); err != nil {
-		e.recoverState()
-		return true, err
-	}
-	if herr != nil {
-		return true, herr
-	}
-	return true, nil
-}
+// Engine.setActive says which engines have them.
 
 // pushTaskActive is pushTaskFlatBatch reading a source's SkipZeroLanes
 // verdict from its bit instead of from its lanes: 64 rows per zero word,
@@ -154,37 +103,5 @@ func pullRowsActive(k int, sp *SparseBlock, lo, hi int, maxDeg int64, active, to
 	}
 	if word != 0 {
 		spmv.PutWord(unchecked.PtrAt(touched, wi), word, word)
-	}
-}
-
-// healthScanTouched is healthScan over the rows an active-row step
-// wrote: the others hold an earlier step's values, scanned then. The
-// poison hook takes the range's first written element.
-//
-//ihtl:noalloc
-func (e *Engine) healthScanTouched(touched spmv.RowSet, w, lo, hi int) {
-	k, dst := e.curK, e.curDst
-	clamp := e.health.Mode == spmv.HealthClamp
-	slot := &e.healthBad[w]
-	poisoned := false
-	for wi := lo >> 6; wi<<6 < hi; wi++ {
-		for word := touched[wi] & spmv.RangeMask(wi, lo, hi); word != 0; word &= word - 1 {
-			flo := (wi<<6 + bits.TrailingZeros64(word)) * k
-			if !poisoned {
-				dst[flo] = faultinject.Poison(faultinject.SiteStepHealth, dst[flo])
-				poisoned = true
-			}
-			for i := flo; i < flo+k; i++ {
-				if !isFinite(dst[i]) {
-					if slot.count == 0 {
-						slot.first = int64(i)
-					}
-					slot.count++
-					if clamp {
-						dst[i] = 0
-					}
-				}
-			}
-		}
 	}
 }

@@ -41,6 +41,12 @@ func sparseLaneInput(seed uint64, n, k, every int, extra bool) ([]float64, spmv.
 	return src, active
 }
 
+// activeRowsHonoured says which rows of the option matrix have the
+// active-row kernels: the flat fused pipeline with a pull sparse kernel.
+func activeRowsHonoured(o EngineOptions) bool {
+	return !o.Phased && o.BlockEncoding != EncodingVarint && o.SparseKernel != SparsePB
+}
+
 // wantTouched is the set an active-row step must report: every hub, and
 // every sparse row with a source named by active.
 func wantTouched(ih *IHTL, active spmv.RowSet) spmv.RowSet {
@@ -76,11 +82,9 @@ func TestStepBatchActiveMatchesDense(t *testing.T) {
 		for _, workers := range []int{1, 2, 3} {
 			pool := sched.NewPool(workers)
 			defer pool.Close()
-			for _, opt := range []EngineOptions{
-				{},
-				{StaticFlipped: true},
-				{SparseKernel: SparsePull},
-			} {
+			for _, opt := range optionMatrix(t, func(o EngineOptions) bool {
+				return activeRowsHonoured(o) && o.Health == spmv.HealthPolicy{}
+			}) {
 				e, err := NewEngineOpts(ih, pool, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -139,8 +143,10 @@ func TestStepBatchActiveMatchesDense(t *testing.T) {
 }
 
 // TestStepBatchActiveNotHonoured pins the configurations without
-// active-row kernels: they answer false, step nothing, and leave both
-// the result and the set alone for the caller's dense step.
+// active-row kernels — every other row of the option matrix, and the
+// sharded engine whatever its options: they answer false, step nothing,
+// and leave both the result and the set alone for the caller's dense
+// step.
 func TestStepBatchActiveNotHonoured(t *testing.T) {
 	g := diffGraphs(t)["rmat"]
 	ih, err := Build(g, Params{HubsPerBlock: 64})
@@ -149,25 +155,34 @@ func TestStepBatchActiveNotHonoured(t *testing.T) {
 	}
 	n, k := ih.NumV, 3
 	src, active := sparseLaneInput(5, n, k, 40, false)
-	for _, opt := range []EngineOptions{
-		{BlockEncoding: EncodingVarint},
-		{Phased: true},
-		{AtomicFlipped: true},
-		{SparseKernel: SparsePB},
-	} {
-		e, err := NewEngineOpts(ih, testPool, opt)
+	sg, err := BuildSharded(g, Params{HubsPerBlock: 64}, testPool, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range optionMatrix(t, nil) {
+		se, err := NewShardedEngineOpts(sg, testPool, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := make([]float64, n*k)
-		touched := spmv.NewRowSet(n)
-		ran := false
-		honoured, err := e.StepBatchActiveCtx(nil, src, dst, k, active, touched, func(w, lo, hi int) { ran = true })
-		if honoured || err != nil || ran {
-			t.Fatalf("%+v: honoured=%v err=%v epilogue ran=%v, want a refusal", opt, honoured, err, ran)
+		refusing := []widthStepper{se}
+		if !activeRowsHonoured(opt) {
+			e, err := NewEngineOpts(ih, testPool, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refusing = append(refusing, e)
 		}
-		if touched.Count() != 0 || !spmv.SkipZeroLanes(dst) {
-			t.Fatalf("%+v: a refused step wrote its outputs", opt)
+		for _, e := range refusing {
+			dst := make([]float64, n*k)
+			touched := spmv.NewRowSet(n)
+			ran := false
+			honoured, err := e.StepBatchActiveCtx(nil, src, dst, k, active, touched, func(w, lo, hi int) { ran = true })
+			if honoured || err != nil || ran {
+				t.Fatalf("%T %+v: honoured=%v err=%v epilogue ran=%v, want a refusal", e, opt, honoured, err, ran)
+			}
+			if touched.Count() != 0 || !spmv.SkipZeroLanes(dst) {
+				t.Fatalf("%T %+v: a refused step wrote its outputs", e, opt)
+			}
 		}
 	}
 }

@@ -44,7 +44,7 @@ func BenchmarkShortRowKernel(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
 		}
 		b.Run("push/"+layout.String(), func(b *testing.B) {
-			buf := e.bufs[0]
+			buf := e.batch.bufs[0]
 			for i := 0; i < b.N; i++ {
 				for t := range e.blockTasks {
 					e.pushTask(&e.blockTasks[t], src, buf)

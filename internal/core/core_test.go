@@ -512,35 +512,6 @@ func TestStepRejectsBadLengths(t *testing.T) {
 	e.Step(make([]float64, 2), make([]float64, g.NumV))
 }
 
-func TestAtomicFlippedAblationMatchesBuffered(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(10, 10, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ih, err := Build(g, Params{HubsPerBlock: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buffered, err := NewEngine(ih, testPool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	atomic, err := NewEngineOpts(ih, testPool, EngineOptions{AtomicFlipped: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := randomVec(4, g.NumV)
-	a := make([]float64, g.NumV)
-	b := make([]float64, g.NumV)
-	buffered.Step(src, a)
-	atomic.Step(src, b)
-	for v := range a {
-		if math.Abs(a[v]-b[v]) > 1e-9*(1+math.Abs(a[v])) {
-			t.Fatalf("atomic ablation differs at %d: %g vs %g", v, b[v], a[v])
-		}
-	}
-}
-
 func TestDegreeSortClassesAblation(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 14))
 	if err != nil {

@@ -35,9 +35,9 @@ package core
 //
 // The streams are engine state, derived in NewEngine on the pool from
 // Index alone: never serialised, no file-format field. The K-lane batch
-// kernels, the packed (varint) kernels and AtomicFlipped keep CSR —
-// row skipping is what pays on PPR's sparse vectors, and the packed
-// rows carry their own degree.
+// kernels and the packed (varint) kernels keep CSR — row skipping is
+// what pays on PPR's sparse vectors, and the packed rows carry their
+// own degree.
 
 import (
 	"slices"
@@ -191,9 +191,9 @@ func buildAdv(pool *sched.Pool, index []int64) ([]uint8, error) {
 }
 
 // initLayouts picks each block's layout (or takes the test hook's) and
-// builds the adv streams of the edge-major ones. Flat buffered engines
-// only: the packed kernels and the AtomicFlipped ablation walk CSR, and
-// the propagation-blocked sparse kernel walks its own transposed arrays.
+// builds the adv streams of the edge-major ones. Flat engines only: the
+// packed kernels walk CSR, and the propagation-blocked sparse kernel
+// walks its own transposed arrays.
 func (e *Engine) initLayouts(force BlockLayout) error {
 	ih := e.ih
 	e.flipAdv = make([][]uint8, len(ih.Blocks))
@@ -207,12 +207,10 @@ func (e *Engine) initLayouts(force BlockLayout) error {
 		return pickLayout(index) == LayoutEdgeMajor
 	}
 	var err error
-	if !e.atomicFlipped {
-		for b := range ih.Blocks {
-			if idx := ih.Blocks[b].Index; edgeMajor(idx) {
-				if e.flipAdv[b], err = buildAdv(e.pool, idx); err != nil {
-					return err
-				}
+	for b := range ih.Blocks {
+		if idx := ih.Blocks[b].Index; edgeMajor(idx) {
+			if e.flipAdv[b], err = buildAdv(e.pool, idx); err != nil {
+				return err
 			}
 		}
 	}

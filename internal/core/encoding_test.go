@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 
 	"ihtl/internal/compress"
@@ -13,9 +12,7 @@ import (
 )
 
 // encOptsMatrix is every pipeline x sparse-kernel combination the
-// varint encoding must pin bit-for-bit against the flat reference. The
-// AtomicFlipped ablation is not among them: it keeps flat kernels only
-// (TestAtomicFlippedRejectsVarint).
+// varint encoding must pin bit-for-bit against the flat reference.
 func encOptsMatrix() []EngineOptions {
 	var opts []EngineOptions
 	for _, pipeline := range []EngineOptions{
@@ -34,49 +31,6 @@ func encOptsMatrix() []EngineOptions {
 
 func encLabel(o EngineOptions) string {
 	return fmt.Sprintf("phased=%v sparse=%v", o.Phased, o.SparseKernel)
-}
-
-// TestAtomicFlippedRejectsVarint pins the construction-time refusal
-// that replaced the CAS twins of the encoded kernels: AtomicFlipped
-// with an encoding that resolves to varint — asked for, or chosen by
-// auto over an encoded-only graph, unsharded or sharded — is an error,
-// and the same graph still builds the flat ablation.
-func TestAtomicFlippedRejectsVarint(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ih, err := Build(g, Params{HubsPerBlock: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, phased := range []bool{false, true} {
-		opt := EngineOptions{AtomicFlipped: true, Phased: phased, BlockEncoding: EncodingVarint}
-		if _, err := NewEngineOpts(ih, testPool, opt); err == nil || !strings.Contains(err.Error(), "AtomicFlipped") {
-			t.Errorf("phased=%v: AtomicFlipped+varint: err = %v, want a refusal naming AtomicFlipped", phased, err)
-		}
-	}
-	if ih.Blocks[0].Enc != nil {
-		t.Error("the refused construction encoded the graph anyway")
-	}
-	if _, err := NewEngineOpts(ih, testPool, EngineOptions{AtomicFlipped: true}); err != nil {
-		t.Errorf("AtomicFlipped over a flat graph: %v", err)
-	}
-	sg, err := BuildSharded(g, Params{HubsPerBlock: 64}, testPool, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewShardedEngineOpts(sg, testPool, EngineOptions{AtomicFlipped: true, BlockEncoding: EncodingVarint}); err == nil {
-		t.Error("sharded AtomicFlipped+varint accepted")
-	}
-	ih.EnsureEncoded()
-	ih.DropFlatTopology()
-	if _, err := NewEngineOpts(ih, testPool, EngineOptions{AtomicFlipped: true}); err == nil {
-		t.Error("AtomicFlipped accepted over an encoded-only graph (auto resolves to varint)")
-	}
-	if _, err := NewEngineOpts(ih, testPool, EngineOptions{AtomicFlipped: true, BlockEncoding: EncodingFlat}); err != nil {
-		t.Errorf("AtomicFlipped with an explicit flat encoding over an encoded-only graph: %v", err)
-	}
 }
 
 // TestEncodingDifferential pins BlockEncoding varint bit-for-bit equal

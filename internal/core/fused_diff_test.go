@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ihtl/internal/gen"
@@ -49,6 +51,76 @@ func signedVec(seed uint64, n int) []float64 {
 	return v
 }
 
+// optionValues lists, for every exported field of EngineOptions, the
+// values the differential suites step. optionMatrix fails on a field
+// that is missing here, so an option cannot land without its rows.
+var optionValues = map[string][]any{
+	"Phased":        {false, true},
+	"StaticFlipped": {false, true},
+	// Every differential input is finite, so an armed watchdog scans
+	// and must change nothing; Rollback is the mode the daemon runs.
+	"Health": {spmv.HealthPolicy{}, spmv.HealthPolicy{Mode: spmv.HealthRollback}},
+	// SparseAuto is SparsePullDegree.
+	"SparseKernel": {SparseAuto, SparsePull, SparsePB},
+	// EncodingAuto is flat on a graph built in memory.
+	"BlockEncoding": {EncodingAuto, EncodingVarint},
+	// Sharding enters through BuildSharded: the suites that cover it
+	// build both engine types from each row.
+	"Shards": {0},
+}
+
+// optionMatrix returns the cross product of optionValues over the
+// exported fields of EngineOptions, found by reflection, less the rows
+// keep rejects (nil keeps all).
+func optionMatrix(t testing.TB, keep func(EngineOptions) bool) []EngineOptions {
+	t.Helper()
+	rows := []EngineOptions{{}}
+	typ := reflect.TypeOf(EngineOptions{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		vals := optionValues[f.Name]
+		if len(vals) == 0 {
+			t.Fatalf("EngineOptions.%s has no values in optionValues: the differential suites would not cover it", f.Name)
+		}
+		var next []EngineOptions
+		for _, row := range rows {
+			for _, v := range vals {
+				reflect.ValueOf(&row).Elem().Field(i).Set(reflect.ValueOf(v))
+				next = append(next, row)
+			}
+		}
+		rows = next
+	}
+	if keep == nil {
+		return rows
+	}
+	var kept []EngineOptions
+	for _, row := range rows {
+		if keep(row) {
+			kept = append(kept, row)
+		}
+	}
+	return kept
+}
+
+// optLabel names a matrix row by its non-zero exported fields.
+func optLabel(opt EngineOptions) string {
+	var parts []string
+	v := reflect.ValueOf(opt)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() && !v.Field(i).IsZero() {
+			parts = append(parts, fmt.Sprintf("%s=%v", f.Name, v.Field(i).Interface()))
+		}
+	}
+	if len(parts) == 0 {
+		return "default"
+	}
+	return strings.Join(parts, ",")
+}
+
 func diffGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	gs := map[string]*graph.Graph{"paper": graph.PaperExample()}
@@ -80,10 +152,11 @@ func stepOldSpace(ih *IHTL, e *Engine, srcOld []float64) []float64 {
 	return dstOld
 }
 
-// TestStepDifferentialFusedPhasedPull checks that the fused pipeline,
-// the phased pipeline, the AtomicFlipped ablation of each, and the
-// spmv.Pull baseline produce bit-identical dst vectors across graphs
-// and worker counts.
+// TestStepDifferentialFusedPhasedPull checks that every row of the
+// option matrix — the fused and the phased pipeline under each sparse
+// kernel, encoding and flipped-task assignment — and the spmv.Pull
+// baseline produce bit-identical dst vectors across graphs and worker
+// counts.
 func TestStepDifferentialFusedPhasedPull(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for name, g := range diffGraphs(t) {
@@ -110,18 +183,13 @@ func TestStepDifferentialFusedPhasedPull(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, opt := range []EngineOptions{
-					{},
-					{Phased: true},
-					{AtomicFlipped: true},
-					{AtomicFlipped: true, Phased: true},
-				} {
+				for _, opt := range optionMatrix(t, nil) {
 					e, err := NewEngineOpts(ih, pool, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					got := stepOldSpace(ih, e, src)
-					label := fmt.Sprintf("phased=%v atomic=%v", opt.Phased, opt.AtomicFlipped)
+					label := optLabel(opt)
 					requireBitIdentical(t, label, want, got)
 					// A second Step re-using the engine must be just as
 					// exact: it proves buffers, dirty ranges, and gates
@@ -168,17 +236,12 @@ func TestStepDifferentialSignedZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opt := range []EngineOptions{
-			{},
-			{Phased: true},
-			{AtomicFlipped: true},
-			{AtomicFlipped: true, Phased: true},
-		} {
+		for _, opt := range optionMatrix(t, nil) {
 			e, err := NewEngineOpts(ih, pool, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("%s/phased=%v atomic=%v", name, opt.Phased, opt.AtomicFlipped)
+			label := name + "/" + optLabel(opt)
 			requireBitIdentical(t, label, want, stepOldSpace(ih, e, src))
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -8,7 +9,9 @@ import (
 
 	"ihtl/internal/faultinject"
 	"ihtl/internal/gen"
+	"ihtl/internal/graph"
 	"ihtl/internal/sched"
+	"ihtl/internal/spmv"
 )
 
 // laneInputs returns k lane vectors of small integers with the rows
@@ -19,7 +22,7 @@ import (
 //	v%61 == 1  +0.0 but for -0.0 in lane v%k (must not be skipped)
 //	v%61 == 2  +Inf in lane 0
 //	v%61 == 3  -Inf in lane 0 (so hubs see Inf-Inf)
-//	v%61 == 4  a NaN with a payload in lane k-1
+//	v%61 == 4  a NaN with a payload in lane k-1 (k > 1)
 //
 // Every sum stays independent of the order of its terms — integers add
 // exactly, the infinities meet only each other and integers, the one
@@ -41,7 +44,9 @@ func laneInputs(seed uint64, n, k int) (lanes [][]float64, batch []float64) {
 		case 3:
 			row[0] = math.Inf(-1)
 		case 4:
-			row[k-1] = nan
+			if k > 1 { // at one lane it would meet lane 0's Inf-Inf, and which NaN survives depends on the order
+				row[k-1] = nan
+			}
 		}
 		for j, x := range row {
 			lanes[j][v] = x
@@ -90,35 +95,36 @@ func TestLaneKernelsMatchScalarStep(t *testing.T) {
 		for _, workers := range []int{1, 2, 3} {
 			pool := sched.NewPool(workers)
 			defer pool.Close()
-			for _, enc := range []BlockEncoding{EncodingFlat, EncodingVarint} {
-				for _, phased := range []bool{false, true} {
-					for _, static := range []bool{false, true} {
-						e, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: enc, Phased: phased, StaticFlipped: static})
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, k := range []int{2, 3, 4, 5, 8, 9} {
-							t.Run(fmt.Sprintf("%s/w%d/%v/phased=%v/static=%v/k%d", name, workers, enc, phased, static, k), func(t *testing.T) {
-								lanes, src := laneInputs(42, ih.NumV, k)
-								dst := make([]float64, ih.NumV*k)
-								e.StepBatch(src, dst, k)
-								requireLanesMatchScalar(t, e, lanes, dst)
-							})
-						}
-					}
+			// The sparse kernels and the watchdog have their own lane
+			// tables (sparse_kernel_test.go, the alternation differential).
+			for _, opt := range optionMatrix(t, func(o EngineOptions) bool {
+				return o.SparseKernel == SparseAuto && o.Health == spmv.HealthPolicy{}
+			}) {
+				e, err := NewEngineOpts(ih, pool, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{2, 3, 4, 5, 8, 9} {
+					t.Run(fmt.Sprintf("%s/w%d/%v/phased=%v/static=%v/k%d", name, workers, e.Encoding(), opt.Phased, opt.StaticFlipped, k), func(t *testing.T) {
+						lanes, src := laneInputs(42, ih.NumV, k)
+						dst := make([]float64, ih.NumV*k)
+						e.StepBatch(src, dst, k)
+						requireLanesMatchScalar(t, e, lanes, dst)
+					})
 				}
 			}
 		}
 	}
 }
 
-// TestStepBatchWidthChangeAllocatesNothing pins ensureBatch's
+// TestStepBatchWidthChangeAllocatesNothing pins setWidth's
 // grow-and-reslice: the daemon runs k = lanes-in-this-batch, so widths
-// alternate step by step, and after one round has seen the widest
-// width another round must allocate nothing and still match the scalar
-// Step (the resliced buffers were left all-zero). AtomicFlipped has no
-// buffers but recomputes its clear bounds per width; the sharded engine
-// reslices every shard's state and its exchange values.
+// alternate step by step — one lane among them, which steps through the
+// same buffers — and after one round has seen the widest width another
+// round must allocate nothing and still match the scalar Step (the
+// resliced buffers were left all-zero). Every fused kernel and encoding
+// of the option matrix; the sharded engine reslices every shard's state
+// and its exchange values.
 func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
 	if err != nil {
@@ -129,10 +135,10 @@ func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines := map[string]laneStepper{}
-	for name, opt := range map[string]EngineOptions{
-		"default": {}, "pb": {SparseKernel: SparsePB}, "atomic": {AtomicFlipped: true}, "varint": {BlockEncoding: EncodingVarint},
-	} {
-		if engines[name], err = NewEngineOpts(ih, testPool, opt); err != nil {
+	for _, opt := range optionMatrix(t, func(o EngineOptions) bool {
+		return !o.Phased && !o.StaticFlipped && o.Health == spmv.HealthPolicy{} // the phased pipeline allocates its closures
+	}) {
+		if engines[optLabel(opt)], err = NewEngineOpts(ih, testPool, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +149,7 @@ func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 	if engines["sharded"], err = NewShardedEngine(sg, testPool); err != nil {
 		t.Fatal(err)
 	}
-	widths := []int{4, 2, 8, 3, 4}
+	widths := []int{4, 2, 8, 1, 3, 4}
 	for name, e := range engines {
 		lanes, src, dst := make([][][]float64, len(widths)), make([][]float64, len(widths)), make([][]float64, len(widths))
 		for i, k := range widths {
@@ -165,25 +171,142 @@ func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestStepBatchFaultThenWidthChange aborts a wide step with its hub
-// buffers dirty, then steps narrower and wide again: recoverState must
-// leave nothing in the lanes that the second wide step reslices in.
+// widthStepper is the stepping surface the alternation differential
+// drives, on the single and the sharded engine alike.
+type widthStepper interface {
+	laneStepper
+	StepBatchCtx(ctx context.Context, src, dst []float64, k int) error
+	StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(w, lo, hi int)) (bool, error)
+}
+
+// TestStepBatchFaultThenWidthChange is the width-alternation
+// differential. Scalar and K-wide steps share one set of hub buffers,
+// dirty ranges and bin values, so ONE engine runs Step, StepBatch(8),
+// Step, StepBatch(4), a cancelled and then a panicking StepBatchCtx(8)
+// — aborted with its buffers dirty — Step, an active-row step at 8
+// lanes, Step and StepBatch(8), and every result must hold the bits a
+// FRESH engine of the same options gives for that one step: nothing a
+// width, an abort or a staged row set left behind reaches the next step
+// (a refused active-row step must be refused by both and write nothing).
+// Over the whole option matrix, both engine types, 1-3 workers, on a
+// graph cut into several flipped blocks and on a resident one with none.
+// Integer lanes keep every sum independent of the schedule.
 func TestStepBatchFaultThenWidthChange(t *testing.T) {
-	e, _ := faultTestEngine(t, EngineOptions{})
-	n := e.NumVertices()
-	_, src := laneInputs(11, n, 8)
-	plan := faultinject.NewPlan(faultinject.Rule{Site: faultinject.SiteMergeBlock, Kind: faultinject.Panic})
-	faultinject.Activate(plan)
-	err := e.StepBatchCtx(nil, src, make([]float64, n*8), 8)
-	faultinject.Deactivate()
-	var ip *faultinject.InjectedPanic
-	if !errors.As(err, &ip) {
-		t.Fatalf("err = %v, want the injected panic", err)
+	const sentinel = -7.5
+	graphs := diffGraphs(t)
+	workerCounts := []int{1, 2, 3}
+	if testing.Short() {
+		workerCounts = []int{2}
 	}
-	for _, k := range []int{4, 8} {
-		lanes, src := laneInputs(uint64(12+k), n, k)
-		dst := make([]float64, n*k)
-		e.StepBatch(src, dst, k)
-		requireLanesMatchScalar(t, e, lanes, dst)
+	for _, build := range []struct {
+		name string
+		g    *graph.Graph
+		p    Params
+	}{
+		{"blocks", graphs["rmat"], Params{HubsPerBlock: 64}},
+		{"resident", graphs["web"], Params{}},
+	} {
+		n := build.g.NumV
+		ih, err := Build(build.g, build.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resident := len(ih.Blocks) == 0; resident != (build.name == "resident") {
+			t.Fatalf("%s: built %d flipped blocks", build.name, len(ih.Blocks))
+		}
+		src := map[int][]float64{}
+		var active spmv.RowSet
+		for _, k := range []int{1, 4, 8} {
+			src[k], active = sparseLaneInput(uint64(31+k), n, k, 3, false) // the k = 8 set is the one used
+		}
+		for _, workers := range workerCounts {
+			pool := sched.NewPool(workers)
+			defer pool.Close()
+			sg, err := BuildSharded(build.g, build.p, pool, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opt := range optionMatrix(t, nil) {
+				for kind, fresh := range map[string]func() (widthStepper, error){
+					"engine":  func() (widthStepper, error) { return NewEngineOpts(ih, pool, opt) },
+					"sharded": func() (widthStepper, error) { return NewShardedEngineOpts(sg, pool, opt) },
+				} {
+					label := fmt.Sprintf("%s/w%d/%s/%s", build.name, workers, kind, optLabel(opt))
+					e, err := fresh()
+					if err != nil {
+						t.Fatal(err)
+					}
+					// same runs one step on e and on a fresh engine and
+					// requires the same bits (and, for an active-row step,
+					// the same answer and the same touched rows).
+					same := func(step string, k int, activeRows bool) {
+						t.Helper()
+						ref, err := fresh()
+						if err != nil {
+							t.Fatal(err)
+						}
+						var out [2][]float64
+						var touched [2]spmv.RowSet
+						var honoured [2]bool
+						for i, eng := range []widthStepper{e, ref} {
+							out[i] = make([]float64, n*k)
+							touched[i] = spmv.NewRowSet(n)
+							switch {
+							case activeRows:
+								for j := range out[i] {
+									out[i][j] = sentinel
+								}
+								if honoured[i], err = eng.StepBatchActiveCtx(context.Background(), src[k], out[i], k, active, touched[i], nil); err != nil {
+									t.Fatalf("%s: %s: %v", label, step, err)
+								}
+							case k == 1:
+								eng.Step(src[k], out[i])
+							default:
+								eng.StepBatch(src[k], out[i], k)
+							}
+						}
+						if honoured[0] != honoured[1] {
+							t.Fatalf("%s: %s: honoured %v, fresh engine %v", label, step, honoured[0], honoured[1])
+						}
+						requireBitIdentical(t, label+": "+step, out[1], out[0])
+						for wi := range touched[1] {
+							if touched[0][wi] != touched[1][wi] {
+								t.Fatalf("%s: %s: touched word %d = %x, fresh engine %x", label, step, wi, touched[0][wi], touched[1][wi])
+							}
+						}
+					}
+					same("Step", 1, false)
+					same("StepBatch(8)", 8, false)
+					same("Step after 8", 1, false)
+					same("StepBatch(4)", 4, false)
+
+					cancelled, cancel := context.WithCancel(context.Background())
+					cancel()
+					if err := e.StepBatchCtx(cancelled, src[8], make([]float64, n*8), 8); !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s: cancelled step: err = %v", label, err)
+					}
+					// One of these sites is on every configuration's path,
+					// most of them after some task has dirtied a buffer.
+					faultinject.Activate(faultinject.NewPlan(
+						faultinject.Rule{Site: faultinject.SiteMergeBlock, Kind: faultinject.Panic},
+						faultinject.Rule{Site: faultinject.SiteSparsePart, Kind: faultinject.Panic},
+						faultinject.Rule{Site: faultinject.SiteSparseBin, Kind: faultinject.Panic},
+						faultinject.Rule{Site: faultinject.SiteFlippedTask, Kind: faultinject.Panic, After: 2},
+						faultinject.Rule{Site: faultinject.SiteSchedClaim, Kind: faultinject.Panic, After: 2},
+					))
+					err = e.StepBatchCtx(context.Background(), src[8], make([]float64, n*8), 8)
+					faultinject.Deactivate()
+					var perr *sched.PanicError
+					if !errors.As(err, &perr) {
+						t.Fatalf("%s: err = %v, want the injected panic", label, err)
+					}
+
+					same("Step after the aborts", 1, false)
+					same("active-row step", 8, true)
+					same("Step after active rows", 1, false)
+					same("StepBatch(8) after all", 8, false)
+				}
+			}
+		}
 	}
 }

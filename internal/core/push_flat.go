@@ -15,9 +15,9 @@ import (
 // (indices are graph data no BCE analysis can prove in range; see
 // spmv/unchecked.go for the safety argument).
 
-// pushTask pushes task bt into a worker-owned hub buffer under the
-// engine's encoding and the block's layout: the one place the fused
-// worker and the phased ablation pick a flipped kernel.
+// pushTask pushes task bt into a worker-owned hub buffer one lane wide,
+// under the engine's encoding and the block's layout: the width-1 arm
+// of pushTaskBatch.
 //
 //ihtl:noalloc
 func (e *Engine) pushTask(bt *blockTask, src, buf []float64) {
@@ -31,16 +31,19 @@ func (e *Engine) pushTask(bt *blockTask, src, buf []float64) {
 	}
 }
 
-// pushTaskBatch is pushTask with K-wide lanes, and the one place the
-// batched push picks its body: 8 lanes over flat topology and 4 over
-// packed gap rows have register-resident bodies (lanes.go), everything
-// else runs the generic lane loop. The K-lane kernels walk CSR whatever
+// pushTaskBatch pushes task bt k lanes wide, and is the one place the
+// fused worker and the phased ablation pick a dense flipped kernel: the
+// scalar bodies at one lane, the register-resident bodies (lanes.go) at
+// 8 lanes over flat topology and 4 over packed gap rows, the generic
+// lane loop for everything else. The K-lane kernels walk CSR whatever
 // the block's layout.
 //
 //ihtl:noalloc
 func (e *Engine) pushTaskBatch(k int, bt *blockTask, src, buf []float64) {
 	fb := &e.ih.Blocks[bt.block]
 	switch {
+	case k == 1:
+		e.pushTask(bt, src, buf)
 	case k == 8 && !e.varint:
 		pushTaskFlat8(bt, fb, src, buf)
 	case k == 4 && e.varint:
@@ -101,26 +104,6 @@ func pushTaskEdgeMajor(bt *blockTask, fb *FlippedBlock, adv []uint8, src, buf []
 	}
 }
 
-// pushTaskFlatAtomic is pushTaskFlat for the AtomicFlipped ablation:
-// CAS straight into the shared dst.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func pushTaskFlatAtomic(bt *blockTask, fb *FlippedBlock, src, dst []float64) {
-	idx, dsts := fb.Index, fb.Dsts
-	for s := bt.lo; s < bt.hi; s++ {
-		x := unchecked.At(src, s)
-		if spmv.SkipZero(x) {
-			continue
-		}
-		end := unchecked.At(idx, s+1)
-		for i := unchecked.At(idx, s); i < end; i++ {
-			spmv.AtomicAddFloat64(unchecked.PtrAt(dst, int(unchecked.At(dsts, int(i)))), x)
-		}
-	}
-}
-
 // pushTaskFlatBatch is pushTaskFlat with K-wide lanes, K a run-time
 // value: the fallback for what lanes.go has no fixed body for.
 //
@@ -139,28 +122,6 @@ func pushTaskFlatBatch(k int, bt *blockTask, fb *FlippedBlock, src, buf []float6
 			db := int(unchecked.At(dsts, int(i))) * k
 			for j, x := range xs {
 				unchecked.AddAt(buf, db+j, x)
-			}
-		}
-	}
-}
-
-// pushTaskFlatAtomicBatch is pushTaskFlatAtomic with K-wide lanes.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func pushTaskFlatAtomicBatch(k int, bt *blockTask, fb *FlippedBlock, src, dst []float64) {
-	idx, dsts := fb.Index, fb.Dsts
-	for s := bt.lo; s < bt.hi; s++ {
-		xs := unchecked.SliceAt(src, s*k, k)
-		if spmv.SkipZeroLanes(xs) {
-			continue
-		}
-		end := unchecked.At(idx, s+1)
-		for i := unchecked.At(idx, s); i < end; i++ {
-			db := int(unchecked.At(dsts, int(i))) * k
-			for j, x := range xs {
-				spmv.AtomicAddFloat64(unchecked.PtrAt(dst, db+j), x)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ package core
 //  4. drains destination buckets: replays each bucket's segments in
 //     ascending chunk order, ADDING onto the locally-computed dst
 //     (no zeroing: the local pipelines wrote every element);
-//  5. runs the shared epilogue/health sweep, as in Engine.runEpilogue.
+//  5. runs the shared epilogue/health sweep (stepShell.runEpilogue).
 //
 // Determinism. Inside a shard, the sub-engine's own argument applies
 // unchanged. For the exchange, the pb construction carries over: each
@@ -42,9 +42,14 @@ package core
 // pipeline over the full pool sequentially, then the exchange bin and
 // drain as two more dispatches — the ablation shape, kept for the
 // same reason Engine keeps stepPhased.
+//
+// Every step is K lanes wide (vertex-major interleaved, Step is k == 1):
+// each shard's sub-engine is set to the width, and the exchange reuses
+// its offsets, cursors and row array at every width — only the binned
+// contributions are K-wide (xBinVals, slot p's lanes at [p*k, (p+1)*k)),
+// exactly the split pbState and batchState.binVals make.
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -73,13 +78,13 @@ type xState struct {
 	// chunkBounds are numChunks+1 edge-balanced sharded-global source
 	// boundaries; a bin worker claims whole chunks.
 	chunkBounds []int
-	// binOff/binCur/binRows/binVals are the exact-capacity bucket-major
+	// binOff/binCur/binRows are the exact-capacity bucket-major
 	// segments, exactly as in pbState (segment of chunk c, bucket b at
-	// b*numChunks+c; cursors staged per chunk at claim time).
+	// b*numChunks+c; cursors staged per chunk at claim time); the binned
+	// contributions are ShardedEngine.xBinVals.
 	binOff  []int64
 	binCur  []int64
 	binRows []uint32
-	binVals []float64
 }
 
 // buildXState derives the worker-dependent exchange schedule from the
@@ -113,7 +118,6 @@ func buildXState(sg *ShardedIHTL, workers int) *xState {
 	}
 	x.binCur = make([]int64, B*C)
 	x.binRows = make([]uint32, len(sg.XRows))
-	x.binVals = make([]float64, len(sg.XRows))
 	return x
 }
 
@@ -127,14 +131,14 @@ type xClock struct {
 
 // ShardedEngine executes Algorithm 3 over a BuildSharded graph: every
 // shard's private fused pipeline plus the deterministic cross-shard
-// exchange, as one pool dispatch per step. It implements the same
-// stepping surface as Engine (Step/StepEpi/StepBatch and the Ctx
-// variants), in sharded-global ID space; use ShardedIHTL.NewID/OldID
-// or its Permute helpers to move vectors between ID spaces.
+// exchange, as one pool dispatch per step. It embeds the same step
+// shell as Engine (Step/StepEpi/StepBatch and the Ctx variants;
+// StepBatchActiveCtx answers honoured == false), in sharded-global ID
+// space; use ShardedIHTL.NewID/OldID or its Permute helpers to move
+// vectors between ID spaces.
 type ShardedEngine struct {
-	sg     *ShardedIHTL
-	pool   *sched.Pool
-	phased bool
+	stepShell
+	sg *ShardedIHTL
 
 	// engs are the per-shard sub-engines. In fused mode each is sized
 	// for its shard-affine worker group (groups); in phased mode each
@@ -144,38 +148,20 @@ type ShardedEngine struct {
 
 	// x is the exchange state (nil when no cross edges); binSched and
 	// drainSched hand out its chunks and buckets; xBarrier separates
-	// the bin and drain phases inside the fused dispatch.
+	// the bin and drain phases inside the fused dispatch. xBinVals are
+	// the binned contributions at the staged width (curK), grown to the
+	// widest width stepped.
 	x          *xState
 	binSched   *sched.StealScheduler
 	drainSched *sched.StealScheduler
 	xBarrier   *sched.Barrier
 	xClocks    []xClock
+	xBinVals   []float64
 
-	// Fused-dispatch staging, mirroring Engine's.
+	// Prebuilt dispatch bodies, so a step allocates nothing.
 	fusedJob       func(w int)
-	batchJob       func(w int)
-	curSrc, curDst []float64
-	curEpi         func(w, lo, hi int)
-	epiBarrier     *sched.Barrier
-	phasedEpiJob   func(w int)
 	phasedBinJob   func(w, c int)
 	phasedDrainJob func(w, b int)
-
-	// batchK is the staged batch width; xBinVals are the K-wide bin
-	// contributions (slot p's lanes at [p*k, (p+1)*k)), allocated on a
-	// width change and reused while the width is stable.
-	batchK   int
-	xBinVals []float64
-
-	// Numeric-health watchdog state, as in Engine.
-	health        spmv.HealthPolicy
-	healthArmed   bool
-	healthBad     []healthSlot
-	healthErr     *spmv.NumericError
-	curK          int
-	healthScanJob func(w, lo, hi int)
-
-	breakdown Breakdown
 }
 
 // NewShardedEngine prepares a sharded engine with default options.
@@ -184,7 +170,7 @@ func NewShardedEngine(sg *ShardedIHTL, pool *sched.Pool) (*ShardedEngine, error)
 }
 
 // NewShardedEngineOpts is NewShardedEngine with explicit options. The
-// options apply per shard (AtomicFlipped, SparseKernel, BlockEncoding
+// options apply per shard (StaticFlipped, SparseKernel, BlockEncoding
 // select every sub-engine's pipeline; Phased selects the sequential
 // ablation); Health is handled at the sharded level so the watchdog
 // scans the complete destination vector once. EngineOptions.Shards is
@@ -195,8 +181,9 @@ func NewShardedEngineOpts(sg *ShardedIHTL, pool *sched.Pool, opt EngineOptions) 
 	if sg == nil || pool == nil {
 		return nil, fmt.Errorf("core: nil ShardedIHTL or pool")
 	}
-	se := &ShardedEngine{sg: sg, pool: pool, phased: opt.Phased, health: opt.Health}
+	se := &ShardedEngine{sg: sg}
 	w := pool.Workers()
+	se.initShell(se, pool, sg.NumV, w, opt)
 	n := sg.NumShards()
 	subOpt := opt
 	subOpt.Health = spmv.HealthPolicy{}
@@ -223,46 +210,22 @@ func NewShardedEngineOpts(sg *ShardedIHTL, pool *sched.Pool, opt EngineOptions) 
 		se.xBarrier = sched.NewBarrier(w)
 	}
 	se.xClocks = make([]xClock, w)
-	se.epiBarrier = sched.NewBarrier(w)
 	se.fusedJob = se.fusedWorker
-	se.batchJob = se.batchWorker
-	se.phasedEpiJob = func(worker int) {
-		lo, hi := sched.SplitRange(se.sg.NumV, se.pool.Workers(), worker)
-		se.curEpi(worker, lo, hi)
-	}
 	se.phasedBinJob = func(worker, c int) {
 		faultinject.Fire(faultinject.SiteShardPush)
 		t0 := time.Now()
-		if se.curK == 1 {
-			se.xBinChunk(c, se.curSrc)
-		} else {
-			se.xBinChunkBatch(c, se.curSrc)
-		}
+		se.xBinChunkBatch(c, se.curSrc)
 		se.xClocks[worker].bin += time.Since(t0)
 	}
 	se.phasedDrainJob = func(worker, b int) {
 		faultinject.Fire(faultinject.SiteShardExchange)
 		t0 := time.Now()
-		if se.curK == 1 {
-			se.xDrainBucket(b, se.curDst)
-		} else {
-			se.xDrainBucketBatch(b, se.curDst)
-		}
+		se.xDrainBucketBatch(b, se.curDst)
 		se.xClocks[worker].drain += time.Since(t0)
 	}
-	se.healthBad = make([]healthSlot, w)
-	se.healthScanJob = se.healthScan
-	se.curK = 1
-	se.batchK = 1
+	se.setWidth(1)
 	return se, nil
 }
-
-// Workers returns the pool's worker count — the number of distinct
-// worker indices a StepEpi epilogue can observe.
-func (se *ShardedEngine) Workers() int { return se.pool.Workers() }
-
-// NumVertices implements spmv.Stepper.
-func (se *ShardedEngine) NumVertices() int { return se.sg.NumV }
 
 // Sharded returns the engine's sharded iHTL graph.
 func (se *ShardedEngine) Sharded() *ShardedIHTL { return se.sg }
@@ -270,171 +233,35 @@ func (se *ShardedEngine) Sharded() *ShardedIHTL { return se.sg }
 // NumShards returns the number of shards the engine executes over.
 func (se *ShardedEngine) NumShards() int { return len(se.engs) }
 
-// TakeBreakdown returns the accumulated phase breakdown (sub-engine
-// phases summed, plus the exchange's bin/drain split) and resets it.
-func (se *ShardedEngine) TakeBreakdown() Breakdown {
-	b := se.breakdown
-	se.breakdown = Breakdown{}
-	return b
-}
-
-// Step computes dst[v] = Σ_{u ∈ N⁻(v)} src[u] in sharded-global ID
-// space. src and dst must have length NumV and must not alias.
-//
-//ihtl:noalloc
-func (se *ShardedEngine) Step(src, dst []float64) { se.StepEpi(src, dst, nil) }
-
-// StepEpi is Step plus the fused element-wise epilogue, with
-// Engine.StepEpi's contract (worker indices in [0, Workers())).
-//
-//ihtl:noalloc
-func (se *ShardedEngine) StepEpi(src, dst []float64, epi func(w, lo, hi int)) {
-	if herr := se.stepEpi(src, dst, epi); herr != nil {
-		se.panicHealth(herr)
+// setWidth readies every shard's batch state and the exchange values
+// for width k, allocating only for a width wider than any before it
+// (see Engine.setWidth).
+func (se *ShardedEngine) setWidth(k int) {
+	for _, sub := range se.engs {
+		sub.setWidth(k)
+	}
+	if se.x != nil {
+		se.xBinVals = resized(se.xBinVals, len(se.x.binRows)*k)
 	}
 }
 
-func (se *ShardedEngine) panicHealth(herr *spmv.NumericError) {
-	panic(herr)
-}
+// setActive refuses: the shards have no active-row exchange.
+func (se *ShardedEngine) setActive(_, _ spmv.RowSet) bool { return false }
 
-//ihtl:noalloc
-func (se *ShardedEngine) stepEpi(src, dst []float64, epi func(w, lo, hi int)) *spmv.NumericError {
-	if len(src) != se.sg.NumV || len(dst) != se.sg.NumV {
-		panic("core: vector length mismatch")
-	}
-	se.armHealth(1)
-	if se.phased {
-		se.stepPhased(src, dst)
-		if se.healthArmed {
-			se.curDst = dst
-			se.pool.ForStatic(se.sg.NumV, se.healthScanJob)
-			se.curDst = nil
-		}
-		if epi != nil {
-			start := time.Now()
-			se.curEpi = epi
-			se.pool.Run(se.phasedEpiJob)
-			se.curEpi = nil
-			se.breakdown.Wall += time.Since(start)
-		}
-	} else {
-		se.curEpi = epi
-		se.stepFused(src, dst)
-		se.curEpi = nil
-	}
-	se.breakdown.Steps++
-	return se.collectHealth()
-}
-
-// StepCtx is Step with Engine.StepCtx's cancellation, panic-isolation
-// and post-failure recovery contract.
-func (se *ShardedEngine) StepCtx(ctx context.Context, src, dst []float64) error {
-	return se.StepEpiCtx(ctx, src, dst, nil)
-}
-
-// StepEpiCtx is StepEpi with the StepCtx contract.
-func (se *ShardedEngine) StepEpiCtx(ctx context.Context, src, dst []float64, epi func(w, lo, hi int)) error {
-	end, err := se.pool.Fallible(ctx)
-	if err != nil {
-		return err
-	}
-	herr := se.stepEpi(src, dst, epi)
-	if err := end(); err != nil {
-		se.recoverState()
-		return err
-	}
-	if herr != nil {
-		return herr
-	}
-	return nil
-}
-
-// recoverState restores the sharded engine's reusable cross-step state
-// after an aborted step: every sub-engine's buffers and barriers, plus
-// the exchange barrier and the epilogue barrier. The exchange bin
-// cursors need no recovery — every chunk re-stages its cursors at
-// claim time, like the pb kernel's.
-func (se *ShardedEngine) recoverState() {
+// recoverDriver restores every sub-engine's buffers and barriers and
+// the exchange barrier after an aborted step. The exchange bin cursors
+// need no recovery — every chunk re-stages its cursors at claim time,
+// like the pb kernel's.
+func (se *ShardedEngine) recoverDriver() {
 	for _, sub := range se.engs {
 		sub.recoverState()
 	}
 	if se.xBarrier != nil {
 		se.xBarrier.Reset()
 	}
-	se.epiBarrier.Reset()
 	for w := range se.xClocks {
 		se.xClocks[w] = xClock{}
 	}
-	se.curSrc, se.curDst, se.curEpi = nil, nil, nil
-	se.healthArmed = false
-}
-
-//ihtl:noalloc
-func (se *ShardedEngine) armHealth(k int) {
-	se.curK = k
-	se.healthErr = nil
-	if se.health.Mode == spmv.HealthOff {
-		se.healthArmed = false
-		return
-	}
-	se.healthArmed = se.health.Every <= 1 || se.breakdown.Steps%se.health.Every == 0
-	if se.healthArmed {
-		for i := range se.healthBad {
-			se.healthBad[i].count = 0
-			se.healthBad[i].first = 0
-		}
-	}
-}
-
-// healthScan is Engine.healthScan over the sharded-global destination
-// vector (same poison site, so fault plans address sharded steps the
-// same way).
-//
-//ihtl:noalloc
-func (se *ShardedEngine) healthScan(w, lo, hi int) {
-	k := se.curK
-	dst := se.curDst
-	flo, fhi := lo*k, hi*k
-	if fhi > flo {
-		dst[flo] = faultinject.Poison(faultinject.SiteStepHealth, dst[flo])
-	}
-	clamp := se.health.Mode == spmv.HealthClamp
-	slot := &se.healthBad[w]
-	for i := flo; i < fhi; i++ {
-		if !isFinite(dst[i]) {
-			if slot.count == 0 {
-				slot.first = int64(i)
-			}
-			slot.count++
-			if clamp {
-				dst[i] = 0
-			}
-		}
-	}
-}
-
-func (se *ShardedEngine) collectHealth() *spmv.NumericError {
-	if !se.healthArmed {
-		return nil
-	}
-	var count int64
-	first := -1
-	for w := range se.healthBad {
-		s := &se.healthBad[w]
-		if s.count == 0 {
-			continue
-		}
-		count += s.count
-		if first < 0 || int(s.first) < first {
-			first = int(s.first)
-		}
-	}
-	if count == 0 || se.health.Mode == spmv.HealthClamp {
-		return nil
-	}
-	se.healthErr = &spmv.NumericError{Count: count, First: first, Rollback: se.health.Mode == spmv.HealthRollback}
-	return se.healthErr
 }
 
 // stageShards stages every shard's fused state over its subvector of
@@ -442,9 +269,10 @@ func (se *ShardedEngine) collectHealth() *spmv.NumericError {
 //
 //ihtl:noalloc
 func (se *ShardedEngine) stageShards(src, dst []float64) {
+	k := se.curK
 	for s, sub := range se.engs {
-		lo, hi := se.sg.Bounds[s], se.sg.Bounds[s+1]
-		sub.stageFused(src[lo:hi], dst[lo:hi])
+		lo, hi := se.sg.Bounds[s]*k, se.sg.Bounds[s+1]*k
+		sub.stage(src[lo:hi], dst[lo:hi])
 	}
 	if se.x != nil {
 		se.binSched.Reset(se.x.numChunks)
@@ -463,7 +291,7 @@ func (se *ShardedEngine) stepFused(src, dst []float64) {
 	se.pool.Run(se.fusedJob)
 	se.curSrc, se.curDst = nil, nil
 	for _, sub := range se.engs {
-		sub.unstageFused()
+		sub.unstage()
 	}
 	se.harvest()
 	se.breakdown.Wall += time.Since(start)
@@ -505,27 +333,6 @@ func (se *ShardedEngine) fusedWorker(w int) {
 	se.runEpilogue(w)
 }
 
-// runEpilogue mirrors Engine.runEpilogue with the pool-wide barrier:
-// the epilogue and health scan may read any dst element, complete only
-// once every shard's pipeline and the exchange drain finish.
-//
-//ihtl:noalloc
-func (se *ShardedEngine) runEpilogue(w int) {
-	if se.curEpi == nil && !se.healthArmed {
-		return
-	}
-	if !se.epiBarrier.WaitAbort(se.pool) {
-		return
-	}
-	lo, hi := sched.SplitRange(se.sg.NumV, len(se.xClocks), w)
-	if se.healthArmed {
-		se.healthScan(w, lo, hi)
-	}
-	if se.curEpi != nil {
-		se.curEpi(w, lo, hi)
-	}
-}
-
 // binWorker claims exchange source chunks by range stealing.
 //
 //ihtl:noalloc
@@ -537,7 +344,7 @@ func (se *ShardedEngine) binWorker(w int, src []float64) {
 		}
 		faultinject.Fire(faultinject.SiteShardPush)
 		for c := lo; c < hi; c++ {
-			se.xBinChunk(c, src)
+			se.xBinChunkBatch(c, src)
 		}
 	}
 }
@@ -561,7 +368,7 @@ func (se *ShardedEngine) xBinChunk(c int, src []float64) {
 	}
 	shift := x.shift
 	xIndex, xRows := x.xIndex, x.xRows
-	binRows, binVals := x.binRows, x.binVals
+	binRows, binVals := x.binRows, se.xBinVals
 	sLo, sHi := unchecked.At(x.chunkBounds, c), unchecked.At(x.chunkBounds, c+1)
 	for s := sLo; s < sHi; s++ {
 		v := unchecked.At(src, s)
@@ -591,7 +398,7 @@ func (se *ShardedEngine) drainWorker(w int, dst []float64) {
 		}
 		faultinject.Fire(faultinject.SiteShardExchange)
 		for b := lo; b < hi; b++ {
-			se.xDrainBucket(b, dst)
+			se.xDrainBucketBatch(b, dst)
 		}
 	}
 }
@@ -610,7 +417,7 @@ func (se *ShardedEngine) xDrainBucket(b int, dst []float64) {
 	x := se.x
 	C := x.numChunks
 	binOff, binCur := x.binOff, x.binCur
-	binRows, binVals := x.binRows, x.binVals
+	binRows, binVals := x.binRows, se.xBinVals
 	for c := 0; c < C; c++ {
 		seg := b*C + c
 		end := unchecked.At(binCur, seg)
@@ -621,7 +428,7 @@ func (se *ShardedEngine) xDrainBucket(b int, dst []float64) {
 }
 
 // harvest folds the sub-engines' per-worker phase clocks (already
-// gathered into their breakdowns by unstageFused or stepPhased) and
+// gathered into their breakdowns by unstage or stepPhased) and
 // the exchange clocks into the sharded breakdown. Sub-engine Wall and
 // Steps are dropped — the sharded engine records its own.
 func (se *ShardedEngine) harvest() {
@@ -649,8 +456,9 @@ func (se *ShardedEngine) harvest() {
 // dispatches (the dispatch boundary is the bin/drain barrier).
 func (se *ShardedEngine) stepPhased(src, dst []float64) {
 	start := time.Now()
+	k := se.curK
 	for s, sub := range se.engs {
-		lo, hi := se.sg.Bounds[s], se.sg.Bounds[s+1]
+		lo, hi := se.sg.Bounds[s]*k, se.sg.Bounds[s+1]*k
 		sub.stepPhased(src[lo:hi], dst[lo:hi])
 	}
 	if se.x != nil {

@@ -29,21 +29,6 @@ func shardedStepOldSpace(se *ShardedEngine, srcOld []float64) []float64 {
 	return dstOld
 }
 
-// shardedDiffOptions is the engine-config axis of the sharded
-// differential: both pipelines, the atomic ablation, every sparse
-// kernel, and both block encodings.
-func shardedDiffOptions() map[string]EngineOptions {
-	return map[string]EngineOptions{
-		"fused":       {},
-		"phased":      {Phased: true},
-		"atomic":      {AtomicFlipped: true},
-		"pull-degree": {SparseKernel: SparsePullDegree},
-		"pb":          {SparseKernel: SparsePB},
-		"varint":      {BlockEncoding: EncodingVarint},
-		"pb-varint":   {SparseKernel: SparsePB, BlockEncoding: EncodingVarint},
-	}
-}
-
 // TestShardedStepDifferential pins sharded execution (N ∈ {2, 4}) to
 // the spmv.Pull baseline — and therefore to the unsharded engine,
 // which the fused differential pins to the same baseline — bit-for-bit
@@ -77,12 +62,12 @@ func TestShardedStepDifferential(t *testing.T) {
 					if name != "paper" && sg.CrossEdges() == 0 {
 						t.Fatalf("%d-shard cut of %s has no cross edges; the exchange is untested", nshards, name)
 					}
-					for optName, opt := range shardedDiffOptions() {
+					for _, opt := range optionMatrix(t, nil) {
 						se, err := NewShardedEngineOpts(sg, pool, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						label := fmt.Sprintf("n%d/%s", nshards, optName)
+						label := fmt.Sprintf("n%d/%s", nshards, optLabel(opt))
 						requireBitIdentical(t, label, wantInt, shardedStepOldSpace(se, srcInt))
 						// Second step on the same engine: the exchange
 						// cursors and every sub-engine's buffers must have

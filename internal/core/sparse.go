@@ -136,9 +136,9 @@ type pbState struct {
 	// reads up to the cursor, not the next offset.
 	binOff []int64
 	binCur []int64
-	// binRows/binVals are the binned (row, contribution) pairs.
+	// binRows are the binned rows; their contributions, k lanes a slot,
+	// are batchState.binVals.
 	binRows []uint32
-	binVals []float64
 }
 
 // buildPB transposes the sparse block and sizes the bin segments.
@@ -202,7 +202,6 @@ func buildPB(ih *IHTL, workers int) *pbState {
 	}
 	pb.binCur = make([]int64, B*C)
 	pb.binRows = make([]uint32, len(srcs))
-	pb.binVals = make([]float64, len(srcs))
 	return pb
 }
 
@@ -274,7 +273,9 @@ func (e *Engine) resetSparseScheds() {
 // sparseWorker runs worker w's share of the configured sparse kernel
 // inside the fused dispatch and records its phase clocks: sparse busy
 // time for the pull kernels, separate bin/drain busy time for the
-// propagation-blocked kernel.
+// propagation-blocked kernel. The claim loops below serve every width:
+// each claimed part goes to its *Batch switch (sparse_batch.go), which
+// hands a one-lane dense step to the scalar part body here.
 //
 //ihtl:noalloc
 func (e *Engine) sparseWorker(w int, src, dst []float64) {
@@ -325,13 +326,13 @@ func (e *Engine) sparsePullWorker(w int, src, dst []float64) {
 		}
 		faultinject.Fire(faultinject.SiteSparsePart)
 		for p := lo; p < hi; p++ {
-			e.sparsePullPart(p, src, dst)
+			e.sparsePullPartBatch(&e.batch, p, src, dst)
 		}
 	}
 }
 
-// sparsePullPart pulls part p of the uniform schedule: rows
-// [sparseBounds[p], sparseBounds[p+1]) of the sparse block.
+// sparsePullPart pulls part p of the uniform schedule one lane wide:
+// rows [sparseBounds[p], sparseBounds[p+1]) of the sparse block.
 //
 //ihtl:noalloc
 //ihtl:nobce
@@ -419,7 +420,7 @@ func (e *Engine) sparseHeavyWorker(w int, src, dst []float64) {
 		}
 		faultinject.Fire(faultinject.SiteSparsePart)
 		for p := lo; p < hi; p++ {
-			e.sparseHeavyPart(p, src, dst)
+			e.sparseHeavyPartBatch(&e.batch, p, src, dst)
 		}
 	}
 }
@@ -467,7 +468,7 @@ func (e *Engine) sparseLightWorker(w int, src, dst []float64) {
 		}
 		faultinject.Fire(faultinject.SiteSparsePart)
 		for p := lo; p < hi; p++ {
-			e.sparseLightPart(p, src, dst)
+			e.sparseLightPartBatch(&e.batch, p, src, dst)
 		}
 	}
 }
@@ -544,7 +545,7 @@ func (e *Engine) pbBinWorker(w int, src []float64) {
 		}
 		faultinject.Fire(faultinject.SiteSparseBin)
 		for c := lo; c < hi; c++ {
-			e.pbBinChunk(c, src)
+			e.pbBinChunkBatch(&e.batch, c, src)
 		}
 	}
 }
@@ -567,7 +568,7 @@ func (e *Engine) pbBinChunk(c int, src []float64) {
 	}
 	shift := pb.shift
 	pushIndex, pushRows := pb.pushIndex, pb.pushRows
-	binRows, binVals := pb.binRows, pb.binVals
+	binRows, binVals := pb.binRows, e.batch.binVals
 	sLo, sHi := unchecked.At(pb.chunkBounds, c), unchecked.At(pb.chunkBounds, c+1)
 	for s := sLo; s < sHi; s++ {
 		x := unchecked.At(src, s)
@@ -597,7 +598,7 @@ func (e *Engine) pbDrainWorker(w int, dst []float64) {
 		}
 		faultinject.Fire(faultinject.SiteSparseDrain)
 		for b := lo; b < hi; b++ {
-			e.pbDrainBucket(b, dst)
+			e.pbDrainBucketBatch(&e.batch, b, dst)
 		}
 	}
 }
@@ -627,7 +628,7 @@ func (e *Engine) pbDrainBucket(b int, dst []float64) {
 	clear(dst[base+rowLo : base+rowHi]) //ihtl:allow-boundscheck clamped range; clear() is the runtime memclr
 	C := pb.numChunks
 	binOff, binCur := pb.binOff, pb.binCur
-	binRows, binVals := pb.binRows, pb.binVals
+	binRows, binVals := pb.binRows, e.batch.binVals
 	for c := 0; c < C; c++ {
 		seg := b*C + c
 		end := unchecked.At(binCur, seg)

@@ -1,85 +1,35 @@
 package core
 
-// K-wide (StepBatch) variants of the sparse kernels in sparse.go. The
-// schedule state is shared with the scalar path — same chunk bounds,
-// same segment offsets and cursors, same heavy/light parts — only the
-// contributions are K lanes wide: bin slot p's lanes live at
-// batchState.binVals[p*k : (p+1)*k], mirroring the vertex-major
-// interleave of the vectors themselves. The determinism argument of
-// sparse.go applies per lane unchanged.
+// The width switches of the sparse parts and their K-lane forms. Every
+// claim loop of sparse.go and every phase-3 dispatch of the phased
+// pipeline hands a part to one of the *Batch functions here, which
+// picks its body once per part: the active-row pull (active.go) when
+// the step is one, else the scalar part of sparse.go at one lane, else
+// the lane loop below. The schedule state does not depend on the width
+// — same chunk bounds, same segment offsets and cursors, same
+// heavy/light parts — only the contributions are K lanes wide: bin
+// slot p's lanes live at batchState.binVals[p*k : (p+1)*k], mirroring
+// the vertex-major interleave of the vectors themselves. The
+// determinism argument of sparse.go applies per lane unchanged.
 
 import (
-	"time"
-
-	"ihtl/internal/faultinject"
 	"ihtl/internal/spmv"
 	"ihtl/internal/unchecked"
 )
 
-// sparseWorkerBatch is sparseWorker with K-wide lanes: it runs worker
-// w's share of the configured sparse kernel and records the same
-// per-phase clocks.
+// sparsePullPartBatch pulls part p of the uniform schedule at width
+// b.k, partial sums accumulated in place in dst's contiguous lane rows,
+// which each destination owns exclusively.
 //
 //ihtl:noalloc
-func (e *Engine) sparseWorkerBatch(b *batchState, w int, src, dst []float64) {
-	clk := &e.clocks[w]
-	switch e.sparseKernel {
-	case SparsePullDegree:
-		t0 := time.Now()
-		e.sparseHeavyWorkerBatch(b, w, src, dst)
-		e.sparseLightWorkerBatch(b, w, src, dst)
-		clk.sparse += time.Since(t0)
-	case SparsePB:
-		if e.pb == nil {
-			return
-		}
-		t0 := time.Now()
-		e.pbBinWorkerBatch(b, w, src)
-		t1 := time.Now()
-		clk.bin += t1.Sub(t0)
-		if !e.binBarrier.WaitAbort(e.pool) {
-			return
-		}
-		t2 := time.Now()
-		e.pbDrainWorkerBatch(b, w, dst)
-		clk.drain += time.Since(t2)
-	default:
-		t0 := time.Now()
-		e.sparsePullWorkerBatch(b, w, src, dst)
-		clk.sparse += time.Since(t0)
-	}
-}
-
-// sparsePullWorkerBatch drains the baseline K-wide pull with partial
-// sums accumulated in place in dst's contiguous lane rows, which each
-// destination owns exclusively.
-//
-//ihtl:noalloc
-func (e *Engine) sparsePullWorkerBatch(b *batchState, w int, src, dst []float64) {
-	nparts := len(e.sparseBounds) - 1
-	if nparts <= 0 {
-		return
-	}
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.sparseSched.Next(w, 1)
-		if !ok {
-			return
-		}
-		faultinject.Fire(faultinject.SiteSparsePart)
-		for p := lo; p < hi; p++ {
-			e.sparsePullRangeBatch(b, e.sparseBounds[p], e.sparseBounds[p+1], src, dst)
-		}
-	}
-}
-
-// sparsePullRangeBatch pulls rows [lo, hi) K lanes wide. Like the heavy
-// and light parts below, an active-row step (active.go) hands its rows
-// to pullRowsActive instead.
-//
-//ihtl:noalloc
-func (e *Engine) sparsePullRangeBatch(b *batchState, lo, hi int, src, dst []float64) {
+func (e *Engine) sparsePullPartBatch(b *batchState, p int, src, dst []float64) {
+	lo, hi := e.sparseBounds[p], e.sparseBounds[p+1]
 	if b.active != nil {
 		pullRowsActive(b.k, &e.ih.Sparse, lo, hi, noDegreeCap, b.active, b.touched, src, dst)
+		return
+	}
+	if b.k == 1 {
+		e.sparsePullPart(p, src, dst)
 		return
 	}
 	for i := lo; i < hi; i++ {
@@ -127,29 +77,15 @@ func (e *Engine) pullRowGeneric(i, k int, src, out []float64) {
 	}
 }
 
-// sparseHeavyWorkerBatch claims heavy-list parts like its scalar
-// counterpart; rows stay whole per worker.
+// sparseHeavyPartBatch pulls part p of the heavy-row list at width b.k;
+// rows stay whole per worker.
 //
 //ihtl:noalloc
-func (e *Engine) sparseHeavyWorkerBatch(b *batchState, w int, src, dst []float64) {
-	nparts := len(e.heavyBounds) - 1
-	if nparts <= 0 {
+func (e *Engine) sparseHeavyPartBatch(b *batchState, p int, src, dst []float64) {
+	if b.k == 1 && b.active == nil {
+		e.sparseHeavyPart(p, src, dst)
 		return
 	}
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.auxSched.Next(w, 1)
-		if !ok {
-			return
-		}
-		faultinject.Fire(faultinject.SiteSparsePart)
-		for p := lo; p < hi; p++ {
-			e.sparseHeavyPartBatch(b, p, src, dst)
-		}
-	}
-}
-
-//ihtl:noalloc
-func (e *Engine) sparseHeavyPartBatch(b *batchState, p int, src, dst []float64) {
 	sp := &e.ih.Sparse
 	for _, row := range sp.Heavy[e.heavyBounds[p]:e.heavyBounds[p+1]] {
 		if b.active != nil {
@@ -160,26 +96,9 @@ func (e *Engine) sparseHeavyPartBatch(b *batchState, p int, src, dst []float64) 
 	}
 }
 
-// sparseLightWorkerBatch pulls the short rows in coarse chunks.
+// sparseLightPartBatch pulls the short rows of light part p at width
+// b.k, skipping the heavy rows the list schedule owns.
 //
-//ihtl:noalloc
-func (e *Engine) sparseLightWorkerBatch(b *batchState, w int, src, dst []float64) {
-	nparts := len(e.lightBounds) - 1
-	if nparts <= 0 {
-		return
-	}
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.sparseSched.Next(w, 1)
-		if !ok {
-			return
-		}
-		faultinject.Fire(faultinject.SiteSparsePart)
-		for p := lo; p < hi; p++ {
-			e.sparseLightPartBatch(b, p, src, dst)
-		}
-	}
-}
-
 //ihtl:noalloc
 func (e *Engine) sparseLightPartBatch(b *batchState, p int, src, dst []float64) {
 	sp := &e.ih.Sparse
@@ -188,25 +107,13 @@ func (e *Engine) sparseLightPartBatch(b *batchState, p int, src, dst []float64) 
 		pullRowsActive(b.k, sp, e.lightBounds[p], e.lightBounds[p+1], heavy, b.active, b.touched, src, dst)
 		return
 	}
+	if b.k == 1 {
+		e.sparseLightPart(p, src, dst)
+		return
+	}
 	for i := e.lightBounds[p]; i < e.lightBounds[p+1]; i++ {
 		if sp.Index[i+1]-sp.Index[i] < heavy {
 			e.pullRowLanes(i, b.k, src, dst)
-		}
-	}
-}
-
-// pbBinWorkerBatch claims source chunks for the K-wide bin phase.
-//
-//ihtl:noalloc
-func (e *Engine) pbBinWorkerBatch(b *batchState, w int, src []float64) {
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.sparseSched.Next(w, 1)
-		if !ok {
-			return
-		}
-		faultinject.Fire(faultinject.SiteSparseBin)
-		for c := lo; c < hi; c++ {
-			e.pbBinChunkBatch(b, c, src)
 		}
 	}
 }
@@ -219,6 +126,10 @@ func (e *Engine) pbBinWorkerBatch(b *batchState, w int, src []float64) {
 func (e *Engine) pbBinChunkBatch(bs *batchState, c int, src []float64) {
 	pb := e.pb
 	k := bs.k
+	if k == 1 {
+		e.pbBinChunk(c, src)
+		return
+	}
 	C := pb.numChunks
 	for b := 0; b < pb.numBuckets; b++ {
 		pb.binCur[b*C+c] = pb.binOff[b*C+c]
@@ -242,23 +153,6 @@ func (e *Engine) pbBinChunkBatch(bs *batchState, c int, src []float64) {
 	}
 }
 
-// pbDrainWorkerBatch claims whole destination buckets for the K-wide
-// drain phase.
-//
-//ihtl:noalloc
-func (e *Engine) pbDrainWorkerBatch(b *batchState, w int, dst []float64) {
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.auxSched.Next(w, 1)
-		if !ok {
-			return
-		}
-		faultinject.Fire(faultinject.SiteSparseDrain)
-		for bkt := lo; bkt < hi; bkt++ {
-			e.pbDrainBucketBatch(b, bkt, dst)
-		}
-	}
-}
-
 // pbDrainBucketBatch is pbDrainBucket with K-wide accumulation.
 //
 //ihtl:noalloc
@@ -266,6 +160,10 @@ func (e *Engine) pbDrainBucketBatch(bs *batchState, b int, dst []float64) {
 	pb := e.pb
 	sp := &e.ih.Sparse
 	k := bs.k
+	if k == 1 {
+		e.pbDrainBucket(b, dst)
+		return
+	}
 	n := e.ih.NumV - sp.DestLo
 	rowLo := b << pb.shift
 	rowHi := rowLo + (1 << pb.shift)

@@ -138,21 +138,3 @@ func TestStaticFlippedBatchLanesMatchScalar(t *testing.T) {
 		})
 	}
 }
-
-// TestStaticFlippedRejectsAtomic: the CAS ablation's merge order is
-// schedule-dependent no matter how tasks are assigned, so the
-// combination must be refused at construction rather than silently
-// producing a nondeterministic "deterministic" engine.
-func TestStaticFlippedRejectsAtomic(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(7, 6, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ih, err := Build(g, Params{HubsPerBlock: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewEngineOpts(ih, testPool, EngineOptions{StaticFlipped: true, AtomicFlipped: true}); err == nil {
-		t.Fatal("StaticFlipped+AtomicFlipped accepted")
-	}
-}

@@ -13,7 +13,8 @@ package spmv
 // computes dst[v*k+j] = Σ_{u ∈ N⁻(v)} src[u*k+j] for every vertex v
 // and lane j < k. src and dst must have length NumVertices()*k and be
 // vertex-major interleaved. Implementations must make StepBatch with
-// k == 1 semantically identical to Step.
+// k == 1 semantically identical to Step (the baselines here delegate it
+// to Step; the core engines run Step as StepBatch at k == 1).
 type BatchStepper interface {
 	Stepper
 	StepBatch(src, dst []float64, k int)

@@ -65,9 +65,6 @@ func (m HealthMode) String() string {
 // one exists, so the scan adds no extra dispatch.
 type HealthPolicy struct {
 	Mode HealthMode
-	// Every scans only every Every-th step (<= 1 scans every step).
-	// The counter is the engine's lifetime step count.
-	Every int
 }
 
 // Armed reports whether the policy requires any scanning at all.
