@@ -56,7 +56,7 @@ func TestCLIPipeline(t *testing.T) {
 	// varint sections must come out smaller than the flat v1 adjacency.
 	ihtl2Path := filepath.Join(dir, "g.ihtl2")
 	out = run("ihtlconvert", "-i", ihtlPath, "-from", "ihtl", "-to", "ihtlv2", "-o", ihtl2Path)
-	if !strings.Contains(out, "iHTL graph") {
+	if !strings.Contains(out, "iHTL graph") || !strings.Contains(out, "packed adjacency stream") {
 		t.Fatalf("ihtlconvert -from ihtl output: %s", out)
 	}
 	v1Info, err := os.Stat(ihtlPath)
@@ -69,6 +69,18 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if v2Info.Size() >= v1Info.Size() {
 		t.Fatalf("v2 engine file %d B >= v1 %d B", v2Info.Size(), v1Info.Size())
+	}
+
+	// Left to the default B this graph is resident: the writer keeps its
+	// adjacency raw, says so, and so does a re-read of that file.
+	rawPath := filepath.Join(dir, "g-resident.ihtl2")
+	out = run("ihtlconvert", "-i", graphPath, "-to", "ihtlv2", "-o", rawPath)
+	if !strings.Contains(out, "resident:") || !strings.Contains(out, "raw adjacency stream") {
+		t.Fatalf("ihtlconvert default build output: %s", out)
+	}
+	out = run("ihtlconvert", "-i", rawPath, "-from", "ihtl", "-to", "ihtlv2", "-o", filepath.Join(dir, "g-resident-again.ihtl2"))
+	if !strings.Contains(out, "0 blocks, raw v2 stream") || !strings.Contains(out, "raw adjacency stream") {
+		t.Fatalf("ihtlconvert -from ihtl on a raw file: %s", out)
 	}
 
 	flatInfo, err := os.Stat(graphPath)
@@ -85,7 +97,7 @@ func TestCLIPipeline(t *testing.T) {
 
 	// Reports.
 	out = run("graphinfo", "-i", graphPath, "-hubs-per-block", "256", "-reuse")
-	for _, want := range []string{"in-degree:", "asymmetricity", "iHTL structure", "reuse-distance"} {
+	for _, want := range []string{"in-degree:", "asymmetricity", "iHTL structure", "packed adjacency stream", "reuse-distance"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("graphinfo missing %q:\n%s", want, out)
 		}

@@ -69,6 +69,7 @@ func main() {
 	}
 	fmt.Printf("  topology:        %.2f MiB vs %.2f MiB CSC (%.1f%% overhead)\n",
 		float64(s.TopologyBytes)/(1<<20), float64(s.CSCBytes)/(1<<20), 100*s.OverheadFrac)
+	fmt.Printf("  v2 engine file:  %s adjacency stream\n", ih.V2Stream())
 
 	printLayouts(os.Stdout, ih.BlockShapes())
 	printCompression(os.Stdout, ih)

@@ -14,7 +14,10 @@
 //	ihtlconvert -i graph.bin -to edgelist -o graph.txt
 //
 // -from ihtl reads a serialised engine file of either version, so old
-// v1 binaries upgrade to the mmap-friendly v2 layout in one pass.
+// v1 binaries upgrade to the mmap-friendly v2 layout in one pass. A v2
+// file's adjacency stream is raw for a graph built resident (no flipped
+// block: all vertex data fits the cache B is sized from) and packed gap
+// rows for every other; the writer picks, and both lines below say which.
 package main
 
 import (
@@ -63,7 +66,7 @@ func main() {
 		fatal(err)
 	}
 	if ih != nil {
-		fmt.Printf("loaded %s: iHTL graph, %d vertices, %d edges, %d blocks\n", *in, ih.NumV, ih.NumE, len(ih.Blocks))
+		fmt.Printf("loaded %s: iHTL graph, %d vertices, %d edges, %d blocks, %s v2 stream\n", *in, ih.NumV, ih.NumE, len(ih.Blocks), ih.V2Stream())
 		if *to != "ihtl" && *to != "ihtlv2" {
 			fatal(fmt.Errorf("-from ihtl supports only -to ihtl or -to ihtlv2, not %q", *to))
 		}
@@ -90,6 +93,7 @@ func main() {
 		return built
 	}
 
+	var v2Stream string
 	switch *to {
 	case "flat":
 		err = g.SaveFile(*out)
@@ -102,7 +106,9 @@ func main() {
 		b.EnsureFlatTopology() // the v1 format stores the flat adjacency
 		err = b.SaveFile(*out)
 	case "ihtlv2":
-		err = buildIHTL().SaveFileV2(*out)
+		b := buildIHTL()
+		v2Stream = ", " + b.V2Stream() + " adjacency stream"
+		err = b.SaveFileV2(*out)
 	default:
 		err = fmt.Errorf("unknown output format %q", *to)
 	}
@@ -113,7 +119,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s (%.2f MiB)\n", *out, float64(info.Size())/(1<<20))
+	fmt.Printf("wrote %s (%.2f MiB%s)\n", *out, float64(info.Size())/(1<<20), v2Stream)
 }
 
 func fatal(err error) {

@@ -110,6 +110,15 @@ type laneSnap struct {
 // retry, exactly like RunPersonalizedPageRankCtx; lanes that already
 // emitted are never re-emitted after a rollback.
 func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *sched.Pool, lanes []LaneRequest, opt PageRankOptions, onDone func(LaneResult)) error {
+	return new(PPRWorkspace).RunLanes(ctx, e, outDeg, pool, lanes, opt, onDone)
+}
+
+// RunLanes is RunPPRLanes on the workspace's arrays — the inverse
+// degrees, the three n×K arrays and the rollback snapshot's ranks — so
+// a caller that runs batch after batch (the daemon: one workspace per
+// slot) allocates and first-touches them once. A LaneResult's Ranks are
+// still a private copy.
+func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *sched.Pool, lanes []LaneRequest, opt PageRankOptions, onDone func(LaneResult)) error {
 	n := e.NumVertices()
 	k := len(lanes)
 	if k == 0 {
@@ -128,15 +137,10 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 		return fmt.Errorf("analytics: RunPPRLanes does not support Resume (spool whole batches via RunPersonalizedPageRankCtx)")
 	}
 
-	invDeg := make([]float64, n)
-	for v, d := range outDeg {
-		if d > 0 {
-			invDeg[v] = 1 / float64(d)
-		}
+	if err := ws.prepare(ctx, pool, outDeg, n, k); err != nil {
+		return err
 	}
-	ranks := make([]float64, n*k)
-	contrib := make([]float64, n*k)
-	sums := make([]float64, n*k)
+	invDeg, ranks, contrib, sums := ws.invDeg, ws.ranks, ws.contrib, ws.sums
 	dangling := make([]float64, k)
 	deltas := make([]float64, k)
 	active := make([]bool, k)
@@ -157,8 +161,10 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 	}
 	sw.srcRows = distinctAscending(sw.sources)
 
-	// The sweep runs dense here: the daemon's packed engines have no
-	// active-row kernels (DESIGN.md §8 "Active rows").
+	// The sweep runs dense here, on a packed engine and on the flat one
+	// a raw file gives alike: the batches of the graph the daemon is
+	// measured on fill within two Steps, so row sets here would see no
+	// traffic (DESIGN.md §8 "Active rows").
 	cfe, ctxFused := e.(batchCtxFusedStepper)
 	fe, fused := e.(batchFusedStepper)
 	ce, ctxPlain := e.(spmv.BatchCtxStepper)
@@ -224,8 +230,9 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 	retries := 0
 	takeSnapshot := func(iterDone int) {
 		if snap == nil {
+			ws.snapRanks, _ = sized(ws.snapRanks, n*k)
 			snap = &laneSnap{
-				ranks:    make([]float64, n*k),
+				ranks:    ws.snapRanks,
 				dangling: make([]float64, k),
 				active:   make([]bool, k),
 			}

@@ -3,6 +3,7 @@ package analytics
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -121,6 +122,67 @@ func TestLanesBitIdenticalToSolo(t *testing.T) {
 				t.Fatalf("lane %d rank[%d] = %v, solo %v", j, v, r.Ranks[v], solo.Ranks[v])
 			}
 		}
+	}
+}
+
+// TestLanesWorkspaceReuse: one workspace carried from batch to batch,
+// as a daemon slot carries it — widths up and down, a library Run on
+// the same arrays in between — gives every batch the bits a fresh
+// RunPPRLanes gives it, and once it has seen the widest batch its n×K
+// arrays are not allocated again.
+func TestLanesWorkspaceReuse(t *testing.T) {
+	e, deg, srcs := laneTestEngine(t, 9, 4)
+	opt := PageRankOptions{MaxIters: 40, Tol: 1e-6, RedistributeDangling: true, CheckpointEvery: 4}
+	var ws PPRWorkspace
+	run := func(ws *PPRWorkspace, lanes []LaneRequest) map[int]LaneResult {
+		got := map[int]LaneResult{}
+		if err := ws.RunLanes(nil, e, deg, testPool, lanes, opt, func(r LaneResult) { got[r.Lane] = r }); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for i, width := range []int{4, 2, 4, 1, 3} {
+		lanes := make([]LaneRequest, width)
+		for j := range lanes {
+			lanes[j] = LaneRequest{Source: srcs[(i+j)%len(srcs)]}
+		}
+		if i == 3 { // a run of the other driver on the same arrays
+			if _, err := ws.Run(nil, e, deg, testPool, srcs[:2], opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := run(&ws, lanes), run(new(PPRWorkspace), lanes)
+		for j := range lanes {
+			g, w := got[j], want[j]
+			if g.Status != w.Status || g.Iters != w.Iters || math.Float64bits(g.Delta) != math.Float64bits(w.Delta) || len(g.Ranks) != len(w.Ranks) {
+				t.Fatalf("batch %d lane %d: %v after %d iterations, fresh workspace %v after %d", i, j, g.Status, g.Iters, w.Status, w.Iters)
+			}
+			for v := range w.Ranks {
+				if math.Float64bits(g.Ranks[v]) != math.Float64bits(w.Ranks[v]) {
+					t.Fatalf("batch %d lane %d rank[%d] = %v, fresh workspace %v", i, j, v, g.Ranks[v], w.Ranks[v])
+				}
+			}
+		}
+	}
+	lanes := []LaneRequest{{Source: srcs[0]}, {Source: srcs[1]}, {Source: srcs[2]}, {Source: srcs[3]}}
+	n := len(deg)
+	perBatch := func(ws func() *PPRWorkspace) float64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		const batches = 5
+		for i := 0; i < batches; i++ {
+			run(ws(), lanes)
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / batches
+	}
+	kept := perBatch(func() *PPRWorkspace { return &ws })
+	fresh := perBatch(func() *PPRWorkspace { return new(PPRWorkspace) })
+	// A fresh workspace allocates invDeg, three n×4 arrays and the
+	// snapshot, 17·n floats, on top of what both allocate (the emitted
+	// rank copies, 4·n floats, among it).
+	if arrays := float64(17 * n * 8); fresh-kept < 0.9*arrays {
+		t.Errorf("a kept workspace allocates %.0f B a batch, a fresh one %.0f B: the %.0f B of arrays are not being kept", kept, fresh, arrays)
 	}
 }
 

@@ -103,11 +103,13 @@ func RunPersonalizedPageRank(e spmv.BatchStepper, outDeg []int, pool *sched.Pool
 // 0.4 GB, 0.5–0.9 s of page faults beside 0.6 s of compute at n = 1.5 M,
 // K = 8, and only on the runs whose memory the runtime had handed back,
 // so run times spread 2× (DESIGN.md §8) — so a caller that runs batch
-// after batch keeps one workspace and calls Run on it. The zero value is
-// ready; it grows to the largest run and must not be shared by
-// concurrent Runs.
+// after batch keeps one workspace and calls Run (or, for lanes that end
+// one by one, RunLanes) on it. The zero value is ready; it grows to the
+// largest run and must not be shared by concurrent runs.
 type PPRWorkspace struct {
 	invDeg, ranks, contrib, sums []float64
+	// snapRanks is RunLanes' rollback snapshot of ranks.
+	snapRanks []float64
 	// contribRows, rankRows: the rows of contrib and of ranks that may
 	// hold a lane other than +0.0; touched: the rows of sums the last
 	// active-row Step wrote. Maintained only while a run is in the
@@ -172,55 +174,10 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 		}
 	}
 
-	// ranks and contrib start all-zero but for the source rows. sums is
-	// not cleared: a dense Step writes every row of it and the rows an
-	// active-row Step leaves alone are never read. After a run that
-	// ended in the active-row mode only the rows rankRows names hold
-	// anything, and only they are wiped.
-	var staleRanks, staleContrib bool
-	ws.invDeg, _ = sized(ws.invDeg, n)
-	ws.ranks, staleRanks = sized(ws.ranks, n*k)
-	ws.contrib, staleContrib = sized(ws.contrib, n*k)
-	ws.sums, _ = sized(ws.sums, n*k)
+	if err := ws.prepare(ctx, pool, outDeg, n, k); err != nil {
+		return PPRResult{}, err
+	}
 	invDeg, ranks, contrib, sums := ws.invDeg, ws.ranks, ws.contrib, ws.sums
-	span := n * k
-	wipe := func(_, lo, hi int) {
-		if staleRanks {
-			clear(ranks[lo:hi])
-		}
-		if staleContrib {
-			clear(contrib[lo:hi])
-		}
-	}
-	if ws.sparse == [2]int{n, k} {
-		rows := ws.rankRows
-		span = len(rows)
-		wipe = func(_, lo, hi int) {
-			for wi := lo; wi < hi; wi++ {
-				for m := rows[wi]; m != 0; m &= m - 1 {
-					vb := (wi<<6 + bits.TrailingZeros64(m)) * k
-					clear(ranks[vb : vb+k])
-					clear(contrib[vb : vb+k])
-				}
-			}
-		}
-	}
-	ws.sparse = [2]int{}
-	switch {
-	case !staleRanks && !staleContrib:
-	case pool == nil:
-		wipe(0, 0, span)
-	default:
-		if err := pool.ForStaticCtx(ctx, span, wipe); err != nil {
-			return PPRResult{}, err
-		}
-	}
-	for v, d := range outDeg {
-		invDeg[v] = 0
-		if d > 0 {
-			invDeg[v] = 1 / float64(d)
-		}
-	}
 
 	// The active-row mode needs an engine with the entry, arrays whose
 	// non-zero rows this run itself has written (not a checkpoint's), and
@@ -412,6 +369,60 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 		ws.sparse = [2]int{n, k}
 	}
 	return res, nil
+}
+
+// prepare sizes the workspace's arrays for a run of k lanes over n
+// vertices and leaves ranks and contrib all +0.0 and invDeg filled from
+// outDeg. sums is not cleared: a dense Step writes every row of it and
+// the rows an active-row Step leaves alone are never read. After a run
+// that ended in the active-row mode only the rows rankRows names hold
+// anything, and only they are wiped.
+func (ws *PPRWorkspace) prepare(ctx context.Context, pool *sched.Pool, outDeg []int, n, k int) error {
+	var staleRanks, staleContrib bool
+	ws.invDeg, _ = sized(ws.invDeg, n)
+	ws.ranks, staleRanks = sized(ws.ranks, n*k)
+	ws.contrib, staleContrib = sized(ws.contrib, n*k)
+	ws.sums, _ = sized(ws.sums, n*k)
+	invDeg, ranks, contrib := ws.invDeg, ws.ranks, ws.contrib
+	span := n * k
+	wipe := func(_, lo, hi int) {
+		if staleRanks {
+			clear(ranks[lo:hi])
+		}
+		if staleContrib {
+			clear(contrib[lo:hi])
+		}
+	}
+	if ws.sparse == [2]int{n, k} {
+		rows := ws.rankRows
+		span = len(rows)
+		wipe = func(_, lo, hi int) {
+			for wi := lo; wi < hi; wi++ {
+				for m := rows[wi]; m != 0; m &= m - 1 {
+					vb := (wi<<6 + bits.TrailingZeros64(m)) * k
+					clear(ranks[vb : vb+k])
+					clear(contrib[vb : vb+k])
+				}
+			}
+		}
+	}
+	ws.sparse = [2]int{}
+	switch {
+	case !staleRanks && !staleContrib:
+	case pool == nil:
+		wipe(0, 0, span)
+	default:
+		if err := pool.ForStaticCtx(ctx, span, wipe); err != nil {
+			return err
+		}
+	}
+	for v, d := range outDeg {
+		invDeg[v] = 0
+		if d > 0 {
+			invDeg[v] = 1 / float64(d)
+		}
+	}
+	return nil
 }
 
 // restoreContrib recomputes the contribution vector from restored

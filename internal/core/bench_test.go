@@ -65,32 +65,44 @@ func BenchmarkShortRowKernel(b *testing.B) {
 }
 
 // BenchmarkLaneKernel times the K-lane flipped push and sparse pull of
-// the two (topology, width) pairs that have a register-resident body —
-// flat at 8 lanes, packed gap rows at 4 — each through the run-time-K
-// loop ("generic") and through the body the engine selects ("fixed"),
-// on one thread over an R-MAT of the benchmark's small-resident shape
-// (scale 14, all in L2). Kernels are called directly, every task and
-// row in order: the number is the inner loop's, per edge-lane.
-// DESIGN.md §8 records the table.
+// the (topology, width) pairs that have a register-resident body —
+// flat at 8 lanes and packed gap rows at 4 on a graph that flips, and
+// the 4-lane pull over the same graph built resident, which has no push:
+// flat rows (what the daemon runs on a raw file) beside packed ones
+// (what it ran on the packed file of that graph) — each through the
+// run-time-K loop ("generic") and through the body the engine selects
+// ("fixed"), on one thread over an R-MAT of the benchmark's
+// small-resident shape (scale 14, all in L2). Kernels are called
+// directly, every task and row in order: the number is the inner
+// loop's, per edge-lane. DESIGN.md §8 records the table.
 func BenchmarkLaneKernel(b *testing.B) {
 	g, err := gen.RMAT(gen.DefaultRMAT(14, 16, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ih, err := Build(g, Params{HubsPerBlock: flipB}) // resident by default: no push to time
+	flipped, err := Build(g, Params{HubsPerBlock: flipB})
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows := ih.NumV - ih.Sparse.DestLo
+	resident, err := Build(g, Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
+		ih   *IHTL
 		enc  BlockEncoding
 		k    int
-	}{{"flat", EncodingFlat, 8}, {"packed", EncodingVarint, 4}} {
+	}{
+		{"flat", flipped, EncodingFlat, 8}, {"packed", flipped, EncodingVarint, 4},
+		{"resident-flat", resident, EncodingFlat, 4}, {"resident-packed", resident, EncodingVarint, 4},
+	} {
+		ih := c.ih
 		e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull, BlockEncoding: c.enc})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows := ih.NumV - ih.Sparse.DestLo
 		k := c.k
 		src := make([]float64, ih.NumV*k)
 		for i := range src {
@@ -103,6 +115,22 @@ func BenchmarkLaneKernel(b *testing.B) {
 		}
 		for _, body := range []string{"generic", "fixed"} {
 			fixed := body == "fixed"
+			b.Run(fmt.Sprintf("pull/%s/k%d/%s", c.name, k, body), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for r := 0; r < rows; r++ {
+						if fixed {
+							e.pullRowLanes(r, k, src, dst)
+						} else {
+							db := (ih.Sparse.DestLo + r) * k
+							e.pullRowGeneric(r, k, src, dst[db:db+k:db+k])
+						}
+					}
+				}
+				perLane(b, ih.Sparse.NumEdges())
+			})
+			if len(ih.Blocks) == 0 {
+				continue
+			}
 			b.Run(fmt.Sprintf("push/%s/k%d/%s", c.name, k, body), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for t := range e.blockTasks {
@@ -118,19 +146,6 @@ func BenchmarkLaneKernel(b *testing.B) {
 					}
 				}
 				perLane(b, ih.FlippedEdges())
-			})
-			b.Run(fmt.Sprintf("pull/%s/k%d/%s", c.name, k, body), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for r := 0; r < rows; r++ {
-						if fixed {
-							e.pullRowLanes(r, k, src, dst)
-						} else {
-							db := (ih.Sparse.DestLo + r) * k
-							e.pullRowGeneric(r, k, src, dst[db:db+k:db+k])
-						}
-					}
-				}
-				perLane(b, ih.Sparse.NumEdges())
 			})
 		}
 	}

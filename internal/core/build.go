@@ -152,8 +152,11 @@ type IHTL struct {
 	// hubs (Table 5).
 	MinHubDegree int
 
-	params     Params
-	resident   bool // the build flipped nothing because Params.resident held
+	params Params
+	// resident: the build flipped nothing because Params.resident held
+	// (or ih was opened from the raw v2 file of such a build). It picks
+	// the v2 stream format (WriteToV2).
+	resident   bool
 	buildStats BuildBreakdown
 
 	// lazyMu serialises the lazy, idempotent derivations over the

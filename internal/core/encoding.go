@@ -33,8 +33,9 @@ type BlockEncoding int
 
 const (
 	// EncodingAuto picks varint when only the encoded topology is
-	// resident (a graph opened from a v2 engine file without flat
-	// sections), flat otherwise.
+	// resident (a graph opened from a packed v2 engine file), flat
+	// otherwise: a graph built in memory, and one opened from a raw v2
+	// file, whose flat Srcs are the mapped section itself.
 	EncodingAuto BlockEncoding = iota
 	// EncodingFlat traverses the flat Dsts/Srcs arrays, materialising
 	// them first if only the encoded form is resident.
@@ -74,7 +75,8 @@ func ParseBlockEncoding(s string) (BlockEncoding, error) {
 
 // EncodedOnly reports whether any block of ih carries edges only in
 // encoded form (flat adjacency not resident) — the state of a graph
-// opened lazily from a v2 varint engine file.
+// opened lazily from a packed v2 engine file, never of one opened from
+// a raw file.
 func (ih *IHTL) EncodedOnly() bool {
 	for b := range ih.Blocks {
 		fb := &ih.Blocks[b]

@@ -62,7 +62,9 @@ var optionValues = map[string][]any{
 	"Health": {spmv.HealthPolicy{}, spmv.HealthPolicy{Mode: spmv.HealthRollback}},
 	// SparseAuto is SparsePullDegree.
 	"SparseKernel": {SparseAuto, SparsePull, SparsePB},
-	// EncodingAuto is flat on a graph built in memory.
+	// EncodingAuto is flat on a graph built in memory and on one opened
+	// from a raw v2 file (TestV2RawFileDifferential steps both over every
+	// row), packed on one opened from a packed file.
 	"BlockEncoding": {EncodingAuto, EncodingVarint},
 	// Sharding enters through BuildSharded: the suites that cover it
 	// build both engine types from each row.

@@ -5,12 +5,15 @@ import (
 	"testing"
 
 	"ihtl/internal/graph"
+	"ihtl/internal/sched"
 )
 
-// FuzzReadIHTL guards the iHTL binary decoder: arbitrary bytes must
-// either fail cleanly or decode into a structurally sound iHTL graph
-// (inverse relabeling arrays, in-range block destinations, edge
-// conservation — all checked inside ReadIHTL).
+// FuzzReadIHTL guards the iHTL binary decoders — ReadIHTL takes every
+// version, a v2 file through parseV2: arbitrary bytes must either fail
+// cleanly or decode into a structurally sound iHTL graph (inverse
+// relabeling arrays, in-range block destinations, edge conservation —
+// all checked inside), and a raw v2 file that is accepted must be safe
+// under the kernels that will walk it unchecked.
 func FuzzReadIHTL(f *testing.F) {
 	ih, err := Build(graph.PaperExample(), Params{HubsPerBlock: 2})
 	if err != nil {
@@ -25,7 +28,22 @@ func FuzzReadIHTL(f *testing.F) {
 	data := append([]byte(nil), buf.Bytes()...)
 	data[len(data)/2] ^= 0xA5
 	f.Add(data)
+	// A raw v2 file (a resident build), whole and with an id damaged.
+	res, err := Build(graph.PaperExample(), Params{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := res.WriteToV2(&buf); err != nil || res.V2Stream() != "raw" {
+		f.Fatal(err, res.V2Stream())
+	}
+	f.Add(buf.Bytes())
+	data = append([]byte(nil), buf.Bytes()...)
+	data[len(data)-64] ^= 0x0F
+	f.Add(data)
 
+	pool := sched.NewPool(1)
+	f.Cleanup(pool.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadIHTL(bytes.NewReader(data))
 		if err != nil {
@@ -34,5 +52,16 @@ func FuzzReadIHTL(f *testing.F) {
 		if got.FlippedEdges()+got.Sparse.NumEdges() != got.NumE {
 			t.Fatal("decoder accepted inconsistent edge counts")
 		}
+		if !got.resident {
+			return
+		}
+		// An accepted raw file is stepped as it is, by the unchecked flat
+		// kernels (-tags=ihtlchecked: a stray access panics).
+		e, err := NewEngineOpts(got, pool, EngineOptions{})
+		if err != nil {
+			t.Fatalf("accepted raw file builds no engine: %v", err)
+		}
+		e.Step(integerVec(1, got.NumV), make([]float64, got.NumV))
+		e.StepBatch(integerVec(2, 4*got.NumV), make([]float64, 4*got.NumV), 4)
 	})
 }

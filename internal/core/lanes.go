@@ -7,10 +7,12 @@ import (
 	"ihtl/internal/unchecked"
 )
 
-// Register-resident lane kernels: the K-lane push and pull for the two
+// Register-resident lane kernels: the K-lane push and pull for the
 // (width, topology) pairs the benchmark puts traffic on — 8 lanes over
-// flat topology (the ppr8 rung on the default engine) and 4 lanes over
-// packed gap rows (the daemon's Lanes on its mapped engine). With K a
+// flat topology (the ppr8 rung on the default engine), 4 lanes over
+// packed gap rows (the daemon's Lanes on a mapped packed engine) and the
+// 4-lane pull over flat rows (the daemon's Lanes on a raw file, which
+// has no flipped block to push). With K a
 // compile-time constant a source row's lanes are loaded into locals
 // once per row, a hub's lanes are updated through an array pointer at
 // constant offsets, and a pulled row is summed in locals stored once —
@@ -21,8 +23,8 @@ import (
 // independent and each keeps its order of additions and its +0.0
 // start: bit-for-bit the generic loop. DESIGN.md §8 has the counts.
 // Engine.pushTaskBatch and Engine.pullRowLanes are the only callers;
-// every other pair (flat 4 and packed 8 among them) runs the generic
-// loop until a workload measures it.
+// every other pair (the flat 4-lane push and packed 8 among them) runs
+// the generic loop until a workload measures it.
 
 // pushTaskFlat8 is pushTaskFlatBatch at k = 8.
 //
@@ -100,6 +102,23 @@ func pullRowFlat8(srcs []graph.VID, lo, hi int64, src []float64, out *[8]float64
 		a7 += x[7]
 	}
 	out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = a0, a1, a2, a3, a4, a5, a6, a7
+}
+
+// pullRowFlat4 is pullRowFlat8 four lanes wide.
+//
+//ihtl:noalloc
+//ihtl:nobce
+//ihtl:noescape
+func pullRowFlat4(srcs []graph.VID, lo, hi int64, src []float64, out *[4]float64) {
+	var a0, a1, a2, a3 float64
+	for jj := lo; jj < hi; jj++ {
+		x := unchecked.Lanes4At(src, int(unchecked.At(srcs, int(jj)))*4)
+		a0 += x[0]
+		a1 += x[1]
+		a2 += x[2]
+		a3 += x[3]
+	}
+	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 }
 
 // pullRowEnc4 is pullRowFlat8 four lanes wide over the packed row whose

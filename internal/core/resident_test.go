@@ -186,7 +186,10 @@ func TestNonResidentBuildUnchanged(t *testing.T) {
 }
 
 // TestResidentEqualsDegreeFloor: the rule's zero-hub graph and the one
-// a MinHubDegree above every in-degree leaves are the same graph.
+// a MinHubDegree above every in-degree leaves are the same graph — the
+// same v1 bytes. Their v2 files differ in the stream format alone: an
+// explicit B is an instruction to flip, so the floor graph is written
+// packed, as the parent commit wrote both.
 func TestResidentEqualsDegreeFloor(t *testing.T) {
 	for gname, g := range residentGraphs(t) {
 		rule, err := Build(g, Params{})
@@ -201,8 +204,25 @@ func TestResidentEqualsDegreeFloor(t *testing.T) {
 		if floor.Stats(g).Resident {
 			t.Errorf("%s: a degree-floor graph claims the resident rule", gname)
 		}
-		if !bytes.Equal(v2Bytes(t, rule), v2Bytes(t, floor)) {
-			t.Errorf("%s: v2 files differ", gname)
+		var a, b bytes.Buffer
+		if _, err := rule.WriteTo(&a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := floor.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: v1 files differ", gname)
+		}
+		if rule.V2Stream() != "raw" || floor.V2Stream() != "packed" {
+			t.Errorf("%s: v2 streams %s / %s, want raw / packed", gname, rule.V2Stream(), floor.V2Stream())
+		}
+		packed, err := parseV2(v2Bytes(t, floor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !packed.EncodedOnly() || packed.resident {
+			t.Errorf("%s: the degree-floor graph's v2 file did not open packed", gname)
 		}
 	}
 }
@@ -319,6 +339,9 @@ func TestResidentFilesAndFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if e.Encoding() != EncodingFlat || !ef.IHTL().Stats(g).Resident {
+			t.Fatalf("the file of a resident graph opened %v, resident %v; want the raw file, flat and resident", e.Encoding(), ef.IHTL().Stats(g).Resident)
+		}
 		e.Step(src, dst)
 		requireBitIdentical(t, "engine over the v2 file", want, dst)
 	})
@@ -346,6 +369,12 @@ func TestResidentFilesAndFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ef.Close()
+		// The blobs of a v3 file are v2 files: resident shards are raw.
+		for s, sh := range ef.Sharded().Shards {
+			if !sh.resident || sh.EncodedOnly() {
+				t.Fatalf("shard %d of the opened v3 file is not the raw blob of a resident shard", s)
+			}
+		}
 		isrc := integerVec(5, n)
 		iwant := referenceStep(g, isrc)
 		for name, sgx := range map[string]*ShardedIHTL{"built": sg, "opened": ef.Sharded()} {

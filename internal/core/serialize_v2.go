@@ -1,8 +1,8 @@
 package core
 
-// Version-2 engine-file format: the compressed blocks of encoding.go
-// stored in section-aligned segments so a serialised engine can be
-// mapped straight into the address space and paged in lazily.
+// Version-2 engine-file format: the blocks of an IHTL stored in
+// section-aligned segments so a serialised engine can be mapped
+// straight into the address space and paged in lazily.
 //
 // Layout (all integers little-endian, every section start padded to a
 // 64-byte boundary):
@@ -10,7 +10,7 @@ package core
 //	header   magic u64, version u32 = 2, numV u32, numE u64,
 //	         numHubs u32, numVWEH u32, numFV u32, hubsPerBlock u32,
 //	         minHubDeg u32, numBlocks u32, destLo u32,
-//	         streamFormat u32 = 1, pad → 64 B
+//	         streamFormat u32 = 1 | 2, pad → 64 B
 //	newid    [numV]u32 raw
 //	oldid    [numV]u32 raw
 //	per flipped block:
@@ -20,7 +20,8 @@ package core
 //	sparse:
 //	  meta     lenIdx u64
 //	  index    [lenIdx]i64 raw
-//	  chunked  adjacency (below)
+//	  chunked  adjacency (below)        — streamFormat 1
+//	  raw      adjacency (further below) — streamFormat 2
 //
 // A chunked adjacency segment is the on-disk form of compress.Chunked:
 //
@@ -30,15 +31,30 @@ package core
 //	byteoff  [nOff]i64 raw
 //	data     [lenData]u8 — the packed gap rows and their 3-byte pad
 //
-// streamFormat names the encoding inside the data sections. It sits in
-// what was zero padding while the streams were LEB128 varints (format
-// 0, retired: no decoder is kept), so a file of that era is refused by
-// name instead of being misparsed as packed rows (format 1).
+// A raw adjacency segment is the sparse block's Srcs as they sit in
+// memory:
 //
-// Only the Index arrays and the chunked segments are stored: the flat
-// Dsts/Srcs adjacency is redundant (EnsureFlatTopology re-materialises
-// it on demand), and the degree buckets are derived (EnsureDegreeBuckets
-// reads only Index). On little-endian hosts every raw array section is
+//	meta     lenSrcs u64 (= index[lenIdx-1])
+//	srcs     [lenSrcs]u32 raw
+//
+// streamFormat names the encoding of the adjacency, and the writer
+// picks it from the graph and from nothing else: a graph built in the
+// resident regime (Params.resident: B derived, all vertex data in the
+// cache B is sized from, so no flipped block) is written raw, format 2
+// — its topology sits in cache beside its vertex data either way, so
+// the gap decode would buy no bytes that matter and costs instructions
+// on every edge (DESIGN.md §18) — and every other graph packed, format
+// 1, every block of it. The word sits in what was zero padding while
+// the streams were LEB128 varints (format 0, retired: no decoder is
+// kept), so a file of that era is refused by name instead of being
+// misparsed.
+//
+// In a packed file only the Index arrays and the chunked segments are
+// stored: the flat Dsts/Srcs adjacency is redundant (EnsureFlatTopology
+// re-materialises it on demand), and the degree buckets are derived
+// (EnsureDegreeBuckets reads only Index); in a raw file Srcs is the
+// stored form and the packed one is what EnsureEncoded derives. On
+// little-endian hosts every raw array section is
 // aliased in place — opening a file allocates O(blocks) metadata, not
 // O(edges); on big-endian or misaligned mappings the sections are
 // copied element-wise, which keeps the format portable at the cost of
@@ -54,6 +70,7 @@ import (
 
 	"ihtl/internal/atomicio"
 	"ihtl/internal/compress"
+	"ihtl/internal/graph"
 )
 
 const (
@@ -61,7 +78,21 @@ const (
 	// v2StreamPacked is the header's streamFormat for
 	// compress.Chunked's fixed-width packed rows.
 	v2StreamPacked = uint32(1)
+	// v2StreamRaw is the streamFormat of a resident graph's file: no
+	// flipped block, the sparse block's Srcs one raw u32 section.
+	v2StreamRaw = uint32(2)
 )
+
+// V2Stream names the adjacency stream format of ih's v2 engine file —
+// the one WriteToV2 writes and, for a graph opened from a v2 file, the
+// one that file holds: "raw" for a graph built in the resident regime,
+// "packed" for every other.
+func (ih *IHTL) V2Stream() string {
+	if ih.resident {
+		return "raw"
+	}
+	return "packed"
+}
 
 // hostLittle reports whether this host is little-endian; when true the
 // raw sections of a v2 file alias directly into the mapping.
@@ -70,11 +101,12 @@ var hostLittle = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// WriteToV2 serialises ih in the version-2 chunked format. A block
-// whose encoded form is not resident is encoded for the write only:
-// saving a flat-resident graph does not leave a second copy of its
-// topology cached on it. The lazy-derivation lock is held throughout,
-// so the write sees stable forms next to concurrent engine
+// WriteToV2 serialises ih in the version-2 format, raw when ih was
+// built in the resident regime and packed otherwise. A block
+// whose stored form is not resident is encoded (or, raw, decoded) for
+// the write only: saving a flat-resident graph does not leave a second
+// copy of its topology cached on it. The lazy-derivation lock is held
+// throughout, so the write sees stable forms next to concurrent engine
 // construction.
 func (ih *IHTL) WriteToV2(w io.Writer) (int64, error) {
 	ih.lazyMu.Lock()
@@ -91,7 +123,11 @@ func (ih *IHTL) WriteToV2(w io.Writer) (int64, error) {
 	vw.u32(uint32(ih.MinHubDegree))
 	vw.u32(uint32(len(ih.Blocks)))
 	vw.u32(uint32(ih.Sparse.DestLo))
-	vw.u32(v2StreamPacked)
+	if ih.resident {
+		vw.u32(v2StreamRaw)
+	} else {
+		vw.u32(v2StreamPacked)
+	}
 	vw.pad64()
 	vw.rawU32(ih.NewID)
 	vw.pad64()
@@ -117,11 +153,23 @@ func (ih *IHTL) WriteToV2(w io.Writer) (int64, error) {
 	vw.pad64()
 	vw.rawI64(ih.Sparse.Index)
 	vw.pad64()
-	enc := ih.Sparse.Enc
-	if enc == nil && len(ih.Sparse.Index) > 0 {
-		enc = compress.EncodeChunked(ih.Sparse.Index, ih.Sparse.Srcs, 0)
+	sp := &ih.Sparse
+	if ih.resident {
+		srcs := sp.Srcs
+		if srcs == nil && sp.Enc != nil { // DropFlatTopology ran
+			srcs = decodeFlat(sp.Enc)
+		}
+		vw.u64(uint64(len(srcs)))
+		vw.pad64()
+		vw.rawU32(srcs)
+		vw.pad64()
+	} else {
+		enc := sp.Enc
+		if enc == nil && len(sp.Index) > 0 {
+			enc = compress.EncodeChunked(sp.Index, sp.Srcs, 0)
+		}
+		vw.chunked(enc)
 	}
-	vw.chunked(enc)
 	if vw.err == nil {
 		vw.err = vw.w.Flush()
 	}
@@ -245,9 +293,9 @@ func (vw *v2writer) chunked(ck *compress.Chunked) {
 
 // EngineFile is an engine graph opened from disk. Version-2 files stay
 // backed by their (typically memory-mapped) byte range: the IHTL's
-// Index arrays and chunked adjacency alias the mapping and page in on
-// first touch. Version-1 files are decoded into resident memory, so
-// old files keep working everywhere.
+// Index arrays and its adjacency, chunked or raw, alias the mapping and
+// page in on first touch. Version-1 files are decoded into resident
+// memory, so old files keep working everywhere.
 type EngineFile struct {
 	ih     *IHTL
 	sg     *ShardedIHTL
@@ -283,10 +331,12 @@ func (ef *EngineFile) Close() error {
 
 // OpenEngineFile opens a serialised engine graph of either version.
 // Version-2 files are memory-mapped read-only where the platform
-// allows (with a read-into-memory fallback), validated, and exposed
-// encoded-only — NewEngine's auto encoding then runs varint over the
-// mapping without materialising the flat adjacency. Version-1 files
-// fall back to the resident ReadIHTL decoder.
+// allows (with a read-into-memory fallback), validated, and exposed in
+// the form they store: a packed file encoded-only — NewEngine's auto
+// encoding then runs varint over the mapping without materialising the
+// flat adjacency — and a raw file flat, its Srcs the mapped section, so
+// auto runs the flat kernels over it with nothing decoded. Version-1
+// files fall back to the resident ReadIHTL decoder.
 func OpenEngineFile(path string) (*EngineFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -542,9 +592,55 @@ func (c *v2cursor) chunked(label string, maxDst uint32, index []int64) (*compres
 	return ck, nil
 }
 
+// rawRows parses the raw adjacency segment of the sparse block, whose
+// row offsets are index, and gates it the way chunked gates a packed one. The
+// declared length is held against the bytes that are left and against
+// the index before the section is aliased; then one pass that allocates
+// nothing proves what the unchecked flat kernels and a later
+// EnsureEncoded take on trust: index is the CSR offset array of exactly
+// these ids, every id is below maxID, and no row descends (equal
+// neighbours are parallel edges, as a 0 gap is in a packed row).
+func (c *v2cursor) rawRows(maxID uint32, index []int64) ([]graph.VID, error) {
+	n, err := c.u64()
+	if err != nil {
+		return nil, err
+	}
+	c.align64()
+	if left := int64(len(c.data)) - c.off; left < 0 || n > uint64(left)/4 {
+		return nil, fmt.Errorf("core: raw adjacency of %d ids truncated at offset %d of %d bytes", n, c.off, len(c.data))
+	}
+	rows := len(index) - 1
+	if rows < 0 || index[0] != 0 || uint64(index[rows]) != n {
+		return nil, fmt.Errorf("core: raw adjacency holds %d ids, the index of %d offsets does not start at 0 and end there", n, len(index))
+	}
+	srcs, err := c.aliasU32(int(n))
+	if err != nil {
+		return nil, err
+	}
+	c.align64()
+	for r := 0; r < rows; r++ {
+		lo, hi := index[r], index[r+1]
+		if lo > hi || hi > int64(n) {
+			return nil, fmt.Errorf("core: row %d spans [%d, %d) of %d raw ids", r, lo, hi, n)
+		}
+		prev := uint32(0)
+		for _, id := range srcs[lo:hi] {
+			if id >= maxID {
+				return nil, fmt.Errorf("core: row %d raw id %d out of range %d", r, id, maxID)
+			}
+			if id < prev {
+				return nil, fmt.Errorf("core: row %d raw ids descend (%d after %d)", r, id, prev)
+			}
+			prev = id
+		}
+	}
+	return srcs, nil
+}
+
 // parseV2 decodes (mostly: aliases) a version-2 byte range into an
-// encoded-only IHTL, re-running the structural checks of the v1 reader
-// plus the chunked-stream validation.
+// IHTL that holds the form the file stores — encoded-only for a packed
+// file, flat and resident for a raw one — re-running the structural
+// checks of the v1 reader plus the stream validation.
 //
 //ihtl:nopanic
 func parseV2(data []byte) (*IHTL, error) {
@@ -581,9 +677,14 @@ func parseV2(data []byte) (*IHTL, error) {
 			return nil, err
 		}
 	}
-	if streamFormat != v2StreamPacked {
-		return nil, fmt.Errorf("core: adjacency stream format %d is not the packed-row format %d (format 0 is the retired LEB128 encoding, which is no longer decoded): re-create the file with ihtlconvert from the graph or a v1 engine file",
-			streamFormat, v2StreamPacked)
+	raw := streamFormat == v2StreamRaw
+	if !raw && streamFormat != v2StreamPacked {
+		return nil, fmt.Errorf("core: adjacency stream format %d is neither the packed-row format %d nor the raw format %d (format 0 is the retired LEB128 encoding, which is no longer decoded): re-create the file with ihtlconvert from the graph or a v1 engine file",
+			streamFormat, v2StreamPacked, v2StreamRaw)
+	}
+	if raw && (numBlocks != 0 || numHubs != 0 || numVWEH != 0 || destLo != 0) {
+		return nil, fmt.Errorf("core: raw adjacency stream (format %d) is the file of a graph that flips nothing, this header declares %d flipped blocks, %d hubs, %d VWEH and a sparse block from %d",
+			v2StreamRaw, numBlocks, numHubs, numVWEH, destLo)
 	}
 	if numE > 1<<40 || numBlocks > 1<<20 {
 		return nil, fmt.Errorf("core: implausible header (E=%d, blocks=%d)", numE, numBlocks)
@@ -654,7 +755,7 @@ func parseV2(data []byte) (*IHTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	if lenIdx > uint64(numV)+1 {
+	if lenIdx > uint64(numV)+1 || raw && lenIdx != uint64(numV)+1 {
 		return nil, fmt.Errorf("core: implausible sparse index size")
 	}
 	ih.Sparse.DestLo = int(destLo)
@@ -667,7 +768,12 @@ func parseV2(data []byte) (*IHTL, error) {
 	if sEdges < 0 || sEdges > int64(numE) {
 		return nil, fmt.Errorf("core: sparse edge count %d invalid", sEdges)
 	}
-	if ih.Sparse.Enc, err = c.chunked("sparse block", numV, ih.Sparse.Index); err != nil {
+	if raw {
+		ih.Sparse.Srcs, err = c.rawRows(numV, ih.Sparse.Index)
+	} else {
+		ih.Sparse.Enc, err = c.chunked("sparse block", numV, ih.Sparse.Index)
+	}
+	if err != nil {
 		return nil, err
 	}
 	total += sEdges
@@ -682,5 +788,16 @@ func parseV2(data []byte) (*IHTL, error) {
 		return nil, fmt.Errorf("core: v2 size mismatch (%d bytes parsed, %d in file)", c.off, len(data))
 	}
 	ih.params = Params{HubsPerBlock: ih.HubsPerBlock}.withDefaults()
+	if raw {
+		// Params are not stored, but the rule that chose this format
+		// is: NumV × VertexBytes ≤ CacheBytes with B = CacheBytes /
+		// VertexBytes is NumV ≤ B. Held here, at the default vertex
+		// size, the graph is resident again and Stats can say why.
+		if uint64(numV) > uint64(hubsPerBlock) {
+			return nil, fmt.Errorf("core: raw adjacency stream (format %d) for %d vertices, more than the B = %d their data was to fit", v2StreamRaw, numV, hubsPerBlock)
+		}
+		ih.params.CacheBytes = ih.HubsPerBlock * ih.params.VertexBytes
+		ih.resident = true
+	}
 	return ih, nil
 }

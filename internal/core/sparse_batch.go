@@ -50,6 +50,8 @@ func (e *Engine) pullRowLanes(i, k int, src, dst []float64) {
 	switch {
 	case k == 8 && !e.varint:
 		pullRowFlat8(sp.Srcs, lo, hi, src, unchecked.Lanes8At(dst, db))
+	case k == 4 && !e.varint:
+		pullRowFlat4(sp.Srcs, lo, hi, src, unchecked.Lanes4At(dst, db))
 	case k == 4 && e.varint:
 		pullRowEnc4(sp.Enc.Data, int(e.sparseRowOff[i]), hi-lo, src, unchecked.Lanes4At(dst, db))
 	default:

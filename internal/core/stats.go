@@ -23,8 +23,11 @@ type GraphStats struct {
 	HubFrac float64
 	// Resident says why a graph has no block: the build flipped nothing
 	// because VertexDataBytes (NumV × Params.VertexBytes) fits
-	// CacheBytes, the cache a derived B is sized from. False for a
-	// graph that was loaded from a file, whose Params are not stored.
+	// CacheBytes, the cache a derived B is sized from. A raw v2 engine
+	// file is the file of such a graph, so one opened from it is
+	// resident again (its Params are not stored: the two sizes are then
+	// at the default vertex size, CacheBytes = B × 8); false for a graph
+	// loaded from any other file.
 	Resident        bool
 	VertexDataBytes int64
 	CacheBytes      int64

@@ -153,7 +153,7 @@ func (s *Server) runBatch(sl *slot, reqs []*pprReq) {
 				}
 			}()
 			faultinject.Fire(faultinject.SiteServeBatch)
-			return analytics.RunPPRLanes(s.baseCtx, sl.eng, s.outDeg, sl.pool, lanes, opt, func(res analytics.LaneResult) {
+			return sl.ws.RunLanes(s.baseCtx, sl.eng, s.outDeg, sl.pool, lanes, opt, func(res analytics.LaneResult) {
 				answered[res.Lane] = true
 				s.m.served.Add(1)
 				switch res.Status {

@@ -23,8 +23,10 @@ import (
 // launch a throttled PageRank job, SIGKILL the process mid-job (the
 // one signal no handler can drain), restart over the same spool, and
 // require the finished ranks to be bit-for-bit the uninterrupted
-// reference. Gated behind IHTL_SERVE_E2E_SCALE (the CI serve-e2e job
-// sets 14) because it shells out to the go tool.
+// reference — once on a packed engine file with flipped blocks, once on
+// the raw file a default build writes for a graph this small. Gated
+// behind IHTL_SERVE_E2E_SCALE (the CI serve-e2e job sets 14) because it
+// shells out to the go tool.
 func TestServeE2EKillDashNine(t *testing.T) {
 	scaleEnv := os.Getenv("IHTL_SERVE_E2E_SCALE")
 	if scaleEnv == "" {
@@ -37,15 +39,22 @@ func TestServeE2EKillDashNine(t *testing.T) {
 	const workers = 4
 	jobBody := `{"algo": "pagerank", "opts": {"max_iters": 50, "tol": -1, "redistribute_dangling": true}}`
 
-	dir := t.TempDir()
-	enginePath := testEngineFile(t, scale, 1, 97)
-	spool := filepath.Join(dir, "spool")
-	bin := filepath.Join(dir, "ihtlserve")
+	bin := filepath.Join(t.TempDir(), "ihtlserve")
 	build := exec.Command("go", "build", "-o", bin, "ihtl/cmd/ihtlserve")
 	build.Dir = moduleRoot(t)
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building ihtlserve: %v\n%s", err, out)
 	}
+	t.Run("flipped", func(t *testing.T) {
+		killDashNine(t, bin, testEngineFile(t, scale, 1, 97), workers, jobBody)
+	})
+	t.Run("resident", func(t *testing.T) {
+		killDashNine(t, bin, testEngineFileParams(t, scale, 97, core.Params{}), workers, jobBody)
+	})
+}
+
+func killDashNine(t *testing.T, bin, enginePath string, workers int, jobBody string) {
+	spool := filepath.Join(t.TempDir(), "spool")
 
 	// First run: start, launch the job, kill -9 mid-flight.
 	proc1, base1 := startDaemon(t, bin, enginePath, spool, workers, "-job-iter-delay", "25ms")

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ihtl/internal/analytics"
+	"ihtl/internal/core"
 	"ihtl/internal/faultinject"
 )
 
@@ -213,9 +214,16 @@ func TestSpoolTornWriteQuarantined(t *testing.T) {
 // TestServeWarmRestartBitForBit is the in-process half of the kill -9
 // contract: a job interrupted mid-run (drain parks it at its latest
 // spooled checkpoint) resumes on a fresh Server over the same spool
-// and finishes with exactly the ranks of an uninterrupted run.
+// and finishes with exactly the ranks of an uninterrupted run — over a
+// packed file with flipped blocks and over a raw one.
 func TestServeWarmRestartBitForBit(t *testing.T) {
-	path := testEngineFile(t, 9, 1, 46)
+	t.Run("flipped", func(t *testing.T) { testWarmRestartBitForBit(t, testEngineFile(t, 9, 1, 46)) })
+	t.Run("resident", func(t *testing.T) {
+		testWarmRestartBitForBit(t, testEngineFileParams(t, 9, 46, core.Params{}))
+	})
+}
+
+func testWarmRestartBitForBit(t *testing.T, path string) {
 	spool := t.TempDir()
 	jobOpts := JobOptions{MaxIters: 40, Tol: -1, RedistributeDangling: true}
 

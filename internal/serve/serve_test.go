@@ -22,7 +22,9 @@ func testEngineFile(t *testing.T, scale, k int, seed uint64) string {
 }
 
 // testEngineFileParams is testEngineFile with the build's Params given:
-// default Params make these small graphs resident, one sparse block.
+// default Params make these small graphs resident, one sparse block,
+// and their file raw — the daemon's engine then walks the mapped ids
+// with the flat kernels, where a file with flipped blocks is packed.
 func testEngineFileParams(t *testing.T, scale int, seed uint64, p core.Params) string {
 	t.Helper()
 	g, err := gen.RMAT(gen.DefaultRMAT(scale, 8, seed))
@@ -33,8 +35,9 @@ func testEngineFileParams(t *testing.T, scale int, seed uint64, p core.Params) s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.HubsPerBlock == 0 && len(ih.Blocks) != 0 {
-		t.Fatalf("a default build of %d vertices has %d flipped blocks", ih.NumV, len(ih.Blocks))
+	if raw := ih.V2Stream() == "raw"; raw != (p.HubsPerBlock == 0) {
+		t.Fatalf("a build of %d vertices with B = %d (%d flipped blocks) is written %s",
+			ih.NumV, p.HubsPerBlock, len(ih.Blocks), ih.V2Stream())
 	}
 	path := filepath.Join(t.TempDir(), "engine.ihtl2")
 	if err := ih.SaveFileV2(path); err != nil {
@@ -124,8 +127,8 @@ func pickSources(t *testing.T, enginePath string, n int) []uint32 {
 // contract end to end: K concurrent queries arriving within one fill
 // window ride one batch, and each answer is bit-for-bit the solo run
 // of the same source — twice, so the packing itself is reproducible —
-// over a file with flipped blocks and over the zero-block file a default
-// build writes for a graph this small.
+// over a packed file with flipped blocks and over the raw zero-block
+// file a default build writes for a graph this small.
 func TestServeCoalescedBitIdenticalToSolo(t *testing.T) {
 	t.Run("flipped", func(t *testing.T) { testCoalescedBitIdenticalToSolo(t, testEngineFile(t, 9, 4, 41)) })
 	t.Run("resident", func(t *testing.T) {

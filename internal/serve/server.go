@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ihtl/internal/analytics"
 	"ihtl/internal/core"
 	"ihtl/internal/graph"
 	"ihtl/internal/sched"
@@ -135,10 +136,12 @@ type engine interface {
 
 // slot is one unit of batch concurrency: a dedicated pool + engine
 // pair, because an engine's step state is exclusive to one dispatch
-// at a time.
+// at a time, and the arrays its batches iterate on, kept from batch to
+// batch.
 type slot struct {
 	pool *sched.Pool
 	eng  engine
+	ws   analytics.PPRWorkspace
 }
 
 // Server is the daemon state. Create with New, serve Handler(), stop
