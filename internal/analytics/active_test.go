@@ -386,9 +386,10 @@ func TestPPRActiveRowsRollback(t *testing.T) {
 	}
 
 	e.honoured = 0
+	slots, _ := e.EpiSlots()
 	faultinject.Activate(faultinject.NewPlan(faultinject.Rule{
 		Site: faultinject.SiteStepHealth, Kind: faultinject.NaN,
-		After: int64(2 * e.Workers()), Times: 1,
+		After: int64(2 * slots), Times: 1,
 	}))
 	defer faultinject.Deactivate()
 	got, err := ws.Run(nil, e, deg, testPool, sources, opt)

@@ -295,12 +295,13 @@ func TestPageRankRollbackOnNumericFault(t *testing.T) {
 		deg[nv] = g.OutDegree(ih.OldID[nv])
 	}
 
-	// The watchdog's poison hook fires once per worker range per step;
-	// After=2·workers lands the NaN inside the third iteration, and
+	// The watchdog's poison hook fires once per epilogue slot per step;
+	// After=2·slots lands the NaN inside the third iteration, and
 	// Times=1 makes the post-rollback retry of that step come up clean.
+	slots, _ := e.EpiSlots()
 	faultinject.Activate(faultinject.NewPlan(faultinject.Rule{
 		Site: faultinject.SiteStepHealth, Kind: faultinject.NaN,
-		After: int64(2 * e.Workers()), Times: 1,
+		After: int64(2 * slots), Times: 1,
 	}))
 	defer faultinject.Deactivate()
 	res, err := RunPageRank(e, deg, testPool, PageRankOptions{

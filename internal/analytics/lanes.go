@@ -168,24 +168,24 @@ func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.BatchStepper, outDe
 	cfe, ctxFused := e.(batchCtxFusedStepper)
 	fe, fused := e.(batchFusedStepper)
 	ce, ctxPlain := e.(spmv.BatchCtxStepper)
-	workers := 1
+	slots := 1
 	switch {
 	case fused:
-		workers = fe.Workers()
+		slots, _ = fe.EpiSlots()
 	case pool != nil:
-		workers = pool.Workers()
+		slots = pool.Workers()
 	}
-	deltaParts := make([]float64, workers*k)
-	danglingParts := make([]float64, workers*k)
-	epi := func(w, lo, hi int) {
-		dp := deltaParts[w*k : w*k+k]
-		gp := danglingParts[w*k : w*k+k]
+	deltaParts := make([]float64, slots*k)
+	danglingParts := make([]float64, slots*k)
+	epi := func(slot, lo, hi int) {
+		dp := deltaParts[slot*k : slot*k+k]
+		gp := danglingParts[slot*k : slot*k+k]
 		clear(dp)
 		clear(gp)
 		sw.rows(lo, hi, dp, gp)
 	}
 	poolEpi := func(w int) {
-		lo, hi := sched.SplitRange(n, workers, w)
+		lo, hi := sched.SplitRange(n, slots, w)
 		epi(w, lo, hi)
 	}
 	sweep := func() error {
@@ -334,10 +334,10 @@ func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.BatchStepper, outDe
 		}
 		clear(deltas)
 		clear(dangling)
-		for w := 0; w < workers; w++ {
+		for p := 0; p < slots; p++ {
 			for j := 0; j < k; j++ {
-				deltas[j] += deltaParts[w*k+j]
-				dangling[j] += danglingParts[w*k+j]
+				deltas[j] += deltaParts[p*k+j]
+				dangling[j] += danglingParts[p*k+j]
 			}
 		}
 		iter++

@@ -309,15 +309,16 @@ func TestLanesRollbackNeverReEmits(t *testing.T) {
 	isolated, cyclic := int(ih.NewID[4]), int(ih.NewID[0])
 	opt := PageRankOptions{MaxIters: 40, Tol: 1e-12, RedistributeDangling: true, CheckpointEvery: 1}
 
-	// The health poison hook fires once per non-empty worker range per
-	// step; After=1·workers lands the NaN inside iteration 2's step —
+	// The health poison hook fires once per non-empty epilogue slot per
+	// step; After=1·slots lands the NaN inside iteration 2's step —
 	// right after the isolated lane converged at iteration 1 and was
 	// emitted, so the rollback target (snapshot at iteration 1, taken
 	// before convergence was applied) still has that lane active.
 	// Times=1 lets the post-rollback retry come up clean.
+	slots, _ := e.EpiSlots()
 	faultinject.Activate(faultinject.NewPlan(faultinject.Rule{
 		Site: faultinject.SiteStepHealth, Kind: faultinject.NaN,
-		After: int64(1 * e.Workers()), Times: 1,
+		After: int64(1 * slots), Times: 1,
 	}))
 	defer faultinject.Deactivate()
 

@@ -167,15 +167,34 @@ func RunPageRankCtx(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sch
 	// own dispatch, making a whole PageRank iteration one pool
 	// round-trip; otherwise it is one extra dispatch.
 	//
+	// A fused stepper that streams its epilogue runs it on each slot as
+	// soon as the slot's rows are pulled, while other workers still read
+	// contrib: the next contributions then go to a second buffer, next,
+	// swapped in after each successful Step. Elsewhere next is contrib.
+	//
 	// extra is read by the epilogue workers; the orchestrator writes
 	// it before each dispatch, which orders the write.
+	cfe, ctxFused := e.(ctxFusedStepper)
+	fe, fused := e.(fusedStepper)
+	ce, ctxPlain := e.(spmv.CtxStepper)
+	slots, streamed := 0, false
+	switch {
+	case fused:
+		slots, streamed = fe.EpiSlots()
+	case pool != nil:
+		slots = pool.Workers()
+	}
+	next := contrib
+	if streamed {
+		next = make([]float64, n)
+	}
 	var extra float64
 	body := func(lo, hi int) (delta, dangl float64) {
 		for v := lo; v < hi; v++ {
 			nv := base + o.Damping*sums[v] + extra
 			delta += math.Abs(nv - ranks[v])
 			ranks[v] = nv
-			contrib[v] = nv * invDeg[v]
+			next[v] = nv * invDeg[v]
 			if o.RedistributeDangling && outDeg[v] == 0 {
 				dangl += nv
 			}
@@ -183,30 +202,20 @@ func RunPageRankCtx(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sch
 		return delta, dangl
 	}
 
-	cfe, ctxFused := e.(ctxFusedStepper)
-	fe, fused := e.(fusedStepper)
-	ce, ctxPlain := e.(spmv.CtxStepper)
-	workers := 0
-	switch {
-	case fused:
-		workers = fe.Workers()
-	case pool != nil:
-		workers = pool.Workers()
-	}
 	var deltaParts, danglingParts []float64
-	var epi func(w, lo, hi int)
+	var epi func(slot, lo, hi int)
 	var poolEpi func(w int)
-	if workers > 0 {
-		deltaParts = make([]float64, workers)
-		danglingParts = make([]float64, workers)
-		// Every worker writes its slot each dispatch (an empty range
-		// stores zeros), so no stale partials survive an iteration.
-		epi = func(w, lo, hi int) {
-			deltaParts[w], danglingParts[w] = body(lo, hi)
+	if slots > 0 {
+		deltaParts = make([]float64, slots)
+		danglingParts = make([]float64, slots)
+		// Every slot is written each dispatch (an empty range stores
+		// zeros), so no stale partials survive an iteration.
+		epi = func(slot, lo, hi int) {
+			deltaParts[slot], danglingParts[slot] = body(lo, hi)
 		}
 		if !fused {
 			poolEpi = func(w int) {
-				lo, hi := sched.SplitRange(n, workers, w)
+				lo, hi := sched.SplitRange(n, slots, w)
 				epi(w, lo, hi)
 			}
 		}
@@ -288,11 +297,14 @@ func RunPageRankCtx(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sch
 			}
 			return res, stepErr
 		}
-		if workers > 0 {
+		if streamed {
+			contrib, next = next, contrib
+		}
+		if slots > 0 {
 			delta, dangling = 0, 0
-			for w := range deltaParts {
-				delta += deltaParts[w]
-				dangling += danglingParts[w]
+			for p := range deltaParts {
+				delta += deltaParts[p]
+				dangling += danglingParts[p]
 			}
 		}
 		iter++
@@ -317,12 +329,13 @@ func ctxErrOf(ctx context.Context) error {
 }
 
 // fusedStepper is the optional Stepper extension core.Engine provides:
-// Step plus an epilogue every worker runs over its share of [0, n)
-// once dst is complete, fused into the Step's own dispatch.
+// Step plus an epilogue run once per slot of the engine's row grid,
+// fused into the Step's own dispatch — streamed, when EpiSlots says so,
+// under core.Engine.StepEpi's narrower contract.
 type fusedStepper interface {
 	spmv.Stepper
-	StepEpi(src, dst []float64, epi func(w, lo, hi int))
-	Workers() int
+	StepEpi(src, dst []float64, epi func(slot, lo, hi int))
+	EpiSlots() (slots int, streamed bool)
 }
 
 // ctxFusedStepper extends fusedStepper with the cancellable,
@@ -331,7 +344,7 @@ type fusedStepper interface {
 // panicking, and ctx cancellation stops the dispatch mid-Step.
 type ctxFusedStepper interface {
 	fusedStepper
-	StepEpiCtx(ctx context.Context, src, dst []float64, epi func(w, lo, hi int)) error
+	StepEpiCtx(ctx context.Context, src, dst []float64, epi func(slot, lo, hi int)) error
 }
 
 // SumRanks returns the total rank mass (≈1 when dangling mass is

@@ -47,18 +47,20 @@ func (r PPRResult) Lane(j int, out []float64) []float64 {
 }
 
 // batchFusedStepper is the optional BatchStepper extension core.Engine
-// provides: StepBatch plus a fused epilogue over vertex ranges.
+// provides: StepBatch plus a fused epilogue run once per slot of the
+// engine's row grid, always behind a barrier — the sweep writes the
+// next contributions in place, into src, so it never streams.
 type batchFusedStepper interface {
 	spmv.BatchStepper
-	StepBatchEpi(src, dst []float64, k int, epi func(w, lo, hi int))
-	Workers() int
+	StepBatchEpi(src, dst []float64, k int, epi func(slot, lo, hi int))
+	EpiSlots() (slots int, streamed bool)
 }
 
 // batchCtxFusedStepper extends batchFusedStepper with the cancellable,
 // error-returning variant (core.Engine's StepBatchEpiCtx).
 type batchCtxFusedStepper interface {
 	batchFusedStepper
-	StepBatchEpiCtx(ctx context.Context, src, dst []float64, k int, epi func(w, lo, hi int)) error
+	StepBatchEpiCtx(ctx context.Context, src, dst []float64, k int, epi func(slot, lo, hi int)) error
 }
 
 // activeRowStepper is the further extension of core.Engine's that steps
@@ -67,7 +69,7 @@ type batchCtxFusedStepper interface {
 // stepped and the dense entry must be used.
 type activeRowStepper interface {
 	batchCtxFusedStepper
-	StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(w, lo, hi int)) (honoured bool, err error)
+	StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(slot, lo, hi int)) (honoured bool, err error)
 }
 
 // activeRowFrac sets where a run leaves the active-row mode: it steps
@@ -226,24 +228,25 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 	}
 
 	// The per-iteration element-wise sweep runs as the batched Step's
-	// epilogue over vertex ranges (on the pool after a plain stepper's
-	// Step, on the caller without a pool), each worker summing its
-	// per-lane delta and dangling mass into its own K slots.
+	// epilogue over the engine's slots (the workers' vertex shares on
+	// the pool after a plain stepper's Step, the whole range on the
+	// caller without a pool), each slot summing its per-lane delta and
+	// dangling mass into its own K partials.
 	cfe, ctxFused := e.(batchCtxFusedStepper)
 	fe, fused := e.(batchFusedStepper)
 	ce, ctxPlain := e.(spmv.BatchCtxStepper)
-	workers := 1
+	slots := 1
 	switch {
 	case fused:
-		workers = fe.Workers()
+		slots, _ = fe.EpiSlots()
 	case pool != nil:
-		workers = pool.Workers()
+		slots = pool.Workers()
 	}
-	deltaParts := make([]float64, workers*k)
-	danglingParts := make([]float64, workers*k)
-	epi := func(w, lo, hi int) {
-		dp := deltaParts[w*k : w*k+k]
-		gp := danglingParts[w*k : w*k+k]
+	deltaParts := make([]float64, slots*k)
+	danglingParts := make([]float64, slots*k)
+	epi := func(slot, lo, hi int) {
+		dp := deltaParts[slot*k : slot*k+k]
+		gp := danglingParts[slot*k : slot*k+k]
 		clear(dp)
 		clear(gp)
 		if active {
@@ -253,7 +256,7 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 		}
 	}
 	poolEpi := func(w int) {
-		lo, hi := sched.SplitRange(n, workers, w)
+		lo, hi := sched.SplitRange(n, slots, w)
 		epi(w, lo, hi)
 	}
 	// sweep is the epilogue of the steppers that do not run it themselves.
@@ -350,10 +353,10 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 		}
 		clear(res.Deltas)
 		clear(dangling)
-		for w := 0; w < workers; w++ {
+		for p := 0; p < slots; p++ {
 			for j := 0; j < k; j++ {
-				res.Deltas[j] += deltaParts[w*k+j]
-				dangling[j] += danglingParts[w*k+j]
+				res.Deltas[j] += deltaParts[p*k+j]
+				dangling[j] += danglingParts[p*k+j]
 			}
 		}
 		iter++

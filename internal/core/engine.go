@@ -358,7 +358,19 @@ func NewEngineOpts(ih *IHTL, pool *sched.Pool, opt EngineOptions) (*Engine, erro
 	if pool == nil {
 		return nil, fmt.Errorf("core: nil IHTL or pool")
 	}
-	return newEngineWorkers(ih, pool, opt, pool.Workers())
+	e, err := newEngineWorkers(ih, pool, opt, pool.Workers())
+	if err != nil {
+		return nil, err
+	}
+	// With no flipped block the sparse parts tile every row and nothing
+	// but the part's own pull writes them, so they are the epilogue's
+	// slots, and the fused uniform pull finishes each one as it pulls it.
+	// (A sharded engine's sub-engines keep the static grid: the exchange
+	// still adds to their rows after the pull.)
+	if len(ih.Blocks) == 0 && ih.Sparse.DestLo == 0 && len(e.sparseBounds) > 1 {
+		e.initSlots(e.sparseBounds, !e.phased && e.sparseKernel == SparsePull)
+	}
+	return e, nil
 }
 
 // newEngineWorkers is NewEngineOpts with an explicit worker count: the
@@ -518,9 +530,10 @@ func (e *Engine) unstage() {
 //     ranges are read, and the hub slots are owned exclusively because
 //     every task of the block has finished;
 //  3. when no flipped work remains anywhere, claim sparse partitions
-//     by range stealing and pull them;
-//  4. if a StepEpi epilogue or a watchdog scan is staged, cross the
-//     epilogue barrier and run the worker's share of it.
+//     by range stealing and pull them — on a streamed step, scanning
+//     and finishing each part as an epilogue slot right there;
+//  4. otherwise, if a StepEpi epilogue or a watchdog scan is staged,
+//     cross the epilogue barrier and run the worker's slots of it.
 //
 // No phase barrier exists between 1-3: a worker can be pulling sparse
 // partitions while another still pushes a flipped block, because their

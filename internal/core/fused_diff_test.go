@@ -60,7 +60,9 @@ var optionValues = map[string][]any{
 	// Every differential input is finite, so an armed watchdog scans
 	// and must change nothing; Rollback is the mode the daemon runs.
 	"Health": {spmv.HealthPolicy{}, spmv.HealthPolicy{Mode: spmv.HealthRollback}},
-	// SparseAuto is SparsePullDegree.
+	// SparseAuto is SparsePullDegree on a graph with a flipped block,
+	// SparsePull on one without (TestStepEpiZeroFlipRows adds the
+	// explicit SparsePullDegree there).
 	"SparseKernel": {SparseAuto, SparsePull, SparsePB},
 	// EncodingAuto is flat on a graph built in memory and on one opened
 	// from a raw v2 file (TestV2RawFileDifferential steps both over every
@@ -353,6 +355,172 @@ func FuzzStepDifferential(f *testing.F) {
 			requireBitIdentical(t, fmt.Sprintf("forced[%d] signed", i), want, stepOldSpace(ih, e, srcSigned))
 		}
 	})
+}
+
+// epiStepper is what the zero-flip rows below step: both engine types.
+type epiStepper interface {
+	StepEpi(src, dst []float64, epi func(slot, lo, hi int))
+	StepBatchEpi(src, dst []float64, k int, epi func(slot, lo, hi int))
+	EpiSlots() (slots int, streamed bool)
+}
+
+// TestStepEpiZeroFlipRows is the option matrix over a graph with no
+// flipped block, stepped through StepEpi, plus the explicit
+// SparsePullDegree and a two-shard engine. The epilogue checks, when it
+// is called, that its rows [lo, hi) already hold the oracle's values —
+// an epilogue run before its rows are final fails here, as does a slot
+// run twice or never, or slots that do not tile the rows in order. The
+// engines that stream are exactly the fused unsharded uniform pulls;
+// StepBatchEpi at one lane stays behind the barrier on those too, so
+// there every slot may read all of dst. Integer sources keep the
+// sharded engine's regrouped sums exact.
+func TestStepEpiZeroFlipRows(t *testing.T) {
+	g := residentGraphs(t)["rmat"]
+	n := g.NumV
+	src := integerVec(11, n)
+	want := referenceStep(g, src)
+	ih, err := Build(g, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireZeroBlocks(t, "rmat", ih)
+	rows := optionMatrix(t, nil)
+	rows = append(rows, EngineOptions{SparseKernel: SparsePullDegree}, EngineOptions{SparseKernel: SparsePullDegree, Phased: true}, EngineOptions{Shards: 2})
+	for _, workers := range []int{1, 2, 3} {
+		pool := sched.NewPool(workers)
+		defer pool.Close()
+		for _, opt := range rows {
+			label := fmt.Sprintf("w%d/%s", workers, optLabel(opt))
+			var e epiStepper
+			wantSlots, wantStream := 4*workers, !opt.Phased && (opt.SparseKernel == SparseAuto || opt.SparseKernel == SparsePull)
+			srcNew, wantNew := src, want // the build keeps every ID
+			if opt.Shards > 1 {
+				sg, err := BuildSharded(g, Params{}, pool, opt.Shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e, err = NewShardedEngineOpts(sg, pool, opt); err != nil {
+					t.Fatal(err)
+				}
+				srcNew, wantNew = make([]float64, n), make([]float64, n)
+				sg.PermuteToNew(src, srcNew)
+				sg.PermuteToNew(want, wantNew)
+				wantSlots, wantStream = workers, false
+			} else if e, err = NewEngineOpts(ih, pool, opt); err != nil {
+				t.Fatal(err)
+			}
+			slots, streamed := e.EpiSlots()
+			if slots != wantSlots || streamed != wantStream {
+				t.Fatalf("%s: %d slots, streamed %v; want %d, %v", label, slots, streamed, wantSlots, wantStream)
+			}
+			for _, batch := range []bool{false, true} {
+				bounds := make([][2]int, slots)
+				ran := make([]int, slots)
+				early := make([]bool, slots)
+				dst := make([]float64, n)
+				epi := func(slot, lo, hi int) {
+					ran[slot]++
+					bounds[slot] = [2]int{lo, hi}
+					check, stop := lo, hi
+					if batch {
+						check, stop = 0, n // behind the barrier: all of dst is final
+					}
+					for v := check; v < stop; v++ {
+						if math.Float64bits(dst[v]) != math.Float64bits(wantNew[v]) {
+							early[slot] = true
+						}
+					}
+				}
+				for step := 0; step < 2; step++ {
+					clear(ran)
+					clear(dst) // so a row read before it is pulled differs
+					if batch {
+						e.StepBatchEpi(srcNew, dst, 1, epi)
+					} else {
+						e.StepEpi(srcNew, dst, epi)
+					}
+					next := 0
+					for p := range slots {
+						if ran[p] != 1 || early[p] || bounds[p][0] != next {
+							t.Fatalf("%s batch=%v step %d: slot %d ran %d times over [%d, %d) (next row %d), saw rows not yet final: %v",
+								label, batch, step, p, ran[p], bounds[p][0], bounds[p][1], next, early[p])
+						}
+						next = bounds[p][1]
+					}
+					if next != n {
+						t.Fatalf("%s batch=%v: the slots end at row %d of %d", label, batch, next, n)
+					}
+					requireBitIdentical(t, label, wantNew, dst)
+				}
+			}
+		}
+	}
+}
+
+// TestSparseAutoByGraph: SparseAuto is decided by the graph — the
+// uniform pull, streaming, where nothing is flipped; the degree
+// schedule, with the workers' shares behind the barrier, where
+// something is.
+func TestSparseAutoByGraph(t *testing.T) {
+	g := residentGraphs(t)["rmat"]
+	for _, c := range []struct {
+		p      Params
+		kernel SparseKernel
+		slots  int
+		stream bool
+	}{
+		{Params{}, SparsePull, 4 * testPool.Workers(), true},
+		{Params{HubsPerBlock: flipB}, SparsePullDegree, testPool.Workers(), false},
+	} {
+		ih, err := Build(g, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(ih, testPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slots, streamed := e.EpiSlots(); e.sparseKernel != c.kernel || slots != c.slots || streamed != c.stream {
+			t.Errorf("%d flipped blocks: SparseAuto is %v with %d slots, streamed %v; want %v, %d, %v",
+				len(ih.Blocks), e.sparseKernel, slots, streamed, c.kernel, c.slots, c.stream)
+		}
+	}
+}
+
+// TestStreamedStepEpiAllocationFree pins the streamed placement's
+// steady state, watched and not: a StepEpi run inside the sparse claim
+// loop allocates nothing.
+func TestStreamedStepEpiAllocationFree(t *testing.T) {
+	ih, err := Build(residentGraphs(t)["rmat"], Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []EngineOptions{{}, {StaticFlipped: true, Health: spmv.HealthPolicy{Mode: spmv.HealthRollback}}} {
+		e, err := NewEngineOpts(ih, testPool, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots, streamed := e.EpiSlots()
+		if !streamed {
+			t.Fatalf("%s: the engine does not stream", optLabel(opt))
+		}
+		src := integerVec(3, ih.NumV)
+		dst := make([]float64, ih.NumV)
+		sums := make([]float64, slots)
+		epi := func(slot, lo, hi int) {
+			s := 0.0
+			for _, x := range dst[lo:hi] {
+				s += x
+			}
+			sums[slot] = s
+		}
+		for i := 0; i < 3; i++ { // warm worker stacks
+			e.StepEpi(src, dst, epi)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { e.StepEpi(src, dst, epi) }); allocs != 0 {
+			t.Errorf("%s: streamed StepEpi allocates %.1f objects per run, want 0", optLabel(opt), allocs)
+		}
+	}
 }
 
 // TestFusedStepAllocationFree pins the fused pipeline's zero-allocation

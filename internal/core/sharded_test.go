@@ -153,9 +153,13 @@ func TestShardedStepEpi(t *testing.T) {
 		want[v] = 2*want[v] + 1
 	}
 	got := make([]float64, g.NumV)
-	se.StepEpi(srcNew, got, func(w, lo, hi int) {
-		if w < 0 || w >= se.Workers() {
-			panic("epilogue worker index out of range")
+	slots, streamed := se.EpiSlots()
+	if slots != testPool.Workers() || streamed {
+		t.Fatalf("sharded engine reports %d slots, streamed %v; want the %d workers' static shares behind the barrier", slots, streamed, testPool.Workers())
+	}
+	se.StepEpi(srcNew, got, func(slot, lo, hi int) {
+		if slot < 0 || slot >= slots {
+			panic("epilogue slot out of range")
 		}
 		for v := lo; v < hi; v++ {
 			got[v] = 2*got[v] + 1

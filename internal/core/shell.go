@@ -14,10 +14,11 @@ import (
 // The step shell: everything around one step that does not depend on
 // what is being stepped. Engine and ShardedEngine embed it, so the
 // entry points (Step … StepBatchEpiCtx, StepBatchActiveCtx), the shape
-// checks, the numeric-health watchdog, the epilogue behind its barrier,
-// the phased pipeline's extra dispatches and the Fallible → run →
-// recoverState wrapper are written here once. A scalar step is the
-// batch step at k == 1.
+// checks, the numeric-health watchdog, the epilogue's slot grid and its
+// two placements (streamed per part, or behind a barrier), the phased
+// pipeline's extra dispatch and the Fallible → run → recoverState
+// wrapper are written here once. A scalar step is the batch step at
+// k == 1.
 
 // stepDriver is the half of a step the shell hands back to the engine
 // that embeds it.
@@ -29,9 +30,10 @@ type stepDriver interface {
 	// false and stages nothing.
 	setActive(active, touched spmv.RowSet) bool
 	// stepFused runs the whole step as one pool dispatch whose workers
-	// end in runEpilogue; stepPhased runs it as barriered dispatches and
-	// leaves scan and epilogue to the shell. Both step at the width last
-	// set and add their elapsed time to breakdown.Wall.
+	// end in runEpilogue (a streamed step's workers have run finishSlot
+	// on each part they pulled instead); stepPhased runs it as barriered
+	// dispatches and leaves scan and epilogue to the shell. Both step at
+	// the width last set and add their elapsed time to breakdown.Wall.
 	stepFused(src, dst []float64)
 	stepPhased(src, dst []float64)
 	// recoverDriver restores the engine's own cross-step state after an
@@ -48,32 +50,44 @@ type stepShell struct {
 	pool *sched.Pool
 	numV int
 	// nworkers is the number of distinct worker indices the per-worker
-	// state (buffers, clocks, barriers, health slots) is sized for, and
-	// that an epilogue can observe. It equals pool.Workers() except on a
-	// sharded engine's sub-engines, which are sized for their shard's
-	// worker GROUP and receive group-local indices.
+	// state (buffers, clocks, barriers, health tallies) is sized for. It
+	// equals pool.Workers() except on a sharded engine's sub-engines,
+	// which are sized for their shard's worker GROUP and receive
+	// group-local indices.
 	nworkers int
 	phased   bool
 	health   spmv.HealthPolicy
 
+	// The epilogue's slot grid: slot p is rows [slotBounds[p],
+	// slotBounds[p+1]), the unit the watchdog scan and an epilogue run on
+	// and the first argument an epilogue sees — a function of the graph
+	// and the worker count, never of which worker ran the slot. Behind
+	// the barrier worker w runs slots [slotOwner[w], slotOwner[w+1]).
+	// streams is set when the grid is the sparse pull's parts and each
+	// pulled part's rows are final: a streamed step runs finishSlot in
+	// the claim loop, and no barrier (NewEngineOpts decides).
+	slotBounds []int
+	slotOwner  []int
+	streams    bool
+
 	// epiBarrier is what the fused workers cross once dst is complete;
-	// phasedEpiJob and healthScanJob are the prebuilt bodies the phased
-	// pipeline dispatches separately (so no step allocates a closure).
-	epiBarrier    *sched.Barrier
-	phasedEpiJob  func(w int)
-	healthScanJob func(w, lo, hi int)
+	// slotsJob is the prebuilt body the phased pipeline dispatches for
+	// scan and epilogue (so no step allocates a closure).
+	epiBarrier *sched.Barrier
+	slotsJob   func(w int)
 	// healthBad are the per-worker padded tallies the scan fills.
 	healthBad []healthSlot
 
 	// Staged for the step in flight, nil or zero between steps. curK is
 	// the lane width the scan must cover; touched is an active-row
 	// step's written rows — all the scan may look at — and nil for a
-	// dense step.
+	// dense step; streamed says finishSlot runs per pulled part.
 	curSrc, curDst []float64
-	curEpi         func(w, lo, hi int)
+	curEpi         func(slot, lo, hi int)
 	curK           int
 	touched        spmv.RowSet
 	healthArmed    bool
+	streamed       bool
 
 	breakdown Breakdown
 }
@@ -89,18 +103,33 @@ func (s *stepShell) initShell(drv stepDriver, pool *sched.Pool, numV, nworkers i
 	s.drv, s.pool, s.numV, s.nworkers = drv, pool, numV, nworkers
 	s.phased, s.health = opt.Phased, opt.Health
 	s.epiBarrier = sched.NewBarrier(nworkers)
-	s.phasedEpiJob = func(w int) {
-		lo, hi := sched.SplitRange(s.numV, s.nworkers, w)
-		s.curEpi(w, lo, hi)
-	}
-	s.healthScanJob = s.healthScan
+	s.initSlots(sched.VertexBalancedParts(numV, nworkers), false)
+	s.slotsJob = s.runSlots
 	s.healthBad = make([]healthSlot, nworkers)
 }
 
-// Workers returns the number of distinct worker indices a StepEpi
-// epilogue can observe: the pool's worker count for every engine built
-// through an exported constructor.
-func (s *stepShell) Workers() int { return s.nworkers }
+// initSlots sets the epilogue's slot grid to the row bounds given and
+// hands the slots out to the workers by rows, for the barrier
+// placement. Over the static shares initShell starts from, worker w
+// owns slot w (given at least one vertex per worker).
+func (s *stepShell) initSlots(bounds []int, streams bool) {
+	rows := make([]int64, len(bounds))
+	for p, b := range bounds {
+		rows[p] = int64(b)
+	}
+	s.slotBounds, s.slotOwner, s.streams = bounds, sched.EdgeBalancedParts(rows, s.nworkers), streams
+}
+
+// EpiSlots returns the number of slots of the engine's epilogue grid —
+// StepEpi's first argument ranges over [0, slots) — and whether StepEpi
+// streams: runs each slot inside the sparse claim loop, as soon as the
+// slot's rows are pulled, under the narrower contract StepEpi states.
+// The grid is the sparse pull's parts on an unsharded engine over a
+// graph with no flipped block, the workers' static shares of the
+// vertex range on every other engine.
+func (s *stepShell) EpiSlots() (slots int, streamed bool) {
+	return len(s.slotBounds) - 1, s.streams
+}
 
 // NumVertices implements spmv.Stepper.
 func (s *stepShell) NumVertices() int { return s.numV }
@@ -118,18 +147,29 @@ func (s *stepShell) TakeBreakdown() Breakdown {
 //ihtl:noalloc
 func (s *stepShell) Step(src, dst []float64) { s.StepBatchEpi(src, dst, 1, nil) }
 
-// StepEpi is Step followed by an element-wise epilogue: every worker
-// runs epi(w, lo, hi), w in [0, Workers()), over its static share
-// [lo, hi) of the vertex range once all of dst is complete. Under the
-// fused pipeline the epilogue runs INSIDE the same dispatch, behind an
-// internal barrier, so a whole analytic iteration — SpMV plus e.g.
-// PageRank's damping/delta/contribution sweep — costs a single pool
-// round-trip. The phased pipeline runs it as a separate dispatch. epi
-// may be nil.
+// StepEpi is Step followed by an element-wise epilogue: epi(p, lo, hi)
+// runs once for every slot p in [0, EpiSlots()) over the slot's rows
+// [lo, hi), on whichever worker, and may keep per-slot partials at p —
+// they do not depend on the schedule. Under the fused pipeline the
+// epilogue runs INSIDE the step's dispatch, so a whole analytic
+// iteration — SpMV plus e.g. PageRank's damping/delta/contribution
+// sweep — costs a single pool round-trip; the phased pipeline runs it
+// as a separate dispatch. epi may be nil.
+//
+// Where it runs inside the dispatch is the engine's: on an engine whose
+// EpiSlots reports streaming, slot p runs in the sparse claim loop
+// right after its rows are pulled, while other slots are still being
+// pulled from src — so epi may read dst only inside [lo, hi) and must
+// not write src. On every other engine the workers cross a barrier
+// once all of dst is complete, and epi may read any element of dst
+// (see StepBatchEpi).
 //
 //ihtl:noalloc
-func (s *stepShell) StepEpi(src, dst []float64, epi func(w, lo, hi int)) {
-	s.StepBatchEpi(src, dst, 1, epi)
+func (s *stepShell) StepEpi(src, dst []float64, epi func(slot, lo, hi int)) {
+	s.checkShape(src, dst, 1)
+	if herr := s.step(src, dst, 1, epi, true); herr != nil {
+		panic(herr)
+	}
 }
 
 // StepBatch computes dst[v*k+j] = Σ_{u ∈ N⁻(v)} src[u*k+j] for every
@@ -141,13 +181,17 @@ func (s *stepShell) StepEpi(src, dst []float64, epi func(w, lo, hi int)) {
 //ihtl:noalloc
 func (s *stepShell) StepBatch(src, dst []float64, k int) { s.StepBatchEpi(src, dst, k, nil) }
 
-// StepBatchEpi is StepBatch followed by an epilogue with StepEpi's
-// contract; [lo, hi) are VERTICES, lane j of vertex v at index v*k+j.
+// StepBatchEpi is StepBatch followed by an epilogue over StepEpi's slot
+// grid, always behind the barrier: epi may read any element of dst and
+// write src (a batched analytic's sweep writes its next contributions
+// in place). Under HealthClamp another slot's non-finite rows may still
+// be being zeroed. [lo, hi) are VERTICES, lane j of vertex v at index
+// v*k+j.
 //
 //ihtl:noalloc
-func (s *stepShell) StepBatchEpi(src, dst []float64, k int, epi func(w, lo, hi int)) {
+func (s *stepShell) StepBatchEpi(src, dst []float64, k int, epi func(slot, lo, hi int)) {
 	s.checkShape(src, dst, k)
-	if herr := s.step(src, dst, k, epi); herr != nil {
+	if herr := s.step(src, dst, k, epi, false); herr != nil {
 		panic(herr) // the plain entry points have no error return; the ctx ones return the verdict
 	}
 }
@@ -164,9 +208,11 @@ func (s *stepShell) StepCtx(ctx context.Context, src, dst []float64) error {
 	return s.StepBatchEpiCtx(ctx, src, dst, 1, nil)
 }
 
-// StepEpiCtx is StepEpi with the StepCtx contract.
-func (s *stepShell) StepEpiCtx(ctx context.Context, src, dst []float64, epi func(w, lo, hi int)) error {
-	return s.StepBatchEpiCtx(ctx, src, dst, 1, epi)
+// StepEpiCtx is StepEpi with the StepCtx contract. A step that fails
+// after streaming may have run the epilogue on some slots.
+func (s *stepShell) StepEpiCtx(ctx context.Context, src, dst []float64, epi func(slot, lo, hi int)) error {
+	s.checkShape(src, dst, 1)
+	return s.stepCtx(ctx, src, dst, 1, epi, true)
 }
 
 // StepBatchCtx is StepBatch with the StepCtx contract.
@@ -175,9 +221,9 @@ func (s *stepShell) StepBatchCtx(ctx context.Context, src, dst []float64, k int)
 }
 
 // StepBatchEpiCtx is StepBatchEpi with the StepCtx contract.
-func (s *stepShell) StepBatchEpiCtx(ctx context.Context, src, dst []float64, k int, epi func(w, lo, hi int)) error {
+func (s *stepShell) StepBatchEpiCtx(ctx context.Context, src, dst []float64, k int, epi func(slot, lo, hi int)) error {
 	s.checkShape(src, dst, k)
-	return s.stepCtx(ctx, src, dst, k, epi)
+	return s.stepCtx(ctx, src, dst, k, epi, false)
 }
 
 // StepBatchActiveCtx is StepBatchEpiCtx for a src of which only the
@@ -192,7 +238,7 @@ func (s *stepShell) StepBatchEpiCtx(ctx context.Context, src, dst []float64, k i
 // the two kernels (active.go); any other engine answers honoured ==
 // false having done nothing, and the caller steps densely. Both sets
 // are NumVertices bits.
-func (s *stepShell) StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(w, lo, hi int)) (honoured bool, err error) {
+func (s *stepShell) StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(slot, lo, hi int)) (honoured bool, err error) {
 	s.checkShape(src, dst, k)
 	if words := (s.numV + 63) >> 6; len(active) != words || len(touched) != words {
 		panic("core: row set length mismatch")
@@ -201,7 +247,7 @@ func (s *stepShell) StepBatchActiveCtx(ctx context.Context, src, dst []float64, 
 		return false, nil
 	}
 	s.touched = touched
-	err = s.stepCtx(ctx, src, dst, k, epi)
+	err = s.stepCtx(ctx, src, dst, k, epi, false)
 	s.touched = nil
 	s.drv.setActive(nil, nil)
 	return true, err
@@ -218,12 +264,12 @@ func (s *stepShell) checkShape(src, dst []float64, k int) {
 }
 
 // stepCtx is the one Fallible → step → recoverState wrapper.
-func (s *stepShell) stepCtx(ctx context.Context, src, dst []float64, k int, epi func(w, lo, hi int)) error {
+func (s *stepShell) stepCtx(ctx context.Context, src, dst []float64, k int, epi func(slot, lo, hi int), streamEpi bool) error {
 	end, err := s.pool.Fallible(ctx)
 	if err != nil {
 		return err
 	}
-	herr := s.step(src, dst, k, epi)
+	herr := s.step(src, dst, k, epi, streamEpi)
 	if err := end(); err != nil {
 		s.recoverState()
 		return err
@@ -235,34 +281,30 @@ func (s *stepShell) stepCtx(ctx context.Context, src, dst []float64, k int, epi 
 }
 
 // step is one step of width k plus epilogue, returning the numeric-
-// health verdict (nil when the watchdog is off or satisfied).
+// health verdict (nil when the watchdog is off or satisfied). streamEpi
+// says the entry point holds epi to StepEpi's streamed contract; the
+// scan alone streams at any width, since it reads a slot's rows only.
 //
 //ihtl:noalloc
-func (s *stepShell) step(src, dst []float64, k int, epi func(w, lo, hi int)) *spmv.NumericError {
+func (s *stepShell) step(src, dst []float64, k int, epi func(slot, lo, hi int), streamEpi bool) *spmv.NumericError {
 	s.drv.setWidth(k)
 	s.armHealth(k)
+	s.curEpi = epi
 	if s.phased {
 		s.drv.stepPhased(src, dst)
-		if s.healthArmed {
-			// The fused pipeline folds this scan into its epilogue
-			// barrier phase; the phased ablation pays one extra
-			// dispatch, consistent with its per-phase structure.
-			s.curDst = dst
-			s.pool.ForStatic(s.numV, s.healthScanJob)
-			s.curDst = nil
-		}
-		if epi != nil {
+		if epi != nil || s.healthArmed {
 			start := time.Now()
-			s.curEpi = epi
-			s.pool.Run(s.phasedEpiJob)
-			s.curEpi = nil
+			s.curDst = dst
+			s.pool.Run(s.slotsJob)
+			s.curDst = nil
 			s.breakdown.Wall += time.Since(start)
 		}
 	} else {
-		s.curEpi = epi
+		s.streamed = s.streams && s.touched == nil && (epi != nil || s.healthArmed) && (epi == nil || streamEpi)
 		s.drv.stepFused(src, dst)
-		s.curEpi = nil
+		s.streamed = false
 	}
+	s.curEpi = nil
 	s.breakdown.Steps++
 	return s.collectHealth()
 }
@@ -275,29 +317,46 @@ func (s *stepShell) recoverState() {
 	s.drv.recoverDriver()
 	s.epiBarrier.Reset()
 	s.curSrc, s.curDst, s.curEpi, s.touched = nil, nil, nil, nil
-	s.healthArmed = false
+	s.healthArmed, s.streamed = false, false
 }
 
-// runEpilogue crosses the epilogue barrier and runs worker w's share of
-// the watchdog scan and of a staged epilogue; a no-op when neither is
-// staged. The barrier is required because both may read any dst
+// runEpilogue crosses the epilogue barrier and runs worker w's slots;
+// a no-op when neither scan nor epilogue is staged, or when the step
+// streamed them. The barrier is required because both may read any dst
 // element, while the phases before it only guarantee the whole vector
 // at dispatch end.
 //
 //ihtl:noalloc
 func (s *stepShell) runEpilogue(w int) {
-	if s.curEpi == nil && !s.healthArmed {
+	if s.streamed || s.curEpi == nil && !s.healthArmed {
 		return
 	}
 	if !s.epiBarrier.WaitAbort(s.pool) {
 		return
 	}
-	lo, hi := sched.SplitRange(s.numV, s.nworkers, w)
+	s.runSlots(w)
+}
+
+// runSlots runs finishSlot on the slots worker w owns behind a barrier.
+//
+//ihtl:noalloc
+func (s *stepShell) runSlots(w int) {
+	for p := s.slotOwner[w]; p < s.slotOwner[w+1]; p++ {
+		s.finishSlot(w, p)
+	}
+}
+
+// finishSlot runs, on worker w, the watchdog scan and the staged
+// epilogue over slot p's rows, which must be final.
+//
+//ihtl:noalloc
+func (s *stepShell) finishSlot(w, p int) {
+	lo, hi := s.slotBounds[p], s.slotBounds[p+1]
 	if s.healthArmed {
 		s.healthScan(w, lo, hi)
 	}
 	if s.curEpi != nil {
-		s.curEpi(w, lo, hi)
+		s.curEpi(p, lo, hi)
 	}
 }
 
@@ -315,12 +374,13 @@ func (s *stepShell) armHealth(k int) {
 	}
 }
 
-// healthScan is worker w's share of the watchdog sweep over the staged
-// destination vector: the lanes of rows [lo, hi), or of those among
-// them an active-row step wrote (the others hold an earlier step's
-// values, scanned then). The first element it looks at is routed
-// through the fault injector's poison site, the deterministic hook the
-// recovery tests and ihtlbench -faults use to corrupt a step.
+// healthScan is one slot's share of the watchdog sweep over the staged
+// destination vector, tallied into worker w's slot: the lanes of rows
+// [lo, hi), or of those among them an active-row step wrote (the others
+// hold an earlier step's values, scanned then). The first element it
+// looks at is routed through the fault injector's poison site — once
+// per non-empty slot per step — the deterministic hook the recovery
+// tests and ihtlbench -faults use to corrupt a step.
 //
 //ihtl:noalloc
 func (s *stepShell) healthScan(w, lo, hi int) {
@@ -348,7 +408,12 @@ func (s *stepShell) healthScan(w, lo, hi int) {
 func (s *stepShell) scanLanes(w, flo, fhi int, poison bool) {
 	dst := s.curDst
 	if poison {
-		dst[flo] = faultinject.Poison(faultinject.SiteStepHealth, dst[flo])
+		// Stored only when the injector changed it, so a fault-free scan
+		// that clamps nothing writes nothing: an epilogue behind the
+		// barrier may read other slots' rows while they are scanned.
+		if x := faultinject.Poison(faultinject.SiteStepHealth, dst[flo]); math.Float64bits(x) != math.Float64bits(dst[flo]) {
+			dst[flo] = x
+		}
 	}
 	clamp := s.health.Mode == spmv.HealthClamp
 	slot := &s.healthBad[w]

@@ -92,7 +92,9 @@ func ParseSparseKernel(s string) (SparseKernel, error) {
 	}
 }
 
-// defaultSparseKernel is what SparseAuto resolves to: the degree-aware
+// defaultSparseKernel is what SparseAuto resolves to on a graph with a
+// flipped block (on one without, it is SparsePull: see
+// initSparseKernel): the degree-aware
 // pull schedule. It won the three-way ablation when it was added
 // (results/BENCH_step.json: sparse phase -12 % vs uniform pull on the sk
 // web graph, -28 % on the skewed twtrmpi social graph, ties elsewhere —
@@ -207,9 +209,18 @@ func buildPB(ih *IHTL, workers int) *pbState {
 
 // initSparseKernel resolves the configured kernel and builds its
 // schedule state. Called once from NewEngineOpts.
+//
+// SparseAuto is the uniform pull on a graph with no flipped block: its
+// parts are the epilogue slots a StepEpi can finish as it pulls them
+// (initSlots) — the degree schedule's light parts are final only once
+// every heavy part is — and it steps as fast or faster there on its own
+// (DESIGN.md §18, "The kernel and the epilogue").
 func (e *Engine) initSparseKernel(kernel SparseKernel) {
 	if kernel == SparseAuto {
 		kernel = defaultSparseKernel
+		if len(e.ih.Blocks) == 0 {
+			kernel = SparsePull
+		}
 	}
 	e.sparseKernel = kernel
 	ih := e.ih
@@ -311,7 +322,10 @@ func (e *Engine) sparseWorker(w int, src, dst []float64) {
 }
 
 // sparsePullWorker drains the baseline pull via range stealing over
-// the uniform edge-balanced partitions.
+// the uniform edge-balanced partitions. On a streamed step each part is
+// also an epilogue slot whose rows nothing else writes, final once
+// pulled: the worker scans and finishes it there, while they are still
+// in its cache.
 //
 //ihtl:noalloc
 func (e *Engine) sparsePullWorker(w int, src, dst []float64) {
@@ -319,6 +333,7 @@ func (e *Engine) sparsePullWorker(w int, src, dst []float64) {
 	if nparts <= 0 {
 		return
 	}
+	streamed := e.streamed
 	for !e.pool.Aborted() {
 		lo, hi, ok := e.sparseSched.Next(w, 1)
 		if !ok {
@@ -327,6 +342,9 @@ func (e *Engine) sparsePullWorker(w int, src, dst []float64) {
 		faultinject.Fire(faultinject.SiteSparsePart)
 		for p := lo; p < hi; p++ {
 			e.sparsePullPartBatch(&e.batch, p, src, dst)
+			if streamed {
+				e.finishSlot(w, p)
+			}
 		}
 	}
 }
