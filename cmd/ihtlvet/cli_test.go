@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -124,7 +125,37 @@ func TestGateWaiverIndex(t *testing.T) {
 			t.Errorf("expected //ihtl:nobce function %s in the gate index", fn)
 		}
 	}
+	// The Go twins of the assembly kernels stand in for them under both
+	// gates (analyzers.AssemblyTwins).
+	for _, twin := range analyzers.AssemblyTwins {
+		for _, directive := range []string{"nobce", "noescape"} {
+			found := false
+			for _, frs := range ann.funcs[directive] {
+				for _, fr := range frs {
+					found = found || fr.name == twin
+				}
+			}
+			if !found {
+				t.Errorf("assembly twin %s is not in the //ihtl:%s gate index", twin, directive)
+			}
+		}
+	}
 	if len(ann.waived["allow-boundscheck"]) == 0 {
 		t.Error("expected at least one //ihtl:allow-boundscheck waiver (the pbDrainBucket clear line)")
+	}
+}
+
+// TestGateRejectsBodylessAnnotation: a gate directive on a function
+// with no Go body would pass unseen (the compiler reports nothing inside
+// assembly), so the annotation index refuses it by name.
+func TestGateRejectsBodylessAnnotation(t *testing.T) {
+	dir := t.TempDir()
+	src := "package k\n\n//ihtl:nobce\nfunc kernel(x []float64)\n"
+	if err := os.WriteFile(filepath.Join(dir, "k.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := loadAnnotations(dir, []*gateSpec{bceGate, escapeGate})
+	if err == nil || !strings.Contains(err.Error(), "//ihtl:nobce on kernel, which has no Go body") {
+		t.Fatalf("err = %v, want the body-less //ihtl:nobce refused", err)
 	}
 }

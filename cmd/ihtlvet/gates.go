@@ -90,7 +90,10 @@ type moduleAnnotations struct {
 
 // loadAnnotations parses every non-test .go file under root (skipping
 // testdata and hidden directories) with comments, recording the gate
-// directives. Syntax-only: the gates need line ranges, not types.
+// directives. Syntax-only: the gates need line ranges, not types. A
+// gate directive on a function with no Go body (assembly) is an error:
+// the compiler reports nothing inside it, so the gate would pass it
+// unseen.
 func loadAnnotations(root string, gates []*gateSpec) (*moduleAnnotations, error) {
 	ann := &moduleAnnotations{
 		root:   root,
@@ -127,8 +130,11 @@ func loadAnnotations(root string, gates []*gateSpec) (*moduleAnnotations, error)
 		for _, g := range gates {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !analyzers.FuncHasDirective(fd, g.directive) {
+				if !ok || !analyzers.FuncHasDirective(fd, g.directive) {
 					continue
+				}
+				if fd.Body == nil {
+					return fmt.Errorf("%s: //ihtl:%s on %s, which has no Go body for the compiler to report on; annotate its Go twin instead (analyzers.AssemblyTwins)", rel, g.directive, fd.Name.Name)
 				}
 				ann.funcs[g.directive][rel] = append(ann.funcs[g.directive][rel], funcRange{
 					name: fd.Name.Name,

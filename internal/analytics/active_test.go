@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ihtl/internal/core"
@@ -95,7 +96,9 @@ func requirePPREqual(t *testing.T, label string, got, want PPRResult) {
 // row count all equal, bit for bit — ranks, deltas, iteration count —
 // the run that never enters it. So do they on the zero-block graph a
 // default build makes of these (resident) inputs, where stealing is as
-// reproducible as the static split.
+// reproducible as the static split. The table runs once per arm of the
+// flat lane cells (their assembly where the CPU has AVX2, then the Go
+// twins), and every dense run must equal the first arm's too.
 func TestPPRActiveRowsMatchDense(t *testing.T) {
 	type build struct {
 		name string
@@ -110,67 +113,83 @@ func TestPPRActiveRowsMatchDense(t *testing.T) {
 			builds = append(builds, build{name + "/resident", g, core.Params{}, core.EngineOptions{}})
 		}
 	}
-	for _, b := range builds {
-		name := b.name
-		ih, err := core.Build(b.g, b.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.p.HubsPerBlock == 0 && len(ih.Blocks) != 0 {
-			t.Fatalf("%s: a default build of %d vertices has %d flipped blocks", name, ih.NumV, len(ih.Blocks))
-		}
-		deg := ih.OutDegrees()
-		cands := sourceCandidates(ih, deg)
-		for _, workers := range []int{1, 2, 3} {
-			pool := sched.NewPool(workers)
-			defer pool.Close()
-			ce, err := core.NewEngineOpts(ih, pool, b.opt)
+	arms := []string{"go"}
+	if core.ForceGoTwins(false) {
+		arms = []string{"avx2", "go"}
+	}
+	defer core.ForceGoTwins(false)
+	firstArm := map[string]PPRResult{}
+	for _, arm := range arms {
+		core.ForceGoTwins(arm == "go")
+		for _, b := range builds {
+			name := b.name
+			ih, err := core.Build(b.g, b.p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := &activeCounter{activeRowStepper: ce}
-			var dense, sparse PPRWorkspace // reused from run to run, as ihtl.Engine does
-			widths := []int{1, 2, 5, 8}
-			if testing.Short() {
-				widths = []int{1, 5} // the race detector runs this table; half of it is enough there
+			if b.p.HubsPerBlock == 0 && len(ih.Blocks) != 0 {
+				t.Fatalf("%s: a default build of %d vertices has %d flipped blocks", name, ih.NumV, len(ih.Blocks))
 			}
-			for _, k := range widths {
-				for rot := range cands {
-					sources := make([]int, k)
-					for j := range sources {
-						sources[j] = cands[(rot+j)%len(cands)]
-					}
-					for _, redistribute := range []bool{false, true} {
-						opt := PageRankOptions{MaxIters: 9, Tol: -1, RedistributeDangling: redistribute}
-						switch rot {
-						case 0: // stop by tolerance: the iteration counts must agree
-							opt = PageRankOptions{MaxIters: 40, Tol: 1e-4, RedistributeDangling: redistribute}
-						case 1: // no teleport but returned dangling mass: a source row can fall to zero and come back
-							opt.Damping = 1
+			deg := ih.OutDegrees()
+			cands := sourceCandidates(ih, deg)
+			for _, workers := range []int{1, 2, 3} {
+				pool := sched.NewPool(workers)
+				defer pool.Close()
+				ce, err := core.NewEngineOpts(ih, pool, b.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := &activeCounter{activeRowStepper: ce}
+				var dense, sparse PPRWorkspace // reused from run to run, as ihtl.Engine does
+				widths := []int{1, 2, 5, 8}
+				if testing.Short() {
+					widths = []int{1, 5} // the race detector runs this table; half of it is enough there
+				}
+				for _, k := range widths {
+					for rot := range cands {
+						sources := make([]int, k)
+						for j := range sources {
+							sources[j] = cands[(rot+j)%len(cands)]
 						}
-						label := fmt.Sprintf("%s/w%d/k%d/sources%v/redistribute=%v", name, workers, k, sources, redistribute)
-						dense.leaveActive = leaveAtOnce
-						e.honoured = 0
-						want, err := dense.Run(nil, e, deg, pool, sources, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if e.honoured != 0 {
-							t.Fatalf("%s: the dense run took %d active-row steps", label, e.honoured)
-						}
-						for rule, leave := range map[string]func(iter, rows, n int) bool{"at3": leaveAt3, "never": leaveNever, "by-count": nil} {
-							sparse.leaveActive = leave
+						for _, redistribute := range []bool{false, true} {
+							opt := PageRankOptions{MaxIters: 9, Tol: -1, RedistributeDangling: redistribute}
+							switch rot {
+							case 0: // stop by tolerance: the iteration counts must agree
+								opt = PageRankOptions{MaxIters: 40, Tol: 1e-4, RedistributeDangling: redistribute}
+							case 1: // no teleport but returned dangling mass: a source row can fall to zero and come back
+								opt.Damping = 1
+							}
+							key := fmt.Sprintf("%s/w%d/k%d/rot%d/sources%v/redistribute=%v", name, workers, k, rot, sources, redistribute)
+							label := arm + "/" + key
+							dense.leaveActive = leaveAtOnce
 							e.honoured = 0
-							got, err := sparse.Run(nil, e, deg, pool, sources, opt)
+							want, err := dense.Run(nil, e, deg, pool, sources, opt)
 							if err != nil {
 								t.Fatal(err)
 							}
-							requirePPREqual(t, label+"/"+rule, got, want)
-							switch {
-							case rule == "at3" && e.honoured != min(3, want.Iters):
-								t.Fatalf("%s/at3: %d active-row steps, want %d", label, e.honoured, min(3, want.Iters))
-							case rule == "never" && e.honoured != want.Iters:
-								t.Fatalf("%s/never: %d active-row steps of %d", label, e.honoured, want.Iters)
+							if e.honoured != 0 {
+								t.Fatalf("%s: the dense run took %d active-row steps", label, e.honoured)
+							}
+							if first, ok := firstArm[key]; ok {
+								requirePPREqual(t, label+" against "+arms[0], want, first)
+							} else {
+								want.Ranks, want.Deltas = slices.Clone(want.Ranks), slices.Clone(want.Deltas) // Run's ranks are the workspace's
+								firstArm[key] = want
+							}
+							for rule, leave := range map[string]func(iter, rows, n int) bool{"at3": leaveAt3, "never": leaveNever, "by-count": nil} {
+								sparse.leaveActive = leave
+								e.honoured = 0
+								got, err := sparse.Run(nil, e, deg, pool, sources, opt)
+								if err != nil {
+									t.Fatal(err)
+								}
+								requirePPREqual(t, label+"/"+rule, got, want)
+								switch {
+								case rule == "at3" && e.honoured != min(3, want.Iters):
+									t.Fatalf("%s/at3: %d active-row steps, want %d", label, e.honoured, min(3, want.Iters))
+								case rule == "never" && e.honoured != want.Iters:
+									t.Fatalf("%s/never: %d active-row steps of %d", label, e.honoured, want.Iters)
+								}
 							}
 						}
 					}

@@ -13,7 +13,9 @@ import (
 // at every call shape). A function may still call an UN-annotated
 // helper — that is the deliberate escape hatch for construction-time
 // and ablation paths — but everything it does inline, and every
-// annotated callee, is checked.
+// annotated callee, is checked. A callee of its package with no Go body
+// (assembly) must be listed in AssemblyTwins, whose Go twins this pass
+// checks in its place.
 //
 // Flagged constructs: make/new, append (may grow), function literals
 // (closure capture), map and slice composite literals, &composite
@@ -27,19 +29,21 @@ var NoAlloc = &Analyzer{
 }
 
 func runNoAlloc(pass *Pass) error {
+	checkAssemblyTwins(pass)
+	bodyless := bodylessFuncs(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !funcHasDirective(fn, "noalloc") {
 				continue
 			}
-			checkNoAllocBody(pass, fn)
+			checkNoAllocBody(pass, fn, bodyless)
 		}
 	}
 	return nil
 }
 
-func checkNoAllocBody(pass *Pass, fn *ast.FuncDecl) {
+func checkNoAllocBody(pass *Pass, fn *ast.FuncDecl, bodyless map[*types.Func]*ast.FuncDecl) {
 	sig, _ := pass.Info.Defs[fn.Name].Type().(*types.Signature)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -50,6 +54,9 @@ func checkNoAllocBody(pass *Pass, fn *ast.FuncDecl) {
 			pass.Reportf(n.Pos(), "%s is //ihtl:noalloc but starts a goroutine", fn.Name.Name)
 		case *ast.CallExpr:
 			checkNoAllocCall(pass, fn, n)
+			if callee := pass.staticCallee(n); callee != nil && bodyless[callee] != nil && !isAssemblyKernel(callee) {
+				pass.Reportf(n.Pos(), "%s is //ihtl:noalloc but calls %s, which has no Go body for any pass to check; give it a Go twin and list the pair in analyzers.AssemblyTwins", fn.Name.Name, callee.Name())
+			}
 		case *ast.CompositeLit:
 			switch pass.typeOf(n).Underlying().(type) {
 			case *types.Map:

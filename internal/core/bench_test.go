@@ -69,84 +69,96 @@ func BenchmarkShortRowKernel(b *testing.B) {
 // flat at 8 lanes and packed gap rows at 4 on a graph that flips, and
 // the 4-lane pull over the same graph built resident, which has no push:
 // flat rows (what the daemon runs on a raw file) beside packed ones
-// (what it ran on the packed file of that graph) — each through the
-// run-time-K loop ("generic") and through the body the engine selects
-// ("fixed"), on one thread over an R-MAT of the benchmark's
-// small-resident shape (scale 14, all in L2). Kernels are called
-// directly, every task and row in order: the number is the inner
-// loop's, per edge-lane. DESIGN.md §8 records the table.
+// (what it ran on the packed file of that graph), and the resident
+// 8-lane flat pull (the ppr8 rung on small-resident) — each through the
+// run-time-K loop ("generic"), through the Go body the engine selects
+// ("fixed"; for the three flat cells their Go twin) and, where the CPU
+// has AVX2, through the flat cells' assembly ("avx2"). One thread, over
+// R-MATs of the benchmark's small-resident shape (scale 14, all in L2)
+// and at scale 17 (the largest resident graph). Kernels are called
+// directly, every task and row in order: the number is the inner loop's,
+// per edge-lane. DESIGN.md §8 records the table.
 func BenchmarkLaneKernel(b *testing.B) {
-	g, err := gen.RMAT(gen.DefaultRMAT(14, 16, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	flipped, err := Build(g, Params{HubsPerBlock: flipB})
-	if err != nil {
-		b.Fatal(err)
-	}
-	resident, err := Build(g, Params{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		ih   *IHTL
-		enc  BlockEncoding
-		k    int
-	}{
-		{"flat", flipped, EncodingFlat, 8}, {"packed", flipped, EncodingVarint, 4},
-		{"resident-flat", resident, EncodingFlat, 4}, {"resident-packed", resident, EncodingVarint, 4},
-	} {
-		ih := c.ih
-		e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull, BlockEncoding: c.enc})
+	defer ForceGoTwins(false)
+	for _, scale := range []int{14, 17} {
+		g, err := gen.RMAT(gen.DefaultRMAT(scale, 16, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows := ih.NumV - ih.Sparse.DestLo
-		k := c.k
-		src := make([]float64, ih.NumV*k)
-		for i := range src {
-			src[i] = 1 / float64(ih.NumV)
+		flipped, err := Build(g, Params{HubsPerBlock: flipB})
+		if err != nil {
+			b.Fatal(err)
 		}
-		dst := make([]float64, ih.NumV*k)
-		buf := make([]float64, ih.NumHubs*k)
-		perLane := func(b *testing.B, edges int64) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges)/float64(k), "ns/edge-lane")
+		resident, err := Build(g, Params{})
+		if err != nil {
+			b.Fatal(err)
 		}
-		for _, body := range []string{"generic", "fixed"} {
-			fixed := body == "fixed"
-			b.Run(fmt.Sprintf("pull/%s/k%d/%s", c.name, k, body), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for r := 0; r < rows; r++ {
-						if fixed {
-							e.pullRowLanes(r, k, src, dst)
-						} else {
-							db := (ih.Sparse.DestLo + r) * k
-							e.pullRowGeneric(r, k, src, dst[db:db+k:db+k])
-						}
-					}
-				}
-				perLane(b, ih.Sparse.NumEdges())
-			})
-			if len(ih.Blocks) == 0 {
-				continue
+		for _, c := range []struct {
+			name string
+			ih   *IHTL
+			enc  BlockEncoding
+			k    int
+		}{
+			{"flat", flipped, EncodingFlat, 8}, {"packed", flipped, EncodingVarint, 4},
+			{"resident-flat", resident, EncodingFlat, 4}, {"resident-packed", resident, EncodingVarint, 4},
+			{"resident-flat", resident, EncodingFlat, 8},
+		} {
+			ih := c.ih
+			e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull, BlockEncoding: c.enc})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("push/%s/k%d/%s", c.name, k, body), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for t := range e.blockTasks {
-						bt := &e.blockTasks[t]
-						switch fb := &ih.Blocks[bt.block]; {
-						case fixed:
-							e.pushTaskBatch(k, bt, src, buf)
-						case e.varint:
-							pushTaskEncBatch(k, bt, fb, src, buf)
-						default:
-							pushTaskFlatBatch(k, bt, fb, src, buf)
+			rows := ih.NumV - ih.Sparse.DestLo
+			k := c.k
+			src := make([]float64, ih.NumV*k)
+			for i := range src {
+				src[i] = 1 / float64(ih.NumV)
+			}
+			dst := make([]float64, ih.NumV*k)
+			buf := make([]float64, ih.NumHubs*k)
+			perLane := func(b *testing.B, edges int64) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges)/float64(k), "ns/edge-lane")
+			}
+			bodies := []string{"generic", "fixed"}
+			if hasAVX2() && c.enc == EncodingFlat {
+				bodies = append(bodies, "avx2")
+			}
+			for _, body := range bodies {
+				generic := body == "generic"
+				ForceGoTwins(body != "avx2")
+				b.Run(fmt.Sprintf("scale=%d/pull/%s/k%d/%s", scale, c.name, k, body), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for r := 0; r < rows; r++ {
+							if generic {
+								db := (ih.Sparse.DestLo + r) * k
+								e.pullRowGeneric(r, k, src, dst[db:db+k:db+k])
+							} else {
+								e.pullRowLanes(r, k, src, dst)
+							}
 						}
 					}
+					perLane(b, ih.Sparse.NumEdges())
+				})
+				if len(ih.Blocks) == 0 {
+					continue
 				}
-				perLane(b, ih.FlippedEdges())
-			})
+				b.Run(fmt.Sprintf("scale=%d/push/%s/k%d/%s", scale, c.name, k, body), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for t := range e.blockTasks {
+							bt := &e.blockTasks[t]
+							switch fb := &ih.Blocks[bt.block]; {
+							case !generic:
+								e.pushTaskBatch(k, bt, src, buf)
+							case e.varint:
+								pushTaskEncBatch(k, bt, fb, src, buf)
+							default:
+								pushTaskFlatBatch(k, bt, fb, src, buf)
+							}
+						}
+					}
+					perLane(b, ih.FlippedEdges())
+				})
+			}
 		}
 	}
 }

@@ -25,6 +25,29 @@ import (
 // Engine.pushTaskBatch and Engine.pullRowLanes are the only callers;
 // every other pair (the flat 4-lane push and packed 8 among them) runs
 // the generic loop until a workload measures it.
+//
+// The three flat cells (pushTaskFlat8, pullRowFlat8, pullRowFlat4) also
+// have an AVX2 body (lanes_amd64.s), a lane row per VADDPD, taken while
+// laneAsm is set. The Go bodies here are their twins: what every other
+// host and the purego, ihtlchecked and race builds run, and what
+// lanes_asm_test.go holds the assembly to, bit for bit.
+
+// laneAsm selects the assembly lane kernels over their Go twins. It is
+// set once per process from the CPU (hasAVX2, at init in
+// lanes_amd64.go) and read by the two switches that pick a kernel,
+// never per edge.
+var laneAsm bool
+
+// ForceGoTwins makes the flat lane cells run their Go twins even on a
+// CPU with AVX2 (on) or returns them to the per-process choice (!on),
+// and reports whether this build has the assembly arm at all. It is
+// the hook that lets tests run both arms on one host; call it only
+// between steps.
+func ForceGoTwins(on bool) (asm bool) {
+	asm = hasAVX2()
+	laneAsm = asm && !on
+	return asm
+}
 
 // pushTaskFlat8 is pushTaskFlatBatch at k = 8.
 //

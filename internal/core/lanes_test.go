@@ -55,6 +55,18 @@ func laneInputs(seed uint64, n, k int) (lanes [][]float64, batch []float64) {
 	return lanes, batch
 }
 
+// laneArms names the arms of the flat lane cells this build can run:
+// "avx2" and then "go" (the Go twins, forced with ForceGoTwins) where
+// the CPU has AVX2, else "go" alone. The per-process choice is put back
+// when t ends.
+func laneArms(t *testing.T) []string {
+	t.Cleanup(func() { ForceGoTwins(false) })
+	if ForceGoTwins(false) {
+		return []string{"avx2", "go"}
+	}
+	return []string{"go"}
+}
+
 // laneStepper is what the single and the sharded engine share here;
 // both step in their own ID space, scalar and batched alike.
 type laneStepper interface {
@@ -82,11 +94,14 @@ func requireLanesMatchScalar(t *testing.T, e laneStepper, lanes [][]float64, dst
 // run-time-K loop at the same widths on the other encoding and at their
 // neighbours (2, 3, 5, 9), both pipelines, stolen and pinned flipped
 // tasks, 1-3 workers — StepBatch lane j ==
-// scalar Step on lane j. On the web graph the scalar engine walks its
-// short-row blocks edge-major, so a different loop shape is the oracle
-// for the CSR lane kernels.
+// scalar Step on lane j. Widths 4 and 8 run once more with the Go twins
+// forced where the flat cells run assembly (the "/go-twins" rows). On
+// the web graph the scalar engine walks its short-row blocks
+// edge-major, so a different loop shape is the oracle for the CSR lane
+// kernels.
 func TestLaneKernelsMatchScalarStep(t *testing.T) {
 	graphs := diffGraphs(t)
+	arms := laneArms(t)
 	for _, name := range []string{"rmat", "web"} {
 		ih, err := Build(graphs[name], Params{HubsPerBlock: 64})
 		if err != nil {
@@ -105,12 +120,23 @@ func TestLaneKernelsMatchScalarStep(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, k := range []int{2, 3, 4, 5, 8, 9} {
-					t.Run(fmt.Sprintf("%s/w%d/%v/phased=%v/static=%v/k%d", name, workers, e.Encoding(), opt.Phased, opt.StaticFlipped, k), func(t *testing.T) {
-						lanes, src := laneInputs(42, ih.NumV, k)
-						dst := make([]float64, ih.NumV*k)
-						e.StepBatch(src, dst, k)
-						requireLanesMatchScalar(t, e, lanes, dst)
-					})
+					for _, arm := range arms {
+						label := fmt.Sprintf("%s/w%d/%v/phased=%v/static=%v/k%d", name, workers, e.Encoding(), opt.Phased, opt.StaticFlipped, k)
+						if arm != arms[0] {
+							if k != 4 && k != 8 {
+								continue
+							}
+							label += "/go-twins"
+						}
+						t.Run(label, func(t *testing.T) {
+							ForceGoTwins(arm == "go")
+							defer ForceGoTwins(false)
+							lanes, src := laneInputs(42, ih.NumV, k)
+							dst := make([]float64, ih.NumV*k)
+							e.StepBatch(src, dst, k)
+							requireLanesMatchScalar(t, e, lanes, dst)
+						})
+					}
 				}
 			}
 		}
@@ -167,6 +193,43 @@ func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 		}
 		for i := range widths {
 			requireLanesMatchScalar(t, e, lanes[i], dst[i])
+		}
+	}
+}
+
+// TestStepBatch8AllocatesNothing pins zero allocations for a width-8
+// StepBatch, the width of the flat push and pull cells, on a graph that
+// flips and on a resident one, under each arm of those cells.
+func TestStepBatch8AllocatesNothing(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := laneArms(t)
+	for _, build := range []struct {
+		name string
+		p    Params
+	}{{"flipped", Params{HubsPerBlock: 64}}, {"resident", Params{}}} {
+		ih, err := Build(g, build.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flips := len(ih.Blocks) > 0; flips != (build.name == "flipped") {
+			t.Fatalf("%s: built %d flipped blocks", build.name, len(ih.Blocks))
+		}
+		e, err := NewEngine(ih, testPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, src := laneInputs(3, g.NumV, 8)
+		dst := make([]float64, g.NumV*8)
+		step := func() { e.StepBatch(src, dst, 8) }
+		for _, arm := range arms {
+			ForceGoTwins(arm == "go")
+			step()
+			if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
+				t.Errorf("%s/%s: a width-8 StepBatch allocates %.1f objects, want 0", build.name, arm, allocs)
+			}
 		}
 	}
 }

@@ -34,9 +34,9 @@ func (e *Engine) pushTask(bt *blockTask, src, buf []float64) {
 // pushTaskBatch pushes task bt k lanes wide, and is the one place the
 // fused worker and the phased ablation pick a dense flipped kernel: the
 // scalar bodies at one lane, the register-resident bodies (lanes.go) at
-// 8 lanes over flat topology and 4 over packed gap rows, the generic
-// lane loop for everything else. The K-lane kernels walk CSR whatever
-// the block's layout.
+// 8 lanes over flat topology — its AVX2 body while laneAsm is set — and
+// 4 over packed gap rows, the generic lane loop for everything else.
+// The K-lane kernels walk CSR whatever the block's layout.
 //
 //ihtl:noalloc
 func (e *Engine) pushTaskBatch(k int, bt *blockTask, src, buf []float64) {
@@ -44,6 +44,8 @@ func (e *Engine) pushTaskBatch(k int, bt *blockTask, src, buf []float64) {
 	switch {
 	case k == 1:
 		e.pushTask(bt, src, buf)
+	case k == 8 && !e.varint && laneAsm:
+		pushTaskFlat8AVX2(fb.Index, fb.Dsts, bt.lo, bt.hi, src, buf)
 	case k == 8 && !e.varint:
 		pushTaskFlat8(bt, fb, src, buf)
 	case k == 4 && e.varint:

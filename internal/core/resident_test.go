@@ -259,8 +259,10 @@ func requireLanesBitIdentical(t *testing.T, label string, k int, want [][]float6
 // it — either encoding, every sparse kernel, fused, phased, static or
 // watched, any worker count, any lane width — sums each row in topology
 // order and equals the serial pull oracle BIT FOR BIT on arbitrary
-// floats, and so itself from run to run, stealing or not.
+// floats, and so itself from run to run, stealing or not — with the
+// flat lane cells' assembly and with their Go twins alike.
 func TestResidentDifferential(t *testing.T) {
+	arms := laneArms(t)
 	modes := map[string]EngineOptions{
 		"fused":    {},
 		"phased":   {Phased: true},
@@ -281,24 +283,27 @@ func TestResidentDifferential(t *testing.T) {
 		for _, k := range []int{1, 4, 8} {
 			srcs[k], wants[k] = laneVecs(g, k)
 		}
-		for _, workers := range []int{1, 2, 3} {
-			pool := sched.NewPool(workers)
-			defer pool.Close()
-			for _, enc := range []BlockEncoding{EncodingFlat, EncodingVarint} {
-				for _, kernel := range []SparseKernel{SparsePull, SparsePullDegree, SparsePB} {
-					for mname, opt := range modes {
-						opt.BlockEncoding, opt.SparseKernel = enc, kernel
-						e, err := NewEngineOpts(ih, pool, opt)
-						label := fmt.Sprintf("%s/w%d/%v/%v/%s", gname, workers, enc, kernel, mname)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						for _, k := range []int{1, 4, 8} {
-							dst := make([]float64, n*k)
-							for run := 0; run < 2; run++ {
-								clear(dst)
-								e.StepBatch(srcs[k], dst, k) // the scalar Step at k = 1
-								requireLanesBitIdentical(t, fmt.Sprintf("%s/k%d run %d", label, k, run), k, wants[k], dst)
+		for _, arm := range arms {
+			ForceGoTwins(arm == "go")
+			for _, workers := range []int{1, 2, 3} {
+				pool := sched.NewPool(workers)
+				defer pool.Close()
+				for _, enc := range []BlockEncoding{EncodingFlat, EncodingVarint} {
+					for _, kernel := range []SparseKernel{SparsePull, SparsePullDegree, SparsePB} {
+						for mname, opt := range modes {
+							opt.BlockEncoding, opt.SparseKernel = enc, kernel
+							e, err := NewEngineOpts(ih, pool, opt)
+							label := fmt.Sprintf("%s/%s/w%d/%v/%v/%s", gname, arm, workers, enc, kernel, mname)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							for _, k := range []int{1, 4, 8} {
+								dst := make([]float64, n*k)
+								for run := 0; run < 2; run++ {
+									clear(dst)
+									e.StepBatch(srcs[k], dst, k) // the scalar Step at k = 1
+									requireLanesBitIdentical(t, fmt.Sprintf("%s/k%d run %d", label, k, run), k, wants[k], dst)
+								}
 							}
 						}
 					}

@@ -250,8 +250,10 @@ func TestV2RawRejectsHostile(t *testing.T) {
 // the engine over the opened raw file, the engine over the graph in
 // memory and the serial pull oracle agree bit for bit at widths 1, 4
 // and 8 on arbitrary floats, as every engine over a zero-block graph
-// does (TestResidentDifferential).
+// does (TestResidentDifferential) — with the flat lane cells' assembly
+// and with their Go twins alike.
 func TestV2RawFileDifferential(t *testing.T) {
+	arms := laneArms(t)
 	for gname, g := range residentGraphs(t) {
 		mem, err := Build(g, Params{})
 		if err != nil {
@@ -263,23 +265,26 @@ func TestV2RawFileDifferential(t *testing.T) {
 		for _, k := range []int{1, 4, 8} {
 			srcs[k], wants[k] = laneVecs(g, k)
 		}
-		for _, workers := range []int{1, 2, 3} {
-			pool := sched.NewPool(workers)
-			defer pool.Close()
-			for _, opt := range optionMatrix(t, nil) {
-				for from, ih := range map[string]*IHTL{"file": opened, "memory": mem} {
-					e, err := NewEngineOpts(ih, pool, opt)
-					label := fmt.Sprintf("%s/w%d/%s/%s", gname, workers, from, optLabel(opt))
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if want := opt.BlockEncoding == EncodingVarint; e.varint != want {
-						t.Fatalf("%s: engine walks packed rows: %v", label, e.varint)
-					}
-					for _, k := range []int{1, 4, 8} {
-						dst := make([]float64, n*k)
-						e.StepBatch(srcs[k], dst, k)
-						requireLanesBitIdentical(t, fmt.Sprintf("%s/k%d", label, k), k, wants[k], dst)
+		for _, arm := range arms {
+			ForceGoTwins(arm == "go")
+			for _, workers := range []int{1, 2, 3} {
+				pool := sched.NewPool(workers)
+				defer pool.Close()
+				for _, opt := range optionMatrix(t, nil) {
+					for from, ih := range map[string]*IHTL{"file": opened, "memory": mem} {
+						e, err := NewEngineOpts(ih, pool, opt)
+						label := fmt.Sprintf("%s/%s/w%d/%s/%s", gname, arm, workers, from, optLabel(opt))
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if want := opt.BlockEncoding == EncodingVarint; e.varint != want {
+							t.Fatalf("%s: engine walks packed rows: %v", label, e.varint)
+						}
+						for _, k := range []int{1, 4, 8} {
+							dst := make([]float64, n*k)
+							e.StepBatch(srcs[k], dst, k)
+							requireLanesBitIdentical(t, fmt.Sprintf("%s/k%d", label, k), k, wants[k], dst)
+						}
 					}
 				}
 			}

@@ -40,16 +40,26 @@ func (e *Engine) sparsePullPartBatch(b *batchState, p int, src, dst []float64) {
 // pullRowLanes pulls sparse row i K lanes wide into its dst lanes,
 // source by source in ascending order from +0.0: the one row body of
 // the pull, heavy and light parts, and the one place the batched pull
-// picks its body (see Engine.pushTaskBatch).
+// picks its body (see Engine.pushTaskBatch): the flat cells at 4 and 8
+// lanes run their AVX2 bodies while laneAsm is set.
 //
 //ihtl:noalloc
 func (e *Engine) pullRowLanes(i, k int, src, dst []float64) {
 	sp := &e.ih.Sparse
 	lo, hi := sp.Index[i], sp.Index[i+1]
 	db := (sp.DestLo + i) * k
+	// The 8-lane arm is an if/else and the 4-lane arm two cases: that
+	// size keeps every function linked after this one at the entry
+	// address mod 64 it had before the assembly arms (DESIGN.md §8).
 	switch {
 	case k == 8 && !e.varint:
-		pullRowFlat8(sp.Srcs, lo, hi, src, unchecked.Lanes8At(dst, db))
+		if out := unchecked.Lanes8At(dst, db); laneAsm {
+			pullRowFlat8AVX2(sp.Srcs, lo, hi, src, out)
+		} else {
+			pullRowFlat8(sp.Srcs, lo, hi, src, out)
+		}
+	case k == 4 && !e.varint && laneAsm:
+		pullRowFlat4AVX2(sp.Srcs, lo, hi, src, unchecked.Lanes4At(dst, db))
 	case k == 4 && !e.varint:
 		pullRowFlat4(sp.Srcs, lo, hi, src, unchecked.Lanes4At(dst, db))
 	case k == 4 && e.varint:
