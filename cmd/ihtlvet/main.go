@@ -1,11 +1,13 @@
 // Command ihtlvet runs the repo's static-analysis suite (see
 // internal/analyzers): noalloc, skipzero, atomicfield, parcapture,
 // ctxleak, determinism, faultsite and nopanic — plus two
-// compiler-assisted gates, -bce and -escape (see gates.go).
+// compiler-assisted gates, -bce and -escape (see gates.go), and a layout
+// fingerprint of two built binaries (see fingerprint.go).
 //
 // Usage:
 //
 //	ihtlvet [-json] [-analyzers=noalloc,skipzero,...] [-bce] [-escape] [packages]
+//	ihtlvet -fingerprint parent-binary change-binary
 //
 // Package patterns follow go vet conventions for this module: "./...",
 // "internal/core/...", directory paths, or full import paths. With no
@@ -49,8 +51,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	bce := fs.Bool("bce", false, "also run the bounds-check gate: compile with -d=ssa/check_bce and fail on checks inside //ihtl:nobce functions")
 	escape := fs.Bool("escape", false, "also run the escape gate: compile with -m and fail on heap escapes inside //ihtl:noescape functions")
+	fingerprint := fs.Bool("fingerprint", false, "print the layout fingerprint of two binaries given as arguments: entry address mod 64 of the annotated kernels and drivers, the assembly kernels and main.refSweep*")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: ihtlvet [-json] [-analyzers=a,b] [-bce] [-escape] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: ihtlvet [-json] [-analyzers=a,b] [-bce] [-escape] [packages]\n       ihtlvet -fingerprint parent-binary change-binary\n\nAnalyzers:\n")
 		for _, a := range analyzers.All() {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -93,6 +96,21 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "ihtlvet: %v\n", err)
 		return 2
+	}
+	if *fingerprint {
+		if fs.NArg() != 2 {
+			fmt.Fprintf(stderr, "ihtlvet: -fingerprint takes two binaries, parent and change; got %d arguments\n", fs.NArg())
+			return 2
+		}
+		set, err := moduleFingerprintSet(root, loader.ModPath)
+		if err == nil {
+			err = writeFingerprint(stdout, set, fs.Arg(0), fs.Arg(1))
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "ihtlvet: %v\n", err)
+			return 2
+		}
+		return 0
 	}
 	pkgs, err := loader.Load(fs.Args()...)
 	if err != nil {

@@ -115,7 +115,7 @@ func TestPPRActiveRowsMatchDense(t *testing.T) {
 	}
 	arms := []string{"go"}
 	if core.ForceGoTwins(false) {
-		arms = []string{"avx2", "go"}
+		arms = []string{"asm", "go"}
 	}
 	defer core.ForceGoTwins(false)
 	firstArm := map[string]PPRResult{}

@@ -21,6 +21,7 @@ var AssemblyTwins = map[string]string{
 	"ihtl/internal/core.pushTaskFlat8AVX2": "pushTaskFlat8",
 	"ihtl/internal/core.pullRowFlat8AVX2":  "pullRowFlat8",
 	"ihtl/internal/core.pullRowFlat4AVX2":  "pullRowFlat4",
+	"ihtl/internal/core.pullEdgePairsAsm":  "pullEdgePairs",
 }
 
 // twinDirectives are what an assembly kernel's Go twin must carry.

@@ -5,61 +5,137 @@ import (
 	"testing"
 
 	"ihtl/internal/gen"
+	"ihtl/internal/graph"
 	"ihtl/internal/sched"
 	"ihtl/internal/spmv"
 	"ihtl/internal/xrand"
 )
 
 // BenchmarkShortRowKernel times the four flat scalar kernels — CSR and
-// edge-major, flipped push and sparse pull — on one thread over the web
-// analog at 200 k pages, whose blocks are the short-row shape the
-// edge-major layout exists for (DESIGN.md §17 records the table). The
-// kernels are called directly, every task or part in order, so the
-// number is the inner loop's: no dispatch, no merge.
+// edge-major, flipped push and sparse pull — on one thread, called
+// directly, every task or part in order, so the number is the inner
+// loop's: no dispatch, no merge. The edge-major pull runs each body of
+// its pair loop: the Go twin ("go") and, in a build with the assembly,
+// the assembly prefetching 16, 32, 64 and 128 edges ahead ("asm-d32"). A
+// graph is generated only when a sub-benchmark of its name is selected:
+//
+//   - web=200k, the web analog at 200 k pages, whose blocks are the
+//     short-row shape the edge-major layout exists for (1.6 MB of vertex
+//     data). CI's smoke runs this one: -bench 'ShortRowKernel/web=200k'.
+//   - web=1.5M, web-sparse's graph, whose vertex data is 6× L2, so the
+//     pull's source reads miss.
+//   - rmat=20, social-flipped's (R-MAT scale 20, edge factor 16).
+//
+// The two beyond-L2 graphs also time whole Steps on two workers,
+// "step/<sparse kernel>/<body>", under both pull schedules: ns per edge,
+// and the sparse phase's busy ns per sparse edge. DESIGN.md §17 records
+// the tables (the distance sweep is "Prefetching the pull"), and §12 the
+// two schedules.
 func BenchmarkShortRowKernel(b *testing.B) {
-	cfg := gen.DefaultWeb(200_000, 1002)
-	cfg.MeanOutDegree = 6 // the benchmark's web-sparse shape
-	g, err := gen.Web(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ih, err := Build(g, Params{}) // the default, as web-sparse builds it: 1.6 MB of vertex data is past the resident threshold
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := make([]float64, ih.NumV)
-	for i := range src {
-		src[i] = 1 / float64(ih.NumV)
-	}
-	dst := make([]float64, ih.NumV)
-	for _, s := range ih.BlockShapes() {
-		b.Logf("%s: %d rows, %d edges, mean row %.2f, %.0f%% empty", s.Name, s.Rows, s.Edges, s.MeanRowLen, 100*s.EmptyRowFrac)
-	}
-	for _, layout := range []BlockLayout{LayoutCSR, LayoutEdgeMajor} {
-		e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull, forceLayout: layout})
-		if err != nil {
-			b.Fatal(err)
+	defer ForceGoTwins(false)
+	web := func(pages int) func() (*graph.Graph, error) {
+		return func() (*graph.Graph, error) {
+			cfg := gen.DefaultWeb(pages, 1002)
+			cfg.MeanOutDegree = 6 // the benchmark's web-sparse shape
+			return gen.Web(cfg)
 		}
-		perEdge := func(b *testing.B, edges int64) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+	}
+	type pairBody struct {
+		name string
+		dist int // pullPrefetch: 0 is the Go twin
+	}
+	bodies := []pairBody{{"go", 0}}
+	if edgeAsmDist > 0 {
+		for _, d := range []int{16, 32, 64, 128} {
+			bodies = append(bodies, pairBody{fmt.Sprintf("asm-d%d", d), d})
 		}
-		b.Run("push/"+layout.String(), func(b *testing.B) {
-			buf := e.batch.bufs[0]
-			for i := 0; i < b.N; i++ {
-				for t := range e.blockTasks {
-					e.pushTask(&e.blockTasks[t], src, buf)
+	}
+	for _, c := range []struct {
+		name  string
+		graph func() (*graph.Graph, error)
+		steps bool
+	}{
+		{"web=200k", web(200_000), false},
+		{"web=1.5M", web(1_500_000), true},
+		{"rmat=20", func() (*graph.Graph, error) { return gen.RMAT(gen.DefaultRMAT(20, 16, 1)) }, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g, err := c.graph()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ih, err := Build(g, Params{}) // the default, as the benchmark builds them: every graph here is past the resident threshold
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := make([]float64, ih.NumV)
+			for i := range src {
+				src[i] = 1 / float64(ih.NumV)
+			}
+			dst := make([]float64, ih.NumV)
+			for _, s := range ih.BlockShapes() {
+				b.Logf("%s: %d rows, %d edges, mean row %.2f, %.0f%% empty", s.Name, s.Rows, s.Edges, s.MeanRowLen, 100*s.EmptyRowFrac)
+			}
+			perEdge := func(b *testing.B, edges int64) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+			}
+			for _, layout := range []BlockLayout{LayoutCSR, LayoutEdgeMajor} {
+				e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull, forceLayout: layout})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Run("push/"+layout.String(), func(b *testing.B) {
+					buf := e.batch.bufs[0]
+					for i := 0; i < b.N; i++ {
+						for t := range e.blockTasks {
+							e.pushTask(&e.blockTasks[t], src, buf)
+						}
+					}
+					perEdge(b, ih.FlippedEdges())
+					clear(buf)
+				})
+				for _, body := range bodies {
+					name := "pull/" + layout.String()
+					if layout == LayoutEdgeMajor {
+						name += "/" + body.name
+					} else if body.dist > 0 {
+						continue // no pair loop to pick a body for
+					}
+					b.Run(name, func(b *testing.B) {
+						pullPrefetch = body.dist
+						for i := 0; i < b.N; i++ {
+							for p := 0; p < len(e.sparseBounds)-1; p++ {
+								e.sparsePullPart(p, src, dst)
+							}
+						}
+						perEdge(b, ih.Sparse.NumEdges())
+					})
 				}
 			}
-			perEdge(b, ih.FlippedEdges())
-			clear(buf)
-		})
-		b.Run("pull/"+layout.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for p := 0; p < len(e.sparseBounds)-1; p++ {
-					e.sparsePullPart(p, src, dst)
+			if !c.steps {
+				return
+			}
+			pool := sched.NewPool(2)
+			defer pool.Close()
+			for _, kernel := range []SparseKernel{SparsePullDegree, SparsePull} {
+				e, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: kernel})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, body := range bodies {
+					b.Run(fmt.Sprintf("step/%v/%s", kernel, body.name), func(b *testing.B) {
+						pullPrefetch = body.dist
+						e.Step(src, dst) // page in dst and the hub buffers
+						e.TakeBreakdown()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							e.Step(src, dst)
+						}
+						perEdge(b, ih.NumE)
+						b.ReportMetric(float64(e.TakeBreakdown().SparseBusy.Nanoseconds())/float64(b.N)/float64(ih.Sparse.NumEdges()), "sparse-ns/edge")
+					})
 				}
 			}
-			perEdge(b, ih.Sparse.NumEdges())
 		})
 	}
 }

@@ -38,11 +38,17 @@ package core
 // kernels and the packed (varint) kernels keep CSR — row skipping is
 // what pays on PPR's sparse vectors, and the packed rows carry their
 // own degree.
+//
+// The pull's src reads are random, and past L2 they miss. On amd64 its
+// pair loop runs an assembly body (edgemajor_amd64.s) that prefetches
+// the source value pullPrefetchDist edges ahead; pullEdgePairs is that
+// body's Go twin, bit for bit (DESIGN.md §17, "Prefetching the pull").
 
 import (
 	"slices"
 
 	"ihtl/internal/faultinject"
+	"ihtl/internal/graph"
 	"ihtl/internal/sched"
 	"ihtl/internal/unchecked"
 )
@@ -91,6 +97,15 @@ const (
 	// ahead of accumulating into them: 16 KiB of float64, half an L1d,
 	// so the accumulates hit lines the clear just brought in.
 	pullChunkRows = 2048
+
+	// pullPrefetchDist is how many edges ahead the assembly pair loop
+	// (edgemajor_amd64.s) prefetches its source values: far enough that
+	// a miss to memory is in flight for the 64 edges between, near enough
+	// that the line is still in L1 when its edge comes. Chosen from the
+	// distance sweep in DESIGN.md §17, "Prefetching the pull": 16 and 32
+	// are slower on both beyond-L2 graphs; 128 reads level with 64 or a
+	// little below it, so the knee is taken rather than the far end.
+	pullPrefetchDist = 64
 )
 
 // pickLayout chooses a block's layout from its shape. Blocks with no
@@ -154,6 +169,35 @@ func advance(index []int64, i, row, a int) int {
 		return rowOfEdgeFrom(index, int64(i), row+advEscape)
 	}
 	return row + a
+}
+
+// pullEdgePairs is the pair loop of pullRowsEdgeMajor and the Go twin of
+// its assembly body, pullEdgePairsAsm. From an even edge j, while
+// j+1 < end, it moves r by each edge's nibble and adds src[srcs[j]]
+// into rows[r] — rows is dst from the block's first row on, and the
+// accumulator is the add's first operand. It stops at the first escape
+// nibble, which it leaves to the caller, and returns the edge it stopped
+// at (end or end-1 when the pairs ran out) and the row of the edge
+// before it.
+//
+//ihtl:noalloc
+//ihtl:nobce
+//ihtl:noescape
+func pullEdgePairs(adv []uint8, srcs []graph.VID, src, rows []float64, j, end, r int) (int, int) {
+	for ; j+1 < end; j += 2 {
+		b := unchecked.At(adv, j>>1)
+		if b&advEscape == advEscape {
+			return j, r
+		}
+		r += int(b & advEscape)
+		unchecked.AddAt(rows, r, unchecked.At(src, int(unchecked.At(srcs, j))))
+		if b>>4 == advEscape {
+			return j + 1, r
+		}
+		r += int(b >> 4)
+		unchecked.AddAt(rows, r, unchecked.At(src, int(unchecked.At(srcs, j+1))))
+	}
+	return j, r
 }
 
 // fillAdv writes the non-zero nibbles of edges [eLo, eHi) — the first

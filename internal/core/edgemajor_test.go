@@ -303,7 +303,8 @@ func TestRowOfEdgeFrom(t *testing.T) {
 // escape, on a byte's first or second edge — to a spread of end rows,
 // against the CSR kernels, on a vector with signed zeros, NaN and
 // infinities. The row differences 14, 15 and 16 straddle the escape
-// value; 300 is a hole the gallop has to cross.
+// value; 300 is a hole the gallop has to cross. The pull runs once per
+// body of its pair loop (asmArms).
 func TestEdgeMajorKernelsEveryRange(t *testing.T) {
 	const rows, hubs = 420, 3
 	rng := xrand.New(5)
@@ -330,21 +331,24 @@ func TestEdgeMajorKernelsEveryRange(t *testing.T) {
 	src := specialVec(9, ih.NumV)
 	wantH, gotH := make([]float64, hubs), make([]float64, hubs)
 	want, got := make([]float64, ih.NumV), make([]float64, ih.NumV)
-	for lo := 0; lo <= rows; lo++ {
-		for hi := lo; hi <= rows; hi = max(hi+1+(hi-lo)/6, min(hi+1, rows)) {
-			clear(wantH)
-			clear(gotH)
-			pushTaskFlat(&blockTask{lo: lo, hi: hi}, fb, src, wantH)
-			pushTaskEdgeMajor(&blockTask{lo: lo, hi: hi, prev: rowBeforeEdge(fb.Index, fb.Index[lo])}, fb, fadv, src, gotH)
-			requireSameBits(t, fmt.Sprintf("push rows [%d, %d)", lo, hi), wantH, gotH)
+	for _, arm := range asmArms(t) {
+		ForceGoTwins(arm == "go")
+		for lo := 0; lo <= rows; lo++ {
+			for hi := lo; hi <= rows; hi = max(hi+1+(hi-lo)/6, min(hi+1, rows)) {
+				clear(wantH)
+				clear(gotH)
+				pushTaskFlat(&blockTask{lo: lo, hi: hi}, fb, src, wantH)
+				pushTaskEdgeMajor(&blockTask{lo: lo, hi: hi, prev: rowBeforeEdge(fb.Index, fb.Index[lo])}, fb, fadv, src, gotH)
+				requireSameBits(t, fmt.Sprintf("push rows [%d, %d)", lo, hi), wantH, gotH)
 
-			for i := range got {
-				want[i], got[i] = -7, -7 // rows outside [lo, hi) must stay untouched
+				for i := range got {
+					want[i], got[i] = -7, -7 // rows outside [lo, hi) must stay untouched
+				}
+				e.sparseBounds[0], e.sparseBounds[1] = lo, hi
+				e.sparsePullPart(0, src, want)
+				pullRowsEdgeMajor(sp, sadv, lo, hi, rowBeforeEdge(sp.Index, sp.Index[lo]), src, got)
+				requireSameBits(t, fmt.Sprintf("%s: pull rows [%d, %d)", arm, lo, hi), want, got)
 			}
-			e.sparseBounds[0], e.sparseBounds[1] = lo, hi
-			e.sparsePullPart(0, src, want)
-			pullRowsEdgeMajor(sp, sadv, lo, hi, rowBeforeEdge(sp.Index, sp.Index[lo]), src, got)
-			requireSameBits(t, fmt.Sprintf("pull rows [%d, %d)", lo, hi), want, got)
 		}
 	}
 }
@@ -388,9 +392,11 @@ func layoutCases(t *testing.T) []layoutCase {
 // chosen by shape must equal the oracle (spmv.Pull on generated graphs,
 // the serial sweep on the hand-built fixture) bit for bit — fused and
 // phased, stealing and StaticFlipped, uniform and degree-aware sparse
-// schedule, 1, 2 and 3 workers — on integer, signed-zero, NaN/±Inf and
-// all-zero sources.
+// schedule, 1, 2 and 3 workers, each body of the edge-major pull's pair
+// loop (asmArms) — on integer, signed-zero, NaN/±Inf and all-zero
+// sources.
 func TestLayoutDifferential(t *testing.T) {
+	arms := asmArms(t)
 	for _, c := range layoutCases(t) {
 		n := c.ih.NumV
 		negZero := make([]float64, n)
@@ -436,9 +442,12 @@ func TestLayoutDifferential(t *testing.T) {
 						}
 					}
 					dst := make([]float64, n)
-					for i, v := range vecs {
-						e.Step(v.src, dst)
-						requireSameBits(t, label+"/"+v.name, wants[i], dst)
+					for _, arm := range arms {
+						ForceGoTwins(arm == "go")
+						for i, v := range vecs {
+							e.Step(v.src, dst)
+							requireSameBits(t, label+"/"+arm+"/"+v.name, wants[i], dst)
+						}
 					}
 				}
 			}

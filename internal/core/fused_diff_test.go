@@ -160,9 +160,11 @@ func stepOldSpace(ih *IHTL, e *Engine, srcOld []float64) []float64 {
 // option matrix — the fused and the phased pipeline under each sparse
 // kernel, encoding and flipped-task assignment — and the spmv.Pull
 // baseline produce bit-identical dst vectors across graphs and worker
-// counts.
+// counts. A row whose sparse block is walked edge-major steps once more
+// with the Go twin of its pair loop forced (asmArms).
 func TestStepDifferentialFusedPhasedPull(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
+	edgeMajorRows := 0
 	for name, g := range diffGraphs(t) {
 		src := integerVec(1234, g.NumV)
 		var want []float64 // pull result of the first pool; all must match it
@@ -187,6 +189,7 @@ func TestStepDifferentialFusedPhasedPull(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				arms := asmArms(t)
 				for _, opt := range optionMatrix(t, nil) {
 					e, err := NewEngineOpts(ih, pool, opt)
 					if err != nil {
@@ -200,9 +203,21 @@ func TestStepDifferentialFusedPhasedPull(t *testing.T) {
 					// were left clean by the first fused iteration.
 					got2 := stepOldSpace(ih, e, src)
 					requireBitIdentical(t, label+" (second step)", want, got2)
+					if e.sparseAdv == nil {
+						continue
+					}
+					edgeMajorRows++
+					for _, arm := range arms[1:] {
+						ForceGoTwins(arm == "go")
+						requireBitIdentical(t, label+" ("+arm+" pair loop)", want, stepOldSpace(ih, e, src))
+					}
+					ForceGoTwins(false)
 				}
 			})
 		}
+	}
+	if edgeMajorRows == 0 {
+		t.Error("no row of the option matrix walks its sparse block edge-major")
 	}
 }
 

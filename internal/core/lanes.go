@@ -38,15 +38,29 @@ import (
 // never per edge.
 var laneAsm bool
 
-// ForceGoTwins makes the flat lane cells run their Go twins even on a
-// CPU with AVX2 (on) or returns them to the per-process choice (!on),
-// and reports whether this build has the assembly arm at all. It is
-// the hook that lets tests run both arms on one host; call it only
-// between steps.
+// pullPrefetch picks the body of the scalar edge-major pull's pair loop
+// (pullRowsEdgeMajor), once per call: a distance D > 0 runs the
+// assembly, which prefetches the source value D edges ahead, and 0 runs
+// the Go twin pullEdgePairs. It starts at edgeAsmDist — pullPrefetchDist
+// in a build with the assembly (edgemajor_amd64.s; PREFETCHT0 and ADDSD
+// are baseline amd64, so there is no CPU check), 0 in every other.
+// ForceGoTwins moves it between the two, and the distance sweep of
+// BenchmarkShortRowKernel sets it directly.
+var pullPrefetch = edgeAsmDist
+
+// ForceGoTwins makes every kernel with an assembly body — the flat lane
+// cells and the edge-major pull's pair loop — run its Go twin (on), or
+// returns them to the per-process choice (!on), and reports whether
+// this build and CPU run any assembly body at all. It is the hook that
+// lets tests run both arms on one host; call it only between steps.
 func ForceGoTwins(on bool) (asm bool) {
-	asm = hasAVX2()
-	laneAsm = asm && !on
-	return asm
+	avx2 := hasAVX2()
+	laneAsm = avx2 && !on
+	pullPrefetch = edgeAsmDist
+	if on {
+		pullPrefetch = 0
+	}
+	return avx2 || edgeAsmDist > 0
 }
 
 // pushTaskFlat8 is pushTaskFlatBatch at k = 8.

@@ -55,14 +55,15 @@ func laneInputs(seed uint64, n, k int) (lanes [][]float64, batch []float64) {
 	return lanes, batch
 }
 
-// laneArms names the arms of the flat lane cells this build can run:
-// "avx2" and then "go" (the Go twins, forced with ForceGoTwins) where
-// the CPU has AVX2, else "go" alone. The per-process choice is put back
-// when t ends.
-func laneArms(t *testing.T) []string {
+// asmArms names the arms of the kernels with an assembly body that
+// this build and CPU can run: "asm" (the per-process choice) and then
+// "go" (the Go twins, forced with ForceGoTwins) where any assembly body
+// runs, else "go" alone. The per-process choice is put back when t
+// ends.
+func asmArms(t *testing.T) []string {
 	t.Cleanup(func() { ForceGoTwins(false) })
 	if ForceGoTwins(false) {
-		return []string{"avx2", "go"}
+		return []string{"asm", "go"}
 	}
 	return []string{"go"}
 }
@@ -101,7 +102,7 @@ func requireLanesMatchScalar(t *testing.T, e laneStepper, lanes [][]float64, dst
 // kernels.
 func TestLaneKernelsMatchScalarStep(t *testing.T) {
 	graphs := diffGraphs(t)
-	arms := laneArms(t)
+	arms := asmArms(t)
 	for _, name := range []string{"rmat", "web"} {
 		ih, err := Build(graphs[name], Params{HubsPerBlock: 64})
 		if err != nil {
@@ -205,7 +206,7 @@ func TestStepBatch8AllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arms := laneArms(t)
+	arms := asmArms(t)
 	for _, build := range []struct {
 		name string
 		p    Params

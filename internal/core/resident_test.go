@@ -262,7 +262,7 @@ func requireLanesBitIdentical(t *testing.T, label string, k int, want [][]float6
 // floats, and so itself from run to run, stealing or not — with the
 // flat lane cells' assembly and with their Go twins alike.
 func TestResidentDifferential(t *testing.T) {
-	arms := laneArms(t)
+	arms := asmArms(t)
 	modes := map[string]EngineOptions{
 		"fused":    {},
 		"phased":   {Phased: true},

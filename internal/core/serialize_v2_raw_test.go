@@ -253,7 +253,7 @@ func TestV2RawRejectsHostile(t *testing.T) {
 // does (TestResidentDifferential) — with the flat lane cells' assembly
 // and with their Go twins alike.
 func TestV2RawFileDifferential(t *testing.T) {
-	arms := laneArms(t)
+	arms := asmArms(t)
 	for gname, g := range residentGraphs(t) {
 		mem, err := Build(g, Params{})
 		if err != nil {

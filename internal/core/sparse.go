@@ -99,9 +99,12 @@ func ParseSparseKernel(s string) (SparseKernel, error) {
 // (results/BENCH_step.json: sparse phase -12 % vs uniform pull on the sk
 // web graph, -28 % on the skewed twtrmpi social graph, ties elsewhere —
 // one vCPU, every graph LLC-resident), and the benchmark's two-worker,
-// beyond-L2 rows have not unseated it: on web-sparse the two pull
-// schedules are within noise of each other under either block layout
-// (DESIGN.md §17), and pull-degree is the one that keeps a mega-row
+// beyond-L2 rows have not unseated it. With the prefetching edge-major
+// pull, which only its light parts run, it reads 7-12 % lower sparse
+// busy time than the uniform pull on both beyond-L2 shapes (the web
+// graph's ranges overlapping; without the prefetch the uniform pull was
+// 7-9 % lower), so the two are still within noise of each other
+// (DESIGN.md §12), and pull-degree is the one that keeps a mega-row
 // from serialising behind one worker. The propagation-blocked kernel's
 // extra 12 B/edge of pair traffic loses on every recorded row
 // (core.step_pb_ns_per_edge) — it needs a bandwidth-bound host, which
@@ -385,35 +388,37 @@ func (e *Engine) sparsePullPart(p int, src, dst []float64) {
 // a byte of adv — repeat. prev is the row of the edge before Index[lo].
 // Every row of the range is written (an empty row keeps the cleared
 // +0.0, the CSR kernel's empty sum), so the range must hold no row
-// another path owns.
+// another path owns. The pairs go through pullEdgePairs or its
+// prefetching assembly (pullPrefetch picks); the edges they leave — one
+// on a byte's second nibble, an escape, a chunk's odd last edge — are
+// taken here, one at a time.
 //
 //ihtl:noalloc
 //ihtl:nobce
 //ihtl:noescape
 func pullRowsEdgeMajor(sp *SparseBlock, adv []uint8, lo, hi, prev int, src, dst []float64) {
 	idx, srcs := sp.Index, sp.Srcs
-	base := sp.DestLo
+	rows := unchecked.SliceAt(dst, sp.DestLo, len(idx)-1)
+	dist := pullPrefetch
 	r := prev
 	j := int(unchecked.At(idx, lo))
 	for c := lo; c < hi; c += pullChunkRows {
 		cEnd := min(c+pullChunkRows, hi)
-		clear(unchecked.SliceAt(dst, base+c, cEnd-c))
+		clear(unchecked.SliceAt(rows, c, cEnd-c))
 		end := int(unchecked.At(idx, cEnd))
-		if j&1 == 1 && j < end { // the chunk starts on a byte's second edge
+		for j < end {
+			if j&1 == 0 {
+				if dist > 0 {
+					j, r = pullEdgePairsAsm(adv, srcs, src, rows, j, end, r, dist)
+				} else {
+					j, r = pullEdgePairs(adv, srcs, src, rows, j, end, r)
+				}
+				if j == end {
+					break
+				}
+			}
 			r = advance(idx, j, r, advAt(adv, j))
-			unchecked.AddAt(dst, base+r, unchecked.At(src, int(unchecked.At(srcs, j))))
-			j++
-		}
-		for ; j+1 < end; j += 2 {
-			b := unchecked.At(adv, j>>1)
-			r = advance(idx, j, r, int(b&advEscape))
-			unchecked.AddAt(dst, base+r, unchecked.At(src, int(unchecked.At(srcs, j))))
-			r = advance(idx, j+1, r, int(b>>4))
-			unchecked.AddAt(dst, base+r, unchecked.At(src, int(unchecked.At(srcs, j+1))))
-		}
-		if j < end { // and ends on a byte's first
-			r = advance(idx, j, r, advAt(adv, j))
-			unchecked.AddAt(dst, base+r, unchecked.At(src, int(unchecked.At(srcs, j))))
+			unchecked.AddAt(rows, r, unchecked.At(src, int(unchecked.At(srcs, j))))
 			j++
 		}
 	}
