@@ -1,7 +1,9 @@
 package core
 
 import (
+	"flag"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ihtl/internal/gen"
@@ -149,13 +151,22 @@ func BenchmarkShortRowKernel(b *testing.B) {
 // 8-lane flat pull (the ppr8 rung on small-resident) — each through the
 // run-time-K loop ("generic"), through the Go body the engine selects
 // ("fixed"; for the three flat cells their Go twin) and, where the CPU
-// has AVX2, through the flat cells' assembly ("avx2"). One thread, over
-// R-MATs of the benchmark's small-resident shape (scale 14, all in L2)
-// and at scale 17 (the largest resident graph). Kernels are called
-// directly, every task and row in order: the number is the inner loop's,
-// per edge-lane. DESIGN.md §8 records the table.
+// has AVX2, through the flat cells' assembly ("avx2", the 8-lane cells
+// at the prefetch distance the engine's setWidth picks for the width).
+// One thread, over R-MATs of the benchmark's small-resident shape
+// (scale 14, all in L2) and at scale 17 (the largest resident graph).
+// Kernels are called directly, every task and row in order: the number
+// is the inner loop's, per edge-lane. DESIGN.md §8 records the table.
+//
+// The scale=20 rows are the lane prefetch sweep (laneKernelPastL2),
+// run only when the -bench pattern names "scale=20": their graph is
+// social-flipped's, 16 M edges, so a pattern that merely matches every
+// sub-benchmark (CI's -bench LaneKernel smoke) stays on 14 and 17.
 func BenchmarkLaneKernel(b *testing.B) {
 	defer ForceGoTwins(false)
+	if f := flag.Lookup("test.bench"); f != nil && strings.Contains(f.Value.String(), "scale=20") {
+		b.Run("scale=20", laneKernelPastL2)
+	}
 	for _, scale := range []int{14, 17} {
 		g, err := gen.RMAT(gen.DefaultRMAT(scale, 16, 1))
 		if err != nil {
@@ -186,6 +197,8 @@ func BenchmarkLaneKernel(b *testing.B) {
 			}
 			rows := ih.NumV - ih.Sparse.DestLo
 			k := c.k
+			e.setWidth(k) // the width's prefetch distance, as a StepBatch would set it
+			b.Logf("scale %d, %s, k = %d: %d KB of lanes, prefetch distance %d", scale, c.name, k, ih.NumV*k*8>>10, e.batch.prefetch)
 			src := make([]float64, ih.NumV*k)
 			for i := range src {
 				src[i] = 1 / float64(ih.NumV)
@@ -236,6 +249,96 @@ func BenchmarkLaneKernel(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// laneKernelPastL2 is BenchmarkLaneKernel's scale=20 case: R-MAT 20
+// (social-flipped's graph) built with the default Params, the flat
+// 8-lane cells past the cache — 39 MiB of lanes, an 8 MiB hub buffer —
+// at each prefetch distance of the sweep ("avx2-d0" is the plain loop)
+// beside the Go twin ("fixed"). Push and pull one thread, called
+// directly as above, ns per edge-lane; then a dense K = 8 StepBatch on
+// two workers per distance, ns per edge-lane and the busy milliseconds
+// a Step of the flipped push and of the sparse pull (Breakdown's
+// FlippedBusy and SparseBusy, summed over workers). DESIGN.md §8,
+// "Prefetching the lanes", records the sweep lanePrefetchDist is picked
+// from.
+func laneKernelPastL2(b *testing.B) {
+	g, err := gen.RMAT(gen.DefaultRMAT(20, 16, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ih, err := Build(g, Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const k = 8
+	src := make([]float64, ih.NumV*k)
+	for i := range src {
+		src[i] = 1 / float64(ih.NumV)
+	}
+	dst := make([]float64, ih.NumV*k)
+	perLane := func(b *testing.B, edges int64) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges)/k, "ns/edge-lane")
+	}
+	type body struct {
+		name string
+		dist int // the prefetch distance; < 0 is the Go twin
+	}
+	bodies := []body{{"fixed", -1}}
+	if hasAVX2() {
+		for _, d := range []int{0, 16, 32, 64, 128} {
+			bodies = append(bodies, body{fmt.Sprintf("avx2-d%d", d), d})
+		}
+	}
+	e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.setWidth(k)
+	b.Logf("%d vertices, %d edges, %d hubs: %d MiB of lanes, setWidth picks distance %d", ih.NumV, ih.NumE, ih.NumHubs, ih.NumV*k*8>>20, e.batch.prefetch)
+	buf := make([]float64, ih.NumHubs*k)
+	rows := ih.NumV - ih.Sparse.DestLo
+	for _, bd := range bodies {
+		ForceGoTwins(bd.dist < 0)
+		e.batch.prefetch = max(bd.dist, 0)
+		b.Run("pull/flat/k8/"+bd.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r++ {
+					e.pullRowLanes(r, k, src, dst)
+				}
+			}
+			perLane(b, ih.Sparse.NumEdges())
+		})
+		b.Run("push/flat/k8/"+bd.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for t := range e.blockTasks {
+					e.pushTaskBatch(k, &e.blockTasks[t], src, buf)
+				}
+			}
+			perLane(b, ih.FlippedEdges())
+		})
+	}
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	se, err := NewEngine(ih, pool)
+	if err != nil {
+		b.Fatal(err)
+	}
+	se.StepBatch(src, dst, k) // page in dst and the hub buffers; sets the width
+	for _, bd := range bodies {
+		ForceGoTwins(bd.dist < 0)
+		se.batch.prefetch = max(bd.dist, 0) // the width stays 8, so setWidth keeps it
+		b.Run("step/k8/"+bd.name, func(b *testing.B) {
+			se.TakeBreakdown()
+			for i := 0; i < b.N; i++ {
+				se.StepBatch(src, dst, k)
+			}
+			perLane(b, ih.NumE)
+			bd := se.TakeBreakdown()
+			b.ReportMetric(float64(bd.FlippedBusy.Microseconds())/1e3/float64(b.N), "flipped-ms")
+			b.ReportMetric(float64(bd.SparseBusy.Microseconds())/1e3/float64(b.N), "sparse-ms")
+		})
 	}
 }
 

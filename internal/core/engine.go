@@ -35,13 +35,12 @@ type Engine struct {
 	stepShell
 	ih *IHTL
 
-	// encoding is the resolved block encoding; varint mirrors
-	// encoding == EncodingVarint for branch-cheap hot-path checks.
-	// Under varint the flipped tasks are encoded chunks walked straight
-	// into the hub buffer, and the sparse pull walks the row at
-	// sparseRowOff[i] straight into its sum; see encoding.go.
+	// encoding is the resolved block encoding; varint (beside
+	// staticFlip) mirrors encoding == EncodingVarint for branch-cheap
+	// hot-path checks. Under varint the flipped tasks are encoded chunks
+	// walked straight into the hub buffer, and the sparse pull walks the
+	// row at sparseRowOff[i] straight into its sum; see encoding.go.
 	encoding     BlockEncoding
-	varint       bool
 	sparseRowOff []int64
 
 	// batch holds the hub buffers and dirty ranges, set to the width of
@@ -87,7 +86,11 @@ type Engine struct {
 	// staticFlip (EngineOptions.StaticFlipped) replaces flipped-task
 	// stealing with the fixed per-worker ranges in flipBounds;
 	// flipCursors are the per-step claim positions.
-	staticFlip  bool
+	staticFlip bool
+	// varint sits in staticFlip's padding, not beside encoding: the 8
+	// bytes that frees ahead of batch pay for batchState.prefetch, so no
+	// field after batch moves (DESIGN.md §8, "Prefetching the lanes").
+	varint      bool
 	flipBounds  []int
 	flipCursors []flipCursor
 	// fusedJob is the prebuilt worker body (capturing only e), so a

@@ -40,6 +40,11 @@ type batchState struct {
 	// (active.go), staged for its dispatch and nil for a dense one: where
 	// the fused worker and the sparse parts pick their kernels.
 	active, touched spmv.RowSet
+	// prefetch is the lane prefetch distance of this width, the last
+	// argument of the two 8-lane assembly cells: lanePrefetchDist when
+	// the width's lane rows outgrow the cache B is sized from, else 0
+	// (the plain loop). setWidth decides it.
+	prefetch int
 }
 
 // setWidth sets the engine's batch state to width k. The daemon changes
@@ -49,12 +54,25 @@ type batchState struct {
 // zeroes what it folds and no step reaches past its NumHubs*k,
 // recoverState clears an aborted step's buffers whole — and binVals is
 // written before it is read within a step.
+//
+// It also decides the width's lane prefetch distance, from the
+// footprint alone: once the width's lane rows, NumV·k float64s, outgrow
+// CacheBytes — Params.resident's test taken at width k, counted in
+// lanes because a ForBatch build's VertexBytes already counts its own —
+// a lane row per edge is a miss, and the 8-lane cells fetch it
+// lanePrefetchDist edges ahead. Inside the cache the prefetch is pure
+// overhead and they run the plain loop (DESIGN.md §8, "Prefetching the
+// lanes").
 func (e *Engine) setWidth(k int) {
 	b := &e.batch
 	if b.k == k {
 		return
 	}
 	b.k = k
+	b.prefetch = 0
+	if int64(e.ih.NumV)*int64(k)*8 > int64(e.ih.params.CacheBytes) {
+		b.prefetch = lanePrefetchDist
+	}
 	for i := range b.bufs {
 		b.bufs[i] = resized(b.bufs[i], e.ih.NumHubs*k)
 	}

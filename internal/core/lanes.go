@@ -30,7 +30,10 @@ import (
 // have an AVX2 body (lanes_amd64.s), a lane row per VADDPD, taken while
 // laneAsm is set. The Go bodies here are their twins: what every other
 // host and the purego, ihtlchecked and race builds run, and what
-// lanes_asm_test.go holds the assembly to, bit for bit.
+// lanes_asm_test.go holds the assembly to, bit for bit. The two 8-lane
+// bodies also prefetch the lane row lanePrefetchDist edges ahead when
+// the engine's width outgrows the cache (batchState.prefetch, decided by
+// Engine.setWidth from NumV·k alone); the plain loop runs otherwise.
 
 // laneAsm selects the assembly lane kernels over their Go twins. It is
 // set once per process from the CPU (hasAVX2, at init in
@@ -48,11 +51,20 @@ var laneAsm bool
 // BenchmarkShortRowKernel sets it directly.
 var pullPrefetch = edgeAsmDist
 
+// lanePrefetchDist is how many edges ahead the 8-lane assembly cells
+// prefetch a lane row when the width's lane rows outgrow the cache
+// (Engine.setWidth): the sweep of BenchmarkLaneKernel's scale=20 rows,
+// DESIGN.md §8 "Prefetching the lanes".
+const lanePrefetchDist = 64
+
 // ForceGoTwins makes every kernel with an assembly body — the flat lane
 // cells and the edge-major pull's pair loop — run its Go twin (on), or
 // returns them to the per-process choice (!on), and reports whether
 // this build and CPU run any assembly body at all. It is the hook that
 // lets tests run both arms on one host; call it only between steps.
+// The 8-lane cells' prefetch distance is each engine's, decided per
+// width from the footprint (Engine.setWidth); the twins ignore it, so it
+// is left alone here.
 func ForceGoTwins(on bool) (asm bool) {
 	avx2 := hasAVX2()
 	laneAsm = avx2 && !on

@@ -12,7 +12,11 @@ import "ihtl/internal/graph"
 // Every loop head is PCALIGN'd to 32 bytes, so where the linker puts
 // the function does not move it. The purego, ihtlchecked and race
 // builds leave this file out (lanes_other.go): they run the Go twins,
-// whose accesses those builds check.
+// whose accesses those builds check. The two 8-lane bodies take the
+// engine's lane prefetch distance (batchState.prefetch) as their last
+// argument: 0 runs the plain loop, dist > 0 the same loop with a
+// PREFETCHT0 of the lane row dist edges ahead — no architectural
+// effect, so the bits are the plain loop's.
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves the ymm
 // state across context switches (cpu_amd64.s).
@@ -20,10 +24,11 @@ func hasAVX2() bool
 
 func init() { laneAsm = hasAVX2() }
 
-// pullRowFlat8AVX2 is pullRowFlat8: two ymm accumulators.
+// pullRowFlat8AVX2 is pullRowFlat8: two ymm accumulators, prefetching
+// src's lane row of srcs[j+dist] while j+dist < len(srcs).
 //
 //go:noescape
-func pullRowFlat8AVX2(srcs []graph.VID, lo, hi int64, src []float64, out *[8]float64)
+func pullRowFlat8AVX2(srcs []graph.VID, lo, hi int64, src []float64, out *[8]float64, dist int)
 
 // pullRowFlat4AVX2 is pullRowFlat4: one ymm accumulator.
 //
@@ -32,7 +37,8 @@ func pullRowFlat4AVX2(srcs []graph.VID, lo, hi int64, src []float64, out *[4]flo
 
 // pushTaskFlat8AVX2 is pushTaskFlat8 over sources [lo, hi) of the block
 // whose CSR is idx/dsts: a source whose 64 bytes of lanes are all zero
-// is skipped (spmv.SkipZeroLanes), any other is added to each hub row.
+// is skipped (spmv.SkipZeroLanes), any other is added to each hub row,
+// prefetching buf's lane row of dsts[i+dist] while i+dist < len(dsts).
 //
 //go:noescape
-func pushTaskFlat8AVX2(idx []int64, dsts []graph.VID, lo, hi int, src, buf []float64)
+func pushTaskFlat8AVX2(idx []int64, dsts []graph.VID, lo, hi int, src, buf []float64, dist int)

@@ -17,7 +17,10 @@ import (
 // called directly over generated rows, bit for bit. Every vector a
 // kernel reads or writes ends where a PROT_NONE page begins, so a row
 // that ends at the last vertex proves the assembly reads no byte past
-// it.
+// it. The two 8-lane cells run at every prefetch distance of
+// prefetchDists: their lookahead reads srcs / dsts dist edges ahead,
+// across row and task ends, and the last edge of each names the last
+// vertex or hub, so a lookahead read one index past the slice faults.
 
 // guarded returns n zero elements whose backing array ends at a page
 // the process may not touch.
@@ -72,6 +75,14 @@ func requireAVX2(t *testing.T) {
 	}
 }
 
+// prefetchDists are the distances the 8-lane cells are held to their
+// twins at, over an index slice of edges entries: 0 (the plain loop),
+// the shortest lookaheads, the shipped one, one that reaches only the
+// first edge's row, and two that reach past the slice from the start.
+func prefetchDists(edges int) []int {
+	return []int{0, 1, 2, lanePrefetchDist, edges - 1, edges, 1 << 20}
+}
+
 func TestLaneAsmPullMatchesTwin(t *testing.T) {
 	requireAVX2(t)
 	const n = 517
@@ -85,20 +96,25 @@ func TestLaneAsmPullMatchesTwin(t *testing.T) {
 				src[v*k+v%k] = math.Copysign(0, -1)
 			}
 		}
-		// Rows of every length up to 70 at random offsets, empty rows
-		// among them, and rows whose last source is the last vertex.
+		// Rows of every length up to 70 at random offsets, runs of empty
+		// rows among them (a lookahead runs on through them into later
+		// rows), rows whose last source is the last vertex, and the last
+		// row's last source — the last entry of srcs — the last vertex.
 		var bounds [][2]int64
 		var ids []graph.VID
 		for r := 0; r < 400; r++ {
 			deg := rng.Intn(71)
-			if r%9 == 0 {
+			if r%9 == 0 || r%37 < 3 {
 				deg = 0
+			}
+			if r == 399 {
+				deg = 1 + rng.Intn(70)
 			}
 			lo := int64(len(ids))
 			for j := 0; j < deg; j++ {
 				ids = append(ids, graph.VID(rng.Intn(n)))
 			}
-			if deg > 0 && r%5 == 0 {
+			if deg > 0 && (r%5 == 0 || r == 399) {
 				ids[len(ids)-1] = n - 1
 			}
 			bounds = append(bounds, [2]int64{lo, int64(len(ids))})
@@ -106,18 +122,24 @@ func TestLaneAsmPullMatchesTwin(t *testing.T) {
 		srcs := guarded[graph.VID](t, len(ids))
 		copy(srcs, ids)
 		out := guarded[float64](t, 2*k) // want, then got: got ends at the guard
-		for r, b := range bounds {
-			for i := range out {
-				out[i] = -7.5 // every lane must be written, an empty row's too
+		dists := []int{0}               // the 4-lane cell has no prefetching loop
+		if k == 8 {
+			dists = prefetchDists(len(srcs))
+		}
+		for _, dist := range dists {
+			for r, b := range bounds {
+				for i := range out {
+					out[i] = -7.5 // every lane must be written, an empty row's too
+				}
+				if k == 8 {
+					pullRowFlat8(srcs, b[0], b[1], src, (*[8]float64)(out[:8]))
+					pullRowFlat8AVX2(srcs, b[0], b[1], src, (*[8]float64)(out[8:]), dist)
+				} else {
+					pullRowFlat4(srcs, b[0], b[1], src, (*[4]float64)(out[:4]))
+					pullRowFlat4AVX2(srcs, b[0], b[1], src, (*[4]float64)(out[4:]))
+				}
+				requireBitIdentical(t, fmt.Sprintf("k%d dist %d row %d (%d sources)", k, dist, r, b[1]-b[0]), out[:k], out[k:])
 			}
-			if k == 8 {
-				pullRowFlat8(srcs, b[0], b[1], src, (*[8]float64)(out[:8]))
-				pullRowFlat8AVX2(srcs, b[0], b[1], src, (*[8]float64)(out[8:]))
-			} else {
-				pullRowFlat4(srcs, b[0], b[1], src, (*[4]float64)(out[:4]))
-				pullRowFlat4AVX2(srcs, b[0], b[1], src, (*[4]float64)(out[4:]))
-			}
-			requireBitIdentical(t, fmt.Sprintf("k%d row %d (%d sources)", k, r, b[1]-b[0]), out[:k], out[k:])
 		}
 	}
 }
@@ -134,6 +156,9 @@ func TestLaneAsmPushMatchesTwin(t *testing.T) {
 			src[s*8+s%8] = math.Copysign(0, -1) // one -0.0 lane: traversed
 		}
 	}
+	// The last source is traversed and its last edge — the last entry of
+	// dsts — names the last hub.
+	src[(sources-1)*8] = 1
 	idx := guarded[int64](t, sources+1)
 	var ids []graph.VID
 	for s := 0; s < sources; s++ {
@@ -141,10 +166,13 @@ func TestLaneAsmPushMatchesTwin(t *testing.T) {
 		if s%11 == 0 {
 			deg = 0
 		}
+		if s == sources-1 {
+			deg = 1 + rng.Intn(39)
+		}
 		for j := 0; j < deg; j++ {
 			ids = append(ids, graph.VID(rng.Intn(hubs)))
 		}
-		if deg > 0 && s%6 == 0 {
+		if deg > 0 && (s%6 == 0 || s == sources-1) {
 			ids[len(ids)-1] = hubs - 1
 		}
 		idx[s+1] = int64(len(ids))
@@ -159,12 +187,16 @@ func TestLaneAsmPushMatchesTwin(t *testing.T) {
 	for i := 0; i < len(start); i += 3 {
 		start[i] = math.Copysign(0, -1)
 	}
+	// Tasks whose lookahead crosses bt.hi into sources the task does not
+	// push, and tasks that run to the last source.
 	want, got := make([]float64, hubs*8), guarded[float64](t, hubs*8)
-	for _, task := range [][2]int{{0, sources}, {0, 0}, {17, 17}, {0, 1}, {5, 6}, {10, 11}, {3, 150}, {150, sources}, {sources - 1, sources}} {
-		copy(want, start)
-		copy(got, start)
-		pushTaskFlat8(&blockTask{lo: task[0], hi: task[1]}, fb, src, want)
-		pushTaskFlat8AVX2(fb.Index, fb.Dsts, task[0], task[1], src, got)
-		requireBitIdentical(t, fmt.Sprintf("sources [%d, %d)", task[0], task[1]), want, got)
+	for _, dist := range prefetchDists(len(ids)) {
+		for _, task := range [][2]int{{0, sources}, {0, 0}, {17, 17}, {0, 1}, {5, 6}, {10, 11}, {3, 150}, {150, sources}, {sources - 1, sources}, {sources - 3, sources - 1}} {
+			copy(want, start)
+			copy(got, start)
+			pushTaskFlat8(&blockTask{lo: task[0], hi: task[1]}, fb, src, want)
+			pushTaskFlat8AVX2(fb.Index, fb.Dsts, task[0], task[1], src, got, dist)
+			requireBitIdentical(t, fmt.Sprintf("dist %d, sources [%d, %d)", dist, task[0], task[1]), want, got)
+		}
 	}
 }

@@ -21,7 +21,7 @@ func pullEdgePairsAsm(adv []uint8, srcs []graph.VID, src, rows []float64, j, end
 	panic("core: no edge-major assembly in this build")
 }
 
-func pullRowFlat8AVX2(srcs []graph.VID, lo, hi int64, src []float64, out *[8]float64) {
+func pullRowFlat8AVX2(srcs []graph.VID, lo, hi int64, src []float64, out *[8]float64, dist int) {
 	panic(noLaneAsm)
 }
 
@@ -29,6 +29,6 @@ func pullRowFlat4AVX2(srcs []graph.VID, lo, hi int64, src []float64, out *[4]flo
 	panic(noLaneAsm)
 }
 
-func pushTaskFlat8AVX2(idx []int64, dsts []graph.VID, lo, hi int, src, buf []float64) {
+func pushTaskFlat8AVX2(idx []int64, dsts []graph.VID, lo, hi int, src, buf []float64, dist int) {
 	panic(noLaneAsm)
 }

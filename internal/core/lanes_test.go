@@ -235,6 +235,79 @@ func TestStepBatch8AllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestStepBatchLanePrefetchDecision pins Engine.setWidth's choice of
+// the 8-lane cells' prefetch distance: lanePrefetchDist exactly when the
+// width's lane rows, NumV·k·8 bytes, outgrow CacheBytes, else 0 — made
+// from the footprint alone, so the same for an engine whose graph flips
+// and for its resident build. One engine per build steps a width
+// sequence that crosses the threshold both ways (the daemon's widths
+// change batch by batch), and the choice must follow every change. At 8
+// lanes, past the threshold, every lane is also a scalar Step's, bit for
+// bit, under each arm: the assembly prefetching, then the Go twins.
+//   - R-MAT 14, the small-resident shape (≈ 12 k vertices, 0.8 MB of
+//     lanes at K = 8): 0 at every width.
+//   - R-MAT 16 (≈ 50 k vertices, 0.4 MB at K = 1, 3 MB at K = 8): 0 at
+//     one and two lanes, lanePrefetchDist at four and eight.
+func TestStepBatchLanePrefetchDecision(t *testing.T) {
+	arms := asmArms(t)
+	widths := []int{1, 8, 1, 4, 2, 8, 4, 1, 8}
+	for _, c := range []struct {
+		scale     int
+		prefetchK map[int]bool
+	}{
+		{14, map[int]bool{}},
+		{16, map[int]bool{4: true, 8: true}},
+	} {
+		g, err := gen.RMAT(gen.DefaultRMAT(c.scale, 16, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, build := range []struct {
+			name string
+			p    Params
+		}{{"default", Params{}}, {"flipped", Params{HubsPerBlock: flipB}}} {
+			label := fmt.Sprintf("scale %d/%s", c.scale, build.name)
+			ih, err := Build(g, build.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if build.name == "flipped" && len(ih.Blocks) == 0 {
+				t.Fatalf("%s: built no flipped block", label)
+			}
+			e, err := NewEngine(ih, testPool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range widths {
+				_, src := laneInputs(uint64(60+i), ih.NumV, k)
+				dst := make([]float64, ih.NumV*k)
+				e.StepBatch(src, dst, k)
+				want := 0
+				if c.prefetchK[k] {
+					want = lanePrefetchDist
+				}
+				if e.batch.prefetch != want {
+					t.Fatalf("%s: step %d at %d lanes (%d KB of lanes, %d KB cache): prefetch distance %d, want %d", label, i, k, ih.NumV*k*8>>10, ih.params.CacheBytes>>10, e.batch.prefetch, want)
+				}
+			}
+			if !c.prefetchK[8] {
+				continue
+			}
+			lanes, src := laneInputs(77, ih.NumV, 8)
+			for _, arm := range arms {
+				ForceGoTwins(arm == "go")
+				dst := make([]float64, ih.NumV*8)
+				e.StepBatch(src, dst, 8)
+				if e.batch.prefetch != lanePrefetchDist {
+					t.Fatalf("%s/%s: prefetch distance %d at 8 lanes", label, arm, e.batch.prefetch)
+				}
+				requireLanesMatchScalar(t, e, lanes, dst)
+			}
+			ForceGoTwins(false)
+		}
+	}
+}
+
 // widthStepper is the stepping surface the alternation differential
 // drives, on the single and the sharded engine alike.
 type widthStepper interface {

@@ -34,20 +34,26 @@ func (e *Engine) pushTask(bt *blockTask, src, buf []float64) {
 // pushTaskBatch pushes task bt k lanes wide, and is the one place the
 // fused worker and the phased ablation pick a dense flipped kernel: the
 // scalar bodies at one lane, the register-resident bodies (lanes.go) at
-// 8 lanes over flat topology — its AVX2 body while laneAsm is set — and
-// 4 over packed gap rows, the generic lane loop for everything else.
+// 8 lanes over flat topology — its AVX2 body while laneAsm is set,
+// prefetching at the width's distance — and 4 over packed gap rows, the
+// generic lane loop for everything else.
 // The K-lane kernels walk CSR whatever the block's layout.
 //
 //ihtl:noalloc
 func (e *Engine) pushTaskBatch(k int, bt *blockTask, src, buf []float64) {
 	fb := &e.ih.Blocks[bt.block]
+	// The 8-lane arm is an if/else, as in pullRowLanes: of the forms
+	// tried it is the one that keeps every function linked after this
+	// one at the entry address mod 64 it had before (DESIGN.md §8).
 	switch {
 	case k == 1:
 		e.pushTask(bt, src, buf)
-	case k == 8 && !e.varint && laneAsm:
-		pushTaskFlat8AVX2(fb.Index, fb.Dsts, bt.lo, bt.hi, src, buf)
 	case k == 8 && !e.varint:
-		pushTaskFlat8(bt, fb, src, buf)
+		if laneAsm {
+			pushTaskFlat8AVX2(fb.Index, fb.Dsts, bt.lo, bt.hi, src, buf, e.batch.prefetch)
+		} else {
+			pushTaskFlat8(bt, fb, src, buf)
+		}
 	case k == 4 && e.varint:
 		pushTaskEnc4(bt, fb, src, buf)
 	case e.varint:

@@ -41,7 +41,8 @@ func (e *Engine) sparsePullPartBatch(b *batchState, p int, src, dst []float64) {
 // source by source in ascending order from +0.0: the one row body of
 // the pull, heavy and light parts, and the one place the batched pull
 // picks its body (see Engine.pushTaskBatch): the flat cells at 4 and 8
-// lanes run their AVX2 bodies while laneAsm is set.
+// lanes run their AVX2 bodies while laneAsm is set, the 8-lane one
+// prefetching at the width's distance.
 //
 //ihtl:noalloc
 func (e *Engine) pullRowLanes(i, k int, src, dst []float64) {
@@ -54,7 +55,7 @@ func (e *Engine) pullRowLanes(i, k int, src, dst []float64) {
 	switch {
 	case k == 8 && !e.varint:
 		if out := unchecked.Lanes8At(dst, db); laneAsm {
-			pullRowFlat8AVX2(sp.Srcs, lo, hi, src, out)
+			pullRowFlat8AVX2(sp.Srcs, lo, hi, src, out, e.batch.prefetch)
 		} else {
 			pullRowFlat8(sp.Srcs, lo, hi, src, out)
 		}
