@@ -87,7 +87,9 @@ func (e *Engine) StepBatch(src, dst *Batch) {
 	if src.K != dst.K || src.N != dst.N {
 		panic("ihtl: batch shape mismatch")
 	}
-	e.eng.StepBatch(src.Data, dst.Data, src.K)
+	if err := e.eng.StepCtx(context.Background(), src.Data, dst.Data, src.K, Epilogue{}); err != nil {
+		panic(err)
+	}
 }
 
 // StepBatchCtx is StepBatch with the StepCtx failure contract:
@@ -98,7 +100,7 @@ func (e *Engine) StepBatchCtx(ctx context.Context, src, dst *Batch) error {
 	if src.K != dst.K || src.N != dst.N {
 		return fmt.Errorf("ihtl: batch shape mismatch (%d,%d) vs (%d,%d)", src.N, src.K, dst.N, dst.K)
 	}
-	return e.eng.StepBatchCtx(ctx, src.Data, dst.Data, src.K)
+	return e.eng.StepCtx(ctx, src.Data, dst.Data, src.K, Epilogue{})
 }
 
 // NewBatchEngine builds an iHTL engine tuned for K-wide batched
@@ -123,7 +125,9 @@ func NewBatchEngine(g *Graph, pool *Pool, p Params, k int) (*Engine, error) {
 // working arrays (3·n·K + n floats and three n-bit row sets) for its
 // next call, so that a caller running batch after batch does not page
 // them in afresh each time; like Step, calls on one engine must not
-// overlap. A nil pool runs the element-wise passes on the caller.
+// overlap. The steps and their element-wise sweeps run on the engine's
+// own pool; pool wipes the arrays a call starts from and unpacks the
+// result, and may be nil to run those two passes on the caller.
 func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOptions) ([][]float64, error) {
 	n := e.NumVertices()
 	srcNew := make([]int, len(sources))

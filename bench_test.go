@@ -360,7 +360,7 @@ func BenchmarkStepBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, e spmv.BatchStepper, k int) {
+	run := func(b *testing.B, e spmv.Stepper, k int) {
 		src := make([]float64, g.NumV*k)
 		dst := make([]float64, g.NumV*k)
 		for i := range src {
@@ -369,7 +369,9 @@ func BenchmarkStepBatch(b *testing.B) {
 		b.SetBytes(g.NumE * 4 * int64(k))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.StepBatch(src, dst, k)
+			if err := e.StepCtx(nil, src, dst, k, spmv.Epilogue{}); err != nil {
+				b.Fatal(err)
+			}
 			src, dst = dst, src
 		}
 		b.StopTimer()

@@ -70,9 +70,15 @@ type IHTL = core.IHTL
 // Step Breakdown. Obtain it via (*Engine).IHTL().BuildStats().
 type BuildBreakdown = core.BuildBreakdown
 
-// Stepper is the common interface of all SpMV engines: one Step
-// computes dst[v] = Σ src[u] over in-neighbours u.
+// Stepper is the one interface of all SpMV engines: one step computes
+// dst[v] = Σ src[u] over in-neighbours u, for k interleaved lanes, and
+// runs an element-wise Epilogue over the engine's slots.
 type Stepper = spmv.Stepper
+
+// Epilogue is the element-wise tail of a StepCtx: a function run once
+// per slot of the engine's row grid, and whether it may stream (run on a
+// slot as soon as its rows are final). The zero value is none.
+type Epilogue = spmv.Epilogue
 
 // PageRankOptions configures PageRank.
 type PageRankOptions = analytics.PageRankOptions
@@ -246,16 +252,6 @@ func GenerateWebOn(pool *Pool, n int, seed uint64) (*Graph, error) {
 // (*Engine).Sharded().
 type ShardedIHTL = core.ShardedIHTL
 
-// coreStepper is the stepping surface shared by the single-graph and
-// sharded core engines; the public Engine delegates through it.
-type coreStepper interface {
-	Step(src, dst []float64)
-	StepCtx(ctx context.Context, src, dst []float64) error
-	StepBatch(src, dst []float64, k int)
-	StepBatchCtx(ctx context.Context, src, dst []float64, k int) error
-	NumVertices() int
-}
-
 // Engine is an iHTL SpMV engine over a fixed graph. It implements
 // Stepper in iHTL (relabeled) vertex-ID space and exposes the
 // relabeling through IHTL() — or, for a sharded engine
@@ -263,7 +259,7 @@ type coreStepper interface {
 type Engine struct {
 	ih  *core.IHTL        // nil when sharded
 	sg  *core.ShardedIHTL // nil when single-graph
-	eng coreStepper
+	eng spmv.Stepper
 	g   *graph.Graph
 
 	// deg holds the out-degrees in stepping-ID order, which the
@@ -322,15 +318,19 @@ func NewEngineOpts(ctx context.Context, g *Graph, pool *Pool, p Params, opt Engi
 // Step implements Stepper (in iHTL ID space).
 func (e *Engine) Step(src, dst []float64) { e.eng.Step(src, dst) }
 
-// StepCtx is Step under a context: cancelling ctx stops the fused
-// dispatch at the next chunk claim and returns ctx.Err(); a panic in
-// a pool worker returns a *PanicError and a numeric-health violation
-// a *NumericError, instead of panicking. After a failed StepCtx the
-// engine's internal state is reset, so the next clean Step produces
+// StepCtx implements Stepper (in iHTL ID space): k interleaved SpMVs
+// plus epi, under a context. Cancelling ctx stops the fused dispatch at
+// the next chunk claim and returns ctx.Err(); a panic in a pool worker
+// returns a *PanicError and a numeric-health violation a
+// *NumericError, instead of panicking. After a failed StepCtx the
+// engine's internal state is reset, so the next clean step produces
 // bit-for-bit the same result it would have without the failure.
-func (e *Engine) StepCtx(ctx context.Context, src, dst []float64) error {
-	return e.eng.StepCtx(ctx, src, dst)
+func (e *Engine) StepCtx(ctx context.Context, src, dst []float64, k int, epi Epilogue) error {
+	return e.eng.StepCtx(ctx, src, dst, k, epi)
 }
+
+// EpiSlots implements Stepper.
+func (e *Engine) EpiSlots() (slots int, streamed bool) { return e.eng.EpiSlots() }
 
 // NumVertices implements Stepper.
 func (e *Engine) NumVertices() int { return e.eng.NumVertices() }
@@ -398,7 +398,9 @@ func NewBaselineEngine(g *Graph, pool *Pool, dir Direction) (Stepper, error) {
 }
 
 // PageRank runs PageRank over the iHTL engine and returns ranks in
-// ORIGINAL vertex-ID space (the relabeling is applied internally).
+// ORIGINAL vertex-ID space (the relabeling is applied internally). Each
+// iteration is one step with the update as its epilogue, on the
+// engine's own pool; pool is not used and may be nil.
 func PageRank(e *Engine, pool *Pool, opt PageRankOptions) ([]float64, error) {
 	return PageRankCtx(nil, e, pool, opt)
 }
@@ -422,7 +424,9 @@ func PageRankCtx(ctx context.Context, e *Engine, pool *Pool, opt PageRankOptions
 }
 
 // PageRankBaseline runs PageRank over any Stepper that operates in
-// original ID space (e.g. a NewBaselineEngine result).
+// original ID space (e.g. a NewBaselineEngine result). The update runs
+// as each step's epilogue, on the engine's own pool; pool is not used
+// and may be nil.
 func PageRankBaseline(g *Graph, s Stepper, pool *Pool, opt PageRankOptions) ([]float64, error) {
 	if s.NumVertices() != g.NumV {
 		return nil, fmt.Errorf("ihtl: engine/graph vertex count mismatch")

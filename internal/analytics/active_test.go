@@ -20,12 +20,18 @@ import (
 // steps its active-row entry honoured, so a test can tell a run that
 // took the mode from one that silently stepped densely.
 type activeCounter struct {
-	activeRowStepper
+	activeEngine
 	honoured int
 }
 
+// activeEngine is a Stepper with the active-row capability.
+type activeEngine interface {
+	spmv.Stepper
+	activeRowStepper
+}
+
 func (c *activeCounter) StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(w, lo, hi int)) (bool, error) {
-	ok, err := c.activeRowStepper.StepBatchActiveCtx(ctx, src, dst, k, active, touched, epi)
+	ok, err := c.activeEngine.StepBatchActiveCtx(ctx, src, dst, k, active, touched, epi)
 	if ok {
 		c.honoured++
 	}
@@ -139,7 +145,7 @@ func TestPPRActiveRowsMatchDense(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := &activeCounter{activeRowStepper: ce}
+				e := &activeCounter{activeEngine: ce}
 				var dense, sparse PPRWorkspace // reused from run to run, as ihtl.Engine does
 				widths := []int{1, 2, 5, 8}
 				if testing.Short() {
@@ -214,7 +220,7 @@ func TestPPRActiveRowsFollowTheIterate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &activeCounter{activeRowStepper: ce}
+		e := &activeCounter{activeEngine: ce}
 		res, err := RunPersonalizedPageRank(e, ih.OutDegrees(), testPool, []int{ih.NumHubs}, PageRankOptions{MaxIters: 9, Tol: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -242,7 +248,7 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCount := &activeCounter{activeRowStepper: ref}
+	refCount := &activeCounter{activeEngine: ref}
 	want, err := RunPersonalizedPageRank(refCount, deg, testPool, sources, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +265,7 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &activeCounter{activeRowStepper: ce}
+		e := &activeCounter{activeEngine: ce}
 		got, err := RunPersonalizedPageRank(e, deg, testPool, sources, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -292,7 +298,7 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 	for j, s := range sources {
 		shardSources[j] = int(sg.NewID[ih.OldID[s]])
 	}
-	seCount := &activeCounter{activeRowStepper: se}
+	seCount := &activeCounter{activeEngine: se}
 	got, err := RunPersonalizedPageRank(seCount, sg.OutDegrees(), testPool, shardSources, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +399,7 @@ func TestPPRActiveRowsRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &activeCounter{activeRowStepper: ce}
+	e := &activeCounter{activeEngine: ce}
 	opt := PageRankOptions{MaxIters: 10, Tol: -1, RedistributeDangling: true, CheckpointEvery: 1}
 	ws := PPRWorkspace{leaveActive: leaveNever}
 	want, err := ws.Run(nil, e, deg, testPool, sources, opt)

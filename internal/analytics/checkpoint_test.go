@@ -14,8 +14,8 @@ import (
 	"ihtl/internal/spmv"
 )
 
-// seqStepper is a deliberately sequential, deterministic Stepper /
-// BatchStepper: it runs on the calling goroutine in vertex order, so
+// seqStepper is a deliberately sequential, deterministic Stepper: it
+// runs on the calling goroutine in vertex order, one epilogue slot, so
 // two runs over the same inputs are bit-for-bit identical — the
 // property the resume tests below assert about the DRIVER, isolated
 // from the parallel engines' run-to-run FP reassociation.
@@ -31,6 +31,19 @@ func (s seqStepper) Step(src, dst []float64) {
 		}
 		dst[v] = sum
 	}
+}
+
+func (s seqStepper) EpiSlots() (slots int, streamed bool) { return 1, false }
+
+func (s seqStepper) StepCtx(ctx context.Context, src, dst []float64, k int, epi spmv.Epilogue) error {
+	if err := ctxErrOf(ctx); err != nil {
+		return err
+	}
+	s.StepBatch(src, dst, k)
+	if epi.Run != nil {
+		epi.Run(0, 0, s.g.NumV)
+	}
+	return nil
 }
 
 func (s seqStepper) StepBatch(src, dst []float64, k int) {

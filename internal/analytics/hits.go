@@ -41,9 +41,8 @@ func RunHITS(fwd, rev spmv.Stepper, opt HITSOptions) (HITSResult, error) {
 
 // RunHITSCtx is RunHITS under a context. Unlike PageRank's single
 // fused dispatch, a HITS iteration is a sequence of phases — two
-// Steps, two normalisations, two delta sweeps — so each phase is its
-// own cancellable dispatch: ctx-aware engines (spmv.CtxStepper) stop
-// mid-Step at the next chunk claim, other engines between phases, and
+// steps, two normalisations, two delta sweeps — so each phase is its
+// own cancellable dispatch: a step stops at the next chunk claim, and
 // worker panics surface as *sched.PanicError instead of crashing the
 // process. ctx may be nil.
 func RunHITSCtx(ctx context.Context, fwd, rev spmv.Stepper, opt HITSOptions) (HITSResult, error) {
@@ -71,13 +70,13 @@ func RunHITSCtx(ctx context.Context, fwd, rev spmv.Stepper, opt HITSOptions) (HI
 	}
 	nrm := newNormalizer(opt.Pool)
 	for iter := 0; iter < opt.MaxIters; iter++ {
-		if err := stepCtx(ctx, fwd, hub, newAuth); err != nil { // a = Aᵀ h
+		if err := fwd.StepCtx(ctx, hub, newAuth, 1, spmv.Epilogue{}); err != nil { // a = Aᵀ h
 			return res, err
 		}
 		if err := nrm.normalize(ctx, newAuth); err != nil {
 			return res, err
 		}
-		if err := stepCtx(ctx, rev, newAuth, newHub); err != nil { // h = A a
+		if err := rev.StepCtx(ctx, newAuth, newHub, 1, spmv.Epilogue{}); err != nil { // h = A a
 			return res, err
 		}
 		if err := nrm.normalize(ctx, newHub); err != nil {
@@ -98,20 +97,6 @@ func RunHITSCtx(ctx context.Context, fwd, rev spmv.Stepper, opt HITSOptions) (HI
 		}
 	}
 	return res, nil
-}
-
-// stepCtx runs one SpMV step under ctx, preferring the engine's
-// cancellable StepCtx when implemented and falling back to a
-// between-phase ctx check around the plain Step.
-func stepCtx(ctx context.Context, e spmv.Stepper, src, dst []float64) error {
-	if ce, ok := e.(spmv.CtxStepper); ok {
-		return ce.StepCtx(ctx, src, dst)
-	}
-	if err := ctxErrOf(ctx); err != nil {
-		return err
-	}
-	e.Step(src, dst)
-	return nil
 }
 
 // normalizer scales vectors to unit L2 norm, on a pool when one is

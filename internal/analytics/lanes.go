@@ -109,7 +109,7 @@ type laneSnap struct {
 // rollback-capable engines restore the latest in-memory snapshot and
 // retry, exactly like RunPersonalizedPageRankCtx; lanes that already
 // emitted are never re-emitted after a rollback.
-func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *sched.Pool, lanes []LaneRequest, opt PageRankOptions, onDone func(LaneResult)) error {
+func RunPPRLanes(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sched.Pool, lanes []LaneRequest, opt PageRankOptions, onDone func(LaneResult)) error {
 	return new(PPRWorkspace).RunLanes(ctx, e, outDeg, pool, lanes, opt, onDone)
 }
 
@@ -117,8 +117,10 @@ func RunPPRLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *s
 // degrees, the three n×K arrays and the rollback snapshot's ranks — so
 // a caller that runs batch after batch (the daemon: one workspace per
 // slot) allocates and first-touches them once. A LaneResult's Ranks are
-// still a private copy.
-func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *sched.Pool, lanes []LaneRequest, opt PageRankOptions, onDone func(LaneResult)) error {
+// still a private copy. The steps and their epilogue run on the
+// engine's own pool; pool only wipes the arrays a batch starts from,
+// and may be nil to wipe them on the caller.
+func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sched.Pool, lanes []LaneRequest, opt PageRankOptions, onDone func(LaneResult)) error {
 	n := e.NumVertices()
 	k := len(lanes)
 	if k == 0 {
@@ -164,37 +166,18 @@ func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.BatchStepper, outDe
 	// The sweep runs dense here, on a packed engine and on the flat one
 	// a raw file gives alike: the batches of the graph the daemon is
 	// measured on fill within two Steps, so row sets here would see no
-	// traffic (DESIGN.md §8 "Active rows").
-	cfe, ctxFused := e.(batchCtxFusedStepper)
-	fe, fused := e.(batchFusedStepper)
-	ce, ctxPlain := e.(spmv.BatchCtxStepper)
-	slots := 1
-	switch {
-	case fused:
-		slots, _ = fe.EpiSlots()
-	case pool != nil:
-		slots = pool.Workers()
-	}
+	// traffic (DESIGN.md §8 "Active rows"). Like Run's, it writes the
+	// next contributions into src, so it never streams.
+	slots, _ := e.EpiSlots()
 	deltaParts := make([]float64, slots*k)
 	danglingParts := make([]float64, slots*k)
-	epi := func(slot, lo, hi int) {
+	epi := spmv.Epilogue{Run: func(slot, lo, hi int) {
 		dp := deltaParts[slot*k : slot*k+k]
 		gp := danglingParts[slot*k : slot*k+k]
 		clear(dp)
 		clear(gp)
 		sw.rows(lo, hi, dp, gp)
-	}
-	poolEpi := func(w int) {
-		lo, hi := sched.SplitRange(n, slots, w)
-		epi(w, lo, hi)
-	}
-	sweep := func() error {
-		if pool == nil {
-			epi(0, 0, n)
-			return nil
-		}
-		return pool.RunCtx(ctx, poolEpi)
-	}
+	}}
 
 	// finish freezes a lane at an iteration boundary (zeroed teleport
 	// and contribution column: the lane costs nothing in later steps
@@ -305,32 +288,14 @@ func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.BatchStepper, outDe
 			}
 		}
 
-		var stepErr error
-		switch {
-		case ctxFused:
-			stepErr = cfe.StepBatchEpiCtx(ctx, contrib, sums, k, epi)
-		case fused:
-			if stepErr = ctxErrOf(ctx); stepErr == nil {
-				fe.StepBatchEpi(contrib, sums, k, epi)
-			}
-		case ctxPlain:
-			if stepErr = ce.StepBatchCtx(ctx, contrib, sums, k); stepErr == nil {
-				stepErr = sweep()
-			}
-		default:
-			if stepErr = ctxErrOf(ctx); stepErr == nil {
-				e.StepBatch(contrib, sums, k)
-				stepErr = sweep()
-			}
-		}
-		if stepErr != nil {
+		if err := e.StepCtx(ctx, contrib, sums, k, epi); err != nil {
 			var nerr *spmv.NumericError
-			if errors.As(stepErr, &nerr) && nerr.Rollback && snap != nil && retries < maxRollbackRetries {
+			if errors.As(err, &nerr) && nerr.Rollback && snap != nil && retries < maxRollbackRetries {
 				retries++
 				restore()
 				continue
 			}
-			return stepErr
+			return err
 		}
 		clear(deltas)
 		clear(dangling)

@@ -65,7 +65,7 @@ func laneTestEngine(t *testing.T, scale, k int) (*core.Engine, []int, []int) {
 	return e, deg, srcs
 }
 
-func collectLanes(t *testing.T, e spmv.BatchStepper, deg []int, lanes []LaneRequest, opt PageRankOptions) map[int]LaneResult {
+func collectLanes(t *testing.T, e spmv.Stepper, deg []int, lanes []LaneRequest, opt PageRankOptions) map[int]LaneResult {
 	t.Helper()
 	got := map[int]LaneResult{}
 	err := RunPPRLanes(nil, e, deg, testPool, lanes, opt, func(r LaneResult) {

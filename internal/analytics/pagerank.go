@@ -87,22 +87,22 @@ type PageRankResult struct {
 
 // RunPageRank iterates PRᵢ(v) = (1-d)/n + d·Σ_{u∈N⁻(v)} PRᵢ₋₁(u)/deg⁺(u)
 // over the given engine. outDeg must give the out-degree of every
-// vertex in the engine's ID space. pool parallelises the O(n)
-// element-wise phases; it may be nil for sequential execution.
+// vertex in the engine's ID space. The element-wise update runs as the
+// step's epilogue, on the engine's own pool, so pool is not used; it
+// may be nil.
 func RunPageRank(e spmv.Stepper, outDeg []int, pool *sched.Pool, opt PageRankOptions) (PageRankResult, error) {
 	return RunPageRankCtx(nil, e, outDeg, pool, opt)
 }
 
 // RunPageRankCtx is RunPageRank under a context: cancelling ctx stops
-// the run at the next iteration boundary (and, on ctx-aware engines,
-// mid-Step at the next chunk claim) and returns ctx.Err(). On engines
-// whose Step can fail — a worker panic surfacing as *sched.PanicError,
-// or a numeric-health violation as *spmv.NumericError — the error is
-// returned instead of panicking. Under spmv.HealthRollback with
-// CheckpointEvery set, a numeric error restores the latest checkpoint
-// and retries (at most maxRollbackRetries times per checkpoint) before
-// surfacing. ctx may be nil.
-func RunPageRankCtx(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sched.Pool, opt PageRankOptions) (PageRankResult, error) {
+// the run mid-Step at the next chunk claim and returns ctx.Err(). A
+// failed step — a worker panic surfacing as *sched.PanicError, or a
+// numeric-health violation as *spmv.NumericError — is returned instead
+// of panicking. Under spmv.HealthRollback with CheckpointEvery set, a
+// numeric error restores the latest checkpoint and retries (at most
+// maxRollbackRetries times per checkpoint) before surfacing. ctx may be
+// nil.
+func RunPageRankCtx(ctx context.Context, e spmv.Stepper, outDeg []int, _ *sched.Pool, opt PageRankOptions) (PageRankResult, error) {
 	n := e.NumVertices()
 	if len(outDeg) != n {
 		return PageRankResult{}, fmt.Errorf("analytics: outDeg length %d != %d vertices", len(outDeg), n)
@@ -158,38 +158,35 @@ func RunPageRankCtx(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sch
 		}
 	}
 
-	// Per iteration, everything element-wise runs as the Step's
+	// Per iteration, everything element-wise runs as the step's
 	// epilogue: apply damping, accumulate the L1 delta, compute the
-	// contributions the next Step will push, and collect the next
-	// iteration's dangling mass — instead of separate contribution
-	// and update sweeps before and after every Step. On a fused
-	// stepper (core.Engine) the epilogue executes inside the Step's
-	// own dispatch, making a whole PageRank iteration one pool
-	// round-trip; otherwise it is one extra dispatch.
+	// contributions the next step will push, and collect the next
+	// iteration's dangling mass, one partial per slot of the engine's
+	// grid — instead of separate contribution and update sweeps before
+	// and after every step. On core.Engine the epilogue executes inside
+	// the step's own dispatch, making a whole PageRank iteration one
+	// pool round-trip.
 	//
-	// A fused stepper that streams its epilogue runs it on each slot as
-	// soon as the slot's rows are pulled, while other workers still read
+	// An engine that streams its epilogue runs it on each slot as soon
+	// as the slot's rows are pulled, while other workers still read
 	// contrib: the next contributions then go to a second buffer, next,
-	// swapped in after each successful Step. Elsewhere next is contrib.
+	// swapped in after each successful step — which is what lets the
+	// epilogue make the streamed promise. Elsewhere next is contrib.
 	//
 	// extra is read by the epilogue workers; the orchestrator writes
 	// it before each dispatch, which orders the write.
-	cfe, ctxFused := e.(ctxFusedStepper)
-	fe, fused := e.(fusedStepper)
-	ce, ctxPlain := e.(spmv.CtxStepper)
-	slots, streamed := 0, false
-	switch {
-	case fused:
-		slots, streamed = fe.EpiSlots()
-	case pool != nil:
-		slots = pool.Workers()
-	}
+	slots, streamed := e.EpiSlots()
 	next := contrib
 	if streamed {
 		next = make([]float64, n)
 	}
 	var extra float64
-	body := func(lo, hi int) (delta, dangl float64) {
+	// Every slot is written each dispatch (an empty range stores zeros),
+	// so no stale partials survive an iteration.
+	deltaParts := make([]float64, slots)
+	danglingParts := make([]float64, slots)
+	epi := spmv.Epilogue{Stream: streamed, Run: func(slot, lo, hi int) {
+		var delta, dangl float64
 		for v := lo; v < hi; v++ {
 			nv := base + o.Damping*sums[v] + extra
 			delta += math.Abs(nv - ranks[v])
@@ -199,27 +196,8 @@ func RunPageRankCtx(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sch
 				dangl += nv
 			}
 		}
-		return delta, dangl
-	}
-
-	var deltaParts, danglingParts []float64
-	var epi func(slot, lo, hi int)
-	var poolEpi func(w int)
-	if slots > 0 {
-		deltaParts = make([]float64, slots)
-		danglingParts = make([]float64, slots)
-		// Every slot is written each dispatch (an empty range stores
-		// zeros), so no stale partials survive an iteration.
-		epi = func(slot, lo, hi int) {
-			deltaParts[slot], danglingParts[slot] = body(lo, hi)
-		}
-		if !fused {
-			poolEpi = func(w int) {
-				lo, hi := sched.SplitRange(n, slots, w)
-				epi(w, lo, hi)
-			}
-		}
-	}
+		deltaParts[slot], danglingParts[slot] = delta, dangl
+	}}
 
 	// Checkpointing: snap is the driver-owned reusable snapshot, last
 	// the rollback target (snap, or the caller's Resume checkpoint
@@ -259,53 +237,24 @@ func RunPageRankCtx(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sch
 	res := PageRankResult{Ranks: ranks}
 	for iter < o.MaxIters {
 		extra = o.Damping * dangling / float64(n)
-		var delta float64
-		var stepErr error
-		switch {
-		case ctxFused:
-			stepErr = cfe.StepEpiCtx(ctx, contrib, sums, epi)
-		case fused:
-			if stepErr = ctxErrOf(ctx); stepErr == nil {
-				fe.StepEpi(contrib, sums, epi)
-			}
-		case ctxPlain:
-			if stepErr = ce.StepCtx(ctx, contrib, sums); stepErr == nil {
-				if pool != nil {
-					stepErr = pool.RunCtx(ctx, poolEpi)
-				} else {
-					delta, dangling = body(0, n)
-				}
-			}
-		case pool != nil:
-			if stepErr = ctxErrOf(ctx); stepErr == nil {
-				e.Step(contrib, sums)
-				stepErr = pool.RunCtx(ctx, poolEpi)
-			}
-		default:
-			if stepErr = ctxErrOf(ctx); stepErr == nil {
-				e.Step(contrib, sums)
-				delta, dangling = body(0, n)
-			}
-		}
-		if stepErr != nil {
+		if err := e.StepCtx(ctx, contrib, sums, 1, epi); err != nil {
 			var nerr *spmv.NumericError
-			if errors.As(stepErr, &nerr) && nerr.Rollback && last != nil && retries < maxRollbackRetries {
+			if errors.As(err, &nerr) && nerr.Rollback && last != nil && retries < maxRollbackRetries {
 				retries++
 				res.Rollbacks++
 				restore(last)
 				continue
 			}
-			return res, stepErr
+			return res, err
 		}
 		if streamed {
 			contrib, next = next, contrib
 		}
-		if slots > 0 {
-			delta, dangling = 0, 0
-			for p := range deltaParts {
-				delta += deltaParts[p]
-				dangling += danglingParts[p]
-			}
+		var delta float64
+		dangling = 0
+		for p := range deltaParts {
+			delta += deltaParts[p]
+			dangling += danglingParts[p]
 		}
 		iter++
 		res.Iters = iter
@@ -326,25 +275,6 @@ func ctxErrOf(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// fusedStepper is the optional Stepper extension core.Engine provides:
-// Step plus an epilogue run once per slot of the engine's row grid,
-// fused into the Step's own dispatch — streamed, when EpiSlots says so,
-// under core.Engine.StepEpi's narrower contract.
-type fusedStepper interface {
-	spmv.Stepper
-	StepEpi(src, dst []float64, epi func(slot, lo, hi int))
-	EpiSlots() (slots int, streamed bool)
-}
-
-// ctxFusedStepper extends fusedStepper with the cancellable,
-// error-returning variant (core.Engine's StepEpiCtx): worker panics
-// and numeric-health violations come back as errors instead of
-// panicking, and ctx cancellation stops the dispatch mid-Step.
-type ctxFusedStepper interface {
-	fusedStepper
-	StepEpiCtx(ctx context.Context, src, dst []float64, epi func(slot, lo, hi int)) error
 }
 
 // SumRanks returns the total rank mass (≈1 when dangling mass is

@@ -46,29 +46,11 @@ func (r PPRResult) Lane(j int, out []float64) []float64 {
 	return out
 }
 
-// batchFusedStepper is the optional BatchStepper extension core.Engine
-// provides: StepBatch plus a fused epilogue run once per slot of the
-// engine's row grid, always behind a barrier — the sweep writes the
-// next contributions in place, into src, so it never streams.
-type batchFusedStepper interface {
-	spmv.BatchStepper
-	StepBatchEpi(src, dst []float64, k int, epi func(slot, lo, hi int))
-	EpiSlots() (slots int, streamed bool)
-}
-
-// batchCtxFusedStepper extends batchFusedStepper with the cancellable,
-// error-returning variant (core.Engine's StepBatchEpiCtx).
-type batchCtxFusedStepper interface {
-	batchFusedStepper
-	StepBatchEpiCtx(ctx context.Context, src, dst []float64, k int, epi func(slot, lo, hi int)) error
-}
-
-// activeRowStepper is the further extension of core.Engine's that steps
-// over the rows a RowSet names and reports the rows it wrote (see
-// core.Engine.StepBatchActiveCtx); honoured == false means nothing was
-// stepped and the dense entry must be used.
+// activeRowStepper is the one optional capability an engine may add to
+// spmv.Stepper: a step over the rows a RowSet names that reports the
+// rows it wrote (see core.Engine.StepBatchActiveCtx); honoured == false
+// means nothing was stepped and StepCtx must be used.
 type activeRowStepper interface {
-	batchCtxFusedStepper
 	StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(slot, lo, hi int)) (honoured bool, err error)
 }
 
@@ -83,19 +65,20 @@ const activeRowFrac = 8
 //
 //	PPRⱼ(v) = (1-d)·1[v = sⱼ] + d·Σ_{u∈N⁻(v)} PPRⱼ(u)/deg⁺(u)
 //
-// All K lanes share every edge load: one StepBatch per iteration
-// advances every source, and on a fused batched stepper (core.Engine)
-// the damping/delta/contribution sweep runs inside the same dispatch,
-// so a whole K-source iteration is one pool round-trip. Iteration
+// All K lanes share every edge load: one K-wide step per iteration
+// advances every source, and the damping/delta/contribution sweep runs
+// as its epilogue — on core.Engine inside the same dispatch, so a whole
+// K-source iteration is one pool round-trip. Iteration
 // stops when every lane's L1 delta falls below opt.Tol (or at
 // opt.MaxIters). With opt.RedistributeDangling, each lane's dangling
 // mass teleports back to its own source, the standard PPR treatment.
 //
 // sources are vertex IDs in the Stepper's ID space; len(sources) is
 // the batch width K. outDeg must give the out-degree of every vertex.
-// pool parallelises the element-wise phases on non-fused steppers; it
-// may be nil for sequential execution.
-func RunPersonalizedPageRank(e spmv.BatchStepper, outDeg []int, pool *sched.Pool, sources []int, opt PageRankOptions) (PPRResult, error) {
+// The step and its epilogue run on the engine's own pool; pool only
+// wipes the arrays a run starts from, and may be nil to wipe them on
+// the caller.
+func RunPersonalizedPageRank(e spmv.Stepper, outDeg []int, pool *sched.Pool, sources []int, opt PageRankOptions) (PPRResult, error) {
 	return RunPersonalizedPageRankCtx(nil, e, outDeg, pool, sources, opt)
 }
 
@@ -140,18 +123,17 @@ func sized(s []float64, n int) (_ []float64, stale bool) {
 
 // RunPersonalizedPageRankCtx is RunPersonalizedPageRank with the
 // RunPageRankCtx failure contract: ctx cancellation stops the run at
-// the next iteration boundary (mid-Step on ctx-aware engines), Step
-// failures return *sched.PanicError / *spmv.NumericError instead of
-// panicking, and under spmv.HealthRollback with CheckpointEvery set a
+// the next chunk claim, step failures return *sched.PanicError /
+// *spmv.NumericError instead of panicking, and under spmv.HealthRollback with CheckpointEvery set a
 // numeric error restores the latest checkpoint (Algo "ppr", K lanes)
 // and retries before surfacing. ctx may be nil.
-func RunPersonalizedPageRankCtx(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *sched.Pool, sources []int, opt PageRankOptions) (PPRResult, error) {
+func RunPersonalizedPageRankCtx(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sched.Pool, sources []int, opt PageRankOptions) (PPRResult, error) {
 	return new(PPRWorkspace).Run(ctx, e, outDeg, pool, sources, opt)
 }
 
 // Run is RunPersonalizedPageRankCtx on the workspace's arrays: the
 // result's Ranks are the workspace's and hold until its next Run.
-func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []int, pool *sched.Pool, sources []int, opt PageRankOptions) (PPRResult, error) {
+func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sched.Pool, sources []int, opt PageRankOptions) (PPRResult, error) {
 	n := e.NumVertices()
 	k := len(sources)
 	if k == 0 {
@@ -227,21 +209,11 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 		}
 	}
 
-	// The per-iteration element-wise sweep runs as the batched Step's
-	// epilogue over the engine's slots (the workers' vertex shares on
-	// the pool after a plain stepper's Step, the whole range on the
-	// caller without a pool), each slot summing its per-lane delta and
-	// dangling mass into its own K partials.
-	cfe, ctxFused := e.(batchCtxFusedStepper)
-	fe, fused := e.(batchFusedStepper)
-	ce, ctxPlain := e.(spmv.BatchCtxStepper)
-	slots := 1
-	switch {
-	case fused:
-		slots, _ = fe.EpiSlots()
-	case pool != nil:
-		slots = pool.Workers()
-	}
+	// The per-iteration element-wise sweep runs as the step's epilogue
+	// over the engine's slots, each slot summing its per-lane delta and
+	// dangling mass into its own K partials. It writes the next
+	// contributions in place, into src, so it never streams.
+	slots, _ := e.EpiSlots()
 	deltaParts := make([]float64, slots*k)
 	danglingParts := make([]float64, slots*k)
 	epi := func(slot, lo, hi int) {
@@ -254,18 +226,6 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 		} else {
 			sw.rows(lo, hi, dp, gp)
 		}
-	}
-	poolEpi := func(w int) {
-		lo, hi := sched.SplitRange(n, slots, w)
-		epi(w, lo, hi)
-	}
-	// sweep is the epilogue of the steppers that do not run it themselves.
-	sweep := func() error {
-		if pool == nil {
-			epi(0, 0, n)
-			return nil
-		}
-		return pool.RunCtx(ctx, poolEpi)
 	}
 
 	var snap, last *Checkpoint
@@ -310,7 +270,6 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 			}
 		}
 		var stepErr error
-		stepped := false
 		if active && leave(iter, sw.rankRows.Count(), n) {
 			active = false
 		}
@@ -320,26 +279,11 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 			for _, s := range sw.srcRows {
 				sw.rankRows.Add(s)
 			}
-			stepped, stepErr = ae.StepBatchActiveCtx(ctx, contrib, sums, k, sw.contribRows, sw.touched, epi)
-			active = stepped
+			// An engine that refuses the step stays dense from here on.
+			active, stepErr = ae.StepBatchActiveCtx(ctx, contrib, sums, k, sw.contribRows, sw.touched, epi)
 		}
-		switch {
-		case stepped:
-		case ctxFused:
-			stepErr = cfe.StepBatchEpiCtx(ctx, contrib, sums, k, epi)
-		case fused:
-			if stepErr = ctxErrOf(ctx); stepErr == nil {
-				fe.StepBatchEpi(contrib, sums, k, epi)
-			}
-		case ctxPlain:
-			if stepErr = ce.StepBatchCtx(ctx, contrib, sums, k); stepErr == nil {
-				stepErr = sweep()
-			}
-		default:
-			if stepErr = ctxErrOf(ctx); stepErr == nil {
-				e.StepBatch(contrib, sums, k)
-				stepErr = sweep()
-			}
+		if !active {
+			stepErr = e.StepCtx(ctx, contrib, sums, k, spmv.Epilogue{Run: epi})
 		}
 		if stepErr != nil {
 			var nerr *spmv.NumericError
@@ -376,10 +320,11 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.BatchStepper, outDeg []i
 
 // prepare sizes the workspace's arrays for a run of k lanes over n
 // vertices and leaves ranks and contrib all +0.0 and invDeg filled from
-// outDeg. sums is not cleared: a dense Step writes every row of it and
-// the rows an active-row Step leaves alone are never read. After a run
-// that ended in the active-row mode only the rows rankRows names hold
-// anything, and only they are wiped.
+// outDeg, wiping on pool (on the caller when pool is nil). sums is not
+// cleared: a dense Step writes every row of it and the rows an
+// active-row Step leaves alone are never read. After a run that ended
+// in the active-row mode only the rows rankRows names hold anything,
+// and only they are wiped.
 func (ws *PPRWorkspace) prepare(ctx context.Context, pool *sched.Pool, outDeg []int, n, k int) error {
 	var staleRanks, staleContrib bool
 	ws.invDeg, _ = sized(ws.invDeg, n)

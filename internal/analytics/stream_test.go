@@ -18,12 +18,9 @@ import (
 // graph with no flipped block runs the update on each pulled part, so
 // RunPageRankCtx double-buffers the contributions.
 
-// Both engine types must keep satisfying the extensions the analytics
-// look for by assertion; a method that drifts would silently drop them
-// to the plain-stepper paths.
+// Both engine types must keep the active-row capability PPR looks for
+// by assertion; a method that drifts would silently drop the mode.
 var (
-	_ ctxFusedStepper  = (*core.Engine)(nil)
-	_ ctxFusedStepper  = (*core.ShardedEngine)(nil)
 	_ activeRowStepper = (*core.Engine)(nil)
 	_ activeRowStepper = (*core.ShardedEngine)(nil)
 )

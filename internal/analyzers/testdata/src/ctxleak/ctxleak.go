@@ -132,3 +132,35 @@ func waivedSibling(ctx context.Context, xs []float64) {
 	//ihtl:allow-noctx two-element fixup, shorter than the ctx check
 	process(xs)
 }
+
+// epilogue and stepper carry the shape of the stepping interface: a
+// width-1 Step beside the one full entry, StepCtx, which also takes the
+// lane width and an epilogue. The extra parameters do not hide the pair.
+type epilogue struct {
+	run    func(slot, lo, hi int)
+	stream bool
+}
+
+type stepper interface {
+	Step(src, dst []float64)
+	StepCtx(ctx context.Context, src, dst []float64, k int, epi epilogue) error
+}
+
+type wideEngine struct{}
+
+func (wideEngine) Step(src, dst []float64) {}
+func (wideEngine) StepCtx(ctx context.Context, src, dst []float64, k int, epi epilogue) error {
+	return nil
+}
+
+// badStepper steps through the plain form of the pair, on the
+// interface and on a concrete engine, inside a ctx-carrying function.
+func badStepper(ctx context.Context, s stepper, e wideEngine, src, dst []float64) {
+	s.Step(src, dst) // want `badStepper carries a context.Context but calls Step, which never observes cancellation; use StepCtx`
+	e.Step(src, dst) // want `badStepper carries a context.Context but calls Step, which never observes cancellation; use StepCtx`
+}
+
+// goodStepper threads the ctx through StepCtx: clean.
+func goodStepper(ctx context.Context, s stepper, src, dst []float64) error {
+	return s.StepCtx(ctx, src, dst, 1, epilogue{})
+}

@@ -105,8 +105,8 @@ func stepTime(e spmv.Stepper, iters int) time.Duration {
 }
 
 // stepBatchTime is stepTime for a K-wide batched engine: the measured
-// unit is one StepBatch advancing all K lanes.
-func stepBatchTime(e spmv.BatchStepper, k, iters int) time.Duration {
+// unit is one step advancing all K lanes.
+func stepBatchTime(e spmv.Stepper, k, iters int) time.Duration {
 	n := e.NumVertices()
 	src := make([]float64, n*k)
 	dst := make([]float64, n*k)
@@ -114,7 +114,9 @@ func stepBatchTime(e spmv.BatchStepper, k, iters int) time.Duration {
 		src[i] = 1 / float64(n+1)
 	}
 	return timeIt(iters, func() {
-		e.StepBatch(src, dst, k)
+		if err := e.StepCtx(nil, src, dst, k, spmv.Epilogue{}); err != nil {
+			panic(err)
+		}
 		src, dst = dst, src
 	})
 }

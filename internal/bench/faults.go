@@ -163,7 +163,7 @@ func RunFaultsJSON(env *Env, d *Dataset, seed uint64) (*StepReport, error) {
 		Site: faultinject.SiteStepHealth, Kind: faultinject.NaN, After: 1 << 60,
 	})
 	faultinject.Activate(probe)
-	if err := he.StepCtx(nil, clean.Ranks, make([]float64, g.NumV)); err != nil {
+	if err := he.StepCtx(nil, clean.Ranks, make([]float64, g.NumV), 1, spmv.Epilogue{}); err != nil {
 		faultinject.Deactivate()
 		return nil, fmt.Errorf("health probe: %w", err)
 	}
@@ -197,7 +197,7 @@ func RunFaultsJSON(env *Env, d *Dataset, seed uint64) (*StepReport, error) {
 		Site: faultinject.SiteFlippedTask, Kind: faultinject.Panic, After: 1 << 60,
 	})
 	faultinject.Activate(probe)
-	if err := e.StepCtx(nil, clean.Ranks, make([]float64, g.NumV)); err != nil {
+	if err := e.StepCtx(nil, clean.Ranks, make([]float64, g.NumV), 1, spmv.Epilogue{}); err != nil {
 		faultinject.Deactivate()
 		return nil, fmt.Errorf("task probe: %w", err)
 	}

@@ -189,7 +189,7 @@ func AppendBatchSweep(rep *StepReport, env *Env, datasets []*Dataset, ks []int) 
 
 // batchEngine builds the named batched kernel's engine for g at
 // width k.
-func batchEngine(env *Env, g *graph.Graph, kernel string, k int) (spmv.BatchStepper, error) {
+func batchEngine(env *Env, g *graph.Graph, kernel string, k int) (spmv.Stepper, error) {
 	switch kernel {
 	case "pull-batch":
 		return spmv.NewEngine(g, env.Pool, spmv.Pull, spmv.Options{})

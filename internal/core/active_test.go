@@ -216,7 +216,7 @@ func TestStepBatchActiveFaultThenClean(t *testing.T) {
 			}
 		}
 		dense := make([]float64, n*k)
-		if err := e.StepBatchCtx(context.Background(), src, dense, k); err != nil {
+		if err := e.StepCtx(context.Background(), src, dense, k, spmv.Epilogue{}); err != nil {
 			t.Fatalf("%s: clean dense step: %v", label, err)
 		}
 		requireBitIdentical(t, label+" dense", want, dense)

@@ -6,6 +6,7 @@ import (
 
 	"ihtl/internal/gen"
 	"ihtl/internal/sched"
+	"ihtl/internal/spmv"
 )
 
 // packLanes interleaves k integer-valued vectors (distinct seeds) into
@@ -118,9 +119,9 @@ func TestStepBatchWidthChange(t *testing.T) {
 	}
 }
 
-// TestStepBatchEpi checks the fused batched epilogue contract: every
-// worker sees its vertex share exactly once, after all of dst (all
-// lanes) is complete.
+// TestStepBatchEpi checks the fused batched epilogue contract of
+// StepCtx: every worker sees its vertex share exactly once, after all
+// of dst (all lanes) is complete.
 func TestStepBatchEpi(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 21))
 	if err != nil {
@@ -141,7 +142,7 @@ func TestStepBatchEpi(t *testing.T) {
 		want := make([]float64, ih.NumV*k)
 		e.StepBatch(src, want, k)
 		covered := make([]int32, ih.NumV)
-		e.StepBatchEpi(src, dst, k, func(w, lo, hi int) {
+		err = e.StepCtx(nil, src, dst, k, spmv.Epilogue{Run: func(w, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				covered[v]++
 				for j := 0; j < k; j++ {
@@ -150,7 +151,10 @@ func TestStepBatchEpi(t *testing.T) {
 					dst[v*k+j] *= 2
 				}
 			}
-		})
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := 0; v < ih.NumV; v++ {
 			if covered[v] != 1 {
 				t.Fatalf("phased=%v: vertex %d covered %d times, want 1", phased, v, covered[v])

@@ -214,7 +214,7 @@ type workerClock struct {
 // of each barriered phase and are only recorded by the phased
 // pipeline, whose barriers define them; they include the barrier wait
 // behind the slowest worker. Wall is the elapsed time of whole Steps
-// (including any fused StepEpi epilogue) under either pipeline, so
+// (including any fused StepCtx epilogue) under either pipeline, so
 // the phase columns never double-count it.
 type Breakdown struct {
 	Flipped time.Duration // phased only: elapsed flipped phase
@@ -535,7 +535,7 @@ func (e *Engine) unstage() {
 //  3. when no flipped work remains anywhere, claim sparse partitions
 //     by range stealing and pull them — on a streamed step, scanning
 //     and finishing each part as an epilogue slot right there;
-//  4. otherwise, if a StepEpi epilogue or a watchdog scan is staged,
+//  4. otherwise, if an epilogue or a watchdog scan is staged,
 //     cross the epilogue barrier and run the worker's slots of it.
 //
 // No phase barrier exists between 1-3: a worker can be pulling sparse

@@ -83,14 +83,14 @@ func TestStepCtxCancelThenCleanStep(t *testing.T) {
 		// that lands somewhere inside (or before, or after) the step.
 		to := time.Duration(faultinject.SeededAfter(seed, "test.step-cancel", 400)) * time.Microsecond
 		ctx, cancel := context.WithTimeout(context.Background(), to)
-		err := e.StepCtx(ctx, src, dst)
+		err := e.StepCtx(ctx, src, dst, 1, spmv.Epilogue{})
 		cancel()
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("seed %d: err = %v, want nil or DeadlineExceeded", seed, err)
 		}
 		// Whatever happened, the engine must be clean: the next
 		// uncancelled step matches the reference.
-		if err := e.StepCtx(nil, src, dst); err != nil {
+		if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
 			t.Fatalf("seed %d: clean step: %v", seed, err)
 		}
 		wantClose(t, "clean step after cancel", dst, ref)
@@ -114,7 +114,7 @@ func TestStepCtxInjectedPanicRecovery(t *testing.T) {
 		for after := int64(0); after < 3; after++ {
 			plan := faultinject.NewPlan(faultinject.Rule{Site: site, Kind: faultinject.Panic, After: after})
 			faultinject.Activate(plan)
-			err := e.StepCtx(nil, src, dst)
+			err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
 			faultinject.Deactivate()
 			if plan.Fired(site) == 0 {
 				// The site had fewer than After+1 hits this step (e.g.
@@ -133,7 +133,7 @@ func TestStepCtxInjectedPanicRecovery(t *testing.T) {
 				}
 			}
 			// Recovery invariant: the very next clean step matches.
-			if err := e.StepCtx(nil, src, dst); err != nil {
+			if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
 				t.Fatalf("%s after=%d: clean step: %v", site, after, err)
 			}
 			wantClose(t, "clean step after injected panic", dst, ref)
@@ -148,14 +148,14 @@ func TestStepCtxHealthError(t *testing.T) {
 	dst := make([]float64, n)
 
 	// A clean step passes the watchdog.
-	if err := e.StepCtx(nil, src, dst); err != nil {
+	if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
 		t.Fatalf("clean step under watchdog: %v", err)
 	}
 
 	faultinject.Activate(faultinject.NewPlan(faultinject.Rule{
 		Site: faultinject.SiteStepHealth, Kind: faultinject.NaN, After: 0,
 	}))
-	err := e.StepCtx(nil, src, dst)
+	err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
 	faultinject.Deactivate()
 	var nerr *spmv.NumericError
 	if !errors.As(err, &nerr) {
@@ -193,7 +193,7 @@ func TestStepCtxHealthClamp(t *testing.T) {
 	faultinject.Activate(faultinject.NewPlan(faultinject.Rule{
 		Site: faultinject.SiteStepHealth, Kind: faultinject.NaN, After: 0,
 	}))
-	err := e.StepCtx(nil, src, dst)
+	err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
 	faultinject.Deactivate()
 	if err != nil {
 		t.Fatalf("clamp mode surfaced an error: %v", err)
@@ -213,7 +213,7 @@ func TestStepCtxHealthRollbackVerdict(t *testing.T) {
 	faultinject.Activate(faultinject.NewPlan(faultinject.Rule{
 		Site: faultinject.SiteStepHealth, Kind: faultinject.NaN, After: 0,
 	}))
-	err := e.StepCtx(nil, src, dst)
+	err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
 	faultinject.Deactivate()
 	var nerr *spmv.NumericError
 	if !errors.As(err, &nerr) {
@@ -235,7 +235,7 @@ func TestStepBatchCtxPanicRecovery(t *testing.T) {
 	dst := make([]float64, n*k)
 	plan := faultinject.NewPlan(faultinject.Rule{Site: faultinject.SiteFlippedTask, Kind: faultinject.Panic, After: 1})
 	faultinject.Activate(plan)
-	err := e.StepBatchCtx(nil, src, dst, k)
+	err := e.StepCtx(nil, src, dst, k, spmv.Epilogue{})
 	faultinject.Deactivate()
 	if plan.Fired(faultinject.SiteFlippedTask) == 0 {
 		t.Skip("no flipped task claimed before the injection point")
@@ -244,7 +244,7 @@ func TestStepBatchCtxPanicRecovery(t *testing.T) {
 	if !errors.As(err, &perr) {
 		t.Fatalf("err = %v, want *sched.PanicError", err)
 	}
-	if err := e.StepBatchCtx(nil, src, dst, k); err != nil {
+	if err := e.StepCtx(nil, src, dst, k, spmv.Epilogue{}); err != nil {
 		t.Fatalf("clean batch step: %v", err)
 	}
 	wantClose(t, "clean batch step after injected panic", dst, ref)
@@ -306,10 +306,10 @@ func TestFaultedStepsLeakNoGoroutines(t *testing.T) {
 		faultinject.Activate(faultinject.NewPlan(faultinject.Rule{
 			Site: faultinject.SiteFlippedTask, Kind: faultinject.Panic, After: int64(i % 5),
 		}))
-		_ = e.StepCtx(nil, src, dst)
+		_ = e.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
 		faultinject.Deactivate()
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Microsecond)
-		_ = e.StepCtx(ctx, src, dst)
+		_ = e.StepCtx(ctx, src, dst, 1, spmv.Epilogue{})
 		cancel()
 	}
 	deadline := time.Now().Add(5 * time.Second)

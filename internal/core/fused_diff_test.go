@@ -372,22 +372,16 @@ func FuzzStepDifferential(f *testing.F) {
 	})
 }
 
-// epiStepper is what the zero-flip rows below step: both engine types.
-type epiStepper interface {
-	StepEpi(src, dst []float64, epi func(slot, lo, hi int))
-	StepBatchEpi(src, dst []float64, k int, epi func(slot, lo, hi int))
-	EpiSlots() (slots int, streamed bool)
-}
-
 // TestStepEpiZeroFlipRows is the option matrix over a graph with no
-// flipped block, stepped through StepEpi, plus the explicit
+// flipped block, stepped through StepCtx with a streamable epilogue,
+// plus the explicit
 // SparsePullDegree and a two-shard engine. The epilogue checks, when it
 // is called, that its rows [lo, hi) already hold the oracle's values —
 // an epilogue run before its rows are final fails here, as does a slot
 // run twice or never, or slots that do not tile the rows in order. The
 // engines that stream are exactly the fused unsharded uniform pulls;
-// StepBatchEpi at one lane stays behind the barrier on those too, so
-// there every slot may read all of dst. Integer sources keep the
+// an epilogue that does not permit streaming stays behind the barrier
+// on those too, so there every slot may read all of dst. Integer sources keep the
 // sharded engine's regrouped sums exact.
 func TestStepEpiZeroFlipRows(t *testing.T) {
 	g := residentGraphs(t)["rmat"]
@@ -406,7 +400,7 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 		defer pool.Close()
 		for _, opt := range rows {
 			label := fmt.Sprintf("w%d/%s", workers, optLabel(opt))
-			var e epiStepper
+			var e spmv.Stepper
 			wantSlots, wantStream := 4*workers, !opt.Phased && (opt.SparseKernel == SparseAuto || opt.SparseKernel == SparsePull)
 			srcNew, wantNew := src, want // the build keeps every ID
 			if opt.Shards > 1 {
@@ -428,7 +422,7 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 			if slots != wantSlots || streamed != wantStream {
 				t.Fatalf("%s: %d slots, streamed %v; want %d, %v", label, slots, streamed, wantSlots, wantStream)
 			}
-			for _, batch := range []bool{false, true} {
+			for _, barrier := range []bool{false, true} {
 				bounds := make([][2]int, slots)
 				ran := make([]int, slots)
 				early := make([]bool, slots)
@@ -437,7 +431,7 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 					ran[slot]++
 					bounds[slot] = [2]int{lo, hi}
 					check, stop := lo, hi
-					if batch {
+					if barrier {
 						check, stop = 0, n // behind the barrier: all of dst is final
 					}
 					for v := check; v < stop; v++ {
@@ -449,21 +443,19 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 				for step := 0; step < 2; step++ {
 					clear(ran)
 					clear(dst) // so a row read before it is pulled differs
-					if batch {
-						e.StepBatchEpi(srcNew, dst, 1, epi)
-					} else {
-						e.StepEpi(srcNew, dst, epi)
+					if err := e.StepCtx(nil, srcNew, dst, 1, spmv.Epilogue{Run: epi, Stream: !barrier}); err != nil {
+						t.Fatal(err)
 					}
 					next := 0
 					for p := range slots {
 						if ran[p] != 1 || early[p] || bounds[p][0] != next {
-							t.Fatalf("%s batch=%v step %d: slot %d ran %d times over [%d, %d) (next row %d), saw rows not yet final: %v",
-								label, batch, step, p, ran[p], bounds[p][0], bounds[p][1], next, early[p])
+							t.Fatalf("%s barrier=%v step %d: slot %d ran %d times over [%d, %d) (next row %d), saw rows not yet final: %v",
+								label, barrier, step, p, ran[p], bounds[p][0], bounds[p][1], next, early[p])
 						}
 						next = bounds[p][1]
 					}
 					if next != n {
-						t.Fatalf("%s batch=%v: the slots end at row %d of %d", label, batch, next, n)
+						t.Fatalf("%s barrier=%v: the slots end at row %d of %d", label, barrier, next, n)
 					}
 					requireBitIdentical(t, label, wantNew, dst)
 				}
@@ -503,8 +495,8 @@ func TestSparseAutoByGraph(t *testing.T) {
 }
 
 // TestStreamedStepEpiAllocationFree pins the streamed placement's
-// steady state, watched and not: a StepEpi run inside the sparse claim
-// loop allocates nothing.
+// steady state, watched and not: the step StepCtx runs in its region,
+// with the epilogue inside the sparse claim loop, allocates nothing.
 func TestStreamedStepEpiAllocationFree(t *testing.T) {
 	ih, err := Build(residentGraphs(t)["rmat"], Params{})
 	if err != nil {
@@ -530,10 +522,10 @@ func TestStreamedStepEpiAllocationFree(t *testing.T) {
 			sums[slot] = s
 		}
 		for i := 0; i < 3; i++ { // warm worker stacks
-			e.StepEpi(src, dst, epi)
+			e.step(src, dst, 1, epi, true)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { e.StepEpi(src, dst, epi) }); allocs != 0 {
-			t.Errorf("%s: streamed StepEpi allocates %.1f objects per run, want 0", optLabel(opt), allocs)
+		if allocs := testing.AllocsPerRun(20, func() { e.step(src, dst, 1, epi, true) }); allocs != 0 {
+			t.Errorf("%s: streamed step allocates %.1f objects per run, want 0", optLabel(opt), allocs)
 		}
 	}
 }

@@ -312,14 +312,14 @@ func TestStepBatchLanePrefetchDecision(t *testing.T) {
 // drives, on the single and the sharded engine alike.
 type widthStepper interface {
 	laneStepper
-	StepBatchCtx(ctx context.Context, src, dst []float64, k int) error
+	StepCtx(ctx context.Context, src, dst []float64, k int, epi spmv.Epilogue) error
 	StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(w, lo, hi int)) (bool, error)
 }
 
 // TestStepBatchFaultThenWidthChange is the width-alternation
 // differential. Scalar and K-wide steps share one set of hub buffers,
 // dirty ranges and bin values, so ONE engine runs Step, StepBatch(8),
-// Step, StepBatch(4), a cancelled and then a panicking StepBatchCtx(8)
+// Step, StepBatch(4), a cancelled and then a panicking StepCtx at 8 lanes
 // — aborted with its buffers dirty — Step, an active-row step at 8
 // lanes, Step and StepBatch(8), and every result must hold the bits a
 // FRESH engine of the same options gives for that one step: nothing a
@@ -419,7 +419,7 @@ func TestStepBatchFaultThenWidthChange(t *testing.T) {
 
 					cancelled, cancel := context.WithCancel(context.Background())
 					cancel()
-					if err := e.StepBatchCtx(cancelled, src[8], make([]float64, n*8), 8); !errors.Is(err, context.Canceled) {
+					if err := e.StepCtx(cancelled, src[8], make([]float64, n*8), 8, spmv.Epilogue{}); !errors.Is(err, context.Canceled) {
 						t.Fatalf("%s: cancelled step: err = %v", label, err)
 					}
 					// One of these sites is on every configuration's path,
@@ -431,7 +431,7 @@ func TestStepBatchFaultThenWidthChange(t *testing.T) {
 						faultinject.Rule{Site: faultinject.SiteFlippedTask, Kind: faultinject.Panic, After: 2},
 						faultinject.Rule{Site: faultinject.SiteSchedClaim, Kind: faultinject.Panic, After: 2},
 					))
-					err = e.StepBatchCtx(context.Background(), src[8], make([]float64, n*8), 8)
+					err = e.StepCtx(context.Background(), src[8], make([]float64, n*8), 8, spmv.Epilogue{})
 					faultinject.Deactivate()
 					var perr *sched.PanicError
 					if !errors.As(err, &perr) {

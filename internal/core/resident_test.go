@@ -405,12 +405,12 @@ func TestResidentFilesAndFaults(t *testing.T) {
 			for seed := uint64(0); seed < 8; seed++ {
 				to := time.Duration(faultinject.SeededAfter(seed, "test.resident-cancel", 200)) * time.Microsecond
 				ctx, cancel := context.WithTimeout(context.Background(), to)
-				err := e.StepCtx(ctx, src, dst)
+				err := e.StepCtx(ctx, src, dst, 1, spmv.Epilogue{})
 				cancel()
 				if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if err := e.StepCtx(context.Background(), src, dst); err != nil {
+				if err := e.StepCtx(context.Background(), src, dst, 1, spmv.Epilogue{}); err != nil {
 					t.Fatalf("seed %d: clean step: %v", seed, err)
 				}
 				requireBitIdentical(t, fmt.Sprintf("seed %d: clean step after cancel", seed), want, dst)
@@ -424,13 +424,13 @@ func TestResidentFilesAndFaults(t *testing.T) {
 			for after := int64(0); after < 4; after++ {
 				plan := faultinject.NewPlan(faultinject.Rule{Site: site, Kind: faultinject.Panic, After: after})
 				faultinject.Activate(plan)
-				err := e.StepCtx(nil, src, dst)
+				err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
 				faultinject.Deactivate()
 				var perr *sched.PanicError
 				if !errors.As(err, &perr) {
 					t.Fatalf("after=%d: err = %v, want *sched.PanicError (site fired %d times)", after, err, plan.Fired(site))
 				}
-				if err := e.StepCtx(nil, src, dst); err != nil {
+				if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
 					t.Fatalf("after=%d: clean step: %v", after, err)
 				}
 				requireBitIdentical(t, fmt.Sprintf("after=%d: clean step after panic", after), want, dst)

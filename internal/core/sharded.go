@@ -132,8 +132,8 @@ type xClock struct {
 // ShardedEngine executes Algorithm 3 over a BuildSharded graph: every
 // shard's private fused pipeline plus the deterministic cross-shard
 // exchange, as one pool dispatch per step. It embeds the same step
-// shell as Engine (Step/StepEpi/StepBatch and the Ctx variants;
-// StepBatchActiveCtx answers honoured == false), in sharded-global ID
+// shell as Engine (Step, StepBatch and StepCtx; StepBatchActiveCtx
+// answers honoured == false), in sharded-global ID
 // space; use ShardedIHTL.NewID/OldID or its Permute helpers to move
 // vectors between ID spaces.
 type ShardedEngine struct {

@@ -157,15 +157,18 @@ func TestShardedStepEpi(t *testing.T) {
 	if slots != testPool.Workers() || streamed {
 		t.Fatalf("sharded engine reports %d slots, streamed %v; want the %d workers' static shares behind the barrier", slots, streamed, testPool.Workers())
 	}
-	se.StepEpi(srcNew, got, func(slot, lo, hi int) {
+	err = se.StepCtx(nil, srcNew, got, 1, spmv.Epilogue{Stream: true, Run: func(slot, lo, hi int) {
 		if slot < 0 || slot >= slots {
 			panic("epilogue slot out of range")
 		}
 		for v := lo; v < hi; v++ {
 			got[v] = 2*got[v] + 1
 		}
-	})
-	requireBitIdentical(t, "sharded StepEpi", want, got)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, "sharded StepCtx epilogue", want, got)
 }
 
 // TestShardedStepAllocationFree pins the sharded fused pipeline's
@@ -248,7 +251,7 @@ func TestShardedStepCtxInjectedPanicRecovery(t *testing.T) {
 		for after := int64(0); after < 3; after++ {
 			plan := faultinject.NewPlan(faultinject.Rule{Site: site, Kind: faultinject.Panic, After: after})
 			faultinject.Activate(plan)
-			err := se.StepCtx(nil, src, dst)
+			err := se.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
 			faultinject.Deactivate()
 			if plan.Fired(site) == 0 {
 				if err != nil {
@@ -264,7 +267,7 @@ func TestShardedStepCtxInjectedPanicRecovery(t *testing.T) {
 					t.Fatalf("%s after=%d: PanicError does not unwrap to the injected fault: %v", site, after, err)
 				}
 			}
-			if err := se.StepCtx(nil, src, dst); err != nil {
+			if err := se.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
 				t.Fatalf("%s after=%d: clean step: %v", site, after, err)
 			}
 			wantClose(t, "clean sharded step after injected panic", dst, ref)
@@ -285,12 +288,12 @@ func TestShardedStepCtxCancelThenCleanStep(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		to := time.Duration(faultinject.SeededAfter(seed, "test.shard-cancel", 400)) * time.Microsecond
 		ctx, cancel := context.WithTimeout(context.Background(), to)
-		err := se.StepCtx(ctx, src, dst)
+		err := se.StepCtx(ctx, src, dst, 1, spmv.Epilogue{})
 		cancel()
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("seed %d: err = %v, want nil or DeadlineExceeded", seed, err)
 		}
-		if err := se.StepCtx(nil, src, dst); err != nil {
+		if err := se.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
 			t.Fatalf("seed %d: clean step: %v", seed, err)
 		}
 		wantClose(t, "clean sharded step after cancel", dst, ref)
@@ -305,13 +308,13 @@ func TestShardedHealthVerdicts(t *testing.T) {
 	n := se.NumVertices()
 	src := randomSrc(n, 17)
 	dst := make([]float64, n)
-	if err := se.StepCtx(nil, src, dst); err != nil {
+	if err := se.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
 		t.Fatalf("clean sharded step under watchdog: %v", err)
 	}
 	faultinject.Activate(faultinject.NewPlan(faultinject.Rule{
 		Site: faultinject.SiteStepHealth, Kind: faultinject.NaN, After: 0,
 	}))
-	err := se.StepCtx(nil, src, dst)
+	err := se.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
 	faultinject.Deactivate()
 	var nerr *spmv.NumericError
 	if !errors.As(err, &nerr) {
@@ -322,7 +325,7 @@ func TestShardedHealthVerdicts(t *testing.T) {
 	faultinject.Activate(faultinject.NewPlan(faultinject.Rule{
 		Site: faultinject.SiteStepHealth, Kind: faultinject.NaN, After: 0,
 	}))
-	err = clamp.StepCtx(nil, src, dst)
+	err = clamp.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
 	faultinject.Deactivate()
 	if err != nil {
 		t.Fatalf("clamp mode surfaced an error: %v", err)

@@ -13,7 +13,7 @@ import (
 
 // The step shell: everything around one step that does not depend on
 // what is being stepped. Engine and ShardedEngine embed it, so the
-// entry points (Step … StepBatchEpiCtx, StepBatchActiveCtx), the shape
+// entry points (Step, StepBatch, StepCtx, StepBatchActiveCtx), the shape
 // checks, the numeric-health watchdog, the epilogue's slot grid and its
 // two placements (streamed per part, or behind a barrier), the phased
 // pipeline's extra dispatch and the Fallible → run → recoverState
@@ -120,13 +120,12 @@ func (s *stepShell) initSlots(bounds []int, streams bool) {
 	s.slotBounds, s.slotOwner, s.streams = bounds, sched.EdgeBalancedParts(rows, s.nworkers), streams
 }
 
-// EpiSlots returns the number of slots of the engine's epilogue grid —
-// StepEpi's first argument ranges over [0, slots) — and whether StepEpi
-// streams: runs each slot inside the sparse claim loop, as soon as the
-// slot's rows are pulled, under the narrower contract StepEpi states.
-// The grid is the sparse pull's parts on an unsharded engine over a
-// graph with no flipped block, the workers' static shares of the
-// vertex range on every other engine.
+// EpiSlots implements spmv.Stepper. The grid is the sparse pull's parts
+// on an unsharded engine over a graph with no flipped block — and such
+// an engine streams: a permitted epilogue runs on each part inside the
+// sparse claim loop, as soon as the part's rows are pulled, with no
+// barrier — and the workers' static shares of the vertex range behind
+// the barrier on every other engine.
 func (s *stepShell) EpiSlots() (slots int, streamed bool) {
 	return len(s.slotBounds) - 1, s.streams
 }
@@ -145,94 +144,55 @@ func (s *stepShell) TakeBreakdown() Breakdown {
 // src and dst must have length NumVertices and must not alias.
 //
 //ihtl:noalloc
-func (s *stepShell) Step(src, dst []float64) { s.StepBatchEpi(src, dst, 1, nil) }
-
-// StepEpi is Step followed by an element-wise epilogue: epi(p, lo, hi)
-// runs once for every slot p in [0, EpiSlots()) over the slot's rows
-// [lo, hi), on whichever worker, and may keep per-slot partials at p —
-// they do not depend on the schedule. Under the fused pipeline the
-// epilogue runs INSIDE the step's dispatch, so a whole analytic
-// iteration — SpMV plus e.g. PageRank's damping/delta/contribution
-// sweep — costs a single pool round-trip; the phased pipeline runs it
-// as a separate dispatch. epi may be nil.
-//
-// Where it runs inside the dispatch is the engine's: on an engine whose
-// EpiSlots reports streaming, slot p runs in the sparse claim loop
-// right after its rows are pulled, while other slots are still being
-// pulled from src — so epi may read dst only inside [lo, hi) and must
-// not write src. On every other engine the workers cross a barrier
-// once all of dst is complete, and epi may read any element of dst
-// (see StepBatchEpi).
-//
-//ihtl:noalloc
-func (s *stepShell) StepEpi(src, dst []float64, epi func(slot, lo, hi int)) {
-	s.checkShape(src, dst, 1)
-	if herr := s.step(src, dst, 1, epi, true); herr != nil {
-		panic(herr)
-	}
-}
+func (s *stepShell) Step(src, dst []float64) { s.StepBatch(src, dst, 1) }
 
 // StepBatch computes dst[v*k+j] = Σ_{u ∈ N⁻(v)} src[u*k+j] for every
 // vertex v and lane j < k: K interleaved SpMVs through one traversal of
 // the topology. src and dst must have length NumVertices*k, be
 // vertex-major interleaved, and must not alias. Step is StepBatch at
 // k == 1 — the same driver, with the scalar kernels as its width-1 arms.
+// A numeric-health failure panics; StepCtx returns it.
 //
 //ihtl:noalloc
-func (s *stepShell) StepBatch(src, dst []float64, k int) { s.StepBatchEpi(src, dst, k, nil) }
-
-// StepBatchEpi is StepBatch followed by an epilogue over StepEpi's slot
-// grid, always behind the barrier: epi may read any element of dst and
-// write src (a batched analytic's sweep writes its next contributions
-// in place). Under HealthClamp another slot's non-finite rows may still
-// be being zeroed. [lo, hi) are VERTICES, lane j of vertex v at index
-// v*k+j.
-//
-//ihtl:noalloc
-func (s *stepShell) StepBatchEpi(src, dst []float64, k int, epi func(slot, lo, hi int)) {
+func (s *stepShell) StepBatch(src, dst []float64, k int) {
 	s.checkShape(src, dst, k)
-	if herr := s.step(src, dst, k, epi, false); herr != nil {
-		panic(herr) // the plain entry points have no error return; the ctx ones return the verdict
+	if err := s.step(src, dst, k, nil, false); err != nil {
+		panic(err) // the plain entry points have no error return; StepCtx returns the verdict
 	}
 }
 
-// StepCtx is Step with cancellation and panic isolation: it returns
-// ctx.Err() promptly when ctx is cancelled (observed at every task
-// claim), converts a pool-worker panic into a returned
+// StepCtx implements spmv.Stepper: StepBatch followed by the epilogue,
+// with cancellation and panic isolation. Under the fused pipeline the
+// epilogue runs INSIDE the step's dispatch, so a whole analytic
+// iteration — SpMV plus e.g. PageRank's damping/delta/contribution
+// sweep — costs a single pool round-trip; the phased pipeline runs it
+// as a separate dispatch. On an engine whose EpiSlots reports
+// streaming, an epilogue with Stream set runs in the sparse claim loop
+// right after its slot's rows are pulled; every other epilogue runs
+// once all of dst is complete, where under HealthClamp another slot's
+// non-finite rows may still be being zeroed.
+//
+// StepCtx returns ctx.Err() promptly when ctx is cancelled (observed at
+// every task claim), converts a pool-worker panic into a returned
 // *sched.PanicError, and returns a *spmv.NumericError when the armed
 // health watchdog fails the step. After a cancelled or panicked step
 // the engine's reusable state (hub buffers, dirty ranges, barriers) is
 // restored, so the next clean step — of any width — is bit-for-bit
-// identical to one on a fresh engine.
-func (s *stepShell) StepCtx(ctx context.Context, src, dst []float64) error {
-	return s.StepBatchEpiCtx(ctx, src, dst, 1, nil)
-}
-
-// StepEpiCtx is StepEpi with the StepCtx contract. A step that fails
-// after streaming may have run the epilogue on some slots.
-func (s *stepShell) StepEpiCtx(ctx context.Context, src, dst []float64, epi func(slot, lo, hi int)) error {
-	s.checkShape(src, dst, 1)
-	return s.stepCtx(ctx, src, dst, 1, epi, true)
-}
-
-// StepBatchCtx is StepBatch with the StepCtx contract.
-func (s *stepShell) StepBatchCtx(ctx context.Context, src, dst []float64, k int) error {
-	return s.StepBatchEpiCtx(ctx, src, dst, k, nil)
-}
-
-// StepBatchEpiCtx is StepBatchEpi with the StepCtx contract.
-func (s *stepShell) StepBatchEpiCtx(ctx context.Context, src, dst []float64, k int, epi func(slot, lo, hi int)) error {
+// identical to one on a fresh engine. A step that fails after
+// streaming may have run the epilogue on some slots.
+func (s *stepShell) StepCtx(ctx context.Context, src, dst []float64, k int, epi spmv.Epilogue) error {
 	s.checkShape(src, dst, k)
-	return s.stepCtx(ctx, src, dst, k, epi, false)
+	return s.stepCtx(ctx, src, dst, k, epi.Run, epi.Stream)
 }
 
-// StepBatchActiveCtx is StepBatchEpiCtx for a src of which only the
-// rows named by active can hold a lane other than +0.0 (active may name
-// more rows than that, never fewer). Rows of dst with no active
-// in-neighbour are NOT written — they hold whatever they held — and
-// touched is rewritten to name exactly the rows that were: every hub
-// (the merges write them all) and every sparse row that met an active
-// source. epi runs as under StepBatchEpi and may read touched.
+// StepBatchActiveCtx is StepCtx, with an epilogue that does not
+// stream, for a src of which only the rows named by active can hold a
+// lane other than +0.0 (active may name more rows than that, never
+// fewer). Rows of dst with no active in-neighbour are NOT written —
+// they hold whatever they held — and touched is rewritten to name
+// exactly the rows that were: every hub (the merges write them all) and
+// every sparse row that met an active source. epi runs behind the
+// barrier and may read touched.
 //
 // Only the flat fused unsharded pipeline with a pull sparse kernel has
 // the two kernels (active.go); any other engine answers honoured ==
@@ -269,24 +229,23 @@ func (s *stepShell) stepCtx(ctx context.Context, src, dst []float64, k int, epi 
 	if err != nil {
 		return err
 	}
-	herr := s.step(src, dst, k, epi, streamEpi)
+	verdict := s.step(src, dst, k, epi, streamEpi)
 	if err := end(); err != nil {
 		s.recoverState()
 		return err
 	}
-	if herr != nil {
-		return herr
-	}
-	return nil
+	return verdict
 }
 
 // step is one step of width k plus epilogue, returning the numeric-
-// health verdict (nil when the watchdog is off or satisfied). streamEpi
-// says the entry point holds epi to StepEpi's streamed contract; the
-// scan alone streams at any width, since it reads a slot's rows only.
+// health verdict: a *spmv.NumericError, or nil when the watchdog is off
+// or satisfied. streamEpi
+// says the caller holds epi to the streamed contract (Epilogue.Stream);
+// the scan alone streams at any width, since it reads a slot's rows
+// only.
 //
 //ihtl:noalloc
-func (s *stepShell) step(src, dst []float64, k int, epi func(slot, lo, hi int), streamEpi bool) *spmv.NumericError {
+func (s *stepShell) step(src, dst []float64, k int, epi func(slot, lo, hi int), streamEpi bool) error {
 	s.drv.setWidth(k)
 	s.armHealth(k)
 	s.curEpi = epi
@@ -442,9 +401,10 @@ func isFinite(x float64) bool {
 
 // collectHealth folds the per-worker scan slots into a verdict after
 // the dispatch. Clamped steps succeed by construction; Error and
-// Rollback modes fail the step when anything non-finite was seen.
-// Only the failure path allocates.
-func (s *stepShell) collectHealth() *spmv.NumericError {
+// Rollback modes fail the step when anything non-finite was seen. A
+// healthy step returns a nil error, never a nil *spmv.NumericError
+// inside one. Only the failure path allocates.
+func (s *stepShell) collectHealth() error {
 	if !s.healthArmed {
 		return nil
 	}

@@ -214,7 +214,7 @@ func buildPB(ih *IHTL, workers int) *pbState {
 // schedule state. Called once from NewEngineOpts.
 //
 // SparseAuto is the uniform pull on a graph with no flipped block: its
-// parts are the epilogue slots a StepEpi can finish as it pulls them
+// parts are the epilogue slots a streamed step can finish as it pulls them
 // (initSlots) — the degree schedule's light parts are final only once
 // every heavy part is — and it steps as fast or faster there on its own
 // (DESIGN.md §18, "The kernel and the epilogue").

@@ -234,12 +234,12 @@ func TestSparseKernelCancelThenCleanStep(t *testing.T) {
 		for seed := uint64(0); seed < 12; seed++ {
 			to := time.Duration(faultinject.SeededAfter(seed, "test.sparse-cancel", 400)) * time.Microsecond
 			ctx, cancel := context.WithTimeout(context.Background(), to)
-			err := e.StepCtx(ctx, src, dst)
+			err := e.StepCtx(ctx, src, dst, 1, spmv.Epilogue{})
 			cancel()
 			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("%v seed %d: err = %v, want nil or DeadlineExceeded", kernel, seed, err)
 			}
-			if err := e.StepCtx(nil, src, dst); err != nil {
+			if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
 				t.Fatalf("%v seed %d: clean step: %v", kernel, seed, err)
 			}
 			wantClose(t, "clean step after cancel", dst, ref)
@@ -271,7 +271,7 @@ func TestSparseKernelInjectedPanicRecovery(t *testing.T) {
 			for after := int64(0); after < 3; after++ {
 				plan := faultinject.NewPlan(faultinject.Rule{Site: site, Kind: faultinject.Panic, After: after})
 				faultinject.Activate(plan)
-				err := e.StepCtx(nil, src, dst)
+				err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
 				faultinject.Deactivate()
 				if plan.Fired(site) == 0 {
 					if err != nil {
@@ -287,7 +287,7 @@ func TestSparseKernelInjectedPanicRecovery(t *testing.T) {
 						t.Fatalf("%v/%s after=%d: PanicError does not unwrap to the injected fault: %v", tc.kernel, site, after, err)
 					}
 				}
-				if err := e.StepCtx(nil, src, dst); err != nil {
+				if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
 					t.Fatalf("%v/%s after=%d: clean step: %v", tc.kernel, site, after, err)
 				}
 				wantClose(t, "clean step after injected panic", dst, ref)

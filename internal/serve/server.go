@@ -127,20 +127,13 @@ type nullWriter struct{}
 
 func (nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// engine is the stepping surface serve needs; *core.Engine and
-// *core.ShardedEngine both provide it (plus the ctx-aware methods the
-// analytics drivers sniff for).
-type engine interface {
-	spmv.BatchStepper
-}
-
 // slot is one unit of batch concurrency: a dedicated pool + engine
 // pair, because an engine's step state is exclusive to one dispatch
 // at a time, and the arrays its batches iterate on, kept from batch to
 // batch.
 type slot struct {
 	pool *sched.Pool
-	eng  engine
+	eng  spmv.Stepper
 	ws   analytics.PPRWorkspace
 }
 
@@ -238,7 +231,7 @@ func (s *Server) newSlot() (*slot, error) {
 	return &slot{pool: pool, eng: eng}, nil
 }
 
-func (s *Server) newEngine(pool *sched.Pool) (engine, error) {
+func (s *Server) newEngine(pool *sched.Pool) (spmv.Stepper, error) {
 	opt := core.EngineOptions{
 		StaticFlipped: true,
 		Health:        spmv.HealthPolicy{Mode: spmv.HealthRollback},

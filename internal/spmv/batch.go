@@ -9,19 +9,10 @@ package spmv
 // every kernel here, §4.3) is amortised over K lanes of useful
 // arithmetic, the propagation-blocking / multi-vector SpMM argument.
 
-// BatchStepper is the batched extension of Stepper: one StepBatch
-// computes dst[v*k+j] = Σ_{u ∈ N⁻(v)} src[u*k+j] for every vertex v
-// and lane j < k. src and dst must have length NumVertices()*k and be
-// vertex-major interleaved. Implementations must make StepBatch with
-// k == 1 semantically identical to Step (the baselines here delegate it
-// to Step; the core engines run Step as StepBatch at k == 1).
-type BatchStepper interface {
-	Stepper
-	StepBatch(src, dst []float64, k int)
-}
-
-// StepBatch implements BatchStepper over the engine's direction.
-// src and dst must have length NumV*k and must not alias. k == 1
+// StepBatch is the step StepCtx runs, at width k, over the engine's
+// direction: dst[v*k+j] = Σ_{u ∈ N⁻(v)} src[u*k+j] for every vertex v
+// and lane j < k. src and dst must have length NumV*k and must not
+// alias. k == 1
 // delegates to the scalar Step, so a width-1 batch costs exactly one
 // scalar iteration. Apart from batchBufs growing the PushBuffered
 // accumulators on a width change (the deliberate unannotated callee),

@@ -63,12 +63,58 @@ func (d Direction) String() string {
 	}
 }
 
-// Stepper is the common interface of all SpMV engines in this
-// repository, including the iHTL engine in internal/core: one Step
-// computes dst[v] = Σ src[u] over in-neighbours u for every vertex.
+// Stepper is the one stepping interface of every SpMV engine in this
+// repository — the baselines here and the iHTL engines in internal/core
+// — and all the analytics drivers need: one step computes
+//
+//	dst[v*k+j] = Σ_{u ∈ N⁻(v)} src[u*k+j]
+//
+// for every vertex v and lane j < k (k interleaved SpMVs through one
+// traversal; k == 1 is the scalar SpMV), then runs an element-wise
+// epilogue over the engine's slot grid. An analytic's iteration is one
+// StepCtx (Algorithm 3 is a Step plus an element-wise update); where
+// and how the engine places the epilogue is the engine's.
 type Stepper interface {
-	Step(src, dst []float64)
 	NumVertices() int
+	// EpiSlots returns the number of slots of the engine's epilogue
+	// grid — an epilogue's first argument ranges over [0, slots), one
+	// call per slot, each over an ascending row range, the ranges
+	// partitioning [0, NumVertices()) in slot order — and whether the
+	// engine streams an epilogue whose caller permits it (see
+	// Epilogue.Stream).
+	EpiSlots() (slots int, streamed bool)
+	// Step is StepCtx at k == 1 with no epilogue and no context, for
+	// callers with no error to handle: a failure panics.
+	Step(src, dst []float64)
+	// StepCtx runs one step of width k — src and dst of length
+	// NumVertices()*k, vertex-major interleaved (lane j of vertex v at
+	// v*k+j), not aliasing — then epi over every slot, and returns its
+	// verdict: ctx.Err() once ctx is cancelled (observed at task claims,
+	// so promptly), a worker panic as a *sched.PanicError instead of a
+	// crash, a *NumericError when an armed health watchdog fails the
+	// step, else nil. A failed step may leave dst partly written and
+	// the epilogue run on some slots only; the engine's own state is
+	// restored, so the next clean step of any width equals one on a
+	// fresh engine. ctx may be nil.
+	StepCtx(ctx context.Context, src, dst []float64, k int, epi Epilogue) error
+}
+
+// Epilogue is the element-wise tail of a step. Run(slot, lo, hi) is
+// called once per slot of the engine's grid (see Stepper.EpiSlots) over
+// the slot's VERTICES [lo, hi) — lane j of vertex v at v*k+j — on
+// whichever worker; partials kept at slot do not depend on the
+// schedule. The zero value is no epilogue.
+//
+// By default the epilogue runs once all of dst is complete (behind a
+// barrier, or as a dispatch after the step), so Run may read any
+// element of dst and write src. Stream is the caller's promise that Run
+// reads dst only inside its own [lo, hi) rows and writes no src: an
+// engine whose EpiSlots reports streaming may then run each slot as
+// soon as its rows are final, while other slots are still being
+// computed from src.
+type Epilogue struct {
+	Run    func(slot, lo, hi int)
+	Stream bool
 }
 
 // Engine runs SpMV iterations in a fixed direction over a fixed graph
@@ -108,10 +154,12 @@ type Engine struct {
 	// fused core.Engine, enforced by the noalloc pass.
 	curSrc, curDst []float64
 	curK           int
+	curEpi         func(slot, lo, hi int)
 
 	zeroJob       func(w, lo, hi int)
 	clearBufsJob  func(w int)
 	clearBufsKJob func(w int)
+	epiJob        func(w int)
 
 	pullJob, atomicJob, bufferedJob, mergeJob, partJob, binJob, drainJob func(w, lo, hi int)
 
@@ -168,6 +216,7 @@ func NewEngine(g *graph.Graph, pool *sched.Pool, dir Direction, opt Options) (*E
 	e.zeroJob = e.zeroWorker
 	e.clearBufsJob = e.clearBufsWorker
 	e.clearBufsKJob = e.clearBufsKWorker
+	e.epiJob = e.epiWorker
 	e.pullJob = e.pullWorker
 	e.atomicJob = e.atomicWorker
 	e.bufferedJob = e.bufferedWorker
@@ -231,30 +280,6 @@ func (e *Engine) Step(src, dst []float64) {
 	e.curSrc, e.curDst = nil, nil
 }
 
-// StepCtx implements CtxStepper: Step with cancellation observed at
-// every partition claim and worker panics returned as *sched.PanicError.
-// A failed step may leave dst partially written; the per-call buffer
-// clears at the top of Step mean no internal engine state needs
-// recovery before the next call.
-func (e *Engine) StepCtx(ctx context.Context, src, dst []float64) error {
-	end, err := e.pool.Fallible(ctx)
-	if err != nil {
-		return err
-	}
-	e.Step(src, dst)
-	return end()
-}
-
-// StepBatchCtx implements BatchCtxStepper; see StepCtx.
-func (e *Engine) StepBatchCtx(ctx context.Context, src, dst []float64, k int) error {
-	end, err := e.pool.Fallible(ctx)
-	if err != nil {
-		return err
-	}
-	e.StepBatch(src, dst, k)
-	return end()
-}
-
 // pullWorker is Algorithm 1: destinations are processed in parallel
 // over edge-balanced partitions; writes need no synchronisation
 // because each destination is owned by exactly one partition.
@@ -286,4 +311,36 @@ func (e *Engine) zeroDst() {
 //ihtl:noalloc
 func (e *Engine) zeroWorker(w, lo, hi int) {
 	clear(e.curDst[lo:hi])
+}
+
+// EpiSlots implements Stepper: the workers' static shares of the
+// vertex range, one slot per worker, never streamed.
+func (e *Engine) EpiSlots() (slots int, streamed bool) { return e.pool.Workers(), false }
+
+// StepCtx implements Stepper: StepBatch, then one dispatch running
+// epi.Run on every slot p over sched.SplitRange(NumV, workers, p), both
+// inside one Fallible region — cancellation observed at every partition
+// claim, worker panics returned as *sched.PanicError. The per-call
+// buffer clears at the top of every step mean no internal engine state
+// needs recovery after a failed one.
+func (e *Engine) StepCtx(ctx context.Context, src, dst []float64, k int, epi Epilogue) error {
+	end, err := e.pool.Fallible(ctx)
+	if err != nil {
+		return err
+	}
+	e.StepBatch(src, dst, k)
+	if epi.Run != nil {
+		e.curEpi = epi.Run
+		e.pool.Run(e.epiJob)
+		e.curEpi = nil
+	}
+	return end()
+}
+
+// epiWorker runs the staged epilogue on worker w's slot.
+//
+//ihtl:noalloc
+func (e *Engine) epiWorker(w int) {
+	lo, hi := sched.SplitRange(e.g.NumV, e.pool.Workers(), w)
+	e.curEpi(w, lo, hi)
 }

@@ -49,7 +49,7 @@ func TestStepCtxInjectedPanicRecovery(t *testing.T) {
 		for after := int64(0); after < 3; after++ {
 			plan := faultinject.NewPlan(faultinject.Rule{Site: tc.site, Kind: faultinject.Panic, After: after})
 			faultinject.Activate(plan)
-			err := e.StepCtx(nil, src, dst)
+			err := e.StepCtx(nil, src, dst, 1, Epilogue{})
 			faultinject.Deactivate()
 			if plan.Fired(tc.site) == 0 {
 				if err != nil {
@@ -65,7 +65,7 @@ func TestStepCtxInjectedPanicRecovery(t *testing.T) {
 					t.Fatalf("%s/%s after=%d: error does not unwrap to the injected fault: %v", tc.dir, tc.site, after, err)
 				}
 			}
-			if err := e.StepCtx(nil, src, dst); err != nil {
+			if err := e.StepCtx(nil, src, dst, 1, Epilogue{}); err != nil {
 				t.Fatalf("%s/%s after=%d: clean step: %v", tc.dir, tc.site, after, err)
 			}
 			for i := range ref {

@@ -1,27 +1,6 @@
 package spmv
 
-import (
-	"context"
-	"fmt"
-)
-
-// CtxStepper is implemented by engines whose Step has a cancellable,
-// panic-isolating form. StepCtx computes the same SpMV as Step but
-// returns promptly with ctx.Err() when ctx is cancelled (observed at
-// chunk-claim boundaries, one atomic load per claim) and converts a
-// panic in any pool worker into a returned *sched.PanicError instead
-// of crashing the process. The analytics drivers prefer this
-// interface when the stepper provides it.
-type CtxStepper interface {
-	Stepper
-	StepCtx(ctx context.Context, src, dst []float64) error
-}
-
-// BatchCtxStepper is the batched counterpart of CtxStepper.
-type BatchCtxStepper interface {
-	BatchStepper
-	StepBatchCtx(ctx context.Context, src, dst []float64, k int) error
-}
+import "fmt"
 
 // HealthMode selects what the numeric-health watchdog does when a
 // non-finite value (NaN or ±Inf) appears in a result vector.
