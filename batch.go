@@ -144,7 +144,10 @@ func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOpti
 	// Un-interleave and un-permute in one pass over original IDs — a
 	// vertex's K lanes are one contiguous read — on the pool, so that
 	// each worker first-touches its own share of the K fresh vectors:
-	// their page faults are most of this pass.
+	// their page faults are most of this pass. A run that ended in the
+	// active-row mode names the rows that may hold a rank (res.Rows);
+	// the fresh vectors are +0.0 everywhere else already, so only those
+	// rows are read and written.
 	k := res.K
 	out := make([][]float64, k)
 	for j := range out {
@@ -154,6 +157,9 @@ func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOpti
 	unpack := func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			nv := int(newIDs[v])
+			if res.Rows != nil && !res.Rows.Has(nv) {
+				continue
+			}
 			for j, x := range res.Ranks[nv*k : nv*k+k] {
 				out[j][v] = x
 			}

@@ -1,10 +1,16 @@
 package ihtl_test
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"ihtl"
+	"ihtl/internal/analytics"
+	"ihtl/internal/core"
+	"ihtl/internal/gen"
+	"ihtl/internal/spmv"
 )
 
 func TestPublicAPIBatchFlow(t *testing.T) {
@@ -140,6 +146,111 @@ func TestPublicAPIPersonalizedPageRank(t *testing.T) {
 		for v := range first[j] {
 			if d := serial[j][v] - first[j][v]; d > 1e-12 || d < -1e-12 {
 				t.Fatalf("lane %d: rank[%d] = %g without a pool, %g with one", j, v, serial[j][v], first[j][v])
+			}
+		}
+	}
+}
+
+// denseStepper hides an engine's active-row entry, so the analytics
+// driver steps it densely from the first iteration to the last.
+type denseStepper struct{ spmv.Stepper }
+
+// TestPublicAPIPPRActiveRowsUnpermute runs ppr8 — eight sources, ten
+// iterations — on the web analog at 200 k pages, from sources spread
+// over the vertex range, a run that ends in the active-row mode, and
+// from the eight highest out-degrees (the benchmark's choice), a run
+// that leaves it before its ninth iteration here. In both,
+// PersonalizedPageRank's lanes — un-permuted only on the rows the run
+// names in the first, in full in the second — must be bit for bit a
+// dense run's un-permuted in full. The same run through the analytics
+// driver must report those rows (Rows set, or nil for the run that
+// left the mode) and hold all +0.0 outside them. StaticFlipped makes
+// the two runs' sums reproducible at all.
+func TestPublicAPIPPRActiveRowsUnpermute(t *testing.T) {
+	cfg := gen.DefaultWeb(200_000, 1002)
+	cfg.MeanOutDegree = 6 // the benchmark's web-sparse shape
+	g, err := gen.Web(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := ihtl.NewPool(2)
+	defer pool.Close()
+	eng, err := ihtl.NewEngineOpts(nil, g, pool, ihtl.Params{}, ihtl.EngineOptions{StaticFlipped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ih := eng.IHTL()
+	if len(ih.Blocks) == 0 {
+		t.Fatal("the web analog built no flipped block")
+	}
+	ce, err := core.NewEngineOpts(ih, pool, core.EngineOptions{StaticFlipped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 8
+	n := g.NumV
+	spread := make([]ihtl.VID, k)
+	for j := range spread {
+		spread[j] = ihtl.VID(j*n/k + 1)
+	}
+	top := make([]ihtl.VID, n)
+	for v := range top {
+		top[v] = ihtl.VID(v)
+	}
+	slices.SortFunc(top, func(a, b ihtl.VID) int {
+		return cmp.Or(cmp.Compare(g.OutDegree(b), g.OutDegree(a)), cmp.Compare(a, b))
+	})
+	opt := ihtl.PageRankOptions{MaxIters: 10, Tol: -1}
+	for _, c := range []struct {
+		name      string
+		sources   []ihtl.VID
+		endActive bool
+	}{{"spread", spread, true}, {"top-out-degree", top[:k], false}} {
+		lanes, err := ihtl.PersonalizedPageRank(eng, pool, c.sources, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcNew := make([]int, k)
+		for j, s := range c.sources {
+			srcNew[j] = int(ih.NewID[s])
+		}
+		var ws analytics.PPRWorkspace
+		res, err := ws.Run(nil, ce, ih.OutDegrees(), pool, srcNew, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Rows != nil) != c.endActive {
+			t.Fatalf("%s: Rows set = %v, want a run that ends in the active-row mode = %v", c.name, res.Rows != nil, c.endActive)
+		}
+		if res.Rows != nil {
+			if rows := res.Rows.Count(); rows == 0 || rows > n/8 {
+				t.Fatalf("%s: the run ended with %d of %d rows ranked", c.name, rows, n)
+			}
+			for nv := 0; nv < n; nv++ {
+				if res.Rows.Has(nv) {
+					continue
+				}
+				for j, x := range res.Ranks[nv*k : nv*k+k] {
+					if math.Float64bits(x) != 0 {
+						t.Fatalf("%s: row %d lane %d = %v outside Rows", c.name, nv, j, x)
+					}
+				}
+			}
+		}
+
+		dense, err := analytics.RunPersonalizedPageRank(denseStepper{ce}, ih.OutDegrees(), pool, srcNew, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dense.Rows != nil {
+			t.Fatalf("%s: a dense run reported active rows", c.name)
+		}
+		for v := 0; v < n; v++ {
+			nv := int(ih.NewID[v])
+			for j := 0; j < k; j++ {
+				if got, want := lanes[j][v], dense.Ranks[nv*k+j]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: lane %d vertex %d = %v, dense run %v", c.name, j, v, got, want)
+				}
 			}
 		}
 	}

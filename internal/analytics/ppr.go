@@ -28,6 +28,11 @@ type PPRResult struct {
 	// Rollbacks counts checkpoint restores triggered by numeric-
 	// health errors (spmv.HealthRollback engines only).
 	Rollbacks int
+	// Rows, when not nil, names every row of Ranks that may hold a lane
+	// other than +0.0; every other row is all +0.0. It is set only when
+	// the run ended in the active-row mode — it is then the workspace's
+	// rankRows and, like Ranks, holds until the workspace's next Run.
+	Rows spmv.RowSet
 }
 
 // Lane copies lane j of the interleaved ranks into a dense vector; nil
@@ -314,6 +319,7 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.Stepper, outDeg []int, p
 	}
 	if active {
 		ws.sparse = [2]int{n, k}
+		res.Rows = ws.rankRows
 	}
 	return res, nil
 }
@@ -522,8 +528,8 @@ func (p *pprSweep) activeRows(lo, hi int, delta, dangl []float64) {
 			b := uint(bits.TrailingZeros64(m))
 			v := wi<<6 + int(b)
 			// A written row of all +0.0 sums that holds no rank (so is no
-			// source either) stays all +0.0 and moves no delta: the hubs a
-			// batch has not reached yet, which every Step writes.
+			// source either) stays all +0.0 and moves no delta: a reached
+			// row whose active in-neighbours added only +0.0s.
 			if ranked>>b&1 == 0 && spmv.SkipZeroLanes(p.sums[v*p.k:v*p.k+p.k]) {
 				continue
 			}

@@ -25,13 +25,15 @@ import (
 
 // pushTaskActive is pushTaskFlatBatch reading a source's SkipZeroLanes
 // verdict from its bit instead of from its lanes: 64 rows per zero word,
-// and a row's lanes loaded only to be pushed.
+// and a row's lanes loaded only to be pushed. Each hub it adds into gets
+// its bit in hubBits, the worker's bits of the task's block (hub h at
+// bit h − HubLo), which is all mergeBlockActive folds.
 //
 //ihtl:noalloc
 //ihtl:nobce
 //ihtl:noescape
-func pushTaskActive(k int, bt *blockTask, fb *FlippedBlock, active []uint64, src, buf []float64) {
-	idx, dsts := fb.Index, fb.Dsts
+func pushTaskActive(k int, bt *blockTask, fb *FlippedBlock, active []uint64, src, buf []float64, hubBits []uint64) {
+	idx, dsts, hubLo := fb.Index, fb.Dsts, fb.HubLo
 	for wi := bt.lo >> 6; wi<<6 < bt.hi; wi++ {
 		word := unchecked.At(active, wi) & spmv.RangeMask(wi, bt.lo, bt.hi)
 		for ; word != 0; word &= word - 1 {
@@ -39,12 +41,74 @@ func pushTaskActive(k int, bt *blockTask, fb *FlippedBlock, active []uint64, src
 			xs := unchecked.SliceAt(src, s*k, k)
 			end := unchecked.At(idx, s+1)
 			for i := unchecked.At(idx, s); i < end; i++ {
-				db := int(unchecked.At(dsts, int(i))) * k
+				d := int(unchecked.At(dsts, int(i)))
+				h := d - hubLo
+				*unchecked.PtrAt(hubBits, h>>6) |= 1 << (uint(h) & 63)
+				db := d * k
 				for j, x := range xs {
 					unchecked.AddAt(buf, db+j, x)
 				}
 			}
 		}
+	}
+}
+
+// mergeBlockActive is mergeBlock for an active-row step: it folds only
+// the hubs of block blk some worker pushed into, which the workers' hub
+// bits name. Each such hub is stored from +0.0 plus the lanes of every
+// worker whose bit is set, in ascending worker order, those lanes zeroed
+// as they are read, and is put into touched; a hub no bit names is not
+// written. A worker whose bit is clear holds all +0.0 lanes there —
+// nothing else writes a buffer — so leaving it out skips +0.0 addends
+// only, and each written hub is bit for bit the dense merge's (DESIGN.md
+// §8, "Why the bits are the dense run's"). The block's bit words are
+// then cleared. The caller holds the block's completion, as mergeBlock's
+// does; the hub words of touched go in atomically, because the block's
+// first and last words may be shared with a neighbouring block's merge
+// or with the sparse rows.
+//
+//ihtl:noalloc
+func (e *Engine) mergeBlockActive(blk int, dst []float64) {
+	fb := &e.ih.Blocks[blk]
+	b := &e.batch
+	k, touched := b.k, b.touched
+	words := len(b.hubBits[0]) / len(e.ih.Blocks)
+	base := blk * words
+	twi, tword := 0, uint64(0)
+	for wi := base; wi < base+(fb.HubHi-fb.HubLo+63)>>6; wi++ {
+		reached := uint64(0)
+		for w := range b.hubBits {
+			reached |= b.hubBits[w][wi]
+		}
+		for m := reached; m != 0; m &= m - 1 {
+			bit := uint(bits.TrailingZeros64(m))
+			h := fb.HubLo + (wi-base)<<6 + int(bit)
+			out := dst[h*k : h*k+k : h*k+k]
+			clear(out)
+			for w, hb := range b.hubBits {
+				if hb[wi]>>bit&1 == 0 {
+					continue
+				}
+				in := b.bufs[w][h*k : h*k+k : h*k+k]
+				for j, x := range in {
+					out[j] += x
+				}
+				clear(in)
+			}
+			if h>>6 != twi {
+				if tword != 0 {
+					spmv.PutWord(&touched[twi], tword, tword)
+				}
+				twi, tword = h>>6, 0
+			}
+			tword |= 1 << (uint(h) & 63)
+		}
+		for _, hb := range b.hubBits {
+			hb[wi] = 0
+		}
+	}
+	if tword != 0 {
+		spmv.PutWord(&touched[twi], tword, tword)
 	}
 }
 

@@ -422,6 +422,10 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 	e.clocks = make([]workerClock, nworkers)
 	e.batch.bufs = make([][]float64, nworkers)
 	e.batch.dirty = make([]dirtyRange, nworkers*len(ih.Blocks))
+	e.batch.hubBits = make([][]uint64, nworkers)
+	for w := range e.batch.hubBits {
+		e.batch.hubBits[w] = make([]uint64, len(ih.Blocks)*hubBitWords(ih))
+	}
 	e.setWidth(1)
 	e.fusedJob = e.fusedWorker
 	return e, nil
@@ -462,10 +466,10 @@ func (e *Engine) stepFused(src, dst []float64) {
 // stage arms the fused dispatch state for one step over the given
 // vectors without dispatching: scheduler resets, merge-countdown
 // arming, vector staging and, for an active-row step, the touched set's
-// starting value (every hub: the merges write them all). Split from
-// stepFused so the sharded engine can stage every shard's sub-engine
-// and then run all their worker bodies (e.fusedJob) under ONE pool
-// dispatch of its own.
+// starting value (empty: the merges and the sparse pull add the rows
+// they write). Split from stepFused so the sharded engine can stage
+// every shard's sub-engine and then run all their worker bodies
+// (e.fusedJob) under ONE pool dispatch of its own.
 //
 //ihtl:noalloc
 func (e *Engine) stage(src, dst []float64) {
@@ -473,10 +477,7 @@ func (e *Engine) stage(src, dst []float64) {
 	e.resetFlipCursors()
 	e.resetSparseScheds()
 	e.blockGate.Reset(e.tasksPerBlock)
-	if touched := e.batch.touched; touched != nil {
-		clear(touched)
-		touched.AddRange(0, e.ih.NumHubs)
-	}
+	clear(e.batch.touched)
 	e.curSrc, e.curDst = src, dst
 }
 
@@ -527,10 +528,12 @@ func (e *Engine) unstage() {
 //  1. claim flipped tasks by range stealing, accumulating into the
 //     worker's private hub buffer — buf[d*k : d*k+k] for hub d — and
 //     widening the dirty hub range per block by the task's precomputed
-//     destination bounds;
+//     destination bounds (an active-row step sets a bit per hub pushed
+//     into instead);
 //  2. whenever a task completes its block (per-block countdown), merge
 //     that block immediately — only buffers with non-empty dirty
-//     ranges are read, and the hub slots are owned exclusively because
+//     ranges are read (only the hubs whose bits are set, in an
+//     active-row step), and the hub slots are owned exclusively because
 //     every task of the block has finished;
 //  3. when no flipped work remains anywhere, claim sparse partitions
 //     by range stealing and pull them — on a streamed step, scanning
@@ -553,9 +556,11 @@ func (e *Engine) fusedWorker(w int) {
 	k := b.k
 	src, dst := e.curSrc, e.curDst
 	t0 := time.Now()
-	if w == 0 {
+	if w == 0 && b.active == nil {
 		// Blocks with no edges are never merged; their hub slots are
-		// still SpMV outputs (sums over zero terms) and must be zeroed.
+		// still SpMV outputs (sums over zero terms) and must be zeroed —
+		// except by an active-row step, which writes only rows it
+		// reached.
 		for _, blk := range e.emptyBlocks {
 			fb := &ih.Blocks[blk]
 			clear(dst[fb.HubLo*k : fb.HubHi*k])
@@ -573,20 +578,20 @@ func (e *Engine) fusedWorker(w int) {
 			faultinject.Fire(faultinject.SiteFlippedTask)
 			bt := &e.blockTasks[ti]
 			if b.active != nil {
-				pushTaskActive(k, bt, &ih.Blocks[bt.block], b.active, src, buf)
+				pushTaskActive(k, bt, &ih.Blocks[bt.block], b.active, src, buf, b.blockHubBits(w, bt.block, nb))
 			} else {
 				e.pushTaskBatch(k, bt, src, buf)
-			}
-			if bt.dHi > bt.dLo {
-				dr := &b.dirty[w*nb+bt.block]
-				if dr.hi <= dr.lo {
-					dr.lo, dr.hi = bt.dLo, bt.dHi
-				} else {
-					if bt.dLo < dr.lo {
-						dr.lo = bt.dLo
-					}
-					if bt.dHi > dr.hi {
-						dr.hi = bt.dHi
+				if bt.dHi > bt.dLo {
+					dr := &b.dirty[w*nb+bt.block]
+					if dr.hi <= dr.lo {
+						dr.lo, dr.hi = bt.dLo, bt.dHi
+					} else {
+						if bt.dLo < dr.lo {
+							dr.lo = bt.dLo
+						}
+						if bt.dHi > dr.hi {
+							dr.hi = bt.dHi
+						}
 					}
 				}
 			}
@@ -617,8 +622,12 @@ func (e *Engine) fusedWorker(w int) {
 //
 //ihtl:noalloc
 func (e *Engine) mergeBlock(blk int, dst []float64) {
-	fb := &e.ih.Blocks[blk]
 	b := &e.batch
+	if b.active != nil {
+		e.mergeBlockActive(blk, dst)
+		return
+	}
+	fb := &e.ih.Blocks[blk]
 	k := b.k
 	clear(dst[fb.HubLo*k : fb.HubHi*k])
 	nb := len(e.ih.Blocks)

@@ -32,10 +32,16 @@ type batchState struct {
 	// live or die together), so merges read only buffers that were
 	// written. A half-open interval, empty when hi <= lo.
 	dirty []dirtyRange
-	// binVals are the bin contributions of the SparsePB kernel (slot
-	// p's lanes at [p*k, (p+1)*k)); pbState holds the slot offsets,
-	// cursors and row array, which do not depend on the width.
-	binVals []float64
+	// hubBits[w] is worker w's per-hub dirty bits of an active-row step
+	// (active.go): one bit per hub the worker pushed into, block by
+	// block, each block starting at a word boundary — hub h of block blk
+	// at bit blk·wordsPerBlock·64 + h − HubLo — so that no word is shared
+	// between blocks, whose merges run concurrently with the pushes into
+	// their neighbours. All zero between steps: the active merge clears
+	// the words it folds, recoverState the rest. (The SparsePB kernel's
+	// width-dependent binVals live on pbState, so that batchState keeps
+	// its size and no Engine field after batch moves.)
+	hubBits [][]uint64
 	// active and touched are the row sets of an active-row step
 	// (active.go), staged for its dispatch and nil for a dense one: where
 	// the fused worker and the sparse parts pick their kernels.
@@ -52,8 +58,8 @@ type batchState struct {
 // sized for the widest width seen and resliced for a narrower one. That
 // is sound because every hub buffer is all-zero between steps — a merge
 // zeroes what it folds and no step reaches past its NumHubs*k,
-// recoverState clears an aborted step's buffers whole — and binVals is
-// written before it is read within a step.
+// recoverState clears an aborted step's buffers whole — and the PB
+// kernel's binVals are written before they are read within a step.
 //
 // It also decides the width's lane prefetch distance, from the
 // footprint alone: once the width's lane rows, NumV·k float64s, outgrow
@@ -77,8 +83,29 @@ func (e *Engine) setWidth(k int) {
 		b.bufs[i] = resized(b.bufs[i], e.ih.NumHubs*k)
 	}
 	if e.pb != nil {
-		b.binVals = resized(b.binVals, len(e.pb.binRows)*k)
+		e.pb.binVals = resized(e.pb.binVals, len(e.pb.binRows)*k)
 	}
+}
+
+// hubBitWords is the word count of one block's hub bits in
+// batchState.hubBits: the widest block's hubs, rounded up to whole words.
+func hubBitWords(ih *IHTL) int {
+	words := 0
+	for b := range ih.Blocks {
+		fb := &ih.Blocks[b]
+		words = max(words, (fb.HubHi-fb.HubLo+63)>>6)
+	}
+	return words
+}
+
+// blockHubBits returns worker w's hub bits of block blk: hub h at bit
+// h − HubLo.
+//
+//ihtl:noalloc
+func (b *batchState) blockHubBits(w, blk, nblocks int) []uint64 {
+	bits := b.hubBits[w]
+	words := len(bits) / nblocks
+	return bits[blk*words : (blk+1)*words : (blk+1)*words]
 }
 
 // resized returns s cut to n elements, or a zeroed allocation of n
@@ -101,15 +128,16 @@ func (e *Engine) setActive(active, touched spmv.RowSet) bool {
 	return true
 }
 
-// recoverState clears the buffers and dirty ranges after an aborted
-// step, and unstages an active-row step's sets; see
+// recoverState clears the buffers, dirty ranges and hub bits after an
+// aborted step, and unstages an active-row step's sets; see
 // stepShell.recoverState. The buffers are cleared to their capacity, so
 // that the lanes setWidth reslices back in are zero whatever width the
 // state is set to by now.
 func (b *batchState) recoverState() {
 	b.active, b.touched = nil, nil
-	for w := range b.bufs {
-		clear(b.bufs[w][:cap(b.bufs[w])])
+	for w, buf := range b.bufs {
+		clear(buf[:cap(buf)])
+		clear(b.hubBits[w])
 	}
 	for i := range b.dirty {
 		b.dirty[i] = dirtyRange{}

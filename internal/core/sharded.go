@@ -47,7 +47,7 @@ package core
 // each shard's sub-engine is set to the width, and the exchange reuses
 // its offsets, cursors and row array at every width — only the binned
 // contributions are K-wide (xBinVals, slot p's lanes at [p*k, (p+1)*k)),
-// exactly the split pbState and batchState.binVals make.
+// exactly the split pbState.binVals makes.
 
 import (
 	"fmt"

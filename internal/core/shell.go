@@ -190,9 +190,10 @@ func (s *stepShell) StepCtx(ctx context.Context, src, dst []float64, k int, epi 
 // lane other than +0.0 (active may name more rows than that, never
 // fewer). Rows of dst with no active in-neighbour are NOT written —
 // they hold whatever they held — and touched is rewritten to name
-// exactly the rows that were: every hub (the merges write them all) and
-// every sparse row that met an active source. epi runs behind the
-// barrier and may read touched.
+// exactly the rows that were: those with an active in-neighbour, hubs
+// and sparse rows alike (a hub's merge folds only the hubs an active
+// source pushed into). epi runs behind the barrier and may read
+// touched.
 //
 // Only the flat fused unsharded pipeline with a pull sparse kernel has
 // the two kernels (active.go); any other engine answers honoured ==

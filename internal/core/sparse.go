@@ -141,9 +141,11 @@ type pbState struct {
 	// reads up to the cursor, not the next offset.
 	binOff []int64
 	binCur []int64
-	// binRows are the binned rows; their contributions, k lanes a slot,
-	// are batchState.binVals.
+	// binRows are the binned rows; binVals their contributions, k lanes
+	// a slot (slot p's at [p*k, (p+1)*k)), resized to the step's width by
+	// setWidth — the one width-dependent array here.
 	binRows []uint32
+	binVals []float64
 }
 
 // buildPB transposes the sparse block and sizes the bin segments.
@@ -591,7 +593,7 @@ func (e *Engine) pbBinChunk(c int, src []float64) {
 	}
 	shift := pb.shift
 	pushIndex, pushRows := pb.pushIndex, pb.pushRows
-	binRows, binVals := pb.binRows, e.batch.binVals
+	binRows, binVals := pb.binRows, pb.binVals
 	sLo, sHi := unchecked.At(pb.chunkBounds, c), unchecked.At(pb.chunkBounds, c+1)
 	for s := sLo; s < sHi; s++ {
 		x := unchecked.At(src, s)
@@ -651,7 +653,7 @@ func (e *Engine) pbDrainBucket(b int, dst []float64) {
 	clear(dst[base+rowLo : base+rowHi]) //ihtl:allow-boundscheck clamped range; clear() is the runtime memclr
 	C := pb.numChunks
 	binOff, binCur := pb.binOff, pb.binCur
-	binRows, binVals := pb.binRows, e.batch.binVals
+	binRows, binVals := pb.binRows, pb.binVals
 	for c := 0; c < C; c++ {
 		seg := b*C + c
 		end := unchecked.At(binCur, seg)

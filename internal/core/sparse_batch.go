@@ -8,7 +8,7 @@ package core
 // the lane loop below. The schedule state does not depend on the width
 // — same chunk bounds, same segment offsets and cursors, same
 // heavy/light parts — only the contributions are K lanes wide: bin
-// slot p's lanes live at batchState.binVals[p*k : (p+1)*k], mirroring
+// slot p's lanes live at pbState.binVals[p*k : (p+1)*k], mirroring
 // the vertex-major interleave of the vectors themselves. The
 // determinism argument of sparse.go applies per lane unchanged.
 
@@ -160,7 +160,7 @@ func (e *Engine) pbBinChunkBatch(bs *batchState, c int, src []float64) {
 			p := pb.binCur[seg]
 			pb.binRows[p] = row
 			vb := p * int64(k)
-			copy(bs.binVals[vb:vb+int64(k)], xs)
+			copy(pb.binVals[vb:vb+int64(k):vb+int64(k)], xs)
 			pb.binCur[seg] = p + 1
 		}
 	}
@@ -192,7 +192,7 @@ func (e *Engine) pbDrainBucketBatch(bs *batchState, b int, dst []float64) {
 			db := (base + int(pb.binRows[p])) * k
 			out := dst[db : db+k : db+k]
 			vb := p * int64(k)
-			xs := bs.binVals[vb : vb+int64(k) : vb+int64(k)]
+			xs := pb.binVals[vb : vb+int64(k) : vb+int64(k)]
 			for j, x := range xs {
 				out[j] += x
 			}
