@@ -378,7 +378,7 @@ func BenchmarkStepBatch(b *testing.B) {
 		nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		b.ReportMetric(float64(g.NumE)*float64(k)/nsPerOp*1e3, "Medge-per-vec/s")
 	}
-	for _, k := range bench.BatchKs() {
+	for _, k := range []int{1, 4, 8, 16} {
 		k := k
 		b.Run(fmt.Sprintf("ihtl/k%d", k), func(b *testing.B) {
 			ih, err := core.Build(g, core.Params{HubsPerBlock: 2048}.ForBatch(k))

@@ -14,7 +14,7 @@ import (
 
 var testPool = sched.NewPool(4)
 
-func mustRMAT(t *testing.T, scale, ef int, seed uint64) *graph.Graph {
+func mustRMAT(t testing.TB, scale, ef int, seed uint64) *graph.Graph {
 	t.Helper()
 	g, err := gen.RMAT(gen.DefaultRMAT(scale, ef, seed))
 	if err != nil {

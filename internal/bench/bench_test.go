@@ -2,10 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -103,136 +99,6 @@ func TestRunAllExperimentsOnSmallData(t *testing.T) {
 	}
 }
 
-func TestStepJSONRoundTrip(t *testing.T) {
-	env, _ := smallEnv(t)
-	d := SmallRegistry()[0]
-	rep, err := RunStepJSON(env, []*Dataset{d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kernels := StepKernels()
-	if len(rep.Results) != len(kernels) {
-		t.Fatalf("%d results, want one per kernel (%d)", len(rep.Results), len(kernels))
-	}
-	for i, r := range rep.Results {
-		if r.Kernel != kernels[i] {
-			t.Fatalf("result %d is kernel %q, want %q", i, r.Kernel, kernels[i])
-		}
-		if r.Dataset != d.Name || r.Edges <= 0 || r.NsPerStep <= 0 || r.NsPerEdge <= 0 {
-			t.Fatalf("implausible measurement: %+v", r)
-		}
-		if r.BytesPerEdge <= 0 {
-			t.Fatalf("%s: missing bytes_per_edge: %+v", r.Kernel, r)
-		}
-		switch r.Kernel {
-		case "ihtl-fused", "ihtl-phased", "ihtl-pull-degree":
-			// The pull-family sparse kernels charge SparseNs only.
-			if r.SparseNs <= 0 || r.BinNs != 0 || r.DrainNs != 0 {
-				t.Fatalf("%s: bad phase split: %+v", r.Kernel, r)
-			}
-		case "ihtl-pb":
-			// The propagation-blocked kernel splits bin vs drain.
-			if r.BinNs <= 0 || r.DrainNs <= 0 || r.SparseNs != 0 {
-				t.Fatalf("%s: bad phase split: %+v", r.Kernel, r)
-			}
-		default:
-			if r.SparseNs != 0 || r.BinNs != 0 || r.DrainNs != 0 {
-				t.Fatalf("%s: baseline record grew phase clocks: %+v", r.Kernel, r)
-			}
-		}
-	}
-	path := filepath.Join(t.TempDir(), "results", "BENCH_step.json")
-	if err := WriteStepJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back StepReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Workers != env.Pool.Workers() || len(back.Results) != len(rep.Results) {
-		t.Fatalf("report changed in round trip: %+v", back)
-	}
-}
-
-// TestStepJSONBackCompat pins the schema extension: reports written
-// before the batch sweep existed (no batch_k / edges_per_sec_per_vec
-// fields) must still parse, with the batch fields at zero, and scalar
-// records must still serialise without them.
-func TestStepJSONBackCompat(t *testing.T) {
-	old := []byte(`{
-  "workers": 1, "gomaxprocs": 1, "iters": 4,
-  "results": [
-    {"dataset": "lvjrnl-s", "kernel": "pull", "vertices": 2048,
-     "edges": 24576, "ns_per_step": 100000, "ns_per_edge": 4.069}
-  ]
-}`)
-	var rep StepReport
-	if err := json.Unmarshal(old, &rep); err != nil {
-		t.Fatalf("pre-batch report no longer parses: %v", err)
-	}
-	r := rep.Results[0]
-	if r.BatchK != 0 || r.EdgesPerSecPerVec != 0 {
-		t.Fatalf("scalar record grew batch fields: %+v", r)
-	}
-	out, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(out, []byte("batch_k")) || bytes.Contains(out, []byte("edges_per_sec_per_vec")) {
-		t.Fatalf("scalar record serialises batch fields: %s", out)
-	}
-}
-
-func TestAppendBatchSweep(t *testing.T) {
-	env, _ := smallEnv(t)
-	d := SmallRegistry()[0]
-	rep := &StepReport{Workers: env.Pool.Workers(), Iters: env.Iters}
-	ks := []int{1, 2}
-	if err := AppendBatchSweep(rep, env, []*Dataset{d}, ks); err != nil {
-		t.Fatal(err)
-	}
-	if want := len(BatchKernels()) * len(ks); len(rep.Results) != want {
-		t.Fatalf("%d records, want %d", len(rep.Results), want)
-	}
-	for _, r := range rep.Results {
-		if r.BatchK < 1 || r.NsPerStep <= 0 || r.EdgesPerSecPerVec <= 0 {
-			t.Fatalf("implausible batch record: %+v", r)
-		}
-		// ns_per_edge is per edge-LANE and edges_per_sec_per_vec its
-		// reciprocal throughput; check internal consistency.
-		lanes := float64(r.Edges) * float64(r.BatchK)
-		if math.Abs(r.NsPerEdge-float64(r.NsPerStep)/lanes) > 1e-9 {
-			t.Fatalf("ns_per_edge inconsistent: %+v", r)
-		}
-		if math.Abs(r.EdgesPerSecPerVec-lanes/float64(r.NsPerStep)*1e9) > 1e-3 {
-			t.Fatalf("edges_per_sec_per_vec inconsistent: %+v", r)
-		}
-	}
-	g, err := d.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := batchEngine(env, g, "simd-batch", 2); err == nil {
-		t.Fatal("unknown batch kernel accepted")
-	}
-}
-
-func TestStepJSONUnknownKernel(t *testing.T) {
-	env, _ := smallEnv(t)
-	d := SmallRegistry()[0]
-	g, err := d.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stepEngine(env, g, "simd"); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	env, _ := smallEnv(t)
 	if err := Run(env, "fig42", nil); err == nil {
@@ -320,76 +186,5 @@ func TestEnvCSVMode(t *testing.T) {
 	RenderTable4(env, []Table4Row{row})
 	if !strings.Contains(buf.String(), "Dataset,CSC (MiB)") {
 		t.Fatalf("CSV mode not applied: %q", buf.String())
-	}
-}
-
-// TestRunShardJSON drives the sharding ablation end to end on a small
-// dataset: one record per shard count, the exchange phase split only
-// present on sharded records, host metadata attached, and a JSON round
-// trip.
-func TestRunShardJSON(t *testing.T) {
-	env, _ := smallEnv(t)
-	d := SmallRegistry()[0]
-	counts := []int{1, 2, 4}
-	rep, err := RunShardJSON(env, []*Dataset{d}, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != len(counts) {
-		t.Fatalf("%d results, want one per shard count (%d)", len(rep.Results), len(counts))
-	}
-	if rep.Host == nil || rep.Host.GoVersion == "" || rep.Host.Workers != env.Pool.Workers() {
-		t.Fatalf("missing host metadata: %+v", rep.Host)
-	}
-	for i, r := range rep.Results {
-		if r.Shards != counts[i] || r.Dataset != d.Name || r.NsPerStep <= 0 {
-			t.Fatalf("implausible measurement: %+v", r)
-		}
-		if r.Shards == 1 {
-			if r.CrossEdges != 0 || r.ExchangeBinNs != 0 || r.ExchangeDrainNs != 0 {
-				t.Fatalf("unsharded baseline grew exchange columns: %+v", r)
-			}
-		} else {
-			if r.CrossEdges <= 0 {
-				t.Fatalf("sharded record has no cross edges: %+v", r)
-			}
-			if r.ExchangeBinNs <= 0 || r.ExchangeDrainNs <= 0 {
-				t.Fatalf("sharded record missing exchange phase split: %+v", r)
-			}
-		}
-	}
-	path := filepath.Join(t.TempDir(), "results", "BENCH_shard.json")
-	if err := WriteShardJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ShardReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Workers != rep.Workers || len(back.Results) != len(rep.Results) ||
-		back.Host == nil || back.Host.GoVersion != rep.Host.GoVersion {
-		t.Fatalf("report changed in round trip: %+v", back)
-	}
-}
-
-// TestHostInfoInReports checks every report constructor stamps host
-// metadata.
-func TestHostInfoInReports(t *testing.T) {
-	h := CollectHost(3)
-	if h.GoVersion == "" || h.NumCPU < 1 || h.GoMaxProcs < 1 || h.Workers != 3 {
-		t.Fatalf("implausible host info: %+v", h)
-	}
-	env, _ := smallEnv(t)
-	d := SmallRegistry()[0]
-	step, err := RunStepJSON(env, []*Dataset{d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step.Host == nil || step.Host.Workers != env.Pool.Workers() {
-		t.Fatalf("step report missing host metadata: %+v", step.Host)
 	}
 }

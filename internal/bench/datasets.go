@@ -93,30 +93,6 @@ func SmallRegistry() []*Dataset {
 	}
 }
 
-// BatchSweepRegistry returns the datasets of the batch-width sweep:
-// the scale-18 R-MAT the sweep's acceptance figure is recorded on
-// (2^18 vertices, Graph500 edge factor 16 — the largest social analog
-// in the repository) plus one small web analog for shape coverage.
-func BatchSweepRegistry() []*Dataset {
-	return []*Dataset{
-		rmatDS("rmat18", "R-MAT scale 18 (batch sweep)", 18, 16, 118),
-		webDS("sk-s", "SK-Domain (small)", 12_000, 20, 203),
-	}
-}
-
-// EncRegistry returns the datasets of the block-encoding ablation
-// (ihtlbench -encjson): the scale-14 R-MAT the CI schema gate asserts
-// on, and the full-size SK-Domain web analog the compression-ratio
-// acceptance figure (flat/varint bytes_per_edge >= 1.5x) is recorded
-// on — web in-hub adjacency is dense and local after relabeling, so
-// it is where the gap encoding pays most.
-func EncRegistry() []*Dataset {
-	return []*Dataset{
-		rmatDS("rmat14", "R-MAT scale 14 (encoding ablation)", 14, 16, 114),
-		webDS("sk", "SK-Domain (50M/2B)", 50_000, 40, 105),
-	}
-}
-
 // ByName finds a dataset in the given registry.
 func ByName(reg []*Dataset, name string) (*Dataset, error) {
 	for _, d := range reg {

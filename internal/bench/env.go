@@ -103,20 +103,3 @@ func stepTime(e spmv.Stepper, iters int) time.Duration {
 		src, dst = dst, src
 	})
 }
-
-// stepBatchTime is stepTime for a K-wide batched engine: the measured
-// unit is one step advancing all K lanes.
-func stepBatchTime(e spmv.Stepper, k, iters int) time.Duration {
-	n := e.NumVertices()
-	src := make([]float64, n*k)
-	dst := make([]float64, n*k)
-	for i := range src {
-		src[i] = 1 / float64(n+1)
-	}
-	return timeIt(iters, func() {
-		if err := e.StepCtx(nil, src, dst, k, spmv.Epilogue{}); err != nil {
-			panic(err)
-		}
-		src, dst = dst, src
-	})
-}

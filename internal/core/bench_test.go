@@ -464,3 +464,54 @@ func BenchmarkStepResident(b *testing.B) {
 		})
 	}
 }
+
+// encodingGraph is the graph the block-encoding comparison runs on: an
+// R-MAT of scale 14 (edge factor 16, reciprocal hubs) built with
+// B = 2048, so most of its edges sit in flipped blocks whose rows the
+// varint encoding packs.
+func encodingGraph(tb testing.TB) *IHTL {
+	tb.Helper()
+	cfg := gen.DefaultRMAT(14, 16, 114)
+	cfg.Reciprocity = 0.7
+	g, err := gen.RMAT(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ih, err := Build(g, Params{HubsPerBlock: 2048})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ih
+}
+
+// BenchmarkBlockEncoding steps the fused engine over encodingGraph
+// under each block encoding on two workers, reporting ns per edge and
+// the modelled topology stream per edge (TopologyBytesPerStep). CI
+// runs it at -benchtime 30x and fails if varint's ns/edge is above
+// 1.5× flat's: the packed rows were recorded at 1.23× flat, the LEB128
+// streams they replaced at 3.1×, so a decode regression shows here.
+func BenchmarkBlockEncoding(b *testing.B) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	ih := encodingGraph(b)
+	src := make([]float64, ih.NumV)
+	for i := range src {
+		src[i] = 1 / float64(ih.NumV)
+	}
+	dst := make([]float64, ih.NumV)
+	for _, enc := range []BlockEncoding{EncodingFlat, EncodingVarint} {
+		b.Run(enc.String(), func(b *testing.B) {
+			e, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: enc})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e.Step(src, dst) // page in dst and the hub buffers
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step(src, dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ih.NumE), "ns/edge")
+			b.ReportMetric(float64(e.TopologyBytesPerStep())/float64(ih.NumE), "B/edge")
+		})
+	}
+}

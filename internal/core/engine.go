@@ -193,7 +193,7 @@ type flipCursor struct {
 // workerClock is one worker's per-phase busy time, padded to a cache
 // line. The sparse field covers the pull kernels; the propagation-
 // blocked kernel splits its time into bin and drain instead, so the
-// stepjson per-phase breakdown stays honest for either kernel.
+// per-phase breakdown (TakeBreakdown) stays honest for either kernel.
 type workerClock struct {
 	flipped time.Duration
 	merge   time.Duration

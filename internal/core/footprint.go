@@ -123,10 +123,10 @@ func (e *Engine) BytesPerStep() int64 {
 }
 
 // TopologyBytesPerStep returns only the topology-stream half of
-// BytesPerStep — the bytes the encoding actually changes. The
-// flat-vs-varint ablation (ihtlbench -encjson) reports its
-// bytes_per_edge from this: vertex-data traffic is identical under
-// both encodings, so including it would dilute the compression ratio
+// BytesPerStep — the bytes the encoding actually changes.
+// BenchmarkBlockEncoding and the encoding tests read their B/edge
+// from this: vertex-data traffic is identical under both
+// encodings, so including it would dilute the compression ratio
 // into an apples-to-oranges number.
 func (e *Engine) TopologyBytesPerStep() int64 { return e.topologyStreamBytes() }
 

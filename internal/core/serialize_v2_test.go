@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"ihtl/internal/compress"
 	"ihtl/internal/gen"
 	"ihtl/internal/graph"
 )
@@ -90,36 +94,77 @@ func TestV2RoundTripBitForBit(t *testing.T) {
 }
 
 // TestV2EngineDifferential steps an engine straight over the opened
-// (encoded-only, possibly mapped) v2 graph and pins it against the
-// in-memory flat source — auto encoding must resolve to varint.
+// (encoded-only, mapped) v2 graph and pins it against the in-memory
+// flat source — auto encoding must resolve to varint — on a small
+// R-MAT and on BenchmarkBlockEncoding's scale-14 one. The packed rows
+// must be the mapping itself, not a heap copy of it, and both the
+// resident topology and the per-step topology stream must be below
+// flat's.
 func TestV2EngineDifferential(t *testing.T) {
-	ih := buildV2TestGraph(t)
-	path := filepath.Join(t.TempDir(), "g.ihtl2")
-	if err := ih.SaveFileV2(path); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		ih   *IHTL
+	}{{"rmat10", buildV2TestGraph(t)}, {"rmat14", encodingGraph(t)}} {
+		t.Run(c.name, func(t *testing.T) {
+			ih := c.ih
+			path := filepath.Join(t.TempDir(), "g.ihtl2")
+			if err := ih.SaveFileV2(path); err != nil {
+				t.Fatal(err)
+			}
+			ef, err := OpenEngineFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ef.Close()
+			if runtime.GOOS == "linux" && !ef.Mapped() {
+				t.Fatal("v2 engine file did not memory-map")
+			}
+			requirePackedRowsInFile(t, ef)
+			flat, err := NewEngineOpts(ih, testPool, EngineOptions{BlockEncoding: EncodingFlat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := NewEngine(ef.IHTL(), testPool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Encoding() != EncodingVarint {
+				t.Fatalf("engine over v2 file resolved to %v, want varint", loaded.Encoding())
+			}
+			src := integerVec(3, ih.NumV)
+			requireBitIdentical(t, "v2 engine", stepOldSpace(ih, flat, src), stepOldSpace(ef.IHTL(), loaded, src))
+			if loaded.ResidentTopologyBytes() >= flat.ResidentTopologyBytes() {
+				t.Errorf("v2 resident topology %d B not below flat %d B",
+					loaded.ResidentTopologyBytes(), flat.ResidentTopologyBytes())
+			}
+			if loaded.TopologyBytesPerStep() >= flat.TopologyBytesPerStep() {
+				t.Errorf("varint topology stream %d B/step not below flat %d B/step",
+					loaded.TopologyBytesPerStep(), flat.TopologyBytesPerStep())
+			}
+		})
 	}
-	ef, err := OpenEngineFile(path)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// requirePackedRowsInFile checks that every packed row stream of an
+// opened v2 file lies inside the file's bytes — the mapping, where the
+// file is mapped — so opening adds no copy of the topology to the heap.
+func requirePackedRowsInFile(t *testing.T, ef *EngineFile) {
+	t.Helper()
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(ef.data)))
+	hi := lo + uintptr(len(ef.data))
+	inMapping := func(label string, ck *compress.Chunked) {
+		if ck == nil || len(ck.Data) == 0 {
+			t.Fatalf("%s: no packed rows", label)
+		}
+		if p := uintptr(unsafe.Pointer(unsafe.SliceData(ck.Data))); p < lo || p+uintptr(len(ck.Data)) > hi {
+			t.Fatalf("%s: packed rows were copied out of the file's bytes", label)
+		}
 	}
-	defer ef.Close()
-	flat, err := NewEngineOpts(ih, testPool, EngineOptions{BlockEncoding: EncodingFlat})
-	if err != nil {
-		t.Fatal(err)
+	ih := ef.IHTL()
+	for b := range ih.Blocks {
+		inMapping(fmt.Sprintf("flipped block %d", b), ih.Blocks[b].Enc)
 	}
-	loaded, err := NewEngine(ef.IHTL(), testPool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Encoding() != EncodingVarint {
-		t.Fatalf("engine over v2 file resolved to %v, want varint", loaded.Encoding())
-	}
-	src := integerVec(3, ih.NumV)
-	requireBitIdentical(t, "v2 engine", stepOldSpace(ih, flat, src), stepOldSpace(ef.IHTL(), loaded, src))
-	if loaded.ResidentTopologyBytes() >= flat.ResidentTopologyBytes() {
-		t.Errorf("v2 resident topology %d B not below flat %d B",
-			loaded.ResidentTopologyBytes(), flat.ResidentTopologyBytes())
-	}
+	inMapping("sparse block", ih.Sparse.Enc)
 }
 
 // TestV2DegreeBuckets pins EnsureDegreeBuckets over both an opened v2

@@ -340,7 +340,7 @@ func (s *stepShell) armHealth(k int) {
 // hold an earlier step's values, scanned then). The first element it
 // looks at is routed through the fault injector's poison site — once
 // per non-empty slot per step — the deterministic hook the recovery
-// tests and ihtlbench -faults use to corrupt a step.
+// tests and BenchmarkFaultRecovery use to corrupt a step.
 //
 //ihtl:noalloc
 func (s *stepShell) healthScan(w, lo, hi int) {

@@ -94,9 +94,9 @@ func ParseSparseKernel(s string) (SparseKernel, error) {
 
 // defaultSparseKernel is what SparseAuto resolves to on a graph with a
 // flipped block (on one without, it is SparsePull: see
-// initSparseKernel): the degree-aware
-// pull schedule. It won the three-way ablation when it was added
-// (results/BENCH_step.json: sparse phase -12 % vs uniform pull on the sk
+// initSparseKernel): the degree-aware pull schedule. It won the
+// three-way ablation when it was added (results/BENCH_step.json, now
+// BenchmarkSparseKernel: sparse phase -12 % vs uniform pull on the sk
 // web graph, -28 % on the skewed twtrmpi social graph, ties elsewhere —
 // one vCPU, every graph LLC-resident), and the benchmark's two-worker,
 // beyond-L2 rows have not unseated it. With the prefetching edge-major

@@ -183,4 +183,14 @@ func testCoalescedBitIdenticalToSolo(t *testing.T, path string) {
 	if m.Served < 8 {
 		t.Fatalf("served = %d, want >= 8", m.Served)
 	}
+	// The queries must really have coalesced: at least one batch
+	// carried two lanes or more (LaneFill[i] counts the batches of i+1
+	// lanes).
+	var shared int64
+	for i := 1; i < len(m.LaneFill); i++ {
+		shared += m.LaneFill[i]
+	}
+	if shared == 0 {
+		t.Fatalf("no batch carried more than one lane: lane fill %v", m.LaneFill)
+	}
 }
