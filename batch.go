@@ -122,8 +122,8 @@ func NewBatchEngine(g *Graph, pool *Pool, p Params, k int) (*Engine, error) {
 // all sources per pool dispatch through batched SpMV. It returns one
 // rank vector per source, in ORIGINAL vertex-ID space (the iHTL
 // relabeling is applied internally). The engine keeps the run's
-// working arrays (3·n·K + n floats and three n-bit row sets) for its
-// next call, so that a caller running batch after batch does not page
+// working arrays (3·n·K + n floats — 4·n·K + n on an engine that streams
+// its epilogue — and three n-bit row sets) for its next call, so that a caller running batch after batch does not page
 // them in afresh each time; like Step, calls on one engine must not
 // overlap. The steps and their element-wise sweeps run on the engine's
 // own pool; pool wipes the arrays a call starts from and unpacks the

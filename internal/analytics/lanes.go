@@ -114,7 +114,7 @@ func RunPPRLanes(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sched.
 }
 
 // RunLanes is RunPPRLanes on the workspace's arrays — the inverse
-// degrees, the three n×K arrays and the rollback snapshot's ranks — so
+// degrees, the n×K arrays and the rollback snapshot's ranks — so
 // a caller that runs batch after batch (the daemon: one workspace per
 // slot) allocates and first-touches them once. A LaneResult's Ranks are
 // still a private copy. The steps and their epilogue run on the
@@ -149,7 +149,7 @@ func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.Stepper, outDeg []i
 	emitted := make([]bool, k)
 	numActive := k
 	sw := pprSweep{k: k, damping: o.Damping, redistribute: o.RedistributeDangling,
-		ranks: ranks, sums: sums, contrib: contrib, invDeg: invDeg, outDeg: outDeg,
+		ranks: ranks, sums: sums, invDeg: invDeg, outDeg: outDeg,
 		sources: make([]int, k), teleport: make([]float64, k)}
 	for j, l := range lanes {
 		active[j] = true
@@ -166,12 +166,15 @@ func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.Stepper, outDeg []i
 	// The sweep runs dense here, on a packed engine and on the flat one
 	// a raw file gives alike: the batches of the graph the daemon is
 	// measured on fill within two Steps, so row sets here would see no
-	// traffic (DESIGN.md §8 "Active rows"). Like Run's, it writes the
-	// next contributions into src, so it never streams.
-	slots, _ := e.EpiSlots()
+	// traffic (DESIGN.md §8 "Active rows"). Like Run's dense steps, it
+	// streams on an engine that streams its epilogue, writing the next
+	// contributions into next, swapped with contrib after every
+	// successful step; elsewhere next is contrib.
+	slots, next, streamed := ws.epiGrid(e, n, k)
+	sw.contrib = next
 	deltaParts := make([]float64, slots*k)
 	danglingParts := make([]float64, slots*k)
-	epi := spmv.Epilogue{Run: func(slot, lo, hi int) {
+	epi := spmv.Epilogue{Stream: streamed, Run: func(slot, lo, hi int) {
 		dp := deltaParts[slot*k : slot*k+k]
 		gp := danglingParts[slot*k : slot*k+k]
 		clear(dp)
@@ -296,6 +299,10 @@ func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.Stepper, outDeg []i
 				continue
 			}
 			return err
+		}
+		if streamed {
+			contrib, next = next, contrib
+			sw.contrib = next
 		}
 		clear(deltas)
 		clear(dangling)

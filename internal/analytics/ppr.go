@@ -10,6 +10,7 @@ import (
 
 	"ihtl/internal/sched"
 	"ihtl/internal/spmv"
+	"ihtl/internal/unchecked"
 )
 
 // PPRResult carries the converged lanes of one batched personalized
@@ -87,10 +88,10 @@ func RunPersonalizedPageRank(e spmv.Stepper, outDeg []int, pool *sched.Pool, sou
 	return RunPersonalizedPageRankCtx(nil, e, outDeg, pool, sources, opt)
 }
 
-// PPRWorkspace holds the three n×K arrays of a personalized-PageRank
-// run, the n inverse degrees and the three n-bit row sets of its
-// active-row mode. Allocated per run they are first touched per run —
-// 0.4 GB, 0.5–0.9 s of page faults beside 0.6 s of compute at n = 1.5 M,
+// PPRWorkspace holds the n×K arrays of a personalized-PageRank run —
+// three, and a fourth on an engine that streams its epilogue — the n
+// inverse degrees and the three n-bit row sets of its active-row mode.
+// Allocated per run they are first touched per run — 0.4 GB, 0.5–0.9 s of page faults beside 0.6 s of compute at n = 1.5 M,
 // K = 8, and only on the runs whose memory the runtime had handed back,
 // so run times spread 2× (DESIGN.md §8) — so a caller that runs batch
 // after batch keeps one workspace and calls Run (or, for lanes that end
@@ -98,6 +99,11 @@ func RunPersonalizedPageRank(e spmv.Stepper, outDeg []int, pool *sched.Pool, sou
 // largest run and must not be shared by concurrent runs.
 type PPRWorkspace struct {
 	invDeg, ranks, contrib, sums []float64
+	// next is where a streamed epilogue writes the next contributions
+	// while other slots still read contrib (epiGrid); allocated only on
+	// an engine that streams, and never read before a step has written
+	// all of it, so never wiped.
+	next []float64
 	// snapRanks is RunLanes' rollback snapshot of ranks.
 	snapRanks []float64
 	// contribRows, rankRows: the rows of contrib and of ranks that may
@@ -174,7 +180,7 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.Stepper, outDeg []int, p
 	ae, _ := e.(activeRowStepper)
 	active := ae != nil && o.Resume == nil && o.Damping >= 0 && o.Damping <= 1
 	sw := pprSweep{k: k, damping: o.Damping, redistribute: o.RedistributeDangling,
-		ranks: ranks, sums: sums, contrib: contrib, invDeg: invDeg, outDeg: outDeg,
+		ranks: ranks, sums: sums, invDeg: invDeg, outDeg: outDeg,
 		sources: sources, teleport: make([]float64, k), srcRows: distinctAscending(sources)}
 	if active {
 		if len(ws.touched) != (n+63)>>6 {
@@ -216,9 +222,11 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.Stepper, outDeg []int, p
 
 	// The per-iteration element-wise sweep runs as the step's epilogue
 	// over the engine's slots, each slot summing its per-lane delta and
-	// dangling mass into its own K partials. It writes the next
-	// contributions in place, into src, so it never streams.
-	slots, _ := e.EpiSlots()
+	// dangling mass into its own K partials. A dense step on an engine
+	// that streams its epilogue writes the next contributions into next
+	// and swaps it in after the step (ws.epiGrid); an active-row step, and
+	// every step elsewhere, writes them in place, into src.
+	slots, next, streamed := ws.epiGrid(e, n, k)
 	deltaParts := make([]float64, slots*k)
 	danglingParts := make([]float64, slots*k)
 	epi := func(slot, lo, hi int) {
@@ -285,10 +293,15 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.Stepper, outDeg []int, p
 				sw.rankRows.Add(s)
 			}
 			// An engine that refuses the step stays dense from here on.
+			sw.contrib = contrib
 			active, stepErr = ae.StepBatchActiveCtx(ctx, contrib, sums, k, sw.contribRows, sw.touched, epi)
 		}
 		if !active {
-			stepErr = e.StepCtx(ctx, contrib, sums, k, spmv.Epilogue{Run: epi})
+			sw.contrib = next
+			stepErr = e.StepCtx(ctx, contrib, sums, k, spmv.Epilogue{Run: epi, Stream: streamed})
+			if stepErr == nil && streamed {
+				contrib, next = next, contrib
+			}
 		}
 		if stepErr != nil {
 			var nerr *spmv.NumericError
@@ -379,6 +392,22 @@ func (ws *PPRWorkspace) prepare(ctx context.Context, pool *sched.Pool, outDeg []
 	return nil
 }
 
+// epiGrid returns the engine's epilogue slots, whether it streams an
+// epilogue, and the array a dense step's epilogue writes the next
+// contributions into: on a streaming engine next, sized to n·k here —
+// the streamed contract (spmv.Epilogue.Stream) forbids writing src, and a
+// slot's epilogue may run while others still read contrib — which the
+// driver swaps with contrib after every successful step, as
+// RunPageRankCtx does; contrib itself, in place, elsewhere.
+func (ws *PPRWorkspace) epiGrid(e spmv.Stepper, n, k int) (slots int, next []float64, streamed bool) {
+	slots, streamed = e.EpiSlots()
+	if !streamed {
+		return slots, ws.contrib, false
+	}
+	ws.next, _ = sized(ws.next, n*k)
+	return slots, ws.next, true
+}
+
 // restoreContrib recomputes the contribution vector from restored
 // ranks: the same single-rounding ranks·invDeg product the epilogue
 // performs, so a resumed trajectory is bit-for-bit identical.
@@ -392,6 +421,13 @@ func restoreContrib(ranks, contrib, invDeg []float64, n, k int) {
 		}
 	}
 }
+
+// pprRowAsm selects the AVX2 row op (pprRows8AVX2, pprRows4AVX2) over
+// its Go twin pprRows for the plain rows of an 8- or 4-lane sweep. It is
+// set once per process from the CPU (spmv.HasAVX2, at init in
+// ppr_amd64.go) and read once per range; the tests clear it to run the
+// twin.
+var pprRowAsm bool
 
 // pprSweep is the element-wise half of a PPR iteration — damping, the
 // teleport, per-lane L1 delta, next contributions, next dangling mass —
@@ -447,25 +483,56 @@ func (p *pprSweep) rows(lo, hi int, delta, dangl []float64) {
 
 // plainRows sweeps rows that are nobody's source: nv = d·sums. The dense
 // teleport vector made that d·sums + 0.0, which is the same bits: a sum
-// that starts at +0.0 is never -0.0, so neither is d times it.
+// that starts at +0.0 is never -0.0, so neither is d times it. The row
+// op runs as an AVX2 body at 8 and at 4 lanes where pprRowAsm is set, as
+// its Go twin pprRows otherwise. With RedistributeDangling a second pass
+// then adds each dangling row's new ranks to dangl, in row order: the
+// additions, and so the bits, of adding them as each row is swept.
 //
 //ihtl:noalloc
 func (p *pprSweep) plainRows(lo, hi int, delta, dangl []float64) {
-	k, d := p.k, p.damping
-	ranks, sums, contrib := p.ranks, p.sums, p.contrib
+	switch {
+	case pprRowAsm && p.k == 8:
+		pprRows8AVX2(lo, hi, p.damping, p.sums, p.ranks, p.contrib, p.invDeg, delta)
+	case pprRowAsm && p.k == 4:
+		pprRows4AVX2(lo, hi, p.damping, p.sums, p.ranks, p.contrib, p.invDeg, delta)
+	default:
+		pprRows(p.k, lo, hi, p.damping, p.sums, p.ranks, p.contrib, p.invDeg, delta)
+	}
+	if !p.redistribute {
+		return
+	}
+	k := p.k
+	for v := lo; v < hi; v++ {
+		if p.outDeg[v] != 0 {
+			continue
+		}
+		for j, nv := range p.ranks[v*k : v*k+k] {
+			dangl[j] += nv
+		}
+	}
+}
+
+// pprRows is the row op over rows [lo, hi) of a k-lane sweep: each lane's
+// new rank d·sums, the magnitude of its change added to delta[j] in row
+// order, the rank stored and its contribution rank·invDeg[v] stored. It
+// is the Go twin of the AVX2 bodies (ppr_amd64.s), which do the same
+// operations lane for lane, with the same first operands, so the bits —
+// NaN payloads included — are this loop's.
+//
+//ihtl:noalloc
+//ihtl:nobce
+//ihtl:noescape
+func pprRows(k, lo, hi int, d float64, sums, ranks, contrib, invDeg, delta []float64) {
 	for v := lo; v < hi; v++ {
 		vb := v * k
-		inv := p.invDeg[v]
-		dangle := p.redistribute && p.outDeg[v] == 0
+		inv := unchecked.At(invDeg, v)
 		for j := 0; j < k; j++ {
 			idx := vb + j
-			nv := d * sums[idx]
-			delta[j] += math.Abs(nv - ranks[idx])
-			ranks[idx] = nv
-			contrib[idx] = nv * inv
-			if dangle {
-				dangl[j] += nv
-			}
+			nv := d * unchecked.At(sums, idx)
+			unchecked.AddAt(delta, j, math.Abs(nv-unchecked.At(ranks, idx)))
+			unchecked.SetAt(ranks, idx, nv)
+			unchecked.SetAt(contrib, idx, nv*inv)
 		}
 	}
 }

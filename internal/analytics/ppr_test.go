@@ -1,12 +1,14 @@
 package analytics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"ihtl/internal/core"
 	"ihtl/internal/graph"
 	"ihtl/internal/spmv"
+	"ihtl/internal/xrand"
 )
 
 // referencePPR is a slow, obviously-correct sequential personalized
@@ -344,6 +346,41 @@ func TestPPRSweepTeleportPairs(t *testing.T) {
 			if !bitsEqual(pair[0], pair[1]) {
 				t.Fatalf("cut at %d: %s = %v, dense teleport vector gives %v", cut, name, pair[0], pair[1])
 			}
+		}
+	}
+}
+
+// BenchmarkPPRSweep times PPR's row op — the plain rows of the sweep,
+// nv = d·sums with its delta, rank and contribution — over the 16 k rows
+// of the small-resident graph (R-MAT 14) at 4 and 8 lanes, under the Go
+// twin and, where the CPU and build have it, the AVX2 body: ns per
+// row-lane.
+func BenchmarkPPRSweep(b *testing.B) {
+	const n = 1 << 14
+	defer func(on bool) { pprRowAsm = on }(pprRowAsm)
+	arms := []string{"twin"}
+	if pprRowAsm {
+		arms = append(arms, "avx2")
+	}
+	rng := xrand.New(38)
+	for _, k := range []int{4, 8} {
+		sw := pprSweep{k: k, damping: 0.85, sums: make([]float64, n*k), ranks: make([]float64, n*k),
+			contrib: make([]float64, n*k), invDeg: make([]float64, n)}
+		for i := range sw.sums {
+			sw.sums[i] = rng.Float64() / n
+		}
+		for v := range sw.invDeg {
+			sw.invDeg[v] = 1 / float64(1+rng.Intn(32))
+		}
+		delta := make([]float64, k)
+		for _, arm := range arms {
+			b.Run(fmt.Sprintf("k=%d/%s", k, arm), func(b *testing.B) {
+				pprRowAsm = arm == "avx2"
+				for i := 0; i < b.N; i++ {
+					sw.plainRows(0, n, delta, nil)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*k), "ns/row-lane")
+			})
 		}
 	}
 }

@@ -209,7 +209,7 @@ func BenchmarkLaneKernel(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges)/float64(k), "ns/edge-lane")
 			}
 			bodies := []string{"generic", "fixed"}
-			if hasAVX2() && c.enc == EncodingFlat {
+			if spmv.HasAVX2() && c.enc == EncodingFlat {
 				bodies = append(bodies, "avx2")
 			}
 			for _, body := range bodies {
@@ -286,7 +286,7 @@ func laneKernelPastL2(b *testing.B) {
 		dist int // the prefetch distance; < 0 is the Go twin
 	}
 	bodies := []body{{"fixed", -1}}
-	if hasAVX2() {
+	if spmv.HasAVX2() {
 		for _, d := range []int{0, 16, 32, 64, 128} {
 			bodies = append(bodies, body{fmt.Sprintf("avx2-d%d", d), d})
 		}

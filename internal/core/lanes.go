@@ -36,7 +36,7 @@ import (
 // Engine.setWidth from NumV·k alone); the plain loop runs otherwise.
 
 // laneAsm selects the assembly lane kernels over their Go twins. It is
-// set once per process from the CPU (hasAVX2, at init in
+// set once per process from the CPU (spmv.HasAVX2, at init in
 // lanes_amd64.go) and read by the two switches that pick a kernel,
 // never per edge.
 var laneAsm bool
@@ -66,7 +66,7 @@ const lanePrefetchDist = 64
 // width from the footprint (Engine.setWidth); the twins ignore it, so it
 // is left alone here.
 func ForceGoTwins(on bool) (asm bool) {
-	avx2 := hasAVX2()
+	avx2 := spmv.HasAVX2()
 	laneAsm = avx2 && !on
 	pullPrefetch = edgeAsmDist
 	if on {

@@ -2,7 +2,10 @@
 
 package core
 
-import "ihtl/internal/graph"
+import (
+	"ihtl/internal/graph"
+	"ihtl/internal/spmv"
+)
 
 // The AVX2 bodies of the three flat lane cells (lanes_amd64.s). Each
 // adds a whole lane row per VADDPD — two ymm registers at 8 lanes, one
@@ -18,11 +21,7 @@ import "ihtl/internal/graph"
 // PREFETCHT0 of the lane row dist edges ahead — no architectural
 // effect, so the bits are the plain loop's.
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the ymm
-// state across context switches (cpu_amd64.s).
-func hasAVX2() bool
-
-func init() { laneAsm = hasAVX2() }
+func init() { laneAsm = spmv.HasAVX2() }
 
 // pullRowFlat8AVX2 is pullRowFlat8: two ymm accumulators, prefetching
 // src's lane row of srcs[j+dist] while j+dist < len(srcs).

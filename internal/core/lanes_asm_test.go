@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"ihtl/internal/graph"
+	"ihtl/internal/spmv"
 	"ihtl/internal/xrand"
 )
 
@@ -70,7 +71,7 @@ func randomLanes(rng *xrand.Xoshiro256, x []float64) {
 }
 
 func requireAVX2(t *testing.T) {
-	if !hasAVX2() {
+	if !spmv.HasAVX2() {
 		t.Skip("no AVX2 on this CPU: the Go twins are the only arm")
 	}
 }

@@ -10,8 +10,6 @@ import "ihtl/internal/graph"
 // which check every access the twins make. laneAsm cannot be set here
 // and pullPrefetch stays 0, so the entries below are never called.
 
-func hasAVX2() bool { return false }
-
 // edgeAsmDist is pullPrefetch's start: the Go twin.
 const edgeAsmDist = 0
 

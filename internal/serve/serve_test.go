@@ -130,15 +130,25 @@ func pickSources(t *testing.T, enginePath string, n int) []uint32 {
 // over a packed file with flipped blocks and over the raw zero-block
 // file a default build writes for a graph this small.
 func TestServeCoalescedBitIdenticalToSolo(t *testing.T) {
-	t.Run("flipped", func(t *testing.T) { testCoalescedBitIdenticalToSolo(t, testEngineFile(t, 9, 4, 41)) })
+	t.Run("flipped", func(t *testing.T) { testCoalescedBitIdenticalToSolo(t, testEngineFile(t, 9, 4, 41), false) })
 	t.Run("resident", func(t *testing.T) {
-		testCoalescedBitIdenticalToSolo(t, testEngineFileParams(t, 9, 41, core.Params{}.ForBatch(4)))
+		testCoalescedBitIdenticalToSolo(t, testEngineFileParams(t, 9, 41, core.Params{}.ForBatch(4)), true)
 	})
 }
 
-func testCoalescedBitIdenticalToSolo(t *testing.T, path string) {
+// testCoalescedBitIdenticalToSolo serves four queries twice over the
+// engine file at path; streamed says whether the daemon's engines stream
+// the PPR epilogue (a graph with no flipped block), as their EpiSlots
+// must report.
+func testCoalescedBitIdenticalToSolo(t *testing.T, path string, streamed bool) {
 	cfg := testConfig(path)
 	s := startServer(t, cfg)
+	sl := <-s.slots
+	_, got := sl.eng.EpiSlots()
+	s.slots <- sl
+	if got != streamed {
+		t.Fatalf("daemon engine's EpiSlots reports streamed %v, want %v", got, streamed)
+	}
 	srcs := pickSources(t, path, 4)
 	opt := analytics.PageRankOptions{
 		MaxIters: cfg.Query.MaxIters, Tol: cfg.Query.Tol, RedistributeDangling: true,

@@ -2,11 +2,11 @@
 
 #include "textflag.h"
 
-// func hasAVX2() bool
+// func HasAVX2() bool
 //
 // CPUID leaf 1 for OSXSAVE and AVX, leaf 7 for AVX2, then XGETBV (there
 // once OSXSAVE is set) for the OS saving the xmm and ymm state.
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+TEXT ·HasAVX2(SB), NOSPLIT, $0-1
 	MOVB  $0, ret+0(FP)
 	XORL  AX, AX                 // leaves 0 and 1 take no sub-leaf
 	CPUID
