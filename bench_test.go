@@ -401,10 +401,9 @@ func BenchmarkStepBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseKernel ablates the sparse-block kernel three ways —
-// the paper's uniform pull, the degree-aware pull schedule, and the
-// two-phase propagation-blocked kernel (DESIGN.md §12) — on both
-// analogs. The web analog is the interesting one: its sparse block
+// BenchmarkSparseKernel ablates the sparse-block kernel two ways — the
+// paper's uniform pull and the two-phase propagation-blocked kernel
+// (DESIGN.md §12) — on both analogs. The web analog is the interesting one: its sparse block
 // holds most of the edges, so the sparse kernel dominates the step.
 func BenchmarkSparseKernel(b *testing.B) {
 	benchSetup(b)
@@ -416,7 +415,7 @@ func BenchmarkSparseKernel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, k := range []core.SparseKernel{core.SparsePull, core.SparsePullDegree, core.SparsePB} {
+		for _, k := range []core.SparseKernel{core.SparsePull, core.SparsePB} {
 			k := k
 			b.Run(gr.name+"/"+k.String(), func(b *testing.B) {
 				e, err := core.NewEngineOpts(ih, benchPool, core.EngineOptions{SparseKernel: k})

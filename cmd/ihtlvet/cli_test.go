@@ -109,7 +109,7 @@ func TestGateWaiverIndex(t *testing.T) {
 	for _, fn := range []string{
 		"pushTaskFlat", "pbDrainBucket", "sparsePullPart", "DecodeChunkCSR", "RowHeader", "Load32",
 		"pushTaskEnc", "pushTaskEncBatch", "sparseRowSumEnc", "sparseRowAccEnc",
-		"pushTaskEdgeMajor", "pullRowsEdgeMajor", "sparseLightPartEdgeMajor", "rowOfEdgeFrom",
+		"pushTaskEdgeMajor", "pullRowsEdgeMajor", "rowOfEdgeFrom",
 		"pushTaskFlat8", "pushTaskEnc4", "pullRowFlat8", "pullRowFlat4", "pullRowEnc4",
 		"pushTaskActive", "pullRowsActive",
 	} {

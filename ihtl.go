@@ -92,19 +92,16 @@ type EngineOptions = core.EngineOptions
 // EngineOptions.SparseKernel; see the constants below.
 type SparseKernel = core.SparseKernel
 
-// Sparse-block kernels: the repository default (auto), the paper's
-// uniform pull, degree-aware-scheduled pull, and the two-phase
-// propagation-blocked kernel. All three produce bit-for-bit identical
-// results; they differ only in locality and scheduling.
+// Sparse-block kernels: the paper's uniform pull (the default) and the
+// two-phase propagation-blocked kernel. Both produce bit-for-bit
+// identical results; they differ only in memory-access shape.
 const (
-	SparseAuto       = core.SparseAuto
-	SparsePull       = core.SparsePull
-	SparsePullDegree = core.SparsePullDegree
-	SparsePB         = core.SparsePB
+	SparsePull = core.SparsePull
+	SparsePB   = core.SparsePB
 )
 
-// ParseSparseKernel parses a sparse-kernel name ("auto", "pull",
-// "pull-degree", "pb") as used by the CLI -sparse flags.
+// ParseSparseKernel parses a sparse-kernel name ("pull", "pb") as used
+// by the CLI -sparse flags.
 func ParseSparseKernel(s string) (SparseKernel, error) { return core.ParseSparseKernel(s) }
 
 // BlockEncoding selects how the engine stores and traverses block

@@ -173,15 +173,14 @@ func TestPageRankStreamedRollback(t *testing.T) {
 	}
 }
 
-// BenchmarkResidentSparseKernel is the crossover measurement behind
-// SparseAuto on a graph with no flipped block (DESIGN.md §18, "The
-// kernel and the epilogue"): R-MAT scales 12–17 (edge factor 16, the
-// benchmark's small-resident shape; 17 is the largest graph the
-// resident rule builds), two workers, the default build stepped under
-// the uniform pull — which streams PageRank's epilogue — and under the
-// degree schedule, which keeps it behind the barrier: a plain Step, and
-// a PageRank iteration (20 iterations a run, no tolerance). A scale's
-// graph is generated only when one of its sub-benchmarks is selected.
+// BenchmarkResidentSparseKernel times the sparse pull on a graph with
+// no flipped block (DESIGN.md §18, "The kernel and the epilogue"):
+// R-MAT scales 12–17 (edge factor 16, the benchmark's small-resident
+// shape; 17 is the largest graph the resident rule builds), two
+// workers, the default build stepped under the uniform pull, which
+// streams PageRank's epilogue: a plain Step, and a PageRank iteration
+// (20 iterations a run, no tolerance). A scale's graph is generated
+// only when one of its sub-benchmarks is selected.
 func BenchmarkResidentSparseKernel(b *testing.B) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -205,28 +204,26 @@ func BenchmarkResidentSparseKernel(b *testing.B) {
 				src[i] = 1 / float64(ih.NumV)
 			}
 			dst := make([]float64, ih.NumV)
-			for _, kernel := range []core.SparseKernel{core.SparsePull, core.SparsePullDegree} {
-				e, err := core.NewEngineOpts(ih, pool, core.EngineOptions{SparseKernel: kernel})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Run(fmt.Sprintf("%v/step", kernel), func(b *testing.B) {
-					e.Step(src, dst) // page in dst
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						e.Step(src, dst)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ih.NumE), "ns/edge")
-				})
-				b.Run(fmt.Sprintf("%v/pagerank", kernel), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := RunPageRank(e, deg, pool, PageRankOptions{MaxIters: iters, Tol: -1}); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters)/float64(ih.NumE), "ns/edge")
-				})
+			e, err := core.NewEngine(ih, pool)
+			if err != nil {
+				b.Fatal(err)
 			}
+			b.Run("pull/step", func(b *testing.B) {
+				e.Step(src, dst) // page in dst
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.Step(src, dst)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ih.NumE), "ns/edge")
+			})
+			b.Run("pull/pagerank", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := RunPageRank(e, deg, pool, PageRankOptions{MaxIters: iters, Tol: -1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters)/float64(ih.NumE), "ns/edge")
+			})
 		})
 	}
 }

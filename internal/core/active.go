@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/bits"
 
 	"ihtl/internal/spmv"
@@ -117,15 +116,11 @@ func (e *Engine) mergeBlockActive(blk int, dst []float64) {
 //ihtl:noalloc
 func rowIn(set []uint64, r int) bool { return unchecked.At(set, r>>6)>>(uint(r)&63)&1 != 0 }
 
-// noDegreeCap is pullRowsActive's maxDeg for the schedules that pull
-// every row of their range.
-const noDegreeCap = math.MaxInt64
-
-// pullRowsActive pulls the sparse rows of [lo, hi) shorter than maxDeg
-// that have an active source. It walks the range's EDGES, not its rows —
-// one predictable branch per edge on the source's bit, no loop exit per
-// row (the rows average under two edges on a web graph, DESIGN.md §17) —
-// and only on a hit finds the row it is in, from the last one found. That
+// pullRowsActive pulls the sparse rows of [lo, hi) that have an active
+// source. It walks the range's EDGES, not its rows — one predictable
+// branch per edge on the source's bit, no loop exit per row (the rows
+// average under two edges on a web graph, DESIGN.md §17) — and only on
+// a hit finds the row it is in, from the last one found. That
 // row gets its lane sums — its active sources added in edge order from
 // +0.0, which is the dense sum with the +0.0 addends left out — and its
 // bit in touched; every other row is left unwritten. Parts meet inside
@@ -134,7 +129,7 @@ const noDegreeCap = math.MaxInt64
 //ihtl:noalloc
 //ihtl:nobce
 //ihtl:noescape
-func pullRowsActive(k int, sp *SparseBlock, lo, hi int, maxDeg int64, active, touched []uint64, src, dst []float64) {
+func pullRowsActive(k int, sp *SparseBlock, lo, hi int, active, touched []uint64, src, dst []float64) {
 	idx, srcs := sp.Index, sp.Srcs
 	row, wi, word := lo, 0, uint64(0)
 	end := unchecked.At(idx, hi)
@@ -144,25 +139,23 @@ func pullRowsActive(k int, sp *SparseBlock, lo, hi int, maxDeg int64, active, to
 		}
 		row = rowOfEdgeFrom(idx, jj, row)
 		rowEnd := unchecked.At(idx, row+1)
-		if rowEnd-unchecked.At(idx, row) < maxDeg {
-			r := sp.DestLo + row
-			db := r * k
-			clear(unchecked.SliceAt(dst, db, k))
-			for ; jj < rowEnd; jj++ {
-				if u := int(unchecked.At(srcs, int(jj))); rowIn(active, u) {
-					for j, x := range unchecked.SliceAt(src, u*k, k) {
-						unchecked.AddAt(dst, db+j, x)
-					}
+		r := sp.DestLo + row
+		db := r * k
+		clear(unchecked.SliceAt(dst, db, k))
+		for ; jj < rowEnd; jj++ {
+			if u := int(unchecked.At(srcs, int(jj))); rowIn(active, u) {
+				for j, x := range unchecked.SliceAt(src, u*k, k) {
+					unchecked.AddAt(dst, db+j, x)
 				}
 			}
-			if r>>6 != wi {
-				if word != 0 {
-					spmv.PutWord(unchecked.PtrAt(touched, wi), word, word)
-				}
-				wi, word = r>>6, 0
-			}
-			word |= 1 << (uint(r) & 63)
 		}
+		if r>>6 != wi {
+			if word != 0 {
+				spmv.PutWord(unchecked.PtrAt(touched, wi), word, word)
+			}
+			wi, word = r>>6, 0
+		}
+		word |= 1 << (uint(r) & 63)
 		jj = rowEnd - 1
 	}
 	if word != 0 {

@@ -28,11 +28,10 @@ import (
 //     pull's source reads miss.
 //   - rmat=20, social-flipped's (R-MAT scale 20, edge factor 16).
 //
-// The two beyond-L2 graphs also time whole Steps on two workers,
-// "step/<sparse kernel>/<body>", under both pull schedules: ns per edge,
-// and the sparse phase's busy ns per sparse edge. DESIGN.md §17 records
-// the tables (the distance sweep is "Prefetching the pull"), and §12 the
-// two schedules.
+// The two beyond-L2 graphs also time whole default Steps on two
+// workers, "step/pull/<body>": ns per edge, and the sparse phase's busy
+// ns per sparse edge. DESIGN.md §17 records the tables (the distance
+// sweep is "Prefetching the pull").
 func BenchmarkShortRowKernel(b *testing.B) {
 	defer ForceGoTwins(false)
 	web := func(pages int) func() (*graph.Graph, error) {
@@ -119,24 +118,22 @@ func BenchmarkShortRowKernel(b *testing.B) {
 			}
 			pool := sched.NewPool(2)
 			defer pool.Close()
-			for _, kernel := range []SparseKernel{SparsePullDegree, SparsePull} {
-				e, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: kernel})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, body := range bodies {
-					b.Run(fmt.Sprintf("step/%v/%s", kernel, body.name), func(b *testing.B) {
-						pullPrefetch = body.dist
-						e.Step(src, dst) // page in dst and the hub buffers
-						e.TakeBreakdown()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							e.Step(src, dst)
-						}
-						perEdge(b, ih.NumE)
-						b.ReportMetric(float64(e.TakeBreakdown().SparseBusy.Nanoseconds())/float64(b.N)/float64(ih.Sparse.NumEdges()), "sparse-ns/edge")
-					})
-				}
+			e, err := NewEngine(ih, pool)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, body := range bodies {
+				b.Run("step/pull/"+body.name, func(b *testing.B) {
+					pullPrefetch = body.dist
+					e.Step(src, dst) // page in dst and the hub buffers
+					e.TakeBreakdown()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						e.Step(src, dst)
+					}
+					perEdge(b, ih.NumE)
+					b.ReportMetric(float64(e.TakeBreakdown().SparseBusy.Nanoseconds())/float64(b.N)/float64(ih.Sparse.NumEdges()), "sparse-ns/edge")
+				})
 			}
 		})
 	}

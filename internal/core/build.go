@@ -65,60 +65,6 @@ type SparseBlock struct {
 	// Enc is the chunked varint-gap encoding of Srcs; see
 	// FlippedBlock.Enc.
 	Enc *compress.Chunked
-
-	// HeavyDeg and Heavy are the degree buckets of the degree-aware
-	// sparse schedule (SparsePullDegree): rows (destinations, relative
-	// to DestLo) whose in-degree reaches HeavyDeg are listed ascending
-	// in Heavy and claimed over edge-balanced list parts, while the
-	// remaining short rows batch into coarse chunks. Both are derived
-	// purely from Index — the build fills them as a counting pass
-	// alongside the CSC construction, and deserialised graphs (whose
-	// format predates the fields) re-derive them lazily via
-	// EnsureDegreeBuckets. HeavyDeg == 0 means "not yet derived".
-	HeavyDeg int64
-	Heavy    []int32
-}
-
-// heavyDegThreshold picks the degree-bucket boundary from the block's
-// shape: 8x the mean row degree, floored at 64 so mostly-uniform
-// blocks keep an empty heavy list. Deterministic in Index alone, so a
-// lazy re-derivation after deserialisation reproduces the build's
-// buckets exactly.
-func (s *SparseBlock) heavyDegThreshold() int64 {
-	n := int64(len(s.Index)) - 1
-	if n <= 0 {
-		return 64
-	}
-	mean := s.Index[n] / n
-	if t := 8 * mean; t > 64 {
-		return t
-	}
-	return 64
-}
-
-// EnsureDegreeBuckets derives HeavyDeg and Heavy from Index when they
-// are absent (graphs deserialised from the versioned binary format,
-// which does not store them). Built graphs already carry them. The
-// derivation is deterministic, so engines constructed before and after
-// a serialisation round-trip schedule identically.
-//
-// NOT safe for concurrent callers: this is the unguarded primitive the
-// build's single-threaded passes call on a not-yet-published block.
-// Anything holding a full *IHTL (engine construction, concurrent
-// callers) must go through (*IHTL).EnsureDegreeBuckets, which takes
-// the graph's lazy-derivation lock.
-func (s *SparseBlock) EnsureDegreeBuckets() {
-	if s.HeavyDeg != 0 {
-		return
-	}
-	s.HeavyDeg = s.heavyDegThreshold()
-	n := len(s.Index) - 1
-	s.Heavy = s.Heavy[:0]
-	for i := 0; i < n; i++ {
-		if s.Index[i+1]-s.Index[i] >= s.HeavyDeg {
-			s.Heavy = append(s.Heavy, int32(i))
-		}
-	}
 }
 
 // NumEdges returns the edge count of the sparse block. Index-based,
@@ -160,23 +106,12 @@ type IHTL struct {
 	buildStats BuildBreakdown
 
 	// lazyMu serialises the lazy, idempotent derivations over the
-	// graph's resident forms — EnsureEncoded, EnsureFlatTopology,
-	// DropFlatTopology and (*IHTL).EnsureDegreeBuckets — so several
-	// engines may be constructed over one IHTL from concurrent
-	// goroutines. The derived fields are immutable once present;
-	// readers are ordered after their own constructor's locked Ensure
-	// call, so the hot paths stay lock-free.
+	// graph's resident forms — EnsureEncoded, EnsureFlatTopology and
+	// DropFlatTopology — so several engines may be constructed over one
+	// IHTL from concurrent goroutines. The derived fields are immutable
+	// once present; readers are ordered after their own constructor's
+	// locked Ensure call, so the hot paths stay lock-free.
 	lazyMu sync.Mutex
-}
-
-// EnsureDegreeBuckets derives the sparse block's degree buckets under
-// the graph's lazy-derivation lock, making concurrent engine
-// construction over one IHTL safe. See SparseBlock.EnsureDegreeBuckets
-// for the unguarded primitive the build's single-threaded passes use.
-func (ih *IHTL) EnsureDegreeBuckets() {
-	ih.lazyMu.Lock()
-	ih.Sparse.EnsureDegreeBuckets()
-	ih.lazyMu.Unlock()
 }
 
 // NumPushSources returns the number of vertices traversed during push
@@ -912,55 +847,4 @@ func buildSparseBlock(g *graph.Graph, ih *IHTL, pool *sched.Pool, clk []buildClo
 	sp.Index, sp.Srcs = blockScatter(pool, n, bounds, clk, func(lo, hi int, cursor []int64, out []graph.VID) {
 		sched.ScatterRows(bySrc, dsts, lo, hi, graph.VID(sp.DestLo), cursor, out)
 	})
-	if pool == nil {
-		sp.EnsureDegreeBuckets()
-		return
-	}
-
-	// Degree buckets for the SparsePullDegree schedule: the same
-	// count/prefix/fill idiom as the class assignment, over static
-	// ascending ranges so the heavy list comes out ascending — the
-	// sequential EnsureDegreeBuckets result, bit for bit.
-	sp.HeavyDeg = sp.heavyDegThreshold()
-	w := pool.Workers()
-	counts := make([]int64, w+1)
-	pool.ForStatic(n, func(worker, lo, hi int) {
-		faultinject.Fire(faultinject.SiteBuildFill)
-		t := time.Now()
-		counts[worker+1] = countHeavyRows(sp.Index, sp.HeavyDeg, lo, hi)
-		c := &clk[worker]
-		c.blocks += time.Since(t)
-	})
-	for i := 0; i < w; i++ {
-		counts[i+1] += counts[i]
-	}
-	sp.Heavy = make([]int32, counts[w])
-	pool.ForStatic(n, func(worker, lo, hi int) {
-		faultinject.Fire(faultinject.SiteBuildFill)
-		t := time.Now()
-		fillHeavyRows(sp.Index, sp.HeavyDeg, lo, hi, sp.Heavy, int(counts[worker]))
-		c := &clk[worker]
-		c.blocks += time.Since(t)
-	})
-}
-
-//ihtl:noalloc
-func countHeavyRows(index []int64, heavyDeg int64, lo, hi int) int64 {
-	var n int64
-	for i := lo; i < hi; i++ {
-		if index[i+1]-index[i] >= heavyDeg {
-			n++
-		}
-	}
-	return n
-}
-
-//ihtl:noalloc
-func fillHeavyRows(index []int64, heavyDeg int64, lo, hi int, heavy []int32, next int) {
-	for i := lo; i < hi; i++ {
-		if index[i+1]-index[i] >= heavyDeg {
-			heavy[next] = int32(i)
-			next++
-		}
-	}
 }

@@ -63,6 +63,25 @@ func requireBlocksMatchOracle(t *testing.T, label string, g *graph.Graph, ih *IH
 	if !slices.Equal(ih.Sparse.Index, sparse.Index) || !slices.Equal(ih.Sparse.Srcs, sparse.Srcs) {
 		t.Fatalf("%s: sparse block deviates from the fill-then-sort reference", label)
 	}
+	requireSparseRowsWithinHubDegree(t, label, ih)
+}
+
+// requireSparseRowsWithinHubDegree pins what the one uniform sparse
+// schedule rests on: the hubs are a prefix of the descending in-degree
+// ranking, so on a graph that selected any hub no sparse row holds more
+// edges than the smallest hub's in-degree — there is no mega-row for a
+// degree-aware schedule to spread over the workers (DESIGN.md §12).
+func requireSparseRowsWithinHubDegree(t *testing.T, label string, ih *IHTL) {
+	t.Helper()
+	if ih.NumHubs == 0 {
+		return
+	}
+	idx := ih.Sparse.Index
+	for r := 0; r < len(idx)-1; r++ {
+		if d := idx[r+1] - idx[r]; d > int64(ih.MinHubDegree) {
+			t.Fatalf("%s: sparse row %d holds %d edges, more than the smallest hub's in-degree %d", label, r, d, ih.MinHubDegree)
+		}
+	}
 }
 
 // oracleGraphs are the build inputs of the block oracle: the shapes of
@@ -106,12 +125,14 @@ func oracleGraphs(t *testing.T) map[string]*graph.Graph {
 
 // TestBuildBlocksMatchSortOracle compares every block array of
 // Build/BuildWith with the fill-then-sort reference, over every graph
-// shape, parameter variant (multi-block and both ablation orderings
-// included) and worker count.
+// shape, parameter variant (multi-block, the fast select and both
+// ablation orderings included) and worker count, and checks every
+// sparse row against the smallest hub's in-degree.
 func TestBuildBlocksMatchSortOracle(t *testing.T) {
 	variants := map[string]Params{
 		"default":     {HubsPerBlock: 256},
 		"multiblock":  {HubsPerBlock: 4, FVThreshold: 0.01, MaxBlocks: 32},
+		"fastselect":  {HubsPerBlock: 4, FVThreshold: 0.01, MaxBlocks: 32, FastSelect: true},
 		"degreesort":  {HubsPerBlock: 64, DegreeSortClasses: true},
 		"sparseorder": {HubsPerBlock: 64, SparseOrder: stubOrderer{}},
 	}
@@ -146,9 +167,11 @@ func TestBuildBlocksOracleAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, err := BuildWith(g, Params{HubsPerBlock: 128, FVThreshold: 0.05}, testPool)
-	if err != nil {
-		t.Fatal(err)
+	for _, fast := range []bool{false, true} {
+		ih, err := BuildWith(g, Params{HubsPerBlock: 128, FVThreshold: 0.05, FastSelect: fast}, testPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBlocksMatchOracle(t, fmt.Sprintf("rmat13 fast=%v", fast), g, ih)
 	}
-	requireBlocksMatchOracle(t, "rmat13", g, ih)
 }

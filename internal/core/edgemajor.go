@@ -45,8 +45,6 @@ package core
 // body's Go twin, bit for bit (DESIGN.md §17, "Prefetching the pull").
 
 import (
-	"slices"
-
 	"ihtl/internal/faultinject"
 	"ihtl/internal/graph"
 	"ihtl/internal/sched"
@@ -266,19 +264,10 @@ func (e *Engine) initLayouts(force BlockLayout) error {
 		return err
 	}
 	// Every sparse part starts mid-stream: it carries the row of the
-	// edge before its first and, under the degree-aware schedule, where
-	// in the Heavy list its rows begin.
-	bounds := e.sparseBounds
-	if e.sparseKernel == SparsePullDegree {
-		bounds = e.lightBounds
-		e.partHeavy = make([]int, len(bounds)-1)
-	}
-	e.partPrev = make([]int, len(bounds)-1)
+	// edge before its first.
+	e.partPrev = make([]int, len(e.sparseBounds)-1)
 	for p := range e.partPrev {
-		e.partPrev[p] = rowBeforeEdge(sp.Index, sp.Index[bounds[p]])
-		if e.partHeavy != nil {
-			e.partHeavy[p], _ = slices.BinarySearch(sp.Heavy, int32(bounds[p]))
-		}
+		e.partPrev[p] = rowBeforeEdge(sp.Index, sp.Index[e.sparseBounds[p]])
 	}
 	return nil
 }

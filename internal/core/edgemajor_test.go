@@ -21,7 +21,7 @@ type synthRows map[int][]graph.VID
 // flipped[b] are block b's push rows → hub destinations, sparse the
 // non-hub destination rows (relative to numHubs) → sources. The
 // fixtures need block shapes no generator produces on demand — a
-// 70 000-row hole, a single-edge block, an all-empty block, heavy rows
+// 70 000-row hole, a single-edge block, an all-empty block, long rows
 // inside a short-row sparse block — and Build's output is exactly this
 // struct.
 func synthIHTL(numV, numPush, hubsPerBlock int, flipped []synthRows, sparse synthRows) *IHTL {
@@ -52,7 +52,6 @@ func synthIHTL(numV, numPush, hubsPerBlock int, flipped []synthRows, sparse synt
 	ih.Sparse.DestLo = numHubs
 	ih.Sparse.Index, ih.Sparse.Srcs = flatten(sparse, numV-numHubs)
 	ih.NumE += ih.Sparse.NumEdges()
-	ih.Sparse.EnsureDegreeBuckets()
 	return ih
 }
 
@@ -96,8 +95,8 @@ func shortRows(rows synthRows, rng *xrand.Xoshiro256, lo, hi, nbrLo, nbrHi int) 
 // holesIHTL is the fixture of the row-gap satellite and of the layout
 // oracle: four flipped blocks — short rows around a 300-row and a
 // 70 000-row hole, a single edge, no edge at all, long rows (CSR by
-// shape) — and a short-row sparse block with the same two holes and a
-// non-empty Heavy list whose rows sit first, adjacent, and last.
+// shape) — and a short-row sparse block with the same two holes and
+// four 90-edge rows that sit first, adjacent, and last.
 func holesIHTL() *IHTL {
 	const (
 		hubsPerBlock = 4
@@ -125,7 +124,7 @@ func holesIHTL() *IHTL {
 	shortRows(sp, rng, 400, 500, 0, numV)
 	shortRows(sp, rng, 70500, n-1, 0, numV)
 	sp[99], sp[499] = []graph.VID{7}, []graph.VID{70999}
-	for _, r := range []int{0, 450, 451, n - 1} { // heavy rows
+	for _, r := range []int{0, 450, 451, n - 1} { // long rows
 		sp[r] = nil
 		for k := 0; k < 90; k++ {
 			sp[r] = append(sp[r], graph.VID(k*700+r%7))
@@ -196,7 +195,7 @@ func requireSameBits(t *testing.T, label string, want, got []float64) {
 
 // TestHolesFixtureShape pins what the fixture is for, so an edit cannot
 // quietly lose the cases: both holes in the flipped AND the sparse
-// block, gaps that need the escape, and a populated Heavy list.
+// block, gaps that need the escape, and the sparse block's long rows.
 func TestHolesFixtureShape(t *testing.T) {
 	ih := holesIHTL()
 	for name, index := range map[string][]int64{"flipped[0]": ih.Blocks[0].Index, "sparse": ih.Sparse.Index} {
@@ -216,8 +215,14 @@ func TestHolesFixtureShape(t *testing.T) {
 	if pickLayout(ih.Blocks[3].Index) != LayoutCSR {
 		t.Error("flipped[3] (mean row 6) should stay CSR by shape")
 	}
-	if len(ih.Sparse.Heavy) != 4 {
-		t.Errorf("Heavy = %v, want 4 rows", ih.Sparse.Heavy)
+	long := 0
+	for r := 0; r < len(ih.Sparse.Index)-1; r++ {
+		if ih.Sparse.Index[r+1]-ih.Sparse.Index[r] == 90 {
+			long++
+		}
+	}
+	if long != 4 {
+		t.Errorf("sparse block has %d rows of 90 edges, want 4", long)
 	}
 }
 
@@ -391,8 +396,7 @@ func layoutCases(t *testing.T) []layoutCase {
 // SAME graph stepped with every block forced CSR, forced edge-major and
 // chosen by shape must equal the oracle (spmv.Pull on generated graphs,
 // the serial sweep on the hand-built fixture) bit for bit — fused and
-// phased, stealing and StaticFlipped, uniform and degree-aware sparse
-// schedule, 1, 2 and 3 workers, each body of the edge-major pull's pair
+// phased, stealing and StaticFlipped, 1, 2 and 3 workers, each body of the edge-major pull's pair
 // loop (asmArms) — on integer, signed-zero, NaN/±Inf and all-zero
 // sources.
 func TestLayoutDifferential(t *testing.T) {
@@ -425,8 +429,6 @@ func TestLayoutDifferential(t *testing.T) {
 					{Phased: true},
 					{StaticFlipped: true},
 					{StaticFlipped: true, Phased: true},
-					{SparseKernel: SparsePull},
-					{SparseKernel: SparsePull, Phased: true},
 				} {
 					opt.forceLayout = layout
 					e, err := NewEngineOpts(c.ih, pool, opt)

@@ -13,9 +13,8 @@ package core
 // stays bit-for-bit identical to the flat reference for all inputs.
 //
 // The flat Index arrays stay resident under either encoding: the
-// schedulers (edge-balanced parts, degree buckets, chunk bounds) and
-// the degree checks of the light/heavy pull split all read per-row
-// edge counts, and at 8 bytes per row they are a small fraction of the
+// schedulers (edge-balanced parts, chunk bounds) read per-row edge
+// counts, and at 8 bytes per row they are a small fraction of the
 // 4-bytes-per-edge adjacency the encoding removes.
 
 import (

@@ -19,7 +19,7 @@ func encOptsMatrix() []EngineOptions {
 		{},
 		{Phased: true},
 	} {
-		for _, k := range []SparseKernel{SparsePull, SparsePullDegree, SparsePB} {
+		for _, k := range []SparseKernel{SparsePull, SparsePB} {
 			o := pipeline
 			o.SparseKernel = k
 			o.BlockEncoding = EncodingVarint
@@ -34,8 +34,8 @@ func encLabel(o EngineOptions) string {
 }
 
 // TestEncodingDifferential pins BlockEncoding varint bit-for-bit equal
-// to the flat reference across the fused/phased pipelines, all
-// three sparse kernels, worker counts {1, 3, GOMAXPROCS}, and repeated
+// to the flat reference across the fused/phased pipelines, both
+// sparse kernels, worker counts {1, 3, GOMAXPROCS}, and repeated
 // steps, with both non-negative and signed/-0.0 sources.
 func TestEncodingDifferential(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}

@@ -62,17 +62,11 @@ type Engine struct {
 	// sparse block.
 	sparseBounds []int
 
-	// sparseKernel is the resolved sparse-block kernel (never
-	// SparseAuto after construction); see sparse.go.
+	// sparseKernel is the sparse-block kernel; see sparse.go.
 	sparseKernel SparseKernel
-	// heavyBounds/lightBounds are the SparsePullDegree schedule:
-	// edge-balanced parts over the build-time heavy-row list, and
-	// coarse chunks over the remaining short rows.
-	heavyBounds []int
-	lightBounds []int
 	// pb is the SparsePB bin/drain state; auxSched claims its drain
-	// buckets (and SparsePullDegree's heavy parts); binBarrier
-	// separates the bin and drain phases inside the fused dispatch.
+	// buckets; binBarrier separates the bin and drain phases inside
+	// the fused dispatch.
 	pb         *pbState
 	auxSched   *sched.StealScheduler
 	binBarrier *sched.Barrier
@@ -103,15 +97,11 @@ type Engine struct {
 
 	// Edge-major layout state (edgemajor.go). flipAdv[b] is block b's
 	// adv stream, nil while the block is walked CSR; sparseAdv is the
-	// sparse block's. partPrev and partHeavy are per sparse part —
-	// sparseBounds under SparsePull, lightBounds under SparsePullDegree:
-	// the row of the edge before the part's first edge, and the ordinal
-	// in Sparse.Heavy of the first heavy row at or after the part's
-	// first row.
+	// sparse block's. partPrev is per sparse part (sparseBounds): the
+	// row of the edge before the part's first edge.
 	flipAdv   [][]uint8
 	sparseAdv []uint8
 	partPrev  []int
-	partHeavy []int
 }
 
 type blockTask struct {
@@ -309,10 +299,9 @@ type EngineOptions struct {
 	// is scanned for NaN/±Inf after each step, fused into the epilogue
 	// sweep on the fused pipeline. See spmv.HealthPolicy.
 	Health spmv.HealthPolicy
-	// SparseKernel selects the sparse-block kernel: SparseAuto (the
-	// measured default), SparsePull, SparsePullDegree or SparsePB.
-	// All three produce bit-for-bit identical results; they differ in
-	// memory-access shape and scheduling. See sparse.go.
+	// SparseKernel selects the sparse-block kernel: SparsePull (the
+	// zero value) or SparsePB. Both produce bit-for-bit identical
+	// results; they differ in memory-access shape. See sparse.go.
 	SparseKernel SparseKernel
 	// BlockEncoding selects the adjacency representation the engine
 	// traverses: EncodingAuto (varint when only the encoded topology
@@ -714,21 +703,10 @@ func (e *Engine) stepPhased(src, dst []float64) {
 	t2 := time.Now()
 
 	// Phase 3 — the sparse block under the configured kernel (l.8-10).
-	// The non-pull kernels run their sub-phases as separate dispatches
-	// here (the dispatch boundary is the bin/drain barrier); the fused
-	// pipeline is where they earn their keep.
+	// The propagation-blocked kernel runs its sub-phases as separate
+	// dispatches here (the dispatch boundary is the bin/drain barrier);
+	// the fused pipeline is where it earns its keep.
 	switch e.sparseKernel {
-	case SparsePullDegree:
-		if np := len(e.heavyBounds) - 1; np > 0 {
-			e.pool.ForEachPart(np, func(w, part int) {
-				e.sparseHeavyPartBatch(b, part, src, dst)
-			})
-		}
-		if np := len(e.lightBounds) - 1; np > 0 {
-			e.pool.ForEachPart(np, func(w, part int) {
-				e.sparseLightPartBatch(b, part, src, dst)
-			})
-		}
 	case SparsePB:
 		if e.pb != nil {
 			e.pool.ForEachPart(e.pb.numChunks, func(w, c int) {

@@ -118,7 +118,7 @@ func resized(s []float64, n int) []float64 {
 }
 
 // setActive stages (or, given nil sets, unstages) an active-row step.
-// Only the flat fused pipeline with a pull sparse kernel has the two
+// Only the flat fused pipeline with the pull sparse kernel has the two
 // kernels.
 func (e *Engine) setActive(active, touched spmv.RowSet) bool {
 	if e.phased || e.varint || e.sparseKernel == SparsePB {

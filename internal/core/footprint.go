@@ -7,8 +7,7 @@ import "ihtl/internal/spmv"
 // stream each block's CSR/CSC (8-byte index entries, 4-byte vertex
 // IDs) — or, for a block walked edge-major, the vertex IDs and the
 // half-byte-per-edge adv stream and NOT the index (the kernels read two
-// index entries per task; only the heavy rows' entries are charged);
-// varint engines stream the encoded chunks (data plus chunk
+// index entries per task, which are not charged); varint engines stream the encoded chunks (data plus chunk
 // tables) and, on the sparse side, the per-row byte offsets; they
 // decode into registers, so there is no scratch to account for. The
 // propagation-blocked kernel runs from its own transposed arrays under
@@ -47,13 +46,9 @@ func (e *Engine) topologyStreamBytes() int64 {
 		total += 8 * (n + 1)             // row degrees come from Index
 	case e.sparseAdv != nil:
 		total += 4*Es + int64(len(e.sparseAdv))
-		if e.sparseKernel == SparsePullDegree {
-			total += 2 * 8 * int64(len(sp.Heavy)) // the heavy path's row bounds
-		}
 	default:
 		total += 8*(n+1) + 4*Es
 	}
-	total += 4 * int64(len(sp.Heavy))
 	return total
 }
 
@@ -114,8 +109,6 @@ func (e *Engine) BytesPerStep() int64 {
 		if e.sparseAdv != nil {
 			// Edge-major clears the rows (charged above as the write),
 			// then accumulates per edge into the cache-resident chunk.
-			// The few heavy rows still sum in a register; charging them
-			// per edge too keeps the model a function of sizes alone.
 			total += vb * Es
 		}
 	}
@@ -134,11 +127,10 @@ func (e *Engine) TopologyBytesPerStep() int64 { return e.topologyStreamBytes() }
 // resident in memory to run: always the per-block index arrays (the
 // schedulers read per-row edge counts under either encoding), plus the
 // flat adjacency or the encoded chunks with the sparse row offsets,
-// plus the adv streams of the blocks walked edge-major, the degree
-// buckets and the propagation-blocked kernel's transposed arrays when
-// configured. Vertex data and hub buffers are
-// excluded — they scale with NumV, not with the topology
-// representation this measures.
+// plus the adv streams of the blocks walked edge-major and the
+// propagation-blocked kernel's transposed arrays when configured.
+// Vertex data and hub buffers are excluded — they scale with NumV, not
+// with the topology representation this measures.
 func (e *Engine) ResidentTopologyBytes() int64 {
 	ih := e.ih
 	var total int64
@@ -162,7 +154,6 @@ func (e *Engine) ResidentTopologyBytes() int64 {
 			total += 4 * sp.NumEdges()
 		}
 	}
-	total += 4 * int64(len(sp.Heavy))
 	for _, adv := range e.flipAdv {
 		total += int64(len(adv))
 	}

@@ -59,11 +59,8 @@ var optionValues = map[string][]any{
 	"StaticFlipped": {false, true},
 	// Every differential input is finite, so an armed watchdog scans
 	// and must change nothing; Rollback is the mode the daemon runs.
-	"Health": {spmv.HealthPolicy{}, spmv.HealthPolicy{Mode: spmv.HealthRollback}},
-	// SparseAuto is SparsePullDegree on a graph with a flipped block,
-	// SparsePull on one without (TestStepEpiZeroFlipRows adds the
-	// explicit SparsePullDegree there).
-	"SparseKernel": {SparseAuto, SparsePull, SparsePB},
+	"Health":       {spmv.HealthPolicy{}, spmv.HealthPolicy{Mode: spmv.HealthRollback}},
+	"SparseKernel": {SparsePull, SparsePB},
 	// EncodingAuto is flat on a graph built in memory and on one opened
 	// from a raw v2 file (TestV2RawFileDifferential steps both over every
 	// row), packed on one opened from a packed file.
@@ -317,11 +314,6 @@ func FuzzStepDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, "phased", want, stepOldSpace(ih, phased, src))
-		degree, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: SparsePullDegree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitIdentical(t, "pull-degree", want, stepOldSpace(ih, degree, src))
 		pb, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: SparsePB})
 		if err != nil {
 			t.Fatal(err)
@@ -345,7 +337,7 @@ func FuzzStepDifferential(f *testing.F) {
 		}
 
 		// K lanes through one traversal against K scalar Steps, flat and
-		// packed, fused and phased.
+		// packed, fused and phased, pulled and propagation-blocked.
 		varint, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingVarint, StaticFlipped: true})
 		if err != nil {
 			t.Fatal(err)
@@ -353,7 +345,7 @@ func FuzzStepDifferential(f *testing.F) {
 		k := 2 + int(width%8)
 		lanes, batch := laneInputs(seed, ih.NumV, k)
 		batchDst := make([]float64, ih.NumV*k)
-		for _, e := range []*Engine{fused, phased, degree, varint} {
+		for _, e := range []*Engine{fused, phased, pb, varint} {
 			e.StepBatch(batch, batchDst, k)
 			requireLanesMatchScalar(t, e, lanes, batchDst)
 		}
@@ -364,7 +356,6 @@ func FuzzStepDifferential(f *testing.F) {
 		pe.Step(srcSigned, want)
 		requireBitIdentical(t, "fused signed", want, stepOldSpace(ih, fused, srcSigned))
 		requireBitIdentical(t, "phased signed", want, stepOldSpace(ih, phased, srcSigned))
-		requireBitIdentical(t, "pull-degree signed", want, stepOldSpace(ih, degree, srcSigned))
 		requireBitIdentical(t, "pb signed", want, stepOldSpace(ih, pb, srcSigned))
 		for i, e := range forced {
 			requireBitIdentical(t, fmt.Sprintf("forced[%d] signed", i), want, stepOldSpace(ih, e, srcSigned))
@@ -374,14 +365,13 @@ func FuzzStepDifferential(f *testing.F) {
 
 // TestStepEpiZeroFlipRows is the option matrix over a graph with no
 // flipped block, stepped through StepCtx with a streamable epilogue,
-// plus the explicit
-// SparsePullDegree and a two-shard engine. The epilogue checks, when it
-// is called, that its rows [lo, hi) already hold the oracle's values —
-// an epilogue run before its rows are final fails here, as does a slot
-// run twice or never, or slots that do not tile the rows in order. The
-// engines that stream are exactly the fused unsharded uniform pulls;
-// an epilogue that does not permit streaming stays behind the barrier
-// on those too, so there every slot may read all of dst. Integer sources keep the
+// plus a two-shard engine. The epilogue checks, when it is called, that
+// its rows [lo, hi) already hold the oracle's values — an epilogue run
+// before its rows are final fails here, as does a slot run twice or
+// never, or slots that do not tile the rows in order. The engines that
+// stream are exactly the fused unsharded uniform pulls; an epilogue
+// that does not permit streaming stays behind the barrier on those too,
+// so there every slot may read all of dst. Integer sources keep the
 // sharded engine's regrouped sums exact.
 func TestStepEpiZeroFlipRows(t *testing.T) {
 	g := residentGraphs(t)["rmat"]
@@ -394,14 +384,14 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 	}
 	requireZeroBlocks(t, "rmat", ih)
 	rows := optionMatrix(t, nil)
-	rows = append(rows, EngineOptions{SparseKernel: SparsePullDegree}, EngineOptions{SparseKernel: SparsePullDegree, Phased: true}, EngineOptions{Shards: 2})
+	rows = append(rows, EngineOptions{Shards: 2})
 	for _, workers := range []int{1, 2, 3} {
 		pool := sched.NewPool(workers)
 		defer pool.Close()
 		for _, opt := range rows {
 			label := fmt.Sprintf("w%d/%s", workers, optLabel(opt))
 			var e spmv.Stepper
-			wantSlots, wantStream := 4*workers, !opt.Phased && (opt.SparseKernel == SparseAuto || opt.SparseKernel == SparsePull)
+			wantSlots, wantStream := 4*workers, !opt.Phased && opt.SparseKernel == SparsePull
 			srcNew, wantNew := src, want // the build keeps every ID
 			if opt.Shards > 1 {
 				sg, err := BuildSharded(g, Params{}, pool, opt.Shards)
@@ -464,20 +454,19 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 	}
 }
 
-// TestSparseAutoByGraph: SparseAuto is decided by the graph — the
-// uniform pull, streaming, where nothing is flipped; the degree
-// schedule, with the workers' shares behind the barrier, where
-// something is.
-func TestSparseAutoByGraph(t *testing.T) {
+// TestSparseKernelByGraph: the default engine runs the uniform pull on
+// every graph, and the graph decides only the epilogue's placement —
+// streamed over the pull's parts where nothing is flipped, the static
+// grid of the workers' shares behind the barrier where something is.
+func TestSparseKernelByGraph(t *testing.T) {
 	g := residentGraphs(t)["rmat"]
 	for _, c := range []struct {
 		p      Params
-		kernel SparseKernel
 		slots  int
 		stream bool
 	}{
-		{Params{}, SparsePull, 4 * testPool.Workers(), true},
-		{Params{HubsPerBlock: flipB}, SparsePullDegree, testPool.Workers(), false},
+		{Params{}, 4 * testPool.Workers(), true},
+		{Params{HubsPerBlock: flipB}, testPool.Workers(), false},
 	} {
 		ih, err := Build(g, c.p)
 		if err != nil {
@@ -487,9 +476,9 @@ func TestSparseAutoByGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slots, streamed := e.EpiSlots(); e.sparseKernel != c.kernel || slots != c.slots || streamed != c.stream {
-			t.Errorf("%d flipped blocks: SparseAuto is %v with %d slots, streamed %v; want %v, %d, %v",
-				len(ih.Blocks), e.sparseKernel, slots, streamed, c.kernel, c.slots, c.stream)
+		if slots, streamed := e.EpiSlots(); e.sparseKernel != SparsePull || slots != c.slots || streamed != c.stream {
+			t.Errorf("%d flipped blocks: the default kernel is %v with %d slots, streamed %v; want pull, %d, %v",
+				len(ih.Blocks), e.sparseKernel, slots, streamed, c.slots, c.stream)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestLaneKernelsMatchScalarStep(t *testing.T) {
 			// The sparse kernels and the watchdog have their own lane
 			// tables (sparse_kernel_test.go, the alternation differential).
 			for _, opt := range optionMatrix(t, func(o EngineOptions) bool {
-				return o.SparseKernel == SparseAuto && o.Health == spmv.HealthPolicy{}
+				return o.SparseKernel == SparsePull && o.Health == spmv.HealthPolicy{}
 			}) {
 				e, err := NewEngineOpts(ih, pool, opt)
 				if err != nil {

@@ -14,10 +14,10 @@ import (
 // constructors run the lazy graph derivations — EnsureEncoded
 // (BlockEncoding varint), EnsureFlatTopology (flat over an
 // encoded-only graph is not exercised here; DropFlatTopology is
-// destructive and documented single-threaded) and
-// IHTL.EnsureDegreeBuckets (SparsePullDegree) — and then steps each.
+// destructive and documented single-threaded) — beside the
+// propagation-blocked kernel's construction, and then steps each.
 // Under -race this pins the lazyMu guard: before it, two goroutines
-// could both observe a nil Enc/HeavyDeg and race the derivation.
+// could both observe a nil Enc and race the derivation.
 func TestConcurrentEngineConstruction(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 21))
 	if err != nil {
@@ -29,8 +29,6 @@ func TestConcurrentEngineConstruction(t *testing.T) {
 	}
 	opts := []EngineOptions{
 		{BlockEncoding: EncodingVarint},
-		{SparseKernel: SparsePullDegree},
-		{BlockEncoding: EncodingVarint, SparseKernel: SparsePullDegree},
 		{SparseKernel: SparsePB},
 		{},
 	}

@@ -289,7 +289,7 @@ func TestResidentDifferential(t *testing.T) {
 				pool := sched.NewPool(workers)
 				defer pool.Close()
 				for _, enc := range []BlockEncoding{EncodingFlat, EncodingVarint} {
-					for _, kernel := range []SparseKernel{SparsePull, SparsePullDegree, SparsePB} {
+					for _, kernel := range []SparseKernel{SparsePull, SparsePB} {
 						for mname, opt := range modes {
 							opt.BlockEncoding, opt.SparseKernel = enc, kernel
 							e, err := NewEngineOpts(ih, pool, opt)

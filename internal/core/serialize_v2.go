@@ -51,14 +51,12 @@ package core
 //
 // In a packed file only the Index arrays and the chunked segments are
 // stored: the flat Dsts/Srcs adjacency is redundant (EnsureFlatTopology
-// re-materialises it on demand), and the degree buckets are derived
-// (EnsureDegreeBuckets reads only Index); in a raw file Srcs is the
-// stored form and the packed one is what EnsureEncoded derives. On
-// little-endian hosts every raw array section is
-// aliased in place — opening a file allocates O(blocks) metadata, not
-// O(edges); on big-endian or misaligned mappings the sections are
-// copied element-wise, which keeps the format portable at the cost of
-// residency.
+// re-materialises it on demand); in a raw file Srcs is the stored form
+// and the packed one is what EnsureEncoded derives. On little-endian
+// hosts every raw array section is aliased in place — opening a file
+// allocates O(blocks) metadata, not O(edges); on big-endian or
+// misaligned mappings the sections are copied element-wise, which keeps
+// the format portable at the cost of residency.
 
 import (
 	"bufio"

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -167,44 +168,6 @@ func requirePackedRowsInFile(t *testing.T, ef *EngineFile) {
 	inMapping("sparse block", ih.Sparse.Enc)
 }
 
-// TestV2DegreeBuckets pins EnsureDegreeBuckets over both an opened v2
-// graph and a v1 file loaded through OpenEngineFile (the v1-acceptance
-// regression): the derived buckets must match the flat source's.
-func TestV2DegreeBuckets(t *testing.T) {
-	ih := buildV2TestGraph(t)
-	ih.Sparse.EnsureDegreeBuckets()
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "g.ihtl")
-	v2 := filepath.Join(dir, "g.ihtl2")
-	if err := ih.SaveFile(v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ih.SaveFileV2(v2); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		path string
-	}{{"v1", v1}, {"v2", v2}} {
-		ef, err := OpenEngineFile(tc.path)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		got := ef.IHTL()
-		got.Sparse.EnsureDegreeBuckets()
-		if got.Sparse.HeavyDeg != ih.Sparse.HeavyDeg || len(got.Sparse.Heavy) != len(ih.Sparse.Heavy) {
-			t.Fatalf("%s: degree buckets differ (deg %d/%d, heavy %d/%d)", tc.name,
-				got.Sparse.HeavyDeg, ih.Sparse.HeavyDeg, len(got.Sparse.Heavy), len(ih.Sparse.Heavy))
-		}
-		for i := range ih.Sparse.Heavy {
-			if got.Sparse.Heavy[i] != ih.Sparse.Heavy[i] {
-				t.Fatalf("%s: heavy row %d differs", tc.name, i)
-			}
-		}
-		ef.Close()
-	}
-}
-
 // TestLoadFileReadsV2 pins the stream decoder's v2 path: LoadFile must
 // accept both versions.
 func TestLoadFileReadsV2(t *testing.T) {
@@ -220,6 +183,36 @@ func TestLoadFileReadsV2(t *testing.T) {
 	if got.NumE != ih.NumE || got.FlippedEdges() != ih.FlippedEdges() {
 		t.Fatal("v2 LoadFile changed edge counts")
 	}
+}
+
+// TestOpenEngineFileReadsV1 is the other direction's regression:
+// OpenEngineFile must accept a v1 file, and an engine over it must step
+// the built graph's bits.
+func TestOpenEngineFileReadsV1(t *testing.T) {
+	ih := buildV2TestGraph(t)
+	path := filepath.Join(t.TempDir(), "g.ihtl")
+	if err := ih.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	ef, err := OpenEngineFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ef.Close()
+	got := ef.IHTL()
+	if !slices.Equal(got.Sparse.Index, ih.Sparse.Index) || got.NumE != ih.NumE {
+		t.Fatal("v1 OpenEngineFile changed the sparse index or the edge count")
+	}
+	want, err := NewEngine(ih, testPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(got, testPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := integerVec(9, ih.NumV)
+	requireBitIdentical(t, "v1 engine", stepOldSpace(ih, want, src), stepOldSpace(got, e, src))
 }
 
 // TestV2RejectsCorruption fuzz-adjacent hostile-input coverage for the

@@ -2,14 +2,8 @@ package core
 
 // Sparse-block kernel variants. The baseline pull (Algorithm 3 l.8-10)
 // walks Sparse.Srcs with random reads into src over uniform
-// edge-balanced row ranges. Two locality-aware alternatives live here,
+// edge-balanced row ranges. One locality-aware alternative lives here,
 // selectable per engine through EngineOptions.SparseKernel:
-//
-//   - SparsePullDegree keeps the pull loop but schedules rows by
-//     degree: the heavy rows (precomputed at build, SparseBlock.Heavy)
-//     are claimed over edge-balanced LIST parts so one mega-row cannot
-//     serialise behind a single worker, and the remaining short rows
-//     batch into coarse chunks that amortise claim overhead.
 //
 //   - SparsePB is propagation blocking (Balaji & Lucia): phase 1 (bin)
 //     sweeps the sparse edges in SOURCE order — sequential reads of
@@ -19,6 +13,11 @@ package core
 //     with perfect destination locality and no atomics. Both phases
 //     replace the pull kernel's random src reads with two streaming
 //     passes over cache-sized working sets.
+//
+// The pull needs no degree-aware schedule: hubs are a prefix of the
+// descending in-degree ranking (selectHubs), so no sparse row is longer
+// than the smallest hub's in-degree, and edge-balanced ranges of whole
+// rows keep the workers level (DESIGN.md §12).
 //
 // Bit-for-bit determinism with pull is preserved by construction. The
 // pull kernel accumulates each row's sources in ascending order
@@ -46,16 +45,9 @@ import (
 type SparseKernel int
 
 const (
-	// SparseAuto resolves to the repository default (the kernel that
-	// measured fastest on the recorded benchmark machine).
-	SparseAuto SparseKernel = iota
 	// SparsePull is the paper's pull kernel over uniform edge-balanced
-	// row ranges.
-	SparsePull
-	// SparsePullDegree is the pull kernel under degree-aware row
-	// scheduling: heavy rows stolen over edge-balanced list parts,
-	// short rows batched into coarse chunks.
-	SparsePullDegree
+	// row ranges, the default.
+	SparsePull SparseKernel = iota
 	// SparsePB is the two-phase propagation-blocked kernel (bin into
 	// cache-sized destination buckets, then drain).
 	SparsePB
@@ -63,12 +55,8 @@ const (
 
 func (k SparseKernel) String() string {
 	switch k {
-	case SparseAuto:
-		return "auto"
 	case SparsePull:
 		return "pull"
-	case SparsePullDegree:
-		return "pull-degree"
 	case SparsePB:
 		return "pb"
 	default:
@@ -79,37 +67,14 @@ func (k SparseKernel) String() string {
 // ParseSparseKernel parses the -sparse flag values.
 func ParseSparseKernel(s string) (SparseKernel, error) {
 	switch s {
-	case "auto", "":
-		return SparseAuto, nil
-	case "pull":
+	case "pull", "":
 		return SparsePull, nil
-	case "pull-degree":
-		return SparsePullDegree, nil
 	case "pb":
 		return SparsePB, nil
 	default:
-		return 0, fmt.Errorf("core: unknown sparse kernel %q (want auto, pull, pull-degree or pb)", s)
+		return 0, fmt.Errorf("core: unknown sparse kernel %q (want pull or pb)", s)
 	}
 }
-
-// defaultSparseKernel is what SparseAuto resolves to on a graph with a
-// flipped block (on one without, it is SparsePull: see
-// initSparseKernel): the degree-aware pull schedule. It won the
-// three-way ablation when it was added (results/BENCH_step.json, now
-// BenchmarkSparseKernel: sparse phase -12 % vs uniform pull on the sk
-// web graph, -28 % on the skewed twtrmpi social graph, ties elsewhere —
-// one vCPU, every graph LLC-resident), and the benchmark's two-worker,
-// beyond-L2 rows have not unseated it. With the prefetching edge-major
-// pull, which only its light parts run, it reads 7-12 % lower sparse
-// busy time than the uniform pull on both beyond-L2 shapes (the web
-// graph's ranges overlapping; without the prefetch the uniform pull was
-// 7-9 % lower), so the two are still within noise of each other
-// (DESIGN.md §12), and pull-degree is the one that keeps a mega-row
-// from serialising behind one worker. The propagation-blocked kernel's
-// extra 12 B/edge of pair traffic loses on every recorded row
-// (core.step_pb_ns_per_edge) — it needs a bandwidth-bound host, which
-// none of the records has been.
-const defaultSparseKernel = SparsePullDegree
 
 // pbState is the preallocated state of the propagation-blocked sparse
 // kernel. All arrays are sized exactly at engine construction; a Step
@@ -212,53 +177,19 @@ func buildPB(ih *IHTL, workers int) *pbState {
 	return pb
 }
 
-// initSparseKernel resolves the configured kernel and builds its
-// schedule state. Called once from NewEngineOpts.
-//
-// SparseAuto is the uniform pull on a graph with no flipped block: its
-// parts are the epilogue slots a streamed step can finish as it pulls them
-// (initSlots) — the degree schedule's light parts are final only once
-// every heavy part is — and it steps as fast or faster there on its own
-// (DESIGN.md §18, "The kernel and the epilogue").
+// initSparseKernel builds the configured kernel's schedule state.
+// Called once from NewEngineOpts. The pull claims the uniform parts
+// (sparseBounds) and needs nothing more.
 func (e *Engine) initSparseKernel(kernel SparseKernel) {
-	if kernel == SparseAuto {
-		kernel = defaultSparseKernel
-		if len(e.ih.Blocks) == 0 {
-			kernel = SparsePull
-		}
-	}
 	e.sparseKernel = kernel
 	ih := e.ih
-	n := ih.NumV - ih.Sparse.DestLo
-	if n <= 0 {
+	if kernel != SparsePB || ih.NumV-ih.Sparse.DestLo <= 0 {
 		return
 	}
 	w := e.nworkers
-	switch kernel {
-	case SparsePullDegree:
-		sp := &ih.Sparse
-		ih.EnsureDegreeBuckets()
-		if len(sp.Heavy) > 0 {
-			e.heavyBounds = sched.EdgeBalancedPartsList(sp.Index, sp.Heavy, w*4)
-		}
-		// Coarse chunks over the light rows: heavy rows contribute no
-		// edges to the balance (the claim loop skips them), so parts
-		// carry equal LIGHT work.
-		lidx := make([]int64, n+1)
-		for i := 0; i < n; i++ {
-			d := sp.Index[i+1] - sp.Index[i]
-			if d >= sp.HeavyDeg {
-				d = 0
-			}
-			lidx[i+1] = lidx[i] + d
-		}
-		e.lightBounds = sched.EdgeBalancedParts(lidx, w*2)
-		e.auxSched = sched.NewStealScheduler(w)
-	case SparsePB:
-		e.pb = buildPB(ih, w)
-		e.auxSched = sched.NewStealScheduler(w)
-		e.binBarrier = sched.NewBarrier(w)
-	}
+	e.pb = buildPB(ih, w)
+	e.auxSched = sched.NewStealScheduler(w)
+	e.binBarrier = sched.NewBarrier(w)
 }
 
 // resetSparseScheds re-arms the schedulers the configured sparse
@@ -266,64 +197,48 @@ func (e *Engine) initSparseKernel(kernel SparseKernel) {
 //
 //ihtl:noalloc
 func (e *Engine) resetSparseScheds() {
-	switch e.sparseKernel {
-	case SparsePullDegree:
-		if n := len(e.lightBounds) - 1; n > 0 {
-			e.sparseSched.Reset(n)
-		}
-		if n := len(e.heavyBounds) - 1; n > 0 {
-			e.auxSched.Reset(n)
-		}
-	case SparsePB:
+	if e.sparseKernel == SparsePB {
 		if e.pb != nil {
 			e.sparseSched.Reset(e.pb.numChunks)
 			e.auxSched.Reset(e.pb.numBuckets)
 		}
-	default:
-		if n := len(e.sparseBounds) - 1; n > 0 {
-			e.sparseSched.Reset(n)
-		}
+	} else if n := len(e.sparseBounds) - 1; n > 0 {
+		e.sparseSched.Reset(n)
 	}
 }
 
 // sparseWorker runs worker w's share of the configured sparse kernel
 // inside the fused dispatch and records its phase clocks: sparse busy
-// time for the pull kernels, separate bin/drain busy time for the
-// propagation-blocked kernel. The claim loops below serve every width:
+// time for the pull, separate bin/drain busy time for the propagation-
+// blocked kernel. The claim loops below serve every width:
 // each claimed part goes to its *Batch switch (sparse_batch.go), which
 // hands a one-lane dense step to the scalar part body here.
 //
 //ihtl:noalloc
 func (e *Engine) sparseWorker(w int, src, dst []float64) {
 	clk := &e.clocks[w]
-	switch e.sparseKernel {
-	case SparsePullDegree:
-		t0 := time.Now()
-		e.sparseHeavyWorker(w, src, dst)
-		e.sparseLightWorker(w, src, dst)
-		clk.sparse += time.Since(t0)
-	case SparsePB:
-		if e.pb == nil {
-			return
-		}
-		t0 := time.Now()
-		e.pbBinWorker(w, src)
-		t1 := time.Now()
-		clk.bin += t1.Sub(t0)
-		// The drain may read any chunk's cursors and bin slots, so
-		// every worker must finish binning first. The barrier's atomic
-		// RMW total order publishes the plain cursor writes.
-		if !e.binBarrier.WaitAbort(e.pool) {
-			return
-		}
-		t2 := time.Now()
-		e.pbDrainWorker(w, dst)
-		clk.drain += time.Since(t2)
-	default:
+	if e.sparseKernel != SparsePB {
 		t0 := time.Now()
 		e.sparsePullWorker(w, src, dst)
 		clk.sparse += time.Since(t0)
+		return
 	}
+	if e.pb == nil {
+		return
+	}
+	t0 := time.Now()
+	e.pbBinWorker(w, src)
+	t1 := time.Now()
+	clk.bin += t1.Sub(t0)
+	// The drain may read any chunk's cursors and bin slots, so every
+	// worker must finish binning first. The barrier's atomic RMW total
+	// order publishes the plain cursor writes.
+	if !e.binBarrier.WaitAbort(e.pool) {
+		return
+	}
+	t2 := time.Now()
+	e.pbDrainWorker(w, dst)
+	clk.drain += time.Since(t2)
 }
 
 // sparsePullWorker drains the baseline pull via range stealing over
@@ -423,138 +338,6 @@ func pullRowsEdgeMajor(sp *SparseBlock, adv []uint8, lo, hi, prev int, src, dst 
 			unchecked.AddAt(rows, r, unchecked.At(src, int(unchecked.At(srcs, j))))
 			j++
 		}
-	}
-}
-
-// sparseHeavyWorker pulls the heavy rows over edge-balanced parts of
-// the build-time heavy list. Rows stay whole — splitting one across
-// workers would regroup its partial sums and break bit-identity with
-// pull — but the LIST is split finely enough (4x workers, balanced by
-// edges) that the mega-rows spread across the pool.
-//
-//ihtl:noalloc
-func (e *Engine) sparseHeavyWorker(w int, src, dst []float64) {
-	nparts := len(e.heavyBounds) - 1
-	if nparts <= 0 {
-		return
-	}
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.auxSched.Next(w, 1)
-		if !ok {
-			return
-		}
-		faultinject.Fire(faultinject.SiteSparsePart)
-		for p := lo; p < hi; p++ {
-			e.sparseHeavyPartBatch(&e.batch, p, src, dst)
-		}
-	}
-}
-
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func (e *Engine) sparseHeavyPart(p int, src, dst []float64) {
-	sp := &e.ih.Sparse
-	base := sp.DestLo
-	heavy := sp.Heavy
-	qLo, qHi := unchecked.At(e.heavyBounds, p), unchecked.At(e.heavyBounds, p+1)
-	if e.varint {
-		for q := qLo; q < qHi; q++ {
-			i := int(unchecked.At(heavy, q))
-			unchecked.SetAt(dst, base+i, e.sparseRowSumEnc(i, src))
-		}
-		return
-	}
-	idx, srcs := sp.Index, sp.Srcs
-	for q := qLo; q < qHi; q++ {
-		i := int(unchecked.At(heavy, q))
-		sum := 0.0
-		end := unchecked.At(idx, i+1)
-		for j := unchecked.At(idx, i); j < end; j++ {
-			sum += unchecked.At(src, int(unchecked.At(srcs, int(j))))
-		}
-		unchecked.SetAt(dst, base+i, sum)
-	}
-}
-
-// sparseLightWorker pulls the short rows in coarse chunks, skipping
-// the heavy rows the list schedule owns.
-//
-//ihtl:noalloc
-func (e *Engine) sparseLightWorker(w int, src, dst []float64) {
-	nparts := len(e.lightBounds) - 1
-	if nparts <= 0 {
-		return
-	}
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.sparseSched.Next(w, 1)
-		if !ok {
-			return
-		}
-		faultinject.Fire(faultinject.SiteSparsePart)
-		for p := lo; p < hi; p++ {
-			e.sparseLightPartBatch(&e.batch, p, src, dst)
-		}
-	}
-}
-
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func (e *Engine) sparseLightPart(p int, src, dst []float64) {
-	sp := &e.ih.Sparse
-	heavy := sp.HeavyDeg
-	base := sp.DestLo
-	idx := sp.Index
-	iLo, iHi := unchecked.At(e.lightBounds, p), unchecked.At(e.lightBounds, p+1)
-	if e.varint {
-		for i := iLo; i < iHi; i++ {
-			if unchecked.At(idx, i+1)-unchecked.At(idx, i) >= heavy {
-				continue
-			}
-			unchecked.SetAt(dst, base+i, e.sparseRowSumEnc(i, src))
-		}
-		return
-	}
-	if e.sparseAdv != nil {
-		e.sparseLightPartEdgeMajor(p, iLo, iHi, src, dst)
-		return
-	}
-	srcs := sp.Srcs
-	for i := iLo; i < iHi; i++ {
-		lo, end := unchecked.At(idx, i), unchecked.At(idx, i+1)
-		if end-lo >= heavy {
-			continue
-		}
-		sum := 0.0
-		for j := lo; j < end; j++ {
-			sum += unchecked.At(src, int(unchecked.At(srcs, int(j))))
-		}
-		unchecked.SetAt(dst, base+i, sum)
-	}
-}
-
-// sparseLightPartEdgeMajor is the light part over the adv stream. The
-// heavy rows stay on the heavy path (they are long, and another worker
-// may be writing them): the part is cut at each one, every run of light
-// rows between two cuts goes through the flat loop, and the heavy row
-// is stepped over — it is never empty (HeavyDeg >= 1), so it is itself
-// the row of the edge before the next run's first.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func (e *Engine) sparseLightPartEdgeMajor(p, iLo, iHi int, src, dst []float64) {
-	sp := &e.ih.Sparse
-	heavy := sp.Heavy
-	prev := unchecked.At(e.partPrev, p)
-	for q := unchecked.At(e.partHeavy, p); iLo < iHi; q++ {
-		cut := iHi
-		if q < len(heavy) {
-			cut = min(cut, int(unchecked.At(heavy, q)))
-		}
-		pullRowsEdgeMajor(sp, e.sparseAdv, iLo, cut, prev, src, dst)
-		prev, iLo = cut, cut+1
 	}
 }
 

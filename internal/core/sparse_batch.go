@@ -6,11 +6,11 @@ package core
 // picks its body once per part: the active-row pull (active.go) when
 // the step is one, else the scalar part of sparse.go at one lane, else
 // the lane loop below. The schedule state does not depend on the width
-// — same chunk bounds, same segment offsets and cursors, same
-// heavy/light parts — only the contributions are K lanes wide: bin
-// slot p's lanes live at pbState.binVals[p*k : (p+1)*k], mirroring
-// the vertex-major interleave of the vectors themselves. The
-// determinism argument of sparse.go applies per lane unchanged.
+// — same chunk bounds, same segment offsets and cursors, same pull
+// parts — only the contributions are K lanes wide: bin slot p's lanes
+// live at pbState.binVals[p*k : (p+1)*k], mirroring the vertex-major
+// interleave of the vectors themselves. The determinism argument of
+// sparse.go applies per lane unchanged.
 
 import (
 	"ihtl/internal/spmv"
@@ -25,7 +25,7 @@ import (
 func (e *Engine) sparsePullPartBatch(b *batchState, p int, src, dst []float64) {
 	lo, hi := e.sparseBounds[p], e.sparseBounds[p+1]
 	if b.active != nil {
-		pullRowsActive(b.k, &e.ih.Sparse, lo, hi, noDegreeCap, b.active, b.touched, src, dst)
+		pullRowsActive(b.k, &e.ih.Sparse, lo, hi, b.active, b.touched, src, dst)
 		return
 	}
 	if b.k == 1 {
@@ -39,10 +39,10 @@ func (e *Engine) sparsePullPartBatch(b *batchState, p int, src, dst []float64) {
 
 // pullRowLanes pulls sparse row i K lanes wide into its dst lanes,
 // source by source in ascending order from +0.0: the one row body of
-// the pull, heavy and light parts, and the one place the batched pull
-// picks its body (see Engine.pushTaskBatch): the flat cells at 4 and 8
-// lanes run their AVX2 bodies while laneAsm is set, the 8-lane one
-// prefetching at the width's distance.
+// the K-lane pull, and the one place the batched pull picks its body
+// (see Engine.pushTaskBatch): the flat cells at 4 and 8 lanes run their
+// AVX2 bodies while laneAsm is set, the 8-lane one prefetching at the
+// width's distance.
 //
 //ihtl:noalloc
 func (e *Engine) pullRowLanes(i, k int, src, dst []float64) {
@@ -86,47 +86,6 @@ func (e *Engine) pullRowGeneric(i, k int, src, out []float64) {
 		xs := src[sb : sb+k : sb+k]
 		for j, x := range xs {
 			out[j] += x
-		}
-	}
-}
-
-// sparseHeavyPartBatch pulls part p of the heavy-row list at width b.k;
-// rows stay whole per worker.
-//
-//ihtl:noalloc
-func (e *Engine) sparseHeavyPartBatch(b *batchState, p int, src, dst []float64) {
-	if b.k == 1 && b.active == nil {
-		e.sparseHeavyPart(p, src, dst)
-		return
-	}
-	sp := &e.ih.Sparse
-	for _, row := range sp.Heavy[e.heavyBounds[p]:e.heavyBounds[p+1]] {
-		if b.active != nil {
-			pullRowsActive(b.k, sp, int(row), int(row)+1, noDegreeCap, b.active, b.touched, src, dst)
-		} else {
-			e.pullRowLanes(int(row), b.k, src, dst)
-		}
-	}
-}
-
-// sparseLightPartBatch pulls the short rows of light part p at width
-// b.k, skipping the heavy rows the list schedule owns.
-//
-//ihtl:noalloc
-func (e *Engine) sparseLightPartBatch(b *batchState, p int, src, dst []float64) {
-	sp := &e.ih.Sparse
-	heavy := sp.HeavyDeg
-	if b.active != nil {
-		pullRowsActive(b.k, sp, e.lightBounds[p], e.lightBounds[p+1], heavy, b.active, b.touched, src, dst)
-		return
-	}
-	if b.k == 1 {
-		e.sparseLightPart(p, src, dst)
-		return
-	}
-	for i := e.lightBounds[p]; i < e.lightBounds[p+1]; i++ {
-		if sp.Index[i+1]-sp.Index[i] < heavy {
-			e.pullRowLanes(i, b.k, src, dst)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,9 +16,9 @@ import (
 
 // sparseKernels is the ablation matrix: every selectable sparse kernel
 // must be bit-for-bit identical to the baseline pull.
-var sparseKernels = []SparseKernel{SparsePull, SparsePullDegree, SparsePB}
+var sparseKernels = []SparseKernel{SparsePull, SparsePB}
 
-// TestSparseKernelDifferential pins all three sparse kernels — under
+// TestSparseKernelDifferential pins both sparse kernels — under
 // both the fused and the phased pipeline — bit-for-bit against the
 // spmv.Pull baseline, across graphs and worker counts. The PB kernel's
 // chunk-indexed segments and ascending-chunk drain make its result
@@ -160,8 +159,8 @@ func TestSparseKernelBatchDifferential(t *testing.T) {
 }
 
 // TestSparseKernelAllocationFree pins the zero-allocation steady state
-// of the degree-aware and propagation-blocked kernels: after warm-up,
-// neither Step nor a stable-width StepBatch allocates.
+// of both sparse kernels: after warm-up, neither Step nor a
+// stable-width StepBatch allocates.
 func TestSparseKernelAllocationFree(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
 	if err != nil {
@@ -172,7 +171,7 @@ func TestSparseKernelAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	for _, kernel := range []SparseKernel{SparsePullDegree, SparsePB} {
+	for _, kernel := range sparseKernels {
 		e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: kernel})
 		if err != nil {
 			t.Fatal(err)
@@ -217,13 +216,13 @@ func TestPropBlockedStepAllocFree(t *testing.T) {
 }
 
 // TestSparseKernelCancelThenCleanStep drives randomised cancellation
-// through the PB kernel's two-phase path: aborts can land before the
-// bin barrier, inside it, or during the drain, and the engine must
-// recover to exact results on the next clean step. The barrier's
-// WaitAbort is what makes an abort during phase 1 release the workers
-// parked on it.
+// through both sparse kernels: under the PB kernel's two-phase path
+// aborts can land before the bin barrier, inside it, or during the
+// drain, and the engine must recover to exact results on the next clean
+// step. The barrier's WaitAbort is what makes an abort during phase 1
+// release the workers parked on it.
 func TestSparseKernelCancelThenCleanStep(t *testing.T) {
-	for _, kernel := range []SparseKernel{SparsePullDegree, SparsePB} {
+	for _, kernel := range sparseKernels {
 		e, _ := faultTestEngine(t, EngineOptions{SparseKernel: kernel})
 		n := e.NumVertices()
 		src := randomSrc(n, 77)
@@ -247,16 +246,16 @@ func TestSparseKernelCancelThenCleanStep(t *testing.T) {
 	}
 }
 
-// TestSparseKernelInjectedPanicRecovery injects panics at the new bin
-// and drain sites (and the shared sparse-part site of the degree-aware
-// schedule): the panic must surface as *sched.PanicError unwrapping to
+// TestSparseKernelInjectedPanicRecovery injects panics at the PB
+// kernel's bin and drain sites and at the pull's sparse-part site: the
+// panic must surface as *sched.PanicError unwrapping to
 // the injected fault, and the very next clean step must match.
 func TestSparseKernelInjectedPanicRecovery(t *testing.T) {
 	cases := []struct {
 		kernel SparseKernel
 		sites  []faultinject.Site
 	}{
-		{SparsePullDegree, []faultinject.Site{faultinject.SiteSparsePart}},
+		{SparsePull, []faultinject.Site{faultinject.SiteSparsePart}},
 		{SparsePB, []faultinject.Site{faultinject.SiteSparseBin, faultinject.SiteSparseDrain}},
 	}
 	for _, tc := range cases {
@@ -296,134 +295,13 @@ func TestSparseKernelInjectedPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestSparseKernelSerializeRoundTrip checks the lazy degree-bucket
-// path: the v1 serialization format does not store Heavy/HeavyDeg, so
-// a deserialized IHTL must re-derive them on first SparsePullDegree
-// engine construction — deterministically, since the threshold is a
-// pure function of the sparse CSC — and produce bit-identical results.
-func TestSparseKernelSerializeRoundTrip(t *testing.T) {
-	g, err := gen.Web(gen.DefaultWeb(3000, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ih, err := Build(g, Params{HubsPerBlock: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ih.Sparse.HeavyDeg == 0 {
-		t.Fatal("build did not derive degree buckets")
-	}
-	var buf bytes.Buffer
-	if _, err := ih.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ih2, err := ReadIHTL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ih2.Sparse.HeavyDeg != 0 || ih2.Sparse.Heavy != nil {
-		t.Fatal("v1 format unexpectedly carries degree buckets; update this test and the lazy path")
-	}
-
-	e1, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePullDegree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := NewEngineOpts(ih2, testPool, EngineOptions{SparseKernel: SparsePullDegree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ih2.Sparse.HeavyDeg != ih.Sparse.HeavyDeg {
-		t.Fatalf("lazy HeavyDeg = %d, build-time %d", ih2.Sparse.HeavyDeg, ih.Sparse.HeavyDeg)
-	}
-	if len(ih2.Sparse.Heavy) != len(ih.Sparse.Heavy) {
-		t.Fatalf("lazy |Heavy| = %d, build-time %d", len(ih2.Sparse.Heavy), len(ih.Sparse.Heavy))
-	}
-	for i := range ih.Sparse.Heavy {
-		if ih2.Sparse.Heavy[i] != ih.Sparse.Heavy[i] {
-			t.Fatalf("Heavy[%d] = %d, want %d", i, ih2.Sparse.Heavy[i], ih.Sparse.Heavy[i])
-		}
-	}
-	src := integerVec(8, g.NumV)
-	got1 := stepOldSpace(ih, e1, src)
-	got2 := stepOldSpace(ih2, e2, src)
-	requireBitIdentical(t, "deserialized engine", got1, got2)
-}
-
-// TestEnsureDegreeBuckets checks the heavy-list derivation directly:
-// threshold formula, membership, ordering, idempotence, and that the
-// parallel build's count/prefix/fill pass agrees with the sequential
-// derivation.
-func TestEnsureDegreeBuckets(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Build(g, Params{HubsPerBlock: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := &seq.Sparse
-	n := seq.NumV - sp.DestLo
-	if n <= 0 {
-		t.Skip("no sparse rows")
-	}
-	mean := sp.Index[n] / int64(n)
-	wantDeg := int64(64)
-	if 8*mean > wantDeg {
-		wantDeg = 8 * mean
-	}
-	if sp.HeavyDeg != wantDeg {
-		t.Fatalf("HeavyDeg = %d, want max(64, 8*%d) = %d", sp.HeavyDeg, mean, wantDeg)
-	}
-	prev := int32(-1)
-	for _, r := range sp.Heavy {
-		if r <= prev {
-			t.Fatalf("Heavy not strictly ascending at row %d", r)
-		}
-		prev = r
-		if d := sp.Index[r+1] - sp.Index[r]; d < sp.HeavyDeg {
-			t.Fatalf("Heavy row %d has degree %d < threshold %d", r, d, sp.HeavyDeg)
-		}
-	}
-	nHeavy := 0
-	for i := 0; i < n; i++ {
-		if sp.Index[i+1]-sp.Index[i] >= sp.HeavyDeg {
-			nHeavy++
-		}
-	}
-	if nHeavy != len(sp.Heavy) {
-		t.Fatalf("|Heavy| = %d, brute force %d", len(sp.Heavy), nHeavy)
-	}
-	before := len(sp.Heavy)
-	sp.EnsureDegreeBuckets() // must be a no-op the second time
-	if len(sp.Heavy) != before {
-		t.Fatal("EnsureDegreeBuckets is not idempotent")
-	}
-
-	par, err := BuildWith(g, Params{HubsPerBlock: 64}, testPool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Sparse.HeavyDeg != sp.HeavyDeg || len(par.Sparse.Heavy) != len(sp.Heavy) {
-		t.Fatalf("parallel build degree buckets differ: deg %d/%d, len %d/%d",
-			par.Sparse.HeavyDeg, sp.HeavyDeg, len(par.Sparse.Heavy), len(sp.Heavy))
-	}
-	for i := range sp.Heavy {
-		if par.Sparse.Heavy[i] != sp.Heavy[i] {
-			t.Fatalf("parallel Heavy[%d] = %d, want %d", i, par.Sparse.Heavy[i], sp.Heavy[i])
-		}
-	}
-}
-
 // TestParseSparseKernel pins the flag surface of the ablation.
 func TestParseSparseKernel(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want SparseKernel
 	}{
-		{"", SparseAuto}, {"auto", SparseAuto}, {"pull", SparsePull},
-		{"pull-degree", SparsePullDegree}, {"pb", SparsePB},
+		{"", SparsePull}, {"pull", SparsePull}, {"pb", SparsePB},
 	} {
 		got, err := ParseSparseKernel(tc.in)
 		if err != nil || got != tc.want {
@@ -433,14 +311,16 @@ func TestParseSparseKernel(t *testing.T) {
 			t.Fatalf("String round trip: %v -> %q", got, got.String())
 		}
 	}
-	if _, err := ParseSparseKernel("bogus"); err == nil {
-		t.Fatal("ParseSparseKernel accepted a bogus kernel")
+	for _, bad := range []string{"bogus", "auto"} {
+		if _, err := ParseSparseKernel(bad); err == nil {
+			t.Fatalf("ParseSparseKernel accepted %q", bad)
+		}
 	}
 }
 
 // TestSparseKernelBreakdownSplit checks the new clock split: the PB
 // kernel reports its busy time under BinBusy/DrainBusy (SparseBusy
-// stays zero), pull kernels under SparseBusy, and both feed
+// stays zero), the pull under SparseBusy, and both feed
 // SparseTotalBusy and TotalBusy.
 func TestSparseKernelBreakdownSplit(t *testing.T) {
 	g, err := gen.Web(gen.DefaultWeb(4000, 11))
@@ -472,16 +352,16 @@ func TestSparseKernelBreakdownSplit(t *testing.T) {
 		t.Fatal("SparseTotalBusy does not sum the phase clocks")
 	}
 
-	pd, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePullDegree})
+	pull, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		pd.Step(src, dst)
+		pull.Step(src, dst)
 	}
-	b = pd.TakeBreakdown()
+	b = pull.TakeBreakdown()
 	if b.SparseBusy <= 0 {
-		t.Fatal("degree-aware pull recorded no sparse busy time")
+		t.Fatal("pull recorded no sparse busy time")
 	}
 	if b.BinBusy != 0 || b.DrainBusy != 0 {
 		t.Fatalf("pull kernel charged bin/drain clocks: %v/%v", b.BinBusy, b.DrainBusy)
