@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"ihtl/internal/analytics"
 	"ihtl/internal/bench"
@@ -499,14 +500,19 @@ func BenchmarkIHTLBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild measures the end-to-end preprocessing pipeline on
-// the scale-18 R-MAT acceptance graph, sequential vs an 8-worker
-// pool: graph/* is the edge-list → dual CSR/CSC build (bucket by
-// source, two transpositions, dedup, zero-degree compaction), core/* is
-// the iHTL construction (rank, select, relabel, blocks). The parallel
-// variants are bit-for-bit identical to the sequential ones — see
-// TestBuildParallelDeterminism and TestBuildWithParallelDeterminism —
-// so seq vs par here is a pure wall-clock comparison.
+// BenchmarkBuild measures the end-to-end preprocessing pipeline,
+// sequential vs an 8-worker pool, on two graphs. On the scale-18 R-MAT
+// acceptance graph, graph/* is the edge-list → dual CSR/CSC build
+// (bucket by source, two transpositions, dedup, zero-degree compaction)
+// and core/* the iHTL construction (rank, select, relabel, blocks) at B
+// = 2048. core/web=200k/* builds a 200 k-page web graph of the
+// benchmark's web-sparse shape (out-degree 6) at the default Params,
+// past the resident threshold, where the sparse block holds most edges
+// and is gathered row by row. Every core row reports its phases'
+// wall time from BuildStats as rank/select/relabel/blocks-ns/op. The
+// parallel variants are bit-for-bit identical to the sequential ones —
+// see TestBuildParallelDeterminism and TestBuildWithParallelDeterminism
+// — so seq vs par here is a pure wall-clock comparison.
 func BenchmarkBuild(b *testing.B) {
 	pool := sched.NewPool(8)
 	defer pool.Close()
@@ -514,7 +520,36 @@ func BenchmarkBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	webCfg := gen.DefaultWeb(200_000, 1002)
+	webCfg.MeanOutDegree = 6
+	web, err := gen.Web(webCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	edges := g.Edges(nil)
+	coreBuild := func(g *graph.Graph, p core.Params, pool *sched.Pool) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(g.NumE * 8)
+			var sum core.BuildBreakdown
+			for i := 0; i < b.N; i++ {
+				ih, err := core.BuildWith(g, p, pool)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bs := ih.BuildStats()
+				sum.Rank += bs.Rank
+				sum.Select += bs.Select
+				sum.Relabel += bs.Relabel
+				sum.Blocks += bs.Blocks
+			}
+			for _, ph := range []struct {
+				name string
+				d    time.Duration
+			}{{"rank", sum.Rank}, {"select", sum.Select}, {"relabel", sum.Relabel}, {"blocks", sum.Blocks}} {
+				b.ReportMetric(float64(ph.d.Nanoseconds())/float64(b.N), ph.name+"-ns/op")
+			}
+		}
+	}
 	for _, m := range []struct {
 		name string
 		pool *sched.Pool
@@ -529,14 +564,8 @@ func BenchmarkBuild(b *testing.B) {
 				}
 			}
 		})
-		b.Run("core/"+m.name, func(b *testing.B) {
-			b.SetBytes(g.NumE * 8)
-			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildWith(g, core.Params{HubsPerBlock: 2048}, m.pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run("core/"+m.name, coreBuild(g, core.Params{HubsPerBlock: 2048}, m.pool))
+		b.Run("core/web=200k/"+m.name, coreBuild(web, core.Params{}, m.pool))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -226,7 +227,7 @@ func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Poo
 	case rp.FastSelect:
 		numHubs, blocks, minHubDeg = selectHubsFast(g, ranked, rp)
 	default:
-		numHubs, blocks, minHubDeg = selectHubs(g, ranked, rp)
+		numHubs, blocks, minHubDeg = selectHubs(g, ranked, rp, pool)
 	}
 	ih.buildStats.Select = time.Since(t)
 	ih.MinHubDegree = minHubDeg
@@ -589,46 +590,58 @@ func scatterRank(g *graph.Graph, lo, hi int, cursor []int64, ranked []graph.VID)
 // vertices are admitted while the i-th block's source population
 // |FVᵢ| exceeds FVThreshold·|FV₁|. Returns the hub count, the number
 // of admitted blocks, and the minimum hub in-degree.
-func selectHubs(g *graph.Graph, ranked []graph.VID, p Params) (numHubs, blocks, minDeg int) {
+//
+// Blocks are tried one after the other; inside a block the count runs
+// on the pool: every part ORs the in-neighbours of its edge-balanced
+// share of the block's hubs into its own bitset over all vertices, and
+// the bitsets are then folded, cleared and popcounted per word range.
+// |FVᵢ| is an exact integer, so the admission is the same for every
+// worker count, and a nil pool is the one-part case.
+func selectHubs(g *graph.Graph, ranked []graph.VID, p Params, pool *sched.Pool) (numHubs, blocks, minDeg int) {
 	b := p.HubsPerBlock
-	seen := make([]bool, g.NumV) // FV-membership marker, reused per block
+	nparts := sched.Parts(pool)
+	nw := (g.NumV + 63) / 64
+	var sets []uint64 // nparts bitsets of nw words, all zero between blocks
+	counts := make([]int, nparts)
 	var fv1 int
 	for blk := 0; blk < p.MaxBlocks; blk++ {
 		lo := blk * b
 		if lo >= g.NumV {
 			break
 		}
-		hi := lo + b
-		if hi > g.NumV {
-			hi = g.NumV
-		}
+		hi := min(lo+b, g.NumV)
 		// Degree floor: stop at the first block whose top vertex is
 		// already below the hub threshold.
 		if g.InDegree(ranked[lo]) < p.MinHubDegree {
 			break
 		}
-		// |FVᵢ|: distinct sources with an edge into this block's
-		// hubs ("a pass over in-edges ... to mark the FV members and
-		// one other pass ... to count", §3.3).
-		sources := 0
-		var marked []graph.VID
-		for i := lo; i < hi; i++ {
-			if g.InDegree(ranked[i]) < p.MinHubDegree {
-				// Trailing low-degree vertices within an otherwise
-				// admitted block are still hubs only if the block is
-				// admitted as a whole; they contribute no sources.
-				continue
-			}
-			for _, s := range g.In(ranked[i]) {
-				if !seen[s] {
-					seen[s] = true
-					marked = append(marked, s)
-					sources++
-				}
-			}
+		// Trailing sub-threshold vertices are still hubs if the block is
+		// admitted, but they contribute no sources, and an admitted last
+		// block is trimmed to exclude them. ranked descends in in-degree,
+		// so they are a suffix.
+		for hi > lo && g.InDegree(ranked[hi-1]) < p.MinHubDegree {
+			hi--
 		}
-		for _, s := range marked {
-			seen[s] = false
+		if sets == nil {
+			sets = make([]uint64, nparts*nw)
+		}
+		// |FVᵢ|: distinct sources with an edge into this block's hubs
+		// ("a pass over in-edges ... to mark the FV members and one other
+		// pass ... to count", §3.3).
+		hubs := ranked[lo:hi]
+		bounds := sched.EdgeBalancedPartsList(g.InIndex, hubs, nparts)
+		sched.ForParts(pool, nparts, func(_, part int) {
+			faultinject.Fire(faultinject.SiteBuildFill)
+			markSources(g.InIndex, g.InNbrs, hubs[bounds[part]:bounds[part+1]], sets[part*nw:(part+1)*nw])
+		})
+		sched.ForParts(pool, nparts, func(_, part int) {
+			faultinject.Fire(faultinject.SiteBuildFill)
+			wlo, whi := sched.SplitRange(nw, nparts, part)
+			counts[part] = foldSources(sets, nw, wlo, whi)
+		})
+		sources := 0
+		for _, n := range counts {
+			sources += n
 		}
 		if blk == 0 {
 			if sources == 0 {
@@ -637,10 +650,6 @@ func selectHubs(g *graph.Graph, ranked []graph.VID, p Params) (numHubs, blocks, 
 			fv1 = sources
 		} else if float64(sources) <= p.FVThreshold*float64(fv1) {
 			break
-		}
-		// Trim trailing sub-threshold vertices from the last block.
-		for hi > lo && g.InDegree(ranked[hi-1]) < p.MinHubDegree {
-			hi--
 		}
 		numHubs = hi
 		blocks++
@@ -655,6 +664,36 @@ func selectHubs(g *graph.Graph, ranked []graph.VID, p Params) (numHubs, blocks, 
 		minDeg = g.InDegree(ranked[numHubs-1])
 	}
 	return numHubs, blocks, minDeg
+}
+
+// markSources sets the bit of every in-neighbour of hubs: one word OR
+// per edge, no branch.
+//
+//ihtl:noalloc
+func markSources(inIndex []int64, inNbrs, hubs []graph.VID, set []uint64) {
+	for _, h := range hubs {
+		for _, s := range inNbrs[inIndex[h]:inIndex[h+1]] {
+			set[s>>6] |= 1 << (s & 63)
+		}
+	}
+}
+
+// foldSources ORs words [lo, hi) of every part's bitset (sets holds
+// them back to back, nw words each), clears them for the next block,
+// and returns the number of set bits.
+//
+//ihtl:noalloc
+func foldSources(sets []uint64, nw, lo, hi int) int {
+	n := 0
+	for w := lo; w < hi; w++ {
+		var x uint64
+		for p := w; p < len(sets); p += nw {
+			x |= sets[p]
+			sets[p] = 0
+		}
+		n += bits.OnesCount64(x)
+	}
+	return n
 }
 
 // selectHubsFast implements the §6 lower-complexity variant: compute
@@ -746,31 +785,24 @@ func selectHubsFast(g *graph.Graph, ranked []graph.VID, p Params) (numHubs, bloc
 	return numHubs, blocks, minDeg
 }
 
-// blockScatter is sched.ScatterByKey over the row parts cut at bounds,
-// with the build's fault site and busy clock around every part's walk.
-// Each block of the iHTL graph is a transposition: rows are visited in
-// ascending order, so every list of the result is ascending by
-// construction — no row is ever sorted — and the same for every worker
-// count.
-func blockScatter(pool *sched.Pool, numKeys int, bounds []int, clk []buildClock, walk func(lo, hi int, cursor []int64, out []graph.VID)) ([]int64, []graph.VID) {
-	return sched.ScatterByKey(pool, numKeys, len(bounds)-1, func(worker, part int, cursor []int64, out []graph.VID) {
-		faultinject.Fire(faultinject.SiteBuildFill)
-		t := time.Now()
-		walk(bounds[part], bounds[part+1], cursor, out)
-		c := &clk[worker]
-		c.blocks += time.Since(t)
-	})
-}
-
 // transposeRelabelled transposes the original adjacency (adjIndex,
 // adjNbrs) of the vertices with new IDs [rowLo, rowHi) into new-ID
 // space: row r holds the neighbours of OldID[r], and each neighbour u
-// is listed under key NewID[u] with value r.
+// is listed under key NewID[u] with value r. It is sched.ScatterByKey
+// over edge-balanced row parts, with the build's fault site and busy
+// clock around every part's walk. Rows are visited in ascending order,
+// so every list of the result is ascending by construction — no row is
+// ever sorted — and the same for every worker count.
 func transposeRelabelled(ih *IHTL, adjIndex []int64, adjNbrs []graph.VID, rowLo, rowHi, numKeys int, pool *sched.Pool, clk []buildClock) ([]int64, []graph.VID) {
 	rows := ih.OldID[rowLo:rowHi]
 	bounds := sched.EdgeBalancedPartsList(adjIndex, rows, sched.Parts(pool))
-	return blockScatter(pool, numKeys, bounds, clk, func(lo, hi int, cursor []int64, out []graph.VID) {
+	return sched.ScatterByKey(pool, numKeys, len(bounds)-1, func(worker, part int, cursor []int64, out []graph.VID) {
+		faultinject.Fire(faultinject.SiteBuildFill)
+		t := time.Now()
+		lo, hi := bounds[part], bounds[part+1]
 		scatterRelabelled(adjIndex, adjNbrs, rows[lo:hi], ih.NewID, graph.VID(rowLo+lo), cursor, out)
+		c := &clk[worker]
+		c.blocks += time.Since(t)
 	})
 }
 
@@ -833,18 +865,87 @@ func countBlockSources(index []int64, nsrc int) int {
 	return n
 }
 
-// buildSparseBlock creates the pull CSC over non-hub destinations
-// (§3.2) by transposing their in-lists twice, which touches the sparse
-// edges only: non-hub destinations in ascending new-ID order → every
-// source's list of them, then sources in ascending new-ID order →
-// every destination's source list, ascending.
+// buildSparseBlock gathers the pull CSC over non-hub destinations
+// (§3.2): Index holds the in-degrees of OldID[DestLo:], prefix-summed,
+// and row r lists NewID[u] for every in-neighbour u of OldID[DestLo+r],
+// sorted in place. Hubs are a prefix of the descending in-degree
+// ranking, so on a graph with hubs no row is longer than MinHubDegree
+// (7 on the 1.5 M-page web graph, 15 on R-MAT 20): filling rows in
+// place and sorting a handful of entries costs less than a
+// transposition's per-vertex histograms and scatter. With no hub the
+// relabeling keeps original order and every row arrives ascending; only
+// the DegreeSortClasses/SparseOrder ablations sort long rows. Rows are
+// filled over edge-balanced parts; the result is the same for every
+// worker count.
 func buildSparseBlock(g *graph.Graph, ih *IHTL, pool *sched.Pool, clk []buildClock) {
 	sp := &ih.Sparse
 	sp.DestLo = ih.NumHubs
-	bySrc, dsts := transposeRelabelled(ih, g.InIndex, g.InNbrs, sp.DestLo, ih.NumV, ih.NumV, pool, clk)
-	bounds := sched.EdgeBalancedParts(bySrc, sched.Parts(pool))
-	n := ih.NumV - sp.DestLo
-	sp.Index, sp.Srcs = blockScatter(pool, n, bounds, clk, func(lo, hi int, cursor []int64, out []graph.VID) {
-		sched.ScatterRows(bySrc, dsts, lo, hi, graph.VID(sp.DestLo), cursor, out)
+	rows := ih.OldID[sp.DestLo:]
+	n := len(rows)
+	nparts := sched.Parts(pool)
+	sp.Index = make([]int64, n+1)
+	sched.ForParts(pool, nparts, func(worker, part int) {
+		faultinject.Fire(faultinject.SiteBuildFill)
+		t := time.Now()
+		lo, hi := sched.SplitRange(n, nparts, part)
+		inDegrees(g.InIndex, rows[lo:hi], sp.Index[1+lo:1+hi])
+		c := &clk[worker]
+		c.blocks += time.Since(t)
 	})
+	sched.PrefixSum(pool, sp.Index[1:])
+	sp.Srcs = make([]graph.VID, sp.Index[n])
+	bounds := sched.EdgeBalancedParts(sp.Index, nparts)
+	sched.ForParts(pool, nparts, func(worker, part int) {
+		faultinject.Fire(faultinject.SiteBuildFill)
+		t := time.Now()
+		gatherRows(g.InIndex, g.InNbrs, rows, ih.NewID, sp.Index, sp.Srcs, bounds[part], bounds[part+1])
+		c := &clk[worker]
+		c.blocks += time.Since(t)
+	})
+}
+
+// inDegrees writes the in-degree of each of rows into deg.
+//
+//ihtl:noalloc
+func inDegrees(inIndex []int64, rows []graph.VID, deg []int64) {
+	for i, v := range rows {
+		deg[i] = inIndex[v+1] - inIndex[v]
+	}
+}
+
+// gatherRows fills sparse rows [lo, hi): row r is the relabelled
+// in-list of rows[r], sorted.
+//
+//ihtl:noalloc
+func gatherRows(inIndex []int64, inNbrs, rows, newID []graph.VID, index []int64, srcs []graph.VID, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		v := rows[r]
+		row := srcs[index[r]:index[r+1]]
+		for i, u := range inNbrs[inIndex[v]:inIndex[v+1]] {
+			row[i] = newID[u]
+		}
+		sortRow(row)
+	}
+}
+
+// insertionSortMax is the longest row sortRow insertion-sorts; a row
+// with hubs present holds at most MinHubDegree entries.
+const insertionSortMax = 32
+
+// sortRow sorts one gathered row ascending.
+//
+//ihtl:noalloc
+func sortRow(row []graph.VID) {
+	if len(row) > insertionSortMax {
+		slices.Sort(row)
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		x := row[i]
+		j := i
+		for ; j > 0 && row[j-1] > x; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = x
+	}
 }

@@ -135,7 +135,12 @@ func TestBuildBlocksMatchSortOracle(t *testing.T) {
 		"fastselect":  {HubsPerBlock: 4, FVThreshold: 0.01, MaxBlocks: 32, FastSelect: true},
 		"degreesort":  {HubsPerBlock: 64, DegreeSortClasses: true},
 		"sparseorder": {HubsPerBlock: 64, SparseOrder: stubOrderer{}},
+		// No vertex reaches the hub floor, so every edge is sparse, and
+		// the degree sort relabels: rows arrive unsorted and the
+		// multigraph's in-hubs give rows past insertionSortMax.
+		"nohub-degreesort": {HubsPerBlock: 64, DegreeSortClasses: true, MinHubDegree: 1 << 30},
 	}
+	longRows := 0
 	for gname, g := range oracleGraphs(t) {
 		for vname, p := range variants {
 			for _, w := range []int{0, 1, 2, 3, runtime.GOMAXPROCS(0), 6} {
@@ -152,6 +157,171 @@ func TestBuildBlocksMatchSortOracle(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				requireBlocksMatchOracle(t, label, g, ih)
+				if vname == "nohub-degreesort" {
+					if ih.NumHubs != 0 {
+						t.Fatalf("%s: %d hubs above the floor", label, ih.NumHubs)
+					}
+					idx := ih.Sparse.Index
+					for r := 0; r < len(idx)-1; r++ {
+						if idx[r+1]-idx[r] > insertionSortMax {
+							longRows++
+						}
+					}
+				}
+			}
+		}
+	}
+	if longRows == 0 {
+		t.Fatal("no relabelled sparse row outgrew the insertion sort: the long-row arm never ran")
+	}
+}
+
+// selectHubsRef is the serial §3.3 admission the pooled selectHubs
+// replaced: per block, mark each distinct in-neighbour of the block's
+// hubs in a shared bool array, remembering the marked ones to clear.
+func selectHubsRef(g *graph.Graph, ranked []graph.VID, p Params) (numHubs, blocks, minDeg int) {
+	b := p.HubsPerBlock
+	seen := make([]bool, g.NumV)
+	var fv1 int
+	for blk := 0; blk < p.MaxBlocks; blk++ {
+		lo := blk * b
+		if lo >= g.NumV {
+			break
+		}
+		hi := min(lo+b, g.NumV)
+		if g.InDegree(ranked[lo]) < p.MinHubDegree {
+			break
+		}
+		sources := 0
+		var marked []graph.VID
+		for i := lo; i < hi; i++ {
+			if g.InDegree(ranked[i]) < p.MinHubDegree {
+				continue
+			}
+			for _, s := range g.In(ranked[i]) {
+				if !seen[s] {
+					seen[s] = true
+					marked = append(marked, s)
+					sources++
+				}
+			}
+		}
+		for _, s := range marked {
+			seen[s] = false
+		}
+		if blk == 0 {
+			if sources == 0 {
+				break
+			}
+			fv1 = sources
+		} else if float64(sources) <= p.FVThreshold*float64(fv1) {
+			break
+		}
+		for hi > lo && g.InDegree(ranked[hi-1]) < p.MinHubDegree {
+			hi--
+		}
+		numHubs = hi
+		blocks++
+		if hi >= g.NumV {
+			break
+		}
+	}
+	if numHubs > 0 {
+		minDeg = g.InDegree(ranked[numHubs-1])
+	}
+	return numHubs, blocks, minDeg
+}
+
+// TestSelectHubsMatchesSerialReference holds the pooled §3.3 count to
+// the serial reference at every worker count, over parameter sets that
+// between them admit several blocks and stop on each rule: the
+// FVThreshold stop, the MaxBlocks cap, the degree floor with a trimmed
+// last block, and running out of vertices.
+func TestSelectHubsMatchesSerialReference(t *testing.T) {
+	params := map[string]Params{
+		"threshold": {HubsPerBlock: 8, FVThreshold: 0.2, MaxBlocks: 64},
+		"cap":       {HubsPerBlock: 4, FVThreshold: 0.001, MaxBlocks: 3},
+		"trim":      {HubsPerBlock: 16, FVThreshold: 0.001, MaxBlocks: 64, MinHubDegree: 12},
+		"exhaust":   {HubsPerBlock: 64, FVThreshold: 0.001, MaxBlocks: 64, MinHubDegree: 1},
+		"default":   {HubsPerBlock: 256},
+	}
+	stops := map[string]bool{}
+	for gname, g := range oracleGraphs(t) {
+		if g.NumV == 0 {
+			continue
+		}
+		ranked := rankByInDegree(g)
+		for pname, p := range params {
+			rp := p.withDefaults()
+			wantHubs, wantBlocks, wantMin := selectHubsRef(g, ranked, rp)
+			if wantBlocks >= 2 {
+				stops["multiblock"] = true
+			}
+			switch {
+			case wantBlocks == rp.MaxBlocks:
+				stops["cap"] = true
+			case wantHubs == g.NumV:
+				stops["exhaust"] = true
+			case wantBlocks > 0 && wantHubs < wantBlocks*rp.HubsPerBlock:
+				stops["trim"] = true
+			case wantBlocks > 0 && g.InDegree(ranked[wantHubs]) >= rp.MinHubDegree:
+				stops["threshold"] = true
+			}
+			for _, w := range []int{0, 1, 2, 3, 6} {
+				var pool *sched.Pool
+				if w > 0 {
+					pool = sched.NewPool(w)
+				}
+				hubs, blocks, minDeg := selectHubs(g, ranked, rp, pool)
+				if pool != nil {
+					pool.Close()
+				}
+				if hubs != wantHubs || blocks != wantBlocks || minDeg != wantMin {
+					t.Fatalf("%s/%s/w%d: (hubs, blocks, minDeg) = (%d, %d, %d), want (%d, %d, %d)",
+						gname, pname, w, hubs, blocks, minDeg, wantHubs, wantBlocks, wantMin)
+				}
+			}
+		}
+	}
+	for _, stop := range []string{"multiblock", "threshold", "cap", "trim", "exhaust"} {
+		if !stops[stop] {
+			t.Errorf("no case covered %s", stop)
+		}
+	}
+}
+
+// TestBlockTaskBoundsMatchEdgeScan holds each task's hub destination
+// range, taken from its rows' first and last entries, to a scan of
+// every edge of the task, on every oracle build and several task
+// counts.
+func TestBlockTaskBoundsMatchEdgeScan(t *testing.T) {
+	for gname, g := range oracleGraphs(t) {
+		for vname, p := range map[string]Params{
+			"default":    {HubsPerBlock: 256},
+			"multiblock": {HubsPerBlock: 4, FVThreshold: 0.01, MaxBlocks: 32},
+		} {
+			ih, err := BuildWith(g, p, testPool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, chunks := range []int{1, 4, 7} {
+				tasks, _, _ := buildBlockTasks(ih, chunks)
+				for _, bt := range tasks {
+					fb := &ih.Blocks[bt.block]
+					dLo, dHi := 0, 0
+					for i := fb.Index[bt.lo]; i < fb.Index[bt.hi]; i++ {
+						d := int(fb.Dsts[i])
+						if dHi == dLo {
+							dLo, dHi = d, d+1
+							continue
+						}
+						dLo, dHi = min(dLo, d), max(dHi, d+1)
+					}
+					if bt.dLo != dLo || bt.dHi != dHi {
+						t.Fatalf("%s/%s/chunks=%d: block %d task [%d, %d) bounds [%d, %d), edge scan [%d, %d)",
+							gname, vname, chunks, bt.block, bt.lo, bt.hi, bt.dLo, bt.dHi, dLo, dHi)
+					}
+				}
 			}
 		}
 	}

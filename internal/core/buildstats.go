@@ -7,13 +7,13 @@ import "time"
 // time plus the summed per-worker busy time of the parallel phases.
 // Busy fields are zero for sequential builds (nil pool or one worker).
 // Wall exceeding busy/workers indicates dispatch overhead or a sequential
-// residue (hub selection is inherently sequential and has no busy
-// counterpart).
+// residue. Hub selection records no busy time.
 type BuildBreakdown struct {
 	// Rank is the hub-ranking phase (parallel counting sort on
 	// in-degree).
 	Rank time.Duration
-	// Select is the §3.3 flipped-block admission scan (sequential).
+	// Select is the §3.3 flipped-block admission: blocks one after the
+	// other, each block's source count on the pool.
 	Select time.Duration
 	// Relabel covers vertex classification (hub/VWEH/FV) and the
 	// NewID/OldID assignment.

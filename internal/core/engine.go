@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ihtl/internal/faultinject"
+	"ihtl/internal/graph"
 	"ihtl/internal/sched"
 	"ihtl/internal/spmv"
 )
@@ -125,7 +126,8 @@ type blockTask struct {
 }
 
 // buildBlockTasks cuts each flipped block into edge-balanced source
-// chunks — tasks — and precomputes each task's hub destination range.
+// chunks — tasks — and precomputes each task's hub destination range
+// from the first and last destination of each row (rowsDstRange).
 // It also returns the task count per block (arming the fused merge
 // countdowns) and the blocks with no tasks at all, whose hub slots
 // must still be initialised each Step.
@@ -144,19 +146,7 @@ func buildBlockTasks(ih *IHTL, chunksPerBlock int) (tasks []blockTask, perBlock,
 				continue
 			}
 			t := blockTask{block: b, lo: lo, hi: hi, prev: rowBeforeEdge(fb.Index, fb.Index[lo])}
-			for i := fb.Index[lo]; i < fb.Index[hi]; i++ {
-				d := int(fb.Dsts[i])
-				if t.dHi == t.dLo { // first edge
-					t.dLo, t.dHi = d, d+1
-					continue
-				}
-				if d < t.dLo {
-					t.dLo = d
-				}
-				if d+1 > t.dHi {
-					t.dHi = d + 1
-				}
-			}
+			t.dLo, t.dHi = rowsDstRange(fb.Index, fb.Dsts, lo, hi)
 			tasks = append(tasks, t)
 			perBlock[b]++
 		}
@@ -165,6 +155,28 @@ func buildBlockTasks(ih *IHTL, chunksPerBlock int) (tasks []blockTask, perBlock,
 		}
 	}
 	return tasks, perBlock, empty
+}
+
+// rowsDstRange returns the half-open range of the destinations of rows
+// [lo, hi), empty (0, 0) when they hold no edge. Every row of a flipped
+// block is ascending — the build transposes in ascending order, a
+// packed row's gaps are unsigned, and ReadIHTL refuses a raw row that
+// descends — so a row's first and last entries bound it and the walk
+// is per row, not per edge.
+func rowsDstRange(index []int64, dsts []graph.VID, lo, hi int) (dLo, dHi int) {
+	for s := lo; s < hi; s++ {
+		a, z := index[s], index[s+1]
+		if a == z {
+			continue
+		}
+		first, last := int(dsts[a]), int(dsts[z-1])+1
+		if dHi == dLo { // first non-empty row
+			dLo, dHi = first, last
+			continue
+		}
+		dLo, dHi = min(dLo, first), max(dHi, last)
+	}
+	return dLo, dHi
 }
 
 // dirtyRange is a half-open hub interval; empty when hi <= lo.

@@ -322,6 +322,53 @@ func TestFaultedStepsLeakNoGoroutines(t *testing.T) {
 	t.Fatalf("goroutines did not settle: %d, base %d", runtime.NumGoroutine(), base)
 }
 
+// TestBuildWithCtxCancelMidGather cancels the build while a worker
+// sleeps inside the sparse block's row gather — the last parts to fire
+// SiteBuildFill — and requires ctx.Err() back, then a clean build equal
+// to the reference.
+func TestBuildWithCtxCancelMidGather(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(11, 8, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{HubsPerBlock: flipB}
+	// A rule that never fires counts the hits.
+	count := faultinject.NewPlan(faultinject.Rule{Site: faultinject.SiteBuildFill, Kind: faultinject.Delay, After: 1 << 62})
+	faultinject.Activate(count)
+	refIH, err := BuildWith(g, p, testPool)
+	faultinject.Deactivate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The gather fires once per part, after every other fill.
+	gatherHit := count.Hits(faultinject.SiteBuildFill) - int64(testPool.Workers())
+	plan := faultinject.NewPlan(faultinject.Rule{
+		Site: faultinject.SiteBuildFill, Kind: faultinject.Delay, After: gatherHit, Delay: 200 * time.Millisecond,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for plan.Fired(faultinject.SiteBuildFill) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	faultinject.Activate(plan)
+	ih, err := BuildWithCtx(ctx, g, p, testPool)
+	faultinject.Deactivate()
+	if plan.Fired(faultinject.SiteBuildFill) == 0 {
+		t.Fatal("the delay never fired")
+	}
+	if !errors.Is(err, context.Canceled) || ih != nil {
+		t.Fatalf("cancel mid-gather: (ih != nil) = %v, err = %v, want nil and context.Canceled", ih != nil, err)
+	}
+	clean, err := BuildWithCtx(context.Background(), g, p, testPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIHTLEqual(t, "clean build after a cancelled gather", refIH, clean)
+}
+
 // TestBuildWithCtxInjectedPanic lands injected panics on the
 // SiteBuildFill site — the static relabel/rank/CSR-fill passes inside
 // BuildWithCtx's Fallible region — and checks the build returns the

@@ -155,10 +155,8 @@ func ReadIHTL(r io.Reader) (*IHTL, error) {
 		if fb.HubLo > fb.HubHi || fb.HubHi > ih.NumHubs {
 			return nil, fmt.Errorf("core: block %d hub range [%d,%d) invalid", i, fb.HubLo, fb.HubHi)
 		}
-		for _, d := range fb.Dsts {
-			if int(d) < fb.HubLo || int(d) >= fb.HubHi {
-				return nil, fmt.Errorf("core: block %d destination %d out of range", i, d)
-			}
+		if err := checkFlippedRows(i, fb); err != nil {
+			return nil, err
 		}
 		total += fb.NumEdges()
 	}
@@ -190,6 +188,35 @@ func ReadIHTL(r io.Reader) (*IHTL, error) {
 	}
 	ih.params = Params{HubsPerBlock: ih.HubsPerBlock}.withDefaults()
 	return ih, nil
+}
+
+// checkFlippedRows holds the rows of a loaded flipped block to what the
+// build produces and the engines take on trust: Index is the offset
+// array of exactly Dsts, every destination lies in the block's hub
+// range, and no row descends (equal neighbours are parallel edges), so
+// a task's destination bounds are its rows' first and last entries.
+func checkFlippedRows(i int, fb *FlippedBlock) error {
+	rows := len(fb.Index) - 1
+	if rows < 0 || fb.Index[0] != 0 || fb.Index[rows] != int64(len(fb.Dsts)) {
+		return fmt.Errorf("core: block %d index of %d offsets does not span its %d destinations", i, len(fb.Index), len(fb.Dsts))
+	}
+	for s := 0; s < rows; s++ {
+		lo, hi := fb.Index[s], fb.Index[s+1]
+		if lo > hi || hi > int64(len(fb.Dsts)) {
+			return fmt.Errorf("core: block %d row %d spans [%d, %d)", i, s, lo, hi)
+		}
+		prev := fb.HubLo
+		for _, d := range fb.Dsts[lo:hi] {
+			if int(d) < fb.HubLo || int(d) >= fb.HubHi {
+				return fmt.Errorf("core: block %d destination %d out of range", i, d)
+			}
+			if int(d) < prev {
+				return fmt.Errorf("core: block %d row %d destinations descend (%d after %d)", i, s, d, prev)
+			}
+			prev = int(d)
+		}
+	}
+	return nil
 }
 
 // SaveFile writes ih to path, atomically replacing any existing file.

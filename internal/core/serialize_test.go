@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ihtl/internal/gen"
@@ -122,5 +123,40 @@ func TestReadIHTLRejectsCorruption(t *testing.T) {
 	bad[60] ^= 0xFF
 	if _, err := ReadIHTL(bytes.NewReader(bad)); err == nil {
 		t.Error("corrupt relabeling accepted")
+	}
+}
+
+// TestReadIHTLRejectsDescendingFlippedRow writes a v1 file whose one
+// flipped row lists two hubs in descending order: engines take a task's
+// destination bounds from its rows' first and last entries, so the
+// reader must refuse the row rather than let a push write outside them.
+func TestReadIHTLRejectsDescendingFlippedRow(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ih, err := Build(g, Params{HubsPerBlock: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := &ih.Blocks[0]
+	row := -1
+	for s := 0; s+1 < len(fb.Index); s++ {
+		if lo, hi := fb.Index[s], fb.Index[s+1]; hi-lo >= 2 && fb.Dsts[lo] != fb.Dsts[hi-1] {
+			row = s
+			break
+		}
+	}
+	if row < 0 {
+		t.Fatal("no flipped row holds two distinct hubs")
+	}
+	lo, hi := fb.Index[row], fb.Index[row+1]
+	fb.Dsts[lo], fb.Dsts[hi-1] = fb.Dsts[hi-1], fb.Dsts[lo]
+	var buf bytes.Buffer
+	if _, err := ih.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadIHTL(&buf); err == nil || !strings.Contains(err.Error(), "descend") {
+		t.Fatalf("descending flipped row: err = %v, want a refusal naming it", err)
 	}
 }

@@ -237,7 +237,7 @@ func transposeAdjacency(index []int64, nbrs []VID, pool *sched.Pool) ([]int64, [
 	bounds := sched.EdgeBalancedParts(index, sched.Parts(pool))
 	return sched.ScatterByKey(pool, len(index)-1, len(bounds)-1, func(_, part int, cursor []int64, out []VID) {
 		faultinject.Fire(faultinject.SiteBuildTranspose)
-		sched.ScatterRows(index, nbrs, bounds[part], bounds[part+1], 0, cursor, out)
+		sched.ScatterRows(index, nbrs, bounds[part], bounds[part+1], cursor, out)
 	})
 }
 

@@ -36,8 +36,9 @@ func forStatic(pool *Pool, n int, fn func(worker, lo, hi int)) {
 
 // ScatterByKey is the order-preserving counting scatter every
 // preprocessing transposition is built from: edge list → rows, CSR ↔
-// CSC, in-lists of hubs → flipped block, in-lists of the other
-// vertices → sparse block (twice).
+// CSC, in-lists of hubs → flipped block. (The iHTL sparse block is not
+// a transposition: its rows are short, so the build gathers and sorts
+// them in place.)
 //
 // The caller's items form one ascending sequence cut into nparts
 // contiguous parts. walk(worker, part, cursor, out) must visit the
@@ -96,18 +97,18 @@ func ScatterByKey(pool *Pool, numKeys, nparts int, walk func(worker, part int, c
 
 // ScatterRows is the ScatterByKey walk over rows [lo, hi) of an
 // adjacency in offset/value form: entry k of row r is an item with key
-// k-keyLo and value r. Visiting rows in ascending order is what makes
-// every list of a transposition ascending.
+// k and value r. Visiting rows in ascending order is what makes every
+// list of a transposition ascending.
 //
 //ihtl:noalloc
-func ScatterRows(index []int64, nbrs []uint32, lo, hi int, keyLo uint32, cursor []int64, out []uint32) {
+func ScatterRows(index []int64, nbrs []uint32, lo, hi int, cursor []int64, out []uint32) {
 	for r := lo; r < hi; r++ {
 		for _, k := range nbrs[index[r]:index[r+1]] {
-			c := cursor[k-keyLo]
+			c := cursor[k]
 			if out != nil {
 				out[c] = uint32(r)
 			}
-			cursor[k-keyLo] = c + 1
+			cursor[k] = c + 1
 		}
 	}
 }
