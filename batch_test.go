@@ -164,8 +164,8 @@ type denseStepper struct{ spmv.Stepper }
 // names in the first, in full in the second — must be bit for bit a
 // dense run's un-permuted in full. The same run through the analytics
 // driver must report those rows (Rows set, or nil for the run that
-// left the mode) and hold all +0.0 outside them. StaticFlipped makes
-// the two runs' sums reproducible at all.
+// left the mode) and hold all +0.0 outside them. The engines' static
+// flipped split makes the two runs' sums reproducible at all.
 func TestPublicAPIPPRActiveRowsUnpermute(t *testing.T) {
 	cfg := gen.DefaultWeb(200_000, 1002)
 	cfg.MeanOutDegree = 6 // the benchmark's web-sparse shape
@@ -175,7 +175,7 @@ func TestPublicAPIPPRActiveRowsUnpermute(t *testing.T) {
 	}
 	pool := ihtl.NewPool(2)
 	defer pool.Close()
-	eng, err := ihtl.NewEngineOpts(nil, g, pool, ihtl.Params{}, ihtl.EngineOptions{StaticFlipped: true})
+	eng, err := ihtl.NewEngineOpts(nil, g, pool, ihtl.Params{}, ihtl.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPublicAPIPPRActiveRowsUnpermute(t *testing.T) {
 	if len(ih.Blocks) == 0 {
 		t.Fatal("the web analog built no flipped block")
 	}
-	ce, err := core.NewEngineOpts(ih, pool, core.EngineOptions{StaticFlipped: true})
+	ce, err := core.NewEngine(ih, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,12 +97,11 @@ func requirePPREqual(t *testing.T, label string, got, want PPRResult) {
 }
 
 // TestPPRActiveRowsMatchDense is the differential table of the
-// active-row mode: on a StaticFlipped engine a run that leaves the mode
-// at iteration 3, one that never leaves it and one that follows the
-// row count all equal, bit for bit — ranks, deltas, iteration count —
-// the run that never enters it. So do they on the zero-block graph a
-// default build makes of these (resident) inputs, where stealing is as
-// reproducible as the static split. The table runs once per arm of the
+// active-row mode: a run that leaves the mode at iteration 3, one that
+// never leaves it and one that follows the row count all equal, bit for
+// bit — ranks, deltas, iteration count — the run that never enters it.
+// So do they on the zero-block graph a default build makes of these
+// (resident) inputs. The table runs once per arm of the
 // flat lane cells (their assembly where the CPU has AVX2, then the Go
 // twins), and every dense run must equal the first arm's too.
 func TestPPRActiveRowsMatchDense(t *testing.T) {
@@ -114,7 +113,7 @@ func TestPPRActiveRowsMatchDense(t *testing.T) {
 	}
 	var builds []build
 	for name, g := range activeTestGraphs(t) {
-		builds = append(builds, build{name, g, core.Params{HubsPerBlock: 64}, core.EngineOptions{StaticFlipped: true}})
+		builds = append(builds, build{name, g, core.Params{HubsPerBlock: 64}, core.EngineOptions{}})
 		if name == "rmat" || !testing.Short() { // one resident graph is enough under the race detector
 			builds = append(builds, build{name + "/resident", g, core.Params{}, core.EngineOptions{}})
 		}
@@ -244,7 +243,7 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 	deg := ih.OutDegrees()
 	sources := sourceCandidates(ih, deg)[:4]
 	opt := PageRankOptions{MaxIters: 12, Tol: -1, RedistributeDangling: true}
-	ref, err := core.NewEngineOpts(ih, testPool, core.EngineOptions{StaticFlipped: true})
+	ref, err := core.NewEngine(ih, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +256,9 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 		t.Fatal("the flat engine took no active-row step: nothing to fall back from")
 	}
 	for _, eo := range []core.EngineOptions{
-		{StaticFlipped: true, BlockEncoding: core.EncodingVarint},
-		{StaticFlipped: true, Phased: true},
-		{StaticFlipped: true, SparseKernel: core.SparsePB},
+		{BlockEncoding: core.EncodingVarint},
+		{Phased: true},
+		{SparseKernel: core.SparsePB},
 	} {
 		ce, err := core.NewEngineOpts(ih, testPool, eo)
 		if err != nil {
@@ -290,7 +289,7 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := core.NewShardedEngineOpts(sg, testPool, core.EngineOptions{StaticFlipped: true})
+	se, err := core.NewShardedEngine(sg, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +332,7 @@ func TestPPRActiveRowsFaultThenCleanRun(t *testing.T) {
 	sources := sourceCandidates(ih, deg)[:5]
 	opt := PageRankOptions{MaxIters: 10, Tol: -1, RedistributeDangling: true}
 	newEngine := func() *core.Engine {
-		e, err := core.NewEngineOpts(ih, testPool, core.EngineOptions{StaticFlipped: true})
+		e, err := core.NewEngine(ih, testPool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +393,7 @@ func TestPPRActiveRowsRollback(t *testing.T) {
 	deg := ih.OutDegrees()
 	sources := sourceCandidates(ih, deg)[:3]
 	ce, err := core.NewEngineOpts(ih, testPool, core.EngineOptions{
-		StaticFlipped: true, Health: spmv.HealthPolicy{Mode: spmv.HealthRollback},
+		Health: spmv.HealthPolicy{Mode: spmv.HealthRollback},
 	})
 	if err != nil {
 		t.Fatal(err)

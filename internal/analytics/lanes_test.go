@@ -35,9 +35,9 @@ func (c *countdownCtx) Err() error {
 }
 
 // laneTestEngine builds a core engine plus engine-ID-space degrees and
-// a set of k sources with outgoing edges. StaticFlipped pins the
-// flipped task → worker assignment: the bitwise lane-vs-solo contracts
-// below are only promised on deterministic engines.
+// a set of k sources with outgoing edges. The engine's static flipped
+// task → worker split is what the bitwise lane-vs-solo contracts below
+// rest on.
 func laneTestEngine(t *testing.T, scale, k int) (*core.Engine, []int, []int) {
 	t.Helper()
 	g := mustRMAT(t, scale, 8, 97)
@@ -45,7 +45,7 @@ func laneTestEngine(t *testing.T, scale, k int) (*core.Engine, []int, []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.NewEngineOpts(ih, testPool, core.EngineOptions{StaticFlipped: true})
+	e, err := core.NewEngine(ih, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +296,7 @@ func TestLanesRollbackNeverReEmits(t *testing.T) {
 		t.Fatal(berr)
 	}
 	e, err := core.NewEngineOpts(ih, testPool, core.EngineOptions{
-		Health:        spmv.HealthPolicy{Mode: spmv.HealthRollback},
-		StaticFlipped: true,
+		Health: spmv.HealthPolicy{Mode: spmv.HealthRollback},
 	})
 	if err != nil {
 		t.Fatal(err)

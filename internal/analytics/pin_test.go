@@ -143,7 +143,7 @@ func TestDriverPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipped, err := core.NewEngineOpts(flippedIH, pool, core.EngineOptions{StaticFlipped: true})
+	flipped, err := core.NewEngine(flippedIH, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,30 +165,54 @@ func TestDriverPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := core.NewShardedEngineOpts(sg, pool, core.EngineOptions{StaticFlipped: true})
+	sharded, err := core.NewShardedEngine(sg, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedDeg := make([]int, g.NumV)
-	for v, nv := range sg.NewID {
-		shardedDeg[nv] = g.OutDegree(graph.VID(v))
+	// The "-default" engines are a second build of each flipped graph
+	// under zero EngineOptions, held to the same digests: the static
+	// flipped split makes the bits a function of the graph and the
+	// worker count, not of the build or engine instance.
+	flippedIH2, err := core.Build(g, core.Params{HubsPerBlock: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped2, err := core.NewEngineOpts(flippedIH2, pool, core.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg2, err := core.BuildSharded(g, core.Params{HubsPerBlock: 64}, pool, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded2, err := core.NewShardedEngineOpts(sg2, pool, core.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardedDeg := func(sg *core.ShardedIHTL) []int {
+		deg := make([]int, g.NumV)
+		for v, nv := range sg.NewID {
+			deg[nv] = g.OutDegree(graph.VID(v))
+		}
+		return deg
 	}
 
 	engines := []struct {
-		name string
-		e    spmv.Stepper
-		deg  []int
+		name, pins string
+		e          spmv.Stepper
+		deg        []int
 	}{
-		{"pull", pull, outDegrees(g)},
-		{"flipped", flipped, flippedIH.OutDegrees()},
-		{"resident", resident, residentIH.OutDegrees()},
-		{"sharded2", sharded, shardedDeg},
+		{"pull", "pull", pull, outDegrees(g)},
+		{"flipped", "flipped", flipped, flippedIH.OutDegrees()},
+		{"resident", "resident", resident, residentIH.OutDegrees()},
+		{"sharded2", "sharded2", sharded, shardedDeg(sg)},
+		{"flipped-default", "flipped", flipped2, flippedIH2.OutDegrees()},
+		{"sharded2-default", "sharded2", sharded2, shardedDeg(sg2)},
 	}
 	for _, c := range engines {
 		for driver, got := range pinnedDrivers(t, c.e, c.deg, pool) {
-			key := c.name + "/" + driver
-			if want := driverPins[key]; got != want {
-				t.Errorf("%s: digest %s, want %s", key, got, want)
+			if want := driverPins[c.pins+"/"+driver]; got != want {
+				t.Errorf("%s/%s: digest %s, want %s", c.name, driver, got, want)
 			}
 		}
 	}

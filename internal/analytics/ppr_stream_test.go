@@ -192,7 +192,7 @@ func TestPPRStreamedMatchesBarrier(t *testing.T) {
 }
 
 // TestPPRStreamedRollbackAndResume runs both drivers on the daemon's
-// engine options (StaticFlipped, HealthRollback) over a graph with no
+// engine options (HealthRollback) over a graph with no
 // flipped block, against the Phased engine: a NaN poisoned into the
 // fourth step mid-way through its slots — after the streamed sweep has
 // written some of them into ranks and next — rolls each run back to its
@@ -201,7 +201,7 @@ func TestPPRStreamedMatchesBarrier(t *testing.T) {
 func TestPPRStreamedRollbackAndResume(t *testing.T) {
 	ih := residentPageRankGraph(t, 10)
 	p := newStreamPair(t, ih, testPool, core.EngineOptions{
-		StaticFlipped: true, Health: spmv.HealthPolicy{Mode: spmv.HealthRollback},
+		Health: spmv.HealthPolicy{Mode: spmv.HealthRollback},
 	})
 	slots, _ := p.stream.EpiSlots()
 	poison := func() {

@@ -25,8 +25,7 @@ func recoveryEngine(tb testing.TB, g *graph.Graph, hubsPerBlock int) (*core.Engi
 		tb.Fatal(err)
 	}
 	e, err := core.NewEngineOpts(ih, testPool, core.EngineOptions{
-		StaticFlipped: true,
-		Health:        spmv.HealthPolicy{Mode: spmv.HealthRollback},
+		Health: spmv.HealthPolicy{Mode: spmv.HealthRollback},
 	})
 	if err != nil {
 		tb.Fatal(err)

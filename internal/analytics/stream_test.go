@@ -116,7 +116,7 @@ func TestPageRankStreamedDeterministic(t *testing.T) {
 }
 
 // TestPageRankStreamedRollback runs the daemon's engine options
-// (StaticFlipped, HealthRollback) over a graph with no flipped block:
+// (HealthRollback) over a graph with no flipped block:
 // a NaN poisoned into the fourth Step — after the streamed epilogue has
 // written it into ranks and the second contribution buffer — rolls the
 // run back two iterations, to a checkpoint the current buffer is
@@ -126,7 +126,7 @@ func TestPageRankStreamedRollback(t *testing.T) {
 	ih := residentPageRankGraph(t, 11)
 	deg := ih.OutDegrees()
 	e := newStreamingEngine(t, ih, testPool, core.EngineOptions{
-		StaticFlipped: true, Health: spmv.HealthPolicy{Mode: spmv.HealthRollback},
+		Health: spmv.HealthPolicy{Mode: spmv.HealthRollback},
 	})
 	opt := PageRankOptions{MaxIters: 20, Tol: -1, RedistributeDangling: true, CheckpointEvery: 2}
 	clean, err := RunPageRank(e, deg, testPool, opt)

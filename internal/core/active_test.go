@@ -126,8 +126,7 @@ func requireActiveRows(t *testing.T, label string, ih *IHTL, active, touched spm
 // every row it reports touched holds the dense StepBatch's bits, every
 // other row is left as it was (and is all +0.0 in the dense result), and
 // touched is exactly the rows, hubs and sparse rows alike, with an
-// active in-neighbour. Integer lanes keep the sums schedule-independent,
-// so the table holds under stealing too.
+// active in-neighbour. Integer lanes keep the sums exact.
 func TestStepBatchActiveMatchesDense(t *testing.T) {
 	for name, g := range diffGraphs(t) {
 		ih, err := Build(g, Params{HubsPerBlock: 64})
@@ -190,30 +189,28 @@ func oddBlockIHTL(t *testing.T, g *graph.Graph) *IHTL {
 }
 
 // TestStepBatchActiveOddBlocks is the differential at B = 40 over three
-// or more blocks, at three workers, stealing and static: the per-block
-// word alignment of the hub bits is what keeps a merge clearing block
-// b's bits from racing a push into block b+1 (the race detector job
-// runs it), and touched must still name exactly the reached hubs.
+// or more blocks, at three workers: the per-block word alignment of the
+// hub bits is what keeps a merge clearing block b's bits from racing a
+// push into block b+1 (the race detector job runs it), and touched must
+// still name exactly the reached hubs.
 func TestStepBatchActiveOddBlocks(t *testing.T) {
 	pool := sched.NewPool(3)
 	defer pool.Close()
 	for _, name := range []string{"rmat", "web"} {
 		ih := oddBlockIHTL(t, diffGraphs(t)[name])
 		n := ih.NumV
-		for _, opt := range []EngineOptions{{}, {StaticFlipped: true}} {
-			e, err := NewEngineOpts(ih, pool, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range []int{1, 4, 8} {
-				for _, every := range []int{1000, 40, 3, 1} {
-					label := fmt.Sprintf("%s/B40/%d-blocks/%+v/k%d/1in%d", name, len(ih.Blocks), opt, k, every)
-					src, active := sparseLaneInput(uint64(31*k+every), n, k, every, every == 3)
-					want := make([]float64, n*k)
-					e.StepBatch(src, want, k)
-					got, touched := stepActive(t, label, e, src, active, k, nil)
-					requireActiveRows(t, label, ih, active, touched, got, want, k)
-				}
+		e, err := NewEngine(ih, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 4, 8} {
+			for _, every := range []int{1000, 40, 3, 1} {
+				label := fmt.Sprintf("%s/B40/%d-blocks/k%d/1in%d", name, len(ih.Blocks), k, every)
+				src, active := sparseLaneInput(uint64(31*k+every), n, k, every, every == 3)
+				want := make([]float64, n*k)
+				e.StepBatch(src, want, k)
+				got, touched := stepActive(t, label, e, src, active, k, nil)
+				requireActiveRows(t, label, ih, active, touched, got, want, k)
 			}
 		}
 	}
@@ -277,25 +274,23 @@ func TestStepBatchActiveEmptyBlock(t *testing.T) {
 	fb.Dsts = fb.Dsts[:0]
 	fb.Enc, fb.Sources = nil, 0
 	n := ih.NumV
-	for _, opt := range []EngineOptions{{}, {StaticFlipped: true}} {
-		e, err := NewEngineOpts(ih, pool, opt)
-		if err != nil {
-			t.Fatal(err)
+	e, err := NewEngine(ih, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.emptyBlocks) != 1 || e.emptyBlocks[0] != 1 {
+		t.Fatalf("empty blocks %v, want [1]", e.emptyBlocks)
+	}
+	for _, k := range []int{1, 8} {
+		label := fmt.Sprintf("k%d", k)
+		src, active := sparseLaneInput(uint64(53+k), n, k, 1, false)
+		want := make([]float64, n*k)
+		e.StepBatch(src, want, k)
+		if !spmv.SkipZeroLanes(want[fb.HubLo*k : fb.HubHi*k]) {
+			t.Fatalf("%s: the dense step left the empty block's hubs non-zero", label)
 		}
-		if len(e.emptyBlocks) != 1 || e.emptyBlocks[0] != 1 {
-			t.Fatalf("empty blocks %v, want [1]", e.emptyBlocks)
-		}
-		for _, k := range []int{1, 8} {
-			label := fmt.Sprintf("%+v/k%d", opt, k)
-			src, active := sparseLaneInput(uint64(53+k), n, k, 1, false)
-			want := make([]float64, n*k)
-			e.StepBatch(src, want, k)
-			if !spmv.SkipZeroLanes(want[fb.HubLo*k : fb.HubHi*k]) {
-				t.Fatalf("%s: the dense step left the empty block's hubs non-zero", label)
-			}
-			got, touched := stepActive(t, label, e, src, active, k, nil)
-			requireActiveRows(t, label, ih, active, touched, got, want, k)
-		}
+		got, touched := stepActive(t, label, e, src, active, k, nil)
+		requireActiveRows(t, label, ih, active, touched, got, want, k)
 	}
 }
 
@@ -392,7 +387,7 @@ func TestStepBatchActiveNotHonoured(t *testing.T) {
 // the same engine to be bit-identical to a fresh engine's: no staged
 // set, buffer lane, hub bit or barrier arrival survives the abort.
 func TestStepBatchActiveFaultThenClean(t *testing.T) {
-	e, _ := faultTestEngine(t, EngineOptions{StaticFlipped: true})
+	e, _ := faultTestEngine(t, EngineOptions{})
 	n, k := e.NumVertices(), 4
 	src, active := sparseLaneInput(23, n, k, 30, false)
 	want := make([]float64, n*k)

@@ -483,7 +483,7 @@ func encodingGraph(tb testing.TB) *IHTL {
 
 // BenchmarkBlockEncoding steps the fused engine over encodingGraph
 // under each block encoding on two workers, reporting ns per edge and
-// the modelled topology stream per edge (TopologyBytesPerStep). CI
+// the modelled topology stream per edge (topologyStreamBytes). CI
 // runs it at -benchtime 30x and fails if varint's ns/edge is above
 // 1.5× flat's: the packed rows were recorded at 1.23× flat, the LEB128
 // streams they replaced at 3.1×, so a decode regression shows here.
@@ -508,7 +508,7 @@ func BenchmarkBlockEncoding(b *testing.B) {
 				e.Step(src, dst)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ih.NumE), "ns/edge")
-			b.ReportMetric(float64(e.TopologyBytesPerStep())/float64(ih.NumE), "B/edge")
+			b.ReportMetric(float64(e.topologyStreamBytes())/float64(ih.NumE), "B/edge")
 		})
 	}
 }

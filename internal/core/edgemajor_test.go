@@ -396,7 +396,7 @@ func layoutCases(t *testing.T) []layoutCase {
 // SAME graph stepped with every block forced CSR, forced edge-major and
 // chosen by shape must equal the oracle (spmv.Pull on generated graphs,
 // the serial sweep on the hand-built fixture) bit for bit — fused and
-// phased, stealing and StaticFlipped, 1, 2 and 3 workers, each body of the edge-major pull's pair
+// phased, 1, 2 and 3 workers, each body of the edge-major pull's pair
 // loop (asmArms) — on integer, signed-zero, NaN/±Inf and all-zero
 // sources.
 func TestLayoutDifferential(t *testing.T) {
@@ -427,15 +427,13 @@ func TestLayoutDifferential(t *testing.T) {
 				for _, opt := range []EngineOptions{
 					{},
 					{Phased: true},
-					{StaticFlipped: true},
-					{StaticFlipped: true, Phased: true},
 				} {
 					opt.forceLayout = layout
 					e, err := NewEngineOpts(c.ih, pool, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("%s/w%d/%v/phased=%v static=%v sparse=%v", c.name, workers, layout, opt.Phased, opt.StaticFlipped, e.sparseKernel)
+					label := fmt.Sprintf("%s/w%d/%v/phased=%v sparse=%v", c.name, workers, layout, opt.Phased, e.sparseKernel)
 					if layout != layoutByShape {
 						for _, s := range e.BlockShapes() {
 							if s.Edges > 0 && s.Layout != layout {
@@ -512,9 +510,6 @@ func TestEdgeMajorStreamsAreLive(t *testing.T) {
 	for _, opt := range []EngineOptions{
 		{},
 		{Phased: true},
-		{StaticFlipped: true},
-		{SparseKernel: SparsePull},
-		{SparseKernel: SparsePull, Phased: true},
 	} {
 		opt.forceLayout = LayoutEdgeMajor
 		e, err := NewEngineOpts(ih, pool, opt)
@@ -583,7 +578,7 @@ func TestFootprintModelHandCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.TopologyBytesPerStep(); got != c.stream {
+		if got := e.topologyStreamBytes(); got != c.stream {
 			t.Errorf("%v: topology stream %d B, hand count %d", c.layout, got, c.stream)
 		}
 		if got, want := e.BytesPerStep(), c.stream+c.vertex+common; got != want {

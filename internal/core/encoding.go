@@ -192,7 +192,7 @@ func (e *Engine) initEncoding(enc BlockEncoding) {
 }
 
 // buildBlockTasksEnc is buildBlockTasks for the varint encoding: one
-// task per encoded chunk (the chunk IS the steal granule — a bounded,
+// task per encoded chunk (the chunk IS the task granule — a bounded,
 // cache-resident run of rows), skipping chunks with no edges. Each
 // task's hub destination bounds come from one construction-time decode
 // of its chunk.

@@ -16,18 +16,24 @@ import (
 // methods are the embedded step shell's (shell.go).
 //
 // By default the three phases run as a SINGLE fused pool dispatch:
-// workers claim flipped tasks and sparse partitions with range
-// stealing, and each flipped block's merge is gated only on that
-// block's completion counter — not on a global barrier. This is safe
-// because the destinations are disjoint: merges write dst[0, NumHubs)
-// and the sparse pull writes dst[DestLo, NumV). The pre-fusion
-// three-dispatch pipeline remains available via EngineOptions.Phased
-// for ablation.
+// each worker pushes its fixed share of the flipped tasks (flipBounds),
+// then claims sparse partitions with range stealing, and each flipped
+// block's merge is gated only on that block's completion counter — not
+// on a global barrier. This is safe because the destinations are
+// disjoint: merges write dst[0, NumHubs) and the sparse pull writes
+// dst[DestLo, NumV). The pre-fusion three-dispatch pipeline remains
+// available via EngineOptions.Phased for ablation.
 //
 // The driver is written once over the lane width k (StepBatch; Step is
 // k == 1) and picks a kernel per task or per part — never per edge —
 // from the block's layout, the width, and whether the step is an
 // active-row one; DESIGN.md §8 has the table.
+//
+// Which worker runs which flipped task is a pure function of the task
+// count and the worker count, merges fold the buffers in worker order,
+// and every sparse kernel sums each row in topology order, so Step and
+// StepBatch are bit-for-bit reproducible for a fixed worker count: the
+// contract the serving layer's replay guarantees are built on.
 //
 // The engine operates in iHTL (relabeled) vertex-ID space; use
 // IHTL.NewID/OldID or the PermuteToNew/PermuteToOld helpers to move
@@ -36,23 +42,26 @@ type Engine struct {
 	stepShell
 	ih *IHTL
 
-	// encoding is the resolved block encoding; varint (beside
-	// staticFlip) mirrors encoding == EncodingVarint for branch-cheap
-	// hot-path checks. Under varint the flipped tasks are encoded chunks
-	// walked straight into the hub buffer, and the sparse pull walks the
-	// row at sparseRowOff[i] straight into its sum; see encoding.go.
+	// encoding is the resolved block encoding; varint mirrors
+	// encoding == EncodingVarint for branch-cheap hot-path checks.
+	// Under varint the flipped tasks are encoded chunks walked straight
+	// into the hub buffer, and the sparse pull walks the row at
+	// sparseRowOff[i] straight into its sum; see encoding.go.
 	encoding     BlockEncoding
 	sparseRowOff []int64
 
 	// batch holds the hub buffers and dirty ranges, set to the width of
 	// the step in flight; see engine_batch.go.
 	batch batchState
-	// blockTasks are (block, source-chunk) pairs; a worker claims one
-	// at a time, so it processes a single flipped block at a time as
-	// §3.4 requires. Tasks are ordered by block, so the contiguous
-	// ranges handed out by the steal scheduler keep a worker inside
-	// one block's buffer as long as possible.
+	// blockTasks are (block, source-chunk) pairs; a worker runs one at
+	// a time, so it processes a single flipped block at a time as §3.4
+	// requires. Tasks are ordered by block, so each worker's contiguous
+	// share keeps it inside one block's buffer as long as possible.
 	blockTasks []blockTask
+	// flipBounds splits blockTasks into one contiguous share per
+	// worker: worker w runs tasks [flipBounds[w], flipBounds[w+1]) of
+	// every step (flipTaskBounds).
+	flipBounds []int
 	// tasksPerBlock[b] is the number of blockTasks targeting block b;
 	// it arms the per-block completion counters each step.
 	tasksPerBlock []int
@@ -72,22 +81,15 @@ type Engine struct {
 	auxSched   *sched.StealScheduler
 	binBarrier *sched.Barrier
 
-	// Fused-dispatch state. flipSched and sparseSched are persistent
-	// per-engine steal schedulers (allocated once, Reset per step);
-	// blockGate holds one countdown latch per flipped block.
-	flipSched   *sched.StealScheduler
+	// Fused-dispatch state. sparseSched is a persistent per-engine
+	// steal scheduler (allocated once, Reset per step); blockGate holds
+	// one countdown latch per flipped block.
 	sparseSched *sched.StealScheduler
 	blockGate   *sched.Countdowns
-	// staticFlip (EngineOptions.StaticFlipped) replaces flipped-task
-	// stealing with the fixed per-worker ranges in flipBounds;
-	// flipCursors are the per-step claim positions.
-	staticFlip bool
-	// varint sits in staticFlip's padding, not beside encoding: the 8
-	// bytes that frees ahead of batch pay for batchState.prefetch, so no
-	// field after batch moves (DESIGN.md §8, "Prefetching the lanes").
-	varint      bool
-	flipBounds  []int
-	flipCursors []flipCursor
+	// varint sits after batch, not beside encoding, so batch keeps the
+	// offset it had before batchState.prefetch (DESIGN.md §8,
+	// "Prefetching the lanes").
+	varint bool
 	// fusedJob is the prebuilt worker body (capturing only e), so a
 	// fused step allocates nothing.
 	fusedJob func(w int)
@@ -182,14 +184,6 @@ func rowsDstRange(index []int64, dsts []graph.VID, lo, hi int) (dLo, dHi int) {
 // dirtyRange is a half-open hub interval; empty when hi <= lo.
 type dirtyRange struct {
 	lo, hi int
-}
-
-// flipCursor is one worker's claim position inside its static
-// flipped-task range (StaticFlipped engines), padded to a cache line
-// so neighbouring workers' claims do not share one.
-type flipCursor struct {
-	next, hi int
-	_        [6]int64
 }
 
 // workerClock is one worker's per-phase busy time, padded to a cache
@@ -295,17 +289,13 @@ type EngineOptions struct {
 	// O(workers x NumHubs) merge sweep — for ablating the fused
 	// single-dispatch pipeline.
 	Phased bool
-	// StaticFlipped pins the flipped-task → worker assignment to a
-	// fixed partition instead of range stealing. Merges already fold
-	// worker buffers in ascending worker order and every sparse kernel
-	// sums each destination in an order that is a pure function of the
-	// topology, so with this option the ONLY remaining source of
-	// run-to-run float variance — which worker accumulated which
-	// partial sum — is gone: Step and StepBatch become bit-for-bit
-	// reproducible across runs for a fixed worker count. The serving
-	// layer's replay guarantees (checkpoint warm restart, coalesced
-	// lane == solo run) are built on this mode; the price is losing
-	// the steal scheduler's load balancing on skewed blocks.
+	// StaticFlipped is read by no code: every engine splits its
+	// flipped tasks into fixed per-worker shares, so Step and StepBatch
+	// are bit-for-bit reproducible for a fixed worker count whatever
+	// this says.
+	//
+	// Deprecated: the static split it selected is the only flipped
+	// schedule. Leave it unset.
 	StaticFlipped bool
 	// Health arms the opt-in numeric watchdog: the SpMV result vector
 	// is scanned for NaN/±Inf after each step, fused into the epilogue
@@ -394,7 +384,7 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 	e.initEncoding(opt.BlockEncoding)
 	if e.varint {
 		// One task per encoded chunk: a bounded, cache-resident run of
-		// rows, so it is the steal granule.
+		// rows, so it is the schedule's granule.
 		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasksEnc(ih)
 	} else {
 		// Edge-balanced source chunks per flipped block: the per-block
@@ -408,16 +398,7 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 	if err := e.initLayouts(opt.forceLayout); err != nil {
 		return nil, fmt.Errorf("core: building edge-major streams: %w", err)
 	}
-	if opt.StaticFlipped {
-		e.staticFlip = true
-		e.flipBounds = make([]int, nworkers+1)
-		for wi := 0; wi < nworkers; wi++ {
-			lo, hi := sched.SplitRange(len(e.blockTasks), nworkers, wi)
-			e.flipBounds[wi], e.flipBounds[wi+1] = lo, hi
-		}
-		e.flipCursors = make([]flipCursor, nworkers)
-	}
-	e.flipSched = sched.NewStealScheduler(nworkers)
+	e.flipBounds = flipTaskBounds(len(e.blockTasks), nworkers)
 	e.sparseSched = sched.NewStealScheduler(nworkers)
 	e.blockGate = sched.NewCountdowns(len(ih.Blocks))
 	e.clocks = make([]workerClock, nworkers)
@@ -449,7 +430,6 @@ func (e *Engine) recoverDriver() {
 	for w := range e.clocks {
 		e.clocks[w] = workerClock{}
 	}
-	e.resetFlipCursors()
 }
 
 // stepFused runs all of Algorithm 3 as one pool dispatch; see
@@ -474,44 +454,10 @@ func (e *Engine) stepFused(src, dst []float64) {
 //
 //ihtl:noalloc
 func (e *Engine) stage(src, dst []float64) {
-	e.flipSched.Reset(len(e.blockTasks))
-	e.resetFlipCursors()
 	e.resetSparseScheds()
 	e.blockGate.Reset(e.tasksPerBlock)
 	clear(e.batch.touched)
 	e.curSrc, e.curDst = src, dst
-}
-
-// resetFlipCursors rearms the static flipped-task claim positions for
-// one step; a no-op on stealing engines (flipCursors is nil).
-//
-//ihtl:noalloc
-func (e *Engine) resetFlipCursors() {
-	for w := range e.flipCursors {
-		e.flipCursors[w].next = e.flipBounds[w]
-		e.flipCursors[w].hi = e.flipBounds[w+1]
-	}
-}
-
-// claimFlip hands worker w its next flipped-task range: by range
-// stealing normally, or — on a StaticFlipped engine — the next task of
-// the worker's fixed share, which keeps the task → worker assignment
-// (and with it every buffer's partial-sum operand set) a pure function
-// of the topology and worker count. The granule matches the stealing
-// path's, so abort latency is unchanged.
-//
-//ihtl:noalloc
-func (e *Engine) claimFlip(w int) (lo, hi int, ok bool) {
-	if e.staticFlip {
-		c := &e.flipCursors[w]
-		if c.next >= c.hi {
-			return 0, 0, false
-		}
-		lo = c.next
-		c.next++
-		return lo, c.next, true
-	}
-	return e.flipSched.Next(w, 1)
 }
 
 // unstage clears the staged vectors and folds the per-worker phase
@@ -521,95 +467,6 @@ func (e *Engine) claimFlip(w int) (lo, hi int, ok bool) {
 func (e *Engine) unstage() {
 	e.curSrc, e.curDst = nil, nil
 	e.harvestClocks()
-}
-
-// fusedWorker is one worker's share of a fused step, at whatever width
-// the batch state is set to:
-//
-//  1. claim flipped tasks by range stealing, accumulating into the
-//     worker's private hub buffer — buf[d*k : d*k+k] for hub d — and
-//     widening the dirty hub range per block by the task's precomputed
-//     destination bounds (an active-row step sets a bit per hub pushed
-//     into instead);
-//  2. whenever a task completes its block (per-block countdown), merge
-//     that block immediately — only buffers with non-empty dirty
-//     ranges are read (only the hubs whose bits are set, in an
-//     active-row step), and the hub slots are owned exclusively because
-//     every task of the block has finished;
-//  3. when no flipped work remains anywhere, claim sparse partitions
-//     by range stealing and pull them — on a streamed step, scanning
-//     and finishing each part as an epilogue slot right there;
-//  4. otherwise, if an epilogue or a watchdog scan is staged,
-//     cross the epilogue barrier and run the worker's slots of it.
-//
-// No phase barrier exists between 1-3: a worker can be pulling sparse
-// partitions while another still pushes a flipped block, because their
-// dst ranges are disjoint ([0, NumHubs) vs [DestLo, NumV)).
-//
-// Phase clocks are read once per loop, not per task: flipped busy time
-// is the whole claim loop (steal overhead included) minus the merges
-// nested inside it.
-//
-//ihtl:noalloc
-func (e *Engine) fusedWorker(w int) {
-	ih := e.ih
-	b := &e.batch
-	k := b.k
-	src, dst := e.curSrc, e.curDst
-	t0 := time.Now()
-	if w == 0 && b.active == nil {
-		// Blocks with no edges are never merged; their hub slots are
-		// still SpMV outputs (sums over zero terms) and must be zeroed —
-		// except by an active-row step, which writes only rows it
-		// reached.
-		for _, blk := range e.emptyBlocks {
-			fb := &ih.Blocks[blk]
-			clear(dst[fb.HubLo*k : fb.HubHi*k])
-		}
-	}
-	nb := len(ih.Blocks)
-	buf := b.bufs[w]
-	var mergeTime time.Duration
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.claimFlip(w)
-		if !ok {
-			break
-		}
-		for ti := lo; ti < hi; ti++ {
-			faultinject.Fire(faultinject.SiteFlippedTask)
-			bt := &e.blockTasks[ti]
-			if b.active != nil {
-				pushTaskActive(k, bt, &ih.Blocks[bt.block], b.active, src, buf, b.blockHubBits(w, bt.block, nb))
-			} else {
-				e.pushTaskBatch(k, bt, src, buf)
-				if bt.dHi > bt.dLo {
-					dr := &b.dirty[w*nb+bt.block]
-					if dr.hi <= dr.lo {
-						dr.lo, dr.hi = bt.dLo, bt.dHi
-					} else {
-						if bt.dLo < dr.lo {
-							dr.lo = bt.dLo
-						}
-						if bt.dHi > dr.hi {
-							dr.hi = bt.dHi
-						}
-					}
-				}
-			}
-			if e.blockGate.Done(bt.block) {
-				faultinject.Fire(faultinject.SiteMergeBlock)
-				tm := time.Now()
-				e.mergeBlock(bt.block, dst)
-				mergeTime += time.Since(tm)
-			}
-		}
-	}
-	t1 := time.Now()
-	clk := &e.clocks[w]
-	clk.flipped += t1.Sub(t0) - mergeTime
-	clk.merge += mergeTime
-	e.sparseWorker(w, src, dst)
-	e.runEpilogue(w)
 }
 
 // mergeBlock folds every worker's dirty hub range of block blk into
@@ -646,6 +503,92 @@ func (e *Engine) mergeBlock(blk int, dst []float64) {
 	}
 }
 
+// fusedWorker is one worker's share of a fused step, at whatever width
+// the batch state is set to:
+//
+//  1. run the worker's share of the flipped tasks (flipBounds), one
+//     task at a time, accumulating into the worker's private hub
+//     buffer — buf[d*k : d*k+k] for hub d — and widening the dirty hub
+//     range per block by the task's precomputed destination bounds (an
+//     active-row step sets a bit per hub pushed into instead);
+//  2. whenever a task completes its block (per-block countdown), merge
+//     that block immediately — only buffers with non-empty dirty
+//     ranges are read (only the hubs whose bits are set, in an
+//     active-row step), and the hub slots are owned exclusively because
+//     every task of the block has finished;
+//  3. when its share is done, claim sparse partitions by range
+//     stealing and pull them — on a streamed step, scanning and
+//     finishing each part as an epilogue slot right there;
+//  4. otherwise, if an epilogue or a watchdog scan is staged,
+//     cross the epilogue barrier and run the worker's slots of it.
+//
+// No phase barrier exists between 1-3: a worker can be pulling sparse
+// partitions while another still pushes a flipped block, because their
+// dst ranges are disjoint ([0, NumHubs) vs [DestLo, NumV)).
+//
+// A worker whose share finishes early moves on to the sparse parts, so
+// the sparse phase's stealing absorbs the flipped shares' imbalance.
+// Abort is checked once per task.
+//
+// Phase clocks are read once per loop, not per task: flipped busy time
+// is the whole task loop minus the merges nested inside it.
+//
+//ihtl:noalloc
+func (e *Engine) fusedWorker(w int) {
+	ih := e.ih
+	b := &e.batch
+	k := b.k
+	src, dst := e.curSrc, e.curDst
+	t0 := time.Now()
+	if w == 0 && b.active == nil {
+		// Blocks with no edges are never merged; their hub slots are
+		// still SpMV outputs (sums over zero terms) and must be zeroed —
+		// except by an active-row step, which writes only rows it
+		// reached.
+		for _, blk := range e.emptyBlocks {
+			fb := &ih.Blocks[blk]
+			clear(dst[fb.HubLo*k : fb.HubHi*k])
+		}
+	}
+	nb := len(ih.Blocks)
+	buf := b.bufs[w]
+	var mergeTime time.Duration
+	for ti := e.flipBounds[w]; ti < e.flipBounds[w+1] && !e.pool.Aborted(); ti++ {
+		faultinject.Fire(faultinject.SiteFlippedTask)
+		bt := &e.blockTasks[ti]
+		if b.active != nil {
+			pushTaskActive(k, bt, &ih.Blocks[bt.block], b.active, src, buf, b.blockHubBits(w, bt.block, nb))
+		} else {
+			e.pushTaskBatch(k, bt, src, buf)
+			if bt.dHi > bt.dLo {
+				dr := &b.dirty[w*nb+bt.block]
+				if dr.hi <= dr.lo {
+					dr.lo, dr.hi = bt.dLo, bt.dHi
+				} else {
+					if bt.dLo < dr.lo {
+						dr.lo = bt.dLo
+					}
+					if bt.dHi > dr.hi {
+						dr.hi = bt.dHi
+					}
+				}
+			}
+		}
+		if e.blockGate.Done(bt.block) {
+			faultinject.Fire(faultinject.SiteMergeBlock)
+			tm := time.Now()
+			e.mergeBlock(bt.block, dst)
+			mergeTime += time.Since(tm)
+		}
+	}
+	t1 := time.Now()
+	clk := &e.clocks[w]
+	clk.flipped += t1.Sub(t0) - mergeTime
+	clk.merge += mergeTime
+	e.sparseWorker(w, src, dst)
+	e.runEpilogue(w)
+}
+
 // harvestClocks folds the per-worker phase clocks into the breakdown
 // and resets them. Called after the dispatch completes, so no worker
 // is concurrently writing.
@@ -677,22 +620,15 @@ func (e *Engine) stepPhased(src, dst []float64) {
 
 	// Phase 1 — push traversal of the flipped blocks (Alg. 3 l.1-4).
 	t0 := time.Now()
-	pushTask := func(w, task int) {
-		e.pushTaskBatch(k, &e.blockTasks[task], src, b.bufs[w])
-	}
-	if e.staticFlip {
-		// Pinned task → worker assignment: each buffer accumulates
-		// a fixed operand set, and phase 2 folds buffers in fixed
-		// order, so the phased pipeline is bit-reproducible too.
-		e.pool.Run(func(w int) {
-			for task := e.flipBounds[w]; task < e.flipBounds[w+1]; task++ {
-				faultinject.Fire(faultinject.SiteFlippedTask)
-				pushTask(w, task)
-			}
-		})
-	} else {
-		e.pool.ForEachPart(len(e.blockTasks), pushTask)
-	}
+	// Each worker runs its fixed share (flipBounds), and phase 2 folds
+	// the buffers in worker order, so the phased pipeline is
+	// bit-reproducible too.
+	e.pool.Run(func(w int) {
+		for ti := e.flipBounds[w]; ti < e.flipBounds[w+1]; ti++ {
+			faultinject.Fire(faultinject.SiteFlippedTask)
+			e.pushTaskBatch(k, &e.blockTasks[ti], src, b.bufs[w])
+		}
+	})
 	t1 := time.Now()
 
 	// Phase 2 — aggregate thread buffers into hub data (l.5-7),
@@ -741,6 +677,20 @@ func (e *Engine) stepPhased(src, dst []float64) {
 	e.breakdown.Merge += t2.Sub(t1)
 	e.breakdown.Sparse += t3.Sub(t2)
 	e.breakdown.Wall += t3.Sub(t0)
+}
+
+// flipTaskBounds splits ntasks flipped tasks into nworkers contiguous
+// shares, near-equal in task count (sched.SplitRange): worker w runs
+// tasks [b[w], b[w+1]) of every step. Every worker's hub buffer thus
+// accumulates a fixed operand set in a fixed order, which is what makes
+// a step's bits a pure function of the topology and the worker count.
+// Both engine types take their shares from here.
+func flipTaskBounds(ntasks, nworkers int) []int {
+	b := make([]int, nworkers+1)
+	for w := 0; w < nworkers; w++ {
+		_, b[w+1] = sched.SplitRange(ntasks, nworkers, w)
+	}
+	return b
 }
 
 // PermuteToNew scatters a vector indexed by original IDs into iHTL ID

@@ -7,11 +7,13 @@ import "ihtl/internal/spmv"
 // stream each block's CSR/CSC (8-byte index entries, 4-byte vertex
 // IDs) — or, for a block walked edge-major, the vertex IDs and the
 // half-byte-per-edge adv stream and NOT the index (the kernels read two
-// index entries per task, which are not charged); varint engines stream the encoded chunks (data plus chunk
-// tables) and, on the sparse side, the per-row byte offsets; they
-// decode into registers, so there is no scratch to account for. The
-// propagation-blocked kernel runs from its own transposed arrays under
-// either encoding.
+// index entries per task, which are not charged); varint engines stream
+// the encoded chunks (data plus chunk tables) and, on the sparse side,
+// the per-row byte offsets; they decode into registers, so there is no
+// scratch to account for. The propagation-blocked kernel runs from its
+// own transposed arrays under either encoding. It is the half of
+// BytesPerStep the encoding changes, so BenchmarkBlockEncoding and the
+// encoding tests read their B/edge from it alone.
 func (e *Engine) topologyStreamBytes() int64 {
 	ih := e.ih
 	var total int64
@@ -114,14 +116,6 @@ func (e *Engine) BytesPerStep() int64 {
 	}
 	return total
 }
-
-// TopologyBytesPerStep returns only the topology-stream half of
-// BytesPerStep — the bytes the encoding actually changes.
-// BenchmarkBlockEncoding and the encoding tests read their B/edge
-// from this: vertex-data traffic is identical under both
-// encodings, so including it would dilute the compression ratio
-// into an apples-to-oranges number.
-func (e *Engine) TopologyBytesPerStep() int64 { return e.topologyStreamBytes() }
 
 // ResidentTopologyBytes returns the bytes of topology the engine needs
 // resident in memory to run: always the per-block index arrays (the

@@ -55,8 +55,11 @@ func signedVec(seed uint64, n int) []float64 {
 // values the differential suites step. optionMatrix fails on a field
 // that is missing here, so an option cannot land without its rows.
 var optionValues = map[string][]any{
-	"Phased":        {false, true},
-	"StaticFlipped": {false, true},
+	"Phased": {false, true},
+	// Deprecated and read by no code: every engine splits its flipped
+	// tasks statically (TestFaultDelayedFlippedTaskBitIdentical shows
+	// that setting it changes nothing).
+	"StaticFlipped": {false},
 	// Every differential input is finite, so an armed watchdog scans
 	// and must change nothing; Rollback is the mode the daemon runs.
 	"Health":       {spmv.HealthPolicy{}, spmv.HealthPolicy{Mode: spmv.HealthRollback}},
@@ -326,7 +329,6 @@ func FuzzStepDifferential(f *testing.F) {
 			{forceLayout: LayoutCSR},
 			{forceLayout: LayoutEdgeMajor},
 			{forceLayout: LayoutEdgeMajor, Phased: true},
-			{forceLayout: LayoutEdgeMajor, SparseKernel: SparsePull, StaticFlipped: true},
 		} {
 			e, err := NewEngineOpts(ih, pool, opt)
 			if err != nil {
@@ -338,7 +340,7 @@ func FuzzStepDifferential(f *testing.F) {
 
 		// K lanes through one traversal against K scalar Steps, flat and
 		// packed, fused and phased, pulled and propagation-blocked.
-		varint, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingVarint, StaticFlipped: true})
+		varint, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingVarint})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +493,7 @@ func TestStreamedStepEpiAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []EngineOptions{{}, {StaticFlipped: true, Health: spmv.HealthPolicy{Mode: spmv.HealthRollback}}} {
+	for _, opt := range []EngineOptions{{}, {Health: spmv.HealthPolicy{Mode: spmv.HealthRollback}}} {
 		e, err := NewEngineOpts(ih, testPool, opt)
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"ihtl/internal/gen"
 	"ihtl/internal/graph"
 	"ihtl/internal/sched"
 )
@@ -12,8 +13,8 @@ import (
 // version, a v2 file through parseV2: arbitrary bytes must either fail
 // cleanly or decode into a structurally sound iHTL graph (inverse
 // relabeling arrays, in-range block destinations, edge conservation —
-// all checked inside), and a raw v2 file that is accepted must be safe
-// under the kernels that will walk it unchecked.
+// all checked inside), and a v1 or raw v2 file that is accepted must be
+// safe under the flat kernels that will walk it unchecked.
 func FuzzReadIHTL(f *testing.F) {
 	ih, err := Build(graph.PaperExample(), Params{HubsPerBlock: 2})
 	if err != nil {
@@ -41,6 +42,29 @@ func FuzzReadIHTL(f *testing.F) {
 	data = append([]byte(nil), buf.Bytes()...)
 	data[len(data)-64] ^= 0x0F
 	f.Add(data)
+	// A v1 file of an R-MAT build with several flipped blocks and a
+	// sparse block of many rows, whole and with two sparse offsets
+	// swapped (TestReadIHTLRejectsBrokenSparseRows).
+	rg, err := gen.RMAT(gen.DefaultRMAT(8, 6, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flip, err := Build(rg, Params{HubsPerBlock: 16})
+	if err != nil || len(flip.Blocks) < 2 {
+		f.Fatal(err, len(flip.Blocks))
+	}
+	buf.Reset()
+	if _, err := flip.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	sp := &flip.Sparse
+	sp.Index[1], sp.Index[2] = sp.Index[2], sp.Index[1]
+	buf.Reset()
+	if _, err := flip.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 
 	pool := sched.NewPool(1)
 	f.Cleanup(pool.Close)
@@ -52,14 +76,15 @@ func FuzzReadIHTL(f *testing.F) {
 		if got.FlippedEdges()+got.Sparse.NumEdges() != got.NumE {
 			t.Fatal("decoder accepted inconsistent edge counts")
 		}
-		if !got.resident {
+		if got.EncodedOnly() {
 			return
 		}
-		// An accepted raw file is stepped as it is, by the unchecked flat
-		// kernels (-tags=ihtlchecked: a stray access panics).
+		// An accepted v1 or raw v2 file is stepped as it is, by the
+		// unchecked flat kernels (-tags=ihtlchecked: a stray access
+		// panics).
 		e, err := NewEngineOpts(got, pool, EngineOptions{})
 		if err != nil {
-			t.Fatalf("accepted raw file builds no engine: %v", err)
+			t.Fatalf("accepted flat file builds no engine: %v", err)
 		}
 		e.Step(integerVec(1, got.NumV), make([]float64, got.NumV))
 		e.StepBatch(integerVec(2, 4*got.NumV), make([]float64, 4*got.NumV), 4)

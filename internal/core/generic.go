@@ -15,10 +15,12 @@ import (
 // flipped-block locality for the in-hubs.
 //
 // Like the float64 Engine, a StepMonoid is one fused pool dispatch:
-// stolen flipped tasks, per-block countdown-gated merges over dirty
-// hub ranges, then the sparse pull — no inter-phase barriers. The
-// merge may skip buffers a worker never touched because
-// Combine(acc, Identity) == acc.
+// each worker's fixed share of the flipped tasks (the Engine's split,
+// flipTaskBounds), per-block countdown-gated merges over dirty hub
+// ranges, then the sparse pull — no inter-phase barriers — so a step's
+// result is a pure function of the inputs and the worker count even
+// for a Combine that does not associate exactly. The merge may skip
+// buffers a worker never touched because Combine(acc, Identity) == acc.
 type GenericEngine[T any] struct {
 	ih   *IHTL
 	pool *sched.Pool
@@ -26,11 +28,11 @@ type GenericEngine[T any] struct {
 
 	bufs          [][]T
 	blockTasks    []blockTask
+	flipBounds    []int
 	tasksPerBlock []int
 	emptyBlocks   []int
 	sparseBounds  []int
 
-	flipSched      *sched.StealScheduler
 	sparseSched    *sched.StealScheduler
 	blockGate      *sched.Countdowns
 	dirty          []dirtyRange
@@ -60,7 +62,7 @@ func NewGenericEngine[T any](ih *IHTL, pool *sched.Pool, m spmv.Monoid[T]) (*Gen
 		e.sparseBounds = sched.EdgeBalancedParts(ih.Sparse.Index, pool.Workers()*4)
 	}
 	w := pool.Workers()
-	e.flipSched = sched.NewStealScheduler(w)
+	e.flipBounds = flipTaskBounds(len(e.blockTasks), w)
 	e.sparseSched = sched.NewStealScheduler(w)
 	e.blockGate = sched.NewCountdowns(len(ih.Blocks))
 	e.dirty = make([]dirtyRange, w*len(ih.Blocks))
@@ -79,7 +81,6 @@ func (e *GenericEngine[T]) StepMonoid(src, dst []T) {
 	if len(src) != ih.NumV || len(dst) != ih.NumV {
 		panic("core: vector length mismatch")
 	}
-	e.flipSched.Reset(len(e.blockTasks))
 	if n := len(e.sparseBounds) - 1; n > 0 {
 		e.sparseSched.Reset(n)
 	}
@@ -89,10 +90,11 @@ func (e *GenericEngine[T]) StepMonoid(src, dst []T) {
 	e.curSrc, e.curDst = nil, nil
 }
 
-// fusedWorker mirrors Engine.fusedWorkerBuffered for an arbitrary
-// monoid: stolen flipped tasks accumulate into the worker's private
+// fusedWorker mirrors Engine.fusedWorker for an arbitrary monoid: the
+// worker's share of the flipped tasks accumulates into its private
 // buffer with dirty-range tracking, the block's last finisher merges
-// it, and exhausted workers move straight on to the sparse pull.
+// it, and a worker whose share is done moves straight on to the sparse
+// pull.
 //
 //ihtl:noalloc
 func (e *GenericEngine[T]) fusedWorker(w int) {
@@ -109,42 +111,36 @@ func (e *GenericEngine[T]) fusedWorker(w int) {
 	}
 	nb := len(ih.Blocks)
 	buf := e.bufs[w]
-	for {
-		lo, hi, ok := e.flipSched.Next(w, 1)
-		if !ok {
-			break
+	for ti := e.flipBounds[w]; ti < e.flipBounds[w+1] && !e.pool.Aborted(); ti++ {
+		bt := &e.blockTasks[ti]
+		fb := &ih.Blocks[bt.block]
+		dsts := fb.Dsts
+		for s := bt.lo; s < bt.hi; s++ {
+			elo, ehi := fb.Index[s], fb.Index[s+1]
+			if elo == ehi {
+				continue
+			}
+			x := src[s]
+			for i := elo; i < ehi; i++ {
+				d := dsts[i]
+				buf[d] = m.Combine(buf[d], m.Apply(x, graph.VID(s), d))
+			}
 		}
-		for ti := lo; ti < hi; ti++ {
-			bt := &e.blockTasks[ti]
-			fb := &ih.Blocks[bt.block]
-			dsts := fb.Dsts
-			for s := bt.lo; s < bt.hi; s++ {
-				elo, ehi := fb.Index[s], fb.Index[s+1]
-				if elo == ehi {
-					continue
+		if bt.dHi > bt.dLo {
+			dr := &e.dirty[w*nb+bt.block]
+			if dr.hi <= dr.lo {
+				dr.lo, dr.hi = bt.dLo, bt.dHi
+			} else {
+				if bt.dLo < dr.lo {
+					dr.lo = bt.dLo
 				}
-				x := src[s]
-				for i := elo; i < ehi; i++ {
-					d := dsts[i]
-					buf[d] = m.Combine(buf[d], m.Apply(x, graph.VID(s), d))
+				if bt.dHi > dr.hi {
+					dr.hi = bt.dHi
 				}
 			}
-			if bt.dHi > bt.dLo {
-				dr := &e.dirty[w*nb+bt.block]
-				if dr.hi <= dr.lo {
-					dr.lo, dr.hi = bt.dLo, bt.dHi
-				} else {
-					if bt.dLo < dr.lo {
-						dr.lo = bt.dLo
-					}
-					if bt.dHi > dr.hi {
-						dr.hi = bt.dHi
-					}
-				}
-			}
-			if e.blockGate.Done(bt.block) {
-				e.mergeBlock(bt.block, dst)
-			}
+		}
+		if e.blockGate.Done(bt.block) {
+			e.mergeBlock(bt.block, dst)
 		}
 	}
 	// Sparse pull; dst range disjoint from every merge.

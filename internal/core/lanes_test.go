@@ -93,13 +93,17 @@ func requireLanesMatchScalar(t *testing.T, e laneStepper, lanes [][]float64, dst
 // TestLaneKernelsMatchScalarStep is the differential table of the
 // K-lane kernels: the fixed-width bodies (flat at 8, packed at 4), the
 // run-time-K loop at the same widths on the other encoding and at their
-// neighbours (2, 3, 5, 9), both pipelines, stolen and pinned flipped
-// tasks, 1-3 workers — StepBatch lane j ==
-// scalar Step on lane j. Widths 4 and 8 run once more with the Go twins
-// forced where the flat cells run assembly (the "/go-twins" rows). On
-// the web graph the scalar engine walks its short-row blocks
-// edge-major, so a different loop shape is the oracle for the CSR lane
-// kernels.
+// neighbours (2, 3, 5, 9), both pipelines, 1-3 workers — StepBatch
+// lane j == scalar Step on lane j. The scalar Steps run on the batch's
+// own engine ("static=false" rows) and on a second engine built with the
+// same options ("static=true" rows): the static split of the flipped
+// tasks makes the bits a function of the topology and the worker count,
+// not of the engine, which is what lets a daemon slot's coalesced lane
+// equal a solo run on another slot. Widths 4 and 8 run once more with
+// the Go twins forced where the flat cells run assembly (the
+// "/go-twins" rows). On the web graph the scalar engine walks its
+// short-row blocks edge-major, so a different loop shape is the oracle
+// for the CSR lane kernels.
 func TestLaneKernelsMatchScalarStep(t *testing.T) {
 	graphs := diffGraphs(t)
 	arms := asmArms(t)
@@ -120,23 +124,29 @@ func TestLaneKernelsMatchScalarStep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				other, err := NewEngineOpts(ih, pool, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, k := range []int{2, 3, 4, 5, 8, 9} {
 					for _, arm := range arms {
-						label := fmt.Sprintf("%s/w%d/%v/phased=%v/static=%v/k%d", name, workers, e.Encoding(), opt.Phased, opt.StaticFlipped, k)
-						if arm != arms[0] {
-							if k != 4 && k != 8 {
-								continue
+						for _, scalar := range []*Engine{e, other} {
+							label := fmt.Sprintf("%s/w%d/%v/phased=%v/static=%v/k%d", name, workers, e.Encoding(), opt.Phased, scalar == other, k)
+							if arm != arms[0] {
+								if k != 4 && k != 8 {
+									continue
+								}
+								label += "/go-twins"
 							}
-							label += "/go-twins"
+							t.Run(label, func(t *testing.T) {
+								ForceGoTwins(arm == "go")
+								defer ForceGoTwins(false)
+								lanes, src := laneInputs(42, ih.NumV, k)
+								dst := make([]float64, ih.NumV*k)
+								e.StepBatch(src, dst, k)
+								requireLanesMatchScalar(t, scalar, lanes, dst)
+							})
 						}
-						t.Run(label, func(t *testing.T) {
-							ForceGoTwins(arm == "go")
-							defer ForceGoTwins(false)
-							lanes, src := laneInputs(42, ih.NumV, k)
-							dst := make([]float64, ih.NumV*k)
-							e.StepBatch(src, dst, k)
-							requireLanesMatchScalar(t, e, lanes, dst)
-						})
 					}
 				}
 			}
@@ -163,7 +173,7 @@ func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 	}
 	engines := map[string]laneStepper{}
 	for _, opt := range optionMatrix(t, func(o EngineOptions) bool {
-		return !o.Phased && !o.StaticFlipped && o.Health == spmv.HealthPolicy{} // the phased pipeline allocates its closures
+		return !o.Phased && o.Health == spmv.HealthPolicy{} // the phased pipeline allocates its closures
 	}) {
 		if engines[optLabel(opt)], err = NewEngineOpts(ih, testPool, opt); err != nil {
 			t.Fatal(err)

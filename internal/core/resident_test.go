@@ -256,17 +256,16 @@ func requireLanesBitIdentical(t *testing.T, label string, k int, want [][]float6
 
 // TestResidentDifferential is the regime's exactness contract: a
 // zero-block graph has no per-worker partial sums, so every engine over
-// it — either encoding, every sparse kernel, fused, phased, static or
-// watched, any worker count, any lane width — sums each row in topology
-// order and equals the serial pull oracle BIT FOR BIT on arbitrary
-// floats, and so itself from run to run, stealing or not — with the
-// flat lane cells' assembly and with their Go twins alike.
+// it — either encoding, every sparse kernel, fused, phased or watched,
+// any worker count, any lane width — sums each row in topology order
+// and equals the serial pull oracle BIT FOR BIT on arbitrary floats,
+// and so itself from run to run, whichever worker pulls which part —
+// with the flat lane cells' assembly and with their Go twins alike.
 func TestResidentDifferential(t *testing.T) {
 	arms := asmArms(t)
 	modes := map[string]EngineOptions{
 		"fused":    {},
 		"phased":   {Phased: true},
-		"static":   {StaticFlipped: true},
 		"rollback": {Health: spmv.HealthPolicy{Mode: spmv.HealthRollback}},
 	}
 	for gname, g := range residentGraphs(t) {

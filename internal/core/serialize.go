@@ -177,10 +177,8 @@ func ReadIHTL(r io.Reader) (*IHTL, error) {
 	if ih.Sparse.Srcs, err = graph.ReadChunked[graph.VID](br, lenSrcs); err != nil {
 		return nil, err
 	}
-	for _, s := range ih.Sparse.Srcs {
-		if int(s) >= ih.NumV {
-			return nil, fmt.Errorf("core: sparse source %d out of range", s)
-		}
+	if err := checkSparseRows(ih.NumV, &ih.Sparse); err != nil {
+		return nil, err
 	}
 	total += ih.Sparse.NumEdges()
 	if total != ih.NumE {
@@ -214,6 +212,38 @@ func checkFlippedRows(i int, fb *FlippedBlock) error {
 				return fmt.Errorf("core: block %d row %d destinations descend (%d after %d)", i, s, d, prev)
 			}
 			prev = int(d)
+		}
+	}
+	return nil
+}
+
+// checkSparseRows is checkFlippedRows for the sparse block: its rows
+// are the destinations [DestLo, numV), one each, Index is the offset
+// array of exactly Srcs, every source is a vertex, and no row descends,
+// so the pull kernels may walk every row unchecked.
+func checkSparseRows(numV int, sp *SparseBlock) error {
+	if sp.DestLo > numV {
+		return fmt.Errorf("core: sparse block starts at row %d of %d", sp.DestLo, numV)
+	}
+	rows := numV - sp.DestLo
+	if len(sp.Index) != rows+1 || sp.Index[0] != 0 || sp.Index[rows] != int64(len(sp.Srcs)) {
+		return fmt.Errorf("core: sparse index of %d offsets does not span its %d rows and %d sources", len(sp.Index), rows, len(sp.Srcs))
+	}
+	for r := 0; r < rows; r++ {
+		if sp.Index[r] > sp.Index[r+1] {
+			return fmt.Errorf("core: sparse row %d spans [%d, %d)", r, sp.Index[r], sp.Index[r+1])
+		}
+	}
+	for r := 0; r < rows; r++ {
+		prev := 0
+		for _, u := range sp.Srcs[sp.Index[r]:sp.Index[r+1]] {
+			if int(u) >= numV {
+				return fmt.Errorf("core: sparse source %d out of range", u)
+			}
+			if int(u) < prev {
+				return fmt.Errorf("core: sparse row %d sources descend (%d after %d)", r, u, prev)
+			}
+			prev = int(u)
 		}
 	}
 	return nil

@@ -160,3 +160,63 @@ func TestReadIHTLRejectsDescendingFlippedRow(t *testing.T) {
 		t.Fatalf("descending flipped row: err = %v, want a refusal naming it", err)
 	}
 }
+
+// TestReadIHTLRejectsBrokenSparseRows writes v1 files of a flipped
+// build whose sparse block has been broken in the ways the pull kernels
+// cannot survive unchecked — two offsets swapped (overlapping rows), a
+// row whose sources descend, an index one offset short, rows starting
+// past the last vertex — and requires the reader to refuse each.
+func TestReadIHTLRejectsBrokenSparseRows(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, want string
+		breakIt    func(t *testing.T, sp *SparseBlock, numV int)
+	}{
+		{"swapped-offsets", "spans", func(t *testing.T, sp *SparseBlock, _ int) {
+			for r := 1; r+1 < len(sp.Index)-1; r++ {
+				if sp.Index[r] != sp.Index[r+1] {
+					sp.Index[r], sp.Index[r+1] = sp.Index[r+1], sp.Index[r]
+					return
+				}
+			}
+			t.Fatal("no two distinct inner sparse offsets")
+		}},
+		{"descending-row", "descend", func(t *testing.T, sp *SparseBlock, _ int) {
+			for r := 0; r+1 < len(sp.Index); r++ {
+				if lo, hi := sp.Index[r], sp.Index[r+1]; hi-lo >= 2 && sp.Srcs[lo] != sp.Srcs[hi-1] {
+					sp.Srcs[lo], sp.Srcs[hi-1] = sp.Srcs[hi-1], sp.Srcs[lo]
+					return
+				}
+			}
+			t.Fatal("no sparse row holds two distinct sources")
+		}},
+		{"short-index", "does not span", func(_ *testing.T, sp *SparseBlock, _ int) {
+			sp.Index = sp.Index[:len(sp.Index)-1]
+		}},
+		{"start-past-end", "starts at row", func(_ *testing.T, sp *SparseBlock, numV int) {
+			sp.DestLo = numV + 1
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ih, err := Build(g, Params{HubsPerBlock: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ih.Blocks) == 0 || ih.Sparse.NumEdges() == 0 {
+				t.Fatal("the build needs a flipped block and a sparse edge")
+			}
+			c.breakIt(t, &ih.Sparse, ih.NumV)
+			var buf bytes.Buffer
+			if _, err := ih.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadIHTL(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want a refusal containing %q", err, c.want)
+			}
+		})
+	}
+}

@@ -245,10 +245,10 @@ func TestV2RawRejectsHostile(t *testing.T) {
 }
 
 // TestV2RawFileDifferential is the file round trip's row of the option
-// matrix: over every row — fused and phased, stolen and StaticFlipped,
-// watched and not, each sparse kernel, auto (flat) and forced packed —
-// the engine over the opened raw file, the engine over the graph in
-// memory and the serial pull oracle agree bit for bit at widths 1, 4
+// matrix: over every row — fused and phased, watched and not, each
+// sparse kernel, auto (flat) and forced packed — the engine over the
+// opened raw file, the engine over the graph in memory and the serial
+// pull oracle agree bit for bit at widths 1, 4
 // and 8 on arbitrary floats, as every engine over a zero-block graph
 // does (TestResidentDifferential) — with the flat lane cells' assembly
 // and with their Go twins alike.
@@ -330,7 +330,7 @@ func TestV2ParentPackedFileStillOpens(t *testing.T) {
 	if binary.LittleEndian.Uint32(now[v2OffStream:]) != v2StreamRaw || !bytes.Equal(now[:v2OffStream], old[:v2OffStream]) {
 		t.Error("today's file of the same graph differs from the parent's before the stream-format word, or is not raw")
 	}
-	for _, opt := range []EngineOptions{{}, {StaticFlipped: true}} {
+	for _, opt := range []EngineOptions{{}, {Phased: true}} {
 		packed, err := NewEngineOpts(got, testPool, opt)
 		if err != nil {
 			t.Fatal(err)

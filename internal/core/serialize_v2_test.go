@@ -138,9 +138,9 @@ func TestV2EngineDifferential(t *testing.T) {
 				t.Errorf("v2 resident topology %d B not below flat %d B",
 					loaded.ResidentTopologyBytes(), flat.ResidentTopologyBytes())
 			}
-			if loaded.TopologyBytesPerStep() >= flat.TopologyBytesPerStep() {
+			if loaded.topologyStreamBytes() >= flat.topologyStreamBytes() {
 				t.Errorf("varint topology stream %d B/step not below flat %d B/step",
-					loaded.TopologyBytesPerStep(), flat.TopologyBytesPerStep())
+					loaded.topologyStreamBytes(), flat.topologyStreamBytes())
 			}
 		})
 	}

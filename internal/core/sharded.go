@@ -170,8 +170,8 @@ func NewShardedEngine(sg *ShardedIHTL, pool *sched.Pool) (*ShardedEngine, error)
 }
 
 // NewShardedEngineOpts is NewShardedEngine with explicit options. The
-// options apply per shard (StaticFlipped, SparseKernel, BlockEncoding
-// select every sub-engine's pipeline; Phased selects the sequential
+// options apply per shard (SparseKernel and BlockEncoding select every
+// sub-engine's pipeline; Phased selects the sequential
 // ablation); Health is handled at the sharded level so the watchdog
 // scans the complete destination vector once. EngineOptions.Shards is
 // ignored here — the shard count is the graph's. The sub-engines are

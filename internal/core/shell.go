@@ -172,13 +172,13 @@ func (s *stepShell) StepBatch(src, dst []float64, k int) {
 // once all of dst is complete, where under HealthClamp another slot's
 // non-finite rows may still be being zeroed.
 //
-// StepCtx returns ctx.Err() promptly when ctx is cancelled (observed at
-// every task claim), converts a pool-worker panic into a returned
-// *sched.PanicError, and returns a *spmv.NumericError when the armed
-// health watchdog fails the step. After a cancelled or panicked step
-// the engine's reusable state (hub buffers, dirty ranges, barriers) is
-// restored, so the next clean step — of any width — is bit-for-bit
-// identical to one on a fresh engine. A step that fails after
+// StepCtx returns ctx.Err() promptly when ctx is cancelled (observed
+// at task and part boundaries), converts a pool-worker panic into a
+// returned *sched.PanicError, and returns a *spmv.NumericError when the
+// armed health watchdog fails the step. After a cancelled or panicked
+// step the engine's reusable state (hub buffers, dirty ranges,
+// barriers) is restored, so the next clean step — of any width — is
+// bit-for-bit identical to one on a fresh engine. A step that fails after
 // streaming may have run the epilogue on some slots.
 func (s *stepShell) StepCtx(ctx context.Context, src, dst []float64, k int, epi spmv.Epilogue) error {
 	s.checkShape(src, dst, k)

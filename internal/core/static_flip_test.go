@@ -1,30 +1,35 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
+	"ihtl/internal/faultinject"
 	"ihtl/internal/gen"
+	"ihtl/internal/sched"
 )
 
-// staticFlipVariants are the engine configurations StaticFlipped
-// promises bit-for-bit reproducibility for: the fused pipeline over
-// both block encodings, and the phased ablation pipeline.
+// staticFlipVariants are the engine configurations the static split of
+// the flipped tasks makes bit-for-bit reproducible: the fused pipeline
+// over both block encodings, and the phased ablation pipeline — every
+// engine, at default options.
 var staticFlipVariants = []struct {
 	name string
 	opt  EngineOptions
 }{
-	{"fused-flat", EngineOptions{StaticFlipped: true}},
-	{"fused-varint", EngineOptions{StaticFlipped: true, BlockEncoding: EncodingVarint}},
-	{"phased", EngineOptions{StaticFlipped: true, Phased: true}},
+	{"fused-flat", EngineOptions{}},
+	{"fused-varint", EngineOptions{BlockEncoding: EncodingVarint}},
+	{"phased", EngineOptions{Phased: true}},
 }
 
 // TestStaticFlippedBitReproducible pins the determinism contract the
-// serving layer's replay guarantees are built on: with StaticFlipped,
-// two fresh engines over the same topology produce bit-identical
-// vectors after a chain of steps (chaining compounds any reassociation
-// drift, so a single step passing by luck cannot hide it), and the
-// result still matches the reference SpMV to rounding.
+// serving layer's replay guarantees are built on: two fresh engines
+// over the same topology produce bit-identical vectors after a chain of
+// steps (chaining compounds any reassociation drift, so a single step
+// passing by luck cannot hide it), and the result still matches the
+// reference SpMV to rounding.
 func TestStaticFlippedBitReproducible(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 21))
 	if err != nil {
@@ -96,8 +101,8 @@ func original(ih *IHTL, x []float64) []float64 {
 
 // TestStaticFlippedBatchLanesMatchScalar pins the property coalesced
 // serving leans on: lane j of a K-wide StepBatch equals a scalar Step
-// of the same input bit-for-bit, because the pinned task → worker
-// assignment makes every partial sum's operand set — and its order —
+// of the same input bit-for-bit, because the static task → worker
+// split makes every partial sum's operand set — and its order —
 // identical across K.
 func TestStaticFlippedBatchLanesMatchScalar(t *testing.T) {
 	const k = 3
@@ -136,5 +141,64 @@ func TestStaticFlippedBatchLanesMatchScalar(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFaultDelayedFlippedTaskBitIdentical stalls the first flipped task
+// of a step by 20 ms (a Delay rule on SiteFlippedTask) and requires the
+// step's result to be bit for bit an undelayed run's, at 2 and 3
+// workers, for the fused pipeline over both encodings and the phased
+// one. A schedule that let the other workers take over the stalled
+// worker's tasks would fold their partial sums into other buffers, and
+// arbitrary floats would show the regrouping. Each variant runs with
+// and without the deprecated StaticFlipped, which must change nothing.
+func TestFaultDelayedFlippedTaskBitIdentical(t *testing.T) {
+	// Scale 13 holds enough flipped edges for several 4096-edge packed
+	// chunks, the varint engine's tasks.
+	g, err := gen.RMAT(gen.DefaultRMAT(13, 8, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ih, err := Build(g, Params{HubsPerBlock: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := randomVec(11, ih.NumV)
+	for _, workers := range []int{2, 3} {
+		pool := sched.NewPool(workers)
+		defer pool.Close()
+		for _, variant := range staticFlipVariants {
+			ref, err := NewEngineOpts(ih, pool, variant.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ref.blockTasks) < 2*workers {
+				t.Fatalf("%s: %d flipped tasks, too few for a stalled worker to leave any behind", variant.name, len(ref.blockTasks))
+			}
+			want := make([]float64, ih.NumV)
+			ref.Step(src, want)
+			for _, static := range []bool{false, true} {
+				opt := variant.opt
+				opt.StaticFlipped = static
+				label := fmt.Sprintf("w%d/%s/StaticFlipped=%v", workers, variant.name, static)
+				e, err := NewEngineOpts(ih, pool, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]float64, ih.NumV)
+				e.Step(src, got)
+				requireBitIdentical(t, label+" undelayed", want, got)
+				plan := faultinject.NewPlan(faultinject.Rule{
+					Site: faultinject.SiteFlippedTask, Kind: faultinject.Delay, Delay: 20 * time.Millisecond,
+				})
+				faultinject.Activate(plan)
+				e.Step(src, got)
+				faultinject.Deactivate()
+				if plan.Fired(faultinject.SiteFlippedTask) != 1 {
+					t.Fatalf("%s: the delay fired %d times, want 1", label, plan.Fired(faultinject.SiteFlippedTask))
+				}
+				requireBitIdentical(t, label+" delayed", want, got)
+			}
+		}
 	}
 }

@@ -33,8 +33,8 @@ const (
 	// SiteSchedClaim fires in the pool worker once per claimed chunk or
 	// part of any dynamic dispatch mode (steal, dyn, part).
 	SiteSchedClaim Site = "sched.claim"
-	// SiteFlippedTask fires once per flipped-block task claimed by the
-	// fused iHTL workers.
+	// SiteFlippedTask fires once per flipped-block task run by the
+	// iHTL workers, fused or phased.
 	SiteFlippedTask Site = "core.flipped-task"
 	// SiteSparsePart fires once per sparse-block chunk in the fused
 	// iHTL workers.

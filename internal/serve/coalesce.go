@@ -2,8 +2,8 @@
 // lanes of one batched traversal. Lane assignment is arrival order —
 // the admission queue is FIFO and lanes are filled in dequeue order —
 // so a given arrival sequence always produces the same packing, and
-// (on the StaticFlipped engines the daemon builds) bit-identical
-// per-query results to solo runs.
+// (every engine being bit-reproducible for its worker count)
+// bit-identical per-query results to solo runs.
 package serve
 
 import (

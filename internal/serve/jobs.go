@@ -2,10 +2,10 @@
 // running async under the daemon with checkpoint-backed crash
 // tolerance. Every CheckpointEvery iterations the driver snapshot is
 // spooled atomically; a kill -9 at any instant warm-restarts from the
-// last spooled snapshot and — because the engines are StaticFlipped
-// and the analytics Resume contract is bit-for-bit — finishes with
-// exactly the ranks an uninterrupted run would have produced. A
-// faulted attempt (worker panic, exhausted numeric rollback) restarts
+// last spooled snapshot and — because every engine is bit-reproducible
+// for its worker count and the analytics Resume contract is bit-for-bit
+// — finishes with exactly the ranks an uninterrupted run would have
+// produced. A faulted attempt (worker panic, exhausted numeric rollback) restarts
 // from the latest in-memory snapshot with jittered exponential
 // backoff, at most JobRetries times.
 package serve

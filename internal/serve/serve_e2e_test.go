@@ -104,7 +104,7 @@ func killDashNine(t *testing.T, bin, enginePath string, workers int, jobBody str
 	pool := sched.NewPool(workers)
 	defer pool.Close()
 	ih := ef.IHTL()
-	eng, err := core.NewEngineOpts(ih, pool, core.EngineOptions{StaticFlipped: true})
+	eng, err := core.NewEngine(ih, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,8 @@ func startServer(t *testing.T, cfg Config) *Server {
 }
 
 // soloPPR computes the reference answer the serving contract promises:
-// a solo run on a StaticFlipped engine over the SAME engine file with
-// the same worker count, mapped back to original IDs.
+// a solo run on an engine over the SAME engine file with the same
+// worker count, mapped back to original IDs.
 func soloPPR(t *testing.T, enginePath string, workers int, src uint32, opt analytics.PageRankOptions) ([]float64, analytics.PPRResult) {
 	t.Helper()
 	ef, err := core.OpenEngineFile(enginePath)
@@ -85,7 +85,7 @@ func soloPPR(t *testing.T, enginePath string, workers int, src uint32, opt analy
 	pool := sched.NewPool(workers)
 	defer pool.Close()
 	ih := ef.IHTL()
-	eng, err := core.NewEngineOpts(ih, pool, core.EngineOptions{StaticFlipped: true})
+	eng, err := core.NewEngine(ih, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
