@@ -153,7 +153,7 @@ func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOpti
 	for j := range out {
 		out[j] = make([]float64, n)
 	}
-	newIDs := e.newIDs()
+	newIDs := e.ih.NewID
 	unpack := func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			nv := int(newIDs[v])

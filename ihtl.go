@@ -243,19 +243,11 @@ func GenerateWebOn(pool *Pool, n int, seed uint64) (*Graph, error) {
 	return gen.Web(cfg)
 }
 
-// ShardedIHTL is a built sharded iHTL graph: the shard plan, one
-// private iHTL graph per shard, and the cross-shard exchange topology.
-// Engines built with EngineOptions.Shards > 1 expose it through
-// (*Engine).Sharded().
-type ShardedIHTL = core.ShardedIHTL
-
 // Engine is an iHTL SpMV engine over a fixed graph. It implements
 // Stepper in iHTL (relabeled) vertex-ID space and exposes the
-// relabeling through IHTL() — or, for a sharded engine
-// (EngineOptions.Shards > 1), through Sharded().
+// relabeling through IHTL().
 type Engine struct {
-	ih  *core.IHTL        // nil when sharded
-	sg  *core.ShardedIHTL // nil when single-graph
+	ih  *core.IHTL
 	eng spmv.Stepper
 	g   *graph.Graph
 
@@ -279,28 +271,14 @@ func NewEngine(g *Graph, pool *Pool, p Params) (*Engine, error) {
 }
 
 // NewEngineOpts is NewEngine with explicit engine options (pipeline
-// ablations, the numeric-health watchdog, sharded execution) and a
-// context governing the preprocessing build: cancelling ctx aborts hub
-// ranking, relabeling and block construction between phases (mid-pass
-// at the next chunk claim) and returns ctx.Err(). ctx may be nil.
-//
-// With opt.Shards > 1 the graph is cut into that many vertex-range
-// shards, each with its own flipped blocks, sparse block and hub
-// buffers, stepped by shard-affine worker groups with a deterministic
-// cross-shard exchange — bit-for-bit schedule-independent like the
-// unsharded engine. See DESIGN.md §15.
+// ablations, the sparse kernel, the block encoding, the numeric-health
+// watchdog) and a context governing the preprocessing build:
+// cancelling ctx aborts hub ranking, relabeling and block construction
+// between phases (mid-pass at the next chunk claim) and returns
+// ctx.Err(). ctx may be nil. The deprecated opt.Shards and
+// opt.StaticFlipped are ignored: every engine is the one single-graph
+// engine.
 func NewEngineOpts(ctx context.Context, g *Graph, pool *Pool, p Params, opt EngineOptions) (*Engine, error) {
-	if opt.Shards > 1 {
-		sg, err := core.BuildShardedCtx(ctx, g, p, pool, opt.Shards)
-		if err != nil {
-			return nil, err
-		}
-		seng, err := core.NewShardedEngineOpts(sg, pool, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{sg: sg, eng: seng, g: g}, nil
-	}
 	ih, err := core.BuildWithCtx(ctx, g, p, pool)
 	if err != nil {
 		return nil, err
@@ -333,47 +311,25 @@ func (e *Engine) EpiSlots() (slots int, streamed bool) { return e.eng.EpiSlots()
 func (e *Engine) NumVertices() int { return e.eng.NumVertices() }
 
 // IHTL returns the underlying iHTL graph (relabeling arrays, blocks,
-// statistics), or nil for a sharded engine — use Sharded() there.
+// statistics).
 func (e *Engine) IHTL() *IHTL { return e.ih }
-
-// Sharded returns the underlying sharded iHTL graph of an engine built
-// with EngineOptions.Shards > 1, or nil for a single-graph engine.
-func (e *Engine) Sharded() *ShardedIHTL { return e.sg }
 
 // Graph returns the original graph the engine was built from.
 func (e *Engine) Graph() *Graph { return e.g }
 
-// newIDs is the original-to-stepping ID map.
-func (e *Engine) newIDs() []VID {
-	if e.sg != nil {
-		return e.sg.NewID
-	}
-	return e.ih.NewID
-}
-
 // newID maps an original ID to the engine's stepping ID space.
-func (e *Engine) newID(v VID) VID { return e.newIDs()[v] }
+func (e *Engine) newID(v VID) VID { return e.ih.NewID[v] }
 
 // outDegrees returns the out-degree of every vertex in stepping-ID
 // order. Read-only to callers.
 func (e *Engine) outDegrees() []int {
 	e.degOnce.Do(func() {
 		e.deg = make([]int, e.NumVertices())
-		for v, nv := range e.newIDs() {
+		for v, nv := range e.ih.NewID {
 			e.deg[nv] = e.g.OutDegree(VID(v))
 		}
 	})
 	return e.deg
-}
-
-// permuteToOld scatters a stepping-ID-space vector into original ID
-// order.
-func (e *Engine) permuteToOld(in, out []float64) {
-	if e.sg != nil {
-		e.sg.PermuteToOld(in, out)
-		return
-	}
-	e.ih.PermuteToOld(in, out)
 }
 
 // Direction selects a baseline traversal kernel for NewBaselineEngine.
@@ -416,7 +372,7 @@ func PageRankCtx(ctx context.Context, e *Engine, pool *Pool, opt PageRankOptions
 		return nil, err
 	}
 	out := make([]float64, e.NumVertices())
-	e.permuteToOld(res.Ranks, out)
+	e.ih.PermuteToOld(res.Ranks, out)
 	return out, nil
 }
 

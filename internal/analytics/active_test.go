@@ -16,7 +16,7 @@ import (
 	"ihtl/internal/spmv"
 )
 
-// activeCounter wraps a core engine — single or sharded — and counts the
+// activeCounter wraps a core engine and counts the
 // steps its active-row entry honoured, so a test can tell a run that
 // took the mode from one that silently stepped densely.
 type activeCounter struct {
@@ -232,7 +232,7 @@ func TestPPRActiveRowsFollowTheIterate(t *testing.T) {
 
 // TestPPRActiveRowsFallbacks runs the engines without active-row
 // kernels — packed topology, the phased pipeline, the propagation-
-// blocked sparse kernel, shards — through the same driver: each refuses
+// blocked sparse kernel — through the same driver: each refuses
 // the entry and still produces the flat engine's lanes.
 func TestPPRActiveRowsFallbacks(t *testing.T) {
 	g := mustRMAT(t, 9, 8, 67)
@@ -284,37 +284,6 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 		}
 	}
 
-	// A sharded engine steps in its own ID space and refuses every time.
-	sg, err := core.BuildSharded(g, core.Params{HubsPerBlock: 64}, testPool, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, err := core.NewShardedEngine(sg, testPool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardSources := make([]int, len(sources))
-	for j, s := range sources {
-		shardSources[j] = int(sg.NewID[ih.OldID[s]])
-	}
-	seCount := &activeCounter{activeEngine: se}
-	got, err := RunPersonalizedPageRank(seCount, sg.OutDegrees(), testPool, shardSources, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seCount.honoured != 0 {
-		t.Fatalf("sharded: honoured %d active-row steps", seCount.honoured)
-	}
-	lane, back, wantLane, wantBack := make([]float64, g.NumV), make([]float64, g.NumV), make([]float64, g.NumV), make([]float64, g.NumV)
-	for j := range sources {
-		sg.PermuteToOld(got.Lane(j, lane), back)
-		ih.PermuteToOld(want.Lane(j, wantLane), wantBack)
-		for v := range back {
-			if math.Abs(back[v]-wantBack[v]) > 1e-12 {
-				t.Fatalf("sharded lane %d rank[%d] = %g, flat engine %g", j, v, back[v], wantBack[v])
-			}
-		}
-	}
 }
 
 // TestPPRActiveRowsFaultThenCleanRun aborts a run inside an active-row

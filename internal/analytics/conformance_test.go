@@ -70,16 +70,9 @@ func TestStepperConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := core.BuildSharded(g, core.Params{HubsPerBlock: 64}, pool, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rows = append(rows,
 		row{name: "core/flipped", build: func(pool *sched.Pool) (spmv.Stepper, error) { return core.NewEngine(flipped, pool) }},
 		row{name: "core/resident", stream: true, build: func(pool *sched.Pool) (spmv.Stepper, error) { return core.NewEngine(resident, pool) }},
-		row{name: "core/sharded2", build: func(pool *sched.Pool) (spmv.Stepper, error) {
-			return core.NewShardedEngineOpts(sharded, pool, core.EngineOptions{})
-		}},
 		row{name: "ihtl/resident", stream: true, build: func(pool *sched.Pool) (spmv.Stepper, error) { return ihtl.NewEngine(g, pool, ihtl.Params{}) }},
 		row{name: "analytics/seq", build: func(*sched.Pool) (spmv.Stepper, error) { return analytics.NewSeqStepper(g), nil }},
 	)

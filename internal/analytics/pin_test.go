@@ -10,19 +10,18 @@ import (
 	"testing"
 
 	"ihtl/internal/core"
-	"ihtl/internal/graph"
 	"ihtl/internal/sched"
 	"ihtl/internal/spmv"
 )
 
-// driverPins are the digests of every analytics driver over four
+// driverPins are the digests of every analytics driver over three
 // engines — a pull baseline on the pool it was built on, a core.Engine
-// over a graph with flipped blocks, a resident (streaming) core.Engine
-// and a 2-shard core.ShardedEngine — each driven with that engine's own
-// pool, as computed when each driver still picked its step by type
-// assertion (one arm per capability). The two flipped engines balance
-// their flipped blocks statically: a stealing engine's hub merges are
-// grouped by the schedule, so its bits move from run to run. HITS runs
+// over a graph with flipped blocks and a resident (streaming)
+// core.Engine — each driven with that engine's own pool, as computed
+// when each driver still picked its step by type assertion (one arm per
+// capability). The flipped engine balances its flipped blocks
+// statically: a stealing engine's hub merges are grouped by the
+// schedule, so its bits move from run to run. HITS runs
 // with the engine as both its forward and its reverse step. A driver
 // that steps every engine through one call must land on the same bits:
 // the engines' grids and placements are what they were, and a
@@ -44,11 +43,6 @@ var driverPins = map[string]string{
 	"resident/ppr8":     "acadea84debef6e9531e76e8d118e3f4200a373a039f2ccac7ba807e90274bf7",
 	"resident/lanes":    "23f1e2fa2385d6f309834c8bad6790d77a86db8891ac6a2d117a92f2639fbbb5",
 	"resident/hits":     "dc6b11345769058c53de6163b48ab93a49290f10489c3e55c2838cef2b610dad",
-	"sharded2/pagerank": "4be201c9c0183777dfa001a4684b67ba048e527f731f5f1a1fcf0a50822afbe4",
-	"sharded2/ppr1":     "53419809596368035ee909a1fbb8efe30e0808ded27aecf041c553a484ca83e1",
-	"sharded2/ppr8":     "f017c336e99d1bd2d53242ad17868884c7b2df7b0d5bfc3354e1781e8947b5d5",
-	"sharded2/lanes":    "ce2c124bef4d2a7ade4a47a852cf04ffb6a86d0b8db88ec19a334f7802100b10",
-	"sharded2/hits":     "02fdc16a54d16eba16801c8b2756c75d60054bdfda8c28f9615545e25b7655b3",
 }
 
 // digester hashes float vectors bit for bit, plus counters.
@@ -161,15 +155,7 @@ func TestDriverPins(t *testing.T) {
 	if _, streamed := resident.EpiSlots(); !streamed {
 		t.Fatal("resident engine does not stream")
 	}
-	sg, err := core.BuildSharded(g, core.Params{HubsPerBlock: 64}, pool, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := core.NewShardedEngine(sg, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The "-default" engines are a second build of each flipped graph
+	// The "-default" engine is a second build of the flipped graph
 	// under zero EngineOptions, held to the same digests: the static
 	// flipped split makes the bits a function of the graph and the
 	// worker count, not of the build or engine instance.
@@ -181,21 +167,6 @@ func TestDriverPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg2, err := core.BuildSharded(g, core.Params{HubsPerBlock: 64}, pool, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded2, err := core.NewShardedEngineOpts(sg2, pool, core.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardedDeg := func(sg *core.ShardedIHTL) []int {
-		deg := make([]int, g.NumV)
-		for v, nv := range sg.NewID {
-			deg[nv] = g.OutDegree(graph.VID(v))
-		}
-		return deg
-	}
 
 	engines := []struct {
 		name, pins string
@@ -205,9 +176,7 @@ func TestDriverPins(t *testing.T) {
 		{"pull", "pull", pull, outDegrees(g)},
 		{"flipped", "flipped", flipped, flippedIH.OutDegrees()},
 		{"resident", "resident", resident, residentIH.OutDegrees()},
-		{"sharded2", "sharded2", sharded, shardedDeg(sg)},
 		{"flipped-default", "flipped", flipped2, flippedIH2.OutDegrees()},
-		{"sharded2-default", "sharded2", sharded2, shardedDeg(sg2)},
 	}
 	for _, c := range engines {
 		for driver, got := range pinnedDrivers(t, c.e, c.deg, pool) {

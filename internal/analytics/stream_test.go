@@ -18,12 +18,9 @@ import (
 // graph with no flipped block runs the update on each pulled part, so
 // RunPageRankCtx double-buffers the contributions.
 
-// Both engine types must keep the active-row capability PPR looks for
-// by assertion; a method that drifts would silently drop the mode.
-var (
-	_ activeRowStepper = (*core.Engine)(nil)
-	_ activeRowStepper = (*core.ShardedEngine)(nil)
-)
+// The engine must keep the active-row capability PPR looks for by
+// assertion; a method that drifts would silently drop the mode.
+var _ activeRowStepper = (*core.Engine)(nil)
 
 // pageRankDigest hashes a result's ranks, iterations and delta, bit for
 // bit.

@@ -337,10 +337,9 @@ func TestStepBatchActiveAlternatingDense(t *testing.T) {
 }
 
 // TestStepBatchActiveNotHonoured pins the configurations without
-// active-row kernels — every other row of the option matrix, and the
-// sharded engine whatever its options: they answer false, step nothing,
-// and leave both the result and the set alone for the caller's dense
-// step.
+// active-row kernels — every other row of the option matrix: they
+// answer false, step nothing, and leave both the result and the set
+// alone for the caller's dense step.
 func TestStepBatchActiveNotHonoured(t *testing.T) {
 	g := diffGraphs(t)["rmat"]
 	ih, err := Build(g, Params{HubsPerBlock: 64})
@@ -349,34 +348,23 @@ func TestStepBatchActiveNotHonoured(t *testing.T) {
 	}
 	n, k := ih.NumV, 3
 	src, active := sparseLaneInput(5, n, k, 40, false)
-	sg, err := BuildSharded(g, Params{HubsPerBlock: 64}, testPool, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, opt := range optionMatrix(t, nil) {
-		se, err := NewShardedEngineOpts(sg, testPool, opt)
+		if activeRowsHonoured(opt) {
+			continue
+		}
+		e, err := NewEngineOpts(ih, testPool, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refusing := []widthStepper{se}
-		if !activeRowsHonoured(opt) {
-			e, err := NewEngineOpts(ih, testPool, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refusing = append(refusing, e)
+		dst := make([]float64, n*k)
+		touched := spmv.NewRowSet(n)
+		ran := false
+		honoured, err := e.StepBatchActiveCtx(nil, src, dst, k, active, touched, func(w, lo, hi int) { ran = true })
+		if honoured || err != nil || ran {
+			t.Fatalf("%+v: honoured=%v err=%v epilogue ran=%v, want a refusal", opt, honoured, err, ran)
 		}
-		for _, e := range refusing {
-			dst := make([]float64, n*k)
-			touched := spmv.NewRowSet(n)
-			ran := false
-			honoured, err := e.StepBatchActiveCtx(nil, src, dst, k, active, touched, func(w, lo, hi int) { ran = true })
-			if honoured || err != nil || ran {
-				t.Fatalf("%T %+v: honoured=%v err=%v epilogue ran=%v, want a refusal", e, opt, honoured, err, ran)
-			}
-			if touched.Count() != 0 || !spmv.SkipZeroLanes(dst) {
-				t.Fatalf("%T %+v: a refused step wrote its outputs", e, opt)
-			}
+		if touched.Count() != 0 || !spmv.SkipZeroLanes(dst) {
+			t.Fatalf("%+v: a refused step wrote its outputs", opt)
 		}
 	}
 }

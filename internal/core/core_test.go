@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -510,6 +511,32 @@ func TestStepRejectsBadLengths(t *testing.T) {
 		}
 	}()
 	e.Step(make([]float64, 2), make([]float64, g.NumV))
+}
+
+// TestNewEngineOptsIgnoresShards pins the deprecated field: no value of
+// Shards is refused, and each builds the engine a zero EngineOptions
+// builds, stepping the same bits.
+func TestNewEngineOptsIgnoresShards(t *testing.T) {
+	ih, err := Build(diffGraphs(t)["rmat"], Params{HubsPerBlock: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := randomVec(3, ih.NumV)
+	want := make([]float64, ih.NumV)
+	base, err := NewEngine(ih, testPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Step(src, want)
+	for _, shards := range []int{1, 2, 3, 8} {
+		e, err := NewEngineOpts(ih, testPool, EngineOptions{Shards: shards})
+		if err != nil {
+			t.Fatalf("Shards %d: %v", shards, err)
+		}
+		got := make([]float64, ih.NumV)
+		e.Step(src, got)
+		requireBitIdentical(t, "Shards "+strconv.Itoa(shards), want, got)
+	}
 }
 
 func TestDegreeSortClassesAblation(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // Engine executes Algorithm 3 over a built IHTL graph: push the
 // flipped blocks into per-thread hub buffers, merge the buffers, then
 // pull the sparse block. It implements spmv.Stepper; its stepping
-// methods are the embedded step shell's (shell.go).
+// methods and the step shell it embeds are in shell.go.
 //
 // By default the three phases run as a SINGLE fused pool dispatch:
 // each worker pushes its fixed share of the flipped tasks (flipBounds),
@@ -225,11 +225,6 @@ type Breakdown struct {
 	// record SparseBusy instead.
 	BinBusy   time.Duration
 	DrainBusy time.Duration
-	// ExchangeBinBusy/ExchangeDrainBusy are the sharded engine's cross-
-	// shard exchange phases (see sharded.go); single-shard engines leave
-	// them zero.
-	ExchangeBinBusy   time.Duration
-	ExchangeDrainBusy time.Duration
 
 	Wall  time.Duration // elapsed time of all Steps
 	Steps int
@@ -253,7 +248,7 @@ func (b Breakdown) Total() time.Duration {
 
 // TotalBusy returns the summed per-worker busy time across phases.
 func (b Breakdown) TotalBusy() time.Duration {
-	return b.FlippedBusy + b.MergeBusy + b.SparseTotalBusy() + b.ExchangeBinBusy + b.ExchangeDrainBusy
+	return b.FlippedBusy + b.MergeBusy + b.SparseTotalBusy()
 }
 
 // FlippedFrac returns the fraction of time spent pushing flipped
@@ -311,14 +306,11 @@ type EngineOptions struct {
 	// All pipelines are bit-for-bit identical under either encoding.
 	// See encoding.go.
 	BlockEncoding BlockEncoding
-	// Shards splits execution into N contiguous vertex-range shards,
-	// each with its own flipped + sparse blocks, hub buffers and degree
-	// buckets, joined by a deterministic cross-shard exchange phase.
-	// 0 or 1 selects today's single-shard engine. Sharding partitions
-	// the ORIGINAL graph, so the option is honoured by the public
-	// ihtl.NewEngineOpts (which routes to BuildSharded +
-	// NewShardedEngineOpts); core.NewEngineOpts over an already built
-	// IHTL rejects Shards > 1. See sharded.go.
+	// Shards is read by no code: every value builds the single-graph
+	// engine.
+	//
+	// Deprecated: the sharded engine it selected lost every recorded
+	// measurement and was removed (DESIGN.md §15). Leave it unset.
 	Shards int
 
 	// forceLayout is the differential suites' hook: every block with
@@ -340,47 +332,13 @@ func NewEngine(ih *IHTL, pool *sched.Pool) (*Engine, error) {
 // another construction, a Step — in flight on it. A closed pool
 // (sched.ErrPoolClosed) or a worker panic (*sched.PanicError) is
 // returned as the error.
-//
-// Options asking for more than one shard are rejected here: sharding
-// partitions the ORIGINAL graph before iHTL construction, so it enters
-// through BuildSharded + NewShardedEngineOpts (or the public
-// ihtl.NewEngineOpts, which routes EngineOptions.Shards there).
 func NewEngineOpts(ih *IHTL, pool *sched.Pool, opt EngineOptions) (*Engine, error) {
-	if opt.Shards > 1 {
-		return nil, fmt.Errorf("core: NewEngineOpts cannot shard a built IHTL (want NewShardedEngineOpts over a BuildSharded graph)")
-	}
-	if pool == nil {
-		return nil, fmt.Errorf("core: nil IHTL or pool")
-	}
-	e, err := newEngineWorkers(ih, pool, opt, pool.Workers())
-	if err != nil {
-		return nil, err
-	}
-	// With no flipped block the sparse parts tile every row and nothing
-	// but the part's own pull writes them, so they are the epilogue's
-	// slots, and the fused uniform pull finishes each one as it pulls it.
-	// (A sharded engine's sub-engines keep the static grid: the exchange
-	// still adds to their rows after the pull.)
-	if len(ih.Blocks) == 0 && ih.Sparse.DestLo == 0 && len(e.sparseBounds) > 1 {
-		e.initSlots(e.sparseBounds, !e.phased && e.sparseKernel == SparsePull)
-	}
-	return e, nil
-}
-
-// newEngineWorkers is NewEngineOpts with an explicit worker count: the
-// number of distinct worker indices the engine's per-worker state is
-// sized for. The sharded engine builds its sub-engines with each
-// shard's GROUP size and drives their worker bodies with group-local
-// indices inside its own single dispatch.
-func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers int) (*Engine, error) {
 	if ih == nil || pool == nil {
 		return nil, fmt.Errorf("core: nil IHTL or pool")
 	}
-	if nworkers < 1 || nworkers > pool.Workers() {
-		return nil, fmt.Errorf("core: engine worker count %d outside [1, %d]", nworkers, pool.Workers())
-	}
+	workers := pool.Workers()
 	e := &Engine{ih: ih}
-	e.initShell(e, pool, ih.NumV, nworkers, opt)
+	e.initShell(pool, ih.NumV, opt)
 	e.initEncoding(opt.BlockEncoding)
 	if e.varint {
 		// One task per encoded chunk: a bounded, cache-resident run of
@@ -389,37 +347,46 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 	} else {
 		// Edge-balanced source chunks per flipped block: the per-block
 		// CSR index arrays give exact per-source edge counts.
-		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasks(ih, nworkers*4)
+		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasks(ih, workers*4)
 	}
-	if n := ih.NumV - ih.Sparse.DestLo; n > 0 {
-		e.sparseBounds = sched.EdgeBalancedParts(ih.Sparse.Index, nworkers*4)
+	if ih.NumV > ih.Sparse.DestLo {
+		e.sparseBounds = sched.EdgeBalancedParts(ih.Sparse.Index, workers*4)
 	}
 	e.initSparseKernel(opt.SparseKernel)
 	if err := e.initLayouts(opt.forceLayout); err != nil {
 		return nil, fmt.Errorf("core: building edge-major streams: %w", err)
 	}
-	e.flipBounds = flipTaskBounds(len(e.blockTasks), nworkers)
-	e.sparseSched = sched.NewStealScheduler(nworkers)
+	e.flipBounds = flipTaskBounds(len(e.blockTasks), workers)
+	e.sparseSched = sched.NewStealScheduler(workers)
 	e.blockGate = sched.NewCountdowns(len(ih.Blocks))
-	e.clocks = make([]workerClock, nworkers)
-	e.batch.bufs = make([][]float64, nworkers)
-	e.batch.dirty = make([]dirtyRange, nworkers*len(ih.Blocks))
-	e.batch.hubBits = make([][]uint64, nworkers)
+	e.clocks = make([]workerClock, workers)
+	e.batch.bufs = make([][]float64, workers)
+	e.batch.dirty = make([]dirtyRange, workers*len(ih.Blocks))
+	e.batch.hubBits = make([][]uint64, workers)
 	for w := range e.batch.hubBits {
 		e.batch.hubBits[w] = make([]uint64, len(ih.Blocks)*hubBitWords(ih))
 	}
 	e.setWidth(1)
 	e.fusedJob = e.fusedWorker
+	// With no flipped block the sparse parts tile every row and nothing
+	// but the part's own pull writes them, so they are the epilogue's
+	// slots, and the fused uniform pull finishes each one as it pulls it.
+	if len(ih.Blocks) == 0 && ih.Sparse.DestLo == 0 && len(e.sparseBounds) > 1 {
+		e.initSlots(e.sparseBounds, !e.phased && e.sparseKernel == SparsePull)
+	}
 	return e, nil
 }
 
 // Graph returns the engine's iHTL graph.
 func (e *Engine) Graph() *IHTL { return e.ih }
 
-// recoverDriver is the engine's half of the shell's recoverState: hub
-// buffers may hold partial accumulations, dirty ranges may be
-// half-widened, and the bin barrier may hold straggler arrival counts.
-func (e *Engine) recoverDriver() {
+// recoverState restores the reusable cross-step state after an aborted
+// (cancelled or panicked) step, so the next clean step is bit-for-bit
+// identical to one on a fresh engine: hub buffers may hold partial
+// accumulations, dirty ranges may be half-widened, the bin and epilogue
+// barriers may hold straggler arrival counts, and the shell's staging
+// may still be set.
+func (e *Engine) recoverState() {
 	e.batch.recoverState()
 	if e.binBarrier != nil {
 		// The PB bin cursors need no recovery: every chunk re-stages
@@ -427,9 +394,10 @@ func (e *Engine) recoverDriver() {
 		// crossing holds state.
 		e.binBarrier.Reset()
 	}
-	for w := range e.clocks {
-		e.clocks[w] = workerClock{}
-	}
+	clear(e.clocks)
+	e.epiBarrier.Reset()
+	e.curSrc, e.curDst, e.curEpi, e.touched = nil, nil, nil, nil
+	e.healthArmed, e.streamed = false, false
 }
 
 // stepFused runs all of Algorithm 3 as one pool dispatch; see
@@ -438,35 +406,18 @@ func (e *Engine) recoverDriver() {
 //ihtl:noalloc
 func (e *Engine) stepFused(src, dst []float64) {
 	start := time.Now()
-	e.stage(src, dst)
-	e.pool.Run(e.fusedJob)
-	e.unstage()
-	e.breakdown.Wall += time.Since(start)
-}
-
-// stage arms the fused dispatch state for one step over the given
-// vectors without dispatching: scheduler resets, merge-countdown
-// arming, vector staging and, for an active-row step, the touched set's
-// starting value (empty: the merges and the sparse pull add the rows
-// they write). Split from stepFused so the sharded engine can stage
-// every shard's sub-engine and then run all their worker bodies
-// (e.fusedJob) under ONE pool dispatch of its own.
-//
-//ihtl:noalloc
-func (e *Engine) stage(src, dst []float64) {
+	// Arm the dispatch: scheduler resets, merge countdowns, the staged
+	// vectors and, for an active-row step, the touched set's starting
+	// value (empty: the merges and the sparse pull add the rows they
+	// write).
 	e.resetSparseScheds()
 	e.blockGate.Reset(e.tasksPerBlock)
 	clear(e.batch.touched)
 	e.curSrc, e.curDst = src, dst
-}
-
-// unstage clears the staged vectors and folds the per-worker phase
-// clocks into the breakdown after a fused dispatch completes.
-//
-//ihtl:noalloc
-func (e *Engine) unstage() {
+	e.pool.Run(e.fusedJob)
 	e.curSrc, e.curDst = nil, nil
 	e.harvestClocks()
+	e.breakdown.Wall += time.Since(start)
 }
 
 // mergeBlock folds every worker's dirty hub range of block blk into
@@ -677,6 +628,37 @@ func (e *Engine) stepPhased(src, dst []float64) {
 	e.breakdown.Merge += t2.Sub(t1)
 	e.breakdown.Sparse += t3.Sub(t2)
 	e.breakdown.Wall += t3.Sub(t0)
+}
+
+// step is one step of width k plus epilogue, on the pipeline the
+// options chose, and what every entry point of shell.go runs. It
+// returns the numeric-health verdict: a *spmv.NumericError, or nil when
+// the watchdog is off or satisfied. streamEpi says the caller holds epi
+// to the streamed contract (Epilogue.Stream); the scan alone streams at
+// any width, since it reads a slot's rows only.
+//
+//ihtl:noalloc
+func (e *Engine) step(src, dst []float64, k int, epi func(slot, lo, hi int), streamEpi bool) error {
+	e.setWidth(k)
+	e.armHealth(k)
+	e.curEpi = epi
+	if e.phased {
+		e.stepPhased(src, dst)
+		if epi != nil || e.healthArmed {
+			start := time.Now()
+			e.curDst = dst
+			e.pool.Run(e.slotsJob)
+			e.curDst = nil
+			e.breakdown.Wall += time.Since(start)
+		}
+	} else {
+		e.streamed = e.streams && e.touched == nil && (epi != nil || e.healthArmed) && (epi == nil || streamEpi)
+		e.stepFused(src, dst)
+		e.streamed = false
+	}
+	e.curEpi = nil
+	e.breakdown.Steps++
+	return e.collectHealth()
 }
 
 // flipTaskBounds splits ntasks flipped tasks into nworkers contiguous

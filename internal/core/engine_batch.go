@@ -130,7 +130,7 @@ func (e *Engine) setActive(active, touched spmv.RowSet) bool {
 
 // recoverState clears the buffers, dirty ranges and hub bits after an
 // aborted step, and unstages an active-row step's sets; see
-// stepShell.recoverState. The buffers are cleared to their capacity, so
+// Engine.recoverState. The buffers are cleared to their capacity, so
 // that the lanes setWidth reslices back in are zero whatever width the
 // state is set to by now.
 func (b *batchState) recoverState() {

@@ -64,7 +64,7 @@ func (e *Engine) topologyStreamBytes() int64 {
 func (e *Engine) BytesPerStep() int64 {
 	ih := e.ih
 	const vb = int64(spmv.VertexBytes)
-	W := int64(e.nworkers)
+	W := int64(e.pool.Workers())
 	total := e.topologyStreamBytes()
 
 	// Flipped blocks: one sequential src read per block source, one

@@ -68,8 +68,8 @@ var optionValues = map[string][]any{
 	// from a raw v2 file (TestV2RawFileDifferential steps both over every
 	// row), packed on one opened from a packed file.
 	"BlockEncoding": {EncodingAuto, EncodingVarint},
-	// Sharding enters through BuildSharded: the suites that cover it
-	// build both engine types from each row.
+	// Deprecated and read by no code: every value builds the one
+	// single-graph engine (TestNewEngineOptsIgnoresShards).
 	"Shards": {0},
 }
 
@@ -366,15 +366,14 @@ func FuzzStepDifferential(f *testing.F) {
 }
 
 // TestStepEpiZeroFlipRows is the option matrix over a graph with no
-// flipped block, stepped through StepCtx with a streamable epilogue,
-// plus a two-shard engine. The epilogue checks, when it is called, that
-// its rows [lo, hi) already hold the oracle's values — an epilogue run
-// before its rows are final fails here, as does a slot run twice or
-// never, or slots that do not tile the rows in order. The engines that
-// stream are exactly the fused unsharded uniform pulls; an epilogue
-// that does not permit streaming stays behind the barrier on those too,
-// so there every slot may read all of dst. Integer sources keep the
-// sharded engine's regrouped sums exact.
+// flipped block, stepped through StepCtx with a streamable epilogue.
+// The epilogue checks, when it is called, that its rows [lo, hi)
+// already hold the oracle's values — an epilogue run before its rows
+// are final fails here, as does a slot run twice or never, or slots
+// that do not tile the rows in order. The engines that stream are
+// exactly the fused uniform pulls; an epilogue that does not permit
+// streaming stays behind the barrier on those too, so there every slot
+// may read all of dst.
 func TestStepEpiZeroFlipRows(t *testing.T) {
 	g := residentGraphs(t)["rmat"]
 	n := g.NumV
@@ -385,29 +384,14 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireZeroBlocks(t, "rmat", ih)
-	rows := optionMatrix(t, nil)
-	rows = append(rows, EngineOptions{Shards: 2})
 	for _, workers := range []int{1, 2, 3} {
 		pool := sched.NewPool(workers)
 		defer pool.Close()
-		for _, opt := range rows {
+		for _, opt := range optionMatrix(t, nil) {
 			label := fmt.Sprintf("w%d/%s", workers, optLabel(opt))
-			var e spmv.Stepper
 			wantSlots, wantStream := 4*workers, !opt.Phased && opt.SparseKernel == SparsePull
-			srcNew, wantNew := src, want // the build keeps every ID
-			if opt.Shards > 1 {
-				sg, err := BuildSharded(g, Params{}, pool, opt.Shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if e, err = NewShardedEngineOpts(sg, pool, opt); err != nil {
-					t.Fatal(err)
-				}
-				srcNew, wantNew = make([]float64, n), make([]float64, n)
-				sg.PermuteToNew(src, srcNew)
-				sg.PermuteToNew(want, wantNew)
-				wantSlots, wantStream = workers, false
-			} else if e, err = NewEngineOpts(ih, pool, opt); err != nil {
+			e, err := NewEngineOpts(ih, pool, opt)
+			if err != nil {
 				t.Fatal(err)
 			}
 			slots, streamed := e.EpiSlots()
@@ -427,7 +411,7 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 						check, stop = 0, n // behind the barrier: all of dst is final
 					}
 					for v := check; v < stop; v++ {
-						if math.Float64bits(dst[v]) != math.Float64bits(wantNew[v]) {
+						if math.Float64bits(dst[v]) != math.Float64bits(want[v]) {
 							early[slot] = true
 						}
 					}
@@ -435,7 +419,7 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 				for step := 0; step < 2; step++ {
 					clear(ran)
 					clear(dst) // so a row read before it is pulled differs
-					if err := e.StepCtx(nil, srcNew, dst, 1, spmv.Epilogue{Run: epi, Stream: !barrier}); err != nil {
+					if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{Run: epi, Stream: !barrier}); err != nil {
 						t.Fatal(err)
 					}
 					next := 0
@@ -449,7 +433,7 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 					if next != n {
 						t.Fatalf("%s barrier=%v: the slots end at row %d of %d", label, barrier, next, n)
 					}
-					requireBitIdentical(t, label, wantNew, dst)
+					requireBitIdentical(t, label, want, dst)
 				}
 			}
 		}

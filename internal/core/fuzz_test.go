@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzReadIHTL guards the iHTL binary decoders — ReadIHTL takes every
-// version, a v2 file through parseV2: arbitrary bytes must either fail
+// version, a v2 file through parseV2, and refuses a v3 one by name:
+// arbitrary bytes must either fail
 // cleanly or decode into a structurally sound iHTL graph (inverse
 // relabeling arrays, in-range block destinations, edge conservation —
 // all checked inside), and a v1 or raw v2 file that is accepted must be
@@ -65,6 +66,9 @@ func FuzzReadIHTL(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// A v3 header (the removed sharded container) with a short body:
+	// refused from its version word, whatever sizes it declares.
+	f.Add(append(v3Header(), make([]byte, 40)...))
 
 	pool := sched.NewPool(1)
 	f.Cleanup(pool.Close)

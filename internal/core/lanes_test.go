@@ -68,16 +68,9 @@ func asmArms(t *testing.T) []string {
 	return []string{"go"}
 }
 
-// laneStepper is what the single and the sharded engine share here;
-// both step in their own ID space, scalar and batched alike.
-type laneStepper interface {
-	Step(src, dst []float64)
-	StepBatch(src, dst []float64, k int)
-}
-
 // requireLanesMatchScalar steps every lane through e's scalar Step and
 // requires lane j of batch dst to hold exactly those bits.
-func requireLanesMatchScalar(t *testing.T, e laneStepper, lanes [][]float64, dst []float64) {
+func requireLanesMatchScalar(t *testing.T, e *Engine, lanes [][]float64, dst []float64) {
 	t.Helper()
 	n, k := len(lanes[0]), len(lanes)
 	want, got := make([]float64, n), make([]float64, n)
@@ -160,8 +153,7 @@ func TestLaneKernelsMatchScalarStep(t *testing.T) {
 // same buffers — and after one round has seen the widest width another
 // round must allocate nothing and still match the scalar Step (the
 // resliced buffers were left all-zero). Every fused kernel and encoding
-// of the option matrix; the sharded engine reslices every shard's state
-// and its exchange values.
+// of the option matrix.
 func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
 	if err != nil {
@@ -171,20 +163,13 @@ func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := map[string]laneStepper{}
+	engines := map[string]*Engine{}
 	for _, opt := range optionMatrix(t, func(o EngineOptions) bool {
 		return !o.Phased && o.Health == spmv.HealthPolicy{} // the phased pipeline allocates its closures
 	}) {
 		if engines[optLabel(opt)], err = NewEngineOpts(ih, testPool, opt); err != nil {
 			t.Fatal(err)
 		}
-	}
-	sg, err := BuildSharded(g, Params{HubsPerBlock: 64}, testPool, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if engines["sharded"], err = NewShardedEngine(sg, testPool); err != nil {
-		t.Fatal(err)
 	}
 	widths := []int{4, 2, 8, 1, 3, 4}
 	for name, e := range engines {
@@ -318,14 +303,6 @@ func TestStepBatchLanePrefetchDecision(t *testing.T) {
 	}
 }
 
-// widthStepper is the stepping surface the alternation differential
-// drives, on the single and the sharded engine alike.
-type widthStepper interface {
-	laneStepper
-	StepCtx(ctx context.Context, src, dst []float64, k int, epi spmv.Epilogue) error
-	StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(w, lo, hi int)) (bool, error)
-}
-
 // TestStepBatchFaultThenWidthChange is the width-alternation
 // differential. Scalar and K-wide steps share one set of hub buffers,
 // dirty ranges and bin values, so ONE engine runs Step, StepBatch(8),
@@ -335,7 +312,7 @@ type widthStepper interface {
 // FRESH engine of the same options gives for that one step: nothing a
 // width, an abort or a staged row set left behind reaches the next step
 // (a refused active-row step must be refused by both and write nothing).
-// Over the whole option matrix, both engine types, 1-3 workers, on a
+// Over the whole option matrix, 1-3 workers, on a
 // graph cut into several flipped blocks and on a resident one with none.
 // Integer lanes keep every sum independent of the schedule.
 func TestStepBatchFaultThenWidthChange(t *testing.T) {
@@ -369,90 +346,82 @@ func TestStepBatchFaultThenWidthChange(t *testing.T) {
 		for _, workers := range workerCounts {
 			pool := sched.NewPool(workers)
 			defer pool.Close()
-			sg, err := BuildSharded(build.g, build.p, pool, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, opt := range optionMatrix(t, nil) {
-				for kind, fresh := range map[string]func() (widthStepper, error){
-					"engine":  func() (widthStepper, error) { return NewEngineOpts(ih, pool, opt) },
-					"sharded": func() (widthStepper, error) { return NewShardedEngineOpts(sg, pool, opt) },
-				} {
-					label := fmt.Sprintf("%s/w%d/%s/%s", build.name, workers, kind, optLabel(opt))
-					e, err := fresh()
+				fresh := func() (*Engine, error) { return NewEngineOpts(ih, pool, opt) }
+				label := fmt.Sprintf("%s/w%d/%s", build.name, workers, optLabel(opt))
+				e, err := fresh()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// same runs one step on e and on a fresh engine and
+				// requires the same bits (and, for an active-row step,
+				// the same answer and the same touched rows).
+				same := func(step string, k int, activeRows bool) {
+					t.Helper()
+					ref, err := fresh()
 					if err != nil {
 						t.Fatal(err)
 					}
-					// same runs one step on e and on a fresh engine and
-					// requires the same bits (and, for an active-row step,
-					// the same answer and the same touched rows).
-					same := func(step string, k int, activeRows bool) {
-						t.Helper()
-						ref, err := fresh()
-						if err != nil {
-							t.Fatal(err)
-						}
-						var out [2][]float64
-						var touched [2]spmv.RowSet
-						var honoured [2]bool
-						for i, eng := range []widthStepper{e, ref} {
-							out[i] = make([]float64, n*k)
-							touched[i] = spmv.NewRowSet(n)
-							switch {
-							case activeRows:
-								for j := range out[i] {
-									out[i][j] = sentinel
-								}
-								if honoured[i], err = eng.StepBatchActiveCtx(context.Background(), src[k], out[i], k, active, touched[i], nil); err != nil {
-									t.Fatalf("%s: %s: %v", label, step, err)
-								}
-							case k == 1:
-								eng.Step(src[k], out[i])
-							default:
-								eng.StepBatch(src[k], out[i], k)
+					var out [2][]float64
+					var touched [2]spmv.RowSet
+					var honoured [2]bool
+					for i, eng := range []*Engine{e, ref} {
+						out[i] = make([]float64, n*k)
+						touched[i] = spmv.NewRowSet(n)
+						switch {
+						case activeRows:
+							for j := range out[i] {
+								out[i][j] = sentinel
 							}
-						}
-						if honoured[0] != honoured[1] {
-							t.Fatalf("%s: %s: honoured %v, fresh engine %v", label, step, honoured[0], honoured[1])
-						}
-						requireBitIdentical(t, label+": "+step, out[1], out[0])
-						for wi := range touched[1] {
-							if touched[0][wi] != touched[1][wi] {
-								t.Fatalf("%s: %s: touched word %d = %x, fresh engine %x", label, step, wi, touched[0][wi], touched[1][wi])
+							if honoured[i], err = eng.StepBatchActiveCtx(context.Background(), src[k], out[i], k, active, touched[i], nil); err != nil {
+								t.Fatalf("%s: %s: %v", label, step, err)
 							}
+						case k == 1:
+							eng.Step(src[k], out[i])
+						default:
+							eng.StepBatch(src[k], out[i], k)
 						}
 					}
-					same("Step", 1, false)
-					same("StepBatch(8)", 8, false)
-					same("Step after 8", 1, false)
-					same("StepBatch(4)", 4, false)
-
-					cancelled, cancel := context.WithCancel(context.Background())
-					cancel()
-					if err := e.StepCtx(cancelled, src[8], make([]float64, n*8), 8, spmv.Epilogue{}); !errors.Is(err, context.Canceled) {
-						t.Fatalf("%s: cancelled step: err = %v", label, err)
+					if honoured[0] != honoured[1] {
+						t.Fatalf("%s: %s: honoured %v, fresh engine %v", label, step, honoured[0], honoured[1])
 					}
-					// One of these sites is on every configuration's path,
-					// most of them after some task has dirtied a buffer.
-					faultinject.Activate(faultinject.NewPlan(
-						faultinject.Rule{Site: faultinject.SiteMergeBlock, Kind: faultinject.Panic},
-						faultinject.Rule{Site: faultinject.SiteSparsePart, Kind: faultinject.Panic},
-						faultinject.Rule{Site: faultinject.SiteSparseBin, Kind: faultinject.Panic},
-						faultinject.Rule{Site: faultinject.SiteFlippedTask, Kind: faultinject.Panic, After: 2},
-						faultinject.Rule{Site: faultinject.SiteSchedClaim, Kind: faultinject.Panic, After: 2},
-					))
-					err = e.StepCtx(context.Background(), src[8], make([]float64, n*8), 8, spmv.Epilogue{})
-					faultinject.Deactivate()
-					var perr *sched.PanicError
-					if !errors.As(err, &perr) {
-						t.Fatalf("%s: err = %v, want the injected panic", label, err)
+					requireBitIdentical(t, label+": "+step, out[1], out[0])
+					for wi := range touched[1] {
+						if touched[0][wi] != touched[1][wi] {
+							t.Fatalf("%s: %s: touched word %d = %x, fresh engine %x", label, step, wi, touched[0][wi], touched[1][wi])
+						}
 					}
-
-					same("Step after the aborts", 1, false)
-					same("active-row step", 8, true)
-					same("Step after active rows", 1, false)
-					same("StepBatch(8) after all", 8, false)
 				}
+				same("Step", 1, false)
+				same("StepBatch(8)", 8, false)
+				same("Step after 8", 1, false)
+				same("StepBatch(4)", 4, false)
+
+				cancelled, cancel := context.WithCancel(context.Background())
+				cancel()
+				if err := e.StepCtx(cancelled, src[8], make([]float64, n*8), 8, spmv.Epilogue{}); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: cancelled step: err = %v", label, err)
+				}
+				// One of these sites is on every configuration's path,
+				// most of them after some task has dirtied a buffer.
+				faultinject.Activate(faultinject.NewPlan(
+					faultinject.Rule{Site: faultinject.SiteMergeBlock, Kind: faultinject.Panic},
+					faultinject.Rule{Site: faultinject.SiteSparsePart, Kind: faultinject.Panic},
+					faultinject.Rule{Site: faultinject.SiteSparseBin, Kind: faultinject.Panic},
+					faultinject.Rule{Site: faultinject.SiteFlippedTask, Kind: faultinject.Panic, After: 2},
+					faultinject.Rule{Site: faultinject.SiteSchedClaim, Kind: faultinject.Panic, After: 2},
+				))
+				err = e.StepCtx(context.Background(), src[8], make([]float64, n*8), 8, spmv.Epilogue{})
+				faultinject.Deactivate()
+				var perr *sched.PanicError
+				if !errors.As(err, &perr) {
+					t.Fatalf("%s: err = %v, want the injected panic", label, err)
+				}
+
+				same("Step after the aborts", 1, false)
+				same("active-row step", 8, true)
+				same("Step after active rows", 1, false)
+				same("StepBatch(8) after all", 8, false)
 			}
 		}
 	}

@@ -41,22 +41,3 @@ func (ih *IHTL) OutDegrees() []int {
 	}
 	return deg
 }
-
-// OutDegrees recomputes per-vertex out-degrees in sharded-global
-// (stepping) ID space: each shard's private topology contributes its
-// intra-shard edges (shard-local new IDs offset by the shard's range
-// base), and the exchange CSR — indexed by global source — contributes
-// the cross-shard edges. Together they cover every edge exactly once.
-func (sg *ShardedIHTL) OutDegrees() []int {
-	deg := make([]int, sg.NumV)
-	for s, ih := range sg.Shards {
-		base := sg.Bounds[s]
-		for lv, d := range ih.OutDegrees() {
-			deg[base+lv] += d
-		}
-	}
-	for u := 0; u < sg.NumV && u+1 < len(sg.XIndex); u++ {
-		deg[u] += int(sg.XIndex[u+1] - sg.XIndex[u])
-	}
-	return deg
-}

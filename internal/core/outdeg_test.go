@@ -59,26 +59,3 @@ func TestOutDegreesMatchesGraph(t *testing.T) {
 		check(t, ef.IHTL().OutDegrees())
 	})
 }
-
-// TestShardedOutDegreesMatchesGraph pins the sharded variant: shard
-// topologies plus the exchange CSR must cover every edge exactly once.
-func TestShardedOutDegreesMatchesGraph(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, nshards := range []int{2, 3} {
-		sg, err := BuildSharded(g, Params{HubsPerBlock: 64}, nil, nshards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deg := sg.OutDegrees()
-		for v := 0; v < g.NumV; v++ {
-			nv := sg.NewID[v]
-			if want := g.OutDegree(graph.VID(v)); deg[nv] != want {
-				t.Fatalf("shards=%d vertex %d (global %d): out-degree %d, want %d",
-					nshards, v, nv, deg[nv], want)
-			}
-		}
-	}
-}

@@ -313,7 +313,7 @@ func TestResidentDifferential(t *testing.T) {
 }
 
 // TestResidentFilesAndFaults takes a zero-block graph through the v2
-// and v3 files and through a failed Step: the opened engines still
+// file and through a failed Step: the opened engines still
 // equal the oracle bit for bit, and so does the clean Step after a
 // cancellation or an injected panic in a sparse part (a bin chunk
 // under the propagation-blocked kernel).
@@ -348,50 +348,6 @@ func TestResidentFilesAndFaults(t *testing.T) {
 		}
 		e.Step(src, dst)
 		requireBitIdentical(t, "engine over the v2 file", want, dst)
-	})
-
-	t.Run("v3", func(t *testing.T) {
-		// Two shards of a resident graph are resident too: the rule is
-		// evaluated on the shard's own vertex range. The exchange adds
-		// the cross edges after the local rows, so only integer sums
-		// are order-free against the oracle.
-		sg, err := BuildSharded(g, Params{}, testPool, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s, sh := range sg.Shards {
-			if len(sh.Blocks) != 0 || !sh.resident {
-				t.Fatalf("shard %d of a resident graph has %d blocks", s, len(sh.Blocks))
-			}
-		}
-		path := filepath.Join(t.TempDir(), "g.ihtl3")
-		if err := sg.SaveFileV3(path); err != nil {
-			t.Fatal(err)
-		}
-		ef, err := OpenEngineFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ef.Close()
-		// The blobs of a v3 file are v2 files: resident shards are raw.
-		for s, sh := range ef.Sharded().Shards {
-			if !sh.resident || sh.EncodedOnly() {
-				t.Fatalf("shard %d of the opened v3 file is not the raw blob of a resident shard", s)
-			}
-		}
-		isrc := integerVec(5, n)
-		iwant := referenceStep(g, isrc)
-		for name, sgx := range map[string]*ShardedIHTL{"built": sg, "opened": ef.Sharded()} {
-			se, err := NewShardedEngine(sgx, testPool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srcNew, dstNew, got := make([]float64, n), make([]float64, n), make([]float64, n)
-			sgx.PermuteToNew(isrc, srcNew)
-			se.Step(srcNew, dstNew)
-			sgx.PermuteToOld(dstNew, got)
-			requireBitIdentical(t, name+" sharded engine", iwant, got)
-		}
 	})
 
 	for _, opt := range []EngineOptions{{}, {BlockEncoding: EncodingVarint}, {SparseKernel: SparsePB}} {

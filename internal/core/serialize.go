@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -19,7 +20,14 @@ import (
 const (
 	ihtlMagic   = uint64(0x4948544c42494e31) // "IHTLBIN1"
 	ihtlVersion = uint32(1)
+	// ihtlVersion3 was the sharded container. Its engine is gone and no
+	// decoder is kept: a file of it is refused by name, from its
+	// version word alone, before any size it declares is read.
+	ihtlVersion3 = uint32(3)
 )
+
+// errV3Removed is what every reader returns for a version-3 file.
+var errV3Removed = errors.New("core: version 3 is the removed sharded container: rebuild the graph and write it with SaveFileV2")
 
 // WriteTo serialises ih. Layout: header, relabeling arrays, per-block
 // (hub range, index, dsts), sparse block.
@@ -95,8 +103,11 @@ func ReadIHTL(r io.Reader) (*IHTL, error) {
 	if err := get(&version); err != nil {
 		return nil, err
 	}
-	if version == ihtlVersion2 {
+	switch version {
+	case ihtlVersion2:
 		return readV2Resident(br)
+	case ihtlVersion3:
+		return nil, errV3Removed
 	}
 	if version != ihtlVersion {
 		return nil, fmt.Errorf("core: unsupported version %d", version)

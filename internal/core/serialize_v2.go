@@ -296,21 +296,13 @@ func (vw *v2writer) chunked(ck *compress.Chunked) {
 // memory, so old files keep working everywhere.
 type EngineFile struct {
 	ih     *IHTL
-	sg     *ShardedIHTL
 	data   []byte
 	mapped bool
 }
 
-// IHTL returns the opened graph — nil for a sharded (v3) file, whose
-// graph is returned by Sharded instead. For a mapped file it stays
-// valid only until Close.
+// IHTL returns the opened graph. For a mapped file it stays valid only
+// until Close.
 func (ef *EngineFile) IHTL() *IHTL { return ef.ih }
-
-// Sharded returns the opened sharded graph of a version-3 file, or nil
-// for single-graph files. Every shard's topology aliases the shared
-// mapping, so per-shard sections page in on first touch like a v2
-// file's.
-func (ef *EngineFile) Sharded() *ShardedIHTL { return ef.sg }
 
 // Mapped reports whether the topology is memory-mapped (true only for
 // v2 files on platforms where the mmap succeeded).
@@ -320,7 +312,7 @@ func (ef *EngineFile) Mapped() bool { return ef.mapped }
 // must not be used afterwards.
 func (ef *EngineFile) Close() error {
 	data, mapped := ef.data, ef.mapped
-	ef.ih, ef.sg, ef.data, ef.mapped = nil, nil, nil, false
+	ef.ih, ef.data, ef.mapped = nil, nil, false
 	if mapped {
 		return unmapFile(data)
 	}
@@ -334,7 +326,8 @@ func (ef *EngineFile) Close() error {
 // encoding then runs varint over the mapping without materialising the
 // flat adjacency — and a raw file flat, its Srcs the mapped section, so
 // auto runs the flat kernels over it with nothing decoded. Version-1
-// files fall back to the resident ReadIHTL decoder.
+// files fall back to the resident ReadIHTL decoder. A version-3 file,
+// the removed sharded container, is refused by name.
 func OpenEngineFile(path string) (*EngineFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -376,22 +369,7 @@ func OpenEngineFile(path string) (*EngineFile, error) {
 		}
 		return &EngineFile{ih: ih, data: data, mapped: mapped}, nil
 	case ihtlVersion3:
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		data, mapped, err := mapFile(f, st.Size())
-		if err != nil {
-			return nil, err
-		}
-		sg, err := parseV3(data)
-		if err != nil {
-			if mapped {
-				unmapFile(data)
-			}
-			return nil, fmt.Errorf("core: %s: %w", path, err)
-		}
-		return &EngineFile{sg: sg, data: data, mapped: mapped}, nil
+		return nil, fmt.Errorf("%w (%s)", errV3Removed, path)
 	default:
 		return nil, fmt.Errorf("core: %s: unsupported version %d", path, version)
 	}

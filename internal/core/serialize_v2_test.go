@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -215,6 +217,76 @@ func TestOpenEngineFileReadsV1(t *testing.T) {
 	requireBitIdentical(t, "v1 engine", stepOldSpace(ih, want, src), stepOldSpace(got, e, src))
 }
 
+// v3Header hand-makes the first 64 bytes of a version-3 file, the
+// removed sharded container, declaring sizes no reader could honour.
+func v3Header() []byte {
+	b := make([]byte, 64)
+	binary.LittleEndian.PutUint64(b[0:], ihtlMagic)
+	binary.LittleEndian.PutUint32(b[8:], ihtlVersion3)
+	binary.LittleEndian.PutUint32(b[12:], 1<<31) // numShards
+	binary.LittleEndian.PutUint64(b[16:], 1<<62) // numV
+	binary.LittleEndian.PutUint64(b[24:], 1<<62) // numE
+	binary.LittleEndian.PutUint64(b[40:], 1<<62) // lenXRows
+	return b
+}
+
+// wordReader serves data but fails the test on any Read once the
+// 12-byte magic and version prefix has been handed out: a reader that
+// went on to read a size would read past it.
+type wordReader struct {
+	t    *testing.T
+	data []byte
+	off  int
+}
+
+func (r *wordReader) Read(p []byte) (int, error) {
+	if r.off >= 12 {
+		r.t.Error("ReadIHTL read past the version word of a v3 file")
+		return 0, io.ErrUnexpectedEOF
+	}
+	n := copy(p, r.data[r.off:12])
+	r.off += n
+	return n, nil
+}
+
+// TestOpenEngineFileRefusesV3 hands every reader a version-3 file —
+// the prefix alone, the 64-byte header with no body, and the header
+// with a body cut short — and requires the error that names the
+// removed container and its way out, from the version word alone.
+func TestOpenEngineFileRefusesV3(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"prefix":    v3Header()[:12],
+		"empty":     v3Header(),
+		"truncated": append(v3Header(), make([]byte, 100)...),
+	} {
+		path := filepath.Join(dir, name+".ihtl3")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused := func(entry string, err error) {
+			t.Helper()
+			msg := fmt.Sprint(err)
+			if !errors.Is(err, errV3Removed) || !strings.Contains(msg, "version 3") ||
+				!strings.Contains(msg, "sharded") || !strings.Contains(msg, "SaveFileV2") {
+				t.Errorf("%s/%s: err = %v, want the refusal naming the removed sharded container", name, entry, err)
+			}
+		}
+		ef, err := OpenEngineFile(path)
+		if ef != nil {
+			t.Errorf("%s: OpenEngineFile returned a file", name)
+		}
+		refused("OpenEngineFile", err)
+		if ih, err := LoadFile(path); ih != nil || err == nil {
+			t.Errorf("%s: LoadFile returned a graph", name)
+		} else {
+			refused("LoadFile", err)
+		}
+		_, err = ReadIHTL(&wordReader{t: t, data: data})
+		refused("ReadIHTL", err)
+	}
+}
+
 // TestV2RejectsCorruption fuzz-adjacent hostile-input coverage for the
 // mapped parser: truncations and bit flips across the whole file must
 // error, never panic.
@@ -307,17 +379,6 @@ func TestV2RefusesLEB128Era(t *testing.T) {
 		t.Fatal("the stream-format word is not where the old header had zero padding")
 	}
 
-	// A v3 container follows its embedded v2 blobs.
-	sg := buildV3TestGraph(t)
-	var v3 bytes.Buffer
-	if _, err := sg.WriteToV3(&v3); err != nil {
-		t.Fatal(err)
-	}
-	data := v3.Bytes()
-	blob := bytes.Index(data[64:], now.Bytes()[:12]) + 64 // first embedded v2 header: magic + version
-	binary.LittleEndian.PutUint32(data[blob+52:], 0)
-	_, err = parseV3(data)
-	refused("parseV3", err)
 }
 
 // TestWriteToV2LeavesNoEncodedCopy pins the save-side fix: writing a

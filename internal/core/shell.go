@@ -4,59 +4,31 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"time"
 
 	"ihtl/internal/faultinject"
 	"ihtl/internal/sched"
 	"ihtl/internal/spmv"
 )
 
-// The step shell: everything around one step that does not depend on
-// what is being stepped. Engine and ShardedEngine embed it, so the
-// entry points (Step, StepBatch, StepCtx, StepBatchActiveCtx), the shape
-// checks, the numeric-health watchdog, the epilogue's slot grid and its
-// two placements (streamed per part, or behind a barrier), the phased
-// pipeline's extra dispatch and the Fallible → run → recoverState
-// wrapper are written here once. A scalar step is the batch step at
+// The step shell: everything around one step that is not a kernel —
+// the entry points (Step, StepBatch, StepCtx, StepBatchActiveCtx), the
+// shape checks, the numeric-health watchdog, the epilogue's slot grid
+// and its two placements (streamed per part, or behind a barrier) and
+// the Fallible → run → recoverState wrapper. The entry points are
+// Engine's and meet in Engine.step (engine.go), which picks the
+// pipeline; the state they stage and the per-slot work are
+// stepShell's, which Engine embeds. A scalar step is the batch step at
 // k == 1.
-
-// stepDriver is the half of a step the shell hands back to the engine
-// that embeds it.
-type stepDriver interface {
-	// setWidth sets the engine's execution state to k lanes.
-	setWidth(k int)
-	// setActive stages the row sets of an active-row step (nil, nil
-	// unstages them). An engine without the active-row kernels answers
-	// false and stages nothing.
-	setActive(active, touched spmv.RowSet) bool
-	// stepFused runs the whole step as one pool dispatch whose workers
-	// end in runEpilogue (a streamed step's workers have run finishSlot
-	// on each part they pulled instead); stepPhased runs it as barriered
-	// dispatches and leaves scan and epilogue to the shell. Both step at
-	// the width last set and add their elapsed time to breakdown.Wall.
-	stepFused(src, dst []float64)
-	stepPhased(src, dst []float64)
-	// recoverDriver restores the engine's own cross-step state after an
-	// aborted step.
-	recoverDriver()
-}
 
 // stepShell holds what the orchestrating goroutine writes once per step
 // — the staged vectors, epilogue, width and watchdog verdict, and the
 // accumulated breakdown — apart from the schedule and buffer state the
 // workers read on every task.
 type stepShell struct {
-	drv  stepDriver
-	pool *sched.Pool
-	numV int
-	// nworkers is the number of distinct worker indices the per-worker
-	// state (buffers, clocks, barriers, health tallies) is sized for. It
-	// equals pool.Workers() except on a sharded engine's sub-engines,
-	// which are sized for their shard's worker GROUP and receive
-	// group-local indices.
-	nworkers int
-	phased   bool
-	health   spmv.HealthPolicy
+	pool   *sched.Pool
+	numV   int
+	phased bool
+	health spmv.HealthPolicy
 
 	// The epilogue's slot grid: slot p is rows [slotBounds[p],
 	// slotBounds[p+1]), the unit the watchdog scan and an epilogue run on
@@ -99,13 +71,14 @@ type healthSlot struct {
 	_     [6]int64
 }
 
-func (s *stepShell) initShell(drv stepDriver, pool *sched.Pool, numV, nworkers int, opt EngineOptions) {
-	s.drv, s.pool, s.numV, s.nworkers = drv, pool, numV, nworkers
+func (s *stepShell) initShell(pool *sched.Pool, numV int, opt EngineOptions) {
+	workers := pool.Workers()
+	s.pool, s.numV = pool, numV
 	s.phased, s.health = opt.Phased, opt.Health
-	s.epiBarrier = sched.NewBarrier(nworkers)
-	s.initSlots(sched.VertexBalancedParts(numV, nworkers), false)
+	s.epiBarrier = sched.NewBarrier(workers)
+	s.initSlots(sched.VertexBalancedParts(numV, workers), false)
 	s.slotsJob = s.runSlots
-	s.healthBad = make([]healthSlot, nworkers)
+	s.healthBad = make([]healthSlot, workers)
 }
 
 // initSlots sets the epilogue's slot grid to the row bounds given and
@@ -117,21 +90,21 @@ func (s *stepShell) initSlots(bounds []int, streams bool) {
 	for p, b := range bounds {
 		rows[p] = int64(b)
 	}
-	s.slotBounds, s.slotOwner, s.streams = bounds, sched.EdgeBalancedParts(rows, s.nworkers), streams
+	s.slotBounds, s.slotOwner, s.streams = bounds, sched.EdgeBalancedParts(rows, s.pool.Workers()), streams
 }
 
 // EpiSlots implements spmv.Stepper. The grid is the sparse pull's parts
-// on an unsharded engine over a graph with no flipped block — and such
-// an engine streams: a permitted epilogue runs on each part inside the
+// on an engine over a graph with no flipped block — and such an engine
+// streams: a permitted epilogue runs on each part inside the
 // sparse claim loop, as soon as the part's rows are pulled, with no
 // barrier — and the workers' static shares of the vertex range behind
 // the barrier on every other engine.
-func (s *stepShell) EpiSlots() (slots int, streamed bool) {
-	return len(s.slotBounds) - 1, s.streams
+func (e *Engine) EpiSlots() (slots int, streamed bool) {
+	return len(e.slotBounds) - 1, e.streams
 }
 
 // NumVertices implements spmv.Stepper.
-func (s *stepShell) NumVertices() int { return s.numV }
+func (e *Engine) NumVertices() int { return e.numV }
 
 // TakeBreakdown returns the accumulated phase breakdown and resets it.
 func (s *stepShell) TakeBreakdown() Breakdown {
@@ -144,7 +117,7 @@ func (s *stepShell) TakeBreakdown() Breakdown {
 // src and dst must have length NumVertices and must not alias.
 //
 //ihtl:noalloc
-func (s *stepShell) Step(src, dst []float64) { s.StepBatch(src, dst, 1) }
+func (e *Engine) Step(src, dst []float64) { e.StepBatch(src, dst, 1) }
 
 // StepBatch computes dst[v*k+j] = Σ_{u ∈ N⁻(v)} src[u*k+j] for every
 // vertex v and lane j < k: K interleaved SpMVs through one traversal of
@@ -154,9 +127,9 @@ func (s *stepShell) Step(src, dst []float64) { s.StepBatch(src, dst, 1) }
 // A numeric-health failure panics; StepCtx returns it.
 //
 //ihtl:noalloc
-func (s *stepShell) StepBatch(src, dst []float64, k int) {
-	s.checkShape(src, dst, k)
-	if err := s.step(src, dst, k, nil, false); err != nil {
+func (e *Engine) StepBatch(src, dst []float64, k int) {
+	e.checkShape(src, dst, k)
+	if err := e.step(src, dst, k, nil, false); err != nil {
 		panic(err) // the plain entry points have no error return; StepCtx returns the verdict
 	}
 }
@@ -180,9 +153,9 @@ func (s *stepShell) StepBatch(src, dst []float64, k int) {
 // barriers) is restored, so the next clean step — of any width — is
 // bit-for-bit identical to one on a fresh engine. A step that fails after
 // streaming may have run the epilogue on some slots.
-func (s *stepShell) StepCtx(ctx context.Context, src, dst []float64, k int, epi spmv.Epilogue) error {
-	s.checkShape(src, dst, k)
-	return s.stepCtx(ctx, src, dst, k, epi.Run, epi.Stream)
+func (e *Engine) StepCtx(ctx context.Context, src, dst []float64, k int, epi spmv.Epilogue) error {
+	e.checkShape(src, dst, k)
+	return e.stepCtx(ctx, src, dst, k, epi.Run, epi.Stream)
 }
 
 // StepBatchActiveCtx is StepCtx, with an epilogue that does not
@@ -195,22 +168,22 @@ func (s *stepShell) StepCtx(ctx context.Context, src, dst []float64, k int, epi 
 // source pushed into). epi runs behind the barrier and may read
 // touched.
 //
-// Only the flat fused unsharded pipeline with a pull sparse kernel has
+// Only the flat fused pipeline with a pull sparse kernel has
 // the two kernels (active.go); any other engine answers honoured ==
 // false having done nothing, and the caller steps densely. Both sets
 // are NumVertices bits.
-func (s *stepShell) StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(slot, lo, hi int)) (honoured bool, err error) {
-	s.checkShape(src, dst, k)
-	if words := (s.numV + 63) >> 6; len(active) != words || len(touched) != words {
+func (e *Engine) StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(slot, lo, hi int)) (honoured bool, err error) {
+	e.checkShape(src, dst, k)
+	if words := (e.numV + 63) >> 6; len(active) != words || len(touched) != words {
 		panic("core: row set length mismatch")
 	}
-	if !s.drv.setActive(active, touched) {
+	if !e.setActive(active, touched) {
 		return false, nil
 	}
-	s.touched = touched
-	err = s.stepCtx(ctx, src, dst, k, epi, false)
-	s.touched = nil
-	s.drv.setActive(nil, nil)
+	e.touched = touched
+	err = e.stepCtx(ctx, src, dst, k, epi, false)
+	e.touched = nil
+	e.setActive(nil, nil)
 	return true, err
 }
 
@@ -225,59 +198,17 @@ func (s *stepShell) checkShape(src, dst []float64, k int) {
 }
 
 // stepCtx is the one Fallible → step → recoverState wrapper.
-func (s *stepShell) stepCtx(ctx context.Context, src, dst []float64, k int, epi func(slot, lo, hi int), streamEpi bool) error {
-	end, err := s.pool.Fallible(ctx)
+func (e *Engine) stepCtx(ctx context.Context, src, dst []float64, k int, epi func(slot, lo, hi int), streamEpi bool) error {
+	end, err := e.pool.Fallible(ctx)
 	if err != nil {
 		return err
 	}
-	verdict := s.step(src, dst, k, epi, streamEpi)
+	verdict := e.step(src, dst, k, epi, streamEpi)
 	if err := end(); err != nil {
-		s.recoverState()
+		e.recoverState()
 		return err
 	}
 	return verdict
-}
-
-// step is one step of width k plus epilogue, returning the numeric-
-// health verdict: a *spmv.NumericError, or nil when the watchdog is off
-// or satisfied. streamEpi
-// says the caller holds epi to the streamed contract (Epilogue.Stream);
-// the scan alone streams at any width, since it reads a slot's rows
-// only.
-//
-//ihtl:noalloc
-func (s *stepShell) step(src, dst []float64, k int, epi func(slot, lo, hi int), streamEpi bool) error {
-	s.drv.setWidth(k)
-	s.armHealth(k)
-	s.curEpi = epi
-	if s.phased {
-		s.drv.stepPhased(src, dst)
-		if epi != nil || s.healthArmed {
-			start := time.Now()
-			s.curDst = dst
-			s.pool.Run(s.slotsJob)
-			s.curDst = nil
-			s.breakdown.Wall += time.Since(start)
-		}
-	} else {
-		s.streamed = s.streams && s.touched == nil && (epi != nil || s.healthArmed) && (epi == nil || streamEpi)
-		s.drv.stepFused(src, dst)
-		s.streamed = false
-	}
-	s.curEpi = nil
-	s.breakdown.Steps++
-	return s.collectHealth()
-}
-
-// recoverState restores the reusable cross-step state after an aborted
-// (cancelled or panicked) step, so the next clean step is bit-for-bit
-// identical to one on a fresh engine: the engine's own half (buffers,
-// dirty ranges, intra-dispatch barriers), then the shell's staging.
-func (s *stepShell) recoverState() {
-	s.drv.recoverDriver()
-	s.epiBarrier.Reset()
-	s.curSrc, s.curDst, s.curEpi, s.touched = nil, nil, nil, nil
-	s.healthArmed, s.streamed = false, false
 }
 
 // runEpilogue crosses the epilogue barrier and runs worker w's slots;

@@ -186,7 +186,7 @@ func (e *Engine) initSparseKernel(kernel SparseKernel) {
 	if kernel != SparsePB || ih.NumV-ih.Sparse.DestLo <= 0 {
 		return
 	}
-	w := e.nworkers
+	w := e.pool.Workers()
 	e.pb = buildPB(ih, w)
 	e.auxSched = sched.NewStealScheduler(w)
 	e.binBarrier = sched.NewBarrier(w)

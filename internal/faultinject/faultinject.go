@@ -71,12 +71,6 @@ const (
 	// derives a block's edge-major adv stream on the pool; the dispatch
 	// is ctx-aware, so a fault there comes back as NewEngine's error.
 	SiteEngineLayout Site = "core.engine-layout"
-	// SiteShardPush fires once per claimed source chunk of the sharded
-	// engine's cross-shard exchange bin phase.
-	SiteShardPush Site = "core.shard-push"
-	// SiteShardExchange fires once per claimed destination bucket of
-	// the sharded engine's cross-shard exchange drain phase.
-	SiteShardExchange Site = "core.shard-exchange"
 	// SiteServeAdmit fires once per admission decision in the query
 	// daemon, before the request is queued or shed.
 	SiteServeAdmit Site = "serve.admit"

@@ -53,8 +53,8 @@ type Pool struct {
 	// parked is where workers waiting at a Barrier sleep once their
 	// spin budget is spent (under parkMu). One place per pool, not per
 	// barrier, so setAbort reaches every sleeper without a registry; a
-	// crossing of one barrier wakes the sleepers of the pool's others
-	// (a sharded engine's groups), which re-check and sleep again.
+	// crossing of one barrier wakes the sleepers of the pool's others,
+	// which re-check and sleep again.
 	parkMu sync.Mutex
 	parked sync.Cond
 	// ctxCanceled mirrors ctx.Done() of the Fallible region currently

@@ -2,8 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,6 +125,32 @@ func pickSources(t *testing.T, enginePath string, n int) []uint32 {
 		t.Fatalf("found only %d sources", len(out))
 	}
 	return out
+}
+
+// TestServeNewRefusesV3 opens the daemon over a version-3 file, the
+// removed sharded container, whole-headed with a body cut short: New
+// must return the reader's refusal — no server, no panic — and leave no
+// pool's workers running.
+func TestServeNewRefusesV3(t *testing.T) {
+	data := make([]byte, 64+100)
+	binary.LittleEndian.PutUint64(data[0:], 0x4948544c42494e31) // "IHTLBIN1"
+	binary.LittleEndian.PutUint32(data[8:], 3)
+	binary.LittleEndian.PutUint32(data[12:], 1<<31) // numShards
+	binary.LittleEndian.PutUint64(data[16:], 1<<62) // numV
+	path := filepath.Join(t.TempDir(), "engine.ihtl3")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	cfg := testConfig(path)
+	cfg.SpoolDir = t.TempDir()
+	s, err := New(cfg)
+	if s != nil || err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "sharded") {
+		t.Fatalf("New over a v3 file: server %v, err = %v; want the refusal naming the sharded container", s, err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("New over a v3 file left %d goroutines running, %d before", n, before)
+	}
 }
 
 // TestServeCoalescedBitIdenticalToSolo is the coalescing exactness

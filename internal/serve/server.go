@@ -183,14 +183,8 @@ func New(cfg Config) (*Server, error) {
 		done:  make(chan struct{}),
 	}
 	s.baseCtx, s.hardCancel = context.WithCancel(context.Background())
-	if ih := ef.IHTL(); ih != nil {
-		s.n, s.newID, s.oldID, s.outDeg = ih.NumV, ih.NewID, ih.OldID, ih.OutDegrees()
-	} else if sg := ef.Sharded(); sg != nil {
-		s.n, s.newID, s.oldID, s.outDeg = sg.NumV, sg.NewID, sg.OldID, sg.OutDegrees()
-	} else {
-		ef.Close()
-		return nil, fmt.Errorf("serve: %s holds no graph", cfg.EnginePath)
-	}
+	ih := ef.IHTL()
+	s.n, s.newID, s.oldID, s.outDeg = ih.NumV, ih.NewID, ih.OldID, ih.OutDegrees()
 	for i := 0; i < cfg.Slots; i++ {
 		sl, err := s.newSlot()
 		if err != nil {
@@ -232,13 +226,9 @@ func (s *Server) newSlot() (*slot, error) {
 }
 
 func (s *Server) newEngine(pool *sched.Pool) (spmv.Stepper, error) {
-	opt := core.EngineOptions{
+	return core.NewEngineOpts(s.ef.IHTL(), pool, core.EngineOptions{
 		Health: spmv.HealthPolicy{Mode: spmv.HealthRollback},
-	}
-	if ih := s.ef.IHTL(); ih != nil {
-		return core.NewEngineOpts(ih, pool, opt)
-	}
-	return core.NewShardedEngineOpts(s.ef.Sharded(), pool, opt)
+	})
 }
 
 func (s *Server) closeSlots() {
