@@ -22,6 +22,8 @@ var AssemblyTwins = map[string]string{
 	"ihtl/internal/core.pullRowFlat8AVX2":  "pullRowFlat8",
 	"ihtl/internal/core.pullRowFlat4AVX2":  "pullRowFlat4",
 	"ihtl/internal/core.pullEdgePairsAsm":  "pullEdgePairs",
+	"ihtl/internal/core.pushEdgePairsAsm":  "pushEdgePairs",
+	"ihtl/internal/core.pushTaskFlatAsm":   "pushTaskFlat",
 	"ihtl/internal/analytics.pprRows8AVX2": "pprRows",
 	"ihtl/internal/analytics.pprRows4AVX2": "pprRows",
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"ihtl/internal/gen"
 	"ihtl/internal/graph"
@@ -16,10 +17,11 @@ import (
 // BenchmarkShortRowKernel times the four flat scalar kernels — CSR and
 // edge-major, flipped push and sparse pull — on one thread, called
 // directly, every task or part in order, so the number is the inner
-// loop's: no dispatch, no merge. The edge-major pull runs each body of
-// its pair loop: the Go twin ("go") and, in a build with the assembly,
-// the assembly prefetching 16, 32, 64 and 128 edges ahead ("asm-d32"). A
-// graph is generated only when a sub-benchmark of its name is selected:
+// loop's: no dispatch, no merge. Each kernel with a prefetching body runs
+// each body: the Go twin ("go") and, in a build with the assembly, the
+// assembly prefetching 16, 32, 64 and 128 edges ahead ("asm-d32") —
+// both pushes, and the edge-major pull's pair loop. A graph is
+// generated only when a sub-benchmark of its name is selected:
 //
 //   - web=200k, the web analog at 200 k pages, whose blocks are the
 //     short-row shape the edge-major layout exists for (1.6 MB of vertex
@@ -29,9 +31,11 @@ import (
 //   - rmat=20, social-flipped's (R-MAT scale 20, edge factor 16).
 //
 // The two beyond-L2 graphs also time whole default Steps on two
-// workers, "step/pull/<body>": ns per edge, and the sparse phase's busy
-// ns per sparse edge. DESIGN.md §17 records the tables (the distance
-// sweep is "Prefetching the pull").
+// workers, "step/pull/<body>" and "step/push/<body>" (that kernel's body
+// picked, the other at its default): ns per edge, and the sparse
+// phase's busy ns per sparse edge or the flipped phase's per flipped
+// edge. DESIGN.md §17 records the tables (the distance sweeps are
+// "Prefetching the pull" and "Prefetching the push").
 func BenchmarkShortRowKernel(b *testing.B) {
 	defer ForceGoTwins(false)
 	web := func(pages int) func() (*graph.Graph, error) {
@@ -41,14 +45,14 @@ func BenchmarkShortRowKernel(b *testing.B) {
 			return gen.Web(cfg)
 		}
 	}
-	type pairBody struct {
+	type prefetchBody struct {
 		name string
-		dist int // pullPrefetch: 0 is the Go twin
+		dist int // pullPrefetch or pushPrefetch: 0 is the Go twin
 	}
-	bodies := []pairBody{{"go", 0}}
-	if edgeAsmDist > 0 {
+	bodies := []prefetchBody{{"go", 0}}
+	if scalarAsmDist > 0 {
 		for _, d := range []int{16, 32, 64, 128} {
-			bodies = append(bodies, pairBody{fmt.Sprintf("asm-d%d", d), d})
+			bodies = append(bodies, prefetchBody{fmt.Sprintf("asm-d%d", d), d})
 		}
 	}
 	for _, c := range []struct {
@@ -85,16 +89,19 @@ func BenchmarkShortRowKernel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.Run("push/"+layout.String(), func(b *testing.B) {
-					buf := e.batch.bufs[0]
-					for i := 0; i < b.N; i++ {
-						for t := range e.blockTasks {
-							e.pushTask(&e.blockTasks[t], src, buf)
+				for _, body := range bodies {
+					b.Run("push/"+layout.String()+"/"+body.name, func(b *testing.B) {
+						pushPrefetch = body.dist
+						buf := e.batch.bufs[0]
+						for i := 0; i < b.N; i++ {
+							for t := range e.blockTasks {
+								e.pushTask(&e.blockTasks[t], src, buf)
+							}
 						}
-					}
-					perEdge(b, ih.FlippedEdges())
-					clear(buf)
-				})
+						perEdge(b, ih.FlippedEdges())
+						clear(buf)
+					})
+				}
 				for _, body := range bodies {
 					name := "pull/" + layout.String()
 					if layout == LayoutEdgeMajor {
@@ -122,18 +129,30 @@ func BenchmarkShortRowKernel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, body := range bodies {
-				b.Run("step/pull/"+body.name, func(b *testing.B) {
-					pullPrefetch = body.dist
-					e.Step(src, dst) // page in dst and the hub buffers
-					e.TakeBreakdown()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						e.Step(src, dst)
-					}
-					perEdge(b, ih.NumE)
-					b.ReportMetric(float64(e.TakeBreakdown().SparseBusy.Nanoseconds())/float64(b.N)/float64(ih.Sparse.NumEdges()), "sparse-ns/edge")
-				})
+			for _, kernel := range []struct {
+				name  string
+				dist  *int
+				edges int64
+				busy  func(Breakdown) time.Duration
+				unit  string
+			}{
+				{"pull", &pullPrefetch, ih.Sparse.NumEdges(), func(bd Breakdown) time.Duration { return bd.SparseBusy }, "sparse-ns/edge"},
+				{"push", &pushPrefetch, ih.FlippedEdges(), func(bd Breakdown) time.Duration { return bd.FlippedBusy }, "flipped-ns/edge"},
+			} {
+				for _, body := range bodies {
+					b.Run("step/"+kernel.name+"/"+body.name, func(b *testing.B) {
+						ForceGoTwins(false)
+						*kernel.dist = body.dist
+						e.Step(src, dst) // page in dst and the hub buffers
+						e.TakeBreakdown()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							e.Step(src, dst)
+						}
+						perEdge(b, ih.NumE)
+						b.ReportMetric(float64(kernel.busy(e.TakeBreakdown()).Nanoseconds())/float64(b.N)/float64(kernel.edges), kernel.unit)
+					})
+				}
 			}
 		})
 	}
@@ -258,7 +277,7 @@ func BenchmarkLaneKernel(b *testing.B) {
 // two workers per distance, ns per edge-lane and the busy milliseconds
 // a Step of the flipped push and of the sparse pull (Breakdown's
 // FlippedBusy and SparseBusy, summed over workers). DESIGN.md §8,
-// "Prefetching the lanes", records the sweep lanePrefetchDist is picked
+// "Prefetching the lanes", records the sweep prefetchDist is picked
 // from.
 func laneKernelPastL2(b *testing.B) {
 	g, err := gen.RMAT(gen.DefaultRMAT(20, 16, 1))

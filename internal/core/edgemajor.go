@@ -41,8 +41,12 @@ package core
 //
 // The pull's src reads are random, and past L2 they miss. On amd64 its
 // pair loop runs an assembly body (edgemajor_amd64.s) that prefetches
-// the source value pullPrefetchDist edges ahead; pullEdgePairs is that
+// the source value prefetchDist edges ahead; pullEdgePairs is that
 // body's Go twin, bit for bit (DESIGN.md §17, "Prefetching the pull").
+// The push's hub-buffer writes stay inside the 1 MiB buffer, but it
+// shares L2 with the topology and src streams, so they miss too: its
+// pair loop (pushEdgePairs) has a prefetching body of the same shape,
+// as has the CSR push (DESIGN.md §17, "Prefetching the push").
 
 import (
 	"ihtl/internal/faultinject"
@@ -95,15 +99,6 @@ const (
 	// ahead of accumulating into them: 16 KiB of float64, half an L1d,
 	// so the accumulates hit lines the clear just brought in.
 	pullChunkRows = 2048
-
-	// pullPrefetchDist is how many edges ahead the assembly pair loop
-	// (edgemajor_amd64.s) prefetches its source values: far enough that
-	// a miss to memory is in flight for the 64 edges between, near enough
-	// that the line is still in L1 when its edge comes. Chosen from the
-	// distance sweep in DESIGN.md §17, "Prefetching the pull": 16 and 32
-	// are slower on both beyond-L2 graphs; 128 reads level with 64 or a
-	// little below it, so the knee is taken rather than the far end.
-	pullPrefetchDist = 64
 )
 
 // pickLayout chooses a block's layout from its shape. Blocks with no

@@ -2,6 +2,14 @@
 
 #include "textflag.h"
 
+// The scalar prefetching loops (edgemajor_amd64.go): the pull's pair
+// loop here, the push's two bodies in push_amd64.s. Every ADDSD keeps
+// its Go twin's first operand, the accumulator — the pull's row, the
+// push's hub entry — loaded into a register, which is what decides the
+// result when two NaNs meet. A PREFETCHT0 has no architectural effect,
+// and its index is read only while the edge dist ahead is inside the
+// index slice (srcs, dsts): a prefetch cannot fault, the index load can.
+
 // func pullEdgePairsAsm(adv []uint8, srcs []graph.VID, src, rows []float64, j, end, r, dist int) (int, int)
 //
 // pullEdgePairs (edgemajor.go) with two PREFETCHT0s ahead of each pair.
@@ -69,3 +77,4 @@ pairsdone:
 	MOVQ CX, ret+128(FP)
 	MOVQ R8, ret1+136(FP)
 	RET
+

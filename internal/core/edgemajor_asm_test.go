@@ -143,7 +143,7 @@ func TestEdgeMajorAsmPairsMatchTwin(t *testing.T) {
 	twin := func(j, end, r int, rows []float64) (int, int) {
 		return pullEdgePairs(adv, srcs, src, rows, j, end, r)
 	}
-	for _, dist := range []int{pullPrefetchDist, 1, 2, 16, 64, edges, 1 << 20} {
+	for _, dist := range []int{prefetchDist, 1, 2, 16, 64, edges, 1 << 20} {
 		asm := func(j, end, r int, rows []float64) (int, int) {
 			return pullEdgePairsAsm(adv, srcs, src, rows, j, end, r, dist)
 		}
@@ -218,8 +218,8 @@ func TestEdgeMajorAsmChunkEdges(t *testing.T) {
 			ForceGoTwins(true)
 			pullRowsEdgeMajor(sp, adv, lo, hi, prev, src, twin)
 			ForceGoTwins(false)
-			if pullPrefetch != pullPrefetchDist {
-				t.Fatalf("pullPrefetch = %d, want the assembly at %d", pullPrefetch, pullPrefetchDist)
+			if pullPrefetch != prefetchDist {
+				t.Fatalf("pullPrefetch = %d, want the assembly at %d", pullPrefetch, prefetchDist)
 			}
 			pullRowsEdgeMajor(sp, adv, lo, hi, prev, src, asm)
 			requireBitIdentical(t, label+": assembly against twin", twin, asm)

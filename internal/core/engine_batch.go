@@ -47,7 +47,7 @@ type batchState struct {
 	// the fused worker and the sparse parts pick their kernels.
 	active, touched spmv.RowSet
 	// prefetch is the lane prefetch distance of this width, the last
-	// argument of the two 8-lane assembly cells: lanePrefetchDist when
+	// argument of the two 8-lane assembly cells: prefetchDist when
 	// the width's lane rows outgrow the cache B is sized from, else 0
 	// (the plain loop). setWidth decides it.
 	prefetch int
@@ -66,7 +66,7 @@ type batchState struct {
 // CacheBytes — Params.resident's test taken at width k, counted in
 // lanes because a ForBatch build's VertexBytes already counts its own —
 // a lane row per edge is a miss, and the 8-lane cells fetch it
-// lanePrefetchDist edges ahead. Inside the cache the prefetch is pure
+// prefetchDist edges ahead. Inside the cache the prefetch is pure
 // overhead and they run the plain loop (DESIGN.md §8, "Prefetching the
 // lanes").
 func (e *Engine) setWidth(k int) {
@@ -77,7 +77,7 @@ func (e *Engine) setWidth(k int) {
 	b.k = k
 	b.prefetch = 0
 	if int64(e.ih.NumV)*int64(k)*8 > int64(e.ih.params.CacheBytes) {
-		b.prefetch = lanePrefetchDist
+		b.prefetch = prefetchDist
 	}
 	for i := range b.bufs {
 		b.bufs[i] = resized(b.bufs[i], e.ih.NumHubs*k)

@@ -31,7 +31,7 @@ import (
 // laneAsm is set. The Go bodies here are their twins: what every other
 // host and the purego, ihtlchecked and race builds run, and what
 // lanes_asm_test.go holds the assembly to, bit for bit. The two 8-lane
-// bodies also prefetch the lane row lanePrefetchDist edges ahead when
+// bodies also prefetch the lane row prefetchDist edges ahead when
 // the engine's width outgrows the cache (batchState.prefetch, decided by
 // Engine.setWidth from NumV·k alone); the plain loop runs otherwise.
 
@@ -41,24 +41,33 @@ import (
 // never per edge.
 var laneAsm bool
 
-// pullPrefetch picks the body of the scalar edge-major pull's pair loop
-// (pullRowsEdgeMajor), once per call: a distance D > 0 runs the
-// assembly, which prefetches the source value D edges ahead, and 0 runs
-// the Go twin pullEdgePairs. It starts at edgeAsmDist — pullPrefetchDist
-// in a build with the assembly (edgemajor_amd64.s; PREFETCHT0 and ADDSD
-// are baseline amd64, so there is no CPU check), 0 in every other.
-// ForceGoTwins moves it between the two, and the distance sweep of
-// BenchmarkShortRowKernel sets it directly.
-var pullPrefetch = edgeAsmDist
+// prefetchDist is how many edges ahead every prefetching body fetches
+// the value its edge will touch: the scalar push's hub entry
+// (pushTaskFlatAsm, pushEdgePairsAsm), the edge-major pull's source value
+// (pullEdgePairsAsm) and the 8-lane cells' lane row when the width
+// outgrows the cache (Engine.setWidth). Far enough that a miss is in
+// flight for the edges between, near enough that the line is still in
+// L1 when its edge comes. Chosen from the distance sweeps of
+// BenchmarkShortRowKernel and BenchmarkLaneKernel (DESIGN.md §17,
+// "Prefetching the pull" and "Prefetching the push"; §8, "Prefetching the
+// lanes"): shorter distances leave misses exposed on the beyond-L2
+// graphs and 128 reads level with 64, so the knee is taken rather than
+// the far end.
+const prefetchDist = 64
 
-// lanePrefetchDist is how many edges ahead the 8-lane assembly cells
-// prefetch a lane row when the width's lane rows outgrow the cache
-// (Engine.setWidth): the sweep of BenchmarkLaneKernel's scale=20 rows,
-// DESIGN.md §8 "Prefetching the lanes".
-const lanePrefetchDist = 64
+// pullPrefetch and pushPrefetch pick the bodies of the scalar
+// prefetching loops once per call — pullPrefetch the edge-major pull's
+// pair loop, pushPrefetch the CSR push and the edge-major push's pair
+// loop: a distance D > 0 runs the assembly, which prefetches D edges
+// ahead, and 0 runs the Go twin. Both start at scalarAsmDist —
+// prefetchDist in a build with the assembly (edgemajor_amd64.s;
+// PREFETCHT0 and ADDSD are baseline amd64, so there is no CPU check), 0
+// in every other. ForceGoTwins moves them between the two, and the
+// distance sweeps of BenchmarkShortRowKernel set each directly.
+var pullPrefetch, pushPrefetch = scalarAsmDist, scalarAsmDist
 
 // ForceGoTwins makes every kernel with an assembly body — the flat lane
-// cells and the edge-major pull's pair loop — run its Go twin (on), or
+// cells and the scalar prefetching loops — run its Go twin (on), or
 // returns them to the per-process choice (!on), and reports whether
 // this build and CPU run any assembly body at all. It is the hook that
 // lets tests run both arms on one host; call it only between steps.
@@ -68,11 +77,11 @@ const lanePrefetchDist = 64
 func ForceGoTwins(on bool) (asm bool) {
 	avx2 := spmv.HasAVX2()
 	laneAsm = avx2 && !on
-	pullPrefetch = edgeAsmDist
+	pullPrefetch, pushPrefetch = scalarAsmDist, scalarAsmDist
 	if on {
-		pullPrefetch = 0
+		pullPrefetch, pushPrefetch = 0, 0
 	}
-	return avx2 || edgeAsmDist > 0
+	return avx2 || scalarAsmDist > 0
 }
 
 // pushTaskFlat8 is pushTaskFlatBatch at k = 8.

@@ -81,7 +81,7 @@ func requireAVX2(t *testing.T) {
 // the shortest lookaheads, the shipped one, one that reaches only the
 // first edge's row, and two that reach past the slice from the start.
 func prefetchDists(edges int) []int {
-	return []int{0, 1, 2, lanePrefetchDist, edges - 1, edges, 1 << 20}
+	return []int{0, 1, 2, prefetchDist, edges - 1, edges, 1 << 20}
 }
 
 func TestLaneAsmPullMatchesTwin(t *testing.T) {

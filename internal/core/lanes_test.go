@@ -231,7 +231,7 @@ func TestStepBatch8AllocatesNothing(t *testing.T) {
 }
 
 // TestStepBatchLanePrefetchDecision pins Engine.setWidth's choice of
-// the 8-lane cells' prefetch distance: lanePrefetchDist exactly when the
+// the 8-lane cells' prefetch distance: prefetchDist exactly when the
 // width's lane rows, NumV·k·8 bytes, outgrow CacheBytes, else 0 — made
 // from the footprint alone, so the same for an engine whose graph flips
 // and for its resident build. One engine per build steps a width
@@ -242,7 +242,7 @@ func TestStepBatch8AllocatesNothing(t *testing.T) {
 //   - R-MAT 14, the small-resident shape (≈ 12 k vertices, 0.8 MB of
 //     lanes at K = 8): 0 at every width.
 //   - R-MAT 16 (≈ 50 k vertices, 0.4 MB at K = 1, 3 MB at K = 8): 0 at
-//     one and two lanes, lanePrefetchDist at four and eight.
+//     one and two lanes, prefetchDist at four and eight.
 func TestStepBatchLanePrefetchDecision(t *testing.T) {
 	arms := asmArms(t)
 	widths := []int{1, 8, 1, 4, 2, 8, 4, 1, 8}
@@ -279,7 +279,7 @@ func TestStepBatchLanePrefetchDecision(t *testing.T) {
 				e.StepBatch(src, dst, k)
 				want := 0
 				if c.prefetchK[k] {
-					want = lanePrefetchDist
+					want = prefetchDist
 				}
 				if e.batch.prefetch != want {
 					t.Fatalf("%s: step %d at %d lanes (%d KB of lanes, %d KB cache): prefetch distance %d, want %d", label, i, k, ih.NumV*k*8>>10, ih.params.CacheBytes>>10, e.batch.prefetch, want)
@@ -293,7 +293,7 @@ func TestStepBatchLanePrefetchDecision(t *testing.T) {
 				ForceGoTwins(arm == "go")
 				dst := make([]float64, ih.NumV*8)
 				e.StepBatch(src, dst, 8)
-				if e.batch.prefetch != lanePrefetchDist {
+				if e.batch.prefetch != prefetchDist {
 					t.Fatalf("%s/%s: prefetch distance %d at 8 lanes", label, arm, e.batch.prefetch)
 				}
 				requireLanesMatchScalar(t, e, lanes, dst)

@@ -27,19 +27,6 @@ func (p *Pool) ForStatic(n int, fn func(worker, lo, hi int)) {
 //ihtl:noalloc
 func SplitRange(n, p, w int) (lo, hi int) { return splitRange(n, p, w) }
 
-// SplitRangeStride returns the w-th of p near-equal contiguous,
-// stride-aligned subranges of the flat range [0, n*stride). It is the
-// lane-strided split used by the batched (multi-vector) engines, where
-// each of n items owns stride consecutive lanes (x[v*stride+j]) and a
-// split must never separate an item from its lanes: the flat bounds
-// are the SplitRange vertex bounds scaled by the stride.
-//
-//ihtl:noalloc
-func SplitRangeStride(n, stride, p, w int) (lo, hi int) {
-	vlo, vhi := splitRange(n, p, w)
-	return vlo * stride, vhi * stride
-}
-
 // splitRange returns the w-th of p near-equal contiguous subranges
 // of [0, n).
 //

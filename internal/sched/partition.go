@@ -86,9 +86,3 @@ func VertexBalancedParts(n, nparts int) []int {
 	}
 	return bounds
 }
-
-// PartEdges reports the number of edges covered by part p of the given
-// boundaries over the offset array index.
-func PartEdges(index []int64, bounds []int, p int) int64 {
-	return index[bounds[p+1]] - index[bounds[p]]
-}

@@ -18,46 +18,6 @@ func checkBounds(t *testing.T, label string, bounds []int, nparts, n int) {
 	}
 }
 
-// TestSplitRangeStrideBoundaries pins the lane-strided static split at
-// the boundary shapes the batched engines hit: empty range, a single
-// item, more parts than items, and stride 1 (which must equal
-// SplitRange exactly).
-func TestSplitRangeStrideBoundaries(t *testing.T) {
-	for _, tc := range []struct{ n, stride, p int }{
-		{0, 4, 3}, // empty range: every part empty
-		{1, 4, 3}, // one item: exactly one part gets its lanes
-		{2, 8, 5}, // parts > items
-		{7, 3, 3}, // uneven split
-		{5, 1, 2}, // stride 1 == SplitRange
-		{6, 2, 1}, // one part takes everything
-		{100, 4, 7},
-	} {
-		covered := 0
-		prevHi := 0
-		for w := 0; w < tc.p; w++ {
-			lo, hi := SplitRangeStride(tc.n, tc.stride, tc.p, w)
-			if lo != prevHi {
-				t.Fatalf("n=%d stride=%d p=%d w=%d: lo %d != previous hi %d (gap or overlap)",
-					tc.n, tc.stride, tc.p, w, lo, prevHi)
-			}
-			if lo%tc.stride != 0 || hi%tc.stride != 0 {
-				t.Fatalf("n=%d stride=%d p=%d w=%d: [%d, %d) splits an item's lanes",
-					tc.n, tc.stride, tc.p, w, lo, hi)
-			}
-			if s1lo, s1hi := SplitRange(tc.n, tc.p, w); lo != s1lo*tc.stride || hi != s1hi*tc.stride {
-				t.Fatalf("n=%d stride=%d p=%d w=%d: [%d, %d) is not the scaled SplitRange [%d, %d)",
-					tc.n, tc.stride, tc.p, w, lo, hi, s1lo, s1hi)
-			}
-			covered += hi - lo
-			prevHi = hi
-		}
-		if covered != tc.n*tc.stride || prevHi != tc.n*tc.stride {
-			t.Fatalf("n=%d stride=%d p=%d: parts cover %d lanes ending at %d, want %d",
-				tc.n, tc.stride, tc.p, covered, prevHi, tc.n*tc.stride)
-		}
-	}
-}
-
 // TestEdgeBalancedPartsBoundaries pins the CSR partitioner at boundary
 // shapes: an empty vertex range, one vertex, more parts than vertices,
 // all-equal degrees, and an all-zero-degree range.
@@ -79,7 +39,7 @@ func TestEdgeBalancedPartsBoundaries(t *testing.T) {
 		checkBounds(t, tc.name, bounds, tc.nparts, n)
 		var covered int64
 		for p := 0; p < tc.nparts; p++ {
-			covered += PartEdges(tc.index, bounds, p)
+			covered += tc.index[bounds[p+1]] - tc.index[bounds[p]]
 		}
 		if covered != tc.index[n] {
 			t.Fatalf("%s: parts cover %d edges, want %d", tc.name, covered, tc.index[n])

@@ -168,32 +168,6 @@ func TestSplitRangeProperties(t *testing.T) {
 	}
 }
 
-func TestSplitRangeStride(t *testing.T) {
-	f := func(nRaw, strideRaw, pRaw uint16) bool {
-		n := int(nRaw) % 2000
-		stride := int(strideRaw)%16 + 1
-		p := int(pRaw)%64 + 1
-		prevHi := 0
-		for w := 0; w < p; w++ {
-			lo, hi := SplitRangeStride(n, stride, p, w)
-			// Contiguous coverage of [0, n*stride), always cut on a
-			// stride boundary (a whole number of lane rows per worker).
-			if lo != prevHi || hi < lo || lo%stride != 0 || hi%stride != 0 {
-				return false
-			}
-			vlo, vhi := SplitRange(n, p, w)
-			if lo != vlo*stride || hi != vhi*stride {
-				return false
-			}
-			prevHi = hi
-		}
-		return prevHi == n*stride
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEdgeBalancedPartsBoundariesValid(t *testing.T) {
 	// Skewed "degree" array: vertex 0 owns half of all edges.
 	n := 1000
@@ -212,7 +186,7 @@ func TestEdgeBalancedPartsBoundariesValid(t *testing.T) {
 			if bounds[p] > bounds[p+1] {
 				t.Fatalf("nparts=%d: decreasing bounds at %d", nparts, p)
 			}
-			covered += PartEdges(index, bounds, p)
+			covered += index[bounds[p+1]] - index[bounds[p]]
 		}
 		if covered != index[n] {
 			t.Fatalf("nparts=%d: parts cover %d edges, want %d", nparts, covered, index[n])
@@ -231,7 +205,7 @@ func TestEdgeBalancedPartsActuallyBalances(t *testing.T) {
 	bounds := EdgeBalancedParts(index, nparts)
 	mean := index[n] / int64(nparts)
 	for p := 0; p < nparts; p++ {
-		e := PartEdges(index, bounds, p)
+		e := index[bounds[p+1]] - index[bounds[p]]
 		if e < mean/2 || e > mean*2 {
 			t.Fatalf("part %d has %d edges, mean %d", p, e, mean)
 		}
