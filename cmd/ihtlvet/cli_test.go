@@ -83,8 +83,10 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestGateWaiverIndex exercises the gates' annotation loader against
-// the real module: the //ihtl:nobce kernels must be indexed, and the
-// one deliberate //ihtl:allow-boundscheck waiver must cover its line.
+// the real module — the //ihtl:nobce kernels must be indexed — and
+// against a fixture: an //ihtl:allow-boundscheck waiver must cover its
+// own line and the next, and a directive that only shares its prefix
+// covers nothing.
 func TestGateWaiverIndex(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -107,7 +109,7 @@ func TestGateWaiverIndex(t *testing.T) {
 		t.Fatal("no //ihtl:nobce functions indexed; the kernel annotations are gone or the loader is broken")
 	}
 	for _, fn := range []string{
-		"pushTaskFlat", "pbDrainBucket", "sparsePullPart", "DecodeChunkCSR", "RowHeader", "Load32",
+		"pushTaskFlat", "sparsePullPart", "DecodeChunkCSR", "RowHeader", "Load32",
 		"pushTaskEnc", "pushTaskEncBatch", "sparseRowSumEnc", "sparseRowAccEnc",
 		"pushTaskEdgeMajor", "pullRowsEdgeMajor", "rowOfEdgeFrom",
 		"pushTaskFlat8", "pushTaskEnc4", "pullRowFlat8", "pullRowFlat4", "pullRowEnc4",
@@ -140,8 +142,19 @@ func TestGateWaiverIndex(t *testing.T) {
 			}
 		}
 	}
-	if len(ann.waived["allow-boundscheck"]) == 0 {
-		t.Error("expected at least one //ihtl:allow-boundscheck waiver (the pbDrainBucket clear line)")
+
+	dir := t.TempDir()
+	src := "package k\n\n//ihtl:nobce\nfunc kernel(x []float64, i int) {\n\t//ihtl:allow-boundscheck i is checked by the caller\n\tx[i] = 0\n\t//ihtl:allow-boundschecks is another directive\n\tx[i+1] = 0\n}\n"
+	if err := os.WriteFile(filepath.Join(dir, "k.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ann, err = loadAnnotations(dir, []*gateSpec{bceGate, escapeGate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := ann.waived["allow-boundscheck"]["k.go"]
+	if want := map[int]bool{5: true, 6: true}; len(lines) != len(want) || !lines[5] || !lines[6] {
+		t.Errorf("the fixture's waived lines are %v, want %v", lines, want)
 	}
 }
 

@@ -69,7 +69,7 @@ func TestModuleFingerprintSet(t *testing.T) {
 	for _, fn := range []string{
 		"ihtl/internal/core.pullEdgePairs", "ihtl/internal/core.pullRowsEdgeMajor",
 		"ihtl/internal/core.(*Engine).fusedWorker", "ihtl/internal/core.(*GenericEngine).fusedWorker",
-		"ihtl/internal/core.(*stepShell).runSlots",
+		"ihtl/internal/core.(*stepShell).runEpilogue",
 	} {
 		if !set.funcs[fn] {
 			t.Errorf("%s is not in the module's fingerprint set", fn)

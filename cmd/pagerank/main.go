@@ -25,8 +25,7 @@ import (
 func main() {
 	var (
 		in      = flag.String("i", "", "input graph file")
-		engine  = flag.String("engine", "ihtl", "engine: ihtl | pull | push-atomic | push-buffered | push-partitioned | prop-blocked")
-		sparse  = flag.String("sparse", "pull", "iHTL sparse-block kernel: pull | pb")
+		engine  = flag.String("engine", "ihtl", "engine: ihtl | pull | push-atomic | push-buffered | push-partitioned")
 		enc     = flag.String("encoding", "auto", "iHTL block-topology encoding: auto | flat | varint")
 		iters   = flag.Int("iters", 20, "PageRank iterations")
 		top     = flag.Int("top", 10, "print the top-K ranked vertices")
@@ -51,10 +50,6 @@ func main() {
 	prepStart := time.Now()
 	switch *engine {
 	case "ihtl":
-		kernel, err := core.ParseSparseKernel(*sparse)
-		if err != nil {
-			fatal(err)
-		}
 		encoding, err := core.ParseBlockEncoding(*enc)
 		if err != nil {
 			fatal(err)
@@ -63,7 +58,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		e, err := core.NewEngineOpts(ih, pool, core.EngineOptions{SparseKernel: kernel, BlockEncoding: encoding})
+		e, err := core.NewEngineOpts(ih, pool, core.EngineOptions{BlockEncoding: encoding})
 		if err != nil {
 			fatal(err)
 		}
@@ -87,8 +82,6 @@ func main() {
 			dir = spmv.PushBuffered
 		case "push-partitioned":
 			dir = spmv.PushPartitioned
-		case "prop-blocked":
-			dir = spmv.PropBlocked
 		default:
 			fatal(fmt.Errorf("unknown engine %q", *engine))
 		}

@@ -83,26 +83,26 @@ type Epilogue = spmv.Epilogue
 // PageRankOptions configures PageRank.
 type PageRankOptions = analytics.PageRankOptions
 
-// EngineOptions tunes the iHTL engine beyond Params: pipeline
-// ablations, the sparse-block kernel, and the opt-in numeric-health
-// watchdog.
+// EngineOptions tunes the iHTL engine beyond Params: the block
+// encoding and the opt-in numeric-health watchdog. Its other fields are
+// deprecated and read by no code.
 type EngineOptions = core.EngineOptions
 
-// SparseKernel selects the engine's sparse-block kernel via
-// EngineOptions.SparseKernel; see the constants below.
+// SparseKernel named the engine's sparse-block kernel.
+//
+// Deprecated: the uniform pull is the only sparse kernel, and
+// EngineOptions.SparseKernel is read by no code.
 type SparseKernel = core.SparseKernel
 
-// Sparse-block kernels: the paper's uniform pull (the default) and the
-// two-phase propagation-blocked kernel. Both produce bit-for-bit
-// identical results; they differ only in memory-access shape.
+// Sparse-block kernel names, kept only so that code setting the
+// deprecated EngineOptions.SparseKernel still compiles: every engine
+// runs the pull whatever it says.
+//
+// Deprecated: see SparseKernel.
 const (
 	SparsePull = core.SparsePull
 	SparsePB   = core.SparsePB
 )
-
-// ParseSparseKernel parses a sparse-kernel name ("pull", "pb") as used
-// by the CLI -sparse flags.
-func ParseSparseKernel(s string) (SparseKernel, error) { return core.ParseSparseKernel(s) }
 
 // BlockEncoding selects how the engine stores and traverses block
 // adjacency via EngineOptions.BlockEncoding; see the constants below.
@@ -270,14 +270,13 @@ func NewEngine(g *Graph, pool *Pool, p Params) (*Engine, error) {
 	return NewEngineOpts(nil, g, pool, p, EngineOptions{})
 }
 
-// NewEngineOpts is NewEngine with explicit engine options (pipeline
-// ablations, the sparse kernel, the block encoding, the numeric-health
-// watchdog) and a context governing the preprocessing build:
+// NewEngineOpts is NewEngine with explicit engine options (the block
+// encoding, the numeric-health watchdog) and a context governing the preprocessing build:
 // cancelling ctx aborts hub ranking, relabeling and block construction
 // between phases (mid-pass at the next chunk claim) and returns
-// ctx.Err(). ctx may be nil. The deprecated opt.Shards and
-// opt.StaticFlipped are ignored: every engine is the one single-graph
-// engine.
+// ctx.Err(). ctx may be nil. The deprecated opt.Shards,
+// opt.StaticFlipped, opt.Phased and opt.SparseKernel are ignored: every
+// engine is the one single-graph engine and its fused pipeline.
 func NewEngineOpts(ctx context.Context, g *Graph, pool *Pool, p Params, opt EngineOptions) (*Engine, error) {
 	ih, err := core.BuildWithCtx(ctx, g, p, pool)
 	if err != nil {
@@ -341,7 +340,6 @@ const (
 	PushAtomic      = spmv.PushAtomic
 	PushBuffered    = spmv.PushBuffered
 	PushPartitioned = spmv.PushPartitioned
-	PropBlocked     = spmv.PropBlocked
 )
 
 // NewBaselineEngine prepares a pull/push SpMV engine (the paper's

@@ -209,10 +209,11 @@ func TestPublicAPIBlockEncoding(t *testing.T) {
 	}
 }
 
-// TestPublicAPIShardsDeprecated pins the deprecated EngineOptions.Shards:
-// an engine asked for three shards is the single-graph engine — IHTL()
-// is non-nil — and its PageRank ranks equal a zero-option engine's bit
-// for bit.
+// TestPublicAPIShardsDeprecated pins the deprecated EngineOptions
+// fields: an engine asked for three shards, for the phased pipeline or
+// for the propagation-blocked sparse kernel is the single-graph engine —
+// IHTL() is non-nil — and its PageRank ranks equal a zero-option
+// engine's bit for bit.
 func TestPublicAPIShardsDeprecated(t *testing.T) {
 	g, err := ihtl.GenerateRMAT(10, 8, 42)
 	if err != nil {
@@ -226,25 +227,27 @@ func TestPublicAPIShardsDeprecated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shd, err := ihtl.NewEngineOpts(nil, g, pool, p, ihtl.EngineOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shd.IHTL() == nil {
-		t.Fatal("an engine built with Shards: 3 has no IHTL")
-	}
 	prOpt := ihtl.PageRankOptions{MaxIters: 10, Tol: -1}
 	want, err := ihtl.PageRank(base, pool, prOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ihtl.PageRank(shd, pool, prOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if math.Float64bits(want[v]) != math.Float64bits(got[v]) {
-			t.Fatalf("Shards: 3 PageRank differs at %d: %g vs %g", v, got[v], want[v])
+	for _, opt := range []ihtl.EngineOptions{{Shards: 3}, {Phased: true}, {SparseKernel: ihtl.SparsePB}} {
+		e, err := ihtl.NewEngineOpts(nil, g, pool, p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.IHTL() == nil {
+			t.Fatalf("an engine built with %+v has no IHTL", opt)
+		}
+		got, err := ihtl.PageRank(e, pool, prOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if math.Float64bits(want[v]) != math.Float64bits(got[v]) {
+				t.Fatalf("%+v: PageRank differs at %d: %g vs %g", opt, v, got[v], want[v])
+			}
 		}
 	}
 }

@@ -230,10 +230,9 @@ func TestPPRActiveRowsFollowTheIterate(t *testing.T) {
 	}
 }
 
-// TestPPRActiveRowsFallbacks runs the engines without active-row
-// kernels — packed topology, the phased pipeline, the propagation-
-// blocked sparse kernel — through the same driver: each refuses
-// the entry and still produces the flat engine's lanes.
+// TestPPRActiveRowsFallbacks runs the engine without active-row
+// kernels — packed topology — through the same driver: it refuses the
+// entry and still produces the flat engine's lanes.
 func TestPPRActiveRowsFallbacks(t *testing.T) {
 	g := mustRMAT(t, 9, 8, 67)
 	ih, err := core.Build(g, core.Params{HubsPerBlock: 64})
@@ -255,35 +254,28 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 	if refCount.honoured == 0 {
 		t.Fatal("the flat engine took no active-row step: nothing to fall back from")
 	}
-	for _, eo := range []core.EngineOptions{
-		{BlockEncoding: core.EncodingVarint},
-		{Phased: true},
-		{SparseKernel: core.SparsePB},
-	} {
-		ce, err := core.NewEngineOpts(ih, testPool, eo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := &activeCounter{activeEngine: ce}
-		got, err := RunPersonalizedPageRank(e, deg, testPool, sources, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.honoured != 0 {
-			t.Fatalf("%+v: honoured %d active-row steps", eo, e.honoured)
-		}
-		// Another task cut or merge order: the flat engine's lanes to
-		// rounding, not to the bit.
-		if got.Iters != want.Iters {
-			t.Fatalf("%+v: %d iterations, want %d", eo, got.Iters, want.Iters)
-		}
-		for i := range want.Ranks {
-			if math.Abs(got.Ranks[i]-want.Ranks[i]) > 1e-12 {
-				t.Fatalf("%+v: rank[%d] = %g, flat engine %g", eo, i, got.Ranks[i], want.Ranks[i])
-			}
+	ce, err := core.NewEngineOpts(ih, testPool, core.EngineOptions{BlockEncoding: core.EncodingVarint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &activeCounter{activeEngine: ce}
+	got, err := RunPersonalizedPageRank(e, deg, testPool, sources, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.honoured != 0 {
+		t.Fatalf("the packed engine honoured %d active-row steps", e.honoured)
+	}
+	// Another task cut: the flat engine's lanes to rounding, not to the
+	// bit.
+	if got.Iters != want.Iters {
+		t.Fatalf("%d iterations, want %d", got.Iters, want.Iters)
+	}
+	for i := range want.Ranks {
+		if math.Abs(got.Ranks[i]-want.Ranks[i]) > 1e-12 {
+			t.Fatalf("rank[%d] = %g, flat engine %g", i, got.Ranks[i], want.Ranks[i])
 		}
 	}
-
 }
 
 // TestPPRActiveRowsFaultThenCleanRun aborts a run inside an active-row

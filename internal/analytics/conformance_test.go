@@ -21,7 +21,7 @@ import (
 // one of them is on every pooled engine's path.
 var conformanceSites = []faultinject.Site{
 	faultinject.SiteSchedClaim, faultinject.SitePullPart, faultinject.SitePushPart,
-	faultinject.SiteFlippedTask, faultinject.SiteMergeBlock, faultinject.SiteSparsePart, faultinject.SiteSparseBin,
+	faultinject.SiteFlippedTask, faultinject.SiteMergeBlock, faultinject.SiteSparsePart,
 }
 
 // TestStepperConformance holds every spmv.Stepper in the repository to
@@ -57,7 +57,7 @@ func TestStepperConformance(t *testing.T) {
 		stream bool // EpiSlots must report streaming
 	}
 	rows := []row{}
-	for _, dir := range []spmv.Direction{spmv.Pull, spmv.PushAtomic, spmv.PushBuffered, spmv.PushPartitioned, spmv.PropBlocked} {
+	for _, dir := range []spmv.Direction{spmv.Pull, spmv.PushAtomic, spmv.PushBuffered, spmv.PushPartitioned} {
 		rows = append(rows, row{name: "spmv/" + dir.String(), build: func(pool *sched.Pool) (spmv.Stepper, error) {
 			return spmv.NewEngine(g, pool, dir, spmv.Options{})
 		}})

@@ -15,8 +15,8 @@ import (
 // The PPR drivers on an engine that streams their epilogue: a
 // core.Engine over a graph with no flipped block runs each dense step's
 // sweep on a pulled part while other parts are still pulled, writing the
-// next contributions into the workspace's next buffer. The Phased engine
-// over the same graph has the same slot grid behind a barrier, where the
+// next contributions into the workspace's next buffer. The same engine
+// behind a barrier (barrierEngine) has the same slot grid, where the
 // sweep writes them in place; every run here must end on its bits.
 
 // streamCounter wraps a core engine and counts the steps whose epilogue
@@ -35,26 +35,18 @@ func (c *streamCounter) StepCtx(ctx context.Context, src, dst []float64, k int, 
 	return c.Engine.StepCtx(ctx, src, dst, k, epi)
 }
 
-// streamPair is a streaming engine and the barrier engine it is held to,
-// over one resident graph on one pool.
+// streamPair is a streaming engine and the barrier placement it is held
+// to — the same engine — over one resident graph on one pool.
 type streamPair struct {
 	stream  *streamCounter
-	barrier *core.Engine
+	barrier barrierEngine
 	deg     []int
 	sources []int
 }
 
 func newStreamPair(t *testing.T, ih *core.IHTL, pool *sched.Pool, opt core.EngineOptions) streamPair {
 	t.Helper()
-	barrierOpt := opt
-	barrierOpt.Phased = true
-	barrier, err := core.NewEngineOpts(ih, pool, barrierOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slots, streamed := barrier.EpiSlots(); streamed || slots != 4*pool.Workers() {
-		t.Fatalf("Phased engine reports %d slots, streamed %v; want the sparse parts behind the barrier", slots, streamed)
-	}
+	e := newStreamingEngine(t, ih, pool, opt)
 	deg := ih.OutDegrees()
 	// Sources of every kind: the first and last rows, dangling rows, and
 	// one row twice (two lanes on one source row). Lanes 1 and 2, which
@@ -72,7 +64,7 @@ func newStreamPair(t *testing.T, ih *core.IHTL, pool *sched.Pool, opt core.Engin
 		}
 	}
 	sources = append(sources, 7, sources[1])
-	return streamPair{&streamCounter{Engine: newStreamingEngine(t, ih, pool, opt)}, barrier, deg, sources}
+	return streamPair{&streamCounter{Engine: e}, barrierEngine{e}, deg, sources}
 }
 
 // requireLanesEqual fails unless two RunLanes deliveries agree bit for
@@ -108,8 +100,8 @@ func rowOpArms(t *testing.T, f func(arm string)) {
 }
 
 // TestPPRStreamedMatchesBarrier is the streamed driver's differential
-// table: Run and RunLanes on a streaming engine against the Phased
-// engine, at widths 1, 2, 3, 4, 5 and 8 and 1 to 3 workers — a
+// table: Run and RunLanes on a streaming engine against its barrier
+// placement, at widths 1, 2, 3, 4, 5 and 8 and 1 to 3 workers — a
 // tolerance stop, RedistributeDangling, a run that steps densely from
 // the start and one that leaves the active-row mode when its rows fill,
 // lanes frozen by a deadline and by a cancellation — ranks, deltas and
@@ -193,7 +185,7 @@ func TestPPRStreamedMatchesBarrier(t *testing.T) {
 
 // TestPPRStreamedRollbackAndResume runs both drivers on the daemon's
 // engine options (HealthRollback) over a graph with no
-// flipped block, against the Phased engine: a NaN poisoned into the
+// flipped block, against the barrier placement: a NaN poisoned into the
 // fourth step mid-way through its slots — after the streamed sweep has
 // written some of them into ranks and next — rolls each run back to its
 // checkpoint, and the run ends on the barrier engine's clean bits; a Run

@@ -12,7 +12,6 @@ var ctxVariant = map[string]string{
 	"Run":          "RunCtx",
 	"ForStatic":    "ForStaticCtx",
 	"ForDynamic":   "ForDynamicCtx",
-	"ForEachPart":  "ForEachPartCtx",
 	"ForSteal":     "ForStealCtx",
 	"ForStealWith": "ForStealWithCtx",
 }

@@ -24,7 +24,7 @@ import (
 //     resolvable should reach a Fire/Poison site somewhere in the
 //     callback's intra-module call graph, so injected faults can land
 //     inside every dispatch shape. The dynamic modes (ForDynamic,
-//     ForEachPart, ForSteal, ForStealWith and their Ctx variants) are
+//     ForSteal, ForStealWith and their Ctx variants) are
 //     exempt: their claim loops fire SiteSchedClaim inside the pool
 //     worker once per claimed unit, so every dynamic dispatch is
 //     already injectable at the pool layer. Static dispatches that are

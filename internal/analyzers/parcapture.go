@@ -12,13 +12,11 @@ var parCaptureMethods = map[string]bool{
 	"Run":             true,
 	"ForStatic":       true,
 	"ForDynamic":      true,
-	"ForEachPart":     true,
 	"ForSteal":        true,
 	"ForStealWith":    true,
 	"RunCtx":          true,
 	"ForStaticCtx":    true,
 	"ForDynamicCtx":   true,
-	"ForEachPartCtx":  true,
 	"ForStealCtx":     true,
 	"ForStealWithCtx": true,
 }

@@ -43,9 +43,9 @@ func sparseLaneInput(seed uint64, n, k, every int, extra bool) ([]float64, spmv.
 }
 
 // activeRowsHonoured says which rows of the option matrix have the
-// active-row kernels: the flat fused pipeline with a pull sparse kernel.
+// active-row kernels: the flat ones.
 func activeRowsHonoured(o EngineOptions) bool {
-	return !o.Phased && o.BlockEncoding != EncodingVarint && o.SparseKernel != SparsePB
+	return o.BlockEncoding != EncodingVarint
 }
 
 // wantTouched is the set an active-row step must report: every row, hub

@@ -24,9 +24,10 @@ func packLanes(seed uint64, n, k int) (lanes [][]float64, batch []float64) {
 }
 
 // TestStepBatchDifferential pins StepBatch with K lanes bit-for-bit
-// against K independent scalar Steps, across graphs, worker counts,
-// batch widths, and both pipelines (the option matrix's Phased axis;
-// TestLaneKernelsMatchScalarStep crosses the others). Integer-valued
+// against K independent scalar Steps, across graphs, worker counts and
+// batch widths, at default options (TestLaneKernelsMatchScalarStep
+// crosses the option matrix). The phased=true rows build their engine
+// with the deprecated Phased set, which no code reads. Integer-valued
 // sources make float addition exact and associative, so the results
 // are schedule-independent (see fused_diff_test.go).
 func TestStepBatchDifferential(t *testing.T) {
@@ -38,15 +39,15 @@ func TestStepBatchDifferential(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			pool := sched.NewPool(workers)
 			defer pool.Close()
-			for _, opt := range optionMatrix(t, func(o EngineOptions) bool { return o == EngineOptions{Phased: o.Phased} }) {
-				e, err := NewEngineOpts(ih, pool, opt)
+			for _, phased := range []bool{false, true} {
+				e, err := NewEngineOpts(ih, pool, EngineOptions{Phased: phased})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, k := range []int{1, 2, 4, 8} {
 					// The literal "atomic=false" keeps these subtests under
 					// the names the recorded test floor knows them by.
-					label := fmt.Sprintf("%s/w%d/phased=%v atomic=false/k%d", name, workers, opt.Phased, k)
+					label := fmt.Sprintf("%s/w%d/phased=%v atomic=false/k%d", name, workers, phased, k)
 					t.Run(label, func(t *testing.T) {
 						lanes, src := packLanes(42, ih.NumV, k)
 						want := make([][]float64, k)
@@ -120,7 +121,7 @@ func TestStepBatchWidthChange(t *testing.T) {
 }
 
 // TestStepBatchEpi checks the fused batched epilogue contract of
-// StepCtx: every worker sees its vertex share exactly once, after all
+// StepCtx on a flipped engine: every slot is run exactly once, after all
 // of dst (all lanes) is complete.
 func TestStepBatchEpi(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 21))
@@ -131,38 +132,36 @@ func TestStepBatchEpi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, phased := range []bool{false, true} {
-		e, err := NewEngineOpts(ih, testPool, EngineOptions{Phased: phased})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const k = 4
-		_, src := packLanes(7, ih.NumV, k)
-		dst := make([]float64, ih.NumV*k)
-		want := make([]float64, ih.NumV*k)
-		e.StepBatch(src, want, k)
-		covered := make([]int32, ih.NumV)
-		err = e.StepCtx(nil, src, dst, k, spmv.Epilogue{Run: func(w, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				covered[v]++
-				for j := 0; j < k; j++ {
-					// dst must already hold the finished SpMV value;
-					// scale in place to prove the epilogue ran after.
-					dst[v*k+j] *= 2
-				}
-			}
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < ih.NumV; v++ {
-			if covered[v] != 1 {
-				t.Fatalf("phased=%v: vertex %d covered %d times, want 1", phased, v, covered[v])
-			}
+	e, err := NewEngine(ih, testPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 4
+	_, src := packLanes(7, ih.NumV, k)
+	dst := make([]float64, ih.NumV*k)
+	want := make([]float64, ih.NumV*k)
+	e.StepBatch(src, want, k)
+	covered := make([]int32, ih.NumV)
+	err = e.StepCtx(nil, src, dst, k, spmv.Epilogue{Run: func(w, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			covered[v]++
 			for j := 0; j < k; j++ {
-				if dst[v*k+j] != 2*want[v*k+j] {
-					t.Fatalf("phased=%v: epilogue saw incomplete dst at v=%d lane=%d", phased, v, j)
-				}
+				// dst must already hold the finished SpMV value;
+				// scale in place to prove the epilogue ran after.
+				dst[v*k+j] *= 2
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < ih.NumV; v++ {
+		if covered[v] != 1 {
+			t.Fatalf("vertex %d covered %d times, want 1", v, covered[v])
+		}
+		for j := 0; j < k; j++ {
+			if dst[v*k+j] != 2*want[v*k+j] {
+				t.Fatalf("epilogue saw incomplete dst at v=%d lane=%d", v, j)
 			}
 		}
 	}

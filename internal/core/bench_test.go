@@ -85,7 +85,7 @@ func BenchmarkShortRowKernel(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
 			}
 			for _, layout := range []BlockLayout{LayoutCSR, LayoutEdgeMajor} {
-				e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull, forceLayout: layout})
+				e, err := NewEngineOpts(ih, testPool, EngineOptions{forceLayout: layout})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -207,7 +207,7 @@ func BenchmarkLaneKernel(b *testing.B) {
 			{"resident-flat", resident, EncodingFlat, 8},
 		} {
 			ih := c.ih
-			e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull, BlockEncoding: c.enc})
+			e, err := NewEngineOpts(ih, testPool, EngineOptions{BlockEncoding: c.enc})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -307,7 +307,7 @@ func laneKernelPastL2(b *testing.B) {
 			bodies = append(bodies, body{fmt.Sprintf("avx2-d%d", d), d})
 		}
 	}
-	e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull})
+	e, err := NewEngine(ih, testPool)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -513,29 +513,36 @@ func TestStepRejectsBadLengths(t *testing.T) {
 	e.Step(make([]float64, 2), make([]float64, g.NumV))
 }
 
-// TestNewEngineOptsIgnoresShards pins the deprecated field: no value of
-// Shards is refused, and each builds the engine a zero EngineOptions
-// builds, stepping the same bits.
-func TestNewEngineOptsIgnoresShards(t *testing.T) {
+// TestNewEngineOptsIgnoresDeprecated pins the deprecated fields: no
+// value of Shards, StaticFlipped, Phased or SparseKernel is refused, and
+// each builds the engine a zero EngineOptions builds, stepping the same
+// bits at one lane and at eight.
+func TestNewEngineOptsIgnoresDeprecated(t *testing.T) {
 	ih, err := Build(diffGraphs(t)["rmat"], Params{HubsPerBlock: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := randomVec(3, ih.NumV)
-	want := make([]float64, ih.NumV)
 	base, err := NewEngine(ih, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.Step(src, want)
+	rows := []EngineOptions{{StaticFlipped: true}, {Phased: true}, {SparseKernel: SparsePB}}
 	for _, shards := range []int{1, 2, 3, 8} {
-		e, err := NewEngineOpts(ih, testPool, EngineOptions{Shards: shards})
-		if err != nil {
-			t.Fatalf("Shards %d: %v", shards, err)
+		rows = append(rows, EngineOptions{Shards: shards})
+	}
+	for _, k := range []int{1, 8} {
+		src := randomVec(3, ih.NumV*k)
+		want := make([]float64, ih.NumV*k)
+		base.StepBatch(src, want, k)
+		for _, opt := range rows {
+			e, err := NewEngineOpts(ih, testPool, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", optLabel(opt), err)
+			}
+			got := make([]float64, ih.NumV*k)
+			e.StepBatch(src, got, k)
+			requireBitIdentical(t, optLabel(opt)+"/k"+strconv.Itoa(k), want, got)
 		}
-		got := make([]float64, ih.NumV)
-		e.Step(src, got)
-		requireBitIdentical(t, "Shards "+strconv.Itoa(shards), want, got)
 	}
 }
 

@@ -229,8 +229,7 @@ func buildAdv(pool *sched.Pool, index []int64) ([]uint8, error) {
 
 // initLayouts picks each block's layout (or takes the test hook's) and
 // builds the adv streams of the edge-major ones. Flat engines only: the
-// packed kernels walk CSR, and the propagation-blocked sparse kernel
-// walks its own transposed arrays.
+// packed kernels walk CSR.
 func (e *Engine) initLayouts(force BlockLayout) error {
 	ih := e.ih
 	e.flipAdv = make([][]uint8, len(ih.Blocks))
@@ -252,7 +251,7 @@ func (e *Engine) initLayouts(force BlockLayout) error {
 		}
 	}
 	sp := &ih.Sparse
-	if e.sparseKernel == SparsePB || !edgeMajor(sp.Index) {
+	if !edgeMajor(sp.Index) {
 		return nil
 	}
 	if e.sparseAdv, err = buildAdv(e.pool, sp.Index); err != nil {

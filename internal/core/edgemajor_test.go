@@ -395,8 +395,8 @@ func layoutCases(t *testing.T) []layoutCase {
 // TestLayoutDifferential is the one oracle row for both layouts: the
 // SAME graph stepped with every block forced CSR, forced edge-major and
 // chosen by shape must equal the oracle (spmv.Pull on generated graphs,
-// the serial sweep on the hand-built fixture) bit for bit — fused and
-// phased, 1, 2 and 3 workers, each body of the edge-major pull's pair
+// the serial sweep on the hand-built fixture) bit for bit — 1, 2 and 3
+// workers, each body of the edge-major pull's pair
 // loop (asmArms) — on integer, signed-zero, NaN/±Inf and all-zero
 // sources.
 func TestLayoutDifferential(t *testing.T) {
@@ -424,30 +424,24 @@ func TestLayoutDifferential(t *testing.T) {
 		for _, workers := range []int{1, 2, 3} {
 			pool := sched.NewPool(workers)
 			for _, layout := range []BlockLayout{LayoutCSR, LayoutEdgeMajor, layoutByShape} {
-				for _, opt := range []EngineOptions{
-					{},
-					{Phased: true},
-				} {
-					opt.forceLayout = layout
-					e, err := NewEngineOpts(c.ih, pool, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("%s/w%d/%v/phased=%v sparse=%v", c.name, workers, layout, opt.Phased, e.sparseKernel)
-					if layout != layoutByShape {
-						for _, s := range e.BlockShapes() {
-							if s.Edges > 0 && s.Layout != layout {
-								t.Fatalf("%s: %s walks %v", label, s.Name, s.Layout)
-							}
+				e, err := NewEngineOpts(c.ih, pool, EngineOptions{forceLayout: layout})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s/w%d/%v", c.name, workers, layout)
+				if layout != layoutByShape {
+					for _, s := range e.BlockShapes() {
+						if s.Edges > 0 && s.Layout != layout {
+							t.Fatalf("%s: %s walks %v", label, s.Name, s.Layout)
 						}
 					}
-					dst := make([]float64, n)
-					for _, arm := range arms {
-						ForceGoTwins(arm == "go")
-						for i, v := range vecs {
-							e.Step(v.src, dst)
-							requireSameBits(t, label+"/"+arm+"/"+v.name, wants[i], dst)
-						}
+				}
+				dst := make([]float64, n)
+				for _, arm := range arms {
+					ForceGoTwins(arm == "go")
+					for i, v := range vecs {
+						e.Step(v.src, dst)
+						requireSameBits(t, label+"/"+arm+"/"+v.name, wants[i], dst)
 					}
 				}
 			}
@@ -490,8 +484,8 @@ func TestNewEngineInjectedPanic(t *testing.T) {
 	}
 }
 
-// TestEdgeMajorStreamsAreLive proves the forced-layout engines really
-// run the edge-major kernels on every pipeline: with the adv streams
+// TestEdgeMajorStreamsAreLive proves the forced-layout engine really
+// runs the edge-major kernels: with the adv streams
 // zeroed (every edge credited to its task's starting row) the result
 // must change. A dispatch site that silently kept the CSR kernel would
 // pass every differential above and fail here.
@@ -507,36 +501,30 @@ func TestEdgeMajorStreamsAreLive(t *testing.T) {
 		src[i] += float64(i % 5) // neighbouring rows must differ
 	}
 	want := refStep(ih, src)
-	for _, opt := range []EngineOptions{
-		{},
-		{Phased: true},
-	} {
-		opt.forceLayout = LayoutEdgeMajor
-		e, err := NewEngineOpts(ih, pool, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		differs := func(lo, hi int) bool {
-			dst := make([]float64, ih.NumV)
-			e.Step(src, dst)
-			for v := lo; v < hi; v++ {
-				if dst[v] != want[v] {
-					return true
-				}
+	e, err := NewEngineOpts(ih, pool, EngineOptions{forceLayout: LayoutEdgeMajor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	differs := func(lo, hi int) bool {
+		dst := make([]float64, ih.NumV)
+		e.Step(src, dst)
+		for v := lo; v < hi; v++ {
+			if dst[v] != want[v] {
+				return true
 			}
-			return false
 		}
-		if differs(0, ih.NumV) {
-			t.Fatalf("%+v: wrong before the streams were touched", opt)
-		}
-		clear(e.flipAdv[0])
-		if !differs(0, ih.HubsPerBlock) {
-			t.Errorf("%+v: flipped push ignores its adv stream", opt)
-		}
-		clear(e.sparseAdv)
-		if !differs(ih.Sparse.DestLo, ih.NumV) {
-			t.Errorf("%+v: sparse pull ignores its adv stream", opt)
-		}
+		return false
+	}
+	if differs(0, ih.NumV) {
+		t.Fatal("wrong before the streams were touched")
+	}
+	clear(e.flipAdv[0])
+	if !differs(0, ih.HubsPerBlock) {
+		t.Error("flipped push ignores its adv stream")
+	}
+	clear(e.sparseAdv)
+	if !differs(ih.Sparse.DestLo, ih.NumV) {
+		t.Error("sparse pull ignores its adv stream")
 	}
 }
 
@@ -574,7 +562,7 @@ func TestFootprintModelHandCounted(t *testing.T) {
 		// batch kernels); adv joins it.
 		{LayoutEdgeMajor, (4*5 + 3) + (4*4 + 2), vb*5 + vb*4, (8*5 + 4*5 + 3) + (8*5 + 4*4 + 2)},
 	} {
-		e, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: SparsePull, forceLayout: c.layout})
+		e, err := NewEngineOpts(ih, pool, EngineOptions{forceLayout: c.layout})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,32 +11,9 @@ import (
 	"ihtl/internal/sched"
 )
 
-// encOptsMatrix is every pipeline x sparse-kernel combination the
-// varint encoding must pin bit-for-bit against the flat reference.
-func encOptsMatrix() []EngineOptions {
-	var opts []EngineOptions
-	for _, pipeline := range []EngineOptions{
-		{},
-		{Phased: true},
-	} {
-		for _, k := range []SparseKernel{SparsePull, SparsePB} {
-			o := pipeline
-			o.SparseKernel = k
-			o.BlockEncoding = EncodingVarint
-			opts = append(opts, o)
-		}
-	}
-	return opts
-}
-
-func encLabel(o EngineOptions) string {
-	return fmt.Sprintf("phased=%v sparse=%v", o.Phased, o.SparseKernel)
-}
-
 // TestEncodingDifferential pins BlockEncoding varint bit-for-bit equal
-// to the flat reference across the fused/phased pipelines, both
-// sparse kernels, worker counts {1, 3, GOMAXPROCS}, and repeated
-// steps, with both non-negative and signed/-0.0 sources.
+// to the flat reference across worker counts {1, 3, GOMAXPROCS} and
+// repeated steps, with both non-negative and signed/-0.0 sources.
 func TestEncodingDifferential(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for name, g := range diffGraphs(t) {
@@ -56,22 +33,19 @@ func TestEncodingDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				e, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingVarint})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.Encoding() != EncodingVarint {
+					t.Fatalf("engine resolved to %v, want varint", e.Encoding())
+				}
 				for vecName, src := range srcs {
 					want := stepOldSpace(ih, flat, src)
-					for _, opt := range encOptsMatrix() {
-						e, err := NewEngineOpts(ih, pool, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if e.Encoding() != EncodingVarint {
-							t.Fatalf("engine resolved to %v, want varint", e.Encoding())
-						}
-						label := vecName + "/" + encLabel(opt)
-						requireBitIdentical(t, label, want, stepOldSpace(ih, e, src))
-						// A second step proves the shared buffers were left
-						// clean.
-						requireBitIdentical(t, label+" (second step)", want, stepOldSpace(ih, e, src))
-					}
+					requireBitIdentical(t, vecName, want, stepOldSpace(ih, e, src))
+					// A second step proves the shared buffers were left
+					// clean.
+					requireBitIdentical(t, vecName+" (second step)", want, stepOldSpace(ih, e, src))
 				}
 			})
 		}
@@ -79,7 +53,7 @@ func TestEncodingDifferential(t *testing.T) {
 }
 
 // TestEncodingBatchDifferential is the K-lane mirror: StepBatch under
-// varint equals StepBatch under flat for every pipeline and kernel.
+// varint equals StepBatch under flat.
 func TestEncodingBatchDifferential(t *testing.T) {
 	for name, g := range diffGraphs(t) {
 		ih, err := Build(g, Params{HubsPerBlock: 64})
@@ -88,6 +62,14 @@ func TestEncodingBatchDifferential(t *testing.T) {
 		}
 		pool := sched.NewPool(3)
 		defer pool.Close()
+		flat, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingFlat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingVarint})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, k := range []int{2, 5} {
 			src := make([]float64, ih.NumV*k)
 			for j := 0; j < k; j++ {
@@ -96,23 +78,13 @@ func TestEncodingBatchDifferential(t *testing.T) {
 					src[v*k+j] = lane[v]
 				}
 			}
-			flat, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingFlat})
-			if err != nil {
-				t.Fatal(err)
-			}
 			want := make([]float64, ih.NumV*k)
 			flat.StepBatch(src, want, k)
 			got := make([]float64, ih.NumV*k)
-			for _, opt := range encOptsMatrix() {
-				e, err := NewEngineOpts(ih, pool, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.StepBatch(src, got, k)
-				requireBitIdentical(t, fmt.Sprintf("%s/k%d/%s", name, k, encLabel(opt)), want, got)
-				e.StepBatch(src, got, k)
-				requireBitIdentical(t, fmt.Sprintf("%s/k%d/%s (second)", name, k, encLabel(opt)), want, got)
-			}
+			e.StepBatch(src, got, k)
+			requireBitIdentical(t, fmt.Sprintf("%s/k%d", name, k), want, got)
+			e.StepBatch(src, got, k)
+			requireBitIdentical(t, fmt.Sprintf("%s/k%d (second)", name, k), want, got)
 		}
 	}
 }

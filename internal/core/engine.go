@@ -21,8 +21,7 @@ import (
 // block's merge is gated only on that block's completion counter — not
 // on a global barrier. This is safe because the destinations are
 // disjoint: merges write dst[0, NumHubs) and the sparse pull writes
-// dst[DestLo, NumV). The pre-fusion three-dispatch pipeline remains
-// available via EngineOptions.Phased for ablation.
+// dst[DestLo, NumV).
 //
 // The driver is written once over the lane width k (StepBatch; Step is
 // k == 1) and picks a kernel per task or per part — never per edge —
@@ -72,15 +71,6 @@ type Engine struct {
 	// sparse block.
 	sparseBounds []int
 
-	// sparseKernel is the sparse-block kernel; see sparse.go.
-	sparseKernel SparseKernel
-	// pb is the SparsePB bin/drain state; auxSched claims its drain
-	// buckets; binBarrier separates the bin and drain phases inside
-	// the fused dispatch.
-	pb         *pbState
-	auxSched   *sched.StealScheduler
-	binBarrier *sched.Barrier
-
 	// Fused-dispatch state. sparseSched is a persistent per-engine
 	// steal scheduler (allocated once, Reset per step); blockGate holds
 	// one countdown latch per flipped block.
@@ -116,10 +106,10 @@ type blockTask struct {
 	chunk int
 	// dLo, dHi bound the hub IDs this task's edges can write
 	// (precomputed at build). Tracking the dirty range per task
-	// instead of per edge keeps the push inner loop identical to the
-	// phased pipeline's; the range is conservative (a source with a
-	// zero value still widens it), which is sound because untouched
-	// buffer slots hold the additive identity.
+	// instead of per edge keeps the push inner loop free of it; the
+	// range is conservative (a source with a zero value still widens
+	// it), which is sound because untouched buffer slots hold the
+	// additive identity.
 	dLo, dHi int
 	// prev is the row of the edge before the task's first edge (row 0
 	// ahead of the block's first): where the edge-major kernel starts
@@ -187,102 +177,73 @@ type dirtyRange struct {
 }
 
 // workerClock is one worker's per-phase busy time, padded to a cache
-// line. The sparse field covers the pull kernels; the propagation-
-// blocked kernel splits its time into bin and drain instead, so the
-// per-phase breakdown (TakeBreakdown) stays honest for either kernel.
+// line.
 type workerClock struct {
 	flipped time.Duration
 	merge   time.Duration
 	sparse  time.Duration
-	bin     time.Duration
-	drain   time.Duration
-	_       [3]int64
+	_       [5]int64
 }
 
 // Breakdown accumulates time per Algorithm 3 phase across Steps;
 // Table 5's "FB Time" and "Buffer Merging" columns divide these by the
 // total.
 //
-// Two views are kept. The *busy* fields sum, over workers, the time
-// each worker actually spent executing a phase; the fused pipeline
-// records them, since fused phases have no wall-clock boundaries to
-// time. The *wall* fields (Flipped/Merge/Sparse) are the elapsed time
-// of each barriered phase and are only recorded by the phased
-// pipeline, whose barriers define them; they include the barrier wait
-// behind the slowest worker. Wall is the elapsed time of whole Steps
-// (including any fused StepCtx epilogue) under either pipeline, so
-// the phase columns never double-count it.
+// The *busy* fields sum, over workers, the time each worker actually
+// spent executing a phase: fused phases have no wall-clock boundaries
+// to time. Wall is the elapsed time of whole Steps, including any
+// fused StepCtx epilogue, so the phase columns never double-count it.
 type Breakdown struct {
-	Flipped time.Duration // phased only: elapsed flipped phase
-	Merge   time.Duration // phased only: elapsed merge phase
-	Sparse  time.Duration // phased only: elapsed sparse phase
-
 	FlippedBusy time.Duration // Σ workers' in-phase busy time
 	MergeBusy   time.Duration
 	SparseBusy  time.Duration
-	// BinBusy/DrainBusy split the sparse phase of the propagation-
-	// blocked kernel (SparsePB); the pull kernels leave them zero and
-	// record SparseBusy instead.
-	BinBusy   time.Duration
-	DrainBusy time.Duration
 
 	Wall  time.Duration // elapsed time of all Steps
 	Steps int
 }
 
-// SparseTotalBusy returns the summed busy time of the sparse phase
-// under any kernel: the pull kernels' SparseBusy plus the PB kernel's
-// bin and drain halves.
+// SparseTotalBusy returns the summed busy time of the sparse phase. It
+// equals SparseBusy: the pull is the only sparse kernel.
 func (b Breakdown) SparseTotalBusy() time.Duration {
-	return b.SparseBusy + b.BinBusy + b.DrainBusy
+	return b.SparseBusy
 }
 
-// Total returns the elapsed time of all Steps: the measured wall time
-// when available, otherwise the summed phase walls.
+// Total returns the elapsed time of all Steps.
 func (b Breakdown) Total() time.Duration {
-	if b.Wall > 0 {
-		return b.Wall
-	}
-	return b.Flipped + b.Merge + b.Sparse
+	return b.Wall
 }
 
 // TotalBusy returns the summed per-worker busy time across phases.
 func (b Breakdown) TotalBusy() time.Duration {
-	return b.FlippedBusy + b.MergeBusy + b.SparseTotalBusy()
+	return b.FlippedBusy + b.MergeBusy + b.SparseBusy
 }
 
-// FlippedFrac returns the fraction of time spent pushing flipped
-// blocks (0 when no Steps ran). Busy time is preferred — it is
-// attributable under fusion and does not double-count scheduler idle
-// time; the wall split is the fallback for breakdowns recorded by
-// older phased-only runs.
+// FlippedFrac returns the fraction of busy time spent pushing flipped
+// blocks (0 when no Steps ran). Busy time is attributable under fusion
+// and does not double-count scheduler idle time.
 func (b Breakdown) FlippedFrac() float64 {
 	if t := b.TotalBusy(); t > 0 {
 		return float64(b.FlippedBusy) / float64(t)
 	}
-	if t := b.Flipped + b.Merge + b.Sparse; t > 0 {
-		return float64(b.Flipped) / float64(t)
-	}
 	return 0
 }
 
-// MergeFrac returns the fraction of time spent merging buffers.
+// MergeFrac returns the fraction of busy time spent merging buffers.
 func (b Breakdown) MergeFrac() float64 {
 	if t := b.TotalBusy(); t > 0 {
 		return float64(b.MergeBusy) / float64(t)
-	}
-	if t := b.Flipped + b.Merge + b.Sparse; t > 0 {
-		return float64(b.Merge) / float64(t)
 	}
 	return 0
 }
 
 // EngineOptions tunes the Algorithm 3 engine.
 type EngineOptions struct {
-	// Phased selects the pre-fusion pipeline — three barriered pool
-	// dispatches per Step (flipped, merge, sparse) with an
-	// O(workers x NumHubs) merge sweep — for ablating the fused
+	// Phased is read by no code: every engine runs the fused
 	// single-dispatch pipeline.
+	//
+	// Deprecated: the three-dispatch pipeline it selected lost every
+	// recorded measurement and was removed (DESIGN.md §12). Leave it
+	// unset.
 	Phased bool
 	// StaticFlipped is read by no code: every engine splits its
 	// flipped tasks into fixed per-worker shares, so Step and StepBatch
@@ -296,9 +257,12 @@ type EngineOptions struct {
 	// is scanned for NaN/±Inf after each step, fused into the epilogue
 	// sweep on the fused pipeline. See spmv.HealthPolicy.
 	Health spmv.HealthPolicy
-	// SparseKernel selects the sparse-block kernel: SparsePull (the
-	// zero value) or SparsePB. Both produce bit-for-bit identical
-	// results; they differ in memory-access shape. See sparse.go.
+	// SparseKernel is read by no code: every engine runs the uniform
+	// pull over the sparse block.
+	//
+	// Deprecated: the propagation-blocked kernel SparsePB selected lost
+	// every recorded measurement and was removed (DESIGN.md §12). Leave
+	// it unset.
 	SparseKernel SparseKernel
 	// BlockEncoding selects the adjacency representation the engine
 	// traverses: EncodingAuto (varint when only the encoded topology
@@ -352,7 +316,6 @@ func NewEngineOpts(ih *IHTL, pool *sched.Pool, opt EngineOptions) (*Engine, erro
 	if ih.NumV > ih.Sparse.DestLo {
 		e.sparseBounds = sched.EdgeBalancedParts(ih.Sparse.Index, workers*4)
 	}
-	e.initSparseKernel(opt.SparseKernel)
 	if err := e.initLayouts(opt.forceLayout); err != nil {
 		return nil, fmt.Errorf("core: building edge-major streams: %w", err)
 	}
@@ -372,7 +335,7 @@ func NewEngineOpts(ih *IHTL, pool *sched.Pool, opt EngineOptions) (*Engine, erro
 	// but the part's own pull writes them, so they are the epilogue's
 	// slots, and the fused uniform pull finishes each one as it pulls it.
 	if len(ih.Blocks) == 0 && ih.Sparse.DestLo == 0 && len(e.sparseBounds) > 1 {
-		e.initSlots(e.sparseBounds, !e.phased && e.sparseKernel == SparsePull)
+		e.initSlots(e.sparseBounds, true)
 	}
 	return e, nil
 }
@@ -383,17 +346,11 @@ func (e *Engine) Graph() *IHTL { return e.ih }
 // recoverState restores the reusable cross-step state after an aborted
 // (cancelled or panicked) step, so the next clean step is bit-for-bit
 // identical to one on a fresh engine: hub buffers may hold partial
-// accumulations, dirty ranges may be half-widened, the bin and epilogue
-// barriers may hold straggler arrival counts, and the shell's staging
+// accumulations, dirty ranges may be half-widened, the epilogue
+// barrier may hold straggler arrival counts, and the shell's staging
 // may still be set.
 func (e *Engine) recoverState() {
 	e.batch.recoverState()
-	if e.binBarrier != nil {
-		// The PB bin cursors need no recovery: every chunk re-stages
-		// its cursors at claim time, so only the abandoned barrier
-		// crossing holds state.
-		e.binBarrier.Reset()
-	}
 	clear(e.clocks)
 	e.epiBarrier.Reset()
 	e.curSrc, e.curDst, e.curEpi, e.touched = nil, nil, nil, nil
@@ -410,7 +367,9 @@ func (e *Engine) stepFused(src, dst []float64) {
 	// vectors and, for an active-row step, the touched set's starting
 	// value (empty: the merges and the sparse pull add the rows they
 	// write).
-	e.resetSparseScheds()
+	if n := len(e.sparseBounds) - 1; n > 0 {
+		e.sparseSched.Reset(n)
+	}
 	e.blockGate.Reset(e.tasksPerBlock)
 	clear(e.batch.touched)
 	e.curSrc, e.curDst = src, dst
@@ -551,111 +510,25 @@ func (e *Engine) harvestClocks() {
 		e.breakdown.FlippedBusy += c.flipped
 		e.breakdown.MergeBusy += c.merge
 		e.breakdown.SparseBusy += c.sparse
-		e.breakdown.BinBusy += c.bin
-		e.breakdown.DrainBusy += c.drain
 		*c = workerClock{}
 	}
 }
 
-// stepPhased is the pre-fusion pipeline: three barriered dispatches
-// with a full O(workers x NumHubs) merge sweep, at the same width and
-// through the same kernel arms as the fused one. Kept selectable for
-// ablating the fused pipeline (EngineOptions.Phased). It records the
-// phase walls its barriers define instead of per-worker busy time —
-// the same figures the pipeline produced before fusion, without
-// per-task clock reads distorting what it ablates.
-func (e *Engine) stepPhased(src, dst []float64) {
-	ih := e.ih
-	b := &e.batch
-	k := b.k
-
-	// Phase 1 — push traversal of the flipped blocks (Alg. 3 l.1-4).
-	t0 := time.Now()
-	// Each worker runs its fixed share (flipBounds), and phase 2 folds
-	// the buffers in worker order, so the phased pipeline is
-	// bit-reproducible too.
-	e.pool.Run(func(w int) {
-		for ti := e.flipBounds[w]; ti < e.flipBounds[w+1]; ti++ {
-			faultinject.Fire(faultinject.SiteFlippedTask)
-			e.pushTaskBatch(k, &e.blockTasks[ti], src, b.bufs[w])
-		}
-	})
-	t1 := time.Now()
-
-	// Phase 2 — aggregate thread buffers into hub data (l.5-7),
-	// clearing each buffer entry after reading so the buffers are
-	// ready for the next iteration without a separate reset sweep. The
-	// flat sweep over [0, NumHubs*k) is element-wise, so the split
-	// needs no lane alignment.
-	bufs := b.bufs
-	e.pool.ForStatic(ih.NumHubs*k, func(w, lo, hi int) {
-		faultinject.Fire(faultinject.SiteMergeBlock)
-		for i := lo; i < hi; i++ {
-			sum := 0.0
-			for t := range bufs {
-				sum += bufs[t][i]
-				bufs[t][i] = 0
-			}
-			dst[i] = sum
-		}
-	})
-	t2 := time.Now()
-
-	// Phase 3 — the sparse block under the configured kernel (l.8-10).
-	// The propagation-blocked kernel runs its sub-phases as separate
-	// dispatches here (the dispatch boundary is the bin/drain barrier);
-	// the fused pipeline is where it earns its keep.
-	switch e.sparseKernel {
-	case SparsePB:
-		if e.pb != nil {
-			e.pool.ForEachPart(e.pb.numChunks, func(w, c int) {
-				e.pbBinChunkBatch(b, c, src)
-			})
-			e.pool.ForEachPart(e.pb.numBuckets, func(w, bkt int) {
-				e.pbDrainBucketBatch(b, bkt, dst)
-			})
-		}
-	default:
-		if nparts := len(e.sparseBounds) - 1; nparts > 0 {
-			e.pool.ForEachPart(nparts, func(w, part int) {
-				e.sparsePullPartBatch(b, part, src, dst)
-			})
-		}
-	}
-	t3 := time.Now()
-
-	e.breakdown.Flipped += t1.Sub(t0)
-	e.breakdown.Merge += t2.Sub(t1)
-	e.breakdown.Sparse += t3.Sub(t2)
-	e.breakdown.Wall += t3.Sub(t0)
-}
-
-// step is one step of width k plus epilogue, on the pipeline the
-// options chose, and what every entry point of shell.go runs. It
-// returns the numeric-health verdict: a *spmv.NumericError, or nil when
-// the watchdog is off or satisfied. streamEpi says the caller holds epi
-// to the streamed contract (Epilogue.Stream); the scan alone streams at
-// any width, since it reads a slot's rows only.
+// step is one fused step of width k plus epilogue, and what every entry
+// point of shell.go runs. It returns the numeric-health verdict: a
+// *spmv.NumericError, or nil when the watchdog is off or satisfied.
+// streamEpi says the caller holds epi to the streamed contract
+// (Epilogue.Stream); the scan alone streams at any width, since it
+// reads a slot's rows only.
 //
 //ihtl:noalloc
 func (e *Engine) step(src, dst []float64, k int, epi func(slot, lo, hi int), streamEpi bool) error {
 	e.setWidth(k)
 	e.armHealth(k)
 	e.curEpi = epi
-	if e.phased {
-		e.stepPhased(src, dst)
-		if epi != nil || e.healthArmed {
-			start := time.Now()
-			e.curDst = dst
-			e.pool.Run(e.slotsJob)
-			e.curDst = nil
-			e.breakdown.Wall += time.Since(start)
-		}
-	} else {
-		e.streamed = e.streams && e.touched == nil && (epi != nil || e.healthArmed) && (epi == nil || streamEpi)
-		e.stepFused(src, dst)
-		e.streamed = false
-	}
+	e.streamed = e.streams && e.touched == nil && (epi != nil || e.healthArmed) && (epi == nil || streamEpi)
+	e.stepFused(src, dst)
+	e.streamed = false
 	e.curEpi = nil
 	e.breakdown.Steps++
 	return e.collectHealth()

@@ -38,9 +38,7 @@ type batchState struct {
 	// at bit blk·wordsPerBlock·64 + h − HubLo — so that no word is shared
 	// between blocks, whose merges run concurrently with the pushes into
 	// their neighbours. All zero between steps: the active merge clears
-	// the words it folds, recoverState the rest. (The SparsePB kernel's
-	// width-dependent binVals live on pbState, so that batchState keeps
-	// its size and no Engine field after batch moves.)
+	// the words it folds, recoverState the rest.
 	hubBits [][]uint64
 	// active and touched are the row sets of an active-row step
 	// (active.go), staged for its dispatch and nil for a dense one: where
@@ -57,9 +55,8 @@ type batchState struct {
 // width batch by batch (a lane per coalesced query), so the arrays are
 // sized for the widest width seen and resliced for a narrower one. That
 // is sound because every hub buffer is all-zero between steps — a merge
-// zeroes what it folds and no step reaches past its NumHubs*k,
-// recoverState clears an aborted step's buffers whole — and the PB
-// kernel's binVals are written before they are read within a step.
+// zeroes what it folds, no step reaches past its NumHubs*k, and
+// recoverState clears an aborted step's buffers whole.
 //
 // It also decides the width's lane prefetch distance, from the
 // footprint alone: once the width's lane rows, NumV·k float64s, outgrow
@@ -81,9 +78,6 @@ func (e *Engine) setWidth(k int) {
 	}
 	for i := range b.bufs {
 		b.bufs[i] = resized(b.bufs[i], e.ih.NumHubs*k)
-	}
-	if e.pb != nil {
-		e.pb.binVals = resized(e.pb.binVals, len(e.pb.binRows)*k)
 	}
 }
 
@@ -118,10 +112,9 @@ func resized(s []float64, n int) []float64 {
 }
 
 // setActive stages (or, given nil sets, unstages) an active-row step.
-// Only the flat fused pipeline with the pull sparse kernel has the two
-// kernels.
+// Only a flat engine has the two kernels; a packed one refuses.
 func (e *Engine) setActive(active, touched spmv.RowSet) bool {
-	if e.phased || e.varint || e.sparseKernel == SparsePB {
+	if e.varint {
 		return false
 	}
 	e.batch.active, e.batch.touched = active, touched

@@ -10,8 +10,7 @@ import "ihtl/internal/spmv"
 // index entries per task, which are not charged); varint engines stream
 // the encoded chunks (data plus chunk tables) and, on the sparse side,
 // the per-row byte offsets; they decode into registers, so there is no
-// scratch to account for. The propagation-blocked kernel runs from its
-// own transposed arrays under either encoding. It is the half of
+// scratch to account for. It is the half of
 // BytesPerStep the encoding changes, so BenchmarkBlockEncoding and the
 // encoding tests read their B/edge from it alone.
 func (e *Engine) topologyStreamBytes() int64 {
@@ -35,12 +34,6 @@ func (e *Engine) topologyStreamBytes() int64 {
 		return total
 	}
 	Es := sp.NumEdges()
-	if e.sparseKernel == SparsePB {
-		if e.pb != nil {
-			total += 8*int64(len(e.pb.pushIndex)) + 4*Es // transposed CSR
-		}
-		return total
-	}
 	switch {
 	case e.varint:
 		total += int64(len(sp.Enc.Data)) // packed rows
@@ -88,31 +81,19 @@ func (e *Engine) BytesPerStep() int64 {
 		total += (2*W + 1) * vb * hubs // clear + merge reads + dst write
 	}
 
-	// Sparse block, by kernel.
+	// Sparse block: the pull.
 	sp := &ih.Sparse
 	n := int64(ih.NumV) - int64(sp.DestLo)
 	if n <= 0 {
 		return total
 	}
 	Es := sp.NumEdges()
-	switch e.sparseKernel {
-	case SparsePB:
-		if e.pb == nil {
-			return total
-		}
-		segs := int64(len(e.pb.binCur))
-		total += vb * int64(ih.NumV) // sequential src sweep
-		total += 2 * 12 * Es         // bin writes + drain reads
-		total += 2 * 8 * segs        // cursor staging + reads
-		total += 2 * vb * n          // dst clear + accumulate
-	default:
-		total += vb * Es // random src reads
-		total += vb * n  // dst writes
-		if e.sparseAdv != nil {
-			// Edge-major clears the rows (charged above as the write),
-			// then accumulates per edge into the cache-resident chunk.
-			total += vb * Es
-		}
+	total += vb * Es // random src reads
+	total += vb * n  // dst writes
+	if e.sparseAdv != nil {
+		// Edge-major clears the rows (charged above as the write),
+		// then accumulates per edge into the cache-resident chunk.
+		total += vb * Es
 	}
 	return total
 }
@@ -121,8 +102,7 @@ func (e *Engine) BytesPerStep() int64 {
 // resident in memory to run: always the per-block index arrays (the
 // schedulers read per-row edge counts under either encoding), plus the
 // flat adjacency or the encoded chunks with the sparse row offsets,
-// plus the adv streams of the blocks walked edge-major and the
-// propagation-blocked kernel's transposed arrays when configured.
+// plus the adv streams of the blocks walked edge-major.
 // Vertex data and hub buffers are excluded — they scale with NumV, not
 // with the topology representation this measures.
 func (e *Engine) ResidentTopologyBytes() int64 {
@@ -152,11 +132,5 @@ func (e *Engine) ResidentTopologyBytes() int64 {
 		total += int64(len(adv))
 	}
 	total += int64(len(e.sparseAdv))
-	if e.pb != nil {
-		total += 8 * int64(len(e.pb.pushIndex))
-		total += 4 * int64(len(e.pb.pushRows))
-		total += 12 * int64(len(e.pb.binRows)) // binRows + binVals
-		total += 8 * int64(len(e.pb.binOff)+len(e.pb.binCur))
-	}
 	return total
 }

@@ -15,9 +15,8 @@ import (
 	"ihtl/internal/xrand"
 )
 
-// The differential tests below pin the fused single-dispatch pipeline
-// to the phased three-dispatch pipeline and to the spmv.Pull baseline
-// BIT-FOR-BIT. Exact float equality across schedules is only
+// The differential tests below pin every row of the option matrix to
+// the spmv.Pull baseline BIT-FOR-BIT. Exact float equality across schedules is only
 // meaningful when every partial sum is exact, so sources are small
 // integer-valued floats: all sums stay integers far below 2^53 and
 // addition is associative, making the result independent of task→
@@ -55,21 +54,25 @@ func signedVec(seed uint64, n int) []float64 {
 // values the differential suites step. optionMatrix fails on a field
 // that is missing here, so an option cannot land without its rows.
 var optionValues = map[string][]any{
-	"Phased": {false, true},
+	// Deprecated and read by no code: every engine runs the fused
+	// pipeline (TestNewEngineOptsIgnoresDeprecated).
+	"Phased": {false},
 	// Deprecated and read by no code: every engine splits its flipped
 	// tasks statically (TestFaultDelayedFlippedTaskBitIdentical shows
 	// that setting it changes nothing).
 	"StaticFlipped": {false},
 	// Every differential input is finite, so an armed watchdog scans
 	// and must change nothing; Rollback is the mode the daemon runs.
-	"Health":       {spmv.HealthPolicy{}, spmv.HealthPolicy{Mode: spmv.HealthRollback}},
-	"SparseKernel": {SparsePull, SparsePB},
+	"Health": {spmv.HealthPolicy{}, spmv.HealthPolicy{Mode: spmv.HealthRollback}},
+	// Deprecated and read by no code: every engine runs the uniform pull
+	// (TestNewEngineOptsIgnoresDeprecated).
+	"SparseKernel": {SparsePull},
 	// EncodingAuto is flat on a graph built in memory and on one opened
 	// from a raw v2 file (TestV2RawFileDifferential steps both over every
 	// row), packed on one opened from a packed file.
 	"BlockEncoding": {EncodingAuto, EncodingVarint},
 	// Deprecated and read by no code: every value builds the one
-	// single-graph engine (TestNewEngineOptsIgnoresShards).
+	// single-graph engine (TestNewEngineOptsIgnoresDeprecated).
 	"Shards": {0},
 }
 
@@ -156,13 +159,12 @@ func stepOldSpace(ih *IHTL, e *Engine, srcOld []float64) []float64 {
 	return dstOld
 }
 
-// TestStepDifferentialFusedPhasedPull checks that every row of the
-// option matrix — the fused and the phased pipeline under each sparse
-// kernel, encoding and flipped-task assignment — and the spmv.Pull
-// baseline produce bit-identical dst vectors across graphs and worker
-// counts. A row whose sparse block is walked edge-major steps once more
+// TestStepDifferentialMatrixPull checks that every row of the option
+// matrix — each encoding under the watchdog on and off — and the
+// spmv.Pull baseline produce bit-identical dst vectors across graphs and
+// worker counts. A row whose sparse block is walked edge-major steps once more
 // with the Go twin of its pair loop forced (asmArms).
-func TestStepDifferentialFusedPhasedPull(t *testing.T) {
+func TestStepDifferentialMatrixPull(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	edgeMajorRows := 0
 	for name, g := range diffGraphs(t) {
@@ -312,23 +314,12 @@ func FuzzStepDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, "fused", want, stepOldSpace(ih, fused, src))
-		phased, err := NewEngineOpts(ih, pool, EngineOptions{Phased: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitIdentical(t, "phased", want, stepOldSpace(ih, phased, src))
-		pb, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: SparsePB})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitIdentical(t, "pb", want, stepOldSpace(ih, pb, src))
 		// Both traversal layouts forced on every block of the same graph
 		// (by shape, R-MAT blocks this small are a mix).
 		var forced []*Engine
 		for _, opt := range []EngineOptions{
 			{forceLayout: LayoutCSR},
 			{forceLayout: LayoutEdgeMajor},
-			{forceLayout: LayoutEdgeMajor, Phased: true},
 		} {
 			e, err := NewEngineOpts(ih, pool, opt)
 			if err != nil {
@@ -339,7 +330,7 @@ func FuzzStepDifferential(f *testing.F) {
 		}
 
 		// K lanes through one traversal against K scalar Steps, flat and
-		// packed, fused and phased, pulled and propagation-blocked.
+		// packed.
 		varint, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingVarint})
 		if err != nil {
 			t.Fatal(err)
@@ -347,7 +338,7 @@ func FuzzStepDifferential(f *testing.F) {
 		k := 2 + int(width%8)
 		lanes, batch := laneInputs(seed, ih.NumV, k)
 		batchDst := make([]float64, ih.NumV*k)
-		for _, e := range []*Engine{fused, phased, pb, varint} {
+		for _, e := range []*Engine{fused, varint} {
 			e.StepBatch(batch, batchDst, k)
 			requireLanesMatchScalar(t, e, lanes, batchDst)
 		}
@@ -357,8 +348,6 @@ func FuzzStepDifferential(f *testing.F) {
 		srcSigned := signedVec(seed^0x5a5a, g.NumV)
 		pe.Step(srcSigned, want)
 		requireBitIdentical(t, "fused signed", want, stepOldSpace(ih, fused, srcSigned))
-		requireBitIdentical(t, "phased signed", want, stepOldSpace(ih, phased, srcSigned))
-		requireBitIdentical(t, "pb signed", want, stepOldSpace(ih, pb, srcSigned))
 		for i, e := range forced {
 			requireBitIdentical(t, fmt.Sprintf("forced[%d] signed", i), want, stepOldSpace(ih, e, srcSigned))
 		}
@@ -370,10 +359,9 @@ func FuzzStepDifferential(f *testing.F) {
 // The epilogue checks, when it is called, that its rows [lo, hi)
 // already hold the oracle's values — an epilogue run before its rows
 // are final fails here, as does a slot run twice or never, or slots
-// that do not tile the rows in order. The engines that stream are
-// exactly the fused uniform pulls; an epilogue that does not permit
-// streaming stays behind the barrier on those too, so there every slot
-// may read all of dst.
+// that do not tile the rows in order. Every engine here streams; an
+// epilogue that does not permit streaming stays behind the barrier, so
+// there every slot may read all of dst.
 func TestStepEpiZeroFlipRows(t *testing.T) {
 	g := residentGraphs(t)["rmat"]
 	n := g.NumV
@@ -389,14 +377,13 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 		defer pool.Close()
 		for _, opt := range optionMatrix(t, nil) {
 			label := fmt.Sprintf("w%d/%s", workers, optLabel(opt))
-			wantSlots, wantStream := 4*workers, !opt.Phased && opt.SparseKernel == SparsePull
 			e, err := NewEngineOpts(ih, pool, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			slots, streamed := e.EpiSlots()
-			if slots != wantSlots || streamed != wantStream {
-				t.Fatalf("%s: %d slots, streamed %v; want %d, %v", label, slots, streamed, wantSlots, wantStream)
+			if slots != 4*workers || !streamed {
+				t.Fatalf("%s: %d slots, streamed %v; want %d, true", label, slots, streamed, 4*workers)
 			}
 			for _, barrier := range []bool{false, true} {
 				bounds := make([][2]int, slots)
@@ -440,8 +427,8 @@ func TestStepEpiZeroFlipRows(t *testing.T) {
 	}
 }
 
-// TestSparseKernelByGraph: the default engine runs the uniform pull on
-// every graph, and the graph decides only the epilogue's placement —
+// TestSparseKernelByGraph: every engine runs the uniform pull, and the
+// graph decides only the epilogue's placement —
 // streamed over the pull's parts where nothing is flipped, the static
 // grid of the workers' shares behind the barrier where something is.
 func TestSparseKernelByGraph(t *testing.T) {
@@ -462,9 +449,9 @@ func TestSparseKernelByGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slots, streamed := e.EpiSlots(); e.sparseKernel != SparsePull || slots != c.slots || streamed != c.stream {
-			t.Errorf("%d flipped blocks: the default kernel is %v with %d slots, streamed %v; want pull, %d, %v",
-				len(ih.Blocks), e.sparseKernel, slots, streamed, c.slots, c.stream)
+		if slots, streamed := e.EpiSlots(); slots != c.slots || streamed != c.stream {
+			t.Errorf("%d flipped blocks: %d slots, streamed %v; want %d, %v",
+				len(ih.Blocks), slots, streamed, c.slots, c.stream)
 		}
 	}
 }

@@ -108,37 +108,41 @@ func TestLaneKernelsMatchScalarStep(t *testing.T) {
 		for _, workers := range []int{1, 2, 3} {
 			pool := sched.NewPool(workers)
 			defer pool.Close()
-			// The sparse kernels and the watchdog have their own lane
-			// tables (sparse_kernel_test.go, the alternation differential).
+			// The watchdog has its own lane table (the alternation
+			// differential). The phased=true rows build both engines
+			// with the deprecated Phased set, which no code reads.
 			for _, opt := range optionMatrix(t, func(o EngineOptions) bool {
-				return o.SparseKernel == SparsePull && o.Health == spmv.HealthPolicy{}
+				return o.Health == spmv.HealthPolicy{}
 			}) {
-				e, err := NewEngineOpts(ih, pool, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				other, err := NewEngineOpts(ih, pool, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range []int{2, 3, 4, 5, 8, 9} {
-					for _, arm := range arms {
-						for _, scalar := range []*Engine{e, other} {
-							label := fmt.Sprintf("%s/w%d/%v/phased=%v/static=%v/k%d", name, workers, e.Encoding(), opt.Phased, scalar == other, k)
-							if arm != arms[0] {
-								if k != 4 && k != 8 {
-									continue
+				for _, phased := range []bool{false, true} {
+					opt.Phased = phased
+					e, err := NewEngineOpts(ih, pool, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					other, err := NewEngineOpts(ih, pool, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range []int{2, 3, 4, 5, 8, 9} {
+						for _, arm := range arms {
+							for _, scalar := range []*Engine{e, other} {
+								label := fmt.Sprintf("%s/w%d/%v/phased=%v/static=%v/k%d", name, workers, e.Encoding(), phased, scalar == other, k)
+								if arm != arms[0] {
+									if k != 4 && k != 8 {
+										continue
+									}
+									label += "/go-twins"
 								}
-								label += "/go-twins"
+								t.Run(label, func(t *testing.T) {
+									ForceGoTwins(arm == "go")
+									defer ForceGoTwins(false)
+									lanes, src := laneInputs(42, ih.NumV, k)
+									dst := make([]float64, ih.NumV*k)
+									e.StepBatch(src, dst, k)
+									requireLanesMatchScalar(t, scalar, lanes, dst)
+								})
 							}
-							t.Run(label, func(t *testing.T) {
-								ForceGoTwins(arm == "go")
-								defer ForceGoTwins(false)
-								lanes, src := laneInputs(42, ih.NumV, k)
-								dst := make([]float64, ih.NumV*k)
-								e.StepBatch(src, dst, k)
-								requireLanesMatchScalar(t, scalar, lanes, dst)
-							})
 						}
 					}
 				}
@@ -165,7 +169,7 @@ func TestStepBatchWidthChangeAllocatesNothing(t *testing.T) {
 	}
 	engines := map[string]*Engine{}
 	for _, opt := range optionMatrix(t, func(o EngineOptions) bool {
-		return !o.Phased && o.Health == spmv.HealthPolicy{} // the phased pipeline allocates its closures
+		return o.Health == spmv.HealthPolicy{}
 	}) {
 		if engines[optLabel(opt)], err = NewEngineOpts(ih, testPool, opt); err != nil {
 			t.Fatal(err)
@@ -407,7 +411,6 @@ func TestStepBatchFaultThenWidthChange(t *testing.T) {
 				faultinject.Activate(faultinject.NewPlan(
 					faultinject.Rule{Site: faultinject.SiteMergeBlock, Kind: faultinject.Panic},
 					faultinject.Rule{Site: faultinject.SiteSparsePart, Kind: faultinject.Panic},
-					faultinject.Rule{Site: faultinject.SiteSparseBin, Kind: faultinject.Panic},
 					faultinject.Rule{Site: faultinject.SiteFlippedTask, Kind: faultinject.Panic, After: 2},
 					faultinject.Rule{Site: faultinject.SiteSchedClaim, Kind: faultinject.Panic, After: 2},
 				))

@@ -14,8 +14,8 @@ import (
 // constructors run the lazy graph derivations — EnsureEncoded
 // (BlockEncoding varint), EnsureFlatTopology (flat over an
 // encoded-only graph is not exercised here; DropFlatTopology is
-// destructive and documented single-threaded) — beside the
-// propagation-blocked kernel's construction, and then steps each.
+// destructive and documented single-threaded) — beside the default
+// engine's construction, and then steps each.
 // Under -race this pins the lazyMu guard: before it, two goroutines
 // could both observe a nil Enc and race the derivation.
 func TestConcurrentEngineConstruction(t *testing.T) {
@@ -29,7 +29,6 @@ func TestConcurrentEngineConstruction(t *testing.T) {
 	}
 	opts := []EngineOptions{
 		{BlockEncoding: EncodingVarint},
-		{SparseKernel: SparsePB},
 		{},
 	}
 	src := integerVec(6, g.NumV)

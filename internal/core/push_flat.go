@@ -7,8 +7,8 @@ import (
 )
 
 // The flat (uncompressed) flipped-push kernels: one encoded task's
-// worth of src[s] -> hub scatter, shared by the fused workers and the
-// phased ablation so the inner loop exists exactly once per shape.
+// worth of src[s] -> hub scatter, run by the fused workers, so the
+// inner loop exists exactly once per shape.
 // These are the Algorithm 3 lines 1-4 inner loops; together with
 // their varint twins in encoding.go they are //ihtl:nobce — the
 // ihtlvet -bce gate pins them free of per-edge bounds checks, which
@@ -17,7 +17,7 @@ import (
 // spmv/unchecked.go for the safety argument).
 
 // pushTaskBatch pushes task bt k lanes wide, and is the one place the
-// fused worker and the phased ablation pick a dense flipped kernel: the
+// fused worker picks a dense flipped kernel: the
 // scalar bodies at one lane, the register-resident bodies (lanes.go) at
 // 8 lanes over flat topology — its AVX2 body while laneAsm is set,
 // prefetching at the width's distance — and 4 over packed gap rows, the

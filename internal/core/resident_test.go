@@ -256,8 +256,8 @@ func requireLanesBitIdentical(t *testing.T, label string, k int, want [][]float6
 
 // TestResidentDifferential is the regime's exactness contract: a
 // zero-block graph has no per-worker partial sums, so every engine over
-// it — either encoding, every sparse kernel, fused, phased or watched,
-// any worker count, any lane width — sums each row in topology order
+// it — either encoding, watched or not, any worker count, any lane
+// width — sums each row in topology order
 // and equals the serial pull oracle BIT FOR BIT on arbitrary floats,
 // and so itself from run to run, whichever worker pulls which part —
 // with the flat lane cells' assembly and with their Go twins alike.
@@ -265,7 +265,6 @@ func TestResidentDifferential(t *testing.T) {
 	arms := asmArms(t)
 	modes := map[string]EngineOptions{
 		"fused":    {},
-		"phased":   {Phased: true},
 		"rollback": {Health: spmv.HealthPolicy{Mode: spmv.HealthRollback}},
 	}
 	for gname, g := range residentGraphs(t) {
@@ -288,21 +287,19 @@ func TestResidentDifferential(t *testing.T) {
 				pool := sched.NewPool(workers)
 				defer pool.Close()
 				for _, enc := range []BlockEncoding{EncodingFlat, EncodingVarint} {
-					for _, kernel := range []SparseKernel{SparsePull, SparsePB} {
-						for mname, opt := range modes {
-							opt.BlockEncoding, opt.SparseKernel = enc, kernel
-							e, err := NewEngineOpts(ih, pool, opt)
-							label := fmt.Sprintf("%s/%s/w%d/%v/%v/%s", gname, arm, workers, enc, kernel, mname)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							for _, k := range []int{1, 4, 8} {
-								dst := make([]float64, n*k)
-								for run := 0; run < 2; run++ {
-									clear(dst)
-									e.StepBatch(srcs[k], dst, k) // the scalar Step at k = 1
-									requireLanesBitIdentical(t, fmt.Sprintf("%s/k%d run %d", label, k, run), k, wants[k], dst)
-								}
+					for mname, opt := range modes {
+						opt.BlockEncoding = enc
+						e, err := NewEngineOpts(ih, pool, opt)
+						label := fmt.Sprintf("%s/%s/w%d/%v/%s", gname, arm, workers, enc, mname)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						for _, k := range []int{1, 4, 8} {
+							dst := make([]float64, n*k)
+							for run := 0; run < 2; run++ {
+								clear(dst)
+								e.StepBatch(srcs[k], dst, k) // the scalar Step at k = 1
+								requireLanesBitIdentical(t, fmt.Sprintf("%s/k%d run %d", label, k, run), k, wants[k], dst)
 							}
 						}
 					}
@@ -315,8 +312,9 @@ func TestResidentDifferential(t *testing.T) {
 // TestResidentFilesAndFaults takes a zero-block graph through the v2
 // file and through a failed Step: the opened engines still
 // equal the oracle bit for bit, and so does the clean Step after a
-// cancellation or an injected panic in a sparse part (a bin chunk
-// under the propagation-blocked kernel).
+// cancellation or an injected panic in a sparse part. The "pb" rows
+// build their engine with the deprecated SparseKernel set, which no
+// code reads.
 func TestResidentFilesAndFaults(t *testing.T) {
 	g := residentGraphs(t)["rmat"]
 	n := g.NumV
@@ -350,12 +348,19 @@ func TestResidentFilesAndFaults(t *testing.T) {
 		requireBitIdentical(t, "engine over the v2 file", want, dst)
 	})
 
-	for _, opt := range []EngineOptions{{}, {BlockEncoding: EncodingVarint}, {SparseKernel: SparsePB}} {
-		e, err := NewEngineOpts(ih, testPool, opt)
+	for _, row := range []struct {
+		label string
+		opt   EngineOptions
+	}{
+		{"auto/pull", EngineOptions{}},
+		{"varint/pull", EngineOptions{BlockEncoding: EncodingVarint}},
+		{"auto/pb", EngineOptions{SparseKernel: SparsePB}},
+	} {
+		e, err := NewEngineOpts(ih, testPool, row.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("%v/%v", opt.BlockEncoding, opt.SparseKernel)
+		label := row.label
 		t.Run("cancel/"+label, func(t *testing.T) {
 			for seed := uint64(0); seed < 8; seed++ {
 				to := time.Duration(faultinject.SeededAfter(seed, "test.resident-cancel", 200)) * time.Microsecond
@@ -371,10 +376,7 @@ func TestResidentFilesAndFaults(t *testing.T) {
 				requireBitIdentical(t, fmt.Sprintf("seed %d: clean step after cancel", seed), want, dst)
 			}
 		})
-		site := faultinject.SiteSparsePart
-		if opt.SparseKernel == SparsePB {
-			site = faultinject.SiteSparseBin // one bucket on this graph: the drain site fires once
-		}
+		const site = faultinject.SiteSparsePart
 		t.Run("panic/"+label, func(t *testing.T) {
 			for after := int64(0); after < 4; after++ {
 				plan := faultinject.NewPlan(faultinject.Rule{Site: site, Kind: faultinject.Panic, After: after})

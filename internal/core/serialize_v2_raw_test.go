@@ -245,8 +245,8 @@ func TestV2RawRejectsHostile(t *testing.T) {
 }
 
 // TestV2RawFileDifferential is the file round trip's row of the option
-// matrix: over every row — fused and phased, watched and not, each
-// sparse kernel, auto (flat) and forced packed — the engine over the
+// matrix: over every row — watched and not, auto (flat) and forced
+// packed — the engine over the
 // opened raw file, the engine over the graph in memory and the serial
 // pull oracle agree bit for bit at widths 1, 4
 // and 8 on arbitrary floats, as every engine over a zero-block graph
@@ -330,25 +330,23 @@ func TestV2ParentPackedFileStillOpens(t *testing.T) {
 	if binary.LittleEndian.Uint32(now[v2OffStream:]) != v2StreamRaw || !bytes.Equal(now[:v2OffStream], old[:v2OffStream]) {
 		t.Error("today's file of the same graph differs from the parent's before the stream-format word, or is not raw")
 	}
-	for _, opt := range []EngineOptions{{}, {Phased: true}} {
-		packed, err := NewEngineOpts(got, testPool, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flat, err := NewEngineOpts(ih, testPool, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !packed.varint || flat.varint {
-			t.Fatal("auto encoding: the packed file must step packed, the build flat")
-		}
-		for _, k := range []int{1, 4, 8} {
-			src, want := laneVecs(g, k)
-			a, b := make([]float64, g.NumV*k), make([]float64, g.NumV*k)
-			packed.StepBatch(src, a, k)
-			flat.StepBatch(src, b, k)
-			requireLanesBitIdentical(t, fmt.Sprintf("parent's file, k%d", k), k, want, a)
-			requireBitIdentical(t, fmt.Sprintf("parent's file vs today's build, k%d", k), b, a)
-		}
+	packed, err := NewEngine(got, testPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := NewEngine(ih, testPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !packed.varint || flat.varint {
+		t.Fatal("auto encoding: the packed file must step packed, the build flat")
+	}
+	for _, k := range []int{1, 4, 8} {
+		src, want := laneVecs(g, k)
+		a, b := make([]float64, g.NumV*k), make([]float64, g.NumV*k)
+		packed.StepBatch(src, a, k)
+		flat.StepBatch(src, b, k)
+		requireLanesBitIdentical(t, fmt.Sprintf("parent's file, k%d", k), k, want, a)
+		requireBitIdentical(t, fmt.Sprintf("parent's file vs today's build, k%d", k), b, a)
 	}
 }

@@ -15,10 +15,9 @@ import (
 // shape checks, the numeric-health watchdog, the epilogue's slot grid
 // and its two placements (streamed per part, or behind a barrier) and
 // the Fallible → run → recoverState wrapper. The entry points are
-// Engine's and meet in Engine.step (engine.go), which picks the
-// pipeline; the state they stage and the per-slot work are
-// stepShell's, which Engine embeds. A scalar step is the batch step at
-// k == 1.
+// Engine's and meet in Engine.step (engine.go); the state they stage
+// and the per-slot work are stepShell's, which Engine embeds. A scalar
+// step is the batch step at k == 1.
 
 // stepShell holds what the orchestrating goroutine writes once per step
 // — the staged vectors, epilogue, width and watchdog verdict, and the
@@ -27,7 +26,6 @@ import (
 type stepShell struct {
 	pool   *sched.Pool
 	numV   int
-	phased bool
 	health spmv.HealthPolicy
 
 	// The epilogue's slot grid: slot p is rows [slotBounds[p],
@@ -42,11 +40,8 @@ type stepShell struct {
 	slotOwner  []int
 	streams    bool
 
-	// epiBarrier is what the fused workers cross once dst is complete;
-	// slotsJob is the prebuilt body the phased pipeline dispatches for
-	// scan and epilogue (so no step allocates a closure).
+	// epiBarrier is what the fused workers cross once dst is complete.
 	epiBarrier *sched.Barrier
-	slotsJob   func(w int)
 	// healthBad are the per-worker padded tallies the scan fills.
 	healthBad []healthSlot
 
@@ -74,10 +69,9 @@ type healthSlot struct {
 func (s *stepShell) initShell(pool *sched.Pool, numV int, opt EngineOptions) {
 	workers := pool.Workers()
 	s.pool, s.numV = pool, numV
-	s.phased, s.health = opt.Phased, opt.Health
+	s.health = opt.Health
 	s.epiBarrier = sched.NewBarrier(workers)
 	s.initSlots(sched.VertexBalancedParts(numV, workers), false)
-	s.slotsJob = s.runSlots
 	s.healthBad = make([]healthSlot, workers)
 }
 
@@ -135,12 +129,11 @@ func (e *Engine) StepBatch(src, dst []float64, k int) {
 }
 
 // StepCtx implements spmv.Stepper: StepBatch followed by the epilogue,
-// with cancellation and panic isolation. Under the fused pipeline the
-// epilogue runs INSIDE the step's dispatch, so a whole analytic
-// iteration — SpMV plus e.g. PageRank's damping/delta/contribution
-// sweep — costs a single pool round-trip; the phased pipeline runs it
-// as a separate dispatch. On an engine whose EpiSlots reports
-// streaming, an epilogue with Stream set runs in the sparse claim loop
+// with cancellation and panic isolation. The epilogue runs INSIDE the
+// step's dispatch, so a whole analytic iteration — SpMV plus e.g.
+// PageRank's damping/delta/contribution sweep — costs a single pool
+// round-trip. On an engine whose EpiSlots reports streaming, an
+// epilogue with Stream set runs in the sparse claim loop
 // right after its slot's rows are pulled; every other epilogue runs
 // once all of dst is complete, where under HealthClamp another slot's
 // non-finite rows may still be being zeroed.
@@ -168,10 +161,9 @@ func (e *Engine) StepCtx(ctx context.Context, src, dst []float64, k int, epi spm
 // source pushed into). epi runs behind the barrier and may read
 // touched.
 //
-// Only the flat fused pipeline with a pull sparse kernel has
-// the two kernels (active.go); any other engine answers honoured ==
-// false having done nothing, and the caller steps densely. Both sets
-// are NumVertices bits.
+// Only a flat engine has the two kernels (active.go); a packed
+// (varint) engine answers honoured == false having done nothing, and
+// the caller steps densely. Both sets are NumVertices bits.
 func (e *Engine) StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(slot, lo, hi int)) (honoured bool, err error) {
 	e.checkShape(src, dst, k)
 	if words := (e.numV + 63) >> 6; len(active) != words || len(touched) != words {
@@ -211,8 +203,8 @@ func (e *Engine) stepCtx(ctx context.Context, src, dst []float64, k int, epi fun
 	return verdict
 }
 
-// runEpilogue crosses the epilogue barrier and runs worker w's slots;
-// a no-op when neither scan nor epilogue is staged, or when the step
+// runEpilogue crosses the epilogue barrier and runs finishSlot on the
+// slots worker w owns; a no-op when neither scan nor epilogue is staged, or when the step
 // streamed them. The barrier is required because both may read any dst
 // element, while the phases before it only guarantee the whole vector
 // at dispatch end.
@@ -225,13 +217,6 @@ func (s *stepShell) runEpilogue(w int) {
 	if !s.epiBarrier.WaitAbort(s.pool) {
 		return
 	}
-	s.runSlots(w)
-}
-
-// runSlots runs finishSlot on the slots worker w owns behind a barrier.
-//
-//ihtl:noalloc
-func (s *stepShell) runSlots(w int) {
 	for p := s.slotOwner[w]; p < s.slotOwner[w+1]; p++ {
 		s.finishSlot(w, p)
 	}

@@ -1,28 +1,22 @@
 package core
 
-// The width switches of the sparse parts and their K-lane forms. Every
-// claim loop of sparse.go and every phase-3 dispatch of the phased
-// pipeline hands a part to one of the *Batch functions here, which
-// picks its body once per part: the active-row pull (active.go) when
-// the step is one, else the scalar part of sparse.go at one lane, else
-// the lane loop below. The schedule state does not depend on the width
-// — same chunk bounds, same segment offsets and cursors, same pull
-// parts — only the contributions are K lanes wide: bin slot p's lanes
-// live at pbState.binVals[p*k : (p+1)*k], mirroring the vertex-major
-// interleave of the vectors themselves. The determinism argument of
-// sparse.go applies per lane unchanged.
+// The width switch of the sparse parts and its K-lane forms. The claim
+// loop of sparse.go hands each part to sparsePullPartBatch, which picks
+// its body once per part: the active-row pull (active.go) when the step
+// is one, else the scalar part of sparse.go at one lane, else the lane
+// loop below. The parts do not depend on the width; only the partial
+// sums are K lanes wide, and the determinism argument of sparse.go
+// applies per lane unchanged.
 
-import (
-	"ihtl/internal/spmv"
-	"ihtl/internal/unchecked"
-)
+import "ihtl/internal/unchecked"
 
 // sparsePullPartBatch pulls part p of the uniform schedule at width
 // b.k, partial sums accumulated in place in dst's contiguous lane rows,
 // which each destination owns exclusively.
 //
 //ihtl:noalloc
-func (e *Engine) sparsePullPartBatch(b *batchState, p int, src, dst []float64) {
+func (e *Engine) sparsePullPartBatch(p int, src, dst []float64) {
+	b := &e.batch
 	lo, hi := e.sparseBounds[p], e.sparseBounds[p+1]
 	if b.active != nil {
 		pullRowsActive(b.k, &e.ih.Sparse, lo, hi, b.active, b.touched, src, dst)
@@ -86,75 +80,6 @@ func (e *Engine) pullRowGeneric(i, k int, src, out []float64) {
 		xs := src[sb : sb+k : sb+k]
 		for j, x := range xs {
 			out[j] += x
-		}
-	}
-}
-
-// pbBinChunkBatch is pbBinChunk with K lanes copied per appended slot.
-// SkipZeroLanes skips a source only when ALL lanes are +0.0, which is
-// bit-transparent per lane by the sparse.go argument.
-//
-//ihtl:noalloc
-func (e *Engine) pbBinChunkBatch(bs *batchState, c int, src []float64) {
-	pb := e.pb
-	k := bs.k
-	if k == 1 {
-		e.pbBinChunk(c, src)
-		return
-	}
-	C := pb.numChunks
-	for b := 0; b < pb.numBuckets; b++ {
-		pb.binCur[b*C+c] = pb.binOff[b*C+c]
-	}
-	shift := pb.shift
-	for s := pb.chunkBounds[c]; s < pb.chunkBounds[c+1]; s++ {
-		sb := s * k
-		xs := src[sb : sb+k : sb+k]
-		if spmv.SkipZeroLanes(xs) {
-			continue
-		}
-		for i := pb.pushIndex[s]; i < pb.pushIndex[s+1]; i++ {
-			row := pb.pushRows[i]
-			seg := int(row>>shift)*C + c
-			p := pb.binCur[seg]
-			pb.binRows[p] = row
-			vb := p * int64(k)
-			copy(pb.binVals[vb:vb+int64(k):vb+int64(k)], xs)
-			pb.binCur[seg] = p + 1
-		}
-	}
-}
-
-// pbDrainBucketBatch is pbDrainBucket with K-wide accumulation.
-//
-//ihtl:noalloc
-func (e *Engine) pbDrainBucketBatch(bs *batchState, b int, dst []float64) {
-	pb := e.pb
-	sp := &e.ih.Sparse
-	k := bs.k
-	if k == 1 {
-		e.pbDrainBucket(b, dst)
-		return
-	}
-	n := e.ih.NumV - sp.DestLo
-	rowLo := b << pb.shift
-	rowHi := rowLo + (1 << pb.shift)
-	if rowHi > n {
-		rowHi = n
-	}
-	base := sp.DestLo
-	clear(dst[(base+rowLo)*k : (base+rowHi)*k])
-	C := pb.numChunks
-	for c := 0; c < C; c++ {
-		seg := b*C + c
-		for p := pb.binOff[seg]; p < pb.binCur[seg]; p++ {
-			db := (base + int(pb.binRows[p])) * k
-			out := dst[db : db+k : db+k]
-			vb := p * int64(k)
-			xs := pb.binVals[vb : vb+int64(k) : vb+int64(k)]
-			for j, x := range xs {
-				out[j] += x
-			}
 		}
 	}
 }

@@ -14,16 +14,10 @@ import (
 	"ihtl/internal/spmv"
 )
 
-// sparseKernels is the ablation matrix: every selectable sparse kernel
-// must be bit-for-bit identical to the baseline pull.
-var sparseKernels = []SparseKernel{SparsePull, SparsePB}
-
-// TestSparseKernelDifferential pins both sparse kernels — under
-// both the fused and the phased pipeline — bit-for-bit against the
-// spmv.Pull baseline, across graphs and worker counts. The PB kernel's
-// chunk-indexed segments and ascending-chunk drain make its result
-// schedule-independent (see sparse.go), so exact equality must hold at
-// every worker count.
+// TestSparseKernelDifferential pins the sparse pull bit-for-bit against
+// the spmv.Pull baseline, across graphs and worker counts, and again on
+// a second step: the part scheduler must have been left re-armed by the
+// first.
 func TestSparseKernelDifferential(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for name, g := range diffGraphs(t) {
@@ -50,74 +44,27 @@ func TestSparseKernelDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, kernel := range sparseKernels {
-					for _, phased := range []bool{false, true} {
-						e, err := NewEngineOpts(ih, pool, EngineOptions{
-							SparseKernel: kernel, Phased: phased,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("kernel=%v phased=%v", kernel, phased)
-						requireBitIdentical(t, label, want, stepOldSpace(ih, e, src))
-						// Second step: cursors, schedulers and barriers must
-						// have been left re-armed by the first.
-						requireBitIdentical(t, label+" (second step)", want, stepOldSpace(ih, e, src))
-					}
+				e, err := NewEngine(ih, pool)
+				if err != nil {
+					t.Fatal(err)
 				}
+				requireBitIdentical(t, "pull", want, stepOldSpace(ih, e, src))
+				requireBitIdentical(t, "pull (second step)", want, stepOldSpace(ih, e, src))
 			})
 		}
 	}
 }
 
-// TestSparseKernelSignedZero runs the differential with negative values
-// and -0.0 sources: the bin phase's SkipZero must keep the PB kernel —
-// and the standalone spmv.PropBlocked baseline — bit-identical to pull
-// (only +0.0, the additive identity, may be skipped; see signedVec).
-func TestSparseKernelSignedZero(t *testing.T) {
-	for name, g := range diffGraphs(t) {
-		src := signedVec(31, g.NumV)
-		pool := sched.NewPool(3)
-		defer pool.Close()
-
-		pe, err := spmv.NewEngine(g, pool, spmv.Pull, spmv.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]float64, g.NumV)
-		pe.Step(src, want)
-
-		// Standalone propagation-blocked baseline, including a small
-		// bucket width so multi-bucket replay is exercised.
-		for _, rows := range []int{0, 512} {
-			be, err := spmv.NewEngine(g, pool, spmv.PropBlocked, spmv.Options{BucketRows: rows})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]float64, g.NumV)
-			be.Step(src, got)
-			requireBitIdentical(t, fmt.Sprintf("%s/prop-blocked rows=%d", name, rows), want, got)
-		}
-
-		ih, err := Build(g, Params{HubsPerBlock: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, kernel := range sparseKernels {
-			e, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: kernel})
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("%s/kernel=%v", name, kernel)
-			requireBitIdentical(t, label, want, stepOldSpace(ih, e, src))
-		}
-	}
-}
-
-// TestSparseKernelBatchDifferential pins StepBatch under every sparse
-// kernel bit-for-bit against K scalar Steps of the same engine (which
-// the scalar differential pins to pull).
+// TestSparseKernelBatchDifferential pins StepBatch bit-for-bit against
+// K scalar Steps of the same engine (which the scalar differential pins
+// to pull). The kernel and phased axes name the deprecated
+// EngineOptions.SparseKernel and Phased values, which no code reads:
+// every row steps the one fused pipeline and its pull.
 func TestSparseKernelBatchDifferential(t *testing.T) {
+	kernels := []struct {
+		name   string
+		kernel SparseKernel
+	}{{"pull", SparsePull}, {"pb", SparsePB}}
 	for name, g := range diffGraphs(t) {
 		ih, err := Build(g, Params{HubsPerBlock: 64})
 		if err != nil {
@@ -125,16 +72,16 @@ func TestSparseKernelBatchDifferential(t *testing.T) {
 		}
 		pool := sched.NewPool(3)
 		defer pool.Close()
-		for _, kernel := range sparseKernels {
+		for _, kernel := range kernels {
 			for _, phased := range []bool{false, true} {
 				e, err := NewEngineOpts(ih, pool, EngineOptions{
-					SparseKernel: kernel, Phased: phased,
+					SparseKernel: kernel.kernel, Phased: phased,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, k := range []int{2, 4} {
-					label := fmt.Sprintf("%s/kernel=%v phased=%v/k%d", name, kernel, phased, k)
+					label := fmt.Sprintf("%s/kernel=%s phased=%v/k%d", name, kernel.name, phased, k)
 					t.Run(label, func(t *testing.T) {
 						lanes, src := packLanes(99, ih.NumV, k)
 						want := make([][]float64, k)
@@ -159,8 +106,8 @@ func TestSparseKernelBatchDifferential(t *testing.T) {
 }
 
 // TestSparseKernelAllocationFree pins the zero-allocation steady state
-// of both sparse kernels: after warm-up, neither Step nor a
-// stable-width StepBatch allocates.
+// of the sparse pull: after warm-up, neither Step nor a stable-width
+// StepBatch allocates.
 func TestSparseKernelAllocationFree(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
 	if err != nil {
@@ -171,157 +118,95 @@ func TestSparseKernelAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	for _, kernel := range sparseKernels {
-		e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: kernel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := integerVec(3, g.NumV)
-		dst := make([]float64, g.NumV)
-		_, bsrc := packLanes(3, g.NumV, k)
-		bdst := make([]float64, g.NumV*k)
-		for i := 0; i < 3; i++ { // warm worker stacks and the batch state
-			e.Step(src, dst)
-			e.StepBatch(bsrc, bdst, k)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { e.Step(src, dst) }); allocs != 0 {
-			t.Errorf("%v: Step allocates %.1f objects per run, want 0", kernel, allocs)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { e.StepBatch(bsrc, bdst, k) }); allocs != 0 {
-			t.Errorf("%v: StepBatch allocates %.1f objects per run, want 0", kernel, allocs)
-		}
-	}
-}
-
-// TestPropBlockedStepAllocFree pins the standalone spmv baseline the
-// same way (its direction list already runs the generic alloc test;
-// this one pins the non-default bucket width).
-func TestPropBlockedStepAllocFree(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	e, err := spmv.NewEngine(g, pool, spmv.PropBlocked, spmv.Options{BucketRows: 1024})
+	e, err := NewEngine(ih, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := integerVec(3, g.NumV)
 	dst := make([]float64, g.NumV)
-	e.Step(src, dst)
-	if allocs := testing.AllocsPerRun(10, func() { e.Step(src, dst) }); allocs != 0 {
-		t.Errorf("prop-blocked Step allocates %.1f objects per run, want 0", allocs)
+	_, bsrc := packLanes(3, g.NumV, k)
+	bdst := make([]float64, g.NumV*k)
+	for i := 0; i < 3; i++ { // warm worker stacks and the batch state
+		e.Step(src, dst)
+		e.StepBatch(bsrc, bdst, k)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.Step(src, dst) }); allocs != 0 {
+		t.Errorf("Step allocates %.1f objects per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.StepBatch(bsrc, bdst, k) }); allocs != 0 {
+		t.Errorf("StepBatch allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
 // TestSparseKernelCancelThenCleanStep drives randomised cancellation
-// through both sparse kernels: under the PB kernel's two-phase path
-// aborts can land before the bin barrier, inside it, or during the
-// drain, and the engine must recover to exact results on the next clean
-// step. The barrier's WaitAbort is what makes an abort during phase 1
-// release the workers parked on it.
+// through the sparse pull: an abort can land before, during or after
+// the parts are claimed, and the engine must recover to exact results
+// on the next clean step.
 func TestSparseKernelCancelThenCleanStep(t *testing.T) {
-	for _, kernel := range sparseKernels {
-		e, _ := faultTestEngine(t, EngineOptions{SparseKernel: kernel})
-		n := e.NumVertices()
-		src := randomSrc(n, 77)
-		ref := make([]float64, n)
-		e.Step(src, ref)
+	e, _ := faultTestEngine(t, EngineOptions{})
+	n := e.NumVertices()
+	src := randomSrc(n, 77)
+	ref := make([]float64, n)
+	e.Step(src, ref)
 
-		dst := make([]float64, n)
-		for seed := uint64(0); seed < 12; seed++ {
-			to := time.Duration(faultinject.SeededAfter(seed, "test.sparse-cancel", 400)) * time.Microsecond
-			ctx, cancel := context.WithTimeout(context.Background(), to)
-			err := e.StepCtx(ctx, src, dst, 1, spmv.Epilogue{})
-			cancel()
-			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("%v seed %d: err = %v, want nil or DeadlineExceeded", kernel, seed, err)
-			}
-			if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
-				t.Fatalf("%v seed %d: clean step: %v", kernel, seed, err)
-			}
-			wantClose(t, "clean step after cancel", dst, ref)
+	dst := make([]float64, n)
+	for seed := uint64(0); seed < 12; seed++ {
+		to := time.Duration(faultinject.SeededAfter(seed, "test.sparse-cancel", 400)) * time.Microsecond
+		ctx, cancel := context.WithTimeout(context.Background(), to)
+		err := e.StepCtx(ctx, src, dst, 1, spmv.Epilogue{})
+		cancel()
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("seed %d: err = %v, want nil or DeadlineExceeded", seed, err)
 		}
+		if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
+			t.Fatalf("seed %d: clean step: %v", seed, err)
+		}
+		wantClose(t, "clean step after cancel", dst, ref)
 	}
 }
 
-// TestSparseKernelInjectedPanicRecovery injects panics at the PB
-// kernel's bin and drain sites and at the pull's sparse-part site: the
-// panic must surface as *sched.PanicError unwrapping to
-// the injected fault, and the very next clean step must match.
+// TestSparseKernelInjectedPanicRecovery injects panics at the pull's
+// sparse-part site: the panic must surface as *sched.PanicError
+// unwrapping to the injected fault, and the very next clean step must
+// match.
 func TestSparseKernelInjectedPanicRecovery(t *testing.T) {
-	cases := []struct {
-		kernel SparseKernel
-		sites  []faultinject.Site
-	}{
-		{SparsePull, []faultinject.Site{faultinject.SiteSparsePart}},
-		{SparsePB, []faultinject.Site{faultinject.SiteSparseBin, faultinject.SiteSparseDrain}},
-	}
-	for _, tc := range cases {
-		e, _ := faultTestEngine(t, EngineOptions{SparseKernel: tc.kernel})
-		n := e.NumVertices()
-		src := randomSrc(n, 13)
-		ref := make([]float64, n)
-		e.Step(src, ref)
+	const site = faultinject.SiteSparsePart
+	e, _ := faultTestEngine(t, EngineOptions{})
+	n := e.NumVertices()
+	src := randomSrc(n, 13)
+	ref := make([]float64, n)
+	e.Step(src, ref)
 
-		dst := make([]float64, n)
-		for _, site := range tc.sites {
-			for after := int64(0); after < 3; after++ {
-				plan := faultinject.NewPlan(faultinject.Rule{Site: site, Kind: faultinject.Panic, After: after})
-				faultinject.Activate(plan)
-				err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
-				faultinject.Deactivate()
-				if plan.Fired(site) == 0 {
-					if err != nil {
-						t.Fatalf("%v/%s after=%d: err = %v with no fault fired", tc.kernel, site, after, err)
-					}
-				} else {
-					var perr *sched.PanicError
-					if !errors.As(err, &perr) {
-						t.Fatalf("%v/%s after=%d: err = %v, want *sched.PanicError", tc.kernel, site, after, err)
-					}
-					var ip *faultinject.InjectedPanic
-					if !errors.As(err, &ip) || ip.Site != site {
-						t.Fatalf("%v/%s after=%d: PanicError does not unwrap to the injected fault: %v", tc.kernel, site, after, err)
-					}
-				}
-				if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
-					t.Fatalf("%v/%s after=%d: clean step: %v", tc.kernel, site, after, err)
-				}
-				wantClose(t, "clean step after injected panic", dst, ref)
+	dst := make([]float64, n)
+	for after := int64(0); after < 3; after++ {
+		plan := faultinject.NewPlan(faultinject.Rule{Site: site, Kind: faultinject.Panic, After: after})
+		faultinject.Activate(plan)
+		err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{})
+		faultinject.Deactivate()
+		if plan.Fired(site) == 0 {
+			if err != nil {
+				t.Fatalf("after=%d: err = %v with no fault fired", after, err)
+			}
+		} else {
+			var perr *sched.PanicError
+			if !errors.As(err, &perr) {
+				t.Fatalf("after=%d: err = %v, want *sched.PanicError", after, err)
+			}
+			var ip *faultinject.InjectedPanic
+			if !errors.As(err, &ip) || ip.Site != site {
+				t.Fatalf("after=%d: PanicError does not unwrap to the injected fault: %v", after, err)
 			}
 		}
+		if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{}); err != nil {
+			t.Fatalf("after=%d: clean step: %v", after, err)
+		}
+		wantClose(t, "clean step after injected panic", dst, ref)
 	}
 }
 
-// TestParseSparseKernel pins the flag surface of the ablation.
-func TestParseSparseKernel(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SparseKernel
-	}{
-		{"", SparsePull}, {"pull", SparsePull}, {"pb", SparsePB},
-	} {
-		got, err := ParseSparseKernel(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseSparseKernel(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		if tc.in != "" && got.String() != tc.in {
-			t.Fatalf("String round trip: %v -> %q", got, got.String())
-		}
-	}
-	for _, bad := range []string{"bogus", "auto"} {
-		if _, err := ParseSparseKernel(bad); err == nil {
-			t.Fatalf("ParseSparseKernel accepted %q", bad)
-		}
-	}
-}
-
-// TestSparseKernelBreakdownSplit checks the new clock split: the PB
-// kernel reports its busy time under BinBusy/DrainBusy (SparseBusy
-// stays zero), the pull under SparseBusy, and both feed
-// SparseTotalBusy and TotalBusy.
+// TestSparseKernelBreakdownSplit checks the phase clocks of a fused
+// step: flipped push, merge and sparse pull each record busy time,
+// TotalBusy is their sum, and SparseTotalBusy is the pull's SparseBusy.
 func TestSparseKernelBreakdownSplit(t *testing.T) {
 	g, err := gen.Web(gen.DefaultWeb(4000, 11))
 	if err != nil {
@@ -331,39 +216,23 @@ func TestSparseKernelBreakdownSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e, err := NewEngine(ih, testPool)
+	if err != nil {
+		t.Fatal(err)
+	}
 	src := integerVec(2, g.NumV)
 	dst := make([]float64, g.NumV)
-
-	pb, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePB})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
-		pb.Step(src, dst)
+		e.Step(src, dst)
 	}
-	b := pb.TakeBreakdown()
-	if b.BinBusy <= 0 || b.DrainBusy <= 0 {
-		t.Fatalf("PB clocks not split: bin %v drain %v", b.BinBusy, b.DrainBusy)
+	b := e.TakeBreakdown()
+	if b.FlippedBusy <= 0 || b.MergeBusy <= 0 || b.SparseBusy <= 0 {
+		t.Fatalf("a phase recorded no busy time: flipped %v merge %v sparse %v", b.FlippedBusy, b.MergeBusy, b.SparseBusy)
 	}
-	if b.SparseBusy != 0 {
-		t.Fatalf("PB kernel charged %v to SparseBusy", b.SparseBusy)
+	if b.SparseTotalBusy() != b.SparseBusy || b.TotalBusy() != b.FlippedBusy+b.MergeBusy+b.SparseBusy {
+		t.Fatal("SparseTotalBusy or TotalBusy does not sum the phase clocks")
 	}
-	if b.SparseTotalBusy() != b.BinBusy+b.DrainBusy {
-		t.Fatal("SparseTotalBusy does not sum the phase clocks")
-	}
-
-	pull, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		pull.Step(src, dst)
-	}
-	b = pull.TakeBreakdown()
-	if b.SparseBusy <= 0 {
-		t.Fatal("pull recorded no sparse busy time")
-	}
-	if b.BinBusy != 0 || b.DrainBusy != 0 {
-		t.Fatalf("pull kernel charged bin/drain clocks: %v/%v", b.BinBusy, b.DrainBusy)
+	if b.Steps != 3 || b.Total() != b.Wall || b.Wall <= 0 {
+		t.Fatalf("%d steps over %v wall, Total %v; want 3 steps, Total == Wall > 0", b.Steps, b.Wall, b.Total())
 	}
 }

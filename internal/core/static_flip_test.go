@@ -13,8 +13,8 @@ import (
 
 // staticFlipVariants are the engine configurations the static split of
 // the flipped tasks makes bit-for-bit reproducible: the fused pipeline
-// over both block encodings, and the phased ablation pipeline — every
-// engine, at default options.
+// over both block encodings. The "phased" variant sets the deprecated
+// Phased, which no code reads: it is the default engine again.
 var staticFlipVariants = []struct {
 	name string
 	opt  EngineOptions
@@ -147,8 +147,7 @@ func TestStaticFlippedBatchLanesMatchScalar(t *testing.T) {
 // TestFaultDelayedFlippedTaskBitIdentical stalls the first flipped task
 // of a step by 20 ms (a Delay rule on SiteFlippedTask) and requires the
 // step's result to be bit for bit an undelayed run's, at 2 and 3
-// workers, for the fused pipeline over both encodings and the phased
-// one. A schedule that let the other workers take over the stalled
+// workers, for every variant. A schedule that let the other workers take over the stalled
 // worker's tasks would fold their partial sums into other buffers, and
 // arbitrary floats would show the regrouping. Each variant runs with
 // and without the deprecated StaticFlipped, which must change nothing.

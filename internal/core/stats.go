@@ -55,7 +55,7 @@ type BlockShape struct {
 	EmptyRowFrac float64
 	// Layout is what a default flat engine picks for this shape. From
 	// Engine.BlockShapes it is what that engine does walk: CSR under the
-	// packed encoding and (sparse block) SparsePB.
+	// packed encoding.
 	Layout BlockLayout
 }
 

@@ -194,16 +194,6 @@ func (p *Pool) ForDynamicCtx(ctx context.Context, n, grain int, fn func(worker, 
 	return p.dispatchCtx(ctx, job{dynN: n, grain: grain, rangeFn: fn})
 }
 
-// ForEachPartCtx is ForEachPart with cancellation and panic isolation:
-// cancellation is observed at every part claim; see RunCtx for the
-// contract.
-func (p *Pool) ForEachPartCtx(ctx context.Context, nparts int, fn func(worker, part int)) error {
-	if nparts <= 0 {
-		return ctxErr(ctx)
-	}
-	return p.dispatchCtx(ctx, job{dynN: nparts, partFn: fn})
-}
-
 // ForStealCtx is ForSteal with cancellation and panic isolation:
 // cancellation is observed at every chunk claim; see RunCtx for the
 // contract.

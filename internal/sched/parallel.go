@@ -59,20 +59,6 @@ func (p *Pool) ForDynamic(n, grain int, fn func(worker, lo, hi int)) {
 	p.dispatch(job{dynN: n, grain: grain, rangeFn: fn})
 }
 
-// ForEachPart runs fn(worker, part) for every part in [0, nparts),
-// dynamically assigning parts to workers. It is used to process
-// pre-computed edge-balanced partitions: each part is claimed by
-// exactly one worker at a time, matching the paper's requirement that
-// "each thread should process only one flipped block at a time".
-//
-//ihtl:noalloc
-func (p *Pool) ForEachPart(nparts int, fn func(worker, part int)) {
-	if nparts <= 0 {
-		return
-	}
-	p.dispatch(job{dynN: nparts, partFn: fn})
-}
-
 //ihtl:noalloc
 func min(a, b int) int {
 	if a < b {

@@ -38,7 +38,7 @@ type Pool struct {
 	// need several schedulers in one fused region hold their own and
 	// use ForStealWith).
 	steal *StealScheduler
-	// dyn is the reusable claim counter behind ForDynamic/ForEachPart,
+	// dyn is the reusable claim counter behind ForDynamic,
 	// reset by dispatch. Reuse is safe because dispatches are
 	// single-orchestrator: no two jobs are in flight at once.
 	dyn atomic.Int64
@@ -74,9 +74,8 @@ type Pool struct {
 
 // job is one worker's share of a dispatch. Exactly one mode is set:
 // fn selects a plain run; steal drains rangeFn over chunks claimed
-// from the scheduler; partFn drains single parts claimed from the
-// pool's dyn counter; dynN (with partFn nil) drains grain-sized chunks
-// from dyn; staticN runs rangeFn once on the worker's static split.
+// from the scheduler; dynN drains grain-sized chunks from the pool's
+// dyn counter; staticN runs rangeFn once on the worker's static split.
 // Keeping every claim loop in the worker, and the schedule parameters
 // in this by-value struct, makes ALL parallel-for dispatches
 // allocation-free — no per-call closure wraps the caller's fn.
@@ -85,7 +84,6 @@ type job struct {
 	steal   *StealScheduler
 	grain   int
 	rangeFn func(worker, lo, hi int)
-	partFn  func(worker, part int)
 	staticN int
 	dynN    int
 	done    *sync.WaitGroup
@@ -144,15 +142,6 @@ func (p *Pool) runJob(j job) {
 			}
 			faultinject.Fire(faultinject.SiteSchedClaim)
 			j.rangeFn(j.id, lo, hi)
-		}
-	case j.partFn != nil:
-		for !p.abort.Load() {
-			part := int(p.dyn.Add(1)) - 1
-			if part >= j.dynN {
-				return
-			}
-			faultinject.Fire(faultinject.SiteSchedClaim)
-			j.partFn(j.id, part)
 		}
 	case j.dynN > 0:
 		for !p.abort.Load() {

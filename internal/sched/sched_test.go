@@ -136,16 +136,6 @@ func TestForStealBalancesSkewedWork(t *testing.T) {
 	// TestStealSchedulerExhaustion and the coverage tests.
 }
 
-func TestForEachPartCoversAllParts(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	for _, nparts := range []int{0, 1, 2, 3, 17, 100} {
-		coverageCheck(t, nparts, func(mark func(int)) {
-			p.ForEachPart(nparts, func(w, part int) { mark(part) })
-		})
-	}
-}
-
 func TestSplitRangeProperties(t *testing.T) {
 	f := func(nRaw, pRaw uint16) bool {
 		n := int(nRaw)

@@ -30,7 +30,7 @@ func TestStepAllocFree(t *testing.T) {
 	srcK := batchTestVec(8, g.NumV*k)
 	dstK := make([]float64, g.NumV*k)
 
-	for _, dir := range []Direction{Pull, PushAtomic, PushBuffered, PushPartitioned, PropBlocked} {
+	for _, dir := range []Direction{Pull, PushAtomic, PushBuffered, PushPartitioned} {
 		e, err := NewEngine(g, pool, dir, Options{})
 		if err != nil {
 			t.Fatal(err)

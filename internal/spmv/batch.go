@@ -7,7 +7,7 @@ package spmv
 // are otherwise identical to their scalar counterparts; the point of
 // batching is that the irregular index stream (the bound resource of
 // every kernel here, §4.3) is amortised over K lanes of useful
-// arithmetic, the propagation-blocking / multi-vector SpMM argument.
+// arithmetic, the multi-vector SpMM argument.
 
 // StepBatch is the step StepCtx runs, at width k, over the engine's
 // direction: dst[v*k+j] = Σ_{u ∈ N⁻(v)} src[u*k+j] for every vertex v
@@ -45,10 +45,6 @@ func (e *Engine) StepBatch(src, dst []float64, k int) {
 	case PushPartitioned:
 		e.zeroDst()
 		e.forParts(e.parts.NumParts(), e.partBatchJob)
-	case PropBlocked:
-		e.pb.pbBatchVals(k)
-		e.forParts(e.pb.numChunks, e.binBatchJob)
-		e.forParts(e.pb.numBuckets, e.drainBatchJob)
 	}
 	e.curSrc, e.curDst, e.curK = nil, nil, 0
 }

@@ -60,7 +60,7 @@ func TestStepBatchMatchesScalar(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		pool := sched.NewPool(workers)
 		defer pool.Close()
-		for _, dir := range []Direction{Pull, PushAtomic, PushBuffered, PushPartitioned, PropBlocked} {
+		for _, dir := range []Direction{Pull, PushAtomic, PushBuffered, PushPartitioned} {
 			e, err := NewEngine(g, pool, dir, Options{})
 			if err != nil {
 				t.Fatal(err)

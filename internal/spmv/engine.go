@@ -39,11 +39,6 @@ const (
 	// concurrent threads never write the same vertex (Algorithm 2
 	// with GraphGrind edge partitioning by destination).
 	PushPartitioned
-	// PropBlocked traverses out-edges in two propagation-blocked
-	// phases: bin contributions into cache-sized destination buckets,
-	// then drain whole buckets without synchronisation (Balaji &
-	// Lucia's propagation blocking; see blocked.go).
-	PropBlocked
 )
 
 func (d Direction) String() string {
@@ -56,8 +51,6 @@ func (d Direction) String() string {
 		return "push-buffered"
 	case PushPartitioned:
 		return "push-partitioned"
-	case PropBlocked:
-		return "prop-blocked"
 	default:
 		return fmt.Sprintf("Direction(%d)", int(d))
 	}
@@ -138,8 +131,6 @@ type Engine struct {
 	batchK      int
 	// parts is the destination-partitioned CSR of PushPartitioned.
 	parts *PushPartitions
-	// pb is the propagation-blocking plan of PropBlocked.
-	pb *pbPlan
 	// partSched is the persistent range-stealing scheduler that claims
 	// partitions each Step: workers start on contiguous partition
 	// ranges (good spatial locality on the CSR offsets) and steal from
@@ -161,9 +152,9 @@ type Engine struct {
 	clearBufsKJob func(w int)
 	epiJob        func(w int)
 
-	pullJob, atomicJob, bufferedJob, mergeJob, partJob, binJob, drainJob func(w, lo, hi int)
+	pullJob, atomicJob, bufferedJob, mergeJob, partJob func(w, lo, hi int)
 
-	pullBatchJob, atomicBatchJob, bufferedBatchJob, mergeBatchJob, partBatchJob, binBatchJob, drainBatchJob func(w, lo, hi int)
+	pullBatchJob, atomicBatchJob, bufferedBatchJob, mergeBatchJob, partBatchJob func(w, lo, hi int)
 }
 
 // Options configures NewEngine.
@@ -171,9 +162,6 @@ type Options struct {
 	// Parts is the number of destination partitions for
 	// PushPartitioned; <= 0 selects 4x the worker count.
 	Parts int
-	// BucketRows is the destination-bucket width of PropBlocked,
-	// rounded down to a power of two; <= 0 selects DefaultBucketRows.
-	BucketRows int
 }
 
 // NewEngine prepares an engine. The pool is borrowed, not owned: the
@@ -201,12 +189,6 @@ func NewEngine(g *graph.Graph, pool *sched.Pool, dir Direction, opt Options) (*E
 			p = nparts
 		}
 		e.parts = BuildPushPartitions(g, p)
-	case PropBlocked:
-		rows := opt.BucketRows
-		if rows <= 0 {
-			rows = DefaultBucketRows
-		}
-		e.pb = buildPBPlan(e, rows, nparts)
 	default:
 		return nil, fmt.Errorf("spmv: unknown direction %d", dir)
 	}
@@ -227,10 +209,6 @@ func NewEngine(g *graph.Graph, pool *sched.Pool, dir Direction, opt Options) (*E
 	e.bufferedBatchJob = e.bufferedBatchWorker
 	e.mergeBatchJob = e.mergeBatchWorker
 	e.partBatchJob = e.partBatchWorker
-	e.binJob = e.binWorker
-	e.drainJob = e.drainWorker
-	e.binBatchJob = e.binBatchWorker
-	e.drainBatchJob = e.drainBatchWorker
 	return e, nil
 }
 
@@ -270,12 +248,6 @@ func (e *Engine) Step(src, dst []float64) {
 	case PushPartitioned:
 		e.zeroDst()
 		e.forParts(e.parts.NumParts(), e.partJob)
-	case PropBlocked:
-		// Drain clears each bucket's row range before replaying it, so
-		// no upfront zeroDst pass is needed. ForStealWith resets the
-		// shared partSched between the two dispatches.
-		e.forParts(e.pb.numChunks, e.binJob)
-		e.forParts(e.pb.numBuckets, e.drainJob)
 	}
 	e.curSrc, e.curDst = nil, nil
 }

@@ -13,8 +13,7 @@ import (
 
 // TestStepCtxInjectedPanicRecovery drives the baseline engines through
 // injected worker panics at their chunk sites — SitePushPart in the
-// buffered-push and propagation-blocking bin phases, SitePullPart in
-// the pull and drain phases — and checks the panic surfaces as a
+// buffered push, SitePullPart in the pull — and checks the panic surfaces as a
 // *sched.PanicError unwrapping to the injected fault, after which the
 // next clean step matches an uninjected reference.
 func TestStepCtxInjectedPanicRecovery(t *testing.T) {
@@ -33,9 +32,7 @@ func TestStepCtxInjectedPanicRecovery(t *testing.T) {
 		site faultinject.Site
 	}{
 		{PushBuffered, faultinject.SitePushPart},
-		{PropBlocked, faultinject.SitePushPart},
 		{Pull, faultinject.SitePullPart},
-		{PropBlocked, faultinject.SitePullPart},
 	}
 	for _, tc := range cases {
 		e, err := NewEngine(g, testPool, tc.dir, Options{})

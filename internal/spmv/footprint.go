@@ -3,12 +3,10 @@ package spmv
 // First-order per-step traffic model: BytesPerStep sums the byte
 // footprint of every array one Step touches — topology streams counted
 // once (index entries 8 bytes, vertex IDs 4), vertex-data accesses
-// counted per access (VertexBytes each), scratch traffic (buffers,
-// bins, cursors) counted per pass. It deliberately ignores cache
-// reuse: the point of the bytes_per_edge column in the step report is
-// to compare how much memory each kernel ASKS for per edge, which is
-// what separates the streaming kernels (propagation blocking) from the
-// random-access ones (pull, atomic push) on graphs whose vertex data
+// counted per access (VertexBytes each), scratch traffic (buffers)
+// counted per pass. It deliberately ignores cache reuse: the point of
+// the bytes_per_edge column in the step report is to compare how much
+// memory each kernel ASKS for per edge on graphs whose vertex data
 // outgrows the LLC.
 
 // BytesPerStep returns the modelled bytes one scalar Step touches.
@@ -41,15 +39,6 @@ func (e *Engine) BytesPerStep() int64 {
 			srcs += int64(len(e.parts.Parts[i].Srcs))
 		}
 		return e.parts.TopologyBytes() + vb*srcs + vb*V + 2*vb*E
-	case PropBlocked:
-		// Bin: topology stream + sequential src reads + one 12-byte
-		// (row, value) append per edge; drain: the same 12 bytes back,
-		// plus a clear and a write per vertex; cursors staged and read
-		// once per (bucket, chunk) segment.
-		segs := int64(len(e.pb.binCur))
-		bin := idx + nbrs + vb*V + 12*E
-		drain := 12*E + 2*vb*V
-		return bin + drain + 2*8*segs
 	default:
 		return 0
 	}
@@ -57,8 +46,7 @@ func (e *Engine) BytesPerStep() int64 {
 
 // ResidentTopologyBytes returns the bytes of topology (plus
 // topology-shaped scratch) the engine keeps resident: the CSR/CSC
-// arrays, the partitioned replica for PushPartitioned, and the bin
-// arrays of propagation blocking. The baselines have no compressed
+// arrays and the partitioned replica for PushPartitioned. The baselines have no compressed
 // form, so this is the flat footprint the iHTL varint encoding's
 // resident_bytes column is compared against.
 func (e *Engine) ResidentTopologyBytes() int64 {
@@ -67,9 +55,6 @@ func (e *Engine) ResidentTopologyBytes() int64 {
 	switch e.dir {
 	case PushPartitioned:
 		return e.parts.TopologyBytes()
-	case PropBlocked:
-		segs := int64(len(e.pb.binCur))
-		return 8*(V+1) + 4*E + 12*E + 2*8*segs
 	default:
 		return 8*(V+1) + 4*E
 	}

@@ -47,7 +47,7 @@ func maxAbsDiff(a, b []float64) float64 {
 }
 
 func allDirections() []Direction {
-	return []Direction{Pull, PushAtomic, PushBuffered, PushPartitioned, PropBlocked}
+	return []Direction{Pull, PushAtomic, PushBuffered, PushPartitioned}
 }
 
 func TestAllDirectionsMatchReference(t *testing.T) {
