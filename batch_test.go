@@ -238,7 +238,7 @@ func TestPublicAPIPPRActiveRowsUnpermute(t *testing.T) {
 			}
 		}
 
-		dense, err := analytics.RunPersonalizedPageRank(denseStepper{ce}, ih.OutDegrees(), pool, srcNew, opt)
+		dense, err := analytics.RunPersonalizedPageRankCtx(nil, denseStepper{ce}, ih.OutDegrees(), pool, srcNew, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

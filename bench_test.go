@@ -629,45 +629,3 @@ func BenchmarkExtensionSparseOrder(b *testing.B) {
 		benchStepper(b, benchWeb, e)
 	})
 }
-
-// BenchmarkMulticoreSim sweeps worker counts over the multi-core
-// cache simulation (private L1/L2 per core, shared L3) — §3.4's
-// private-buffer design point — reporting shared-L3 misses for pull
-// vs iHTL as metrics.
-func BenchmarkMulticoreSim(b *testing.B) {
-	benchSetup(b)
-	ih, err := core.Build(benchWeb, core.Params{CacheBytes: benchCache.Levels[1].SizeBytes})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, cores := range []int{1, 4, 16} {
-		cores := cores
-		b.Run(coresName(cores), func(b *testing.B) {
-			var pullL3, ihtlL3 uint64
-			for i := 0; i < b.N; i++ {
-				p, err := core.SimulatePullParallel(benchWeb, benchCache, cores)
-				if err != nil {
-					b.Fatal(err)
-				}
-				q, err := core.SimulateStepParallel(ih, benchCache, cores)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pullL3, ihtlL3 = p.SharedL3.Misses, q.SharedL3.Misses
-			}
-			b.ReportMetric(float64(pullL3)/1000, "pull-L3k")
-			b.ReportMetric(float64(ihtlL3)/1000, "ihtl-L3k")
-		})
-	}
-}
-
-func coresName(c int) string {
-	switch c {
-	case 1:
-		return "1core"
-	case 4:
-		return "4core"
-	default:
-		return "16core"
-	}
-}

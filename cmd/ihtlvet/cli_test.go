@@ -19,7 +19,7 @@ func execVet(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// TestListShowsAllAnalyzers pins -list to the full 8-pass suite: a
+// TestListShowsAllAnalyzers pins -list to the full 9-pass suite: a
 // pass added to All() without surfacing in the CLI (or removed
 // silently) fails here.
 func TestListShowsAllAnalyzers(t *testing.T) {
@@ -29,7 +29,7 @@ func TestListShowsAllAnalyzers(t *testing.T) {
 	}
 	wantNames := []string{
 		"noalloc", "skipzero", "atomicfield", "parcapture",
-		"ctxleak", "determinism", "faultsite", "nopanic",
+		"ctxleak", "determinism", "faultsite", "nopanic", "deadcode",
 	}
 	for _, name := range wantNames {
 		if !strings.Contains(out, name) {
@@ -38,6 +38,19 @@ func TestListShowsAllAnalyzers(t *testing.T) {
 	}
 	if got := len(analyzers.All()); got != len(wantNames) {
 		t.Errorf("analyzers.All() has %d passes, the CLI contract pins %d; update this test and the docs together", got, len(wantNames))
+	}
+}
+
+// TestDeadCodeCleanOnModule runs the deadcode pass over the whole
+// module, the benchmark module with it: every exported internal/
+// identifier is referenced by non-test code or carries a waiver that
+// still waives something.
+func TestDeadCodeCleanOnModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module from source")
+	}
+	if code, _, stderr := execVet(t, "-analyzers=deadcode", "./..."); code != 0 {
+		t.Fatalf("ihtlvet -analyzers=deadcode ./... exit = %d, want 0:\n%s", code, stderr)
 	}
 }
 

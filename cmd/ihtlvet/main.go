@@ -1,6 +1,6 @@
 // Command ihtlvet runs the repo's static-analysis suite (see
 // internal/analyzers): noalloc, skipzero, atomicfield, parcapture,
-// ctxleak, determinism, faultsite and nopanic — plus two
+// ctxleak, determinism, faultsite, nopanic and deadcode — plus two
 // compiler-assisted gates, -bce and -escape (see gates.go), and a layout
 // fingerprint of two built binaries (see fingerprint.go).
 //

@@ -220,7 +220,7 @@ func TestPPRActiveRowsFollowTheIterate(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := &activeCounter{activeEngine: ce}
-		res, err := RunPersonalizedPageRank(e, ih.OutDegrees(), testPool, []int{ih.NumHubs}, PageRankOptions{MaxIters: 9, Tol: -1})
+		res, err := RunPersonalizedPageRankCtx(nil, e, ih.OutDegrees(), testPool, []int{ih.NumHubs}, PageRankOptions{MaxIters: 9, Tol: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	refCount := &activeCounter{activeEngine: ref}
-	want, err := RunPersonalizedPageRank(refCount, deg, testPool, sources, opt)
+	want, err := RunPersonalizedPageRankCtx(nil, refCount, deg, testPool, sources, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestPPRActiveRowsFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &activeCounter{activeEngine: ce}
-	got, err := RunPersonalizedPageRank(e, deg, testPool, sources, opt)
+	got, err := RunPersonalizedPageRankCtx(nil, e, deg, testPool, sources, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func TestPPRResumeBitForBit(t *testing.T) {
 	sources := []int{1, 17, 200}
 	base := PageRankOptions{MaxIters: 30, Tol: -1, RedistributeDangling: true}
 
-	full, err := RunPersonalizedPageRank(e, deg, nil, sources, base)
+	full, err := RunPersonalizedPageRankCtx(nil, e, deg, nil, sources, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestPPRResumeBitForBit(t *testing.T) {
 	half.MaxIters = 15
 	half.CheckpointEvery = 5
 	half.OnCheckpoint = func(c *Checkpoint) { ckpt = c.Clone() }
-	if _, err := RunPersonalizedPageRank(e, deg, nil, sources, half); err != nil {
+	if _, err := RunPersonalizedPageRankCtx(nil, e, deg, nil, sources, half); err != nil {
 		t.Fatal(err)
 	}
 	if ckpt == nil || ckpt.Iter != 15 || ckpt.Algo != "ppr" || ckpt.K != len(sources) {
@@ -218,7 +218,7 @@ func TestPPRResumeBitForBit(t *testing.T) {
 
 	resumed := base
 	resumed.Resume = ckpt
-	res, err := RunPersonalizedPageRank(e, deg, nil, sources, resumed)
+	res, err := RunPersonalizedPageRankCtx(nil, e, deg, nil, sources, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}

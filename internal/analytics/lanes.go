@@ -56,8 +56,6 @@ type LaneRequest struct {
 type LaneResult struct {
 	// Lane is the index into the lanes slice (arrival order).
 	Lane int
-	// Source echoes the request's personalization vertex.
-	Source int
 	// Status tells how the lane ended.
 	Status LaneStatus
 	// Iters is the number of completed iterations when the lane ended.
@@ -199,7 +197,7 @@ func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.Stepper, outDeg []i
 			return
 		}
 		emitted[j] = true
-		res := LaneResult{Lane: j, Source: lanes[j].Source, Status: status, Iters: iters, Delta: deltas[j]}
+		res := LaneResult{Lane: j, Status: status, Iters: iters, Delta: deltas[j]}
 		if status != LaneCancelled {
 			res.Ranks = make([]float64, n)
 			for v := 0; v < n; v++ {

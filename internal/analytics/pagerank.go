@@ -276,15 +276,3 @@ func ctxErrOf(ctx context.Context) error {
 	}
 	return ctx.Err()
 }
-
-// SumRanks returns the total rank mass (≈1 when dangling mass is
-// redistributed; below 1 otherwise).
-//
-//ihtl:noalloc
-func SumRanks(ranks []float64) float64 {
-	s := 0.0
-	for _, r := range ranks {
-		s += r
-	}
-	return s
-}

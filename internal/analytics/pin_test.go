@@ -82,7 +82,7 @@ func pinnedDrivers(t *testing.T, e spmv.Stepper, deg []int, pool *sched.Pool) ma
 
 	sources := []int{0, n / 3, n / 2, n - 1, 7, n / 5, 2 * n / 3, 1}
 	for _, k := range []int{1, 8} {
-		res, err := RunPersonalizedPageRank(e, deg, pool, sources[:k], PageRankOptions{MaxIters: 40, Tol: 1e-7, RedistributeDangling: true})
+		res, err := RunPersonalizedPageRankCtx(nil, e, deg, pool, sources[:k], PageRankOptions{MaxIters: 40, Tol: 1e-7, RedistributeDangling: true})
 		if err != nil {
 			t.Fatal(err)
 		}

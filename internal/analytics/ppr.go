@@ -36,22 +36,6 @@ type PPRResult struct {
 	Rows spmv.RowSet
 }
 
-// Lane copies lane j of the interleaved ranks into a dense vector; nil
-// for the zero result an error path returns.
-func (r PPRResult) Lane(j int, out []float64) []float64 {
-	if r.K == 0 {
-		return nil
-	}
-	n := len(r.Ranks) / r.K
-	if out == nil {
-		out = make([]float64, n)
-	}
-	for v := 0; v < n; v++ {
-		out[v] = r.Ranks[v*r.K+j]
-	}
-	return out
-}
-
 // activeRowStepper is the one optional capability an engine may add to
 // spmv.Stepper: a step over the rows a RowSet names that reports the
 // rows it wrote (see core.Engine.StepBatchActiveCtx); honoured == false
@@ -65,28 +49,6 @@ type activeRowStepper interface {
 // a rank, and densely from then on. DESIGN.md §8 "Active rows" has the
 // crossover table (BenchmarkStepBatchActive) the value is read from.
 const activeRowFrac = 8
-
-// RunPersonalizedPageRank iterates K personalized PageRanks — one per
-// source — through batched SpMV steps:
-//
-//	PPRⱼ(v) = (1-d)·1[v = sⱼ] + d·Σ_{u∈N⁻(v)} PPRⱼ(u)/deg⁺(u)
-//
-// All K lanes share every edge load: one K-wide step per iteration
-// advances every source, and the damping/delta/contribution sweep runs
-// as its epilogue — on core.Engine inside the same dispatch, so a whole
-// K-source iteration is one pool round-trip. Iteration
-// stops when every lane's L1 delta falls below opt.Tol (or at
-// opt.MaxIters). With opt.RedistributeDangling, each lane's dangling
-// mass teleports back to its own source, the standard PPR treatment.
-//
-// sources are vertex IDs in the Stepper's ID space; len(sources) is
-// the batch width K. outDeg must give the out-degree of every vertex.
-// The step and its epilogue run on the engine's own pool; pool only
-// wipes the arrays a run starts from, and may be nil to wipe them on
-// the caller.
-func RunPersonalizedPageRank(e spmv.Stepper, outDeg []int, pool *sched.Pool, sources []int, opt PageRankOptions) (PPRResult, error) {
-	return RunPersonalizedPageRankCtx(nil, e, outDeg, pool, sources, opt)
-}
 
 // PPRWorkspace holds the n×K arrays of a personalized-PageRank run —
 // three, and a fourth on an engine that streams its epilogue — the n
@@ -132,12 +94,31 @@ func sized(s []float64, n int) (_ []float64, stale bool) {
 	return s[:n], true
 }
 
-// RunPersonalizedPageRankCtx is RunPersonalizedPageRank with the
-// RunPageRankCtx failure contract: ctx cancellation stops the run at
-// the next chunk claim, step failures return *sched.PanicError /
-// *spmv.NumericError instead of panicking, and under spmv.HealthRollback with CheckpointEvery set a
-// numeric error restores the latest checkpoint (Algo "ppr", K lanes)
-// and retries before surfacing. ctx may be nil.
+// RunPersonalizedPageRankCtx iterates K personalized PageRanks — one
+// per source — through batched SpMV steps:
+//
+//	PPRⱼ(v) = (1-d)·1[v = sⱼ] + d·Σ_{u∈N⁻(v)} PPRⱼ(u)/deg⁺(u)
+//
+// All K lanes share every edge load: one K-wide step per iteration
+// advances every source, and the damping/delta/contribution sweep runs
+// as its epilogue — on core.Engine inside the same dispatch, so a whole
+// K-source iteration is one pool round-trip. Iteration
+// stops when every lane's L1 delta falls below opt.Tol (or at
+// opt.MaxIters). With opt.RedistributeDangling, each lane's dangling
+// mass teleports back to its own source, the standard PPR treatment.
+//
+// sources are vertex IDs in the Stepper's ID space; len(sources) is
+// the batch width K. outDeg must give the out-degree of every vertex.
+// The step and its epilogue run on the engine's own pool; pool only
+// wipes the arrays a run starts from, and may be nil to wipe them on
+// the caller.
+//
+// The run keeps the RunPageRankCtx failure contract: ctx cancellation
+// stops the run at the next chunk claim, step failures return
+// *sched.PanicError / *spmv.NumericError instead of panicking, and
+// under spmv.HealthRollback with CheckpointEvery set a numeric error
+// restores the latest checkpoint (Algo "ppr", K lanes) and retries
+// before surfacing. ctx may be nil.
 func RunPersonalizedPageRankCtx(ctx context.Context, e spmv.Stepper, outDeg []int, pool *sched.Pool, sources []int, opt PageRankOptions) (PPRResult, error) {
 	return new(PPRWorkspace).Run(ctx, e, outDeg, pool, sources, opt)
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // referencePPR is a slow, obviously-correct sequential personalized
-// PageRank from a single source, mirroring RunPersonalizedPageRank's
+// PageRank from a single source, mirroring RunPersonalizedPageRankCtx's
 // update rule (including source-directed dangling redistribution).
 func referencePPR(g *graph.Graph, source, iters int, damping float64, redistribute bool) []float64 {
 	n := g.NumV
@@ -52,6 +52,18 @@ func pprSources(g *graph.Graph, count int) []int {
 	return srcs
 }
 
+// pprLane copies lane j of r's interleaved ranks into out, allocating
+// it when nil.
+func pprLane(r PPRResult, j int, out []float64) []float64 {
+	if out == nil {
+		out = make([]float64, len(r.Ranks)/r.K)
+	}
+	for v := range out {
+		out[v] = r.Ranks[v*r.K+j]
+	}
+	return out
+}
+
 // TestPPRMatchesReference pins the batched run against K independent
 // sequential references on the spmv baselines.
 func TestPPRMatchesReference(t *testing.T) {
@@ -64,7 +76,7 @@ func TestPPRMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunPersonalizedPageRank(e, outDegrees(g), testPool, sources, opts)
+			res, err := RunPersonalizedPageRankCtx(nil, e, outDegrees(g), testPool, sources, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +86,7 @@ func TestPPRMatchesReference(t *testing.T) {
 			var lane []float64
 			for j, s := range sources {
 				want := referencePPR(g, s, 20, 0.85, redistribute)
-				lane = res.Lane(j, lane)
+				lane = pprLane(res, j, lane)
 				for v := range want {
 					if math.Abs(lane[v]-want[v]) > 1e-10 {
 						t.Fatalf("%v redistribute=%v: lane %d rank[%d] = %g, want %g",
@@ -99,17 +111,17 @@ func TestPPRBatchedMatchesScalarRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := PageRankOptions{MaxIters: 15, Tol: -1, RedistributeDangling: true}
-	batched, err := RunPersonalizedPageRank(e, outDegrees(g), testPool, sources, opts)
+	batched, err := RunPersonalizedPageRankCtx(nil, e, outDegrees(g), testPool, sources, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lane []float64
 	for j, s := range sources {
-		single, err := RunPersonalizedPageRank(e, outDegrees(g), testPool, []int{s}, opts)
+		single, err := RunPersonalizedPageRankCtx(nil, e, outDegrees(g), testPool, []int{s}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lane = batched.Lane(j, lane)
+		lane = pprLane(batched, j, lane)
 		for v := range single.Ranks {
 			if math.Float64bits(lane[v]) != math.Float64bits(single.Ranks[v]) {
 				t.Fatalf("lane %d rank[%d] = %v, single-source run got %v",
@@ -148,7 +160,7 @@ func TestPPRWorkspaceReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunPersonalizedPageRank(e, deg, testPool, tc.sources, tc.opts)
+		want, err := RunPersonalizedPageRankCtx(nil, e, deg, testPool, tc.sources, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +194,7 @@ func TestPPRViaIHTLEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := PageRankOptions{MaxIters: 15, Tol: -1, RedistributeDangling: true}
-	want, err := RunPersonalizedPageRank(pe, outDegrees(g), testPool, sources, opts)
+	want, err := RunPersonalizedPageRankCtx(nil, pe, outDegrees(g), testPool, sources, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +215,7 @@ func TestPPRViaIHTLEngine(t *testing.T) {
 	for j, s := range sources {
 		newSources[j] = int(ih.NewID[s])
 	}
-	res, err := RunPersonalizedPageRank(e, deg, testPool, newSources, opts)
+	res, err := RunPersonalizedPageRankCtx(nil, e, deg, testPool, newSources, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +223,8 @@ func TestPPRViaIHTLEngine(t *testing.T) {
 	gotNew := make([]float64, g.NumV)
 	gotOld := make([]float64, g.NumV)
 	for j := range sources {
-		want.Lane(j, wantLane)
-		res.Lane(j, gotNew)
+		pprLane(want, j, wantLane)
+		pprLane(res, j, gotNew)
 		ih.PermuteToOld(gotNew, gotOld)
 		for v := range wantLane {
 			if math.Abs(gotOld[v]-wantLane[v]) > 1e-10 {
@@ -236,12 +248,12 @@ func TestPPRSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPersonalizedPageRank(e, outDegrees(g), testPool, []int{0},
+	res, err := RunPersonalizedPageRankCtx(nil, e, outDegrees(g), testPool, []int{0},
 		PageRankOptions{MaxIters: 60, Tol: -1, RedistributeDangling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := res.Lane(0, nil)
+	lane := pprLane(res, 0, nil)
 	mass := 0.0
 	for v, r := range lane {
 		mass += r
@@ -263,22 +275,14 @@ func TestPPRErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPersonalizedPageRank(e, outDegrees(g), testPool, nil, PageRankOptions{}); err == nil {
+	if _, err := RunPersonalizedPageRankCtx(nil, e, outDegrees(g), testPool, nil, PageRankOptions{}); err == nil {
 		t.Error("no sources: want error")
 	}
-	if _, err := RunPersonalizedPageRank(e, make([]int, 3), testPool, []int{0}, PageRankOptions{}); err == nil {
+	if _, err := RunPersonalizedPageRankCtx(nil, e, make([]int, 3), testPool, []int{0}, PageRankOptions{}); err == nil {
 		t.Error("short outDeg: want error")
 	}
-	if _, err := RunPersonalizedPageRank(e, outDegrees(g), testPool, []int{g.NumV}, PageRankOptions{}); err == nil {
+	if _, err := RunPersonalizedPageRankCtx(nil, e, outDegrees(g), testPool, []int{g.NumV}, PageRankOptions{}); err == nil {
 		t.Error("out-of-range source: want error")
-	}
-}
-
-// TestPPRResultLaneZeroValue: every error path returns the zero
-// PPRResult, whose K is 0; Lane must not divide by it.
-func TestPPRResultLaneZeroValue(t *testing.T) {
-	if got := (PPRResult{}).Lane(0, nil); got != nil {
-		t.Fatalf("Lane on the zero result = %v, want nil", got)
 	}
 }
 

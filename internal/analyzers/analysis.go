@@ -34,6 +34,7 @@
 //	//ihtl:allow-nosite     (line)         suppress one faultsite finding
 //	//ihtl:allow-sitearg    (line)         suppress one faultsite dynamic-site finding
 //	//ihtl:allow-panic      (line)         suppress one nopanic finding
+//	//ihtl:allow-dead       (line)         keep one exported identifier deadcode reports
 package analyzers
 
 import (
@@ -66,6 +67,7 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
+	loader *Loader // the module loader, for the whole-module passes
 	report func(Diagnostic)
 }
 
@@ -74,10 +76,6 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-}
-
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
 }
 
 // Reportf records a finding at pos.
@@ -186,7 +184,7 @@ func (p *Pass) suppressed(pos token.Pos, name string) bool {
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoAlloc, SkipZero, AtomicField, ParCapture,
-		CtxLeak, Determinism, FaultSite, NoPanic,
+		CtxLeak, Determinism, FaultSite, NoPanic, DeadCode,
 	}
 }
 
@@ -224,6 +222,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
+				loader:   pkg.loader,
 				report:   sink,
 			}
 		}

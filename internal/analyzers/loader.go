@@ -16,12 +16,12 @@ import (
 
 // Package is one loaded, type-checked package.
 type Package struct {
-	Path  string // import path ("ihtl/internal/core")
-	Dir   string // absolute directory
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files, parsed with comments
 	Types *types.Package
 	Info  *types.Info
+
+	loader *Loader // the loader that type-checked it
 }
 
 // Loader parses and type-checks packages of this module using only the
@@ -141,7 +141,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analyzers: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{Fset: l.Fset, Files: files, Types: tpkg, Info: info, loader: l}
 	l.pkgs[path] = p
 	return p, nil
 }

@@ -1,0 +1,20 @@
+// Package deadcode is the root of the deadcode fixture: it aliases a
+// type of its internal/lib package, which makes that type's methods and
+// fields public.
+package deadcode
+
+import (
+	"fmt"
+	"sort"
+
+	"ihtlvet.test/deadcode/internal/lib"
+)
+
+// Pub is lib.Pub, public through the alias.
+type Pub = lib.Pub
+
+// Run reaches lib's referenced surface.
+func Run() string {
+	sort.Sort(lib.Items(nil))
+	return fmt.Sprint(lib.Used(), lib.Config{Set: 1}.Set, lib.Item{})
+}

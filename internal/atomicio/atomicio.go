@@ -46,15 +46,6 @@ func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	return syncDir(dir)
 }
 
-// WriteFileBytes is WriteFile for callers that already hold the full
-// content.
-func WriteFileBytes(path string, data []byte) error {
-	return WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
 // syncDir flushes the directory entry so the rename itself is durable.
 // Platforms whose directory handles reject Sync (it is advisory there)
 // degrade to a plain replace, which is still atomic on the visible

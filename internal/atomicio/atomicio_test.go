@@ -9,13 +9,21 @@ import (
 	"testing"
 )
 
+// writeBytes is WriteFile for content already in hand.
+func writeBytes(path string, data []byte) error {
+	return WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
 func TestWriteFileReplacesAtomically(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.bin")
-	if err := WriteFileBytes(path, []byte("old")); err != nil {
+	if err := writeBytes(path, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileBytes(path, []byte("new-content")); err != nil {
+	if err := writeBytes(path, []byte("new-content")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -37,7 +45,7 @@ func TestWriteFileReplacesAtomically(t *testing.T) {
 func TestWriteFileErrorLeavesOldContent(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.bin")
-	if err := WriteFileBytes(path, []byte("survivor")); err != nil {
+	if err := writeBytes(path, []byte("survivor")); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("write exploded")
@@ -68,7 +76,7 @@ func TestWriteFileErrorLeavesOldContent(t *testing.T) {
 
 func TestWriteFileCreatesFresh(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fresh.bin")
-	if err := WriteFileBytes(path, []byte{1, 2, 3}); err != nil {
+	if err := writeBytes(path, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -81,7 +89,7 @@ func TestWriteFileCreatesFresh(t *testing.T) {
 }
 
 func TestWriteFileMissingDir(t *testing.T) {
-	err := WriteFileBytes(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), []byte("x"))
+	err := writeBytes(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), []byte("x"))
 	if err == nil {
 		t.Fatal("expected error for missing directory")
 	}

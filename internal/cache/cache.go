@@ -59,7 +59,7 @@ type Config struct {
 	// ModelPrefetch treats sequential (ReadRange) accesses as covered
 	// by the hardware prefetcher: they still install lines — and so
 	// still displace other data — but their misses are tallied in a
-	// separate PrefetchedMisses counter rather than the demand-miss
+	// separate prefetchedMisses counter rather than the demand-miss
 	// statistics. This mirrors the paper's observation that the
 	// streamed topology/buffer accesses are "sequential, i.e.,
 	// assisted by prefetching" (§4.3), leaving the demand misses to
@@ -257,7 +257,7 @@ func (h *Hierarchy) Write(addr uint64) {
 // ReadRange simulates a sequential load of n bytes starting at addr,
 // touching each line once (the access pattern of streaming through
 // topology arrays). Under Config.ModelPrefetch these accesses count
-// as loads but their misses go to PrefetchedMisses.
+// as loads but their misses go to prefetchedMisses.
 func (h *Hierarchy) ReadRange(addr uint64, n int) {
 	if n <= 0 {
 		return
@@ -300,10 +300,6 @@ func (h *Hierarchy) referLineUncounted(line uint64) {
 	}
 }
 
-// PrefetchedMisses reports the last-level misses absorbed by the
-// modelled prefetcher (0 unless Config.ModelPrefetch).
-func (h *Hierarchy) PrefetchedMisses() uint64 { return h.prefetchedMisses }
-
 // Stats returns the counters of the given level. Memory returns
 // accesses that missed the last level (as Accesses == Misses).
 func (h *Hierarchy) Stats(l Level) LevelStats {
@@ -324,16 +320,4 @@ func (h *Hierarchy) MemoryAccesses() (loads, stores uint64) {
 // LastLevel returns the index of the last cache level (the "LLC").
 func (h *Hierarchy) LastLevel() Level {
 	return Level(len(h.levels) - 1)
-}
-
-// Reset clears all cache contents and counters.
-func (h *Hierarchy) Reset() {
-	for i, lv := range h.levels {
-		h.levels[i] = newSetAssoc(LevelConfig{
-			SizeBytes: lv.sets * lv.ways * (1 << h.lineShift),
-			Ways:      lv.ways,
-		}, 1<<h.lineShift)
-	}
-	h.loads, h.stores = 0, 0
-	h.prefetchedMisses = 0
 }

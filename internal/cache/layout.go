@@ -12,7 +12,6 @@ type AddressSpace struct {
 type Region struct {
 	Base     uint64
 	ElemSize uint64
-	Len      int
 }
 
 // Alloc reserves a region of n elements of elemSize bytes, aligned to
@@ -20,7 +19,7 @@ type Region struct {
 func (a *AddressSpace) Alloc(n int, elemSize int) Region {
 	const align = 4096
 	a.next = (a.next + align - 1) &^ (align - 1)
-	r := Region{Base: a.next, ElemSize: uint64(elemSize), Len: n}
+	r := Region{Base: a.next, ElemSize: uint64(elemSize)}
 	a.next += uint64(n) * uint64(elemSize)
 	return r
 }
@@ -28,9 +27,4 @@ func (a *AddressSpace) Alloc(n int, elemSize int) Region {
 // Addr returns the simulated address of element i.
 func (r Region) Addr(i int) uint64 {
 	return r.Base + uint64(i)*r.ElemSize
-}
-
-// Bytes returns the total size of the region in bytes.
-func (r Region) Bytes() uint64 {
-	return uint64(r.Len) * r.ElemSize
 }

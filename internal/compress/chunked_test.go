@@ -302,51 +302,6 @@ func heapBytes(fn func()) uint64 {
 	return best
 }
 
-func TestIndexRoundTrip(t *testing.T) {
-	cases := [][]int64{
-		{},
-		{0},
-		{0, 0, 0},
-		{0, 3, 3, 7, 1 << 40},
-		{5, 5, 6},
-	}
-	for _, idx := range cases {
-		enc := EncodeIndex(idx)
-		got, err := DecodeIndex(enc, len(idx))
-		if err != nil {
-			t.Fatalf("%v: %v", idx, err)
-		}
-		for i := range idx {
-			if got[i] != idx[i] {
-				t.Fatalf("%v: got %v", idx, got)
-			}
-		}
-	}
-}
-
-func TestDecodeIndexRejects(t *testing.T) {
-	enc := EncodeIndex([]int64{0, 3, 7})
-	if _, err := DecodeIndex(enc[:len(enc)-1], 3); err == nil {
-		t.Error("truncated index accepted")
-	}
-	if _, err := DecodeIndex(append(enc, 0), 3); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-	if _, err := DecodeIndex(enc, 1<<30); err == nil {
-		t.Error("hostile length accepted")
-	}
-	if _, err := DecodeIndex([]byte{0xFF}, 1); err == nil {
-		t.Error("bare continuation byte accepted")
-	}
-	// Running sum overflowing int64.
-	bad := EncodeIndex([]int64{1 << 62})
-	bad = append(bad, EncodeIndex([]int64{1 << 62})...)
-	bad = append(bad, EncodeIndex([]int64{1 << 62})...)
-	if _, err := DecodeIndex(bad, 3); err == nil {
-		t.Error("int64 overflow accepted")
-	}
-}
-
 // TestEncodeCapacityNoGrow pins the satellite fix: the sampled
 // capacity estimate must cover sorted locality-friendly inputs in one
 // allocation (no append grow), while staying within 2x of the actual

@@ -168,63 +168,6 @@ func DecodeAdjacency(data []byte, numV int, numE int64) ([]int64, []uint32, erro
 	return index, nbrs, nil
 }
 
-// EncodeIndex delta-encodes a monotone nondecreasing offset array
-// (a CSR/CSC index) as varint gaps: the first value absolute, then
-// successive differences. Used by the v2 engine file for offset
-// tables that do not sit on the step hot path.
-func EncodeIndex(index []int64) []byte {
-	out := make([]byte, 0, len(index)+8)
-	prev := int64(0)
-	for _, v := range index {
-		out = binary.AppendUvarint(out, uint64(v-prev))
-		prev = v
-	}
-	return out
-}
-
-// DecodeIndex reverses EncodeIndex into n offsets. Malformed input —
-// truncated varints, gaps whose running sum leaves int64 range,
-// trailing bytes, or n exceeding what the stream could possibly hold —
-// returns an error, never panics.
-func DecodeIndex(data []byte, n int) ([]int64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("compress: negative index length %d", n)
-	}
-	// Each offset needs at least one byte: reject hostile n before
-	// allocating.
-	if n > len(data) {
-		return nil, fmt.Errorf("compress: index length %d exceeds %d-byte stream", n, len(data))
-	}
-	out := make([]int64, n)
-	pos := 0
-	prev := uint64(0)
-	for i := 0; i < n; i++ {
-		gap, k := binary.Uvarint(data[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("compress: truncated varint at offset %d", pos)
-		}
-		pos += k
-		cur := prev + gap
-		if cur < prev || cur > 1<<63-1 {
-			return nil, fmt.Errorf("compress: offset %d overflows int64", i)
-		}
-		out[i] = int64(cur)
-		prev = cur
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("compress: %d trailing bytes", len(data)-pos)
-	}
-	return out, nil
-}
-
-// Ratio returns compressed bytes per edge for quick reporting.
-func Ratio(encoded []byte, numE int64) float64 {
-	if numE == 0 {
-		return 0
-	}
-	return float64(len(encoded)) / float64(numE)
-}
-
 // DefaultChunkEdges is the edge budget per encoded chunk: a chunk is
 // the engine's flipped steal granule, and 4096 edges of packed rows
 // (≤ 16 KiB) stay cache-resident per worker next to the hub buffer.

@@ -86,9 +86,6 @@ func TestCompressionBeatsFlatOnLocalLists(t *testing.T) {
 	if len(enc) >= flat/2 {
 		t.Fatalf("compression too weak: %d vs flat %d", len(enc), flat)
 	}
-	if r := Ratio(enc, int64(len(nbrs))); r <= 0 || r >= 4 {
-		t.Fatalf("ratio = %v bytes/edge", r)
-	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
@@ -117,11 +114,5 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	// before the offsets are allocated.
 	if _, _, err := DecodeAdjacency(enc, 1<<40, 3); err == nil {
 		t.Error("vertex count beyond the stream accepted")
-	}
-}
-
-func TestRatioEmpty(t *testing.T) {
-	if Ratio(nil, 0) != 0 {
-		t.Fatal("Ratio of empty should be 0")
 	}
 }

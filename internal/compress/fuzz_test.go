@@ -41,35 +41,6 @@ func FuzzDecodeAdjacency(f *testing.F) {
 	})
 }
 
-// FuzzDecodeIndex exercises the offset-table decoder the v2 engine
-// file trusts for section shapes: malformed input must error, never
-// panic or over-allocate.
-func FuzzDecodeIndex(f *testing.F) {
-	f.Add(EncodeIndex([]int64{0, 3, 3, 7, 1 << 40}), 5)
-	f.Add([]byte{}, 0)
-	f.Add([]byte{0x80}, 1)
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, 1)
-	f.Fuzz(func(t *testing.T, data []byte, n int) {
-		out, err := DecodeIndex(data, n)
-		if err != nil {
-			return
-		}
-		if len(out) != n {
-			t.Fatalf("accepted stream decoded to %d offsets, want %d", len(out), n)
-		}
-		prev := int64(0)
-		if n > 0 {
-			prev = out[0]
-		}
-		for _, v := range out {
-			if v < prev {
-				t.Fatalf("decoded offsets not monotone: %v", out)
-			}
-			prev = v
-		}
-	})
-}
-
 // FuzzChunkedValidate is the trust boundary under fire: hostile row
 // bytes under hostile chunk tables (up to two chunks, cut anywhere)
 // must be rejected by Validate with an error, never a panic — and

@@ -89,7 +89,9 @@ func stepActive(t *testing.T, label string, e *Engine, src []float64, active spm
 		got[i] = activeSentinel
 	}
 	touched = spmv.NewRowSet(n)
-	touched.AddRange(0, n)
+	for r := 0; r < n; r++ {
+		touched.Add(r)
+	}
 	if honoured, err := e.StepBatchActiveCtx(context.Background(), src, got, k, active, touched, epi); err != nil || !honoured {
 		t.Fatalf("%s: honoured=%v err=%v", label, honoured, err)
 	}
@@ -380,7 +382,7 @@ func TestStepBatchActiveFaultThenClean(t *testing.T) {
 	src, active := sparseLaneInput(23, n, k, 30, false)
 	want := make([]float64, n*k)
 	e.StepBatch(src, want, k)
-	wt := wantTouched(e.Graph(), active)
+	wt := wantTouched(e.ih, active)
 
 	requireClean := func(label string) {
 		t.Helper()

@@ -20,8 +20,11 @@ import (
 // loop's: no dispatch, no merge. Each kernel with a prefetching body runs
 // each body: the Go twin ("go") and, in a build with the assembly, the
 // assembly prefetching 16, 32, 64 and 128 edges ahead ("asm-d32") —
-// both pushes, and the edge-major pull's pair loop. A graph is
-// generated only when a sub-benchmark of its name is selected:
+// both pushes, and the edge-major pull's pair loop. The bodies of one
+// kernel alternate within the process (altBench): each row reports its
+// median, and each assembly row the quartiles of its per-round time
+// over the Go twin's. A graph is generated only when a sub-benchmark of
+// its name is selected:
 //
 //   - web=200k, the web analog at 200 k pages, whose blocks are the
 //     short-row shape the edge-major layout exists for (1.6 MB of vertex
@@ -81,44 +84,45 @@ func BenchmarkShortRowKernel(b *testing.B) {
 			for _, s := range ih.BlockShapes() {
 				b.Logf("%s: %d rows, %d edges, mean row %.2f, %.0f%% empty", s.Name, s.Rows, s.Edges, s.MeanRowLen, 100*s.EmptyRowFrac)
 			}
-			perEdge := func(b *testing.B, edges int64) {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
-			}
 			for _, layout := range []BlockLayout{LayoutCSR, LayoutEdgeMajor} {
 				e, err := NewEngineOpts(ih, testPool, EngineOptions{forceLayout: layout})
 				if err != nil {
 					b.Fatal(err)
 				}
+				buf := e.batch.bufs[0]
+				push := altBench{prefix: "push/" + layout.String() + "/", unit: "ns/edge", div: float64(ih.FlippedEdges())}
 				for _, body := range bodies {
-					b.Run("push/"+layout.String()+"/"+body.name, func(b *testing.B) {
+					push.arms = append(push.arms, altArm{body.name, func() []time.Duration {
 						pushPrefetch = body.dist
-						buf := e.batch.bufs[0]
-						for i := 0; i < b.N; i++ {
-							for t := range e.blockTasks {
-								e.pushTask(&e.blockTasks[t], src, buf)
-							}
+						for t := range e.blockTasks {
+							e.pushTask(&e.blockTasks[t], src, buf)
 						}
-						perEdge(b, ih.FlippedEdges())
-						clear(buf)
-					})
+						return nil
+					}})
+				}
+				push.run(b)
+				clear(buf)
+				pull := altBench{prefix: "pull/csr", unit: "ns/edge", div: float64(ih.Sparse.NumEdges())}
+				if layout == LayoutEdgeMajor {
+					pull.prefix = "pull/edge-major/"
 				}
 				for _, body := range bodies {
-					name := "pull/" + layout.String()
-					if layout == LayoutEdgeMajor {
-						name += "/" + body.name
-					} else if body.dist > 0 {
-						continue // no pair loop to pick a body for
-					}
-					b.Run(name, func(b *testing.B) {
-						pullPrefetch = body.dist
-						for i := 0; i < b.N; i++ {
-							for p := 0; p < len(e.sparseBounds)-1; p++ {
-								e.sparsePullPart(p, src, dst)
-							}
+					name := body.name
+					if layout == LayoutCSR {
+						if body.dist > 0 {
+							continue // no pair loop to pick a body for
 						}
-						perEdge(b, ih.Sparse.NumEdges())
-					})
+						name = ""
+					}
+					pull.arms = append(pull.arms, altArm{name, func() []time.Duration {
+						pullPrefetch = body.dist
+						for p := 0; p < len(e.sparseBounds)-1; p++ {
+							e.sparsePullPart(p, src, dst)
+						}
+						return nil
+					}})
 				}
+				pull.run(b)
 			}
 			if !c.steps {
 				return
@@ -139,20 +143,18 @@ func BenchmarkShortRowKernel(b *testing.B) {
 				{"pull", &pullPrefetch, ih.Sparse.NumEdges(), func(bd Breakdown) time.Duration { return bd.SparseBusy }, "sparse-ns/edge"},
 				{"push", &pushPrefetch, ih.FlippedEdges(), func(bd Breakdown) time.Duration { return bd.FlippedBusy }, "flipped-ns/edge"},
 			} {
+				step := altBench{prefix: "step/" + kernel.name + "/", unit: "ns/edge", div: float64(ih.NumE),
+					phases: []altPhase{{kernel.unit, float64(kernel.edges)}}}
 				for _, body := range bodies {
-					b.Run("step/"+kernel.name+"/"+body.name, func(b *testing.B) {
+					step.arms = append(step.arms, altArm{body.name, func() []time.Duration {
 						ForceGoTwins(false)
 						*kernel.dist = body.dist
-						e.Step(src, dst) // page in dst and the hub buffers
 						e.TakeBreakdown()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							e.Step(src, dst)
-						}
-						perEdge(b, ih.NumE)
-						b.ReportMetric(float64(kernel.busy(e.TakeBreakdown()).Nanoseconds())/float64(b.N)/float64(kernel.edges), kernel.unit)
-					})
+						e.Step(src, dst)
+						return []time.Duration{kernel.busy(e.TakeBreakdown())}
+					}})
 				}
+				step.run(b)
 			}
 		})
 	}
@@ -172,7 +174,9 @@ func BenchmarkShortRowKernel(b *testing.B) {
 // One thread, over R-MATs of the benchmark's small-resident shape
 // (scale 14, all in L2) and at scale 17 (the largest resident graph).
 // Kernels are called directly, every task and row in order: the number
-// is the inner loop's, per edge-lane. DESIGN.md §8 records the table.
+// is the inner loop's, per edge-lane. The bodies of one cell alternate
+// within the process (altBench), each row's ratio quartiles taken over
+// the fixed body's. DESIGN.md §8 records the table.
 //
 // The scale=20 rows are the lane prefetch sweep (laneKernelPastL2),
 // run only when the -bench pattern names "scale=20": their graph is
@@ -221,48 +225,45 @@ func BenchmarkLaneKernel(b *testing.B) {
 			}
 			dst := make([]float64, ih.NumV*k)
 			buf := make([]float64, ih.NumHubs*k)
-			perLane := func(b *testing.B, edges int64) {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges)/float64(k), "ns/edge-lane")
-			}
-			bodies := []string{"generic", "fixed"}
+			bodies := []string{"fixed", "generic"}
 			if spmv.HasAVX2() && c.enc == EncodingFlat {
 				bodies = append(bodies, "avx2")
 			}
+			pull := altBench{prefix: fmt.Sprintf("scale=%d/pull/%s/k%d/", scale, c.name, k), unit: "ns/edge-lane", div: float64(ih.Sparse.NumEdges() * int64(k))}
+			push := altBench{prefix: fmt.Sprintf("scale=%d/push/%s/k%d/", scale, c.name, k), unit: "ns/edge-lane", div: float64(ih.FlippedEdges() * int64(k))}
 			for _, body := range bodies {
 				generic := body == "generic"
-				ForceGoTwins(body != "avx2")
-				b.Run(fmt.Sprintf("scale=%d/pull/%s/k%d/%s", scale, c.name, k, body), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						for r := 0; r < rows; r++ {
-							if generic {
-								db := (ih.Sparse.DestLo + r) * k
-								e.pullRowGeneric(r, k, src, dst[db:db+k:db+k])
-							} else {
-								e.pullRowLanes(r, k, src, dst)
-							}
+				pull.arms = append(pull.arms, altArm{body, func() []time.Duration {
+					ForceGoTwins(body != "avx2")
+					for r := 0; r < rows; r++ {
+						if generic {
+							db := (ih.Sparse.DestLo + r) * k
+							e.pullRowGeneric(r, k, src, dst[db:db+k:db+k])
+						} else {
+							e.pullRowLanes(r, k, src, dst)
 						}
 					}
-					perLane(b, ih.Sparse.NumEdges())
-				})
-				if len(ih.Blocks) == 0 {
-					continue
-				}
-				b.Run(fmt.Sprintf("scale=%d/push/%s/k%d/%s", scale, c.name, k, body), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						for t := range e.blockTasks {
-							bt := &e.blockTasks[t]
-							switch fb := &ih.Blocks[bt.block]; {
-							case !generic:
-								e.pushTaskBatch(k, bt, src, buf)
-							case e.varint:
-								pushTaskEncBatch(k, bt, fb, src, buf)
-							default:
-								pushTaskFlatBatch(k, bt, fb, src, buf)
-							}
+					return nil
+				}})
+				push.arms = append(push.arms, altArm{body, func() []time.Duration {
+					ForceGoTwins(body != "avx2")
+					for t := range e.blockTasks {
+						bt := &e.blockTasks[t]
+						switch fb := &ih.Blocks[bt.block]; {
+						case !generic:
+							e.pushTaskBatch(k, bt, src, buf)
+						case e.varint:
+							pushTaskEncBatch(k, bt, fb, src, buf)
+						default:
+							pushTaskFlatBatch(k, bt, fb, src, buf)
 						}
 					}
-					perLane(b, ih.FlippedEdges())
-				})
+					return nil
+				}})
+			}
+			pull.run(b)
+			if len(ih.Blocks) > 0 {
+				push.run(b)
 			}
 		}
 	}
@@ -276,7 +277,8 @@ func BenchmarkLaneKernel(b *testing.B) {
 // directly as above, ns per edge-lane; then a dense K = 8 StepBatch on
 // two workers per distance, ns per edge-lane and the busy milliseconds
 // a Step of the flipped push and of the sparse pull (Breakdown's
-// FlippedBusy and SparseBusy, summed over workers). DESIGN.md §8,
+// FlippedBusy and SparseBusy, summed over workers). Each set of rows
+// alternates its bodies (altBench). DESIGN.md §8,
 // "Prefetching the lanes", records the sweep prefetchDist is picked
 // from.
 func laneKernelPastL2(b *testing.B) {
@@ -294,9 +296,6 @@ func laneKernelPastL2(b *testing.B) {
 		src[i] = 1 / float64(ih.NumV)
 	}
 	dst := make([]float64, ih.NumV*k)
-	perLane := func(b *testing.B, edges int64) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges)/k, "ns/edge-lane")
-	}
 	type body struct {
 		name string
 		dist int // the prefetch distance; < 0 is the Go twin
@@ -315,26 +314,6 @@ func laneKernelPastL2(b *testing.B) {
 	b.Logf("%d vertices, %d edges, %d hubs: %d MiB of lanes, setWidth picks distance %d", ih.NumV, ih.NumE, ih.NumHubs, ih.NumV*k*8>>20, e.batch.prefetch)
 	buf := make([]float64, ih.NumHubs*k)
 	rows := ih.NumV - ih.Sparse.DestLo
-	for _, bd := range bodies {
-		ForceGoTwins(bd.dist < 0)
-		e.batch.prefetch = max(bd.dist, 0)
-		b.Run("pull/flat/k8/"+bd.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < rows; r++ {
-					e.pullRowLanes(r, k, src, dst)
-				}
-			}
-			perLane(b, ih.Sparse.NumEdges())
-		})
-		b.Run("push/flat/k8/"+bd.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for t := range e.blockTasks {
-					e.pushTaskBatch(k, &e.blockTasks[t], src, buf)
-				}
-			}
-			perLane(b, ih.FlippedEdges())
-		})
-	}
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	se, err := NewEngine(ih, pool)
@@ -342,20 +321,40 @@ func laneKernelPastL2(b *testing.B) {
 		b.Fatal(err)
 	}
 	se.StepBatch(src, dst, k) // page in dst and the hub buffers; sets the width
+	pull := altBench{prefix: "pull/flat/k8/", unit: "ns/edge-lane", div: float64(ih.Sparse.NumEdges() * k)}
+	push := altBench{prefix: "push/flat/k8/", unit: "ns/edge-lane", div: float64(ih.FlippedEdges() * k)}
+	step := altBench{prefix: "step/k8/", unit: "ns/edge-lane", div: float64(ih.NumE * k),
+		phases: []altPhase{{"flipped-ms", 1e6}, {"sparse-ms", 1e6}}}
 	for _, bd := range bodies {
-		ForceGoTwins(bd.dist < 0)
-		se.batch.prefetch = max(bd.dist, 0) // the width stays 8, so setWidth keeps it
-		b.Run("step/k8/"+bd.name, func(b *testing.B) {
-			se.TakeBreakdown()
-			for i := 0; i < b.N; i++ {
-				se.StepBatch(src, dst, k)
+		pick := func(e *Engine) {
+			ForceGoTwins(bd.dist < 0)
+			e.batch.prefetch = max(bd.dist, 0) // the width stays 8, so setWidth keeps it
+		}
+		pull.arms = append(pull.arms, altArm{bd.name, func() []time.Duration {
+			pick(e)
+			for r := 0; r < rows; r++ {
+				e.pullRowLanes(r, k, src, dst)
 			}
-			perLane(b, ih.NumE)
-			bd := se.TakeBreakdown()
-			b.ReportMetric(float64(bd.FlippedBusy.Microseconds())/1e3/float64(b.N), "flipped-ms")
-			b.ReportMetric(float64(bd.SparseBusy.Microseconds())/1e3/float64(b.N), "sparse-ms")
-		})
+			return nil
+		}})
+		push.arms = append(push.arms, altArm{bd.name, func() []time.Duration {
+			pick(e)
+			for t := range e.blockTasks {
+				e.pushTaskBatch(k, &e.blockTasks[t], src, buf)
+			}
+			return nil
+		}})
+		step.arms = append(step.arms, altArm{bd.name, func() []time.Duration {
+			pick(se)
+			se.TakeBreakdown()
+			se.StepBatch(src, dst, k)
+			t := se.TakeBreakdown()
+			return []time.Duration{t.FlippedBusy, t.SparseBusy}
+		}})
 	}
+	pull.run(b)
+	push.run(b)
+	step.run(b)
 }
 
 // BenchmarkStepBatchActive is the crossover measurement behind

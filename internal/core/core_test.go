@@ -456,7 +456,7 @@ func TestBreakdownAccumulates(t *testing.T) {
 	if b.Steps != 3 {
 		t.Fatalf("Steps = %d", b.Steps)
 	}
-	if b.Total() <= 0 {
+	if b.Wall <= 0 {
 		t.Fatal("no time recorded")
 	}
 	f := b.FlippedFrac() + b.MergeFrac()

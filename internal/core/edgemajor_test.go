@@ -430,9 +430,13 @@ func TestLayoutDifferential(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s/w%d/%v", c.name, workers, layout)
 				if layout != layoutByShape {
-					for _, s := range e.BlockShapes() {
-						if s.Edges > 0 && s.Layout != layout {
-							t.Fatalf("%s: %s walks %v", label, s.Name, s.Layout)
+					for i, s := range c.ih.BlockShapes() {
+						adv := e.sparseAdv
+						if i < len(e.flipAdv) {
+							adv = e.flipAdv[i]
+						}
+						if s.Edges > 0 && (adv != nil) != (layout == LayoutEdgeMajor) {
+							t.Fatalf("%s: %s does not walk %v", label, s.Name, layout)
 						}
 					}
 				}
@@ -549,18 +553,17 @@ func TestFootprintModelHandCounted(t *testing.T) {
 		common = vb*5 + (2*2+1)*vb*2 + vb*4 + vb*4
 	)
 	for _, c := range []struct {
-		layout                   BlockLayout
-		stream, vertex, resident int64
+		layout         BlockLayout
+		stream, vertex int64
 	}{
 		// CSR streams each block's index (8 B × 5 entries) and IDs
 		// (4 B × 5 and × 4), and the push reads src once per ROW (4).
-		{LayoutCSR, (8*5 + 4*5) + (8*5 + 4*4), vb * 4, (8*5 + 4*5) + (8*5 + 4*4)},
+		{LayoutCSR, (8*5 + 4*5) + (8*5 + 4*4), vb * 4},
 		// Edge-major streams the IDs and the packed adv stream (two
 		// edges a byte: 3 B and 2 B) and no index; the push reads src
 		// once per EDGE (5) and the pull adds into dst once per edge (4)
-		// on top of the row clear. The index stays resident (schedulers,
-		// batch kernels); adv joins it.
-		{LayoutEdgeMajor, (4*5 + 3) + (4*4 + 2), vb*5 + vb*4, (8*5 + 4*5 + 3) + (8*5 + 4*4 + 2)},
+		// on top of the row clear.
+		{LayoutEdgeMajor, (4*5 + 3) + (4*4 + 2), vb*5 + vb*4},
 	} {
 		e, err := NewEngineOpts(ih, pool, EngineOptions{forceLayout: c.layout})
 		if err != nil {
@@ -571,9 +574,6 @@ func TestFootprintModelHandCounted(t *testing.T) {
 		}
 		if got, want := e.BytesPerStep(), c.stream+c.vertex+common; got != want {
 			t.Errorf("%v: BytesPerStep %d B, hand count %d", c.layout, got, want)
-		}
-		if got := e.ResidentTopologyBytes(); got != c.resident {
-			t.Errorf("%v: resident topology %d B, hand count %d", c.layout, got, c.resident)
 		}
 	}
 }

@@ -247,10 +247,6 @@ func buildBlockTasksEnc(ih *IHTL) (tasks []blockTask, perBlock, empty []int) {
 	return tasks, perBlock, empty
 }
 
-// Encoding returns the engine's resolved block encoding (never
-// EncodingAuto).
-func (e *Engine) Encoding() BlockEncoding { return e.encoding }
-
 // The kernels below walk packed rows straight into their accumulation:
 // per edge one masked 4-byte load, an add and the gather or scatter.
 // They are unchecked like the flat kernels: an encoding built in-process

@@ -37,8 +37,8 @@ func TestEncodingDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if e.Encoding() != EncodingVarint {
-					t.Fatalf("engine resolved to %v, want varint", e.Encoding())
+				if e.encoding != EncodingVarint {
+					t.Fatalf("engine resolved to %v, want varint", e.encoding)
 				}
 				for vecName, src := range srcs {
 					want := stepOldSpace(ih, flat, src)
@@ -108,8 +108,8 @@ func TestEncodedOnlyAutoResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Encoding() != EncodingFlat {
-		t.Fatalf("auto over flat graph resolved to %v", flat.Encoding())
+	if flat.encoding != EncodingFlat {
+		t.Fatalf("auto over flat graph resolved to %v", flat.encoding)
 	}
 	src := integerVec(5, g.NumV)
 	want := stepOldSpace(ih, flat, src)
@@ -123,8 +123,8 @@ func TestEncodedOnlyAutoResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Encoding() != EncodingVarint {
-		t.Fatalf("auto over encoded-only graph resolved to %v", auto.Encoding())
+	if auto.encoding != EncodingVarint {
+		t.Fatalf("auto over encoded-only graph resolved to %v", auto.encoding)
 	}
 	requireBitIdentical(t, "auto varint", want, stepOldSpace(ih, auto, src))
 

@@ -208,11 +208,6 @@ func (b Breakdown) SparseTotalBusy() time.Duration {
 	return b.SparseBusy
 }
 
-// Total returns the elapsed time of all Steps.
-func (b Breakdown) Total() time.Duration {
-	return b.Wall
-}
-
 // TotalBusy returns the summed per-worker busy time across phases.
 func (b Breakdown) TotalBusy() time.Duration {
 	return b.FlippedBusy + b.MergeBusy + b.SparseBusy
@@ -339,9 +334,6 @@ func NewEngineOpts(ih *IHTL, pool *sched.Pool, opt EngineOptions) (*Engine, erro
 	}
 	return e, nil
 }
-
-// Graph returns the engine's iHTL graph.
-func (e *Engine) Graph() *IHTL { return e.ih }
 
 // recoverState restores the reusable cross-step state after an aborted
 // (cancelled or panicked) step, so the next clean step is bit-for-bit

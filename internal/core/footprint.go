@@ -97,40 +97,3 @@ func (e *Engine) BytesPerStep() int64 {
 	}
 	return total
 }
-
-// ResidentTopologyBytes returns the bytes of topology the engine needs
-// resident in memory to run: always the per-block index arrays (the
-// schedulers read per-row edge counts under either encoding), plus the
-// flat adjacency or the encoded chunks with the sparse row offsets,
-// plus the adv streams of the blocks walked edge-major.
-// Vertex data and hub buffers are excluded — they scale with NumV, not
-// with the topology representation this measures.
-func (e *Engine) ResidentTopologyBytes() int64 {
-	ih := e.ih
-	var total int64
-	for b := range ih.Blocks {
-		fb := &ih.Blocks[b]
-		total += 8 * int64(len(fb.Index))
-		if e.varint {
-			total += fb.Enc.EncodedBytes()
-		} else {
-			total += 4 * fb.NumEdges()
-		}
-	}
-	sp := &ih.Sparse
-	total += 8 * int64(len(sp.Index))
-	n := int64(ih.NumV) - int64(sp.DestLo)
-	if n > 0 {
-		if e.varint {
-			total += sp.Enc.EncodedBytes()
-			total += 8 * int64(len(e.sparseRowOff))
-		} else {
-			total += 4 * sp.NumEdges()
-		}
-	}
-	for _, adv := range e.flipAdv {
-		total += int64(len(adv))
-	}
-	total += int64(len(e.sparseAdv))
-	return total
-}

@@ -74,6 +74,8 @@ var pullPrefetch, pushPrefetch = scalarAsmDist, scalarAsmDist
 // The 8-lane cells' prefetch distance is each engine's, decided per
 // width from the footprint (Engine.setWidth); the twins ignore it, so it
 // is left alone here.
+//
+//ihtl:allow-dead twin switch: tests run the Go twins of the assembly kernels through the engine with it
 func ForceGoTwins(on bool) (asm bool) {
 	avx2 := spmv.HasAVX2()
 	laneAsm = avx2 && !on

@@ -127,7 +127,7 @@ func TestLaneKernelsMatchScalarStep(t *testing.T) {
 					for _, k := range []int{2, 3, 4, 5, 8, 9} {
 						for _, arm := range arms {
 							for _, scalar := range []*Engine{e, other} {
-								label := fmt.Sprintf("%s/w%d/%v/phased=%v/static=%v/k%d", name, workers, e.Encoding(), phased, scalar == other, k)
+								label := fmt.Sprintf("%s/w%d/%v/phased=%v/static=%v/k%d", name, workers, e.encoding, phased, scalar == other, k)
 								if arm != arms[0] {
 									if k != 4 && k != 8 {
 										continue

@@ -341,8 +341,8 @@ func TestResidentFilesAndFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Encoding() != EncodingFlat || !ef.IHTL().Stats(g).Resident {
-			t.Fatalf("the file of a resident graph opened %v, resident %v; want the raw file, flat and resident", e.Encoding(), ef.IHTL().Stats(g).Resident)
+		if e.encoding != EncodingFlat || !ef.IHTL().Stats(g).Resident {
+			t.Fatalf("the file of a resident graph opened %v, resident %v; want the raw file, flat and resident", e.encoding, ef.IHTL().Stats(g).Resident)
 		}
 		e.Step(src, dst)
 		requireBitIdentical(t, "engine over the v2 file", want, dst)

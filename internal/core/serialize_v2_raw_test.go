@@ -109,8 +109,8 @@ func TestV2RawRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.Encoding() != EncodingFlat {
-				t.Errorf("%s: auto encoding over a raw file resolved to %v", label, e.Encoding())
+			if e.encoding != EncodingFlat {
+				t.Errorf("%s: auto encoding over a raw file resolved to %v", label, e.encoding)
 			}
 			if !bytes.Equal(v2Bytes(t, got), data) {
 				t.Errorf("%s: re-saving the opened raw file changed its bytes", label)

@@ -53,9 +53,7 @@ type BlockShape struct {
 	// edge in this block.
 	MeanRowLen   float64
 	EmptyRowFrac float64
-	// Layout is what a default flat engine picks for this shape. From
-	// Engine.BlockShapes it is what that engine does walk: CSR under the
-	// packed encoding.
+	// Layout is what a default flat engine picks for this shape.
 	Layout BlockLayout
 }
 
@@ -85,23 +83,6 @@ func (ih *IHTL) BlockShapes() []BlockShape {
 		shapes = append(shapes, blockShape(fmt.Sprintf("flipped[%d]", b), ih.Blocks[b].Index))
 	}
 	return append(shapes, blockShape("sparse", ih.Sparse.Index))
-}
-
-// BlockShapes is IHTL.BlockShapes with Layout set to what this engine
-// walks, so a benchmark row can say which kernels produced it.
-func (e *Engine) BlockShapes() []BlockShape {
-	shapes := e.ih.BlockShapes()
-	for i := range shapes {
-		adv := e.sparseAdv
-		if i < len(e.flipAdv) {
-			adv = e.flipAdv[i]
-		}
-		shapes[i].Layout = LayoutCSR
-		if adv != nil {
-			shapes[i].Layout = LayoutEdgeMajor
-		}
-	}
-	return shapes
 }
 
 // Stats computes the structural statistics of ih; g must be the graph

@@ -120,6 +120,8 @@ type armedRule struct {
 
 // NewPlan arms the given rules. The rule set is immutable after
 // creation; only the hit counters mutate, atomically.
+//
+//ihtl:allow-dead fault harness: the fault suites arm and read plans through it
 func NewPlan(rules ...Rule) *Plan {
 	p := &Plan{rules: make(map[Site][]*armedRule, len(rules))}
 	for _, r := range rules {
@@ -129,6 +131,8 @@ func NewPlan(rules ...Rule) *Plan {
 }
 
 // Fired reports how many times the plan's rules at site have fired.
+//
+//ihtl:allow-dead fault harness: the fault suites arm and read plans through it
 func (p *Plan) Fired(site Site) int64 {
 	var n int64
 	for _, a := range p.rules[site] {
@@ -138,6 +142,8 @@ func (p *Plan) Fired(site Site) int64 {
 }
 
 // Hits reports how many times site has been reached under this plan.
+//
+//ihtl:allow-dead fault harness: the fault suites arm and read plans through it
 func (p *Plan) Hits(site Site) int64 {
 	var n int64
 	for _, a := range p.rules[site] {
@@ -152,9 +158,13 @@ var active atomic.Pointer[Plan]
 
 // Activate installs p as the process-wide plan. It must not race with
 // running work (tests activate before dispatch and deactivate after).
+//
+//ihtl:allow-dead fault harness: the fault suites arm and read plans through it
 func Activate(p *Plan) { active.Store(p) }
 
 // Deactivate removes the installed plan.
+//
+//ihtl:allow-dead fault harness: the fault suites arm and read plans through it
 func Deactivate() { active.Store(nil) }
 
 // InjectedPanic is the panic value of a fired Panic rule. Recovery
@@ -243,6 +253,8 @@ func (a *armedRule) inWindow(h int64) bool {
 // seed and the site name (splitmix64 over the seed xor a site hash).
 // Randomised-point tests use it to pick injection points that vary
 // across seeds but are reproducible for any given one.
+//
+//ihtl:allow-dead fault harness: the randomised-point fault tests pick their hit index with it
 func SeededAfter(seed uint64, site Site, span int64) int64 {
 	if span <= 0 {
 		return 0

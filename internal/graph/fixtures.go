@@ -45,6 +45,8 @@ func PaperExample() *Graph {
 }
 
 // Path returns a directed path 0 -> 1 -> ... -> n-1.
+//
+//ihtl:allow-dead test fixture shared by the packages' tests
 func Path(n int) *Graph {
 	edges := make([]Edge, 0, n-1)
 	for i := 0; i+1 < n; i++ {
@@ -54,6 +56,8 @@ func Path(n int) *Graph {
 }
 
 // Cycle returns a directed cycle over n vertices.
+//
+//ihtl:allow-dead test fixture shared by the packages' tests
 func Cycle(n int) *Graph {
 	edges := make([]Edge, 0, n)
 	for i := 0; i < n; i++ {
@@ -64,6 +68,8 @@ func Cycle(n int) *Graph {
 
 // Star returns a graph where vertices 1..n-1 all point at vertex 0 —
 // the extreme in-hub case.
+//
+//ihtl:allow-dead test fixture shared by the packages' tests
 func Star(n int) *Graph {
 	edges := make([]Edge, 0, n-1)
 	for i := 1; i < n; i++ {
@@ -74,6 +80,8 @@ func Star(n int) *Graph {
 
 // Complete returns the complete directed graph on n vertices
 // (no self loops).
+//
+//ihtl:allow-dead test fixture shared by the packages' tests
 func Complete(n int) *Graph {
 	edges := make([]Edge, 0, n*(n-1))
 	for i := 0; i < n; i++ {

@@ -70,26 +70,3 @@ func IdentityPerm(n int) []VID {
 	}
 	return p
 }
-
-// InvertPerm returns the inverse permutation: if p[v] = w then
-// InvertPerm(p)[w] = v.
-func InvertPerm(p []VID) []VID {
-	inv := make([]VID, len(p))
-	for v, w := range p {
-		inv[w] = VID(v)
-	}
-	return inv
-}
-
-// ComposePerm returns the permutation applying first then second:
-// result[v] = second[first[v]].
-func ComposePerm(first, second []VID) []VID {
-	if len(first) != len(second) {
-		panic("graph: permutation length mismatch")
-	}
-	out := make([]VID, len(first))
-	for v := range first {
-		out[v] = second[first[v]]
-	}
-	return out
-}

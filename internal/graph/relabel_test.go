@@ -2,7 +2,6 @@ package graph
 
 import (
 	"testing"
-	"testing/quick"
 
 	"ihtl/internal/xrand"
 )
@@ -101,7 +100,11 @@ func TestRelabelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Relabel(ng, InvertPerm(perm))
+	inv := make([]VID, len(perm))
+	for v, w := range perm {
+		inv[w] = VID(v)
+	}
+	back, err := Relabel(ng, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,39 +118,5 @@ func TestRelabelRoundTrip(t *testing.T) {
 				t.Fatalf("round trip broke vertex %d", v)
 			}
 		}
-	}
-}
-
-func TestPermHelpers(t *testing.T) {
-	f := func(seed uint64) bool {
-		n := 1 + int(seed%97)
-		p := randomPerm(seed, n)
-		inv := InvertPerm(p)
-		// p ∘ inv = identity both ways.
-		for v := 0; v < n; v++ {
-			if inv[p[v]] != VID(v) || p[inv[v]] != VID(v) {
-				return false
-			}
-		}
-		id := ComposePerm(p, inv)
-		for v := 0; v < n; v++ {
-			if id[v] != VID(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestComposePermOrder(t *testing.T) {
-	// first sends 0->1, second sends 1->2; composition sends 0->2.
-	first := []VID{1, 2, 0}
-	second := []VID{0, 2, 1}
-	c := ComposePerm(first, second)
-	if c[0] != 2 {
-		t.Fatalf("ComposePerm order wrong: %v", c)
 	}
 }

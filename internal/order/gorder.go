@@ -31,7 +31,6 @@ func (GOrder) Name() string { return "gorder" }
 // keyHeap is a max-heap with lazy deletion: stale entries are skipped
 // at pop time by comparing against the live key array.
 type keyHeap struct {
-	keys    []int32
 	entries []heapEntry
 }
 
@@ -71,7 +70,7 @@ func (o GOrder) Permutation(g *graph.Graph) []graph.VID {
 
 	keys := make([]int32, n)
 	placed := make([]bool, n)
-	h := &keyHeap{keys: keys}
+	h := &keyHeap{}
 	heap.Init(h)
 
 	// adjustFor bumps the keys affected by u entering (+1) or leaving

@@ -27,18 +27,6 @@ type Algorithm interface {
 	Permutation(g *graph.Graph) []graph.VID
 }
 
-// Identity returns the identity ordering; useful as the "initial
-// order" baseline of Figure 1.
-type Identity struct{}
-
-// Name implements Algorithm.
-func (Identity) Name() string { return "identity" }
-
-// Permutation implements Algorithm.
-func (Identity) Permutation(g *graph.Graph) []graph.VID {
-	return graph.IdentityPerm(g.NumV)
-}
-
 // DegreeSort orders vertices by descending degree (hubs first), the
 // frequency-based ordering the paper notes "other locality optimizing
 // algorithms apply ... throughout" (§5.4).

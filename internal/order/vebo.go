@@ -131,15 +131,3 @@ func (v VEBO) assign(g *graph.Graph) [][]graph.VID {
 
 	return members
 }
-
-// PartitionBounds returns the vertex boundaries of the partitions in
-// the VEBO-ordered ID space (partition i is [bounds[i], bounds[i+1])),
-// for engines that schedule one partition per worker.
-func (v VEBO) PartitionBounds(g *graph.Graph) []int {
-	members := v.assign(g)
-	bounds := make([]int, len(members)+1)
-	for i, ms := range members {
-		bounds[i+1] = bounds[i] + len(ms)
-	}
-	return bounds
-}

@@ -103,11 +103,6 @@ func NewCountdowns(n int) *Countdowns {
 	return &Countdowns{counts: make([]atomic.Int64, n)}
 }
 
-// Len returns the number of latches.
-//
-//ihtl:noalloc
-func (c *Countdowns) Len() int { return len(c.counts) }
-
 // Reset arms every latch with its count from per (len(per) must equal
 // Len). It must not race with Done.
 //

@@ -93,11 +93,11 @@ func soloPPR(t *testing.T, enginePath string, workers int, src uint32, opt analy
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analytics.RunPersonalizedPageRank(eng, ih.OutDegrees(), pool, []int{int(ih.NewID[src])}, opt)
+	res, err := analytics.RunPersonalizedPageRankCtx(nil, eng, ih.OutDegrees(), pool, []int{int(ih.NewID[src])}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engRanks := res.Lane(0, nil)
+	engRanks := res.Ranks // one lane
 	out := make([]float64, len(engRanks))
 	for nv, r := range engRanks {
 		out[ih.OldID[nv]] = r

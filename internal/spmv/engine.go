@@ -223,9 +223,6 @@ func (e *Engine) forParts(nparts int, job func(w, lo, hi int)) {
 // NumVertices implements Stepper.
 func (e *Engine) NumVertices() int { return e.g.NumV }
 
-// Direction reports the engine's traversal direction.
-func (e *Engine) Direction() Direction { return e.dir }
-
 // Step implements Stepper. src and dst must have length NumV and must
 // not alias.
 //

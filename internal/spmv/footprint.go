@@ -43,19 +43,3 @@ func (e *Engine) BytesPerStep() int64 {
 		return 0
 	}
 }
-
-// ResidentTopologyBytes returns the bytes of topology (plus
-// topology-shaped scratch) the engine keeps resident: the CSR/CSC
-// arrays and the partitioned replica for PushPartitioned. The baselines have no compressed
-// form, so this is the flat footprint the iHTL varint encoding's
-// resident_bytes column is compared against.
-func (e *Engine) ResidentTopologyBytes() int64 {
-	g := e.g
-	V, E := int64(g.NumV), int64(g.NumE)
-	switch e.dir {
-	case PushPartitioned:
-		return e.parts.TopologyBytes()
-	default:
-		return 8*(V+1) + 4*E
-	}
-}

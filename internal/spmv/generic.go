@@ -76,27 +76,9 @@ func MinInt64() Monoid[int64] {
 	}
 }
 
-// MaxFloat64 is the max monoid over float64.
-func MaxFloat64() Monoid[float64] {
-	return Monoid[float64]{
-		Identity: -1e308,
-		Combine: func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		},
-	}
-}
-
 // BoolOr is the boolean-or monoid — the algebra of reachability.
 func BoolOr() Monoid[bool] {
 	return Monoid[bool]{Combine: func(a, b bool) bool { return a || b }}
-}
-
-// SumFloat64 is the ordinary sum, the monoid of the paper's SpMV.
-func SumFloat64() Monoid[float64] {
-	return Monoid[float64]{Combine: func(a, b float64) float64 { return a + b }}
 }
 
 // GenericStepper is the monoid analogue of Stepper.
@@ -122,6 +104,8 @@ type GenericEngine[T any] struct {
 // NewGenericEngine prepares a monoid engine over g. push selects the
 // buffered-push kernel (per-worker full-length buffers merged after
 // the pass), otherwise pull.
+//
+//ihtl:allow-dead monoid test reference: core.GenericEngine is held to it bit for bit
 func NewGenericEngine[T any](g *graph.Graph, pool *sched.Pool, m Monoid[T], push bool) (*GenericEngine[T], error) {
 	if g == nil || pool == nil {
 		return nil, fmt.Errorf("spmv: nil graph or pool")

@@ -6,10 +6,16 @@ import (
 	"ihtl/internal/graph"
 )
 
+// maxFloat64 is the max monoid over float64.
+var maxFloat64 = Monoid[float64]{
+	Identity: -1e308,
+	Combine:  func(a, b float64) float64 { return max(a, b) },
+}
+
 func TestGenericPullAndPushAgree(t *testing.T) {
 	g := graph.PaperExample()
 	for _, push := range []bool{false, true} {
-		e, err := NewGenericEngine(g, testPool, MaxFloat64(), push)
+		e, err := NewGenericEngine(g, testPool, maxFloat64, push)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,7 +29,7 @@ func TestGenericPullAndPushAgree(t *testing.T) {
 		dst := make([]float64, g.NumV)
 		e.StepMonoid(src, dst)
 		for v := 0; v < g.NumV; v++ {
-			want := MaxFloat64().Identity
+			want := maxFloat64.Identity
 			for _, u := range g.In(graph.VID(v)) {
 				if src[u] > want {
 					want = src[u]
@@ -58,10 +64,6 @@ func TestBoolOrAndSumMonoids(t *testing.T) {
 	if bo.Combine(false, true) != true || bo.Combine(false, false) != false || bo.Identity {
 		t.Fatal("BoolOr wrong")
 	}
-	sf := SumFloat64()
-	if sf.Combine(1.5, 2.5) != 4 || sf.Identity != 0 {
-		t.Fatal("SumFloat64 wrong")
-	}
 }
 
 func TestGenericStepPanicsOnBadLengths(t *testing.T) {
@@ -78,7 +80,7 @@ func TestGenericStepPanicsOnBadLengths(t *testing.T) {
 func TestEngineAccessors(t *testing.T) {
 	g := graph.Star(5)
 	e, _ := NewEngine(g, testPool, Pull, Options{})
-	if e.NumVertices() != g.NumV || e.Direction() != Pull {
+	if e.NumVertices() != g.NumV || e.dir != Pull {
 		t.Fatal("accessors wrong")
 	}
 }

@@ -9,14 +9,12 @@ import (
 // representation (paper reference [35]): edges are grouped into
 // partitions by destination range so that concurrent threads
 // processing different partitions can push without synchronisation —
-// all writes of partition p land in [VertexLo[p], VertexLo[p+1]).
+// all writes of partition p land in its own destination range.
 //
 // Each partition stores its own CSR over the *sources*, which
 // replicates the source index array per partition — the same topology
 // growth that Table 4 reports for iHTL's flipped blocks.
 type PushPartitions struct {
-	// VertexLo has nparts+1 destination-range boundaries.
-	VertexLo []int
 	// Parts holds one sub-CSR per partition.
 	Parts []PartCSR
 }
@@ -54,7 +52,7 @@ func BuildPushPartitions(g *graph.Graph, nparts int) *PushPartitions {
 		nparts = 1
 	}
 	bounds := sched.EdgeBalancedParts(g.InIndex, nparts)
-	pp := &PushPartitions{VertexLo: bounds, Parts: make([]PartCSR, nparts)}
+	pp := &PushPartitions{Parts: make([]PartCSR, nparts)}
 	for p := 0; p < nparts; p++ {
 		lo, hi := graph.VID(bounds[p]), graph.VID(bounds[p+1])
 		part := &pp.Parts[p]

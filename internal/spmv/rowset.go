@@ -29,15 +29,6 @@ func (s RowSet) Has(r int) bool { return s[r>>6]>>(uint(r)&63)&1 != 0 }
 //ihtl:noalloc
 func (s RowSet) Add(r int) { s[r>>6] |= 1 << (uint(r) & 63) }
 
-// AddRange puts rows [lo, hi) into the set.
-//
-//ihtl:noalloc
-func (s RowSet) AddRange(lo, hi int) {
-	for wi := lo >> 6; wi<<6 < hi; wi++ {
-		s[wi] |= RangeMask(wi, lo, hi)
-	}
-}
-
 // Count returns the number of rows in the set.
 //
 //ihtl:noalloc

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestRowSetRanges checks AddRange, RangeMask and Count against a
+// TestRowSetRanges checks Add, Has and Count against a
 // bit-at-a-time model for every [lo, hi) over three words, which covers
 // ranges inside a word, ending on a word edge and spanning words.
 func TestRowSetRanges(t *testing.T) {
@@ -13,13 +13,15 @@ func TestRowSetRanges(t *testing.T) {
 	for lo := 0; lo <= n; lo++ {
 		for hi := lo; hi <= n; hi++ {
 			s := NewRowSet(n)
-			s.AddRange(lo, hi)
+			for r := lo; r < hi; r++ {
+				s.Add(r)
+			}
 			if got := s.Count(); got != hi-lo {
-				t.Fatalf("AddRange(%d, %d): %d rows", lo, hi, got)
+				t.Fatalf("rows [%d, %d): %d rows", lo, hi, got)
 			}
 			for r := 0; r < n; r++ {
 				if s.Has(r) != (r >= lo && r < hi) {
-					t.Fatalf("AddRange(%d, %d): row %d = %v", lo, hi, r, s.Has(r))
+					t.Fatalf("rows [%d, %d): row %d = %v", lo, hi, r, s.Has(r))
 				}
 			}
 		}
@@ -39,7 +41,9 @@ func TestRowSetRanges(t *testing.T) {
 func TestRowSetPutSharedWord(t *testing.T) {
 	const n, workers = 1000, 7
 	s := NewRowSet(n)
-	s.AddRange(0, n)
+	for r := 0; r < n; r++ {
+		s.Add(r)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := w*n/workers, (w+1)*n/workers

@@ -109,31 +109,6 @@ func SimulatePull(g *graph.Graph, cfg cache.Config, byDegree bool) (SimStats, []
 	return collectStats(h), buckets
 }
 
-// SimulatePush replays a push-direction SpMV iteration with
-// unprotected random writes (the trace is identical for atomic or
-// partitioned push — protection does not change the reference
-// stream).
-func SimulatePush(g *graph.Graph, cfg cache.Config) SimStats {
-	h := cache.NewHierarchy(cfg)
-	var as cache.AddressSpace
-	outIndex := as.Alloc(g.NumV+1, 8)
-	outNbrs := as.Alloc(int(g.NumE), 4)
-	srcData := as.Alloc(g.NumV, VertexBytes)
-	dstData := as.Alloc(g.NumV, VertexBytes)
-
-	for v := 0; v < g.NumV; v++ {
-		h.ReadRange(outIndex.Addr(v), 16)
-		h.ReadRange(srcData.Addr(v), VertexBytes) // sequential source read
-		for i := g.OutIndex[v]; i < g.OutIndex[v+1]; i++ {
-			h.ReadRange(outNbrs.Addr(int(i)), 4)
-			// Random read-modify-write of the destination.
-			h.Read(dstData.Addr(int(g.OutNbrs[i])))
-			h.Write(dstData.Addr(int(g.OutNbrs[i])))
-		}
-	}
-	return collectStats(h)
-}
-
 func collectStats(h *cache.Hierarchy) SimStats {
 	loads, stores := h.MemoryAccesses()
 	s := SimStats{

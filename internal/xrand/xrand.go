@@ -78,11 +78,6 @@ func (x *Xoshiro256) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (x *Xoshiro256) Uint32() uint32 {
-	return uint32(x.Uint64() >> 32)
-}
-
 // Intn returns a uniformly distributed int in [0, n). It panics if
 // n <= 0. Lemire's multiply-shift rejection method is used to avoid
 // modulo bias without divisions in the common case.
@@ -133,33 +128,4 @@ func (x *Xoshiro256) Shuffle(n int, swap func(i, j int)) {
 		j := x.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Jump advances the generator by 2^128 steps, equivalent to 2^128
-// calls to Uint64. It is used to split one seed into non-overlapping
-// per-worker streams.
-func (x *Xoshiro256) Jump() {
-	jump := [4]uint64{0x180EC6D33CFD0ABA, 0xD5A61266F0C9392C, 0xA9582618E03FC9AA, 0x39ABDC4529B1661C}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				s0 ^= x.s[0]
-				s1 ^= x.s[1]
-				s2 ^= x.s[2]
-				s3 ^= x.s[3]
-			}
-			x.Uint64()
-		}
-	}
-	x.s[0], x.s[1], x.s[2], x.s[3] = s0, s1, s2, s3
-}
-
-// Split returns a new generator whose stream is guaranteed not to
-// overlap with the receiver's next 2^128 outputs. The receiver is
-// advanced past the returned generator's stream.
-func (x *Xoshiro256) Split() *Xoshiro256 {
-	child := *x
-	x.Jump()
-	return &child
 }

@@ -102,20 +102,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitStreamsDiffer(t *testing.T) {
-	parent := New(5)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split streams overlap: %d/100 identical draws", same)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	rng := New(11)
 	for i := 0; i < 10000; i++ {
@@ -219,21 +205,6 @@ func BenchmarkXoshiroUint64(b *testing.B) {
 		sink += rng.Uint64()
 	}
 	_ = sink
-}
-
-func TestUint32Distribution(t *testing.T) {
-	rng := New(23)
-	var hi, lo int
-	for i := 0; i < 10000; i++ {
-		if rng.Uint32() >= 1<<31 {
-			hi++
-		} else {
-			lo++
-		}
-	}
-	if hi < 4500 || lo < 4500 {
-		t.Fatalf("Uint32 skewed: hi=%d lo=%d", hi, lo)
-	}
 }
 
 func TestPowerLawDegreesInvalid(t *testing.T) {

@@ -11,16 +11,15 @@ import "math"
 // monotone discrete distributions", 1996), the same algorithm as
 // math/rand.Zipf, reimplemented on top of Xoshiro256 for determinism.
 type Zipf struct {
-	rng                 *Xoshiro256
-	imax                float64
-	v                   float64
-	q                   float64
-	s                   float64
-	oneminusQ           float64
-	oneminusQinv        float64
-	hxm                 float64
-	hx0minusHxm         float64
-	generalizedHarmonic float64
+	rng          *Xoshiro256
+	imax         float64
+	v            float64
+	q            float64
+	s            float64
+	oneminusQ    float64
+	oneminusQinv float64
+	hxm          float64
+	hx0minusHxm  float64
 }
 
 // NewZipf returns a Zipf sampler over [0, n) with exponent s > 1 and
