@@ -183,7 +183,7 @@ func NewPool(workers int) *Pool { return sched.NewPool(workers) }
 
 // BuildGraph constructs a graph from an edge list over [0, numV),
 // deduplicating edges and removing zero-degree vertices as the paper
-// does for its datasets. It builds sequentially; use BuildGraphOn to
+// does for its datasets. It builds on one worker; use BuildGraphOn to
 // build across a pool's workers.
 func BuildGraph(numV int, edges []Edge) (*Graph, error) {
 	return BuildGraphOn(nil, numV, edges)
@@ -192,8 +192,9 @@ func BuildGraph(numV int, edges []Edge) (*Graph, error) {
 // BuildGraphOn is BuildGraph parallelised on pool: the bucketing of
 // the edge list, the two transpositions that order every adjacency
 // list, dedup and zero-degree compaction all run across the pool's
-// workers and produce a graph bit-for-bit identical to the sequential
-// build. A nil pool builds sequentially.
+// workers and produce a graph bit-for-bit the same for every worker
+// count. A nil pool is one worker: the same passes on a private
+// one-worker pool.
 func BuildGraphOn(pool *Pool, numV int, edges []Edge) (*Graph, error) {
 	return BuildGraphCtx(nil, pool, numV, edges)
 }
@@ -220,9 +221,9 @@ func GenerateRMAT(scale, edgeFactor int, seed uint64) (*Graph, error) {
 }
 
 // GenerateRMATOn is GenerateRMAT with the graph build parallelised on
-// pool. The edge stream is deterministic and the parallel build is
-// bit-for-bit identical to the sequential one, so the resulting graph
-// does not depend on the pool or its worker count.
+// pool (a nil pool is one worker). The edge stream is deterministic and
+// the build is bit-for-bit the same for every worker count, so the
+// resulting graph does not depend on the pool.
 func GenerateRMATOn(pool *Pool, scale, edgeFactor int, seed uint64) (*Graph, error) {
 	cfg := gen.DefaultRMAT(scale, edgeFactor, seed)
 	cfg.Pool = pool
@@ -236,7 +237,8 @@ func GenerateWeb(n int, seed uint64) (*Graph, error) {
 }
 
 // GenerateWebOn is GenerateWeb with the graph build parallelised on
-// pool; like GenerateRMATOn the result is independent of the pool.
+// pool (a nil pool is one worker); like GenerateRMATOn the result is
+// independent of the pool.
 func GenerateWebOn(pool *Pool, n int, seed uint64) (*Graph, error) {
 	cfg := gen.DefaultWeb(n, seed)
 	cfg.Pool = pool

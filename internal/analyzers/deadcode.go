@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
+	"strconv"
 	"strings"
 )
 
@@ -30,6 +32,11 @@ import (
 // heap.Interface, types.Importer): the call goes through the interface
 // and no static use names it. Interface methods and embedded fields are
 // not judged.
+//
+// A field is reached only where it is read. A write is not a use: a
+// composite-literal key, the left side of an assignment or op-assign,
+// and the operand of ++/--. A field with a json struct tag counts as
+// read, because encoding/json reads it through reflection.
 //
 // Like the call graph the other module passes walk, the pass
 // under-approximates: an identifier reached only from other dead code
@@ -77,6 +84,7 @@ type deadCandidate struct {
 	what   string // "method Engine.Step"
 	lo, hi token.Pos
 	pass   *Pass
+	json   bool // a field with a json struct tag
 }
 
 // reportDeadCode runs the pass over passes, judging the packages under
@@ -92,6 +100,11 @@ func reportDeadCode(passes []*Pass, root string) {
 	}
 
 	reached := make(map[types.Object]bool)
+	for _, c := range byObj {
+		if c.json {
+			reached[c.obj] = true
+		}
+	}
 	for _, pass := range passes {
 		// A receiver names the method's owner; it does not use the type.
 		recv := make(map[*ast.Ident]bool)
@@ -107,8 +120,9 @@ func reportDeadCode(passes []*Pass, root string) {
 				}
 			}
 		}
+		writes := fieldWrites(pass)
 		for id, obj := range pass.Info.Uses {
-			if c := byObj[originOf(obj)]; c != nil && !recv[id] && (id.Pos() < c.lo || id.Pos() >= c.hi) {
+			if c := byObj[originOf(obj)]; c != nil && !recv[id] && !writes[id] && (id.Pos() < c.lo || id.Pos() >= c.hi) {
 				reached[c.obj] = true
 			}
 		}
@@ -132,13 +146,53 @@ func reportDeadCode(passes []*Pass, root string) {
 
 	for _, c := range byObj { // RunAnalyzers sorts what this reports
 		waived := c.pass.suppressed(c.obj.Pos(), "allow-dead")
+		used, uses := "referenced", "references"
+		if isField(c.obj) {
+			used, uses = "read", "reads"
+		}
 		switch {
 		case !reached[c.obj] && !waived:
-			c.pass.Reportf(c.obj.Pos(), "exported %s is referenced by no non-test code; delete it or waive with //ihtl:allow-dead <reason>", c.what)
+			c.pass.Reportf(c.obj.Pos(), "exported %s is %s by no non-test code; delete it or waive with //ihtl:allow-dead <reason>", c.what, used)
 		case reached[c.obj] && waived:
-			c.pass.Reportf(c.obj.Pos(), "//ihtl:allow-dead on %s, which non-test code references; drop the waiver", c.what)
+			c.pass.Reportf(c.obj.Pos(), "//ihtl:allow-dead on %s, which non-test code %s; drop the waiver", c.what, uses)
 		}
 	}
+}
+
+// isField reports whether obj is a struct field.
+func isField(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && v.IsField()
+}
+
+// fieldWrites returns the identifiers of pass that name a struct field
+// only to write it: a composite-literal key, the selector on the left
+// of an assignment or op-assign, and the operand of ++/--.
+func fieldWrites(pass *Pass) map[*ast.Ident]bool {
+	writes := make(map[*ast.Ident]bool)
+	lhs := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok && isField(pass.Info.Uses[sel.Sel]) {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					lhs(e)
+				}
+			case *ast.IncDecStmt:
+				lhs(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok && isField(pass.Info.Uses[id]) {
+					writes[id] = true
+				}
+			}
+			return true
+		})
+	}
+	return writes
 }
 
 // addDeadCandidates adds to cands every exported package-level func,
@@ -166,6 +220,11 @@ func addDeadCandidates(pass *Pass, f *ast.File, cands map[types.Object]*deadCand
 						for _, field := range st.Fields.List {
 							for _, id := range field.Names {
 								add(id, "field "+s.Name.Name+"."+id.Name, field)
+								if c := cands[pass.Info.Defs[id]]; c != nil && field.Tag != nil {
+									tag, _ := strconv.Unquote(field.Tag.Value)
+									name, ok := reflect.StructTag(tag).Lookup("json")
+									c.json = ok && name != "-"
+								}
 							}
 						}
 					}

@@ -29,7 +29,39 @@ func Recursive(n int) int { // want `exported func Recursive is referenced`
 // Config is built by the root package, which never reads Unread.
 type Config struct {
 	Set    int
-	Unread int // want `exported field Config.Unread is referenced`
+	Unread int // want `exported field Config.Unread is read by no non-test code`
+}
+
+// Written is built and updated by the root package, which reads only
+// Read: a write is not a use, but a json tag is a reader.
+type Written struct {
+	Keyed       int // want `exported field Written.Keyed is read by no non-test code`
+	Assigned    int // want `exported field Written.Assigned is read`
+	OpAssigned  int // want `exported field Written.OpAssigned is read`
+	Incremented int // want `exported field Written.Incremented is read`
+	Decremented int // want `exported field Written.Decremented is read`
+	Read        int
+	Encoded     int `json:"encoded"`
+	Skipped     int `json:"-"`     // want `exported field Written.Skipped is read`
+	Tagged      int `xml:"tagged"` // want `exported field Written.Tagged is read`
+}
+
+// Reads has Dst op-assigned from Src: the right side reads Src.
+type Reads struct {
+	Src int
+	Dst int // want `exported field Reads.Dst is read`
+}
+
+// Kept waives a field that is only written.
+type Kept struct {
+	//ihtl:allow-dead kept for the fixture
+	Written int
+}
+
+// Stale waives a field the root package reads.
+type Stale struct {
+	//ihtl:allow-dead stale
+	Read int // want `//ihtl:allow-dead on field Stale.Read, which non-test code reads; drop the waiver`
 }
 
 // Pub is aliased by the root package.

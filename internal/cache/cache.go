@@ -58,9 +58,8 @@ type Config struct {
 	Levels   []LevelConfig
 	// ModelPrefetch treats sequential (ReadRange) accesses as covered
 	// by the hardware prefetcher: they still install lines — and so
-	// still displace other data — but their misses are tallied in a
-	// separate prefetchedMisses counter rather than the demand-miss
-	// statistics. This mirrors the paper's observation that the
+	// still displace other data — but their misses stay out of the
+	// demand-miss statistics. This mirrors the paper's observation that the
 	// streamed topology/buffer accesses are "sequential, i.e.,
 	// assisted by prefetching" (§4.3), leaving the demand misses to
 	// reflect the random vertex-data accesses the paper's analysis
@@ -219,9 +218,6 @@ type Hierarchy struct {
 	loads         uint64
 	stores        uint64
 	modelPrefetch bool
-	// prefetchedMisses counts last-level misses of prefetch-covered
-	// (sequential) accesses when ModelPrefetch is on.
-	prefetchedMisses uint64
 }
 
 // NewHierarchy builds a Hierarchy from cfg. It panics on an invalid
@@ -257,7 +253,7 @@ func (h *Hierarchy) Write(addr uint64) {
 // ReadRange simulates a sequential load of n bytes starting at addr,
 // touching each line once (the access pattern of streaming through
 // topology arrays). Under Config.ModelPrefetch these accesses count
-// as loads but their misses go to prefetchedMisses.
+// as loads but not in the demand statistics.
 func (h *Hierarchy) ReadRange(addr uint64, n int) {
 	if n <= 0 {
 		return
@@ -287,15 +283,11 @@ func (h *Hierarchy) referLine(line uint64) {
 }
 
 // referLineUncounted installs/touches the line at every level without
-// recording demand statistics; a last-level miss is tallied as a
-// prefetched miss.
+// recording demand statistics.
 func (h *Hierarchy) referLineUncounted(line uint64) {
-	for i, lv := range h.levels {
+	for _, lv := range h.levels {
 		if lv.access(line, false) {
 			return
-		}
-		if i == len(h.levels)-1 {
-			h.prefetchedMisses++
 		}
 	}
 }

@@ -256,9 +256,6 @@ func TestModelPrefetchSeparatesStreamMisses(t *testing.T) {
 	if m := h.Stats(L2).Misses; m != 0 {
 		t.Fatalf("streamed misses leaked into demand stats: %d", m)
 	}
-	if p := h.prefetchedMisses; p != 16 {
-		t.Fatalf("prefetched misses = %d, want 16", p)
-	}
 	if l, _ := h.MemoryAccesses(); l != 16 {
 		t.Fatalf("streamed loads not counted: %d", l)
 	}
@@ -284,8 +281,5 @@ func TestNoPrefetchCountsStreamAsDemand(t *testing.T) {
 	h.ReadRange(0, 16*64)
 	if m := h.Stats(L1).Misses; m != 16 {
 		t.Fatalf("expected 16 demand misses, got %d", m)
-	}
-	if h.prefetchedMisses != 0 {
-		t.Fatal("prefetched misses counted with model off")
 	}
 }

@@ -136,17 +136,18 @@ const (
 	classHub
 )
 
-// Build constructs the iHTL graph of g per §3.2-3.3, sequentially.
+// Build constructs the iHTL graph of g per §3.2-3.3 on one worker: it
+// is BuildWith with a nil pool.
 func Build(g *graph.Graph, p Params) (*IHTL, error) {
 	return BuildWith(g, p, nil)
 }
 
 // BuildWith is Build parallelised on pool: hub ranking, vertex
 // classification, relabeling and block construction all run across
-// the pool's workers, producing output bit-for-bit identical to the
-// sequential Build. A nil pool (or a one-worker pool) selects the
-// sequential path. The phase breakdown of either path is available
-// through (*IHTL).BuildStats afterwards.
+// the pool's workers, producing output bit-for-bit the same for every
+// worker count. A nil pool is one worker: the build opens a private
+// one-worker pool and closes it before returning. The phase breakdown
+// is available through (*IHTL).BuildStats afterwards.
 func BuildWith(g *graph.Graph, p Params, pool *sched.Pool) (*IHTL, error) {
 	return BuildWithCtx(nil, g, p, pool)
 }
@@ -161,9 +162,9 @@ var errCoreBuildAborted = errors.New("core: build aborted")
 // fallible pool region, so cancelling ctx stops in-flight passes at
 // their next chunk claim and returns ctx.Err() between phases, and a
 // panic in any pool worker comes back as a *sched.PanicError instead
-// of crashing the process. ctx may be nil (no cancellation); a nil or
-// single-worker pool runs sequentially with the same between-phase
-// ctx checks.
+// of crashing the process. ctx may be nil (no cancellation). A nil
+// pool runs the same passes on a private one-worker pool, closed on
+// every return, with the same failure contract.
 func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Pool) (ih *IHTL, err error) {
 	start := time.Now()
 	if g == nil {
@@ -173,22 +174,21 @@ func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Poo
 		return nil, err
 	}
 	rp := p.withDefaults()
-	if pool != nil && pool.Workers() <= 1 {
-		pool = nil
+	if pool == nil {
+		pool = sched.NewPool(1)
+		defer pool.Close()
 	}
-	if pool != nil {
-		end, ferr := pool.Fallible(ctx)
-		if ferr != nil {
-			return nil, ferr
+	end, err := pool.Fallible(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if rerr := end(); rerr != nil {
+			ih, err = nil, rerr
 		}
-		defer func() {
-			if rerr := end(); rerr != nil {
-				ih, err = nil, rerr
-			}
-		}()
-	}
+	}()
 	check := func() error {
-		if pool != nil && pool.Aborted() {
+		if pool.Aborted() {
 			return errCoreBuildAborted
 		}
 		if ctx != nil {
@@ -204,15 +204,10 @@ func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Poo
 		ih.buildStats.Wall = time.Since(start)
 		return ih, nil
 	}
-	clk := make([]buildClock, sched.Parts(pool))
+	clk := make([]buildClock, pool.Workers())
 
 	t := time.Now()
-	var ranked []graph.VID
-	if pool == nil {
-		ranked = rankByInDegree(g)
-	} else {
-		ranked = rankByInDegreePar(g, pool, clk)
-	}
+	ranked := rankByInDegree(g, pool, clk)
 	ih.buildStats.Rank = time.Since(t)
 	if err := check(); err != nil {
 		return nil, err
@@ -257,12 +252,10 @@ func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Poo
 	if got := ih.FlippedEdges() + ih.Sparse.NumEdges(); got != g.NumE {
 		return nil, fmt.Errorf("core: internal error: blocks cover %d edges, want %d", got, g.NumE)
 	}
-	if pool != nil { // busy time is a parallel-build statistic
-		for i := range clk {
-			ih.buildStats.RankBusy += clk[i].rank
-			ih.buildStats.RelabelBusy += clk[i].relabel
-			ih.buildStats.BlocksBusy += clk[i].blocks
-		}
+	for i := range clk {
+		ih.buildStats.RankBusy += clk[i].rank
+		ih.buildStats.RelabelBusy += clk[i].relabel
+		ih.buildStats.BlocksBusy += clk[i].blocks
 	}
 	ih.buildStats.Wall = time.Since(start)
 	return ih, nil
@@ -270,7 +263,7 @@ func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Poo
 
 // relabel classifies every vertex (hub / VWEH / FV) and fills the
 // NewID/OldID arrays (Figure 4): hubs in rank order, then VWEH, then
-// FV — each class in original order (§3.2), or reordered under the
+// FV — each class in original order (§3.2), then reordered under the
 // DegreeSortClasses / SparseOrder ablations.
 func relabel(g *graph.Graph, ih *IHTL, ranked []graph.VID, rp Params, pool *sched.Pool, clk []buildClock) {
 	numHubs := ih.NumHubs
@@ -278,97 +271,74 @@ func relabel(g *graph.Graph, ih *IHTL, ranked []graph.VID, rp Params, pool *sche
 	ih.NewID = make([]graph.VID, g.NumV)
 	ih.OldID = make([]graph.VID, g.NumV)
 
-	// Classify. The sequential pass walks the in-edges of every hub;
-	// the parallel pass flips the direction — each worker scans the
-	// out-edges of its own vertices for a hub destination — so every
-	// class[v] has exactly one writer. The two define the same VWEH
-	// set: s has an edge into some hub h iff h appears in Out(s).
-	if pool == nil {
-		for i := 0; i < numHubs; i++ {
-			class[ranked[i]] = classHub
-		}
-		for i := 0; i < numHubs; i++ {
-			for _, s := range g.In(ranked[i]) {
-				if class[s] == classFV {
-					class[s] = classVWEH
-				}
-			}
-		}
-	} else {
-		isHub := make([]bool, g.NumV)
-		pool.ForStatic(numHubs, func(worker, lo, hi int) {
-			faultinject.Fire(faultinject.SiteBuildFill)
-			t := time.Now()
-			markHubs(isHub, ranked, lo, hi)
-			c := &clk[worker]
-			c.relabel += time.Since(t)
-		})
-		pool.ForDynamic(g.NumV, 1024, func(worker, lo, hi int) {
-			t := time.Now()
-			classifyRange(g, isHub, class, lo, hi)
-			c := &clk[worker]
-			c.relabel += time.Since(t)
-		})
-	}
+	// Classify: each worker scans the out-edges of its own vertices for
+	// a hub destination, so every class[v] has exactly one writer. s has
+	// an edge into some hub h iff h appears in Out(s), so this is the
+	// VWEH set of §3.2, the sources of the hubs' in-edges.
+	isHub := make([]bool, g.NumV)
+	pool.ForStatic(numHubs, func(worker, lo, hi int) {
+		faultinject.Fire(faultinject.SiteBuildFill)
+		t := time.Now()
+		markHubs(isHub, ranked, lo, hi)
+		c := &clk[worker]
+		c.relabel += time.Since(t)
+	})
+	pool.ForDynamic(g.NumV, 1024, func(worker, lo, hi int) {
+		t := time.Now()
+		classifyRange(g, isHub, class, lo, hi)
+		c := &clk[worker]
+		c.relabel += time.Since(t)
+	})
 
 	// Hubs take new IDs [0, numHubs) in rank order.
-	if pool == nil {
-		for i := 0; i < numHubs; i++ {
-			ih.OldID[i] = ranked[i]
-			ih.NewID[ranked[i]] = graph.VID(i)
-		}
-	} else {
-		pool.ForStatic(numHubs, func(worker, lo, hi int) {
-			faultinject.Fire(faultinject.SiteBuildFill)
-			t := time.Now()
-			assignHubs(ih.NewID, ih.OldID, ranked, lo, hi)
-			c := &clk[worker]
-			c.relabel += time.Since(t)
-		})
-	}
+	pool.ForStatic(numHubs, func(worker, lo, hi int) {
+		faultinject.Fire(faultinject.SiteBuildFill)
+		t := time.Now()
+		assignHubs(ih.NewID, ih.OldID, ranked, lo, hi)
+		c := &clk[worker]
+		c.relabel += time.Since(t)
+	})
 
-	// rankWithin orders class members under the SparseOrder extension
-	// (§6: apply e.g. Rabbit-Order to the sparse block): nil means
-	// original order.
-	var rankWithin []graph.VID
-	if rp.SparseOrder != nil {
-		rankWithin = rp.SparseOrder.Permutation(g)
-	}
-	if pool != nil && !rp.DegreeSortClasses && rankWithin == nil {
-		ih.NumVWEH = assignClassPar(ih, class, classVWEH, numHubs, pool, clk)
-		ih.NumFV = assignClassPar(ih, class, classFV, numHubs+ih.NumVWEH, pool, clk)
+	ih.NumVWEH = assignClassPar(ih, class, classVWEH, numHubs, pool, clk)
+	ih.NumFV = assignClassPar(ih, class, classFV, numHubs+ih.NumVWEH, pool, clk)
+	reorderClasses(g, ih, rp)
+}
+
+// reorderClasses applies the DegreeSortClasses / SparseOrder ablations
+// after the class assignment: the VWEH and FV ranges of OldID, each in
+// ascending original ID, are sorted by the ablation's key and the
+// matching NewID entries rewritten. Both keys are total orders (the
+// degree sort breaks ties by ID, SparseOrder is a permutation), so the
+// result does not depend on the order the ranges held before.
+func reorderClasses(g *graph.Graph, ih *IHTL, rp Params) {
+	var compare func(a, b graph.VID) int
+	switch {
+	case rp.DegreeSortClasses:
+		compare = func(a, b graph.VID) int {
+			if c := cmp.Compare(g.Degree(b), g.Degree(a)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		}
+	case rp.SparseOrder != nil:
+		// rankWithin orders class members under the SparseOrder
+		// extension (§6: apply e.g. Rabbit-Order to the sparse block).
+		rankWithin := rp.SparseOrder.Permutation(g)
+		compare = func(a, b graph.VID) int {
+			return cmp.Compare(rankWithin[a], rankWithin[b])
+		}
+	default:
 		return
 	}
-	next := numHubs
-	assignClass := func(want uint8) int {
-		members := make([]graph.VID, 0)
-		for v := 0; v < g.NumV; v++ {
-			if class[v] == want {
-				members = append(members, graph.VID(v))
-			}
+	lo := ih.NumHubs
+	for _, hi := range []int{lo + ih.NumVWEH, g.NumV} {
+		members := ih.OldID[lo:hi]
+		slices.SortFunc(members, compare)
+		for i, v := range members {
+			ih.NewID[v] = graph.VID(lo + i)
 		}
-		switch {
-		case rp.DegreeSortClasses:
-			slices.SortFunc(members, func(a, b graph.VID) int {
-				if c := cmp.Compare(g.Degree(b), g.Degree(a)); c != 0 {
-					return c
-				}
-				return cmp.Compare(a, b)
-			})
-		case rankWithin != nil:
-			slices.SortFunc(members, func(a, b graph.VID) int {
-				return cmp.Compare(rankWithin[a], rankWithin[b])
-			})
-		}
-		for _, v := range members {
-			ih.OldID[next] = v
-			ih.NewID[v] = graph.VID(next)
-			next++
-		}
-		return len(members)
+		lo = hi
 	}
-	ih.NumVWEH = assignClass(classVWEH)
-	ih.NumFV = assignClass(classFV)
 }
 
 //ihtl:noalloc
@@ -406,8 +376,8 @@ func assignHubs(newID, oldID, ranked []graph.VID, lo, hi int) {
 }
 
 // assignClassPar gives the members of one class their new IDs
-// starting at base, in ascending original-ID order — the same order
-// as the sequential scan — via a per-worker count/prefix/fill pass.
+// starting at base, in ascending original-ID order, via a per-worker
+// count/prefix/fill pass.
 func assignClassPar(ih *IHTL, class []uint8, want uint8, base int, pool *sched.Pool, clk []buildClock) int {
 	w := pool.Workers()
 	counts := make([]int64, w+1)
@@ -456,28 +426,13 @@ func fillClass(class []uint8, lo, hi int, want uint8, next int, newID, oldID []g
 
 // rankByInDegree returns vertex IDs sorted by descending in-degree,
 // ties broken by ascending ID for determinism. Degrees are bounded by
-// NumE, so an O(V + maxDegree) counting sort replaces the previous
-// O(V log V) comparison sort: bucket starts are laid out from the
-// highest degree down, and an ascending-ID scatter preserves the tie
-// order.
-func rankByInDegree(g *graph.Graph) []graph.VID {
-	n := g.NumV
-	ranked := make([]graph.VID, n)
-	maxDeg := maxInDegree(g, 0, n)
-	counts := make([]int64, maxDeg+1)
-	countDegrees(g, 0, n, counts)
-	descendingStarts(counts)
-	scatterRank(g, 0, n, counts, ranked)
-	return ranked
-}
-
-// rankByInDegreePar is rankByInDegree across the pool: per-worker
-// degree histograms over contiguous vertex ranges, a descending-degree
-// prefix over the folded totals, per-(degree,worker) scatter cursors,
-// and a per-worker scatter. Workers own ascending vertex ranges and
-// scatter ascending, so ties land in ascending-ID order — bit-for-bit
-// the sequential result.
-func rankByInDegreePar(g *graph.Graph, pool *sched.Pool, clk []buildClock) []graph.VID {
+// NumE, so an O(V + maxDegree) counting sort runs across the pool:
+// per-worker degree histograms over contiguous vertex ranges, a
+// descending-degree prefix over the folded totals, per-(degree,worker)
+// scatter cursors, and a per-worker scatter. Workers own ascending
+// vertex ranges and scatter ascending, so ties land in ascending-ID
+// order for every worker count.
+func rankByInDegree(g *graph.Graph, pool *sched.Pool, clk []buildClock) []graph.VID {
 	n := g.NumV
 	w := pool.Workers()
 	maxs := make([]int, w)
@@ -596,10 +551,10 @@ func scatterRank(g *graph.Graph, lo, hi int, cursor []int64, ranked []graph.VID)
 // share of the block's hubs into its own bitset over all vertices, and
 // the bitsets are then folded, cleared and popcounted per word range.
 // |FVᵢ| is an exact integer, so the admission is the same for every
-// worker count, and a nil pool is the one-part case.
+// worker count.
 func selectHubs(g *graph.Graph, ranked []graph.VID, p Params, pool *sched.Pool) (numHubs, blocks, minDeg int) {
 	b := p.HubsPerBlock
-	nparts := sched.Parts(pool)
+	nparts := pool.Workers()
 	nw := (g.NumV + 63) / 64
 	var sets []uint64 // nparts bitsets of nw words, all zero between blocks
 	counts := make([]int, nparts)
@@ -795,7 +750,7 @@ func selectHubsFast(g *graph.Graph, ranked []graph.VID, p Params) (numHubs, bloc
 // ever sorted — and the same for every worker count.
 func transposeRelabelled(ih *IHTL, adjIndex []int64, adjNbrs []graph.VID, rowLo, rowHi, numKeys int, pool *sched.Pool, clk []buildClock) ([]int64, []graph.VID) {
 	rows := ih.OldID[rowLo:rowHi]
-	bounds := sched.EdgeBalancedPartsList(adjIndex, rows, sched.Parts(pool))
+	bounds := sched.EdgeBalancedPartsList(adjIndex, rows, pool.Workers())
 	return sched.ScatterByKey(pool, numKeys, len(bounds)-1, func(worker, part int, cursor []int64, out []graph.VID) {
 		faultinject.Fire(faultinject.SiteBuildFill)
 		t := time.Now()
@@ -882,7 +837,7 @@ func buildSparseBlock(g *graph.Graph, ih *IHTL, pool *sched.Pool, clk []buildClo
 	sp.DestLo = ih.NumHubs
 	rows := ih.OldID[sp.DestLo:]
 	n := len(rows)
-	nparts := sched.Parts(pool)
+	nparts := pool.Workers()
 	sp.Index = make([]int64, n+1)
 	sched.ForParts(pool, nparts, func(worker, part int) {
 		faultinject.Fire(faultinject.SiteBuildFill)

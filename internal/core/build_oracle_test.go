@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 
 	"ihtl/internal/gen"
@@ -49,6 +50,70 @@ func oracleBlocks(g *graph.Graph, ih *IHTL) (blocks []FlippedBlock, sparse Spars
 		sparse.Index = append(sparse.Index, int64(len(sparse.Srcs)))
 	}
 	return blocks, sparse
+}
+
+// oracleRelabel is the relabeling of §3.2 (Figure 4) written from the
+// definitions, sharing no code with relabel: the hubs are the first
+// ih.NumHubs vertices of a comparison-sorted in-degree ranking, in rank
+// order; the VWEH are the other vertices with an out-edge into a hub,
+// found by walking the hubs' in-lists; the FV are the rest. Each class
+// is ordered by ascending original ID, or by the ablation's key. It
+// returns OldID and the VWEH count.
+func oracleRelabel(g *graph.Graph, numHubs int, p Params) (oldID []graph.VID, numVWEH int) {
+	ranked := make([]graph.VID, g.NumV)
+	for v := range ranked {
+		ranked[v] = graph.VID(v)
+	}
+	sort.SliceStable(ranked, func(i, j int) bool { return g.InDegree(ranked[i]) > g.InDegree(ranked[j]) })
+	hub := make(map[graph.VID]bool, numHubs)
+	for _, h := range ranked[:numHubs] {
+		hub[h] = true
+	}
+	reachesHub := make(map[graph.VID]bool)
+	for _, h := range ranked[:numHubs] {
+		for _, s := range g.In(h) {
+			reachesHub[s] = true
+		}
+	}
+	var vweh, fv []graph.VID
+	for v := 0; v < g.NumV; v++ {
+		switch u := graph.VID(v); {
+		case hub[u]:
+		case reachesHub[u]:
+			vweh = append(vweh, u)
+		default:
+			fv = append(fv, u)
+		}
+	}
+	for _, class := range [][]graph.VID{vweh, fv} {
+		switch {
+		case p.DegreeSortClasses:
+			sort.SliceStable(class, func(i, j int) bool { return g.Degree(class[i]) > g.Degree(class[j]) })
+		case p.SparseOrder != nil:
+			pos := p.SparseOrder.Permutation(g)
+			sort.Slice(class, func(i, j int) bool { return pos[class[i]] < pos[class[j]] })
+		}
+	}
+	oldID = append(append(append([]graph.VID{}, ranked[:numHubs]...), vweh...), fv...)
+	return oldID, len(vweh)
+}
+
+// requireRelabelMatchesOracle holds ih's class counts, OldID and NewID
+// to oracleRelabel.
+func requireRelabelMatchesOracle(t *testing.T, label string, g *graph.Graph, ih *IHTL, p Params) {
+	t.Helper()
+	oldID, numVWEH := oracleRelabel(g, ih.NumHubs, p)
+	if ih.NumVWEH != numVWEH || ih.NumFV != g.NumV-ih.NumHubs-numVWEH {
+		t.Fatalf("%s: VWEH/FV = %d/%d, reference %d/%d", label, ih.NumVWEH, ih.NumFV, numVWEH, g.NumV-ih.NumHubs-numVWEH)
+	}
+	if !slices.Equal(ih.OldID, oldID) {
+		t.Fatalf("%s: OldID deviates from the class-by-class reference", label)
+	}
+	for n, v := range oldID {
+		if ih.NewID[v] != graph.VID(n) {
+			t.Fatalf("%s: NewID[%d] = %d, want %d", label, v, ih.NewID[v], n)
+		}
+	}
 }
 
 func requireBlocksMatchOracle(t *testing.T, label string, g *graph.Graph, ih *IHTL) {
@@ -123,11 +188,12 @@ func oracleGraphs(t *testing.T) map[string]*graph.Graph {
 	return graphs
 }
 
-// TestBuildBlocksMatchSortOracle compares every block array of
-// Build/BuildWith with the fill-then-sort reference, over every graph
-// shape, parameter variant (multi-block, the fast select and both
-// ablation orderings included) and worker count, and checks every
-// sparse row against the smallest hub's in-degree.
+// TestBuildBlocksMatchSortOracle compares the relabeling of
+// Build/BuildWith with the class-by-class reference and every block
+// array with the fill-then-sort reference, over every graph shape,
+// parameter variant (multi-block, the fast select and both ablation
+// orderings included) and worker count, and checks every sparse row
+// against the smallest hub's in-degree.
 func TestBuildBlocksMatchSortOracle(t *testing.T) {
 	variants := map[string]Params{
 		"default":     {HubsPerBlock: 256},
@@ -156,6 +222,7 @@ func TestBuildBlocksMatchSortOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
+				requireRelabelMatchesOracle(t, label, g, ih, p)
 				requireBlocksMatchOracle(t, label, g, ih)
 				if vname == "nohub-degreesort" {
 					if ih.NumHubs != 0 {
@@ -250,7 +317,7 @@ func TestSelectHubsMatchesSerialReference(t *testing.T) {
 		if g.NumV == 0 {
 			continue
 		}
-		ranked := rankByInDegree(g)
+		ranked := rankByInDegree(g, testPool, make([]buildClock, testPool.Workers()))
 		for pname, p := range params {
 			rp := p.withDefaults()
 			wantHubs, wantBlocks, wantMin := selectHubsRef(g, ranked, rp)
@@ -267,15 +334,10 @@ func TestSelectHubsMatchesSerialReference(t *testing.T) {
 			case wantBlocks > 0 && g.InDegree(ranked[wantHubs]) >= rp.MinHubDegree:
 				stops["threshold"] = true
 			}
-			for _, w := range []int{0, 1, 2, 3, 6} {
-				var pool *sched.Pool
-				if w > 0 {
-					pool = sched.NewPool(w)
-				}
+			for _, w := range []int{1, 2, 3, 6} {
+				pool := sched.NewPool(w)
 				hubs, blocks, minDeg := selectHubs(g, ranked, rp, pool)
-				if pool != nil {
-					pool.Close()
-				}
+				pool.Close()
 				if hubs != wantHubs || blocks != wantBlocks || minDeg != wantMin {
 					t.Fatalf("%s/%s/w%d: (hubs, blocks, minDeg) = (%d, %d, %d), want (%d, %d, %d)",
 						gname, pname, w, hubs, blocks, minDeg, wantHubs, wantBlocks, wantMin)

@@ -11,10 +11,21 @@ import (
 )
 
 // buildWorkerCounts are the pool sizes the determinism suite sweeps:
-// the demoted single-worker path, an odd count, the machine default,
-// and a count larger than this container's core count.
+// 0 for a nil pool (the build's private one-worker pool), one worker,
+// an odd count, the machine default, and a count larger than this
+// container's core count.
 func buildWorkerCounts() []int {
-	return []int{1, 3, runtime.GOMAXPROCS(0), 6}
+	return []int{0, 1, 3, runtime.GOMAXPROCS(0), 6}
+}
+
+// buildPool returns a pool of w workers, nil for w == 0, and the func
+// that closes it.
+func buildPool(w int) (*sched.Pool, func()) {
+	if w == 0 {
+		return nil, func() {}
+	}
+	p := sched.NewPool(w)
+	return p, p.Close
 }
 
 // buildTestGraphs returns the graphs the determinism tests run over:
@@ -37,10 +48,9 @@ func buildTestGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// TestRankByInDegreeMatchesReference checks both counting-sort
-// rankings (sequential and parallel) against a comparison-sort
-// reference with the §3.3 order: descending in-degree, ties by
-// ascending original ID.
+// TestRankByInDegreeMatchesReference checks the counting-sort ranking
+// at every worker count against a comparison-sort reference with the
+// §3.3 order: descending in-degree, ties by ascending original ID.
 func TestRankByInDegreeMatchesReference(t *testing.T) {
 	for name, g := range buildTestGraphs(t) {
 		want := make([]graph.VID, g.NumV)
@@ -50,17 +60,13 @@ func TestRankByInDegreeMatchesReference(t *testing.T) {
 		slices.SortStableFunc(want, func(a, b graph.VID) int {
 			return g.InDegree(b) - g.InDegree(a)
 		})
-		got := rankByInDegree(g)
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: sequential rankByInDegree deviates from reference", name)
-		}
 		for _, w := range buildWorkerCounts() {
-			if w <= 1 {
-				continue // rankByInDegreePar requires a live pool
+			if w == 0 {
+				continue // BuildWithCtx turns a nil pool into a one-worker one
 			}
 			p := sched.NewPool(w)
 			clk := make([]buildClock, p.Workers())
-			got := rankByInDegreePar(g, p, clk)
+			got := rankByInDegree(g, p, clk)
 			p.Close()
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s/w%d: parallel ranking deviates from reference", name, w)
@@ -114,10 +120,11 @@ func requireIHTLEqual(t *testing.T, label string, want, got *IHTL) {
 	}
 }
 
-// TestBuildWithParallelDeterminism checks that BuildWith on a pool
-// produces an iHTL graph bit-for-bit identical to the sequential
-// Build — relabeling arrays, every flipped block, the sparse block —
-// across worker counts and parameter variants.
+// TestBuildWithParallelDeterminism checks that BuildWith produces an
+// iHTL graph bit-for-bit the same as Build's one worker — relabeling
+// arrays, every flipped block, the sparse block — across worker counts
+// (a nil pool among them) and parameter variants. The relabeling is
+// held to an independent reference by TestBuildBlocksMatchSortOracle.
 func TestBuildWithParallelDeterminism(t *testing.T) {
 	variants := map[string]Params{
 		"default":    {HubsPerBlock: 256},
@@ -129,12 +136,12 @@ func TestBuildWithParallelDeterminism(t *testing.T) {
 		for vname, p := range variants {
 			want, err := Build(g, p)
 			if err != nil {
-				t.Fatalf("%s/%s: sequential Build: %v", gname, vname, err)
+				t.Fatalf("%s/%s: Build: %v", gname, vname, err)
 			}
 			for _, w := range buildWorkerCounts() {
-				pool := sched.NewPool(w)
+				pool, closePool := buildPool(w)
 				got, err := BuildWith(g, p, pool)
-				pool.Close()
+				closePool()
 				if err != nil {
 					t.Fatalf("%s/%s/w%d: BuildWith: %v", gname, vname, w, err)
 				}
@@ -144,34 +151,36 @@ func TestBuildWithParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestBuildStatsPopulated checks that both paths fill the phase
-// breakdown, and that the parallel path also accumulates busy time.
+// TestBuildStatsPopulated checks that a pooled and a nil-pool build
+// both fill the phase breakdown and accumulate busy time.
 func TestBuildStatsPopulated(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, err := BuildWith(g, Params{HubsPerBlock: 256}, testPool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := ih.BuildStats()
-	if bs.Wall <= 0 {
-		t.Fatalf("Wall = %v, want > 0", bs.Wall)
-	}
-	if bs.Rank+bs.Select+bs.Relabel+bs.Blocks <= 0 {
-		t.Fatalf("phase sum = %v, want > 0", bs.Rank+bs.Select+bs.Relabel+bs.Blocks)
-	}
-	if bs.Rank+bs.Select+bs.Relabel+bs.Blocks > bs.Wall {
-		t.Fatalf("phases (%v) exceed wall (%v)", bs.Rank+bs.Select+bs.Relabel+bs.Blocks, bs.Wall)
-	}
-	if bs.RankBusy+bs.RelabelBusy+bs.BlocksBusy <= 0 {
-		t.Fatal("parallel build accumulated no busy time")
+	for _, pool := range []*sched.Pool{testPool, nil} {
+		ih, err := BuildWith(g, Params{HubsPerBlock: 256}, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := ih.BuildStats()
+		if bs.Wall <= 0 {
+			t.Fatalf("Wall = %v, want > 0", bs.Wall)
+		}
+		if bs.Rank+bs.Select+bs.Relabel+bs.Blocks <= 0 {
+			t.Fatalf("phase sum = %v, want > 0", bs.Rank+bs.Select+bs.Relabel+bs.Blocks)
+		}
+		if bs.Rank+bs.Select+bs.Relabel+bs.Blocks > bs.Wall {
+			t.Fatalf("phases (%v) exceed wall (%v)", bs.Rank+bs.Select+bs.Relabel+bs.Blocks, bs.Wall)
+		}
+		if bs.RankBusy+bs.RelabelBusy+bs.BlocksBusy <= 0 {
+			t.Fatalf("build on pool %p accumulated no busy time", pool)
+		}
 	}
 }
 
 // TestBuildWithParallelStress repeats a larger parallel build under
-// the race detector and compares against the sequential reference.
+// the race detector and compares against the nil-pool reference.
 func TestBuildWithParallelStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -4,8 +4,8 @@ import "time"
 
 // BuildBreakdown reports where preprocessing time went in one
 // Build/BuildWith call, mirroring the Step Breakdown: per-phase wall
-// time plus the summed per-worker busy time of the parallel phases.
-// Busy fields are zero for sequential builds (nil pool or one worker).
+// time plus the summed per-worker busy time of the pooled phases. Every
+// build fills the busy fields, a nil-pool build (one worker) included.
 // Wall exceeding busy/workers indicates dispatch overhead or a sequential
 // residue. Hub selection records no busy time.
 type BuildBreakdown struct {

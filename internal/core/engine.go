@@ -198,7 +198,8 @@ type Breakdown struct {
 	MergeBusy   time.Duration
 	SparseBusy  time.Duration
 
-	Wall  time.Duration // elapsed time of all Steps
+	Wall time.Duration // elapsed time of all Steps
+	//ihtl:allow-dead the per-step divisor of BenchmarkSparseKernel and the breakdown tests; deleting it moves Engine.batch
 	Steps int
 }
 

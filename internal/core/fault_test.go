@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -266,6 +267,13 @@ func TestBuildWithCtxCancellation(t *testing.T) {
 	if _, err := BuildWithCtx(ctx, g, Params{HubsPerBlock: flipB}, testPool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled build: err = %v, want context.Canceled", err)
 	}
+	// A nil pool is a private one-worker pool, refused the same way and
+	// closed on the way out.
+	base := runtime.NumGoroutine()
+	if _, err := BuildWithCtx(ctx, g, Params{HubsPerBlock: flipB}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled nil-pool build: err = %v, want context.Canceled", err)
+	}
+	requireGoroutinesBack(t, "pre-cancelled nil-pool build", base)
 
 	for seed := uint64(0); seed < 10; seed++ {
 		to := time.Duration(faultinject.SeededAfter(seed, "test.build-cancel", 3000)) * time.Microsecond
@@ -282,7 +290,7 @@ func TestBuildWithCtxCancellation(t *testing.T) {
 			}
 		default:
 			// A build that beat the timeout must be bit-for-bit the
-			// sequential result (the existing parallel-build guarantee).
+			// nil-pool result (builds are deterministic).
 			if ih.NumHubs != refIH.NumHubs || ih.NumVWEH != refIH.NumVWEH || ih.NumFV != refIH.NumFV {
 				t.Fatalf("seed %d: partition %d/%d/%d, want %d/%d/%d", seed,
 					ih.NumHubs, ih.NumVWEH, ih.NumFV, refIH.NumHubs, refIH.NumVWEH, refIH.NumFV)
@@ -371,9 +379,11 @@ func TestBuildWithCtxCancelMidGather(t *testing.T) {
 
 // TestBuildWithCtxInjectedPanic lands injected panics on the
 // SiteBuildFill site — the static relabel/rank/CSR-fill passes inside
-// BuildWithCtx's Fallible region — and checks the build returns the
-// fault as an error instead of crashing, after which an uninjected
-// build of the same graph succeeds and matches the reference exactly.
+// BuildWithCtx's Fallible region — on a pool and on a nil pool (the
+// build's private one-worker pool), and checks the build returns the
+// fault as a *sched.PanicError instead of crashing, leaves no goroutine
+// behind, and that an uninjected build of the same graph succeeds and
+// matches the reference exactly.
 func TestBuildWithCtxInjectedPanic(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(11, 8, 7))
 	if err != nil {
@@ -383,40 +393,52 @@ func TestBuildWithCtxInjectedPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for after := int64(0); after < 8; after++ {
-		plan := faultinject.NewPlan(faultinject.Rule{
-			Site: faultinject.SiteBuildFill, Kind: faultinject.Panic, After: after,
-		})
-		faultinject.Activate(plan)
-		ih, err := BuildWithCtx(context.Background(), g, Params{HubsPerBlock: flipB}, testPool)
-		faultinject.Deactivate()
-		if plan.Fired(faultinject.SiteBuildFill) == 0 {
-			t.Fatalf("after=%d: SiteBuildFill never fired; the build fills lost their instrumentation", after)
-		}
-		if err == nil {
-			t.Fatalf("after=%d: build succeeded despite an injected panic", after)
-		}
-		var ip *faultinject.InjectedPanic
-		if !errors.As(err, &ip) || ip.Site != faultinject.SiteBuildFill {
-			t.Fatalf("after=%d: error does not unwrap to the injected fault: %v", after, err)
-		}
-		if ih != nil {
-			t.Fatalf("after=%d: got a non-nil IHTL alongside the error", after)
-		}
-		// Recovery invariant: the next clean build is bit-for-bit the
-		// reference (parallel builds are deterministic).
-		clean, err := BuildWithCtx(context.Background(), g, Params{HubsPerBlock: flipB}, testPool)
-		if err != nil {
-			t.Fatalf("after=%d: clean build: %v", after, err)
-		}
-		if clean.NumHubs != refIH.NumHubs || clean.NumVWEH != refIH.NumVWEH || clean.NumFV != refIH.NumFV {
-			t.Fatalf("after=%d: partition %d/%d/%d, want %d/%d/%d", after,
-				clean.NumHubs, clean.NumVWEH, clean.NumFV, refIH.NumHubs, refIH.NumVWEH, refIH.NumFV)
-		}
-		for v := range refIH.NewID {
-			if clean.NewID[v] != refIH.NewID[v] {
-				t.Fatalf("after=%d: NewID[%d] = %d, want %d", after, v, clean.NewID[v], refIH.NewID[v])
+	for _, pool := range []*sched.Pool{testPool, nil} {
+		for after := int64(0); after < 8; after++ {
+			label := fmt.Sprintf("pool=%v/after=%d", pool != nil, after)
+			base := runtime.NumGoroutine()
+			plan := faultinject.NewPlan(faultinject.Rule{
+				Site: faultinject.SiteBuildFill, Kind: faultinject.Panic, After: after,
+			})
+			faultinject.Activate(plan)
+			ih, err := BuildWithCtx(context.Background(), g, Params{HubsPerBlock: flipB}, pool)
+			faultinject.Deactivate()
+			if plan.Fired(faultinject.SiteBuildFill) == 0 {
+				t.Fatalf("%s: SiteBuildFill never fired; the build fills lost their instrumentation", label)
 			}
+			var perr *sched.PanicError
+			if !errors.As(err, &perr) {
+				t.Fatalf("%s: err = %v, want *sched.PanicError", label, err)
+			}
+			var ip *faultinject.InjectedPanic
+			if !errors.As(err, &ip) || ip.Site != faultinject.SiteBuildFill {
+				t.Fatalf("%s: error does not unwrap to the injected fault: %v", label, err)
+			}
+			if ih != nil {
+				t.Fatalf("%s: got a non-nil IHTL alongside the error", label)
+			}
+			requireGoroutinesBack(t, label, base)
+			// Recovery invariant: the next clean build is bit-for-bit the
+			// reference (builds are deterministic).
+			clean, err := BuildWithCtx(context.Background(), g, Params{HubsPerBlock: flipB}, pool)
+			if err != nil {
+				t.Fatalf("%s: clean build: %v", label, err)
+			}
+			requireIHTLEqual(t, label+": clean build", refIH, clean)
 		}
+	}
+}
+
+// requireGoroutinesBack polls until the goroutine count is back at
+// base: a nil-pool build closes its private pool on every path, so a
+// worker it leaked would hold the count above base for good.
+func requireGoroutinesBack(t *testing.T, label string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before the build", label, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -43,8 +43,8 @@ type RMATConfig struct {
 	// Seed selects the deterministic random stream.
 	Seed uint64
 	// Pool parallelises the CSR/CSC build of the generated edge list
-	// (edge generation itself is a sequential random stream). Nil
-	// builds sequentially; the result is identical either way.
+	// (edge generation itself is a sequential random stream). Nil is
+	// one worker; the result is identical for every pool.
 	Pool *sched.Pool
 }
 

@@ -21,9 +21,9 @@ type BuildOptions struct {
 	// after removing zero degree vertices because of their
 	// destructive effect").
 	RemoveZeroDegree bool
-	// Pool is the worker pool to parallelise the build with. When
-	// nil the build runs sequentially. Parallel builds produce output
-	// bit-for-bit identical to sequential builds.
+	// Pool is the worker pool to parallelise the build with. A nil
+	// Pool is one worker: the build opens a private one-worker pool.
+	// The output is bit-for-bit the same for every worker count.
 	Pool *sched.Pool
 }
 
@@ -48,9 +48,9 @@ func FromEdges(numV int, edges []Edge) (*Graph, error) {
 // comes out ascending with duplicates adjacent — CSR → CSC sorts the
 // in-lists, one dedup pass removes the duplicates, and CSC → CSR hands
 // back out-lists that are ascending and already duplicate-free. The
-// input slice is not modified. With opt.Pool set every pass runs across
-// the pool's workers over contiguous ascending parts, which makes the
-// output identical to the sequential build (sched.ScatterByKey).
+// input slice is not modified. Every pass runs across the pool's
+// workers over contiguous ascending parts, which makes the output the
+// same for every worker count (sched.ScatterByKey).
 func Build(numV int, edges []Edge, opt BuildOptions) (*Graph, error) {
 	return BuildCtx(nil, numV, edges, opt)
 }
@@ -65,29 +65,29 @@ var errBuildAborted = errors.New("graph: build aborted")
 // cancelling ctx stops in-flight passes at their next chunk claim and
 // returns ctx.Err() between phases, and a panic in any pool worker
 // comes back as a *sched.PanicError instead of crashing the process.
-// ctx may be nil (no cancellation); a nil or single-worker opt.Pool
-// runs sequentially with the same between-phase ctx checks.
+// ctx may be nil (no cancellation). A nil opt.Pool runs the same passes
+// on a private one-worker pool, closed before BuildCtx returns, with
+// the same failure contract.
 func BuildCtx(ctx context.Context, numV int, edges []Edge, opt BuildOptions) (g *Graph, err error) {
 	if numV < 0 || numV >= 1<<32 {
 		return nil, fmt.Errorf("graph: vertex count %d out of range", numV)
 	}
 	pool := opt.Pool
-	if pool != nil && pool.Workers() <= 1 {
-		pool = nil
+	if pool == nil {
+		pool = sched.NewPool(1)
+		defer pool.Close()
 	}
-	if pool != nil {
-		end, ferr := pool.Fallible(ctx)
-		if ferr != nil {
-			return nil, ferr
+	end, err := pool.Fallible(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if rerr := end(); rerr != nil {
+			g, err = nil, rerr
 		}
-		defer func() {
-			if rerr := end(); rerr != nil {
-				g, err = nil, rerr
-			}
-		}()
-	}
+	}()
 	check := func() error {
-		if pool != nil && pool.Aborted() {
+		if pool.Aborted() {
 			return errBuildAborted
 		}
 		if ctx != nil {
@@ -137,12 +137,9 @@ func BuildCtx(ctx context.Context, numV int, edges []Edge, opt BuildOptions) (g 
 }
 
 // validateEdges returns the index of the first out-of-range edge, or
-// -1 when all edges are valid. The parallel reduction keeps the
-// earliest bad index so the error message matches the sequential scan.
+// -1 when all edges are valid. The reduction keeps the earliest bad
+// index, so the error names the same edge for every worker count.
 func validateEdges(numV int, edges []Edge, pool *sched.Pool) int {
-	if pool == nil || len(edges) == 0 {
-		return firstBadEdge(numV, edges, 0)
-	}
 	bad := make([]int, pool.Workers())
 	for i := range bad {
 		bad[i] = -1
@@ -169,18 +166,9 @@ func firstBadEdge(numV int, edges []Edge, base int) int {
 	return -1
 }
 
-// dropSelfLoops filters (v,v) edges, preserving edge order. The
-// parallel path is a stable per-worker count/prefix/fill.
+// dropSelfLoops filters (v,v) edges, preserving edge order: a stable
+// per-worker count/prefix/fill.
 func dropSelfLoops(edges []Edge, pool *sched.Pool) []Edge {
-	if pool == nil {
-		kept := make([]Edge, 0, len(edges))
-		for _, e := range edges {
-			if e.Src != e.Dst {
-				kept = append(kept, e)
-			}
-		}
-		return kept
-	}
 	w := pool.Workers()
 	counts := make([]int64, w+1)
 	pool.ForStatic(len(edges), func(worker, lo, hi int) {
@@ -221,7 +209,7 @@ func fillNonLoops(edges []Edge, out []Edge) {
 // bucketBySource groups the edge list into one row of destinations per
 // source, each row in input order.
 func bucketBySource(numV int, edges []Edge, pool *sched.Pool) ([]int64, []VID) {
-	nparts := sched.Parts(pool)
+	nparts := pool.Workers()
 	return sched.ScatterByKey(pool, numV, nparts, func(_, part int, cursor []int64, out []VID) {
 		faultinject.Fire(faultinject.SiteBuildTranspose)
 		lo, hi := sched.SplitRange(len(edges), nparts, part)
@@ -234,7 +222,7 @@ func bucketBySource(numV int, edges []Edge, pool *sched.Pool) ([]int64, []VID) {
 // over edge-balanced row parts, so every list of the result is
 // ascending (equal entries adjacent) whatever order the rows held.
 func transposeAdjacency(index []int64, nbrs []VID, pool *sched.Pool) ([]int64, []VID) {
-	bounds := sched.EdgeBalancedParts(index, sched.Parts(pool))
+	bounds := sched.EdgeBalancedParts(index, pool.Workers())
 	return sched.ScatterByKey(pool, len(index)-1, len(bounds)-1, func(_, part int, cursor []int64, out []VID) {
 		faultinject.Fire(faultinject.SiteBuildTranspose)
 		sched.ScatterRows(index, nbrs, bounds[part], bounds[part+1], cursor, out)
@@ -256,30 +244,12 @@ func scatterEdges(edges []Edge, cursor []int64, out []VID) {
 }
 
 // dedupAdjacency removes consecutive duplicates from each ascending
-// neighbour list, rebuilding the offset array. The sequential path
-// compacts in place; the parallel path counts unique neighbours per
-// vertex, prefix-sums, and fills a fresh value array (in-place
-// compaction is not safe when another worker may still be reading
-// the overwritten range).
+// neighbour list, rebuilding the offset array: it counts unique
+// neighbours per vertex, prefix-sums, and fills a fresh value array
+// (in-place compaction is not safe when another worker may still be
+// reading the overwritten range).
 func dedupAdjacency(index []int64, nbrs []VID, pool *sched.Pool) ([]int64, []VID) {
 	n := len(index) - 1
-	if pool == nil {
-		newIndex := make([]int64, n+1)
-		w := int64(0)
-		for v := 0; v < n; v++ {
-			newIndex[v] = w
-			lo, hi := index[v], index[v+1]
-			for i := lo; i < hi; i++ {
-				if i > lo && nbrs[i] == nbrs[i-1] {
-					continue
-				}
-				nbrs[w] = nbrs[i]
-				w++
-			}
-		}
-		newIndex[n] = w
-		return newIndex, nbrs[:w:w]
-	}
 	newIndex := make([]int64, n+1)
 	pool.ForSteal(n, 256, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
@@ -321,9 +291,6 @@ func fillUnique(sorted []VID, out []VID) {
 // compactZeroDegree removes vertices with no edges at all and
 // renumbers the remaining vertices, preserving their relative order.
 func compactZeroDegree(g *Graph, pool *sched.Pool) *Graph {
-	if pool == nil {
-		return compactZeroDegreeSeq(g)
-	}
 	w := pool.Workers()
 	counts := make([]int64, w+1)
 	pool.ForStatic(g.NumV, func(worker, lo, hi int) {
@@ -389,46 +356,4 @@ func remapCopy(dst, src, remap []VID) {
 	for i, u := range src {
 		dst[i] = remap[u]
 	}
-}
-
-func compactZeroDegreeSeq(g *Graph) *Graph {
-	remap := make([]VID, g.NumV)
-	kept := 0
-	for v := 0; v < g.NumV; v++ {
-		if g.OutIndex[v+1] > g.OutIndex[v] || g.InIndex[v+1] > g.InIndex[v] {
-			remap[v] = VID(kept)
-			kept++
-		} else {
-			remap[v] = ^VID(0)
-		}
-	}
-	if kept == g.NumV {
-		return g
-	}
-	ng := &Graph{
-		NumV:     kept,
-		NumE:     g.NumE,
-		OutIndex: make([]int64, kept+1),
-		OutNbrs:  make([]VID, g.NumE),
-		InIndex:  make([]int64, kept+1),
-		InNbrs:   make([]VID, g.NumE),
-	}
-	w := 0
-	for v := 0; v < g.NumV; v++ {
-		if remap[v] == ^VID(0) {
-			continue
-		}
-		ng.OutIndex[w+1] = ng.OutIndex[w] + (g.OutIndex[v+1] - g.OutIndex[v])
-		ng.InIndex[w+1] = ng.InIndex[w] + (g.InIndex[v+1] - g.InIndex[v])
-		copy(ng.OutNbrs[ng.OutIndex[w]:ng.OutIndex[w+1]], g.OutNbrs[g.OutIndex[v]:g.OutIndex[v+1]])
-		copy(ng.InNbrs[ng.InIndex[w]:ng.InIndex[w+1]], g.InNbrs[g.InIndex[v]:g.InIndex[v+1]])
-		w++
-	}
-	for i, u := range ng.OutNbrs {
-		ng.OutNbrs[i] = remap[u]
-	}
-	for i, u := range ng.InNbrs {
-		ng.InNbrs[i] = remap[u]
-	}
-	return ng
 }

@@ -10,10 +10,21 @@ import (
 )
 
 // builderWorkerCounts are the pool sizes the determinism suite sweeps:
-// the demoted single-worker path, an odd count that never divides the
-// inputs evenly, and whatever this machine would use by default.
+// 0 for a nil pool (the build's private one-worker pool), one worker,
+// an odd count that never divides the inputs evenly, and whatever this
+// machine would use by default.
 func builderWorkerCounts() []int {
-	return []int{1, 3, runtime.GOMAXPROCS(0), 6}
+	return []int{0, 1, 3, runtime.GOMAXPROCS(0), 6}
+}
+
+// builderPool returns a pool of w workers, nil for w == 0, and the
+// func that closes it.
+func builderPool(w int) (*sched.Pool, func()) {
+	if w == 0 {
+		return nil, func() {}
+	}
+	p := sched.NewPool(w)
+	return p, p.Close
 }
 
 // skewedEdges generates an edge list with heavy in-hubs: a quarter of
@@ -60,9 +71,9 @@ func requireGraphsEqual(t *testing.T, label string, want, got *Graph) {
 	}
 }
 
-// TestBuildParallelDeterminism checks that the parallel build is
-// bit-for-bit identical to the sequential build — every index and
-// adjacency array — across worker counts, option combinations and
+// TestBuildParallelDeterminism checks that the build is bit-for-bit
+// the same for every pool — every index and adjacency array — across
+// worker counts (a nil pool among them), option combinations and
 // edge-case inputs.
 func TestBuildParallelDeterminism(t *testing.T) {
 	type input struct {
@@ -89,13 +100,13 @@ func TestBuildParallelDeterminism(t *testing.T) {
 			opt.Pool = nil
 			want, err := Build(in.numV, in.edges, opt)
 			if err != nil {
-				t.Fatalf("%s/opt%d: sequential Build: %v", in.name, oi, err)
+				t.Fatalf("%s/opt%d: nil-pool Build: %v", in.name, oi, err)
 			}
 			for _, w := range builderWorkerCounts() {
-				p := sched.NewPool(w)
+				p, closePool := builderPool(w)
 				opt.Pool = p
 				got, err := Build(in.numV, in.edges, opt)
-				p.Close()
+				closePool()
 				if err != nil {
 					t.Fatalf("%s/opt%d/w%d: parallel Build: %v", in.name, oi, w, err)
 				}
@@ -105,8 +116,8 @@ func TestBuildParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestBuildParallelErrorParity checks that the parallel validation
-// reports the same first out-of-range edge as the sequential scan.
+// TestBuildParallelErrorParity checks that the pooled validation
+// reports the same first out-of-range edge for every pool.
 func TestBuildParallelErrorParity(t *testing.T) {
 	edges := skewedEdges(500, 3000, 3)
 	edges[1733] = Edge{Src: 999, Dst: 0} // first bad edge
@@ -114,13 +125,13 @@ func TestBuildParallelErrorParity(t *testing.T) {
 	opt := DefaultBuildOptions()
 	_, seqErr := Build(500, edges, opt)
 	if seqErr == nil {
-		t.Fatal("sequential Build accepted out-of-range edges")
+		t.Fatal("nil-pool Build accepted out-of-range edges")
 	}
 	for _, w := range builderWorkerCounts() {
-		p := sched.NewPool(w)
+		p, closePool := builderPool(w)
 		opt.Pool = p
 		_, parErr := Build(500, edges, opt)
-		p.Close()
+		closePool()
 		if parErr == nil || parErr.Error() != seqErr.Error() {
 			t.Fatalf("w%d: parallel error = %v, want %v", w, parErr, seqErr)
 		}
@@ -128,7 +139,7 @@ func TestBuildParallelErrorParity(t *testing.T) {
 }
 
 // TestBuildParallelStress runs a larger build under the race detector
-// and compares against the sequential reference.
+// and compares against the nil-pool reference.
 func TestBuildParallelStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -1,37 +1,16 @@
 package sched
 
-// Parts is the number of contiguous parts a preprocessing pass splits
-// its input into: one per worker, and one for a nil pool — the
-// sequential build is the W = 1 case of the parallel code, not a
-// second implementation.
-func Parts(pool *Pool) int {
-	if pool == nil {
-		return 1
-	}
-	return pool.Workers()
-}
-
-// ForParts runs fn(worker, part) for every part in [0, nparts): on the
-// caller, in order, when pool is nil; otherwise over the ForStatic
-// split, so with nparts == Parts(pool) every worker owns one part.
+// ForParts runs fn(worker, part) for every part in [0, nparts) over
+// the ForStatic split, so with nparts == pool.Workers() every worker
+// owns one part. No fault site fires here: the build passes fire their
+// own per part.
 func ForParts(pool *Pool, nparts int, fn func(worker, part int)) {
-	forStatic(pool, nparts, func(worker, lo, hi int) {
+	//ihtl:allow-nosite fn is the caller's part body, which fires the caller's site
+	pool.ForStatic(nparts, func(worker, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			fn(worker, p)
 		}
 	})
-}
-
-// forStatic is ForStatic with the nil pool running fn on the caller.
-// No fault site fires here: the build passes fire their own per part.
-func forStatic(pool *Pool, n int, fn func(worker, lo, hi int)) {
-	switch {
-	case n <= 0:
-	case pool == nil:
-		fn(0, 0, n)
-	default:
-		pool.ForStatic(n, fn)
-	}
 }
 
 // ScatterByKey is the order-preserving counting scatter every
@@ -55,8 +34,8 @@ func forStatic(pool *Pool, n int, fn func(worker, lo, hi int)) {
 // each part scatters in visit order, so bucket k lists its values in
 // the order the whole sequence visits them — whatever nparts is. That
 // is the ordering argument of the build: visiting rows in ascending
-// order makes every transposed list ascending, and the parallel result
-// is the sequential one bit for bit.
+// order makes every transposed list ascending, and the result is the
+// same bit for bit for every worker count.
 //
 // It returns the numKeys+1 offsets and the scattered values.
 func ScatterByKey(pool *Pool, numKeys, nparts int, walk func(worker, part int, cursor []int64, out []uint32)) (index []int64, out []uint32) {
@@ -68,7 +47,8 @@ func ScatterByKey(pool *Pool, numKeys, nparts int, walk func(worker, part int, c
 	ForParts(pool, nparts, func(worker, p int) {
 		walk(worker, p, cursors[p*numKeys:(p+1)*numKeys], nil)
 	})
-	forStatic(pool, numKeys, func(_, lo, hi int) {
+	//ihtl:allow-nosite the offset folds are memory-only; the walks fire the callers' sites
+	pool.ForStatic(numKeys, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			var t int64
 			for p := 0; p < nparts; p++ {
@@ -78,7 +58,8 @@ func ScatterByKey(pool *Pool, numKeys, nparts int, walk func(worker, part int, c
 		}
 	})
 	PrefixSum(pool, index)
-	forStatic(pool, numKeys, func(_, lo, hi int) {
+	//ihtl:allow-nosite the offset folds are memory-only; the walks fire the callers' sites
+	pool.ForStatic(numKeys, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			off := index[k]
 			for p := 0; p < nparts; p++ {

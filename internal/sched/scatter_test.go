@@ -8,8 +8,8 @@ import (
 // TestScatterByKeyKeepsSequenceOrder checks the primitive's whole
 // contract on a sequence whose values are its positions: offsets count
 // every key, and each bucket lists its items in sequence order (here:
-// ascending), identically for a nil pool, one part, even parts, and
-// uneven parts with empty ones among them.
+// ascending), identically for a one-worker pool, one part, even parts,
+// and uneven parts with empty ones among them.
 func TestScatterByKeyKeepsSequenceOrder(t *testing.T) {
 	const numKeys = 37
 	keys := make([]int, 5000)
@@ -29,12 +29,14 @@ func TestScatterByKeyKeepsSequenceOrder(t *testing.T) {
 
 	pool := NewPool(4)
 	defer pool.Close()
+	one := NewPool(1)
+	defer one.Close()
 	for _, tc := range []struct {
 		name   string
 		pool   *Pool
 		bounds []int
 	}{
-		{"sequential", nil, []int{0, len(keys)}},
+		{"one-worker", one, []int{0, len(keys)}},
 		{"pool-one-part", pool, []int{0, len(keys)}},
 		{"even", pool, []int{0, 1250, 2500, 3750, len(keys)}},
 		{"uneven-with-empty-parts", pool, []int{0, 0, 3, 3, 4999, len(keys), len(keys)}},
