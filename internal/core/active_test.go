@@ -99,13 +99,12 @@ func stepActive(t *testing.T, label string, e *Engine, src []float64, active spm
 }
 
 // requireActiveRows checks an active-row step's result against the
-// dense result want: touched is exactly wantTouched, every touched row
-// holds want's bits, and every other row kept the sentinel and is all
-// +0.0 in want.
-func requireActiveRows(t *testing.T, label string, ih *IHTL, active, touched spmv.RowSet, got, want []float64, k int) {
+// dense result want: touched is exactly wt, every touched row holds
+// want's bits, and every other row kept the sentinel and is all +0.0 in
+// want.
+func requireActiveRows(t *testing.T, label string, wt, touched spmv.RowSet, got, want []float64, k int) {
 	t.Helper()
-	wt := wantTouched(ih, active)
-	for v := 0; v < ih.NumV; v++ {
+	for v := 0; v < len(got)/k; v++ {
 		if touched.Has(v) != wt.Has(v) {
 			t.Fatalf("%s: row %d touched=%v, want %v", label, v, touched.Has(v), wt.Has(v))
 		}
@@ -123,64 +122,16 @@ func requireActiveRows(t *testing.T, label string, ih *IHTL, active, touched spm
 	}
 }
 
-// TestStepBatchActiveMatchesDense is the kernel-level differential of
-// the active-row entry: over random vectors with random all-zero rows,
-// every row it reports touched holds the dense StepBatch's bits, every
-// other row is left as it was (and is all +0.0 in the dense result), and
-// touched is exactly the rows, hubs and sparse rows alike, with an
-// active in-neighbour. Integer lanes keep the sums exact.
-func TestStepBatchActiveMatchesDense(t *testing.T) {
-	for name, g := range diffGraphs(t) {
-		ih, err := Build(g, Params{HubsPerBlock: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := ih.NumV
-		for _, workers := range []int{1, 2, 3} {
-			pool := sched.NewPool(workers)
-			defer pool.Close()
-			for _, opt := range optionMatrix(t, func(o EngineOptions) bool {
-				return activeRowsHonoured(o) && o.Health == spmv.HealthPolicy{}
-			}) {
-				e, err := NewEngineOpts(ih, pool, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range []int{1, 2, 5, 8} {
-					for _, every := range []int{0, 1000, 40, 2, 1} {
-						for _, extra := range []bool{false, true} {
-							label := fmt.Sprintf("%s/w%d/%+v/k%d/1in%d/extra=%v", name, workers, opt, k, every, extra)
-							src, active := sparseLaneInput(uint64(17*k+every), n, k, every, extra)
-							want := make([]float64, n*k)
-							e.StepBatch(src, want, k)
-
-							covered := make([]int, workers)
-							got, touched := stepActive(t, label, e, src, active, k, func(w, lo, hi int) {
-								covered[w] += hi - lo
-							})
-							total := 0
-							for _, c := range covered {
-								total += c
-							}
-							if total != n {
-								t.Fatalf("%s: epilogue covered %v of %d rows", label, covered, n)
-							}
-							requireActiveRows(t, label, ih, active, touched, got, want, k)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// oddBlockIHTL builds g with B = 40 hubs a block — not a whole number of
+// oddBlockParams builds B = 40 hubs a block — not a whole number of
 // hub-bit words, so neighbouring blocks' hubs share words of touched
-// while their merges run concurrently with each other's pushes — and a
+// while their merges run concurrently with each other's pushes — with a
 // block threshold low enough to admit at least three blocks.
+var oddBlockParams = Params{HubsPerBlock: 40, FVThreshold: 0.01}
+
+// oddBlockIHTL builds g with oddBlockParams.
 func oddBlockIHTL(t *testing.T, g *graph.Graph) *IHTL {
 	t.Helper()
-	ih, err := Build(g, Params{HubsPerBlock: 40, FVThreshold: 0.01})
+	ih, err := Build(g, oddBlockParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,34 +139,6 @@ func oddBlockIHTL(t *testing.T, g *graph.Graph) *IHTL {
 		t.Fatalf("odd-B build has %d flipped blocks, want ≥ 3", len(ih.Blocks))
 	}
 	return ih
-}
-
-// TestStepBatchActiveOddBlocks is the differential at B = 40 over three
-// or more blocks, at three workers: the per-block word alignment of the
-// hub bits is what keeps a merge clearing block b's bits from racing a
-// push into block b+1 (the race detector job runs it), and touched must
-// still name exactly the reached hubs.
-func TestStepBatchActiveOddBlocks(t *testing.T) {
-	pool := sched.NewPool(3)
-	defer pool.Close()
-	for _, name := range []string{"rmat", "web"} {
-		ih := oddBlockIHTL(t, diffGraphs(t)[name])
-		n := ih.NumV
-		e, err := NewEngine(ih, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 4, 8} {
-			for _, every := range []int{1000, 40, 3, 1} {
-				label := fmt.Sprintf("%s/B40/%d-blocks/k%d/1in%d", name, len(ih.Blocks), k, every)
-				src, active := sparseLaneInput(uint64(31*k+every), n, k, every, every == 3)
-				want := make([]float64, n*k)
-				e.StepBatch(src, want, k)
-				got, touched := stepActive(t, label, e, src, active, k, nil)
-				requireActiveRows(t, label, ih, active, touched, got, want, k)
-			}
-		}
-	}
 }
 
 // TestStepBatchActiveNoHubReached steps an active set none of whose rows
@@ -250,7 +173,7 @@ func TestStepBatchActiveNoHubReached(t *testing.T) {
 		want := make([]float64, n*k)
 		e.StepBatch(src, want, k)
 		got, touched := stepActive(t, name, e, src, active, k, nil)
-		requireActiveRows(t, name, ih, active, touched, got, want, k)
+		requireActiveRows(t, name, wantTouched(ih, active), touched, got, want, k)
 		for h := 0; h < ih.NumHubs; h++ {
 			if touched.Has(h) {
 				t.Fatalf("%s: hub %d touched by an active set with no flipped edge", name, h)
@@ -292,7 +215,7 @@ func TestStepBatchActiveEmptyBlock(t *testing.T) {
 			t.Fatalf("%s: the dense step left the empty block's hubs non-zero", label)
 		}
 		got, touched := stepActive(t, label, e, src, active, k, nil)
-		requireActiveRows(t, label, ih, active, touched, got, want, k)
+		requireActiveRows(t, label, wantTouched(ih, active), touched, got, want, k)
 	}
 }
 

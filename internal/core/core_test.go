@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -91,19 +91,6 @@ func TestPaperExampleAdjacency(t *testing.T) {
 	}
 }
 
-// referenceStep computes the SpMV ground truth in original ID space.
-func referenceStep(g *graph.Graph, src []float64) []float64 {
-	dst := make([]float64, g.NumV)
-	for v := 0; v < g.NumV; v++ {
-		sum := 0.0
-		for _, u := range g.In(graph.VID(v)) {
-			sum += src[u]
-		}
-		dst[v] = sum
-	}
-	return dst
-}
-
 func randomVec(seed uint64, n int) []float64 {
 	rng := xrand.New(seed)
 	v := make([]float64, n)
@@ -113,8 +100,8 @@ func randomVec(seed uint64, n int) []float64 {
 	return v
 }
 
-// checkStepMatchesReference builds iHTL with params p and verifies a
-// Step equals the reference in original ID space.
+// checkStepMatchesReference builds iHTL with params p and requires a
+// Step on exact inputs to give the oracle's bits in original ID space.
 func checkStepMatchesReference(t *testing.T, g *graph.Graph, p Params) *IHTL {
 	t.Helper()
 	ih, err := Build(g, p)
@@ -125,24 +112,14 @@ func checkStepMatchesReference(t *testing.T, g *graph.Graph, p Params) *IHTL {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcOld := randomVec(99, g.NumV)
-	want := referenceStep(g, srcOld)
-
-	srcNew := make([]float64, g.NumV)
-	dstNew := make([]float64, g.NumV)
-	ih.PermuteToNew(srcOld, srcNew)
-	e.Step(srcNew, dstNew)
-	got := make([]float64, g.NumV)
-	ih.PermuteToOld(dstNew, got)
-
-	for v := range want {
-		if math.Abs(want[v]-got[v]) > 1e-9*(1+math.Abs(want[v])) {
-			t.Fatalf("vertex %d: got %g want %g (params %+v)", v, got[v], want[v], p)
-		}
-	}
+	src := exactInput(99, g.NumV, 1, true)
+	requireBitIdentical(t, fmt.Sprintf("params %+v", p), referenceStep(g, src, 1), stepOldSpace(ih, e, src))
 	return ih
 }
 
+// TestStepMatchesReferenceAcrossGraphs: hand-made shapes (star, cycle,
+// complete) and generated ones at B from 2 to past every vertex, each
+// against the oracle's reference bit for bit.
 func TestStepMatchesReferenceAcrossGraphs(t *testing.T) {
 	rmat, err := gen.RMAT(gen.DefaultRMAT(10, 8, 3))
 	if err != nil {

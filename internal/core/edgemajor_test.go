@@ -9,7 +9,6 @@ import (
 	"ihtl/internal/faultinject"
 	"ihtl/internal/graph"
 	"ihtl/internal/sched"
-	"ihtl/internal/spmv"
 	"ihtl/internal/xrand"
 )
 
@@ -55,23 +54,29 @@ func synthIHTL(numV, numPush, hubsPerBlock int, flipped []synthRows, sparse synt
 	return ih
 }
 
-// refStep is the serial oracle over an iHTL's own topology: every
-// destination summed from +0.0 in ascending source order — the order
-// every engine kernel promises.
-func refStep(ih *IHTL, src []float64) []float64 {
-	dst := make([]float64, ih.NumV)
+// refStep is the oracle's reference over an iHTL's own topology, for
+// the hand-built fixtures, which have no graph: every destination's k
+// lanes summed from +0.0 in ascending source order — the order every
+// engine kernel promises.
+func refStep(ih *IHTL, src []float64, k int) []float64 {
+	dst := make([]float64, ih.NumV*k)
+	add := func(d, s int) {
+		for j := 0; j < k; j++ {
+			dst[d*k+j] += src[s*k+j]
+		}
+	}
 	for b := range ih.Blocks {
 		fb := &ih.Blocks[b]
 		for s := 0; s < len(fb.Index)-1; s++ {
 			for _, d := range fb.Dsts[fb.Index[s]:fb.Index[s+1]] {
-				dst[d] += src[s]
+				add(int(d), s)
 			}
 		}
 	}
 	sp := &ih.Sparse
 	for r := 0; r < len(sp.Index)-1; r++ {
 		for _, s := range sp.Srcs[sp.Index[r]:sp.Index[r+1]] {
-			dst[sp.DestLo+r] += src[s]
+			add(sp.DestLo+r, int(s))
 		}
 	}
 	return dst
@@ -92,8 +97,8 @@ func shortRows(rows synthRows, rng *xrand.Xoshiro256, lo, hi, nbrLo, nbrHi int) 
 	}
 }
 
-// holesIHTL is the fixture of the row-gap satellite and of the layout
-// oracle: four flipped blocks — short rows around a 300-row and a
+// holesIHTL is the fixture of the edge-major kernels and one build of
+// the oracle (TestOracle): four flipped blocks — short rows around a 300-row and a
 // 70 000-row hole, a single edge, no edge at all, long rows (CSR by
 // shape) — and a short-row sparse block with the same two holes and
 // four 90-edge rows that sit first, adjacent, and last.
@@ -358,102 +363,6 @@ func TestEdgeMajorKernelsEveryRange(t *testing.T) {
 	}
 }
 
-// layoutCase is one graph of the layout oracle: an iHTL and the oracle
-// result, in iHTL ID space, for a source vector.
-type layoutCase struct {
-	name string
-	ih   *IHTL
-	want func(src []float64) []float64
-}
-
-func layoutCases(t *testing.T) []layoutCase {
-	t.Helper()
-	holes := holesIHTL()
-	cases := []layoutCase{{"holes", holes, func(src []float64) []float64 { return refStep(holes, src) }}}
-	pool := sched.NewPool(1)
-	t.Cleanup(pool.Close)
-	for name, g := range diffGraphs(t) {
-		ih, err := Build(g, Params{HubsPerBlock: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pe, err := spmv.NewEngine(g, pool, spmv.Pull, spmv.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, layoutCase{name, ih, func(src []float64) []float64 {
-			srcOld, dstOld, dst := make([]float64, ih.NumV), make([]float64, ih.NumV), make([]float64, ih.NumV)
-			ih.PermuteToOld(src, srcOld)
-			pe.Step(srcOld, dstOld)
-			ih.PermuteToNew(dstOld, dst)
-			return dst
-		}})
-	}
-	return cases
-}
-
-// TestLayoutDifferential is the one oracle row for both layouts: the
-// SAME graph stepped with every block forced CSR, forced edge-major and
-// chosen by shape must equal the oracle (spmv.Pull on generated graphs,
-// the serial sweep on the hand-built fixture) bit for bit — 1, 2 and 3
-// workers, each body of the edge-major pull's pair
-// loop (asmArms) — on integer, signed-zero, NaN/±Inf and all-zero
-// sources.
-func TestLayoutDifferential(t *testing.T) {
-	arms := asmArms(t)
-	for _, c := range layoutCases(t) {
-		n := c.ih.NumV
-		negZero := make([]float64, n)
-		for i := range negZero {
-			negZero[i] = math.Copysign(0, -1)
-		}
-		vecs := []struct {
-			name string
-			src  []float64
-		}{
-			{"integer", integerVec(31, n)},
-			{"signed", signedVec(32, n)},
-			{"special", specialVec(33, n)},
-			{"all +0", make([]float64, n)},
-			{"all -0", negZero},
-		}
-		wants := make([][]float64, len(vecs))
-		for i, v := range vecs {
-			wants[i] = c.want(v.src)
-		}
-		for _, workers := range []int{1, 2, 3} {
-			pool := sched.NewPool(workers)
-			for _, layout := range []BlockLayout{LayoutCSR, LayoutEdgeMajor, layoutByShape} {
-				e, err := NewEngineOpts(c.ih, pool, EngineOptions{forceLayout: layout})
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s/w%d/%v", c.name, workers, layout)
-				if layout != layoutByShape {
-					for i, s := range c.ih.BlockShapes() {
-						adv := e.sparseAdv
-						if i < len(e.flipAdv) {
-							adv = e.flipAdv[i]
-						}
-						if s.Edges > 0 && (adv != nil) != (layout == LayoutEdgeMajor) {
-							t.Fatalf("%s: %s does not walk %v", label, s.Name, layout)
-						}
-					}
-				}
-				dst := make([]float64, n)
-				for _, arm := range arms {
-					ForceGoTwins(arm == "go")
-					for i, v := range vecs {
-						e.Step(v.src, dst)
-						requireSameBits(t, label+"/"+arm+"/"+v.name, wants[i], dst)
-					}
-				}
-			}
-			pool.Close()
-		}
-	}
-}
-
 // TestNewEngineClosedPool: construction dispatches on the pool, so a
 // closed pool must come back as an error — not as the plain dispatch's
 // panic — when a block is edge-major, and still builds an engine when
@@ -492,7 +401,7 @@ func TestNewEngineInjectedPanic(t *testing.T) {
 // runs the edge-major kernels: with the adv streams
 // zeroed (every edge credited to its task's starting row) the result
 // must change. A dispatch site that silently kept the CSR kernel would
-// pass every differential above and fail here.
+// pass the oracle and fail here.
 func TestEdgeMajorStreamsAreLive(t *testing.T) {
 	// One worker: with its stream zeroed a part credits edges to rows
 	// that belong to other parts, which on a wider pool is a data race
@@ -504,7 +413,7 @@ func TestEdgeMajorStreamsAreLive(t *testing.T) {
 	for i := range src {
 		src[i] += float64(i % 5) // neighbouring rows must differ
 	}
-	want := refStep(ih, src)
+	want := refStep(ih, src, 1)
 	e, err := NewEngineOpts(ih, pool, EngineOptions{forceLayout: LayoutEdgeMajor})
 	if err != nil {
 		t.Fatal(err)

@@ -3,91 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"ihtl/internal/compress"
 	"ihtl/internal/gen"
 	"ihtl/internal/sched"
 )
-
-// TestEncodingDifferential pins BlockEncoding varint bit-for-bit equal
-// to the flat reference across worker counts {1, 3, GOMAXPROCS} and
-// repeated steps, with both non-negative and signed/-0.0 sources.
-func TestEncodingDifferential(t *testing.T) {
-	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
-	for name, g := range diffGraphs(t) {
-		srcs := map[string][]float64{
-			"int":    integerVec(4321, g.NumV),
-			"signed": signedVec(99, g.NumV),
-		}
-		ih, err := Build(g, Params{HubsPerBlock: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range workerCounts {
-			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
-				pool := sched.NewPool(workers)
-				defer pool.Close()
-				flat, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingFlat})
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingVarint})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if e.encoding != EncodingVarint {
-					t.Fatalf("engine resolved to %v, want varint", e.encoding)
-				}
-				for vecName, src := range srcs {
-					want := stepOldSpace(ih, flat, src)
-					requireBitIdentical(t, vecName, want, stepOldSpace(ih, e, src))
-					// A second step proves the shared buffers were left
-					// clean.
-					requireBitIdentical(t, vecName+" (second step)", want, stepOldSpace(ih, e, src))
-				}
-			})
-		}
-	}
-}
-
-// TestEncodingBatchDifferential is the K-lane mirror: StepBatch under
-// varint equals StepBatch under flat.
-func TestEncodingBatchDifferential(t *testing.T) {
-	for name, g := range diffGraphs(t) {
-		ih, err := Build(g, Params{HubsPerBlock: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool := sched.NewPool(3)
-		defer pool.Close()
-		flat, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingFlat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingVarint})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{2, 5} {
-			src := make([]float64, ih.NumV*k)
-			for j := 0; j < k; j++ {
-				lane := signedVec(uint64(1000+j), ih.NumV)
-				for v := 0; v < ih.NumV; v++ {
-					src[v*k+j] = lane[v]
-				}
-			}
-			want := make([]float64, ih.NumV*k)
-			flat.StepBatch(src, want, k)
-			got := make([]float64, ih.NumV*k)
-			e.StepBatch(src, got, k)
-			requireBitIdentical(t, fmt.Sprintf("%s/k%d", name, k), want, got)
-			e.StepBatch(src, got, k)
-			requireBitIdentical(t, fmt.Sprintf("%s/k%d (second)", name, k), want, got)
-		}
-	}
-}
 
 // TestEncodedOnlyAutoResolution drops the flat topology and checks the
 // auto encoding resolves to varint over the encoded-only graph — and

@@ -273,7 +273,7 @@ type EngineOptions struct {
 	// measurement and was removed (DESIGN.md §15). Leave it unset.
 	Shards int
 
-	// forceLayout is the differential suites' hook: every block with
+	// forceLayout is the oracle's hook (TestOracle): every block with
 	// edges takes this layout instead of choosing by row length. Zero
 	// (the only value code outside this package can give it) chooses.
 	forceLayout BlockLayout

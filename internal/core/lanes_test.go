@@ -29,7 +29,7 @@ import (
 // NaN payload only itself — so lane j of a StepBatch must equal a
 // scalar Step on lane j bit for bit under every schedule.
 func laneInputs(seed uint64, n, k int) (lanes [][]float64, batch []float64) {
-	lanes, batch = packLanes(seed, n, k)
+	batch = integerVec(seed, n*k)
 	nan := math.Float64frombits(0x7ff8_0000_0000_beef)
 	for v := 0; v < n; v++ {
 		row := batch[v*k : v*k+k]
@@ -48,9 +48,9 @@ func laneInputs(seed uint64, n, k int) (lanes [][]float64, batch []float64) {
 				row[k-1] = nan
 			}
 		}
-		for j, x := range row {
-			lanes[j][v] = x
-		}
+	}
+	for j := 0; j < k; j++ {
+		lanes = append(lanes, laneOf(batch, k, j))
 	}
 	return lanes, batch
 }

@@ -227,88 +227,6 @@ func TestResidentEqualsDegreeFloor(t *testing.T) {
 	}
 }
 
-// laneVecs returns k interleaved random vectors and, per lane, the
-// serial pull oracle's Step of it.
-func laneVecs(g *graph.Graph, k int) (src []float64, want [][]float64) {
-	n := g.NumV
-	src = make([]float64, n*k)
-	want = make([][]float64, k)
-	for j := 0; j < k; j++ {
-		lane := randomVec(uint64(100+j), n)
-		for v, x := range lane {
-			src[v*k+j] = x
-		}
-		want[j] = referenceStep(g, lane)
-	}
-	return src, want
-}
-
-func requireLanesBitIdentical(t *testing.T, label string, k int, want [][]float64, dst []float64) {
-	t.Helper()
-	lane := make([]float64, len(dst)/k)
-	for j := 0; j < k; j++ {
-		for v := range lane {
-			lane[v] = dst[v*k+j]
-		}
-		requireBitIdentical(t, fmt.Sprintf("%s lane %d", label, j), want[j], lane)
-	}
-}
-
-// TestResidentDifferential is the regime's exactness contract: a
-// zero-block graph has no per-worker partial sums, so every engine over
-// it — either encoding, watched or not, any worker count, any lane
-// width — sums each row in topology order
-// and equals the serial pull oracle BIT FOR BIT on arbitrary floats,
-// and so itself from run to run, whichever worker pulls which part —
-// with the flat lane cells' assembly and with their Go twins alike.
-func TestResidentDifferential(t *testing.T) {
-	arms := asmArms(t)
-	modes := map[string]EngineOptions{
-		"fused":    {},
-		"rollback": {Health: spmv.HealthPolicy{Mode: spmv.HealthRollback}},
-	}
-	for gname, g := range residentGraphs(t) {
-		ih, err := Build(g, Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireZeroBlocks(t, gname, ih)
-		if l := ih.BlockShapes()[0].Layout; (l == LayoutEdgeMajor) != (gname == "web") {
-			t.Fatalf("%s: the sparse block is walked %v; the table wants CSR on rmat and edge-major on web", gname, l)
-		}
-		n := g.NumV
-		srcs, wants := map[int][]float64{}, map[int][][]float64{}
-		for _, k := range []int{1, 4, 8} {
-			srcs[k], wants[k] = laneVecs(g, k)
-		}
-		for _, arm := range arms {
-			ForceGoTwins(arm == "go")
-			for _, workers := range []int{1, 2, 3} {
-				pool := sched.NewPool(workers)
-				defer pool.Close()
-				for _, enc := range []BlockEncoding{EncodingFlat, EncodingVarint} {
-					for mname, opt := range modes {
-						opt.BlockEncoding = enc
-						e, err := NewEngineOpts(ih, pool, opt)
-						label := fmt.Sprintf("%s/%s/w%d/%v/%s", gname, arm, workers, enc, mname)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						for _, k := range []int{1, 4, 8} {
-							dst := make([]float64, n*k)
-							for run := 0; run < 2; run++ {
-								clear(dst)
-								e.StepBatch(srcs[k], dst, k) // the scalar Step at k = 1
-								requireLanesBitIdentical(t, fmt.Sprintf("%s/k%d run %d", label, k, run), k, wants[k], dst)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestResidentFilesAndFaults takes a zero-block graph through the v2
 // file and through a failed Step: the opened engines still
 // equal the oracle bit for bit, and so does the clean Step after a
@@ -319,7 +237,7 @@ func TestResidentFilesAndFaults(t *testing.T) {
 	g := residentGraphs(t)["rmat"]
 	n := g.NumV
 	src := randomVec(7, n)
-	want := referenceStep(g, src)
+	want := referenceStep(g, src, 1)
 	dst := make([]float64, n)
 	ih, err := BuildWith(g, Params{}, testPool)
 	if err != nil {

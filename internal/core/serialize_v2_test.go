@@ -97,8 +97,9 @@ func TestV2RoundTripBitForBit(t *testing.T) {
 }
 
 // TestV2EngineDifferential steps an engine straight over the opened
-// (encoded-only, mapped) v2 graph and pins it against the in-memory
-// flat source — auto encoding must resolve to varint — on a small
+// (encoded-only, mapped) v2 graph and holds it to the oracle's cell
+// check, refStep over the in-memory source (oracle_slices_test.go) —
+// auto encoding must resolve to varint — on a small
 // R-MAT and on BenchmarkBlockEncoding's scale-14 one. The packed rows
 // must be the mapping itself, not a heap copy of it, and both the
 // resident topology and the per-step topology stream must be below
@@ -134,8 +135,7 @@ func TestV2EngineDifferential(t *testing.T) {
 			if loaded.encoding != EncodingVarint {
 				t.Fatalf("engine over v2 file resolved to %v, want varint", loaded.encoding)
 			}
-			src := integerVec(3, ih.NumV)
-			requireBitIdentical(t, "v2 engine", stepOldSpace(ih, flat, src), stepOldSpace(ef.IHTL(), loaded, src))
+			requireOracleCell(t, "v2 engine", oracleCase{c.name, ih, nil}, loaded, 1)
 			if loaded.topologyStreamBytes() >= flat.topologyStreamBytes() {
 				t.Errorf("varint topology stream %d B/step not below flat %d B/step",
 					loaded.topologyStreamBytes(), flat.topologyStreamBytes())

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"math"
 	"testing"
 	"time"
 
@@ -14,93 +14,31 @@ import (
 	"ihtl/internal/spmv"
 )
 
-// TestSparseKernelDifferential pins the sparse pull bit-for-bit against
-// the spmv.Pull baseline, across graphs and worker counts, and again on
-// a second step: the part scheduler must have been left re-armed by the
-// first.
-func TestSparseKernelDifferential(t *testing.T) {
-	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
-	for name, g := range diffGraphs(t) {
-		src := integerVec(4321, g.NumV)
-		var want []float64
-		for _, workers := range workerCounts {
-			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
-				pool := sched.NewPool(workers)
-				defer pool.Close()
-
-				pe, err := spmv.NewEngine(g, pool, spmv.Pull, spmv.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				pullDst := make([]float64, g.NumV)
-				pe.Step(src, pullDst)
-				if want == nil {
-					want = pullDst
-				} else {
-					requireBitIdentical(t, "pull-across-workers", want, pullDst)
-				}
-
-				ih, err := Build(g, Params{HubsPerBlock: 64})
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := NewEngine(ih, pool)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, "pull", want, stepOldSpace(ih, e, src))
-				requireBitIdentical(t, "pull (second step)", want, stepOldSpace(ih, e, src))
-			})
-		}
-	}
-}
-
-// TestSparseKernelBatchDifferential pins StepBatch bit-for-bit against
-// K scalar Steps of the same engine (which the scalar differential pins
-// to pull). The kernel and phased axes name the deprecated
-// EngineOptions.SparseKernel and Phased values, which no code reads:
-// every row steps the one fused pipeline and its pull.
-func TestSparseKernelBatchDifferential(t *testing.T) {
-	kernels := []struct {
-		name   string
-		kernel SparseKernel
-	}{{"pull", SparsePull}, {"pb", SparsePB}}
-	for name, g := range diffGraphs(t) {
-		ih, err := Build(g, Params{HubsPerBlock: 64})
+// TestSparseKernelByGraph: every engine runs the uniform pull, and the
+// graph decides only the epilogue's placement —
+// streamed over the pull's parts where nothing is flipped, the static
+// grid of the workers' shares behind the barrier where something is.
+func TestSparseKernelByGraph(t *testing.T) {
+	g := residentGraphs(t)["rmat"]
+	for _, c := range []struct {
+		p      Params
+		slots  int
+		stream bool
+	}{
+		{Params{}, 4 * testPool.Workers(), true},
+		{Params{HubsPerBlock: flipB}, testPool.Workers(), false},
+	} {
+		ih, err := Build(g, c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := sched.NewPool(3)
-		defer pool.Close()
-		for _, kernel := range kernels {
-			for _, phased := range []bool{false, true} {
-				e, err := NewEngineOpts(ih, pool, EngineOptions{
-					SparseKernel: kernel.kernel, Phased: phased,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range []int{2, 4} {
-					label := fmt.Sprintf("%s/kernel=%s phased=%v/k%d", name, kernel.name, phased, k)
-					t.Run(label, func(t *testing.T) {
-						lanes, src := packLanes(99, ih.NumV, k)
-						want := make([][]float64, k)
-						for j := 0; j < k; j++ {
-							want[j] = make([]float64, ih.NumV)
-							e.Step(lanes[j], want[j])
-						}
-						dst := make([]float64, ih.NumV*k)
-						e.StepBatch(src, dst, k)
-						got := make([]float64, ih.NumV)
-						for j := 0; j < k; j++ {
-							for v := 0; v < ih.NumV; v++ {
-								got[v] = dst[v*k+j]
-							}
-							requireBitIdentical(t, fmt.Sprintf("lane %d", j), want[j], got)
-						}
-					})
-				}
-			}
+		e, err := NewEngine(ih, testPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slots, streamed := e.EpiSlots(); slots != c.slots || streamed != c.stream {
+			t.Errorf("%d flipped blocks: %d slots, streamed %v; want %d, %v",
+				len(ih.Blocks), slots, streamed, c.slots, c.stream)
 		}
 	}
 }
@@ -124,7 +62,7 @@ func TestSparseKernelAllocationFree(t *testing.T) {
 	}
 	src := integerVec(3, g.NumV)
 	dst := make([]float64, g.NumV)
-	_, bsrc := packLanes(3, g.NumV, k)
+	bsrc := integerVec(3, g.NumV*k)
 	bdst := make([]float64, g.NumV*k)
 	for i := 0; i < 3; i++ { // warm worker stacks and the batch state
 		e.Step(src, dst)
@@ -234,5 +172,140 @@ func TestSparseKernelBreakdownSplit(t *testing.T) {
 	}
 	if b.Steps != 3 || b.Wall <= 0 {
 		t.Fatalf("%d steps over %v wall; want 3 steps, wall > 0", b.Steps, b.Wall)
+	}
+}
+
+// TestStepEpiZeroFlipRows is the option matrix over a graph with no
+// flipped block, stepped through StepCtx with a streamable epilogue.
+// The epilogue checks, when it is called, that its rows [lo, hi)
+// already hold the oracle's values — an epilogue run before its rows
+// are final fails here, as does a slot run twice or never, or slots
+// that do not tile the rows in order. Every engine here streams; an
+// epilogue that does not permit streaming stays behind the barrier, so
+// there every slot may read all of dst.
+func TestStepEpiZeroFlipRows(t *testing.T) {
+	g := residentGraphs(t)["rmat"]
+	n := g.NumV
+	src := integerVec(11, n)
+	want := referenceStep(g, src, 1)
+	ih, err := Build(g, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireZeroBlocks(t, "rmat", ih)
+	for _, workers := range []int{1, 2, 3} {
+		pool := sched.NewPool(workers)
+		defer pool.Close()
+		for _, opt := range optionMatrix(t, nil) {
+			label := fmt.Sprintf("w%d/%s", workers, optLabel(opt))
+			e, err := NewEngineOpts(ih, pool, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots, streamed := e.EpiSlots()
+			if slots != 4*workers || !streamed {
+				t.Fatalf("%s: %d slots, streamed %v; want %d, true", label, slots, streamed, 4*workers)
+			}
+			for _, barrier := range []bool{false, true} {
+				bounds := make([][2]int, slots)
+				ran := make([]int, slots)
+				early := make([]bool, slots)
+				dst := make([]float64, n)
+				epi := func(slot, lo, hi int) {
+					ran[slot]++
+					bounds[slot] = [2]int{lo, hi}
+					check, stop := lo, hi
+					if barrier {
+						check, stop = 0, n // behind the barrier: all of dst is final
+					}
+					for v := check; v < stop; v++ {
+						if math.Float64bits(dst[v]) != math.Float64bits(want[v]) {
+							early[slot] = true
+						}
+					}
+				}
+				for step := 0; step < 2; step++ {
+					clear(ran)
+					clear(dst) // so a row read before it is pulled differs
+					if err := e.StepCtx(nil, src, dst, 1, spmv.Epilogue{Run: epi, Stream: !barrier}); err != nil {
+						t.Fatal(err)
+					}
+					next := 0
+					for p := range slots {
+						if ran[p] != 1 || early[p] || bounds[p][0] != next {
+							t.Fatalf("%s barrier=%v step %d: slot %d ran %d times over [%d, %d) (next row %d), saw rows not yet final: %v",
+								label, barrier, step, p, ran[p], bounds[p][0], bounds[p][1], next, early[p])
+						}
+						next = bounds[p][1]
+					}
+					if next != n {
+						t.Fatalf("%s barrier=%v: the slots end at row %d of %d", label, barrier, next, n)
+					}
+					requireBitIdentical(t, label, want, dst)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamedStepEpiAllocationFree pins the streamed placement's
+// steady state, watched and not: the step StepCtx runs in its region,
+// with the epilogue inside the sparse claim loop, allocates nothing.
+func TestStreamedStepEpiAllocationFree(t *testing.T) {
+	ih, err := Build(residentGraphs(t)["rmat"], Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []EngineOptions{{}, {Health: spmv.HealthPolicy{Mode: spmv.HealthRollback}}} {
+		e, err := NewEngineOpts(ih, testPool, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots, streamed := e.EpiSlots()
+		if !streamed {
+			t.Fatalf("%s: the engine does not stream", optLabel(opt))
+		}
+		src := integerVec(3, ih.NumV)
+		dst := make([]float64, ih.NumV)
+		sums := make([]float64, slots)
+		epi := func(slot, lo, hi int) {
+			s := 0.0
+			for _, x := range dst[lo:hi] {
+				s += x
+			}
+			sums[slot] = s
+		}
+		for i := 0; i < 3; i++ { // warm worker stacks
+			e.step(src, dst, 1, epi, true)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { e.step(src, dst, 1, epi, true) }); allocs != 0 {
+			t.Errorf("%s: streamed step allocates %.1f objects per run, want 0", optLabel(opt), allocs)
+		}
+	}
+}
+
+// TestFusedStepAllocationFree pins the fused pipeline's zero-allocation
+// steady state: after construction, Steps allocate nothing — no
+// per-dispatch scheduler, no closures, no WaitGroups.
+func TestFusedStepAllocationFree(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ih, err := Build(g, Params{HubsPerBlock: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(ih, testPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := integerVec(3, g.NumV)
+	dst := make([]float64, g.NumV)
+	for i := 0; i < 3; i++ { // warm worker stacks
+		e.Step(src, dst)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.Step(src, dst) }); allocs != 0 {
+		t.Errorf("fused Step allocates %.1f objects per run, want 0", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -27,30 +26,22 @@ var staticFlipVariants = []struct {
 // TestStaticFlippedBitReproducible pins the determinism contract the
 // serving layer's replay guarantees are built on: two fresh engines
 // over the same topology produce bit-identical vectors after a chain of
-// steps (chaining compounds any reassociation drift, so a single step
-// passing by luck cannot hide it), and the result still matches the
-// reference SpMV to rounding.
+// steps on real inputs (chaining compounds any reassociation drift, so
+// a single step passing by luck cannot hide it), and each variant is
+// the oracle's on exact ones.
 func TestStaticFlippedBitReproducible(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, err := Build(g, Params{HubsPerBlock: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := randomVec(7, ih.NumV)
+	c := oracleBuild(t, "rmat10", g, Params{HubsPerBlock: 64})
+	src := realInput(7, c.ih.NumV, 1)
 	const steps = 6
 	for _, variant := range staticFlipVariants {
 		t.Run(variant.name, func(t *testing.T) {
 			run := func() []float64 {
-				e, err := NewEngineOpts(ih, testPool, variant.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				x := make([]float64, ih.NumV)
-				y := make([]float64, ih.NumV)
-				copy(x, src)
+				e := newOracleEngine(t, c.ih, testPool, variant.opt)
+				x, y := append([]float64(nil), src...), make([]float64, c.ih.NumV)
 				for s := 0; s < steps; s++ {
 					e.Step(x, y)
 					// Keep magnitudes bounded so late steps still
@@ -62,46 +53,15 @@ func TestStaticFlippedBitReproducible(t *testing.T) {
 				}
 				return x
 			}
-			a, b := run(), run()
-			for v := range a {
-				if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
-					t.Fatalf("run-to-run drift at vertex %d: %v vs %v", v, a[v], b[v])
-				}
-			}
-			want := referenceStep(g, original(ih, src))
-			got := original(ih, singleStep(t, ih, variant.opt, src))
-			for v := range want {
-				if math.Abs(got[v]-want[v]) > 1e-9*(math.Abs(want[v])+1) {
-					t.Fatalf("vertex %d: %v, reference %v", v, got[v], want[v])
-				}
-			}
+			requireBitIdentical(t, "run-to-run", run(), run())
+			requireOracleCell(t, variant.name, c, newOracleEngine(t, c.ih, testPool, variant.opt), 1)
 		})
 	}
 }
 
-func singleStep(t *testing.T, ih *IHTL, opt EngineOptions, src []float64) []float64 {
-	t.Helper()
-	e, err := NewEngineOpts(ih, testPool, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, ih.NumV)
-	e.Step(src, dst)
-	return dst
-}
-
-// original maps an engine-ID-space vector back to original vertex IDs.
-func original(ih *IHTL, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for nv, old := range ih.OldID {
-		out[old] = x[nv]
-	}
-	return out
-}
-
 // TestStaticFlippedBatchLanesMatchScalar pins the property coalesced
 // serving leans on: lane j of a K-wide StepBatch equals a scalar Step
-// of the same input bit-for-bit, because the static task → worker
+// of the same real input bit for bit, because the static task → worker
 // split makes every partial sum's operand set — and its order —
 // identical across K.
 func TestStaticFlippedBatchLanesMatchScalar(t *testing.T) {
@@ -116,30 +76,13 @@ func TestStaticFlippedBatchLanesMatchScalar(t *testing.T) {
 	}
 	for _, variant := range staticFlipVariants {
 		t.Run(variant.name, func(t *testing.T) {
-			e, err := NewEngineOpts(ih, testPool, variant.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := ih.NumV
+			e := newOracleEngine(t, ih, testPool, variant.opt)
+			src := realInput(100, ih.NumV, k)
 			lanes := make([][]float64, k)
-			bsrc := make([]float64, n*k)
-			bdst := make([]float64, n*k)
-			for j := 0; j < k; j++ {
-				lanes[j] = randomVec(uint64(100+j), n)
-				for v := 0; v < n; v++ {
-					bsrc[v*k+j] = lanes[j][v]
-				}
+			for j := range lanes {
+				lanes[j] = laneOf(src, k, j)
 			}
-			e.StepBatch(bsrc, bdst, k)
-			dst := make([]float64, n)
-			for j := 0; j < k; j++ {
-				e.Step(lanes[j], dst)
-				for v := 0; v < n; v++ {
-					if math.Float64bits(bdst[v*k+j]) != math.Float64bits(dst[v]) {
-						t.Fatalf("lane %d vertex %d: batch %v, scalar %v", j, v, bdst[v*k+j], dst[v])
-					}
-				}
-			}
+			requireLanesMatchScalar(t, e, lanes, stepFresh(e, src, k))
 		})
 	}
 }

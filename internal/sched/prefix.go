@@ -6,16 +6,16 @@ package sched
 const prefixSumCutoff = 1 << 13
 
 // PrefixSum computes the in-place inclusive prefix sum
-// a[i] = a[0] + ... + a[i]. With a nil pool (or a single worker, or a
-// short slice) it runs sequentially; otherwise it uses the classic
-// blocked two-pass scheme: each worker scans its static block locally,
+// a[i] = a[0] + ... + a[i]. With a single worker or a short slice it
+// runs sequentially; otherwise it uses the classic blocked two-pass
+// scheme: each worker scans its static block locally,
 // the per-block totals are prefix-summed sequentially (O(workers)),
 // and a second pass adds each block's incoming offset. Both passes use
 // the same ForStatic split, so the result is bit-for-bit identical to
 // the sequential scan.
 func PrefixSum(pool *Pool, a []int64) {
 	n := len(a)
-	if pool == nil || pool.Workers() <= 1 || n < prefixSumCutoff {
+	if pool.Workers() <= 1 || n < prefixSumCutoff {
 		prefixSumSeq(a)
 		return
 	}

@@ -31,15 +31,3 @@ func TestPrefixSum(t *testing.T) {
 		p.Close()
 	}
 }
-
-// TestPrefixSumNilPool covers the sequential fallback path.
-func TestPrefixSumNilPool(t *testing.T) {
-	a := []int64{3, -1, 4, -1, 5}
-	PrefixSum(nil, a)
-	want := []int64{3, 2, 6, 5, 10}
-	for i := range a {
-		if a[i] != want[i] {
-			t.Fatalf("PrefixSum = %v, want %v", a, want)
-		}
-	}
-}

@@ -65,6 +65,17 @@ func TestAllDirectionsMatchReference(t *testing.T) {
 	for name, g := range graphs {
 		src := randomVec(42, g.NumV)
 		want := referenceStep(g, src)
+		// Small signed integers, half the zeros -0.0, sum exactly in any
+		// order, so every direction must give the reference's bits: no
+		// kernel may skip a -0.0 source (SkipZero) or re-grow x == 0.
+		exact := make([]float64, g.NumV)
+		rng := xrand.New(77)
+		for i := range exact {
+			if exact[i] = float64(int64(rng.Uint64n(9)) - 4); exact[i] == 0 && i%2 == 0 {
+				exact[i] = math.Copysign(0, -1)
+			}
+		}
+		wantExact := referenceStep(g, exact)
 		for _, dir := range allDirections() {
 			e, err := NewEngine(g, testPool, dir, Options{})
 			if err != nil {
@@ -74,6 +85,12 @@ func TestAllDirectionsMatchReference(t *testing.T) {
 			e.Step(src, dst)
 			if d := maxAbsDiff(want, dst); d > 1e-9 {
 				t.Errorf("%s/%v: max diff %g from reference", name, dir, d)
+			}
+			e.Step(exact, dst)
+			for v := range dst {
+				if math.Float64bits(dst[v]) != math.Float64bits(wantExact[v]) {
+					t.Fatalf("%s/%v: signed integers: vertex %d = %v, reference %v", name, dir, v, dst[v], wantExact[v])
+				}
 			}
 		}
 	}
