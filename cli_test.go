@@ -53,7 +53,7 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("ihtlconvert output: %s", out)
 	}
 	// Upgrade the v1 engine file to the mmap-friendly v2 layout; the
-	// varint sections must come out smaller than the flat v1 adjacency.
+	// packed sections must come out smaller than the flat v1 adjacency.
 	ihtl2Path := filepath.Join(dir, "g.ihtl2")
 	out = run("ihtlconvert", "-i", ihtlPath, "-from", "ihtl", "-to", "ihtlv2", "-o", ihtl2Path)
 	if !strings.Contains(out, "iHTL graph") || !strings.Contains(out, "packed adjacency stream") {

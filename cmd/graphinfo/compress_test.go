@@ -24,8 +24,7 @@ func TestPrintCompressionGolden(t *testing.T) {
 
 	// The tiny example compresses badly (the chunk directory and each
 	// stream's 3-byte pad dominate 14 one-byte gaps) — the point of the
-	// pin is the exact shape, not the ratio; real graphs are measured by
-	// BenchmarkBlockEncoding in internal/core.
+	// pin is the exact shape, not the ratio.
 	const want = `
 block topology compression (flat vs varint adjacency):
   flipped[0]            9 edges, flat       36 B, varint       42 B, ratio 0.86x

@@ -102,9 +102,7 @@ func main() {
 	case "edgelist":
 		err = atomicio.WriteFile(*out, g.WriteEdgeList)
 	case "ihtl":
-		b := buildIHTL()
-		b.EnsureFlatTopology() // the v1 format stores the flat adjacency
-		err = b.SaveFile(*out)
+		err = buildIHTL().SaveFile(*out)
 	case "ihtlv2":
 		b := buildIHTL()
 		v2Stream = ", " + b.V2Stream() + " adjacency stream"

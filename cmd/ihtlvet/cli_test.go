@@ -123,9 +123,8 @@ func TestGateWaiverIndex(t *testing.T) {
 	}
 	for _, fn := range []string{
 		"pushTaskFlat", "sparsePullPart", "DecodeChunkCSR", "RowHeader", "Load32",
-		"pushTaskEnc", "pushTaskEncBatch", "sparseRowSumEnc", "sparseRowAccEnc",
 		"pushTaskEdgeMajor", "pullRowsEdgeMajor", "rowOfEdgeFrom",
-		"pushTaskFlat8", "pushTaskEnc4", "pullRowFlat8", "pullRowFlat4", "pullRowEnc4",
+		"pushTaskFlat8", "pullRowFlat8", "pullRowFlat4",
 		"pushTaskActive", "pullRowsActive",
 	} {
 		found := false

@@ -26,7 +26,6 @@ func main() {
 	var (
 		in      = flag.String("i", "", "input graph file")
 		engine  = flag.String("engine", "ihtl", "engine: ihtl | pull | push-atomic | push-buffered | push-partitioned")
-		enc     = flag.String("encoding", "auto", "iHTL block-topology encoding: auto | flat | varint")
 		iters   = flag.Int("iters", 20, "PageRank iterations")
 		top     = flag.Int("top", 10, "print the top-K ranked vertices")
 		workers = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
@@ -50,15 +49,11 @@ func main() {
 	prepStart := time.Now()
 	switch *engine {
 	case "ihtl":
-		encoding, err := core.ParseBlockEncoding(*enc)
-		if err != nil {
-			fatal(err)
-		}
 		ih, err := core.Build(g, core.Params{HubsPerBlock: *hpb})
 		if err != nil {
 			fatal(err)
 		}
-		e, err := core.NewEngineOpts(ih, pool, core.EngineOptions{BlockEncoding: encoding})
+		e, err := core.NewEngine(ih, pool)
 		if err != nil {
 			fatal(err)
 		}

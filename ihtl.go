@@ -83,9 +83,9 @@ type Epilogue = spmv.Epilogue
 // PageRankOptions configures PageRank.
 type PageRankOptions = analytics.PageRankOptions
 
-// EngineOptions tunes the iHTL engine beyond Params: the block
-// encoding and the opt-in numeric-health watchdog. Its other fields are
-// deprecated and read by no code.
+// EngineOptions tunes the iHTL engine beyond Params: the opt-in
+// numeric-health watchdog. Its other fields are deprecated and read by
+// no code.
 type EngineOptions = core.EngineOptions
 
 // SparseKernel named the engine's sparse-block kernel.
@@ -104,25 +104,23 @@ const (
 	SparsePB   = core.SparsePB
 )
 
-// BlockEncoding selects how the engine stores and traverses block
-// adjacency via EngineOptions.BlockEncoding; see the constants below.
+// BlockEncoding named the adjacency form the engine walked.
+//
+// Deprecated: every engine walks the flat adjacency, and
+// EngineOptions.BlockEncoding is read by no code.
 type BlockEncoding = core.BlockEncoding
 
-// Block encodings: auto (flat when the flat arrays are resident,
-// varint for engines over graphs loaded encoded-only from a v2 engine
-// file), the flat uint32 adjacency arrays, and the chunked varint-gap
-// encoding decoded into per-worker scratch inside the fused dispatch.
-// Both encodings produce bit-for-bit identical results under every
-// pipeline; they differ only in resident footprint and stream width.
+// Block encoding names, kept only so that code setting the deprecated
+// EngineOptions.BlockEncoding still compiles: every engine walks the
+// flat adjacency whatever it says, and a packed v2 file is decoded to
+// it when it is opened.
+//
+// Deprecated: see BlockEncoding.
 const (
 	EncodingAuto   = core.EncodingAuto
 	EncodingFlat   = core.EncodingFlat
 	EncodingVarint = core.EncodingVarint
 )
-
-// ParseBlockEncoding parses a block-encoding name ("auto", "flat",
-// "varint") as used by the CLI -encoding flags.
-func ParseBlockEncoding(s string) (BlockEncoding, error) { return core.ParseBlockEncoding(s) }
 
 // EngineFile is a serialised iHTL graph opened by OpenEngineFile —
 // memory-mapped when the file is in the v2 segment format and the
@@ -131,9 +129,10 @@ func ParseBlockEncoding(s string) (BlockEncoding, error) { return core.ParseBloc
 type EngineFile = core.EngineFile
 
 // OpenEngineFile opens a serialised iHTL graph (either on-disk
-// version). v2 files map lazily: the topology pages in on demand and
-// engines resolve BlockEncoding auto to varint, so a billion-edge
-// graph opens without materialising flat adjacency.
+// version). v2 files are mapped: the relabeling and row offsets page in
+// on demand, a raw file's adjacency too, and a packed file's adjacency
+// is decoded into the heap when it is opened (4 bytes per edge), so
+// every engine over it walks the flat arrays.
 func OpenEngineFile(path string) (*EngineFile, error) { return core.OpenEngineFile(path) }
 
 // HealthPolicy configures the opt-in numeric watchdog: the SpMV
@@ -272,13 +271,14 @@ func NewEngine(g *Graph, pool *Pool, p Params) (*Engine, error) {
 	return NewEngineOpts(nil, g, pool, p, EngineOptions{})
 }
 
-// NewEngineOpts is NewEngine with explicit engine options (the block
-// encoding, the numeric-health watchdog) and a context governing the preprocessing build:
+// NewEngineOpts is NewEngine with explicit engine options (the
+// numeric-health watchdog) and a context governing the preprocessing build:
 // cancelling ctx aborts hub ranking, relabeling and block construction
 // between phases (mid-pass at the next chunk claim) and returns
 // ctx.Err(). ctx may be nil. The deprecated opt.Shards,
-// opt.StaticFlipped, opt.Phased and opt.SparseKernel are ignored: every
-// engine is the one single-graph engine and its fused pipeline.
+// opt.StaticFlipped, opt.Phased, opt.SparseKernel and opt.BlockEncoding
+// are ignored: every engine is the one single-graph engine, its fused
+// pipeline over the flat adjacency.
 func NewEngineOpts(ctx context.Context, g *Graph, pool *Pool, p Params, opt EngineOptions) (*Engine, error) {
 	ih, err := core.BuildWithCtx(ctx, g, p, pool)
 	if err != nil {

@@ -3,6 +3,7 @@ package ihtl_test
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ihtl"
@@ -149,19 +150,11 @@ func TestPublicAPIParallelBuildParity(t *testing.T) {
 	}
 }
 
-// TestPublicAPIBlockEncoding drives the compressed-topology surface
-// end to end through the public aliases: parse the flag value, run a
-// varint engine against the flat default, and reopen the graph from a
-// v2 engine file where auto resolves to varint.
+// TestPublicAPIBlockEncoding pins the deprecated encoding surface
+// through the public aliases: an engine asked for EncodingVarint steps
+// the default engine's bits, and a packed v2 engine file opens with the
+// flat adjacency the build held.
 func TestPublicAPIBlockEncoding(t *testing.T) {
-	enc, err := ihtl.ParseBlockEncoding("varint")
-	if err != nil || enc != ihtl.EncodingVarint {
-		t.Fatalf("ParseBlockEncoding = %v, %v", enc, err)
-	}
-	if _, err := ihtl.ParseBlockEncoding("huffman"); err == nil {
-		t.Fatal("ParseBlockEncoding accepted an unknown encoding")
-	}
-
 	g, err := ihtl.GenerateRMAT(9, 8, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -174,12 +167,12 @@ func TestPublicAPIBlockEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	varint, err := ihtl.NewEngineOpts(nil, g, pool, p, ihtl.EngineOptions{BlockEncoding: enc})
+	varint, err := ihtl.NewEngineOpts(nil, g, pool, p, ihtl.EngineOptions{BlockEncoding: ihtl.EncodingVarint})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Integer-valued input: addition is exact, so the two encodings
-	// must agree bit for bit regardless of merge scheduling.
+	// Integer-valued input: addition is exact, so the two engines must
+	// agree bit for bit regardless of merge scheduling.
 	n := flat.NumVertices()
 	src := make([]float64, n)
 	for v := range src {
@@ -204,8 +197,17 @@ func TestPublicAPIBlockEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ef.Close()
-	if !ef.IHTL().EncodedOnly() {
-		t.Fatal("v2 engine file should open encoded-only")
+	if got := ef.IHTL().V2Stream(); got != "packed" {
+		t.Fatalf("v2 engine file holds a %s stream, want packed", got)
+	}
+	built, opened := flat.IHTL(), ef.IHTL()
+	for b := range built.Blocks {
+		if !slices.Equal(opened.Blocks[b].Dsts, built.Blocks[b].Dsts) {
+			t.Fatalf("block %d opened with other flat adjacency than it was built with", b)
+		}
+	}
+	if !slices.Equal(opened.Sparse.Srcs, built.Sparse.Srcs) {
+		t.Fatal("sparse block opened with other flat adjacency than it was built with")
 	}
 }
 

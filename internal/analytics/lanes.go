@@ -161,8 +161,7 @@ func (ws *PPRWorkspace) RunLanes(ctx context.Context, e spmv.Stepper, outDeg []i
 	}
 	sw.srcRows = distinctAscending(sw.sources)
 
-	// The sweep runs dense here, on a packed engine and on the flat one
-	// a raw file gives alike: the batches of the graph the daemon is
+	// The sweep runs dense here: the batches of the graph the daemon is
 	// measured on fill within two Steps, so row sets here would see no
 	// traffic (DESIGN.md §8 "Active rows"). Like Run's dense steps, it
 	// streams on an engine that streams its epilogue, writing the next

@@ -38,10 +38,9 @@ type PPRResult struct {
 
 // activeRowStepper is the one optional capability an engine may add to
 // spmv.Stepper: a step over the rows a RowSet names that reports the
-// rows it wrote (see core.Engine.StepBatchActiveCtx); honoured == false
-// means nothing was stepped and StepCtx must be used.
+// rows it wrote (see core.Engine.StepBatchActiveCtx).
 type activeRowStepper interface {
-	StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(slot, lo, hi int)) (honoured bool, err error)
+	StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(slot, lo, hi int)) error
 }
 
 // activeRowFrac sets where a run leaves the active-row mode: it steps
@@ -273,11 +272,9 @@ func (ws *PPRWorkspace) Run(ctx context.Context, e spmv.Stepper, outDeg []int, p
 			for _, s := range sw.srcRows {
 				sw.rankRows.Add(s)
 			}
-			// An engine that refuses the step stays dense from here on.
 			sw.contrib = contrib
-			active, stepErr = ae.StepBatchActiveCtx(ctx, contrib, sums, k, sw.contribRows, sw.touched, epi)
-		}
-		if !active {
+			stepErr = ae.StepBatchActiveCtx(ctx, contrib, sums, k, sw.contribRows, sw.touched, epi)
+		} else {
 			sw.contrib = next
 			stepErr = e.StepCtx(ctx, contrib, sums, k, spmv.Epilogue{Run: epi, Stream: streamed})
 			if stepErr == nil && streamed {

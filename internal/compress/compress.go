@@ -10,9 +10,9 @@
 // archival format of cmd/ihtlconvert's "compressed" output, where size
 // is all that counts. Chunked stores the same gaps as fixed-width
 // packed rows split at edge-count boundaries: a few more bytes per
-// edge for a decode with no data-dependent branch, which the core
-// engine's kernels fuse into their traversal
-// (EngineOptions.BlockEncoding) and the v2 engine file stores.
+// edge for a decode with no data-dependent branch. The v2 engine file
+// stores it, and opening the file decodes it to the flat adjacency the
+// core engine walks.
 package compress
 
 import (
@@ -168,9 +168,9 @@ func DecodeAdjacency(data []byte, numV int, numE int64) ([]int64, []uint32, erro
 	return index, nbrs, nil
 }
 
-// DefaultChunkEdges is the edge budget per encoded chunk: a chunk is
-// the engine's flipped steal granule, and 4096 edges of packed rows
-// (≤ 16 KiB) stay cache-resident per worker next to the hub buffer.
+// DefaultChunkEdges is the edge budget per encoded chunk: 4096 edges
+// of packed rows (≤ 16 KiB) decode with cache-resident scratch. It is
+// part of the v2 file's bytes.
 const DefaultChunkEdges = 4096
 
 // rowPad is the number of zero bytes that follow the last chunk in
@@ -319,9 +319,7 @@ func RowHeader(data []byte, pos int) (deg, width int, mask uint32, next int) {
 // DecodeChunkCSR decodes chunk c into caller scratch: sIdx (length at
 // least MaxSrcs+1) receives local CSR offsets, dsts (length at least
 // MaxEdges) the neighbours. Returns the row and edge counts. It serves
-// the cold callers (flat materialisation, out-degrees, task bounds);
-// the engine's kernels walk the rows straight into their accumulation
-// with the same RowHeader / Load32 & mask steps. The stream is trusted
+// the v2 file's decode at open. The stream is trusted
 // and the decode is unchecked (//ihtl:nobce): data of external origin
 // MUST pass Validate at load time — parseV2 does — after which every
 // cursor and count below stays inside its slice by the validated
@@ -351,34 +349,17 @@ func (ck *Chunked) DecodeChunkCSR(c int, sIdx []int32, dsts []uint32) (nsrc, ne 
 	return nsrc, e
 }
 
-// RowOffsets walks the row headers once and returns each row's starting
-// byte in Data: random row access for the engine's pull kernels. Checked
-// reads — the stream was validated or built in-process before this
-// runs, so a panic here is a bug, not input.
-func (ck *Chunked) RowOffsets() []int64 {
-	off := make([]int64, ck.NumSrc)
-	for c := 0; c < ck.Chunks(); c++ {
-		pos := ck.ByteOff[c]
-		for r := ck.SrcOff[c]; r < ck.SrcOff[c+1]; r++ {
-			off[r] = pos
-			h, n := binary.Uvarint(ck.Data[pos:])
-			pos += int64(n) + int64(h>>2)*(int64(h&3)+1)
-		}
-	}
-	return off
-}
-
 // Validate fully decodes every row with checked reads and verifies the
 // structure: monotone chunk tables ending rowPad zero bytes before the
 // end of Data, per-chunk rows that consume exactly their byte range,
 // every neighbour below maxDst, totals matching NumSrc/NumEdges, and
 // MaxSrcs/MaxEdges covering the actual maxima. A non-nil index must be
 // the rows' CSR offset array (index[0] = 0, index[r+1]-index[r] = row
-// r's degree): the engine's kernels take degrees from it and only gap
-// widths from the stream. Validate allocates nothing, whatever sizes
-// the tables declare. A Chunked of external origin (a v2 engine file)
-// must pass it before any unchecked decoder — DecodeChunkCSR or the
-// engine's fused kernels — may trust it.
+// r's degree): the engine's kernels walk the decode by it. Validate
+// allocates nothing, whatever sizes the tables declare, and a Chunked
+// that passes it holds no more edges than Data has bytes. A Chunked of
+// external origin (a v2 engine file) must pass it before the unchecked
+// DecodeChunkCSR may trust it, or any caller size a decode by it.
 //
 //ihtl:nopanic
 func (ck *Chunked) Validate(maxDst uint32, index []int64) error {

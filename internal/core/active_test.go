@@ -42,12 +42,6 @@ func sparseLaneInput(seed uint64, n, k, every int, extra bool) ([]float64, spmv.
 	return src, active
 }
 
-// activeRowsHonoured says which rows of the option matrix have the
-// active-row kernels: the flat ones.
-func activeRowsHonoured(o EngineOptions) bool {
-	return o.BlockEncoding != EncodingVarint
-}
-
 // wantTouched is the set an active-row step must report: every row, hub
 // or sparse, with an in-neighbour named by active.
 func wantTouched(ih *IHTL, active spmv.RowSet) spmv.RowSet {
@@ -80,7 +74,7 @@ const activeSentinel = -7.5
 
 // stepActive runs one active-row step of e over src, into a result of
 // sentinels and a touched set that starts full (it must be rewritten,
-// not added to), and fails the test unless the step was honoured.
+// not added to), and fails the test if the step errs.
 func stepActive(t *testing.T, label string, e *Engine, src []float64, active spmv.RowSet, k int, epi func(w, lo, hi int)) (got []float64, touched spmv.RowSet) {
 	t.Helper()
 	n := e.NumVertices()
@@ -92,8 +86,8 @@ func stepActive(t *testing.T, label string, e *Engine, src []float64, active spm
 	for r := 0; r < n; r++ {
 		touched.Add(r)
 	}
-	if honoured, err := e.StepBatchActiveCtx(context.Background(), src, got, k, active, touched, epi); err != nil || !honoured {
-		t.Fatalf("%s: honoured=%v err=%v", label, honoured, err)
+	if err := e.StepBatchActiveCtx(context.Background(), src, got, k, active, touched, epi); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 	return got, touched
 }
@@ -197,7 +191,7 @@ func TestStepBatchActiveEmptyBlock(t *testing.T) {
 	fb := &ih.Blocks[1]
 	fb.Index = make([]int64, len(fb.Index))
 	fb.Dsts = fb.Dsts[:0]
-	fb.Enc, fb.Sources = nil, 0
+	fb.Sources = 0
 	n := ih.NumV
 	e, err := NewEngine(ih, pool)
 	if err != nil {
@@ -261,39 +255,6 @@ func TestStepBatchActiveAlternatingDense(t *testing.T) {
 	}
 }
 
-// TestStepBatchActiveNotHonoured pins the configurations without
-// active-row kernels — every other row of the option matrix: they
-// answer false, step nothing, and leave both the result and the set
-// alone for the caller's dense step.
-func TestStepBatchActiveNotHonoured(t *testing.T) {
-	g := diffGraphs(t)["rmat"]
-	ih, err := Build(g, Params{HubsPerBlock: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, k := ih.NumV, 3
-	src, active := sparseLaneInput(5, n, k, 40, false)
-	for _, opt := range optionMatrix(t, nil) {
-		if activeRowsHonoured(opt) {
-			continue
-		}
-		e, err := NewEngineOpts(ih, testPool, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]float64, n*k)
-		touched := spmv.NewRowSet(n)
-		ran := false
-		honoured, err := e.StepBatchActiveCtx(nil, src, dst, k, active, touched, func(w, lo, hi int) { ran = true })
-		if honoured || err != nil || ran {
-			t.Fatalf("%+v: honoured=%v err=%v epilogue ran=%v, want a refusal", opt, honoured, err, ran)
-		}
-		if touched.Count() != 0 || !spmv.SkipZeroLanes(dst) {
-			t.Fatalf("%+v: a refused step wrote its outputs", opt)
-		}
-	}
-}
-
 // TestStepBatchActiveFaultThenClean aborts active-row steps — a
 // cancelled context, then a panic injected at each of the fused worker's
 // sites — and requires the next active step and the next dense step on
@@ -311,8 +272,8 @@ func TestStepBatchActiveFaultThenClean(t *testing.T) {
 		t.Helper()
 		got := make([]float64, n*k)
 		touched := spmv.NewRowSet(n)
-		if ok, err := e.StepBatchActiveCtx(context.Background(), src, got, k, active, touched, nil); !ok || err != nil {
-			t.Fatalf("%s: clean active step: honoured=%v err=%v", label, ok, err)
+		if err := e.StepBatchActiveCtx(context.Background(), src, got, k, active, touched, nil); err != nil {
+			t.Fatalf("%s: clean active step: %v", label, err)
 		}
 		for v := 0; v < n; v++ {
 			if touched.Has(v) != wt.Has(v) {
@@ -331,7 +292,7 @@ func TestStepBatchActiveFaultThenClean(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.StepBatchActiveCtx(cancelled, src, make([]float64, n*k), k, active, spmv.NewRowSet(n), nil); !errors.Is(err, context.Canceled) {
+	if err := e.StepBatchActiveCtx(cancelled, src, make([]float64, n*k), k, active, spmv.NewRowSet(n), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled step: err = %v", err)
 	}
 	requireClean("after cancel")
@@ -345,7 +306,7 @@ func TestStepBatchActiveFaultThenClean(t *testing.T) {
 		{faultinject.SiteSparsePart, 0}, {faultinject.SiteSparsePart, 2},
 	} {
 		faultinject.Activate(faultinject.NewPlan(faultinject.Rule{Site: at.site, Kind: faultinject.Panic, After: at.after, Times: 1}))
-		_, err := e.StepBatchActiveCtx(context.Background(), src, make([]float64, n*k), k, active, spmv.NewRowSet(n), func(w, lo, hi int) {})
+		err := e.StepBatchActiveCtx(context.Background(), src, make([]float64, n*k), k, active, spmv.NewRowSet(n), func(w, lo, hi int) {})
 		faultinject.Deactivate()
 		var perr *sched.PanicError
 		if !errors.As(err, &perr) {
@@ -375,7 +336,7 @@ func TestStepBatchActiveFaultThenClean(t *testing.T) {
 	for _, after := range []int64{0, int64(len(ih.Blocks) - 1)} {
 		label := fmt.Sprintf("after panic at merge %d of %d", after+1, len(ih.Blocks))
 		faultinject.Activate(faultinject.NewPlan(faultinject.Rule{Site: faultinject.SiteMergeBlock, Kind: faultinject.Panic, After: after, Times: 1}))
-		_, err := oe.StepBatchActiveCtx(context.Background(), allSrc, make([]float64, ih.NumV*k), k, allActive, spmv.NewRowSet(ih.NumV), nil)
+		err := oe.StepBatchActiveCtx(context.Background(), allSrc, make([]float64, ih.NumV*k), k, allActive, spmv.NewRowSet(ih.NumV), nil)
 		faultinject.Deactivate()
 		var perr *sched.PanicError
 		if !errors.As(err, &perr) {

@@ -161,16 +161,14 @@ func BenchmarkShortRowKernel(b *testing.B) {
 }
 
 // BenchmarkLaneKernel times the K-lane flipped push and sparse pull of
-// the (topology, width) pairs that have a register-resident body —
-// flat at 8 lanes and packed gap rows at 4 on a graph that flips, and
-// the 4-lane pull over the same graph built resident, which has no push:
-// flat rows (what the daemon runs on a raw file) beside packed ones
-// (what it ran on the packed file of that graph), and the resident
-// 8-lane flat pull (the ppr8 rung on small-resident) — each through the
-// run-time-K loop ("generic"), through the Go body the engine selects
-// ("fixed"; for the three flat cells their Go twin) and, where the CPU
-// has AVX2, through the flat cells' assembly ("avx2", the 8-lane cells
-// at the prefetch distance the engine's setWidth picks for the width).
+// the (graph, width) pairs that have a register-resident body — 8 lanes
+// on a graph that flips, and the 4-lane pull over the same graph built
+// resident, which has no push (what the daemon runs on a raw file),
+// and the resident 8-lane pull (the ppr8 rung on small-resident) — each
+// through the run-time-K loop ("generic"), through the Go body the
+// engine selects ("fixed", the Go twin) and, where the CPU has AVX2,
+// through the assembly ("avx2", the 8-lane cells at the prefetch
+// distance the engine's setWidth picks for the width).
 // One thread, over R-MATs of the benchmark's small-resident shape
 // (scale 14, all in L2) and at scale 17 (the largest resident graph).
 // Kernels are called directly, every task and row in order: the number
@@ -203,15 +201,12 @@ func BenchmarkLaneKernel(b *testing.B) {
 		for _, c := range []struct {
 			name string
 			ih   *IHTL
-			enc  BlockEncoding
 			k    int
 		}{
-			{"flat", flipped, EncodingFlat, 8}, {"packed", flipped, EncodingVarint, 4},
-			{"resident-flat", resident, EncodingFlat, 4}, {"resident-packed", resident, EncodingVarint, 4},
-			{"resident-flat", resident, EncodingFlat, 8},
+			{"flat", flipped, 8}, {"resident-flat", resident, 4}, {"resident-flat", resident, 8},
 		} {
 			ih := c.ih
-			e, err := NewEngineOpts(ih, testPool, EngineOptions{BlockEncoding: c.enc})
+			e, err := NewEngine(ih, testPool)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -226,7 +221,7 @@ func BenchmarkLaneKernel(b *testing.B) {
 			dst := make([]float64, ih.NumV*k)
 			buf := make([]float64, ih.NumHubs*k)
 			bodies := []string{"fixed", "generic"}
-			if spmv.HasAVX2() && c.enc == EncodingFlat {
+			if spmv.HasAVX2() {
 				bodies = append(bodies, "avx2")
 			}
 			pull := altBench{prefix: fmt.Sprintf("scale=%d/pull/%s/k%d/", scale, c.name, k), unit: "ns/edge-lane", div: float64(ih.Sparse.NumEdges() * int64(k))}
@@ -249,13 +244,10 @@ func BenchmarkLaneKernel(b *testing.B) {
 					ForceGoTwins(body != "avx2")
 					for t := range e.blockTasks {
 						bt := &e.blockTasks[t]
-						switch fb := &ih.Blocks[bt.block]; {
-						case !generic:
+						if generic {
+							pushTaskFlatBatch(k, bt, &ih.Blocks[bt.block], src, buf)
+						} else {
 							e.pushTaskBatch(k, bt, src, buf)
-						case e.varint:
-							pushTaskEncBatch(k, bt, fb, src, buf)
-						default:
-							pushTaskFlatBatch(k, bt, fb, src, buf)
 						}
 					}
 					return nil
@@ -409,8 +401,8 @@ func BenchmarkStepBatchActive(b *testing.B) {
 		})
 		b.Run(name+"/active", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if ok, err := e.StepBatchActiveCtx(nil, src, dst, k, active, touched, nil); !ok || err != nil {
-					b.Fatal(ok, err)
+				if err := e.StepBatchActiveCtx(nil, src, dst, k, active, touched, nil); err != nil {
+					b.Fatal(err)
 				}
 			}
 			perLane(b)
@@ -476,57 +468,6 @@ func BenchmarkStepResident(b *testing.B) {
 					})
 				}
 			}
-		})
-	}
-}
-
-// encodingGraph is the graph the block-encoding comparison runs on: an
-// R-MAT of scale 14 (edge factor 16, reciprocal hubs) built with
-// B = 2048, so most of its edges sit in flipped blocks whose rows the
-// varint encoding packs.
-func encodingGraph(tb testing.TB) *IHTL {
-	tb.Helper()
-	cfg := gen.DefaultRMAT(14, 16, 114)
-	cfg.Reciprocity = 0.7
-	g, err := gen.RMAT(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ih, err := Build(g, Params{HubsPerBlock: 2048})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return ih
-}
-
-// BenchmarkBlockEncoding steps the fused engine over encodingGraph
-// under each block encoding on two workers, reporting ns per edge and
-// the modelled topology stream per edge (topologyStreamBytes). CI
-// runs it at -benchtime 30x and fails if varint's ns/edge is above
-// 1.5× flat's: the packed rows were recorded at 1.23× flat, the LEB128
-// streams they replaced at 3.1×, so a decode regression shows here.
-func BenchmarkBlockEncoding(b *testing.B) {
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	ih := encodingGraph(b)
-	src := make([]float64, ih.NumV)
-	for i := range src {
-		src[i] = 1 / float64(ih.NumV)
-	}
-	dst := make([]float64, ih.NumV)
-	for _, enc := range []BlockEncoding{EncodingFlat, EncodingVarint} {
-		b.Run(enc.String(), func(b *testing.B) {
-			e, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: enc})
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.Step(src, dst) // page in dst and the hub buffers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step(src, dst)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ih.NumE), "ns/edge")
-			b.ReportMetric(float64(e.topologyStreamBytes())/float64(ih.NumE), "B/edge")
 		})
 	}
 }

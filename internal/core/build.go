@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
-	"ihtl/internal/compress"
 	"ihtl/internal/faultinject"
 	"ihtl/internal/graph"
 	"ihtl/internal/sched"
@@ -30,22 +28,15 @@ type FlippedBlock struct {
 	// Dsts are hub destinations in new IDs (all in [HubLo, HubHi)),
 	// sorted ascending within each source's run: the push kernels
 	// accumulate per destination, so within-row order changes no
-	// result bit, and sorted runs make the varint gap encoding
-	// effective. Nil when only the varint form is resident (a v2
-	// engine file loaded without materialising flat topology); Index
-	// is always resident.
+	// result bit, and sorted runs are what the v2 file's packed gap
+	// rows store.
 	Dsts []graph.VID
 	// Sources is |FVᵢ|: the number of sources with at least one edge
 	// into this block (the §3.3 block-admission statistic).
 	Sources int
-	// Enc is the chunked varint-gap encoding of Dsts, built lazily by
-	// EnsureEncoded or loaded from a v2 engine file. Engines with
-	// BlockEncoding varint traverse it instead of Dsts.
-	Enc *compress.Chunked
 }
 
-// NumEdges returns the edge count of the block. Index-based, so it is
-// exact whether the flat or only the encoded adjacency is resident.
+// NumEdges returns the edge count of the block, read off Index.
 func (b *FlippedBlock) NumEdges() int64 {
 	if n := len(b.Index); n > 1 {
 		return b.Index[n-1]
@@ -60,16 +51,11 @@ type SparseBlock struct {
 	DestLo int
 	// Index has NumV-DestLo+1 offsets into Srcs.
 	Index []int64
-	// Srcs are source new IDs grouped by destination, sorted. Nil when
-	// only the varint form is resident; Index is always resident.
+	// Srcs are source new IDs grouped by destination, sorted.
 	Srcs []graph.VID
-	// Enc is the chunked varint-gap encoding of Srcs; see
-	// FlippedBlock.Enc.
-	Enc *compress.Chunked
 }
 
-// NumEdges returns the edge count of the sparse block. Index-based,
-// like FlippedBlock.NumEdges.
+// NumEdges returns the edge count of the sparse block, read off Index.
 func (s *SparseBlock) NumEdges() int64 {
 	if n := len(s.Index); n > 1 {
 		return s.Index[n-1]
@@ -78,7 +64,10 @@ func (s *SparseBlock) NumEdges() int64 {
 }
 
 // IHTL is the iHTL graph (Figure 3): the relabeling arrays, the
-// flipped blocks, and the sparse block.
+// flipped blocks, and the sparse block. It holds one topology form,
+// the flat one, and nothing writes it after Build or open: engines only
+// read it, so any number of them may be built over one IHTL from
+// concurrent goroutines.
 type IHTL struct {
 	// NumV, NumE mirror the original graph.
 	NumV int
@@ -105,14 +94,6 @@ type IHTL struct {
 	// the v2 stream format (WriteToV2).
 	resident   bool
 	buildStats BuildBreakdown
-
-	// lazyMu serialises the lazy, idempotent derivations over the
-	// graph's resident forms — EnsureEncoded, EnsureFlatTopology and
-	// DropFlatTopology — so several engines may be constructed over one
-	// IHTL from concurrent goroutines. The derived fields are immutable
-	// once present; readers are ordered after their own constructor's
-	// locked Ensure call, so the hot paths stay lock-free.
-	lazyMu sync.Mutex
 }
 
 // NumPushSources returns the number of vertices traversed during push

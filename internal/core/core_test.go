@@ -491,7 +491,8 @@ func TestStepRejectsBadLengths(t *testing.T) {
 }
 
 // TestNewEngineOptsIgnoresDeprecated pins the deprecated fields: no
-// value of Shards, StaticFlipped, Phased or SparseKernel is refused, and
+// value of Shards, StaticFlipped, Phased, SparseKernel or BlockEncoding
+// is refused, and
 // each builds the engine a zero EngineOptions builds, stepping the same
 // bits at one lane and at eight.
 func TestNewEngineOptsIgnoresDeprecated(t *testing.T) {
@@ -503,7 +504,7 @@ func TestNewEngineOptsIgnoresDeprecated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := []EngineOptions{{StaticFlipped: true}, {Phased: true}, {SparseKernel: SparsePB}}
+	rows := []EngineOptions{{StaticFlipped: true}, {Phased: true}, {SparseKernel: SparsePB}, {BlockEncoding: EncodingFlat}, {BlockEncoding: EncodingVarint}}
 	for _, shards := range []int{1, 2, 3, 8} {
 		rows = append(rows, EngineOptions{Shards: shards})
 	}

@@ -35,9 +35,7 @@ package core
 //
 // The streams are engine state, derived in NewEngine on the pool from
 // Index alone: never serialised, no file-format field. The K-lane batch
-// kernels and the packed (varint) kernels keep CSR — row skipping is
-// what pays on PPR's sparse vectors, and the packed rows carry their
-// own degree.
+// kernels keep CSR — row skipping is what pays on PPR's sparse vectors.
 //
 // The pull's src reads are random, and past L2 they miss. On amd64 its
 // pair loop runs an assembly body (edgemajor_amd64.s) that prefetches
@@ -228,14 +226,10 @@ func buildAdv(pool *sched.Pool, index []int64) ([]uint8, error) {
 }
 
 // initLayouts picks each block's layout (or takes the test hook's) and
-// builds the adv streams of the edge-major ones. Flat engines only: the
-// packed kernels walk CSR.
+// builds the adv streams of the edge-major ones.
 func (e *Engine) initLayouts(force BlockLayout) error {
 	ih := e.ih
 	e.flipAdv = make([][]uint8, len(ih.Blocks))
-	if e.varint {
-		return nil
-	}
 	edgeMajor := func(index []int64) bool {
 		if force != layoutByShape && len(index) > 1 && index[len(index)-1] > 0 {
 			return force == LayoutEdgeMajor

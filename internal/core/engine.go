@@ -41,14 +41,6 @@ type Engine struct {
 	stepShell
 	ih *IHTL
 
-	// encoding is the resolved block encoding; varint mirrors
-	// encoding == EncodingVarint for branch-cheap hot-path checks.
-	// Under varint the flipped tasks are encoded chunks walked straight
-	// into the hub buffer, and the sparse pull walks the row at
-	// sparseRowOff[i] straight into its sum; see encoding.go.
-	encoding     BlockEncoding
-	sparseRowOff []int64
-
 	// batch holds the hub buffers and dirty ranges, set to the width of
 	// the step in flight; see engine_batch.go.
 	batch batchState
@@ -76,10 +68,6 @@ type Engine struct {
 	// one countdown latch per flipped block.
 	sparseSched *sched.StealScheduler
 	blockGate   *sched.Countdowns
-	// varint sits after batch, not beside encoding, so batch keeps the
-	// offset it had before batchState.prefetch (DESIGN.md §8,
-	// "Prefetching the lanes").
-	varint bool
 	// fusedJob is the prebuilt worker body (capturing only e), so a
 	// fused step allocates nothing.
 	fusedJob func(w int)
@@ -100,10 +88,6 @@ type Engine struct {
 type blockTask struct {
 	block  int
 	lo, hi int // source range
-	// chunk is the encoded-chunk ordinal of the task under the varint
-	// encoding (the source range then equals the chunk's row range);
-	// unused under flat.
-	chunk int
 	// dLo, dHi bound the hub IDs this task's edges can write
 	// (precomputed at build). Tracking the dirty range per task
 	// instead of per edge keeps the push inner loop free of it; the
@@ -260,11 +244,13 @@ type EngineOptions struct {
 	// every recorded measurement and was removed (DESIGN.md §12). Leave
 	// it unset.
 	SparseKernel SparseKernel
-	// BlockEncoding selects the adjacency representation the engine
-	// traverses: EncodingAuto (varint when only the encoded topology
-	// is resident, flat otherwise), EncodingFlat or EncodingVarint.
-	// All pipelines are bit-for-bit identical under either encoding.
-	// See encoding.go.
+	// BlockEncoding is read by no code: every engine walks the flat
+	// adjacency, which a packed v2 file is decoded into when it is
+	// opened.
+	//
+	// Deprecated: the packed-row kernels it selected lost every
+	// recorded measurement past L2 and were removed (DESIGN.md §13).
+	// Leave it unset.
 	BlockEncoding BlockEncoding
 	// Shards is read by no code: every value builds the single-graph
 	// engine.
@@ -278,6 +264,28 @@ type EngineOptions struct {
 	// (the only value code outside this package can give it) chooses.
 	forceLayout BlockLayout
 }
+
+// BlockEncoding named the adjacency form an Engine walked.
+//
+// Deprecated: every engine walks the flat adjacency, and
+// EngineOptions.BlockEncoding is read by no code.
+type BlockEncoding int
+
+const (
+	// EncodingAuto is the zero value, and what every engine runs: flat.
+	//
+	// Deprecated: see BlockEncoding.
+	EncodingAuto BlockEncoding = iota
+	// EncodingFlat means flat.
+	//
+	// Deprecated: see BlockEncoding.
+	EncodingFlat
+	// EncodingVarint named the packed gap rows, which a v2 file still
+	// stores; it too means flat.
+	//
+	// Deprecated: see BlockEncoding.
+	EncodingVarint
+)
 
 // NewEngine prepares an Algorithm 3 engine on the given pool with
 // default options; see NewEngineOpts for what it asks of the pool.
@@ -299,16 +307,9 @@ func NewEngineOpts(ih *IHTL, pool *sched.Pool, opt EngineOptions) (*Engine, erro
 	workers := pool.Workers()
 	e := &Engine{ih: ih}
 	e.initShell(pool, ih.NumV, opt)
-	e.initEncoding(opt.BlockEncoding)
-	if e.varint {
-		// One task per encoded chunk: a bounded, cache-resident run of
-		// rows, so it is the schedule's granule.
-		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasksEnc(ih)
-	} else {
-		// Edge-balanced source chunks per flipped block: the per-block
-		// CSR index arrays give exact per-source edge counts.
-		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasks(ih, workers*4)
-	}
+	// Edge-balanced source chunks per flipped block: the per-block CSR
+	// index arrays give exact per-source edge counts.
+	e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasks(ih, workers*4)
 	if ih.NumV > ih.Sparse.DestLo {
 		e.sparseBounds = sched.EdgeBalancedParts(ih.Sparse.Index, workers*4)
 	}

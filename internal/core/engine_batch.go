@@ -112,13 +112,8 @@ func resized(s []float64, n int) []float64 {
 }
 
 // setActive stages (or, given nil sets, unstages) an active-row step.
-// Only a flat engine has the two kernels; a packed one refuses.
-func (e *Engine) setActive(active, touched spmv.RowSet) bool {
-	if e.varint {
-		return false
-	}
+func (e *Engine) setActive(active, touched spmv.RowSet) {
 	e.batch.active, e.batch.touched = active, touched
-	return true
 }
 
 // recoverState clears the buffers, dirty ranges and hub bits after an

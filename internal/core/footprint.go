@@ -3,27 +3,19 @@ package core
 import "ihtl/internal/spmv"
 
 // topologyStreamBytes returns the modelled topology bytes one scalar
-// Step streams from memory, under the engine's encoding. Flat engines
-// stream each block's CSR/CSC (8-byte index entries, 4-byte vertex
-// IDs) — or, for a block walked edge-major, the vertex IDs and the
-// half-byte-per-edge adv stream and NOT the index (the kernels read two
-// index entries per task, which are not charged); varint engines stream
-// the encoded chunks (data plus chunk tables) and, on the sparse side,
-// the per-row byte offsets; they decode into registers, so there is no
-// scratch to account for. It is the half of
-// BytesPerStep the encoding changes, so BenchmarkBlockEncoding and the
-// encoding tests read their B/edge from it alone.
+// Step streams from memory: each block's CSR/CSC (8-byte index
+// entries, 4-byte vertex IDs) — or, for a block walked edge-major, the
+// vertex IDs and the half-byte-per-edge adv stream and NOT the index
+// (the kernels read two index entries per task, which are not
+// charged). It is the half of BytesPerStep the layout changes.
 func (e *Engine) topologyStreamBytes() int64 {
 	ih := e.ih
 	var total int64
 	for b := range ih.Blocks {
 		fb := &ih.Blocks[b]
-		switch {
-		case e.varint:
-			total += fb.Enc.EncodedBytes()
-		case e.flipAdv[b] != nil:
+		if e.flipAdv[b] != nil {
 			total += 4*fb.NumEdges() + int64(len(e.flipAdv[b]))
-		default:
+		} else {
 			nsrc := int64(len(fb.Index) - 1)
 			total += 8*(nsrc+1) + 4*fb.NumEdges()
 		}
@@ -34,26 +26,21 @@ func (e *Engine) topologyStreamBytes() int64 {
 		return total
 	}
 	Es := sp.NumEdges()
-	switch {
-	case e.varint:
-		total += int64(len(sp.Enc.Data)) // packed rows
-		total += 8 * n                   // per-row byte offsets
-		total += 8 * (n + 1)             // row degrees come from Index
-	case e.sparseAdv != nil:
+	if e.sparseAdv != nil {
 		total += 4*Es + int64(len(e.sparseAdv))
-	default:
+	} else {
 		total += 8*(n+1) + 4*Es
 	}
 	return total
 }
 
 // BytesPerStep returns the modelled bytes one scalar Step touches: the
-// topology stream under the engine's encoding, one vertex-data access
+// topology stream under the blocks' layouts, one vertex-data access
 // per topology access, and the hub-buffer merge traffic per worker.
 // The model matches spmv.Engine.BytesPerStep — flat topology index
 // entries are 8 bytes, vertex IDs 4, vertex data spmv.VertexBytes — so
 // the step report's bytes_per_edge column is comparable across
-// baseline and iHTL kernels and across encodings.
+// baseline and iHTL kernels.
 func (e *Engine) BytesPerStep() int64 {
 	ih := e.ih
 	const vb = int64(spmv.VertexBytes)

@@ -14,8 +14,9 @@ import (
 // arbitrary bytes must either fail
 // cleanly or decode into a structurally sound iHTL graph (inverse
 // relabeling arrays, in-range block destinations, edge conservation —
-// all checked inside), and a v1 or raw v2 file that is accepted must be
-// safe under the flat kernels that will walk it unchecked.
+// all checked inside), and every file that is accepted — v1, raw v2, or
+// packed v2 decoded at open — must be safe under the flat kernels that
+// will walk it unchecked.
 func FuzzReadIHTL(f *testing.F) {
 	ih, err := Build(graph.PaperExample(), Params{HubsPerBlock: 2})
 	if err != nil {
@@ -80,15 +81,11 @@ func FuzzReadIHTL(f *testing.F) {
 		if got.FlippedEdges()+got.Sparse.NumEdges() != got.NumE {
 			t.Fatal("decoder accepted inconsistent edge counts")
 		}
-		if got.EncodedOnly() {
-			return
-		}
-		// An accepted v1 or raw v2 file is stepped as it is, by the
-		// unchecked flat kernels (-tags=ihtlchecked: a stray access
-		// panics).
+		// An accepted file is stepped as it opened, by the unchecked
+		// flat kernels (-tags=ihtlchecked: a stray access panics).
 		e, err := NewEngineOpts(got, pool, EngineOptions{})
 		if err != nil {
-			t.Fatalf("accepted flat file builds no engine: %v", err)
+			t.Fatalf("accepted file builds no engine: %v", err)
 		}
 		e.Step(integerVec(1, got.NumV), make([]float64, got.NumV))
 		e.StepBatch(integerVec(2, 4*got.NumV), make([]float64, 4*got.NumV), 4)

@@ -1,18 +1,15 @@
 package core
 
 import (
-	"ihtl/internal/compress"
 	"ihtl/internal/graph"
 	"ihtl/internal/spmv"
 	"ihtl/internal/unchecked"
 )
 
 // Register-resident lane kernels: the K-lane push and pull for the
-// (width, topology) pairs the benchmark puts traffic on — 8 lanes over
-// flat topology (the ppr8 rung on the default engine), 4 lanes over
-// packed gap rows (the daemon's Lanes on a mapped packed engine) and the
-// 4-lane pull over flat rows (the daemon's Lanes on a raw file, which
-// has no flipped block to push). With K a
+// widths the benchmark puts traffic on — 8 lanes (the ppr8 rung on the
+// default engine) and the 4-lane pull (the daemon's Lanes on a raw
+// file, which has no flipped block to push). With K a
 // compile-time constant a source row's lanes are loaded into locals
 // once per row, a hub's lanes are updated through an array pointer at
 // constant offsets, and a pulled row is summed in locals stored once —
@@ -23,8 +20,8 @@ import (
 // independent and each keeps its order of additions and its +0.0
 // start: bit-for-bit the generic loop. DESIGN.md §8 has the counts.
 // Engine.pushTaskBatch and Engine.pullRowLanes are the only callers;
-// every other pair (the flat 4-lane push and packed 8 among them) runs
-// the generic loop until a workload measures it.
+// every other width (the 4-lane push among them) runs the generic loop
+// until a workload measures it.
 //
 // The three flat cells (pushTaskFlat8, pullRowFlat8, pullRowFlat4) also
 // have an AVX2 body (lanes_amd64.s), a lane row per VADDPD, taken while
@@ -114,34 +111,6 @@ func pushTaskFlat8(bt *blockTask, fb *FlippedBlock, src, buf []float64) {
 	}
 }
 
-// pushTaskEnc4 is pushTaskEncBatch at k = 4.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func pushTaskEnc4(bt *blockTask, fb *FlippedBlock, src, buf []float64) {
-	data := fb.Enc.Data
-	pos := int(unchecked.At(fb.Enc.ByteOff, bt.chunk))
-	for s := bt.lo; s < bt.hi; s++ {
-		deg, width, mask, p := compress.RowHeader(data, pos)
-		pos = p + deg*width
-		xs := unchecked.Lanes4At(src, s*4)
-		if spmv.SkipZeroLanes(xs[:]) {
-			continue
-		}
-		x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
-		prev := uint32(0)
-		for ; p < pos; p += width {
-			prev += unchecked.Load32(data, p) & mask
-			d := unchecked.Lanes4At(buf, int(prev)*4)
-			d[0] += x0
-			d[1] += x1
-			d[2] += x2
-			d[3] += x3
-		}
-	}
-}
-
 // pullRowFlat8 stores into out the lane sums of the src rows named by
 // srcs[lo:hi], added in that order from +0.0.
 //
@@ -173,29 +142,6 @@ func pullRowFlat4(srcs []graph.VID, lo, hi int64, src []float64, out *[4]float64
 	var a0, a1, a2, a3 float64
 	for jj := lo; jj < hi; jj++ {
 		x := unchecked.Lanes4At(src, int(unchecked.At(srcs, int(jj)))*4)
-		a0 += x[0]
-		a1 += x[1]
-		a2 += x[2]
-		a3 += x[3]
-	}
-	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
-}
-
-// pullRowEnc4 is pullRowFlat8 four lanes wide over the packed row whose
-// header is at byte offset off (every row has one) and whose deg gaps
-// follow it, the degree from the resident Index (see sparseRowSumEnc).
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func pullRowEnc4(data []byte, off int, deg int64, src []float64, out *[4]float64) {
-	var a0, a1, a2, a3 float64
-	_, width, mask, p := compress.RowHeader(data, off)
-	prev := uint32(0)
-	for ; deg > 0; deg-- {
-		prev += unchecked.Load32(data, p) & mask
-		p += width
-		x := unchecked.Lanes4At(src, int(prev)*4)
 		a0 += x[0]
 		a1 += x[1]
 		a2 += x[2]

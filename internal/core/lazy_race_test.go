@@ -10,14 +10,11 @@ import (
 )
 
 // TestConcurrentEngineConstruction builds many engines over ONE shared
-// IHTL from concurrent goroutines, mixing the options whose
-// constructors run the lazy graph derivations — EnsureEncoded
-// (BlockEncoding varint), EnsureFlatTopology (flat over an
-// encoded-only graph is not exercised here; DropFlatTopology is
-// destructive and documented single-threaded) — beside the default
-// engine's construction, and then steps each.
-// Under -race this pins the lazyMu guard: before it, two goroutines
-// could both observe a nil Enc and race the derivation.
+// IHTL from concurrent goroutines — the default options beside the
+// deprecated BlockEncoding varint, which once derived a second topology
+// form on the graph — and then steps each. Under -race this pins that
+// construction only reads the shared IHTL: nothing derives a form on
+// it any more, so it needs no lock.
 func TestConcurrentEngineConstruction(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 21))
 	if err != nil {

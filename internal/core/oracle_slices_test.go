@@ -157,25 +157,23 @@ func TestStepDifferentialSignedZero(t *testing.T) {
 	}
 }
 
-// TestEncodingDifferential: the packed rows (EncodingVarint) at one
-// lane, 1-3 workers.
+// TestEncodingDifferential: the packed rows, as a v2 file stores them
+// and the open decodes them, at one lane, 1-3 workers.
 func TestEncodingDifferential(t *testing.T) {
 	runGraphWorkers(t, []int{1, 2, 3}, func(t *testing.T, c oracleCase, pool *sched.Pool) {
-		e := newOracleEngine(t, c.ih, pool, EngineOptions{BlockEncoding: EncodingVarint})
-		if e.encoding != EncodingVarint {
-			t.Fatalf("engine resolved to %v, want varint", e.encoding)
-		}
-		requireOracleCell(t, "varint", c, e, 1)
+		c.ih = openPackedV2(t, c.ih)
+		requireOracleCell(t, "packed", c, newOracleEngine(t, c.ih, pool, EngineOptions{}), 1)
 	})
 }
 
-// TestEncodingBatchDifferential: the packed rows at widths 2 and 5 (the
-// run-time-K loop around the four-lane body).
+// TestEncodingBatchDifferential: the decoded packed rows at widths 2
+// and 5, the run-time-K loop.
 func TestEncodingBatchDifferential(t *testing.T) {
 	pool := sched.NewPool(3)
 	defer pool.Close()
 	for name, c := range oracleBuilds(t, Params{HubsPerBlock: 64}) {
-		e := newOracleEngine(t, c.ih, pool, EngineOptions{BlockEncoding: EncodingVarint})
+		c.ih = openPackedV2(t, c.ih)
+		e := newOracleEngine(t, c.ih, pool, EngineOptions{})
 		for _, k := range []int{2, 5} {
 			requireOracleCell(t, name, c, e, k)
 		}
@@ -286,7 +284,7 @@ func TestStepBatchActiveMatchesDense(t *testing.T) {
 			pool := sched.NewPool(workers)
 			defer pool.Close()
 			for _, opt := range optionMatrix(t, func(o EngineOptions) bool {
-				return activeRowsHonoured(o) && o.Health == spmv.HealthPolicy{}
+				return o.Health == spmv.HealthPolicy{}
 			}) {
 				e := newOracleEngine(t, c.ih, pool, opt)
 				for _, k := range []int{1, 2, 5, 8} {
@@ -355,7 +353,7 @@ func TestLayoutDifferential(t *testing.T) {
 			for _, layout := range []BlockLayout{LayoutCSR, LayoutEdgeMajor, layoutByShape} {
 				e := newOracleEngine(t, c.ih, pool, EngineOptions{forceLayout: layout})
 				label := fmt.Sprintf("%s/w%d/%v", c.name, workers, layout)
-				requireOracleEngine(t, label, e, c.ih, workers, false, layout)
+				requireOracleEngine(t, label, e, c.ih, workers, layout)
 				dst := make([]float64, n)
 				for _, arm := range arms {
 					ForceGoTwins(arm == "go")
@@ -390,8 +388,7 @@ func residentCases(t *testing.T) map[string]oracleCase {
 }
 
 // TestResidentDifferential: the zero-block build, on both arms, 1-3
-// workers, flat and packed, with the watchdog off and in Rollback, at
-// widths 1, 4 and 8.
+// workers, with the watchdog off and in Rollback, at widths 1, 4 and 8.
 func TestResidentDifferential(t *testing.T) {
 	arms := asmArms(t)
 	for name, c := range residentCases(t) {
@@ -400,13 +397,11 @@ func TestResidentDifferential(t *testing.T) {
 			for _, workers := range []int{1, 2, 3} {
 				pool := sched.NewPool(workers)
 				defer pool.Close()
-				for _, enc := range []BlockEncoding{EncodingFlat, EncodingVarint} {
-					for _, health := range []spmv.HealthPolicy{{}, {Mode: spmv.HealthRollback}} {
-						opt := EngineOptions{BlockEncoding: enc, Health: health}
-						e := newOracleEngine(t, c.ih, pool, opt)
-						for _, k := range []int{1, 4, 8} {
-							requireOracleCell(t, fmt.Sprintf("%s/%s/w%d/%s", name, arm, workers, optLabel(opt)), c, e, k)
-						}
+				for _, health := range []spmv.HealthPolicy{{}, {Mode: spmv.HealthRollback}} {
+					opt := EngineOptions{Health: health}
+					e := newOracleEngine(t, c.ih, pool, opt)
+					for _, k := range []int{1, 4, 8} {
+						requireOracleCell(t, fmt.Sprintf("%s/%s/w%d/%s", name, arm, workers, optLabel(opt)), c, e, k)
 					}
 				}
 			}
@@ -417,8 +412,8 @@ func TestResidentDifferential(t *testing.T) {
 
 // TestV2RawFileDifferential: the zero-block build opened from its raw v2
 // file and in memory, on both arms, 1-3 workers, every row of the option
-// matrix, at widths 1, 4 and 8. EncodingAuto stays flat over the raw
-// file: its four-lane rows read their ids out of the mapping.
+// matrix, at widths 1, 4 and 8: its four-lane rows read their ids out
+// of the mapping.
 func TestV2RawFileDifferential(t *testing.T) {
 	arms := asmArms(t)
 	for name, c := range residentCases(t) {
@@ -432,9 +427,6 @@ func TestV2RawFileDifferential(t *testing.T) {
 					for from, ih := range map[string]*IHTL{"file": opened, "memory": c.ih} {
 						label := fmt.Sprintf("%s/%s/w%d/%s/%s", name, arm, workers, from, optLabel(opt))
 						e := newOracleEngine(t, ih, pool, opt)
-						if want := opt.BlockEncoding == EncodingVarint; e.varint != want {
-							t.Fatalf("%s: engine walks packed rows: %v", label, e.varint)
-						}
 						for _, k := range []int{1, 4, 8} {
 							requireOracleCell(t, label, c, e, k)
 						}

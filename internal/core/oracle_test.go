@@ -140,10 +140,10 @@ var optionValues = map[string][]any{
 	// Deprecated and read by no code: every engine runs the uniform pull
 	// (TestNewEngineOptsIgnoresDeprecated).
 	"SparseKernel": {SparsePull},
-	// EncodingAuto is flat on a graph built in memory, read from a v1
-	// file or opened from a raw v2 file, and packed on one opened from a
-	// packed v2 file: TestOracle steps all four.
-	"BlockEncoding": {EncodingAuto, EncodingVarint},
+	// Deprecated and read by no code: every engine walks the flat
+	// adjacency, a packed v2 file's decoded at open, which TestOracle's
+	// v2-packed source steps (TestNewEngineOptsIgnoresDeprecated).
+	"BlockEncoding": {EncodingAuto},
 	// Deprecated and read by no code: every value builds the one
 	// single-graph engine (TestNewEngineOptsIgnoresDeprecated).
 	"Shards": {0},
@@ -311,8 +311,8 @@ type oracleSource struct {
 
 // oracleSources returns ih in memory, read back from its v1 file
 // (WriteTo, ReadIHTL) and opened from its v2 file (SaveFileV2,
-// OpenEngineFile): a packed file, which steps packed, unless ih is
-// resident and its file raw.
+// OpenEngineFile): a packed file, decoded to flat at open, unless ih
+// is resident and its file raw.
 func oracleSources(t *testing.T, ih *IHTL) []oracleSource {
 	t.Helper()
 	var v1 bytes.Buffer
@@ -323,6 +323,14 @@ func oracleSources(t *testing.T, ih *IHTL) []oracleSource {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v2 := openV2Graph(t, ih)
+	return []oracleSource{{"memory", ih}, {"v1", read}, {"v2-" + v2.V2Stream(), v2}}
+}
+
+// openV2Graph saves ih as a v2 engine file and opens it, closed when t ends:
+// a packed file's graph decoded at open, a raw file's mapped.
+func openV2Graph(t *testing.T, ih *IHTL) *IHTL {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.ihtl2")
 	if err := ih.SaveFileV2(path); err != nil {
 		t.Fatal(err)
@@ -332,14 +340,25 @@ func oracleSources(t *testing.T, ih *IHTL) []oracleSource {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ef.Close() })
-	return []oracleSource{{"memory", ih}, {"v1", read}, {"v2-" + ef.IHTL().V2Stream(), ef.IHTL()}}
+	return ef.IHTL()
+}
+
+// openPackedV2 is openV2Graph for a build that flips, whose file is packed.
+func openPackedV2(t *testing.T, ih *IHTL) *IHTL {
+	t.Helper()
+	v2 := openV2Graph(t, ih)
+	if v2.V2Stream() != "packed" {
+		t.Fatalf("the v2 file of a build with %d flipped blocks is %s, want packed", len(ih.Blocks), v2.V2Stream())
+	}
+	return v2
 }
 
 // requirePackedRowsCovered checks that the matrix's flipped blocks hold
-// the packed rows a push must skip past exactly: one with a two-byte
-// header (degree ≥ 32) and one whose gaps take two bytes (a hub ID ≥
-// 256). A skipped row's cursor advance is degree × width bytes at every
-// width, so these stand for the widths no small graph reaches.
+// the packed rows the v2-packed source's decode must get right: one
+// with a two-byte header (degree ≥ 32) and one whose gaps take two
+// bytes (a hub ID ≥ 256). The decode's cursor advances degree × width
+// bytes a row at every width, so these stand for the widths no small
+// graph reaches (TestEncodedPushSkipsZeroSourceRows has the rest).
 func requirePackedRowsCovered(t *testing.T, cases []oracleCase) {
 	t.Helper()
 	longRow, wideGap := false, false
@@ -368,12 +387,12 @@ func requirePackedRowsCovered(t *testing.T, cases []oracleCase) {
 //     the hub buffers, dirty ranges and gates were left clean; at one
 //     lane so does a vector of ±0.0, ±Inf and NaN (specialVec), whose
 //     sums are exact too but for a NaN's payload;
-//   - on a flat engine one active-row step from a sparse set must touch
-//     exactly the rows the graph's in-lists say, each holding the
-//     reference's bits, and write no other;
+//   - one active-row step from a sparse set must touch exactly the rows
+//     the graph's in-lists say, each holding the reference's bits, and
+//     write no other;
 //   - a real input (realInput) must give one set of bits per lane across
-//     widths, arms, Health and sources, for each worker count, encoding
-//     and layout — and, on a build with no flipped block, which sums each
+//     widths, arms, Health and sources, for each worker count and
+//     layout — and, on a build with no flipped block, which sums each
 //     row in in-list order, the reference's.
 //
 // Each engine also reports the epilogue placement its graph gets: its
@@ -435,10 +454,9 @@ func TestOracle(t *testing.T) {
 			for si, s := range sources {
 				for _, workers := range workerCounts {
 					for _, opt := range optionMatrix(t, nil) {
-						varint := opt.BlockEncoding == EncodingVarint || s.ih.EncodedOnly()
 						for _, layout := range []BlockLayout{layoutByShape, LayoutCSR, LayoutEdgeMajor} {
 							opt.forceLayout = layout
-							if oracleMerged(si, varint, opt, 0, 1) {
+							if oracleMerged(si, opt, 0, 1) {
 								continue
 							}
 							cell := fmt.Sprintf("%s/%s/w%d/%s/%v", c.name, s.name, workers, optLabel(opt), layout)
@@ -446,15 +464,15 @@ func TestOracle(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", cell, err)
 							}
-							requireOracleEngine(t, cell, e, s.ih, workers, varint, layout)
-							group := fmt.Sprintf("w%d/varint=%v/%v", workers, varint, layout)
+							requireOracleEngine(t, cell, e, s.ih, workers, layout)
+							group := fmt.Sprintf("w%d/%v", workers, layout)
 							if realBits[group] == nil {
 								realBits[group] = make([][]float64, widths[len(widths)-1])
 							}
 							for ai, arm := range arms {
 								ForceGoTwins(arm == "go")
 								for _, k := range widths {
-									if oracleMerged(si, varint, opt, ai, k) {
+									if oracleMerged(si, opt, ai, k) {
 										continue
 									}
 									label := fmt.Sprintf("%s/%s/k%d", cell, arm, k)
@@ -475,10 +493,9 @@ func TestOracle(t *testing.T) {
 											}
 										}
 									}
-									if a := active[k]; !varint {
-										got, touched := stepActive(t, label+"/active", e, a.src, a.active, k, nil)
-										requireActiveRows(t, label+"/active", a.touched, touched, got, a.want, k)
-									}
+									a := active[k]
+									got, touched := stepActive(t, label+"/active", e, a.src, a.active, k, nil)
+									requireActiveRows(t, label+"/active", a.touched, touched, got, a.want, k)
 									r := real[k]
 									e.StepBatch(r.src, dst, k)
 									if r.want != nil {
@@ -505,13 +522,10 @@ func TestOracle(t *testing.T) {
 
 // oracleMerged reports whether TestOracle folds a row into another that
 // runs the same code on the same data, so it need not step it: source
-// si (0 memory, 1 v1, 2 v2) with option row opt, which resolved to
-// packed rows or not, under arm ai (0 the per-process choice, 1 the Go
-// twins) at width k. DESIGN.md §8's kernel table documents the first
-// three:
+// si (0 memory, 1 v1, 2 v2) with option row opt, under arm ai (0 the
+// per-process choice, 1 the Go twins) at width k. DESIGN.md §8's kernel
+// table documents the first two:
 //
-//   - a packed engine walks CSR whatever the layout, and runs no
-//     assembly;
 //   - the K-lane kernels walk CSR whatever the layout;
 //   - no assembly body runs 16 lanes.
 //
@@ -522,11 +536,9 @@ func TestOracle(t *testing.T) {
 //   - a file holds the arrays the build held (its round-trip tests check
 //     that), so a file's engine steps only the default option row, by
 //     shape, on the per-process arm.
-func oracleMerged(si int, varint bool, opt EngineOptions, ai, k int) bool {
+func oracleMerged(si int, opt EngineOptions, ai, k int) bool {
 	byShape := opt.forceLayout == layoutByShape
 	switch {
-	case varint && (!byShape || ai > 0):
-		return true
 	case !byShape && k > 1, ai > 0 && k == 16:
 		return true
 	case (opt.Health != spmv.HealthPolicy{}) && (!byShape || ai > 0):
@@ -538,14 +550,10 @@ func oracleMerged(si int, varint bool, opt EngineOptions, ai, k int) bool {
 }
 
 // requireOracleEngine checks what an engine of the matrix resolved to:
-// packed rows exactly when asked for or when its source holds only
-// them, the forced layout on every block with an edge, and the
-// epilogue placement its graph gets.
-func requireOracleEngine(t *testing.T, cell string, e *Engine, ih *IHTL, workers int, varint bool, layout BlockLayout) {
+// the forced layout on every block with an edge, and the epilogue
+// placement its graph gets.
+func requireOracleEngine(t *testing.T, cell string, e *Engine, ih *IHTL, workers int, layout BlockLayout) {
 	t.Helper()
-	if e.varint != varint {
-		t.Fatalf("%s: engine walks packed rows: %v, want %v", cell, e.varint, varint)
-	}
 	if layout != layoutByShape {
 		for i, s := range ih.BlockShapes() {
 			adv := e.sparseAdv
@@ -609,16 +617,16 @@ func TestOracleRelabelInvariance(t *testing.T) {
 }
 
 // TestOracleLinearity: Step(2·x + y) == 2·Step(x) + Step(y) exactly on
-// integer inputs, at one lane and at eight, flat and packed, over every
-// graph at B = 64.
+// integer inputs, at one lane and at eight, over every graph at B = 64,
+// built in memory and opened from its packed v2 file.
 func TestOracleLinearity(t *testing.T) {
 	for gname, g := range diffGraphs(t) {
-		ih, err := Build(g, Params{HubsPerBlock: 64})
+		built, err := Build(g, Params{HubsPerBlock: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opt := range []EngineOptions{{}, {BlockEncoding: EncodingVarint}} {
-			e, err := NewEngineOpts(ih, testPool, opt)
+		for from, ih := range map[string]*IHTL{"memory": built, "v2-packed": openPackedV2(t, built)} {
+			e, err := NewEngine(ih, testPool)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -632,7 +640,7 @@ func TestOracleLinearity(t *testing.T) {
 				for i := range sx {
 					sx[i] = 2*sx[i] + sy[i]
 				}
-				requireBitIdentical(t, fmt.Sprintf("%s/%s/k%d", gname, optLabel(opt), k), sx, stepFresh(e, z, k))
+				requireBitIdentical(t, fmt.Sprintf("%s/%s/k%d", gname, from, k), sx, stepFresh(e, z, k))
 			}
 		}
 	}
@@ -642,8 +650,8 @@ func TestOracleLinearity(t *testing.T) {
 // scales — the default engine and both forced layouts against the
 // reference, on unsigned and signed exact inputs — and the batch-lane
 // == scalar property (lanes_test.go) at a fuzzed width 2 + width%8: the
-// fixed-width lane kernels (flat at 8, packed at 4) and the run-time-K
-// loop around them.
+// fixed-width lane kernels (at 4 and 8) and the run-time-K loop around
+// them, over the build and over its packed v2 bytes decoded.
 func FuzzStepDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(6), uint8(2))
 	f.Add(uint64(99), uint8(8), uint8(6))
@@ -684,16 +692,24 @@ func FuzzStepDifferential(f *testing.F) {
 			}
 		}
 
-		// K lanes through one traversal against K scalar Steps, flat and
-		// packed.
-		varint, err := NewEngineOpts(ih, pool, EngineOptions{BlockEncoding: EncodingVarint})
+		// K lanes through one traversal against K scalar Steps, over the
+		// build and over its packed file's decode.
+		var file bytes.Buffer
+		if _, err := ih.WriteToV2(&file); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := parseV2(alignedCopy(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := NewEngine(opened, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
 		k := 2 + int(width%8)
 		lanes, batch := laneInputs(seed, ih.NumV, k)
 		batchDst := make([]float64, ih.NumV*k)
-		for _, e := range []*Engine{fused, varint} {
+		for _, e := range []*Engine{fused, decoded} {
 			e.StepBatch(batch, batchDst, k)
 			requireLanesMatchScalar(t, e, lanes, batchDst)
 		}

@@ -10,10 +10,8 @@ package core
 // sparse block (the paper's partition invariant), so summing source
 // occurrences over both reproduces the original out-degrees exactly:
 // flipped blocks index per push source (the run length IS the edge
-// count, no adjacency decode needed), while the sparse block stores
-// sources grouped by destination and is scanned flat or, for an
-// encoded-only graph (a v2 engine file opened without materialising
-// flat topology), chunk-by-chunk through the validated varint decoder.
+// count), while the sparse block stores sources grouped by destination
+// and is scanned once.
 func (ih *IHTL) OutDegrees() []int {
 	deg := make([]int, ih.NumV)
 	nps := ih.NumPushSources()
@@ -23,21 +21,8 @@ func (ih *IHTL) OutDegrees() []int {
 			deg[s] += int(idx[s+1] - idx[s])
 		}
 	}
-	sp := &ih.Sparse
-	switch {
-	case sp.Srcs != nil:
-		for _, u := range sp.Srcs {
-			deg[u]++
-		}
-	case sp.Enc != nil:
-		sIdx := make([]int32, sp.Enc.MaxSrcs+1)
-		vals := make([]uint32, sp.Enc.MaxEdges)
-		for c := 0; c < sp.Enc.Chunks(); c++ {
-			_, ne := sp.Enc.DecodeChunkCSR(c, sIdx, vals)
-			for i := 0; i < ne; i++ {
-				deg[vals[i]]++
-			}
-		}
+	for _, u := range ih.Sparse.Srcs {
+		deg[u]++
 	}
 	return deg
 }

@@ -6,22 +6,21 @@ import (
 	"ihtl/internal/unchecked"
 )
 
-// The flat (uncompressed) flipped-push kernels: one encoded task's
-// worth of src[s] -> hub scatter, run by the fused workers, so the
-// inner loop exists exactly once per shape.
-// These are the Algorithm 3 lines 1-4 inner loops; together with
-// their varint twins in encoding.go they are //ihtl:nobce — the
-// ihtlvet -bce gate pins them free of per-edge bounds checks, which
+// The flipped-push kernels: one task's worth of src[s] -> hub scatter,
+// run by the fused workers, so the inner loop exists exactly once per
+// shape.
+// These are the Algorithm 3 lines 1-4 inner loops; they are
+// //ihtl:nobce — the ihtlvet -bce gate pins them free of per-edge
+// bounds checks, which
 // is why every access goes through the spmv unchecked accessors
 // (indices are graph data no BCE analysis can prove in range; see
 // spmv/unchecked.go for the safety argument).
 
 // pushTaskBatch pushes task bt k lanes wide, and is the one place the
 // fused worker picks a dense flipped kernel: the
-// scalar bodies at one lane, the register-resident bodies (lanes.go) at
-// 8 lanes over flat topology — its AVX2 body while laneAsm is set,
-// prefetching at the width's distance — and 4 over packed gap rows, the
-// generic lane loop for everything else.
+// scalar bodies at one lane, the register-resident body (lanes.go) at
+// 8 lanes — its AVX2 body while laneAsm is set, prefetching at the
+// width's distance — and the generic lane loop for everything else.
 // The K-lane kernels walk CSR whatever the block's layout.
 //
 //ihtl:noalloc
@@ -33,31 +32,24 @@ func (e *Engine) pushTaskBatch(k int, bt *blockTask, src, buf []float64) {
 	switch {
 	case k == 1:
 		e.pushTask(bt, src, buf)
-	case k == 8 && !e.varint:
+	case k == 8:
 		if laneAsm {
 			pushTaskFlat8AVX2(fb.Index, fb.Dsts, bt.lo, bt.hi, src, buf, e.batch.prefetch)
 		} else {
 			pushTaskFlat8(bt, fb, src, buf)
 		}
-	case k == 4 && e.varint:
-		pushTaskEnc4(bt, fb, src, buf)
-	case e.varint:
-		pushTaskEncBatch(k, bt, fb, src, buf)
 	default:
 		pushTaskFlatBatch(k, bt, fb, src, buf)
 	}
 }
 
 // pushTask pushes task bt into a worker-owned hub buffer one lane wide,
-// under the engine's encoding and the block's layout: the width-1 arm
-// of pushTaskBatch.
+// under the block's layout: the width-1 arm of pushTaskBatch.
 //
 //ihtl:noalloc
 func (e *Engine) pushTask(bt *blockTask, src, buf []float64) {
 	fb := &e.ih.Blocks[bt.block]
-	if e.varint {
-		pushTaskEnc(bt, fb, src, buf)
-	} else if adv := e.flipAdv[bt.block]; adv != nil {
+	if adv := e.flipAdv[bt.block]; adv != nil {
 		pushTaskEdgeMajor(bt, fb, adv, src, buf)
 	} else if dist := pushPrefetch; dist > 0 {
 		pushTaskFlatAsm(fb.Index, fb.Dsts, bt.lo, bt.hi, src, buf, dist)

@@ -221,7 +221,7 @@ func TestResidentEqualsDegreeFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !packed.EncodedOnly() || packed.resident {
+		if packed.V2Stream() != "packed" || packed.resident {
 			t.Errorf("%s: the degree-floor graph's v2 file did not open packed", gname)
 		}
 	}
@@ -230,9 +230,9 @@ func TestResidentEqualsDegreeFloor(t *testing.T) {
 // TestResidentFilesAndFaults takes a zero-block graph through the v2
 // file and through a failed Step: the opened engines still
 // equal the oracle bit for bit, and so does the clean Step after a
-// cancellation or an injected panic in a sparse part. The "pb" rows
-// build their engine with the deprecated SparseKernel set, which no
-// code reads.
+// cancellation or an injected panic in a sparse part. The "pb" and
+// "varint" rows build their engine with the deprecated SparseKernel or
+// BlockEncoding set, which no code reads.
 func TestResidentFilesAndFaults(t *testing.T) {
 	g := residentGraphs(t)["rmat"]
 	n := g.NumV
@@ -259,8 +259,8 @@ func TestResidentFilesAndFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.encoding != EncodingFlat || !ef.IHTL().Stats(g).Resident {
-			t.Fatalf("the file of a resident graph opened %v, resident %v; want the raw file, flat and resident", e.encoding, ef.IHTL().Stats(g).Resident)
+		if ef.IHTL().V2Stream() != "raw" || !ef.IHTL().Stats(g).Resident {
+			t.Fatalf("the file of a resident graph opened %s, resident %v; want the raw file, resident", ef.IHTL().V2Stream(), ef.IHTL().Stats(g).Resident)
 		}
 		e.Step(src, dst)
 		requireBitIdentical(t, "engine over the v2 file", want, dst)

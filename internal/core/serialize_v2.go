@@ -45,18 +45,20 @@ package core
 // the gap decode would buy no bytes that matter and costs instructions
 // on every edge (DESIGN.md §18) — and every other graph packed, format
 // 1, every block of it. The word sits in what was zero padding while
-// the streams were LEB128 varints (format 0, retired: no decoder is
+// the streams were LEB128 gap codes (format 0, retired: no decoder is
 // kept), so a file of that era is refused by name instead of being
 // misparsed.
 //
-// In a packed file only the Index arrays and the chunked segments are
-// stored: the flat Dsts/Srcs adjacency is redundant (EnsureFlatTopology
-// re-materialises it on demand); in a raw file Srcs is the stored form
-// and the packed one is what EnsureEncoded derives. On little-endian
-// hosts every raw array section is aliased in place — opening a file
-// allocates O(blocks) metadata, not O(edges); on big-endian or
-// misaligned mappings the sections are copied element-wise, which keeps
-// the format portable at the cost of residency.
+// A file is packed on disk and flat at run time. A packed file stores
+// the Index arrays and the chunked segments, and parseV2 decodes each
+// segment into the flat Dsts/Srcs the engines walk, right after
+// Validate has proved it: 4 bytes per edge of heap, never more than 4×
+// the segment's data bytes (every edge takes at least one). In a raw
+// file Srcs is the stored form. On little-endian hosts every raw array
+// section — the relabeling, the Index arrays, a raw file's Srcs — is
+// aliased in place; on big-endian or misaligned mappings the sections
+// are copied element-wise, which keeps the format portable at the cost
+// of residency.
 
 import (
 	"bufio"
@@ -100,15 +102,9 @@ var hostLittle = func() bool {
 }()
 
 // WriteToV2 serialises ih in the version-2 format, raw when ih was
-// built in the resident regime and packed otherwise. A block
-// whose stored form is not resident is encoded (or, raw, decoded) for
-// the write only: saving a flat-resident graph does not leave a second
-// copy of its topology cached on it. The lazy-derivation lock is held
-// throughout, so the write sees stable forms next to concurrent engine
-// construction.
+// built in the resident regime and packed otherwise. A packed block is
+// encoded from the flat adjacency for the write only.
 func (ih *IHTL) WriteToV2(w io.Writer) (int64, error) {
-	ih.lazyMu.Lock()
-	defer ih.lazyMu.Unlock()
 	vw := &v2writer{w: bufio.NewWriterSize(w, 1<<20)}
 	vw.u64(ihtlMagic)
 	vw.u32(ihtlVersion2)
@@ -141,32 +137,23 @@ func (ih *IHTL) WriteToV2(w io.Writer) (int64, error) {
 		vw.pad64()
 		vw.rawI64(fb.Index)
 		vw.pad64()
-		enc := fb.Enc
-		if enc == nil {
-			enc = compress.EncodeChunked(fb.Index, fb.Dsts, 0)
-		}
-		vw.chunked(enc)
+		vw.chunked(compress.EncodeChunked(fb.Index, fb.Dsts, 0))
 	}
 	vw.u64(uint64(len(ih.Sparse.Index)))
 	vw.pad64()
 	vw.rawI64(ih.Sparse.Index)
 	vw.pad64()
 	sp := &ih.Sparse
-	if ih.resident {
-		srcs := sp.Srcs
-		if srcs == nil && sp.Enc != nil { // DropFlatTopology ran
-			srcs = decodeFlat(sp.Enc)
-		}
-		vw.u64(uint64(len(srcs)))
+	switch {
+	case ih.resident:
+		vw.u64(uint64(len(sp.Srcs)))
 		vw.pad64()
-		vw.rawU32(srcs)
+		vw.rawU32(sp.Srcs)
 		vw.pad64()
-	} else {
-		enc := sp.Enc
-		if enc == nil && len(sp.Index) > 0 {
-			enc = compress.EncodeChunked(sp.Index, sp.Srcs, 0)
-		}
-		vw.chunked(enc)
+	case len(sp.Index) > 0:
+		vw.chunked(compress.EncodeChunked(sp.Index, sp.Srcs, 0))
+	default:
+		vw.chunked(nil)
 	}
 	if vw.err == nil {
 		vw.err = vw.w.Flush()
@@ -291,9 +278,10 @@ func (vw *v2writer) chunked(ck *compress.Chunked) {
 
 // EngineFile is an engine graph opened from disk. Version-2 files stay
 // backed by their (typically memory-mapped) byte range: the IHTL's
-// Index arrays and its adjacency, chunked or raw, alias the mapping and
-// page in on first touch. Version-1 files are decoded into resident
-// memory, so old files keep working everywhere.
+// relabeling, its Index arrays and a raw file's adjacency alias the
+// mapping and page in on first touch, while a packed file's adjacency
+// is decoded into the heap when it is opened. Version-1 files are
+// decoded into resident memory, so old files keep working everywhere.
 type EngineFile struct {
 	ih     *IHTL
 	data   []byte
@@ -321,11 +309,10 @@ func (ef *EngineFile) Close() error {
 
 // OpenEngineFile opens a serialised engine graph of either version.
 // Version-2 files are memory-mapped read-only where the platform
-// allows (with a read-into-memory fallback), validated, and exposed in
-// the form they store: a packed file encoded-only — NewEngine's auto
-// encoding then runs varint over the mapping without materialising the
-// flat adjacency — and a raw file flat, its Srcs the mapped section, so
-// auto runs the flat kernels over it with nothing decoded. Version-1
+// allows (with a read-into-memory fallback), validated, and exposed
+// flat: a packed file's chunked segments are decoded into the heap (4
+// bytes per edge), and a raw file's Srcs is the mapped section itself,
+// with nothing decoded. Version-1
 // files fall back to the resident ReadIHTL decoder. A version-3 file,
 // the removed sharded container, is refused by name.
 func OpenEngineFile(path string) (*EngineFile, error) {
@@ -503,11 +490,11 @@ func (c *v2cursor) aliasI64(n int) ([]int64, error) {
 }
 
 // chunked parses the chunked adjacency segment of the block whose
-// row offsets are index, and gates it behind compress.Chunked.Validate
-// before anything downstream trusts an unchecked decoder on it: the
-// stream itself, and its row-by-row agreement with index (the kernels
-// take degrees from one and gap widths from the other).
-func (c *v2cursor) chunked(label string, maxDst uint32, index []int64) (*compress.Chunked, error) {
+// row offsets are index, gates it behind compress.Chunked.Validate —
+// the stream itself, every neighbour below maxDst, and its row-by-row
+// agreement with index — and only then decodes it into the flat
+// adjacency the unchecked kernels walk.
+func (c *v2cursor) chunked(label string, maxDst uint32, index []int64) ([]graph.VID, error) {
 	var wantSrc int
 	var wantEdges int64
 	if n := len(index); n > 1 {
@@ -565,7 +552,21 @@ func (c *v2cursor) chunked(label string, maxDst uint32, index []int64) (*compres
 	if err := ck.Validate(maxDst, index); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", label, err)
 	}
-	return ck, nil
+	return decodeFlat(ck), nil
+}
+
+// decodeFlat decodes a whole Chunked into a flat neighbour array
+// (graph.VID is a uint32 alias, so the decode writes in place). Its
+// caller has validated ck, which bounds NumEdges by len(ck.Data).
+func decodeFlat(ck *compress.Chunked) []graph.VID {
+	out := make([]graph.VID, ck.NumEdges)
+	sIdx := make([]int32, ck.MaxSrcs+1)
+	pos := 0
+	for c := 0; c < ck.Chunks(); c++ {
+		_, ne := ck.DecodeChunkCSR(c, sIdx, out[pos:])
+		pos += ne
+	}
+	return out
 }
 
 // rawRows parses the raw adjacency segment of the sparse block, whose
@@ -573,7 +574,7 @@ func (c *v2cursor) chunked(label string, maxDst uint32, index []int64) (*compres
 // declared length is held against the bytes that are left and against
 // the index before the section is aliased; then one pass that allocates
 // nothing proves what the unchecked flat kernels and a later
-// EnsureEncoded take on trust: index is the CSR offset array of exactly
+// WriteToV2 take on trust: index is the CSR offset array of exactly
 // these ids, every id is below maxID, and no row descends (equal
 // neighbours are parallel edges, as a 0 gap is in a packed row).
 func (c *v2cursor) rawRows(maxID uint32, index []int64) ([]graph.VID, error) {
@@ -613,10 +614,11 @@ func (c *v2cursor) rawRows(maxID uint32, index []int64) ([]graph.VID, error) {
 	return srcs, nil
 }
 
-// parseV2 decodes (mostly: aliases) a version-2 byte range into an
-// IHTL that holds the form the file stores — encoded-only for a packed
-// file, flat and resident for a raw one — re-running the structural
-// checks of the v1 reader plus the stream validation.
+// parseV2 decodes a version-2 byte range into a flat IHTL — a packed
+// file's segments into the heap, a raw file's Srcs and every Index
+// array aliased — re-running the structural checks of the v1 reader
+// plus the stream validation. Each segment is validated before its
+// decode allocates, so a hostile size errs first.
 //
 //ihtl:nopanic
 func parseV2(data []byte) (*IHTL, error) {
@@ -722,7 +724,7 @@ func parseV2(data []byte) (*IHTL, error) {
 		if edges < 0 || edges > int64(numE) {
 			return nil, fmt.Errorf("core: block %d edge count %d invalid", i, edges)
 		}
-		if fb.Enc, err = c.chunked(fmt.Sprintf("block %d", i), hubHi, fb.Index); err != nil {
+		if fb.Dsts, err = c.chunked(fmt.Sprintf("block %d", i), hubHi, fb.Index); err != nil {
 			return nil, err
 		}
 		total += edges
@@ -747,7 +749,7 @@ func parseV2(data []byte) (*IHTL, error) {
 	if raw {
 		ih.Sparse.Srcs, err = c.rawRows(numV, ih.Sparse.Index)
 	} else {
-		ih.Sparse.Enc, err = c.chunked("sparse block", numV, ih.Sparse.Index)
+		ih.Sparse.Srcs, err = c.chunked("sparse block", numV, ih.Sparse.Index)
 	}
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -52,8 +53,7 @@ func openV2(t *testing.T, data []byte) *EngineFile {
 // TestV2RawRoundTrip: a resident build is written raw whatever Params
 // made it resident, opens flat with nothing decoded — the ids are the
 // mapped section — is resident again with Stats to say why, and saves
-// back to the bytes it was opened from, also after its flat form was
-// dropped for the packed one.
+// back to the bytes it was opened from, also when read into memory.
 func TestV2RawRoundTrip(t *testing.T) {
 	for gname, g := range residentGraphs(t) {
 		for pname, p := range map[string]Params{
@@ -74,13 +74,10 @@ func TestV2RawRoundTrip(t *testing.T) {
 			if got := binary.LittleEndian.Uint32(data[v2OffStream:]); got != v2StreamRaw {
 				t.Fatalf("%s: header stream format %d, want %d", label, got, v2StreamRaw)
 			}
-			if ih.Sparse.Enc != nil {
-				t.Fatalf("%s: WriteToV2 left an encoding cached on the graph", label)
-			}
 			ef := openV2(t, data)
 			got := ef.IHTL()
 			requireZeroBlocks(t, label+" opened", got)
-			if got.EncodedOnly() || got.Sparse.Enc != nil || got.V2Stream() != "raw" {
+			if got.V2Stream() != "raw" {
 				t.Fatalf("%s: the raw file did not open flat", label)
 			}
 			_, _, srcsOff := rawLayout(g.NumV)
@@ -104,29 +101,16 @@ func TestV2RawRoundTrip(t *testing.T) {
 			if !s.Resident || s.VertexDataBytes > s.CacheBytes || s.CacheBytes != int64(ih.HubsPerBlock*DefaultVertexBytes) {
 				t.Errorf("%s: opened Stats: resident %v, %d B of vertex data, %d B cache (B = %d)", label, s.Resident, s.VertexDataBytes, s.CacheBytes, ih.HubsPerBlock)
 			}
-			e, err := NewEngine(got, testPool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e.encoding != EncodingFlat {
-				t.Errorf("%s: auto encoding over a raw file resolved to %v", label, e.encoding)
-			}
 			if !bytes.Equal(v2Bytes(t, got), data) {
 				t.Errorf("%s: re-saving the opened raw file changed its bytes", label)
 			}
-			// A resident copy (LoadFile's path) that traded its flat form
-			// for the packed one still writes the raw file.
+			// A resident copy (LoadFile's path) writes the same file.
 			loaded, err := ReadIHTL(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded.EnsureEncoded()
-			loaded.DropFlatTopology()
-			if g.NumE > 0 && !loaded.EncodedOnly() {
-				t.Fatalf("%s: DropFlatTopology kept the flat form", label)
-			}
 			if !bytes.Equal(v2Bytes(t, loaded), data) {
-				t.Errorf("%s: the raw file depends on which form was resident", label)
+				t.Errorf("%s: the raw file read into memory saves other bytes", label)
 			}
 		}
 	}
@@ -246,9 +230,10 @@ func TestV2RawRejectsHostile(t *testing.T) {
 // TestV2ParentPackedFileStillOpens: testdata holds the v2 file the
 // parent commit wrote for a default build of R-MAT(8, 8, 7) — a resident
 // graph, packed as every file then was. It still opens, as what it is:
-// packed, encoded-only, not claiming the rule; an engine over it steps
-// bit for bit like one over today's build of that graph; saved again it
-// is the parent's bytes, and the same graph built today is the raw file.
+// packed, not claiming the rule, and decoded at open to today's build's
+// adjacency; an engine over it steps bit for bit like one over today's
+// build of that graph; saved again it is the parent's bytes, and the
+// same graph built today is the raw file.
 func TestV2ParentPackedFileStillOpens(t *testing.T) {
 	path := filepath.Join("testdata", "pr23_resident_packed.ihtl2")
 	old, err := os.ReadFile(path)
@@ -262,7 +247,7 @@ func TestV2ParentPackedFileStillOpens(t *testing.T) {
 	defer ef.Close()
 	got := ef.IHTL()
 	requireZeroBlocks(t, "parent's file", got)
-	if !got.EncodedOnly() || got.resident || got.V2Stream() != "packed" {
+	if got.resident || got.V2Stream() != "packed" {
 		t.Fatal("the parent's packed file did not open packed")
 	}
 	if !bytes.Equal(v2Bytes(t, got), old) {
@@ -281,6 +266,9 @@ func TestV2ParentPackedFileStillOpens(t *testing.T) {
 	if binary.LittleEndian.Uint32(now[v2OffStream:]) != v2StreamRaw || !bytes.Equal(now[:v2OffStream], old[:v2OffStream]) {
 		t.Error("today's file of the same graph differs from the parent's before the stream-format word, or is not raw")
 	}
+	if !slices.Equal(got.Sparse.Srcs, ih.Sparse.Srcs) {
+		t.Fatal("the parent's packed file decoded to another adjacency than today's build")
+	}
 	packed, err := NewEngine(got, testPool)
 	if err != nil {
 		t.Fatal(err)
@@ -288,9 +276,6 @@ func TestV2ParentPackedFileStillOpens(t *testing.T) {
 	flat, err := NewEngine(ih, testPool)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !packed.varint || flat.varint {
-		t.Fatal("auto encoding: the packed file must step packed, the build flat")
 	}
 	// A zero-block graph sums each row in in-list order, so real inputs
 	// give the oracle's bits.

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"ihtl/internal/compress"
 	"ihtl/internal/gen"
 	"ihtl/internal/graph"
 )
@@ -33,8 +32,8 @@ func buildV2TestGraph(t *testing.T) *IHTL {
 }
 
 // TestV2RoundTripBitForBit pins the v2-decoded blocks bit-for-bit
-// against their v1 (flat in-memory) source: header, relabeling, index
-// arrays, and the materialised adjacency.
+// against their flat in-memory source: header, relabeling, index
+// arrays, and the adjacency the packed segments decode to at open.
 func TestV2RoundTripBitForBit(t *testing.T) {
 	ih := buildV2TestGraph(t)
 	path := filepath.Join(t.TempDir(), "g.ihtl2")
@@ -47,9 +46,6 @@ func TestV2RoundTripBitForBit(t *testing.T) {
 	}
 	defer ef.Close()
 	got := ef.IHTL()
-	if !got.EncodedOnly() {
-		t.Fatal("v2 open materialised the flat topology eagerly")
-	}
 	if got.NumV != ih.NumV || got.NumE != ih.NumE || got.NumHubs != ih.NumHubs ||
 		got.NumVWEH != ih.NumVWEH || got.NumFV != ih.NumFV ||
 		got.HubsPerBlock != ih.HubsPerBlock || got.MinHubDegree != ih.MinHubDegree ||
@@ -61,7 +57,6 @@ func TestV2RoundTripBitForBit(t *testing.T) {
 			t.Fatalf("relabeling changed at %d", v)
 		}
 	}
-	got.EnsureFlatTopology()
 	for i := range ih.Blocks {
 		a, b := &ih.Blocks[i], &got.Blocks[i]
 		if a.HubLo != b.HubLo || a.HubHi != b.HubHi || a.Sources != b.Sources {
@@ -96,14 +91,29 @@ func TestV2RoundTripBitForBit(t *testing.T) {
 	}
 }
 
+// encodingGraph is an R-MAT of scale 14 (edge factor 16, reciprocal
+// hubs) built with B = 2048, so most of its edges sit in flipped blocks
+// whose rows a packed file stores with gaps of one and two bytes.
+func encodingGraph(tb testing.TB) *IHTL {
+	tb.Helper()
+	cfg := gen.DefaultRMAT(14, 16, 114)
+	cfg.Reciprocity = 0.7
+	g, err := gen.RMAT(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ih, err := Build(g, Params{HubsPerBlock: 2048})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ih
+}
+
 // TestV2EngineDifferential steps an engine straight over the opened
-// (encoded-only, mapped) v2 graph and holds it to the oracle's cell
-// check, refStep over the in-memory source (oracle_slices_test.go) —
-// auto encoding must resolve to varint — on a small
-// R-MAT and on BenchmarkBlockEncoding's scale-14 one. The packed rows
-// must be the mapping itself, not a heap copy of it, and both the
-// resident topology and the per-step topology stream must be below
-// flat's.
+// packed v2 graph and holds it to the oracle's cell check, refStep over
+// the in-memory source (oracle_slices_test.go), on a small R-MAT and on
+// encodingGraph. The file must map, its Index arrays must be the
+// mapping itself, and its adjacency a heap decode of the packed rows.
 func TestV2EngineDifferential(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -123,47 +133,43 @@ func TestV2EngineDifferential(t *testing.T) {
 			if runtime.GOOS == "linux" && !ef.Mapped() {
 				t.Fatal("v2 engine file did not memory-map")
 			}
-			requirePackedRowsInFile(t, ef)
-			flat, err := NewEngineOpts(ih, testPool, EngineOptions{BlockEncoding: EncodingFlat})
-			if err != nil {
-				t.Fatal(err)
-			}
+			requireFlatDecodedFromFile(t, ef)
 			loaded, err := NewEngine(ef.IHTL(), testPool)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if loaded.encoding != EncodingVarint {
-				t.Fatalf("engine over v2 file resolved to %v, want varint", loaded.encoding)
-			}
 			requireOracleCell(t, "v2 engine", oracleCase{c.name, ih, nil}, loaded, 1)
-			if loaded.topologyStreamBytes() >= flat.topologyStreamBytes() {
-				t.Errorf("varint topology stream %d B/step not below flat %d B/step",
-					loaded.topologyStreamBytes(), flat.topologyStreamBytes())
-			}
 		})
 	}
 }
 
-// requirePackedRowsInFile checks that every packed row stream of an
-// opened v2 file lies inside the file's bytes — the mapping, where the
-// file is mapped — so opening adds no copy of the topology to the heap.
-func requirePackedRowsInFile(t *testing.T, ef *EngineFile) {
+// requireFlatDecodedFromFile checks where an opened packed v2 file's
+// arrays live: every Index inside the file's bytes — the mapping, where
+// the file is mapped — and every block's adjacency outside them, the
+// heap decode the engines walk.
+func requireFlatDecodedFromFile(t *testing.T, ef *EngineFile) {
 	t.Helper()
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(ef.data)))
 	hi := lo + uintptr(len(ef.data))
-	inMapping := func(label string, ck *compress.Chunked) {
-		if ck == nil || len(ck.Data) == 0 {
-			t.Fatalf("%s: no packed rows", label)
+	in := func(p unsafe.Pointer, n uintptr) bool {
+		return uintptr(p) >= lo && uintptr(p)+n <= hi
+	}
+	check := func(label string, index []int64, adj []graph.VID) {
+		if len(adj) == 0 {
+			t.Fatalf("%s: no adjacency", label)
 		}
-		if p := uintptr(unsafe.Pointer(unsafe.SliceData(ck.Data))); p < lo || p+uintptr(len(ck.Data)) > hi {
-			t.Fatalf("%s: packed rows were copied out of the file's bytes", label)
+		if !in(unsafe.Pointer(unsafe.SliceData(index)), uintptr(len(index))*8) {
+			t.Fatalf("%s: Index was copied out of the file's bytes", label)
+		}
+		if in(unsafe.Pointer(unsafe.SliceData(adj)), uintptr(len(adj))*4) {
+			t.Fatalf("%s: the adjacency is not a decode: it lies in the file's bytes", label)
 		}
 	}
 	ih := ef.IHTL()
 	for b := range ih.Blocks {
-		inMapping(fmt.Sprintf("flipped block %d", b), ih.Blocks[b].Enc)
+		check(fmt.Sprintf("flipped block %d", b), ih.Blocks[b].Index, ih.Blocks[b].Dsts)
 	}
-	inMapping("sparse block", ih.Sparse.Enc)
+	check("sparse block", ih.Sparse.Index, ih.Sparse.Srcs)
 }
 
 // TestLoadFileReadsV2 pins the stream decoder's v2 path: LoadFile must
@@ -296,6 +302,7 @@ func TestV2RejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	try := func(name string, b []byte) {
 		t.Helper()
+		requireDecodeBounded(t, name, b)
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
@@ -325,6 +332,7 @@ func TestV2RejectsCorruption(t *testing.T) {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
+	try("intact", data)
 	for off := 12; off < len(data); off += 31 {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0xA5
@@ -377,32 +385,50 @@ func TestV2RefusesLEB128Era(t *testing.T) {
 
 }
 
-// TestWriteToV2LeavesNoEncodedCopy pins the save-side fix: writing a
-// flat-resident graph encodes for the write only — no encoded copy
-// stays cached on the graph — and the bytes are the ones a graph with
-// the encoded form already resident writes.
+// TestWriteToV2LeavesNoEncodedCopy pins the save side: writing a graph
+// encodes its packed rows for the write only — the graph keeps the very
+// arrays it had, and a second write gives the same bytes — and a packed
+// file opened (decoded to flat) and written again gives its own bytes
+// back.
 func TestWriteToV2LeavesNoEncodedCopy(t *testing.T) {
 	ih := buildV2TestGraph(t)
-	var first, second, resident bytes.Buffer
+	dsts := make([]*graph.VID, len(ih.Blocks))
+	for i := range ih.Blocks {
+		dsts[i] = unsafe.SliceData(ih.Blocks[i].Dsts)
+	}
+	srcs := unsafe.SliceData(ih.Sparse.Srcs)
+	var first, second, reopened bytes.Buffer
 	if _, err := ih.WriteToV2(&first); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ih.Blocks {
-		if ih.Blocks[i].Enc != nil {
-			t.Fatalf("WriteToV2 left block %d's encoding cached on a flat-resident graph", i)
+		if unsafe.SliceData(ih.Blocks[i].Dsts) != dsts[i] {
+			t.Fatalf("WriteToV2 replaced block %d's adjacency", i)
 		}
 	}
-	if ih.Sparse.Enc != nil {
-		t.Fatal("WriteToV2 left the sparse encoding cached on a flat-resident graph")
+	if unsafe.SliceData(ih.Sparse.Srcs) != srcs {
+		t.Fatal("WriteToV2 replaced the sparse adjacency")
 	}
 	if _, err := ih.WriteToV2(&second); err != nil {
 		t.Fatal(err)
 	}
-	ih.EnsureEncoded()
-	if _, err := ih.WriteToV2(&resident); err != nil {
+	opened, err := parseV2(alignedCopy(first.Bytes()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) || !bytes.Equal(first.Bytes(), resident.Bytes()) {
-		t.Fatal("the v2 bytes depend on whether the encoded form was resident")
+	if _, err := opened.WriteToV2(&reopened); err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) || !bytes.Equal(first.Bytes(), reopened.Bytes()) {
+		t.Fatal("the v2 bytes of one graph differ between writes, or after an open")
+	}
+}
+
+// alignedCopy copies b into an 8-byte-aligned buffer, as a mapping or
+// readFileAligned hands parseV2 its bytes.
+func alignedCopy(b []byte) []byte {
+	words := make([]int64, (len(b)+7)/8)
+	out := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(b))
+	copy(out, b)
+	return out
 }

@@ -159,24 +159,19 @@ func (e *Engine) StepCtx(ctx context.Context, src, dst []float64, k int, epi spm
 // exactly the rows that were: those with an active in-neighbour, hubs
 // and sparse rows alike (a hub's merge folds only the hubs an active
 // source pushed into). epi runs behind the barrier and may read
-// touched.
-//
-// Only a flat engine has the two kernels (active.go); a packed
-// (varint) engine answers honoured == false having done nothing, and
-// the caller steps densely. Both sets are NumVertices bits.
-func (e *Engine) StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(slot, lo, hi int)) (honoured bool, err error) {
+// touched. The two kernels are in active.go. Both sets are NumVertices
+// bits.
+func (e *Engine) StepBatchActiveCtx(ctx context.Context, src, dst []float64, k int, active, touched spmv.RowSet, epi func(slot, lo, hi int)) error {
 	e.checkShape(src, dst, k)
 	if words := (e.numV + 63) >> 6; len(active) != words || len(touched) != words {
 		panic("core: row set length mismatch")
 	}
-	if !e.setActive(active, touched) {
-		return false, nil
-	}
+	e.setActive(active, touched)
 	e.touched = touched
-	err = e.stepCtx(ctx, src, dst, k, epi, false)
+	err := e.stepCtx(ctx, src, dst, k, epi, false)
 	e.touched = nil
 	e.setActive(nil, nil)
-	return true, err
+	return err
 }
 
 //ihtl:noalloc

@@ -77,12 +77,6 @@ func (e *Engine) sparsePullPart(p int, src, dst []float64) {
 	sp := &e.ih.Sparse
 	base := sp.DestLo
 	lo, hi := unchecked.At(e.sparseBounds, p), unchecked.At(e.sparseBounds, p+1)
-	if e.varint {
-		for i := lo; i < hi; i++ {
-			unchecked.SetAt(dst, base+i, e.sparseRowSumEnc(i, src))
-		}
-		return
-	}
 	if e.sparseAdv != nil {
 		pullRowsEdgeMajor(sp, e.sparseAdv, lo, hi, unchecked.At(e.partPrev, p), src, dst)
 		return

@@ -34,7 +34,7 @@ func (e *Engine) sparsePullPartBatch(p int, src, dst []float64) {
 // pullRowLanes pulls sparse row i K lanes wide into its dst lanes,
 // source by source in ascending order from +0.0: the one row body of
 // the K-lane pull, and the one place the batched pull picks its body
-// (see Engine.pushTaskBatch): the flat cells at 4 and 8 lanes run their
+// (see Engine.pushTaskBatch): the cells at 4 and 8 lanes run their
 // AVX2 bodies while laneAsm is set, the 8-lane one prefetching at the
 // width's distance.
 //
@@ -47,18 +47,16 @@ func (e *Engine) pullRowLanes(i, k int, src, dst []float64) {
 	// size keeps every function linked after this one at the entry
 	// address mod 64 it had before the assembly arms (DESIGN.md §8).
 	switch {
-	case k == 8 && !e.varint:
+	case k == 8:
 		if out := unchecked.Lanes8At(dst, db); laneAsm {
 			pullRowFlat8AVX2(sp.Srcs, lo, hi, src, out, e.batch.prefetch)
 		} else {
 			pullRowFlat8(sp.Srcs, lo, hi, src, out)
 		}
-	case k == 4 && !e.varint && laneAsm:
+	case k == 4 && laneAsm:
 		pullRowFlat4AVX2(sp.Srcs, lo, hi, src, unchecked.Lanes4At(dst, db))
-	case k == 4 && !e.varint:
+	case k == 4:
 		pullRowFlat4(sp.Srcs, lo, hi, src, unchecked.Lanes4At(dst, db))
-	case k == 4 && e.varint:
-		pullRowEnc4(sp.Enc.Data, int(e.sparseRowOff[i]), hi-lo, src, unchecked.Lanes4At(dst, db))
 	default:
 		e.pullRowGeneric(i, k, src, dst[db:db+k:db+k])
 	}
@@ -70,10 +68,6 @@ func (e *Engine) pullRowLanes(i, k int, src, dst []float64) {
 //ihtl:noalloc
 func (e *Engine) pullRowGeneric(i, k int, src, out []float64) {
 	clear(out)
-	if e.varint {
-		e.sparseRowAccEnc(i, k, src, out)
-		return
-	}
 	sp := &e.ih.Sparse
 	for jj := sp.Index[i]; jj < sp.Index[i+1]; jj++ {
 		sb := int(sp.Srcs[jj]) * k

@@ -44,8 +44,8 @@ func TestSparseKernelByGraph(t *testing.T) {
 }
 
 // TestSparseKernelAllocationFree pins the zero-allocation steady state
-// of the sparse pull: after warm-up, neither Step nor a stable-width
-// StepBatch allocates.
+// of the K-lane step: after warm-up, a stable-width StepBatch allocates
+// nothing. TestFusedStepAllocationFree holds the scalar Step.
 func TestSparseKernelAllocationFree(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
 	if err != nil {
@@ -60,16 +60,10 @@ func TestSparseKernelAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := integerVec(3, g.NumV)
-	dst := make([]float64, g.NumV)
 	bsrc := integerVec(3, g.NumV*k)
 	bdst := make([]float64, g.NumV*k)
 	for i := 0; i < 3; i++ { // warm worker stacks and the batch state
-		e.Step(src, dst)
 		e.StepBatch(bsrc, bdst, k)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { e.Step(src, dst) }); allocs != 0 {
-		t.Errorf("Step allocates %.1f objects per run, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { e.StepBatch(bsrc, bdst, k) }); allocs != 0 {
 		t.Errorf("StepBatch allocates %.1f objects per run, want 0", allocs)

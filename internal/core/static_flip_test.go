@@ -11,9 +11,10 @@ import (
 )
 
 // staticFlipVariants are the engine configurations the static split of
-// the flipped tasks makes bit-for-bit reproducible: the fused pipeline
-// over both block encodings. The "phased" variant sets the deprecated
-// Phased, which no code reads: it is the default engine again.
+// the flipped tasks makes bit-for-bit reproducible: the fused pipeline.
+// The "fused-varint" and "phased" variants set the deprecated
+// BlockEncoding and Phased, which no code reads: each is the default
+// engine again.
 var staticFlipVariants = []struct {
 	name string
 	opt  EngineOptions
@@ -95,8 +96,7 @@ func TestStaticFlippedBatchLanesMatchScalar(t *testing.T) {
 // arbitrary floats would show the regrouping. Each variant runs with
 // and without the deprecated StaticFlipped, which must change nothing.
 func TestFaultDelayedFlippedTaskBitIdentical(t *testing.T) {
-	// Scale 13 holds enough flipped edges for several 4096-edge packed
-	// chunks, the varint engine's tasks.
+	// Scale 13 gives every block with edges several flipped tasks.
 	g, err := gen.RMAT(gen.DefaultRMAT(13, 8, 7))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 //go:build !ihtlchecked
 
 // Package unchecked provides bounds-check-free slice access for the
-// //ihtl:nobce kernels. The flipped push, varint decode and sparse
+// //ihtl:nobce kernels. The flipped push, packed-row decode and sparse
 // pull loops index by graph data —
 // vertex IDs, CSR offsets, byte cursors — that no bounds-check-
 // elimination analysis can prove in range, so in safe Go every gather
